@@ -38,7 +38,6 @@ from .simulate import (
     OccupancyState,
     poisson_increments,
     run_coupled,
-    snapshot,
 )
 from .studies import (
     STUDIES,

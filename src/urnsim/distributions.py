@@ -382,10 +382,23 @@ class CellDistribution:
             cells[in_tail] = self._draw_tail_block(rng, n_tail)
         return cells
 
+    def draw_counts(self, rng: np.random.Generator,
+                    size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``size`` i.i.d. draws in count space, exact in law as draw_cells:
+        the number in each table cell 1..table (one multinomial whose last
+        category is the mass beyond the table) and, one by one, the draws
+        that land beyond the table."""
+        # the mass beyond the table as draw_cells sees it; built per call, so
+        # that a distribution used only for series carries no extra table
+        beyond = max(0.0, 1.0 - float(self._cum[_TABLE_SIZE - 1]))
+        counts = rng.multinomial(size, np.append(self._prefix[:_TABLE_SIZE], beyond))
+        return counts[:-1], self._draw_tail_block(rng, int(counts[-1]))
+
     def _draw_tail_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """Exact draws from {j > table}: rejection-inversion under a convex
-        closed-form envelope (power envelope; log factor frozen or absorbed
-        into the exponent depending on its sign).
+        """Exact draws from {j > table}: for geometric by memorylessness,
+        otherwise rejection-inversion under a convex closed-form envelope
+        (power envelope; log factor frozen or absorbed into the exponent
+        depending on its sign).
 
         Candidates beyond _SYNTHETIC_BASE (where per-cell probabilities are
         below ~1e-21 and indices exceed what int64/float64 resolve) become
@@ -393,8 +406,11 @@ class CellDistribution:
         draws would truly coincide is < 1e-11 per 1e7-draw run, far inside
         the sampler's per-draw fidelity budget.
         """
-        s, a = self.s, self.a
         N = _TABLE_SIZE
+        if self.family == "geometric":
+            # memoryless: beyond the table, the table size plus a fresh draw
+            return N + rng.geometric(1.0 - self.q, size=m).astype(np.int64)
+        s, a = self.s, self.a
         x0 = N + 0.5
         w0 = math.log(x0 + _E)
         out = np.empty(m, dtype=np.int64)

@@ -25,7 +25,6 @@ from urnsim import (
     exact_mean,
     exact_var,
     gamma_tail_partial_sum,
-    normalizer,
     run_coupled,
 )
 from urnsim.moments import mean_difference, mean_increment_check, variance_sandwich_check
@@ -104,8 +103,7 @@ def _splitting_samples():
         gaps = np.empty(1000, dtype=np.int64)
         viol = 0
         for i in range(rows.shape[0]):
-            traj = run_coupled(d, grid, seed=(MASTER_SEED, 90_000 + i),
-                               dense_limit=1 << 18)
+            traj = run_coupled(d, grid, seed=(MASTER_SEED, 90_000 + i))
             rows[i] = traj.rstar_poisson[0, :2]
             gaps[i] = traj.gap()[0]
             viol += traj.coupling_violations()
@@ -129,54 +127,6 @@ def _log_slope(d, t: float) -> float:
     def log_l(x: float) -> float:
         return math.log(counting_function(d, x)) - d.theta * math.log(x)
     return (log_l(t * math.e) - log_l(t / math.e)) / 2.0
-
-
-def _endpoint_scaled_gaps(d, trajs, k: int) -> np.ndarray:
-    """b(n) |R*_k(n) - R*_k(K)| per seed (rows) at the first and last checkpoint."""
-    b = normalizer(d.theta, k, d.profile()).b
-    ends = [0, -1]
-    scale = np.array([b(float(trajs[0].positions[i])) for i in ends])
-    return np.array([scale * np.abs(t.rstar_fixed[ends, k - 1] - t.rstar_poisson[ends, k - 1])
-                     for t in trajs])
-
-
-def _median_band(d, n: int, seeds: int) -> tuple[float, float, float]:
-    """Predicted level and 99.9% band of the seed median of b(n)|dR*_1(n)|.
-
-    Between n and the clock reading K = Poisson(n) each ball opens a new cell
-    with probability m'(n) = E_pois[R_1(n)] / n, so |dR*_1| is modelled as
-    X = Binomial(|K - n|, m'(n)) under the exact law of |K - n|.  The
-    predicted level is b(n) m'(n) median|K - n|.  The median of ``seeds``
-    draws of X lies between their (seeds//2)-th and (seeds//2 + 1)-th order
-    statistics, whose laws are binomial in the CDF F of X; each side of the
-    band gets probability 0.0005.
-    """
-    b = normalizer(d.theta, 1, d.profile()).b(float(n))
-    rate = exact_mean(d, float(n), 1, star=False)[0] / n
-    gaps = np.arange(int(12 * math.sqrt(n)) + 10)
-    gap_pmf = sps.poisson.pmf(n + gaps, n)
-    gap_pmf[1:] += sps.poisson.pmf(n - gaps[1:], n)
-    median_gap = gaps[np.searchsorted(np.cumsum(gap_pmf), 0.5)]
-
-    def smallest(holds) -> int:
-        # smallest x with holds(F(x)); F(-1) = 0 and F(max gap) = 1
-        lo, hi = -1, int(gaps[-1])
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if holds(float(gap_pmf @ sps.binom.cdf(mid, gaps, rate))):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    tail = 0.0005
-    half = seeds // 2
-    # P(X_(half) < x) = P(Bin(seeds, F(x-1)) >= half) <= tail while F(x-1) <= p_lo
-    p_lo = sps.beta.ppf(tail, half, seeds - half + 1)
-    # P(X_(half+1) > x) = P(Bin(seeds, F(x)) <= half) <= tail once F(x) >= p_hi
-    p_hi = sps.beta.ppf(1.0 - tail, half + 1, seeds - half)
-    return (b * rate * median_gap, b * smallest(lambda f: f > p_lo),
-            b * smallest(lambda f: f >= p_hi))
 
 
 def test_criterion_01_mean_constants():
@@ -291,29 +241,26 @@ def test_criterion_05_decay_of_scaled_gap():
     # The median must lie at both ends in the 99.9% band of a 100-seed median
     # of b(n) Binomial(|K - n|, m'(n)), the predicted level must fall, and so
     # must the median itself.  Runtime < 15 min total.
-    res_z, trajs_z = _decay_run("zipf", DistributionSpec(family="zipf", s=2.0), (1, 2))
-    res_t, trajs_t = _decay_run("t1l", DistributionSpec(family="theta_one_log"), (1,))
+    res_z, _ = _decay_run("zipf", DistributionSpec(family="zipf", s=2.0), (1, 2))
+    res_t, _ = _decay_run("t1l", DistributionSpec(family="theta_one_log"), (1,))
     elapsed = _CACHE["decay_zipf_time"] + _CACHE["decay_t1l_time"]
     parts = {}
-    for label, d, res, trajs, ks in (("zipf", _zipf(), res_z, trajs_z, (1, 2)),
-                                     ("t1l", _t1l(), res_t, trajs_t, (1,))):
+    for label, d, res, ks in (("zipf", _zipf(), res_z, (1, 2)), ("t1l", _t1l(), res_t, (1,))):
         for k in ks:
             med = res.stats[f"scaled_gap_median_k{k}"]
             first, last = med[0], med[-1]
-            ends = _endpoint_scaled_gaps(d, trajs, k)
-            mean, zero = ends.mean(axis=0), (ends == 0).mean(axis=0)
-            line = (f"median {first:.4f}->{last:.4f}, mean {mean[0]:.4f}->{mean[1]:.4f}, "
-                    f"zero {zero[0]:.2f}->{zero[1]:.2f}")
-            if first == 0 or last == 0:
+            mean, zero = res.stats[f"mean_k{k}"], res.stats[f"zero_fraction_k{k}"]
+            line = (f"median {first:.4f}->{last:.4f}, mean {mean[0]:.4f}->{mean[-1]:.4f}, "
+                    f"zero {zero[0]:.2f}->{zero[-1]:.2f}")
+            if res.margins[f"degenerate_median_k{k}"]:
                 line += ", degenerate median"
             if d.theta == 1.0:
-                (p0, lo0, hi0), (p1, lo1, hi1) = (
-                    _median_band(d, int(n), len(trajs))
-                    for n in (res.checkpoints[0], res.checkpoints[-1]))
-                passed = (lo0 <= first <= hi0 and lo1 <= last <= hi1
-                          and p1 < p0 and last < first)
-                line += (f", predicted {p0:.4f}->{p1:.4f}, "
-                         f"band [{lo0:.4f}, {hi0:.4f}]->[{lo1:.4f}, {hi1:.4f}]")
+                # the band check of study_coupling_decay (see median_band)
+                passed = res.pass_flags[f"decay_k{k}"]
+                m = {key.removesuffix(f"_k{k}"): v for key, v in res.margins.items()}
+                line += (f", predicted {m['predicted_first']:.4f}->{m['predicted_last']:.4f}, "
+                         f"band [{m['band_lo_first']:.4f}, {m['band_hi_first']:.4f}]->"
+                         f"[{m['band_lo_last']:.4f}, {m['band_hi_last']:.4f}]")
             else:
                 passed = bool(last <= 0.5 * first)
             parts[f"{label}_k{k}"] = (line, passed)

@@ -256,6 +256,23 @@ class TestSampler:
             se = math.sqrt(p_block / n_draws)
             assert abs(got - p_block) < 5 * se + 1e-7
 
+    def test_geometric_count_space(self, rng):
+        # near q = 1 about half the mass lies beyond the table, where the
+        # count-space draw continues by memorylessness
+        from urnsim.distributions import _TABLE_SIZE
+        q = 1.0 - 1e-5
+        d = build_distribution(DistributionSpec(family="geometric", q=q))
+        m = 10 ** 5
+        counts, beyond = d.draw_counts(rng, m)
+        assert counts.size == _TABLE_SIZE and int(counts.sum()) + beyond.size == m
+        for p, got in ((1.0 - q ** (_TABLE_SIZE // 2), counts[:_TABLE_SIZE // 2].sum() / m),
+                       (q ** _TABLE_SIZE, beyond.size / m)):
+            assert abs(got - p) < 4 * math.sqrt(p * (1 - p) / m)
+        excess = beyond - _TABLE_SIZE
+        assert excess.min() >= 1
+        sd = math.sqrt(q) / (1.0 - q)
+        assert abs(excess.mean() - 1.0 / (1.0 - q)) < 4 * sd / math.sqrt(excess.size)
+
     def test_fixed_seed_reproducible(self, zipf2):
         a = zipf2.draw_cells(np.random.default_rng(123), 10 ** 4)
         b = zipf2.draw_cells(np.random.default_rng(123), 10 ** 4)

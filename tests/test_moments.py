@@ -156,7 +156,7 @@ class TestExactVar:
         grid = CheckpointGrid(positions=(t,), k_max=1)
         vals = np.empty(10_000)
         for i in range(vals.size):
-            traj = run_coupled(zipf2, grid, seed=(991, i), dense_limit=1 << 18)
+            traj = run_coupled(zipf2, grid, seed=(991, i))
             vals[i] = traj.rstar_poisson[0, 0]
         v_exact, _ = exact_var(zipf2, float(t), 1, star=True)
         m = vals.mean()

@@ -12,35 +12,41 @@ from urnsim import (
     exact_var,
     poisson_increments,
     run_coupled,
-    snapshot,
 )
+from urnsim import simulate
+from urnsim.distributions import _SYNTHETIC_BASE, _TABLE_SIZE
+
+# cells on both sides of the table boundary and synthetic ids beyond 2^62,
+# few enough per region that blocks repeat cells and revisit stored ones
+_CELLS = st.one_of(st.integers(min_value=1, max_value=40),
+                   st.integers(min_value=_TABLE_SIZE - 5, max_value=_TABLE_SIZE + 30),
+                   st.integers(min_value=_SYNTHETIC_BASE, max_value=_SYNTHETIC_BASE + 8))
+
+
+def _one_at_a_time(cells, k_max=3) -> OccupancyState:
+    state = OccupancyState(k_max=k_max)
+    for c in cells:
+        state.add_cells(np.array([c], dtype=np.int64))
+    return state
 
 
 class TestOccupancyState:
     def test_single_ball(self):
-        state = OccupancyState(k_max=3)
-        state.add_ball(7)
+        state = _one_at_a_time([7])
         assert state.rstar(1) == 1 and state.rstar(2) == 0
         assert state.ball_count == 1
 
     def test_two_balls_same_cell(self):
-        state = OccupancyState(k_max=3)
-        state.add_ball(4)
-        state.add_ball(4)
+        state = _one_at_a_time([4, 4])
         assert state.rstar(1) == 1 and state.rstar(2) == 1 and state.rstar(3) == 0
 
     def test_distinct_cells(self):
-        state = OccupancyState(k_max=2)
-        for c in range(1, 26):
-            state.add_ball(c)
+        state = _one_at_a_time(range(1, 26), k_max=2)
         assert state.rstar(1) == 25 and state.rstar(2) == 0
 
     def test_snapshot_example(self):
-        state = OccupancyState(k_max=2)
-        for cell, count in ((11, 3), (29, 1)):
-            for _ in range(count):
-                state.add_ball(cell)
-        row = snapshot(state)
+        state = _one_at_a_time([11, 11, 11, 29], k_max=2)
+        row = state.snapshot()
         assert row.rstar == (2, 1)
         # exactly-k rows follow r[k] = rstar[k] - rstar[k+1]: the 3-ball
         # cell is counted in rstar[2] and rstar[3], so exactly-2 is empty
@@ -48,7 +54,7 @@ class TestOccupancyState:
         assert row.ball_count == 4
 
     def test_empty_snapshot(self):
-        row = snapshot(OccupancyState(k_max=4))
+        row = OccupancyState(k_max=4).snapshot()
         assert row.rstar == (0, 0, 0, 0) and row.r == (0, 0, 0, 0)
         assert row.ball_count == 0
 
@@ -56,28 +62,33 @@ class TestOccupancyState:
         with pytest.raises(ValueError):
             OccupancyState(k_max=0)
         with pytest.raises(ValueError):
-            OccupancyState(k_max=2).add_ball(0)
+            OccupancyState(k_max=2).add_cells(np.array([0]))
 
-    @given(cells=st.lists(st.integers(min_value=1, max_value=40), min_size=1,
-                          max_size=200))
+    @given(blocks=st.lists(st.lists(_CELLS, max_size=60), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
-    def test_block_equals_sequential(self, cells):
-        # tiny dense region so the sparse path is exercised too
-        one = OccupancyState(k_max=3, dense_limit=8)
-        two = OccupancyState(k_max=3, dense_limit=8)
-        for c in cells:
-            one.add_ball(c)
-        two.add_cells(np.asarray(cells, dtype=np.int64))
-        assert snapshot(one) == snapshot(two)
+    def test_block_equals_sequential(self, blocks):
+        cells = [c for block in blocks for c in block]
+        one = _one_at_a_time(cells)
+        two = OccupancyState(k_max=3)
+        # the count-space form run_coupled uses for large increments
+        three = OccupancyState(k_max=3)
+        for block in blocks:
+            arr = np.asarray(block, dtype=np.int64)
+            two.add_cells(arr)
+            in_table = arr[arr <= _TABLE_SIZE]
+            three.add_table_counts(np.bincount(in_table - 1, minlength=_TABLE_SIZE))
+            three.add_cells(arr[arr > _TABLE_SIZE])
+        assert one.snapshot() == two.snapshot() == three.snapshot()
+        for c in set(cells):
+            assert one.count_of(c) == two.count_of(c) == three.count_of(c)
 
-    @given(cells=st.lists(st.integers(min_value=1, max_value=30), min_size=1,
-                          max_size=80))
+    @given(cells=st.lists(_CELLS, min_size=1, max_size=80))
     @settings(max_examples=40, deadline=None)
     def test_lipschitz_and_conservation(self, cells):
         state = OccupancyState(k_max=3)
         prev = np.array([state.rstar(k) for k in (1, 2, 3)])
         for c in cells:
-            state.add_ball(c)
+            state.add_cells(np.array([c], dtype=np.int64))
             cur = np.array([state.rstar(k) for k in (1, 2, 3)])
             assert np.all((cur - prev) >= 0) and np.all((cur - prev) <= 1)
             prev = cur
@@ -88,6 +99,8 @@ class TestOccupancyState:
         for c in set(cells):
             hist[state.count_of(c)] = hist.get(state.count_of(c), 0) + 1
         assert sum(k * v for k, v in hist.items()) == len(cells)
+        for k in (1, 2, 3):
+            assert state.rstar(k) == sum(v for c, v in hist.items() if c >= k)
 
 
 class TestCheckpointGrid:
@@ -183,13 +196,38 @@ class TestRunCoupled:
         grid = CheckpointGrid(positions=(n,), k_max=2)
         vals = np.empty((400, 2))
         for i in range(vals.shape[0]):
-            traj = run_coupled(zipf2, grid, seed=(1234, i), dense_limit=1 << 18)
+            traj = run_coupled(zipf2, grid, seed=(1234, i))
             vals[i] = traj.rstar_poisson[0]
         for kk in (1, 2):
             m, _ = exact_mean(zipf2, float(n), kk, star=True)
             v, _ = exact_var(zipf2, float(n), kk, star=True)
             z = (vals[:, kk - 1].mean() - m) / math.sqrt(v / vals.shape[0])
             assert abs(z) < 4.0
+
+    @pytest.mark.slow
+    def test_theta_one_log_law_matches_exact_series(self, theta_one_log):
+        # splitting-property check through the count-space path: the first
+        # increment (about n balls) is one multinomial over the sampler table
+        # plus rejection-inversion draws beyond it.  Poissonized-column mean
+        # and variance of R*_1, R*_2 against the exact series.
+        n = 300_000
+        assert 2 * simulate._COUNT_SPACE_MIN < n
+        grid = CheckpointGrid(positions=(n,), k_max=2)
+        vals = np.empty((300, 2))
+        for i in range(vals.shape[0]):
+            vals[i] = run_coupled(theta_one_log, grid, seed=(2718, i)).rstar_poisson[0]
+        for kk in (1, 2):
+            sample = vals[:, kk - 1]
+            m, _ = exact_mean(theta_one_log, float(n), kk, star=True)
+            v, _ = exact_var(theta_one_log, float(n), kk, star=True)
+            z_mean = (sample.mean() - m) / math.sqrt(v / sample.size)
+            centered = sample - sample.mean()
+            m2 = float((centered ** 2).mean())
+            m4 = float((centered ** 4).mean())
+            se_var = math.sqrt(max(m4 - m2 * m2 * (sample.size - 3) / (sample.size - 1),
+                                   0.0) / sample.size)
+            z_var = (sample.var(ddof=1) - v) / se_var
+            assert abs(z_mean) < 4.0 and abs(z_var) < 4.0, (kk, z_mean, z_var)
 
     def test_geometric_trajectory(self, geometric_half):
         grid = CheckpointGrid.logspaced(16, 5_000, 5, k_max=3)

@@ -12,12 +12,15 @@ from urnsim import (
     StudyResult,
     aggregate,
     estimate_theta,
+    normalizer,
     run_coupled,
     run_study,
     write_study_outputs,
 )
+from urnsim.simulate import CoupledTrajectory
 from urnsim.studies import (
     generate_trajectories,
+    median_band,
     study_coupling_decay,
     study_increment_bound,
     study_lil_bound,
@@ -28,6 +31,7 @@ from urnsim.studies import (
 
 ZIPF = DistributionSpec(family="zipf", s=2.0)
 GEO = DistributionSpec(family="geometric", q=0.5)
+T1L = DistributionSpec(family="theta_one_log")
 
 
 def small_cfg(**kw):
@@ -79,6 +83,48 @@ class TestCouplingDecay:
         res = study_coupling_decay(cfg, trajectories=trajs)
         assert all(v == 0.0 for v in res.stats["scaled_gap_median_k1"])
         assert res.pass_flags["decay_k1"]  # 0 <= 0.5 * 0
+
+    def test_theta_one_judged_by_median_band(self, theta_one_log):
+        # at theta = 1 the flag asks for the seed median inside the band of
+        # median_band at both ends and a fall, not for a halving
+        cfg = small_cfg(distribution=T1L, n_min=10_000, n_max=1_000_000, points=2,
+                        ks=(1,), seeds=30)
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
+        ends = np.asarray(grid.positions)
+        b = np.array([normalizer(1.0, 1, theta_one_log.profile()).b(float(n)) for n in ends])
+        (p0, lo0, hi0), (p1, lo1, hi1) = (median_band(theta_one_log, int(n), cfg.seeds)
+                                          for n in ends)
+        assert p1 < p0 and lo0 < p0 < hi0 and lo1 < p1 < hi1
+        with pytest.raises(ValueError):
+            median_band(theta_one_log, int(ends[0]), 1)
+
+        def run(diffs):
+            trajs = [CoupledTrajectory(
+                seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=cfg.k_max,
+                rstar_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
+                rstar_poisson=np.tile(np.asarray(diffs)[:, None], (1, cfg.k_max)),
+                r_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
+                r_poisson=np.zeros((2, cfg.k_max), dtype=np.int64))
+                for i in range(cfg.seeds)]
+            return study_coupling_decay(cfg, trajectories=trajs)
+
+        # every seed at the predicted level: passes, although no halving
+        res = run(np.round(np.array([p0, p1]) / b).astype(np.int64))
+        first, last = res.stats["scaled_gap_median_k1"]
+        assert last > 0.5 * first
+        assert res.pass_flags["decay_k1"] and not res.margins["degenerate_median_k1"]
+        assert res.margins["predicted_first_k1"] == p0
+        assert res.margins["band_hi_last_k1"] == hi1
+        assert res.stats["zero_fraction_k1"] == [0.0, 0.0]
+        # zero gaps halve vacuously but lie below the band
+        res = run([0, 0])
+        assert not res.pass_flags["decay_k1"] and res.margins["degenerate_median_k1"]
+        assert res.stats["mean_k1"] == [0.0, 0.0]
+        assert res.stats["zero_fraction_k1"] == [1.0, 1.0]
+        # a gap that does not fall fails
+        d0 = round(p0 / b[0])
+        res = run([d0, math.ceil(d0 * b[0] / b[1])])
+        assert not res.pass_flags["decay_k1"]
 
     def test_scaling_monotone_in_b(self):
         # the scaled statistic can only shrink under a smaller normalizer
@@ -236,10 +282,13 @@ class TestResultPlumbing:
         cfg = small_cfg(seeds=4, n_max=5_000, points=4)
         grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
         serial = generate_trajectories(cfg, zipf2, grid)
-        from dataclasses import replace as dc_replace
         cfg2 = small_cfg(seeds=4, n_max=5_000, points=4, workers=2)
         parallel = generate_trajectories(cfg2, zipf2, grid)
-        for a, b in zip(serial, parallel):
+        assert len(serial) == len(parallel) == 4
+        for i, (a, b) in enumerate(zip(serial, parallel)):
+            assert a.seed == b.seed == (cfg.master_seed, i)
             assert np.array_equal(a.K, b.K)
             assert np.array_equal(a.rstar_fixed, b.rstar_fixed)
             assert np.array_equal(a.rstar_poisson, b.rstar_poisson)
+            assert np.array_equal(a.r_fixed, b.r_fixed)
+            assert np.array_equal(a.r_poisson, b.r_poisson)
