@@ -8,7 +8,6 @@ from .distributions import (
     DistributionSpec,
     RegVarProfile,
     build_distribution,
-    counting_function,
     prob,
     sample_cell,
     slowly_varying,

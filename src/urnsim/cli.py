@@ -103,6 +103,14 @@ def _default_config() -> ExperimentConfig:
     return ExperimentConfig(distribution=DistributionSpec(family="zipf", s=2.0))
 
 
+# study margins that mark a check as passing without a test on one side
+_VACUOUS_NOTES = {
+    "degenerate_median": "median 0 at an end, so the halving holds vacuously",
+    "vacuous_low_first": "band low edge 0 at n_min, so this end cannot fail low",
+    "vacuous_low_last": "band low edge 0 at n_max, so this end cannot fail low",
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.config == "default" and not Path(args.config).exists():
         cfg = _default_config()
@@ -118,6 +126,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"{args.study}: {status}")
     for name, ok in sorted(result.pass_flags.items()):
         print(f"  {name}: {'pass' if ok else 'FAIL'}")
+    for name, hit in sorted(result.margins.items()):
+        note = _VACUOUS_NOTES.get(name.rpartition("_k")[0])
+        if note and hit:
+            print(f"  {name}: {note}")
     print(f"  outputs: {csv_path} {json_path}")
     return 0 if result.passed else 1
 

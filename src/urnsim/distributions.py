@@ -33,6 +33,8 @@ _FAMILIES = ("zipf", "zipf_log", "theta_one_log", "geometric")
 _TABLE_SIZE = 1 << 16
 # Cap on the cached probability prefix (8M float64 = 64 MB).
 _PREFIX_CAP = 1 << 23
+# Thresholds per pass of the vectorized counting-function search.
+_SEARCH_CHUNK = 1 << 15
 # Smallest index at which Euler-Maclaurin tail sums take over from
 # explicit summation.
 _EM_MIN_INDEX = 1 << 10
@@ -271,49 +273,60 @@ class CellDistribution:
 
     # ---------- counting function and tail analytics
 
-    def counting_function(self, x: float) -> int:
-        """Largest index j with p_j >= 1/x (0 if none); exact binary search."""
-        if x <= 0.0:
-            return 0
-        thr = 1.0 / x
-        if self.p1 < thr:
-            return 0
-        lo, hi = 1, 2
-        while self.prob(hi) >= thr:
-            lo = hi
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.prob(mid) >= thr:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def counting_function(self, x):
+        """Largest index j with p_j >= 1/x (0 if none), for a scalar x or an
+        array of x in any order; the predicate is ``prob_array(j) >= 1/x``.
 
-    def counting_function_many(self, xs: np.ndarray) -> np.ndarray:
-        """Counting function on a sorted grid, with warm-started searches."""
-        out = np.empty(len(xs), dtype=np.int64)
-        prev = 0
-        for i, x in enumerate(xs):
-            if x <= 0.0 or self.p1 < 1.0 / x:
-                out[i] = 0
-                continue
-            thr = 1.0 / x
-            lo = max(prev, 1)
-            if self.prob(lo) < thr:
-                lo = 1
-            hi = max(2 * lo, 2)
-            while self.prob(hi) >= thr:
-                lo = hi
-                hi *= 2
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if self.prob(mid) >= thr:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = lo if self.prob(lo) >= thr else 0
-            prev = int(out[i])
+        Thresholds inside the cached prefix are found by a vectorized
+        bisection over it, the others by doubling and bisection on
+        prob_array; the prefix is never grown here.
+        """
+        xs = np.asarray(x, dtype=np.float64)
+        flat = xs.reshape(-1)
+        out = np.empty(flat.size, dtype=np.int64)
+        for lo in range(0, flat.size, _SEARCH_CHUNK):
+            out[lo:lo + _SEARCH_CHUNK] = self._count(flat[lo:lo + _SEARCH_CHUNK])
+        return int(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+    counting_function_many = counting_function
+
+    def _count(self, xs: np.ndarray) -> np.ndarray:
+        out = np.zeros(xs.size, dtype=np.int64)
+        pos = np.flatnonzero(xs > 0.0)
+        thr = 1.0 / xs[pos]
+        prefix = self._prefix
+        inside = thr > prefix[-1]
+        # inside: the number of prefix entries >= thr, by a branch-free
+        # bisection (the entries are nonincreasing; no reversed copy)
+        t_in = thr[inside]
+        base = np.zeros(t_in.size, dtype=np.int64)
+        n = prefix.size
+        while n > 1:
+            half = n // 2
+            np.add(base, half, out=base, where=prefix[base + half] >= t_in)
+            n -= half
+        out[pos[inside]] = base + (prefix[base] >= t_in)
+        # beyond: p_lo >= thr > p_hi, first by doubling hi, then by bisection
+        t_out = thr[~inside]
+        lo = np.full(t_out.size, prefix.size, dtype=np.int64)
+        hi = 2 * lo
+        todo = np.arange(t_out.size)
+        while todo.size:
+            grow = self.prob_array(hi[todo]) >= t_out[todo]
+            todo = todo[grow]
+            if todo.size and hi[todo].max() >= _SYNTHETIC_BASE:
+                raise DistributionError("counting function beyond 2^62 cells "
+                                        "(threshold below every resolvable p_j)")
+            lo[todo] = hi[todo]
+            hi[todo] *= 2
+        todo = np.flatnonzero(hi - lo > 1)
+        while todo.size:
+            mid = (lo[todo] + hi[todo]) // 2
+            ok = self.prob_array(mid) >= t_out[todo]
+            lo[todo[ok]] = mid[ok]
+            hi[todo[~ok]] = mid[~ok]
+            todo = todo[hi[todo] - lo[todo] > 1]
+        out[pos[~inside]] = lo
         return out
 
     def tail_mass(self, J: int) -> float:
@@ -492,10 +505,6 @@ def prob(d: CellDistribution, j: int) -> float:
     if j < 1:
         raise DistributionError(f"cell index must be >= 1, got {j}")
     return d.prob(j)
-
-
-def counting_function(d: CellDistribution, x: float) -> int:
-    return d.counting_function(x)
 
 
 def tail_mass(d: CellDistribution, J: int) -> float:

@@ -35,6 +35,8 @@ from .distributions import (
 _TAU = 0.5
 _MAX_ORDER = 60
 _MIN_HEAD = 1000
+# head cells per vectorized pass of the binomial-law head
+_HEAD_CHUNK = 1 << 15
 
 
 class RegimeFlag:
@@ -102,18 +104,20 @@ def poisson_tail_at_least(lam, k: int):
 
 
 def binomial_tail_at_least(n: int, p, k: int):
-    """P(Binomial(n, p) >= k); 0 when k > n.  Vector friendly in p."""
+    """P(Binomial(n, p) >= k); 0 when k > n.  Vector friendly in p.
+
+    For k >= 2 this is P(Poisson(np) >= k) plus the cancellation-free
+    binomial-minus-Poisson correction of :func:`_binom_minus_poisson`.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         return np.zeros_like(p) if np.ndim(p) else 0.0
-    return special.bdtrc(k - 1, n, p)
-
-
-def _log_binom_coef(n: int, k: int) -> float:
-    """ln C(n,k) without large-argument gammaln cancellation."""
-    i = np.arange(1, k + 1, dtype=np.float64)
-    return float(np.log((n - k + i) / i).sum())
+    if k == 1:
+        return -np.expm1(n * np.log1p(-np.asarray(p, dtype=np.float64)))
+    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    out = poisson_tail_at_least(n * p_arr, k) + _binom_minus_poisson(n, p_arr, k, True)
+    return out if np.ndim(p) else float(out[0])
 
 
 def _poisson_pmf(k: int, lam: np.ndarray) -> np.ndarray:
@@ -122,13 +126,6 @@ def _poisson_pmf(k: int, lam: np.ndarray) -> np.ndarray:
     lp = lam[pos]
     out[pos] = np.exp(k * np.log(lp) - lp - special.gammaln(k + 1))
     return out
-
-
-def _binom_pmf(n: int, k: int, p: np.ndarray) -> np.ndarray:
-    if k > n:
-        return np.zeros_like(p)
-    lc = _log_binom_coef(n, k)
-    return np.exp(lc + k * np.log(p) + (n - k) * np.log1p(-p))
 
 
 def _log1p_neg_plus(p: np.ndarray) -> np.ndarray:
@@ -170,12 +167,37 @@ def _series_square(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _falling_factor(n: int, r: int) -> float:
-    """n(n-1)...(n-r+1)/n^r, in (0, 1]; 0 when r > n."""
+def _log_falling_factor(n: int, r: int) -> float:
+    """ln of the falling factor n(n-1)...(n-r+1)/n^r; -inf when r > n."""
     if r > n:
-        return 0.0
-    i = np.arange(r, dtype=np.float64)
-    return float(np.exp(np.log1p(-i / n).sum()))
+        return -math.inf
+    return float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
+
+
+def _binom_minus_poisson(n: int, p: np.ndarray, k: int, star: bool) -> np.ndarray:
+    """Per cell P(Bin(n, p) in A) - P(Poisson(np) in A), A = {>= k} for
+    star and {k} otherwise, with no cancellation between the two laws.
+
+    Per i, P(Bin = i) / P(Pois = i) = exp(ln falling(n, i) + n (log1p(-p) + p)
+    - i log1p(-p)), so the difference is P(Pois = i) expm1(that exponent);
+    the at-least-k difference is minus the sum over i < k.
+    """
+    lam = n * p
+    nl = n * _log1p_neg_plus(p)
+    out = np.zeros_like(p)
+    for i in (range(k) if star else (k,)):
+        if i == 0:
+            out += np.exp(-lam) * np.expm1(nl)
+        else:
+            out += _poisson_pmf(i, lam) * np.expm1(
+                _log_falling_factor(n, i) + nl - i * np.log1p(-p))
+    return -out if star else out
+
+
+def _head_sum(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> float:
+    """sum of f over the head cells p, in chunks that bound the temporaries."""
+    return float(sum(f(p[lo:lo + _HEAD_CHUNK]).sum()
+                     for lo in range(0, p.size, _HEAD_CHUNK)))
 
 
 def _coeffs_binom_tail(n: int, k: int, order: int) -> np.ndarray:
@@ -185,7 +207,7 @@ def _coeffs_binom_tail(n: int, k: int, order: int) -> np.ndarray:
         if r > n:
             break
         cb = special.comb(r - 1, k - 1, exact=True)
-        c[r] = (-1.0) ** (r - k) * cb * _falling_factor(n, r) / math.factorial(r)
+        c[r] = (-1.0) ** (r - k) * cb * math.exp(_log_falling_factor(n, r)) / math.factorial(r)
     return c
 
 
@@ -196,7 +218,8 @@ def _coeffs_binom_pmf(n: int, k: int, order: int) -> np.ndarray:
         r = k + m
         if r > n:
             break
-        c[r] = (-1.0) ** m * _falling_factor(n, r) / (math.factorial(k) * math.factorial(m))
+        c[r] = (-1.0) ** m * math.exp(_log_falling_factor(n, r)) / (
+            math.factorial(k) * math.factorial(m))
     return c
 
 
@@ -258,8 +281,9 @@ def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
             else _coeffs_poisson_pmf(k, _MAX_ORDER)
     else:
         n = int(t)
-        head = float(binomial_tail_at_least(n, p, k).sum()) if star \
-            else float(_binom_pmf(n, k, p).sum())
+        head = _head_sum(lambda q: binomial_tail_at_least(n, q, k), p) if star \
+            else _head_sum(lambda q: _poisson_pmf(k, n * q)
+                           + _binom_minus_poisson(n, q, k, False), p)
         coeffs = _coeffs_binom_tail(n, k, _MAX_ORDER) if star \
             else _coeffs_binom_pmf(n, k, _MAX_ORDER)
     tail, bound = _tail_series(d, t, J, coeffs, head)
@@ -301,18 +325,10 @@ def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[fl
     n = int(n)
     J = _head_length(d, float(n))
     p = d.probs_prefix(J)
-    lam = n * p
-    if star and k == 1:
-        # e^{-np} - (1-p)^n = e^{-np} (1 - e^{n(log1p(-p)+p)})
-        head = float((np.exp(-lam) * (-np.expm1(n * _log1p_neg_plus(p)))).sum())
-    elif star:
-        if k > n:
-            head = float(-poisson_tail_at_least(lam, k).sum())
-        else:
-            head = float((binomial_tail_at_least(n, p, k)
-                          - poisson_tail_at_least(lam, k)).sum())
+    if star and k > n:
+        head = float(-poisson_tail_at_least(n * p, k).sum())
     else:
-        head = float((_binom_pmf(n, k, p) - _poisson_pmf(k, lam)).sum())
+        head = _head_sum(lambda q: _binom_minus_poisson(n, q, k, star), p)
     cb = _coeffs_binom_tail(n, k, _MAX_ORDER) if star else _coeffs_binom_pmf(n, k, _MAX_ORDER)
     cp = _coeffs_poisson_tail(k, _MAX_ORDER) if star else _coeffs_poisson_pmf(k, _MAX_ORDER)
     tail, bound = _tail_series(d, float(n), J, cb - cp, abs(head) + 1e-12)

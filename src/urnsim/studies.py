@@ -178,7 +178,9 @@ def study_coupling_decay(cfg: ExperimentConfig,
     expected median falls only like the new-cell rate, and halving it takes
     decades beyond reach; there the median must lie at n_min and at n_max in
     the 99.9% band of :func:`median_band`, and both the predicted and the
-    observed median must fall.  The seed mean and the fraction of zero gaps
+    observed median must fall; a band whose low edge is 0 at an end cannot
+    fail low there, which is flagged as ``vacuous_low_first`` or
+    ``vacuous_low_last``.  The seed mean and the fraction of zero gaps
     are reported per checkpoint; a median of 0 at either end makes the
     halving hold vacuously and is flagged as ``degenerate_median``.  The
     scaled coupling gap b(n)|K - n| is reported as a consistency column.
@@ -217,7 +219,9 @@ def study_coupling_decay(cfg: ExperimentConfig,
                                         and p1 < p0 and last < first)
             margins.update({f"predicted_first_k{k}": p0, f"predicted_last_k{k}": p1,
                             f"band_lo_first_k{k}": lo0, f"band_hi_first_k{k}": hi0,
-                            f"band_lo_last_k{k}": lo1, f"band_hi_last_k{k}": hi1})
+                            f"band_lo_last_k{k}": lo1, f"band_hi_last_k{k}": hi1,
+                            f"vacuous_low_first_k{k}": lo0 == 0,
+                            f"vacuous_low_last_k{k}": lo1 == 0})
         else:
             flags[f"decay_k{k}"] = bool(last <= cfg.decay_factor * first
                                         and last <= cfg.decay_abs_threshold)

@@ -21,7 +21,6 @@ from urnsim import (
     asym_mean_coeff,
     asym_var_coeff,
     build_distribution,
-    counting_function,
     exact_mean,
     exact_var,
     gamma_tail_partial_sum,
@@ -125,7 +124,7 @@ def _log_slope(d, t: float) -> float:
     as a symmetric difference over ln x in [ln t - 1, ln t + 1] (half-widths
     from 0.5 to ln 10 agree to 1e-3 for theta_one_log at t = 1e8)."""
     def log_l(x: float) -> float:
-        return math.log(counting_function(d, x)) - d.theta * math.log(x)
+        return math.log(d.counting_function(x)) - d.theta * math.log(x)
     return (log_l(t * math.e) - log_l(t / math.e)) / 2.0
 
 
@@ -135,7 +134,7 @@ def test_criterion_01_mean_constants():
     start = time.monotonic()
     d = _zipf()
     t = 1e8
-    count = counting_function(d, t)
+    count = d.counting_function(t)
     ratios = {}
     for k in (1, 2, 3):
         for star in (True, False):
@@ -163,7 +162,7 @@ def test_criterion_02_variance_constants():
     t = 1e8
     devs = {}
     for name, d in (("zipf", _zipf()), ("t1l", _t1l())):
-        count = counting_function(d, t)
+        count = d.counting_function(t)
         eta = _log_slope(d, t)
         for k in (2, 3):
             value, _ = exact_var(d, t, k, star=True)
@@ -261,6 +260,9 @@ def test_criterion_05_decay_of_scaled_gap():
                 line += (f", predicted {m['predicted_first']:.4f}->{m['predicted_last']:.4f}, "
                          f"band [{m['band_lo_first']:.4f}, {m['band_hi_first']:.4f}]->"
                          f"[{m['band_lo_last']:.4f}, {m['band_hi_last']:.4f}]")
+                for end in ("first", "last"):
+                    if m[f"vacuous_low_{end}"]:
+                        line += f", vacuous low band edge at the {end} checkpoint"
             else:
                 passed = bool(last <= 0.5 * first)
             parts[f"{label}_k{k}"] = (line, passed)

@@ -107,6 +107,16 @@ class TestVerify:
         assert rc == 0
         assert (tmp_path / "lemma5_geometric.json").exists()
 
+    def test_theorem1_prints_vacuous_band_edge(self, capsys, tmp_path):
+        # with 30 seeds the k = 2 band at n = 1e4 has low edge 0
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("family = theta_one_log\nn_min = 10000\nn_max = 100000\n"
+                       "points = 2\nks = 2,\nseeds = 30\n")
+        rc, out, _ = run_cli(capsys, "verify", "theorem1", "--config", str(cfg),
+                             "--out", str(tmp_path))
+        assert rc in (0, 1)
+        assert "vacuous_low_first_k2: band low edge 0 at n_min" in out
+
     def test_bad_config_diagnostic(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("family = zipf\ns = 2.0\nbogus_key = 3\n")

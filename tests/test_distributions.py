@@ -10,13 +10,12 @@ from urnsim import (
     DistributionError,
     DistributionSpec,
     build_distribution,
-    counting_function,
     prob,
     slowly_varying,
     smoothed_slowly_varying,
     tail_mass,
 )
-from urnsim.distributions import _exp_inv_log_simpson
+from urnsim.distributions import _PREFIX_CAP, _TABLE_SIZE, _exp_inv_log_simpson, _lstar_eval
 from urnsim.moments import exact_mean
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -30,6 +29,66 @@ ALPHA_1E6_ZIPF2 = 779
 # analytic completion bound 1/(Z*1.1e7)
 TAIL_1000_ZIPF2_LO = 0.0006075679785453176
 TAIL_1000_ZIPF2_COMPLETION = 5.6e-8
+# (value, error) of _lstar_eval(theta_one_log, t, 1e-6) as float.hex, frozen
+# from the per-threshold Python bisection the vectorized counting function
+# replaced
+LSTAR_T1L_HEX = {
+    10_000: ("0x1.122d7fb080298p-3", "0x1.ff6844601f2b5p-27"),
+    31_623: ("0x1.d19b253a4cdd4p-4", "0x1.6aaaf5ac1a003p-27"),
+    100_000: ("0x1.92a3a7fae63c2p-4", "0x1.6fc504e057dc5p-29"),
+    316_228: ("0x1.617a2f6c54868p-4", "0x1.15a4c0025859ep-32"),
+}
+FAMILY_FIXTURES = ("zipf2", "zipf_log21", "theta_one_log", "geometric_half")
+# prefix length of the grown copies in the equivalence test
+GROWN = 100_003
+
+
+def scalar_count(d, x):
+    """Reference counting function: one threshold, doubling then bisection
+    on prob_array(j) >= 1/x.  Each probe is a length-1 array because numpy
+    may round pow and log of a 0-d array differently in the last place."""
+    if x <= 0.0:
+        return 0
+    thr = 1.0 / x
+
+    def holds(j):
+        return d.prob_array(np.array([j]))[0] >= thr
+
+    if not holds(1):
+        return 0
+    lo, hi = 1, 2
+    while holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+def edge_thresholds(d, cells):
+    """x at and one ulp around 1/p_j for each cell j with p_j > 0."""
+    out = []
+    for j in cells:
+        p = d.prob_array(np.array([j]))[0]
+        if p > 0.0:
+            x = 1.0 / p
+            out += [x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def grown_family():
+    """Fresh copies of the four families with the prefix grown to GROWN."""
+    out = []
+    for spec in (DistributionSpec(family="zipf", s=2.0),
+                 DistributionSpec(family="zipf_log", s=2.0, a=1.0),
+                 DistributionSpec(family="theta_one_log"),
+                 DistributionSpec(family="geometric", q=0.5)):
+        d = build_distribution(spec)
+        d.probs_prefix(GROWN)
+        assert d._prefix.size == GROWN
+        out.append(d)
+    return out
 
 
 class TestBuild:
@@ -101,15 +160,15 @@ class TestProb:
 
 class TestCountingFunction:
     def test_geometric_example(self, geometric_half):
-        assert counting_function(geometric_half, 4.0) == 2
+        assert geometric_half.counting_function(4.0) == 2
 
     def test_zipf_linear_scan_oracle(self, zipf2):
-        assert counting_function(zipf2, 1e6) == ALPHA_1E6_ZIPF2
+        assert zipf2.counting_function(1e6) == ALPHA_1E6_ZIPF2
 
     def test_below_first_cell(self, zipf2, geometric_half, theta_one_log):
         for d in (zipf2, geometric_half, theta_one_log):
-            assert counting_function(d, 0.5 / d.p1) == 0
-            assert counting_function(d, 0.0) == 0
+            assert d.counting_function(0.5 / d.p1) == 0
+            assert d.counting_function(0.0) == 0
 
     @given(x=st.floats(min_value=1.0, max_value=1e12))
     @settings(max_examples=80, deadline=None)
@@ -122,8 +181,32 @@ class TestCountingFunction:
 
     def test_nondecreasing(self, zipf_log21):
         xs = np.logspace(0, 10, 60)
-        vals = [counting_function(zipf_log21, x) for x in xs]
+        vals = [zipf_log21.counting_function(x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    @given(xs=st.lists(st.floats(min_value=1.0, max_value=1e12), min_size=1,
+                       max_size=12))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_bisection(self, request, grown_family, xs):
+        # every family, with the table-sized and a grown prefix; thresholds
+        # drawn over [1, 1e12], at the table edge p_{2^16}, at the grown
+        # prefix edge, beyond _PREFIX_CAP, and x <= 0
+        dists = [request.getfixturevalue(f) for f in FAMILY_FIXTURES] + grown_family
+        for d in dists:
+            size = d._prefix.size
+            cells = (_TABLE_SIZE - 1, _TABLE_SIZE, _TABLE_SIZE + 1,
+                     GROWN - 1, GROWN, GROWN + 1, _PREFIX_CAP + 5, 900)
+            probe = xs + edge_thresholds(d, cells) + [0.0, -1.0, -math.inf, 1e-300]
+            want = [scalar_count(d, x) for x in probe]
+            assert d.counting_function(np.array(probe)).tolist() == want
+            assert d.counting_function(np.array(probe[::-1])).tolist() == want[::-1]
+            assert [d.counting_function(x) for x in probe[:3]] == want[:3]
+            assert d._prefix.size == size  # the search never grows the prefix
+
+    def test_lstar_bitwise_frozen(self, theta_one_log):
+        for t, (val, err) in LSTAR_T1L_HEX.items():
+            assert _lstar_eval(theta_one_log, t, 1e-6) == (float.fromhex(val),
+                                                           float.fromhex(err))
 
     def test_warm_grid_matches_scalar(self, theta_one_log, zipf2):
         xs = np.logspace(1, 9, 25)
@@ -134,7 +217,7 @@ class TestCountingFunction:
 
     def test_regular_variation_witness(self, zipf2):
         for x in np.logspace(6, 10, 9):
-            ratio = counting_function(zipf2, 2 * x) / counting_function(zipf2, x)
+            ratio = zipf2.counting_function(2 * x) / zipf2.counting_function(x)
             assert abs(ratio - 2.0 ** 0.5) < 0.01 * 2.0 ** 0.5
 
 
@@ -164,7 +247,7 @@ class TestSlowlyVarying:
         profile = zipf2.profile()
         for x in np.logspace(4, 10, 7):
             val = slowly_varying(profile, x)
-            assert val == counting_function(zipf2, x) / math.sqrt(x)
+            assert val == zipf2.counting_function(x) / math.sqrt(x)
             if x >= 1e6:  # the integer-valued count rounds ~1/count away
                 assert abs(val - target) < 0.01 * target
 
@@ -172,13 +255,13 @@ class TestSlowlyVarying:
         profile = theta_one_log.profile()
         vals = [slowly_varying(profile, x) for x in np.logspace(4, 10, 7)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-        assert vals == [counting_function(theta_one_log, x) / x
+        assert vals == [theta_one_log.counting_function(x) / x
                         for x in np.logspace(4, 10, 7)]
 
     def test_geometric_theta0_is_count(self, geometric_half):
         profile = geometric_half.profile()
         for x in (10.0, 1e4, 1e8):
-            assert slowly_varying(profile, x) == counting_function(geometric_half, x)
+            assert slowly_varying(profile, x) == geometric_half.counting_function(x)
 
 
 class TestSmoothedSlowlyVarying:

@@ -26,6 +26,7 @@ from urnsim import (
     smoothed_slowly_varying,
     variance_sandwich_check,
 )
+from urnsim import moments
 from urnsim.simulate import CheckpointGrid
 
 # 50-digit summation oracle: exp(-5) * (1 + 5 + 25/2)
@@ -83,6 +84,23 @@ class TestBinomialTail:
 
     def test_k_above_n(self):
         assert binomial_tail_at_least(5, 0.5, 6) == 0.0
+
+    def test_large_n_head_cells(self):
+        # the head cells of the series at n ~ 1e8 have n p in [0.5, 4]; the
+        # Poisson tail plus the binomial-minus-Poisson correction matches a
+        # 40-digit evaluation of 1 - sum_{i<k} C(n,i) p^i (1-p)^(n-i)
+        n = 99_504_511
+        lams = np.linspace(0.5, 4.0, 15)
+        for k in (2, 3):
+            vec = binomial_tail_at_least(n, lams / n, k)
+            for lam, got_vec in zip(lams, vec):
+                p = lam / n
+                with mp.workdps(40):
+                    q = mp.mpf(p)
+                    want = float(1 - mp.fsum(mp.binomial(n, i) * q ** i * (1 - q) ** (n - i)
+                                             for i in range(k)))
+                for got in (got_vec, binomial_tail_at_least(n, p, k)):
+                    assert abs(got - want) <= 1e-13 * want
 
 
 class TestExactMean:
@@ -331,6 +349,27 @@ class TestMeanDifference:
 
     def test_zero_balls(self, zipf2):
         assert mean_difference(zipf2, 0, 1, star=True) == (0.0, 0.0)
+
+    def test_theta_one_log_large_n_head(self, theta_one_log):
+        # at-least-2 gap at n = 1e8: per head cell
+        #   e^-lam (-expm1(n L)) - lam e^-lam expm1(n L - log1p(-p)),
+        # L = log1p(-p) + p, here from its Taylor series below p = 1e-3;
+        # the analytic tail comes from the same Maclaurin series as the code
+        n, k = 10 ** 8, 2
+        J = moments._head_length(theta_one_log, float(n))
+        p = theta_one_log.probs_prefix(J)
+        lam = n * p
+        small = p < 1e-3
+        L = np.where(small, -p * p * sum(p ** (m - 2) / m for m in range(2, 9)),
+                     np.log1p(-p) + p)
+        head = float((np.exp(-lam) * (-np.expm1(n * L))
+                      - lam * np.exp(-lam) * np.expm1(n * L - np.log1p(-p))).sum())
+        coeffs = (moments._coeffs_binom_tail(n, k, moments._MAX_ORDER)
+                  - moments._coeffs_poisson_tail(k, moments._MAX_ORDER))
+        tail, _ = moments._tail_series(theta_one_log, float(n), J, coeffs, abs(head))
+        got, bound = mean_difference(theta_one_log, n, k, True)
+        assert abs(got - (head + tail)) <= 1e-10 * abs(head + tail)
+        assert bound < 1e-10 * abs(got)
 
 
 class TestMomentReport:

@@ -125,6 +125,30 @@ class TestCouplingDecay:
         d0 = round(p0 / b[0])
         res = run([d0, math.ceil(d0 * b[0] / b[1])])
         assert not res.pass_flags["decay_k1"]
+        assert not res.margins["vacuous_low_first_k1"]
+        assert not res.margins["vacuous_low_last_k1"]
+
+    def test_theta_one_vacuous_low_band_edge(self, theta_one_log):
+        # |dR*_2| is 0 in most seeds at n = 1e4, so the band's low edge is 0
+        # there and that end cannot fail low; at 1e6 it is not
+        cfg = small_cfg(distribution=T1L, n_min=10_000, n_max=1_000_000, points=2,
+                        ks=(2,), seeds=30)
+        ends = np.asarray(CheckpointGrid.logspaced(
+            cfg.n_min, cfg.n_max, cfg.points, cfg.k_max).positions)
+        (_, lo0, _), (_, lo1, _) = (median_band(theta_one_log, int(n), cfg.seeds, k=2)
+                                    for n in ends)
+        assert lo0 == 0.0 < lo1
+        trajs = [CoupledTrajectory(
+            seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=cfg.k_max,
+            rstar_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
+            rstar_poisson=np.ones((2, cfg.k_max), dtype=np.int64),
+            r_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
+            r_poisson=np.zeros((2, cfg.k_max), dtype=np.int64))
+            for i in range(cfg.seeds)]
+        res = study_coupling_decay(cfg, trajectories=trajs)
+        assert res.margins["vacuous_low_first_k2"] is True
+        assert res.margins["vacuous_low_last_k2"] is False
+        assert res.margins["band_lo_first_k2"] == 0.0
 
     def test_scaling_monotone_in_b(self):
         # the scaled statistic can only shrink under a smaller normalizer
