@@ -8,11 +8,8 @@ from .distributions import (
     DistributionSpec,
     RegVarProfile,
     build_distribution,
-    prob,
-    sample_cell,
     slowly_varying,
     smoothed_slowly_varying,
-    tail_mass,
 )
 from .moments import (
     MomentReport,

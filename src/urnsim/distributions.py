@@ -38,6 +38,10 @@ _SEARCH_CHUNK = 1 << 15
 # Smallest index at which Euler-Maclaurin tail sums take over from
 # explicit summation.
 _EM_MIN_INDEX = 1 << 10
+# (t, J) pairs whose tail power sums a distribution keeps: the series calls
+# at one t cut at the head length, at _EM_MIN_INDEX below it and at L*'s
+# split, so fewer slots would evict a pair that is about to be used again.
+_TAIL_SLOTS = 4
 # Draws that would land beyond this index (per-cell probability < ~1e-21)
 # are materialized as unique synthetic cells in [base, 2*base).
 _SYNTHETIC_BASE = 1 << 62
@@ -169,8 +173,9 @@ def _powerlog_tail_sum(s: float, a: float, J: int) -> tuple[float, float]:
 class CellDistribution:
     """A concrete infinite discrete law p_1 >= p_2 >= ... > 0.
 
-    Immutable after construction apart from internal grow-only caches of
-    the probability prefix (idempotent to racing readers).  Construct via
+    Immutable after construction apart from internal caches: the grow-only
+    probability prefix (idempotent to racing readers), the L*(t) values and
+    the tail power sums of the last few (t, J) pairs.  Construct via
     :func:`build_distribution`.
     """
 
@@ -198,6 +203,8 @@ class CellDistribution:
         self._prefix = self._unnormalized_prefix(_TABLE_SIZE) / self.Z
         self._cum = np.cumsum(self._prefix)
         self._lstar_cache: dict[float, tuple[float, float]] = {}
+        # (t, J) -> {r: tail_power_sum(t, J, r)}, oldest pair first
+        self._tail_sums: dict[tuple[float, int], dict[int, float]] = {}
 
     # ---------- construction internals
 
@@ -241,15 +248,16 @@ class CellDistribution:
     # ---------- probabilities
 
     def prob(self, j: int | float) -> float:
-        """Exact p_j for the family; j >= 1."""
+        """Exact p_j for the family; j >= 1.  Bitwise equal to prob_array."""
         if j < 1:
             raise DistributionError(f"cell index must be >= 1, got {j}")
-        if self.family == "geometric":
-            return (1.0 - self.q) * self.q ** (float(j) - 1.0)
-        return float(j) ** -self.s * math.log(float(j) + _E) ** -self.a / self.Z
+        return float(self.prob_array(j)[0])
 
     def prob_array(self, j: np.ndarray) -> np.ndarray:
-        j = np.asarray(j, dtype=np.float64)
+        """p_j elementwise, at least 1-d.  numpy may round pow and log of a
+        0-d array differently in the last place, so a scalar is evaluated as
+        a length-1 array, as the prefix and the counting function see it."""
+        j = np.atleast_1d(np.asarray(j, dtype=np.float64))
         if self.family == "geometric":
             return (1.0 - self.q) * self.q ** (j - 1.0)
         return j ** -self.s * np.log(j + _E) ** -self.a / self.Z
@@ -348,8 +356,19 @@ class CellDistribution:
         """sum_{j>J} (t p_j)^r, evaluated stably for large t and r.
 
         Requires t*p_{J+1} <= O(1); the result is used as the analytic
-        tail of truncated occupancy series.
+        tail of truncated occupancy series.  Kept for the last _TAIL_SLOTS
+        (t, J) pairs, so the series at one t share each quadrature.
         """
+        sums = self._tail_sums.get((t, J))
+        if sums is None:
+            if len(self._tail_sums) >= _TAIL_SLOTS:
+                self._tail_sums.pop(next(iter(self._tail_sums)))
+            sums = self._tail_sums[(t, J)] = {}
+        if r not in sums:
+            sums[r] = self._tail_power_sum(t, J, r)
+        return sums[r]
+
+    def _tail_power_sum(self, t: float, J: int, r: int) -> float:
         if self.family == "geometric":
             lam = t * self.prob(J + 1)
             return lam ** r / (1.0 - self.q ** r)
@@ -499,20 +518,6 @@ def build_distribution(spec: DistributionSpec) -> CellDistribution:
     """Validate the parameters and construct the distribution
     (normalization, sampler table, analytic caches)."""
     return CellDistribution(spec)
-
-
-def prob(d: CellDistribution, j: int) -> float:
-    if j < 1:
-        raise DistributionError(f"cell index must be >= 1, got {j}")
-    return d.prob(j)
-
-
-def tail_mass(d: CellDistribution, J: int) -> float:
-    return d.tail_mass(J)
-
-
-def sample_cell(d: CellDistribution, rng: np.random.Generator) -> int:
-    return d.sample_cell(rng)
 
 
 @dataclass(frozen=True)

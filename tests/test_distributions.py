@@ -10,12 +10,17 @@ from urnsim import (
     DistributionError,
     DistributionSpec,
     build_distribution,
-    prob,
     slowly_varying,
     smoothed_slowly_varying,
-    tail_mass,
 )
-from urnsim.distributions import _PREFIX_CAP, _TABLE_SIZE, _exp_inv_log_simpson, _lstar_eval
+from urnsim.distributions import (
+    _EM_MIN_INDEX,
+    _PREFIX_CAP,
+    _TABLE_SIZE,
+    _TAIL_SLOTS,
+    _exp_inv_log_simpson,
+    _lstar_eval,
+)
 from urnsim.moments import exact_mean
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -39,6 +44,10 @@ LSTAR_T1L_HEX = {
     316_228: ("0x1.617a2f6c54868p-4", "0x1.15a4c0025859ep-32"),
 }
 FAMILY_FIXTURES = ("zipf2", "zipf_log21", "theta_one_log", "geometric_half")
+FAMILY_SPECS = (DistributionSpec(family="zipf", s=2.0),
+                DistributionSpec(family="zipf_log", s=2.0, a=1.0),
+                DistributionSpec(family="theta_one_log"),
+                DistributionSpec(family="geometric", q=0.5))
 # prefix length of the grown copies in the equivalence test
 GROWN = 100_003
 
@@ -80,10 +89,7 @@ def edge_thresholds(d, cells):
 def grown_family():
     """Fresh copies of the four families with the prefix grown to GROWN."""
     out = []
-    for spec in (DistributionSpec(family="zipf", s=2.0),
-                 DistributionSpec(family="zipf_log", s=2.0, a=1.0),
-                 DistributionSpec(family="theta_one_log"),
-                 DistributionSpec(family="geometric", q=0.5)):
+    for spec in FAMILY_SPECS:
         d = build_distribution(spec)
         d.probs_prefix(GROWN)
         assert d._prefix.size == GROWN
@@ -134,17 +140,17 @@ class TestBuild:
 
 class TestProb:
     def test_geometric_point(self, geometric_half):
-        assert prob(geometric_half, 3) == 0.125
+        assert geometric_half.prob(3) == 0.125
 
     def test_zipf_first_cell(self, zipf2):
-        assert abs(prob(zipf2, 1) - 6.0 / math.pi ** 2) < 1e-14
+        assert abs(zipf2.prob(1) - 6.0 / math.pi ** 2) < 1e-14
 
     def test_zipf_power_ratio(self, zipf2):
-        assert abs(prob(zipf2, 10) - prob(zipf2, 1) / 100.0) < 1e-16
+        assert abs(zipf2.prob(10) - zipf2.prob(1) / 100.0) < 1e-16
 
     def test_invalid_index(self, zipf2):
         with pytest.raises(DistributionError):
-            prob(zipf2, 0)
+            zipf2.prob(0)
 
     @given(j=st.integers(min_value=1, max_value=10 ** 9))
     @settings(max_examples=60, deadline=None)
@@ -178,6 +184,22 @@ class TestCountingFunction:
             if j >= 1:
                 assert d.prob(j) >= 1.0 / x
             assert d.prob(j + 1) < 1.0 / x
+
+    def test_duality_at_rounding_windows(self, zipf2, zipf_log21, theta_one_log):
+        # cells whose p_j the math-library form j^-s ln(j+e)^-a / Z rounds
+        # differently from numpy's: prob must agree with the prob_array the
+        # search uses, also at thresholds one ulp around 1/p_j there
+        for d in (zipf2, zipf_log21, theta_one_log):
+            cells = np.arange(1, 20_001)
+            libm = [float(j) ** -d.s * math.log(j + math.e) ** -d.a / d.Z
+                    for j in cells.tolist()]
+            cells = cells[d.prob_array(cells) != np.array(libm)]
+            assert cells.size > 100
+            assert [d.prob(j) for j in cells.tolist()] == d.prob_array(cells).tolist()
+            xs = edge_thresholds(d, cells.tolist())
+            for x, j in zip(xs, d.counting_function(np.array(xs)).tolist()):
+                assert d.prob(j) >= 1.0 / x
+                assert d.prob(j + 1) < 1.0 / x
 
     def test_nondecreasing(self, zipf_log21):
         xs = np.logspace(0, 10, 60)
@@ -223,10 +245,10 @@ class TestCountingFunction:
 
 class TestTailMass:
     def test_geometric_exact(self, geometric_half):
-        assert tail_mass(geometric_half, 10) == 2.0 ** -10
+        assert geometric_half.tail_mass(10) == 2.0 ** -10
 
     def test_zipf_direct_sum_oracle(self, zipf2):
-        got = tail_mass(zipf2, 1000)
+        got = zipf2.tail_mass(1000)
         lo = TAIL_1000_ZIPF2_LO
         hi = lo + TAIL_1000_ZIPF2_COMPLETION + zipf2.prob(1000)
         assert lo <= got <= hi
@@ -238,7 +260,33 @@ class TestTailMass:
 
     def test_invalid(self, zipf2):
         with pytest.raises(DistributionError):
-            tail_mass(zipf2, 0)
+            zipf2.tail_mass(0)
+
+
+class TestTailPowerSum:
+    # (t, J) pairs: J below _EM_MIN_INDEX (explicit block plus the sum
+    # beyond it), at it, and a head length; geometric uses its closed form
+    POINTS = ((1e4, 1000), (1e4, _EM_MIN_INDEX), (1e6, 5000), (3e7, 40_000))
+
+    def test_hits_equal_misses_bitwise(self):
+        for spec in FAMILY_SPECS:
+            warm, cold = build_distribution(spec), build_distribution(spec)
+            for t, J in self.POINTS:
+                for r in range(1, 8):
+                    first = warm.tail_power_sum(t, J, r)
+                    assert warm.tail_power_sum(t, J, r).hex() == first.hex()
+                    cold._tail_sums.clear()
+                    assert cold.tail_power_sum(t, J, r).hex() == first.hex()
+
+    def test_cache_stays_at_cap(self):
+        d = build_distribution(DistributionSpec(family="zipf", s=2.0))
+        first = exact_mean(d, 1e3, 2, star=True)
+        for t in np.logspace(3, 8, 100):
+            exact_mean(d, float(t), 2, star=True)
+            assert len(d._tail_sums) <= _TAIL_SLOTS
+        assert len(d._tail_sums) == _TAIL_SLOTS
+        # the evicted power sums at t = 1e3 are recomputed to the same bits
+        assert exact_mean(d, 1e3, 2, star=True) == first
 
 
 class TestSlowlyVarying:

@@ -26,7 +26,8 @@ from urnsim import (
     smoothed_slowly_varying,
     variance_sandwich_check,
 )
-from urnsim import moments
+from urnsim import distributions, moments
+from urnsim.distributions import _EM_MIN_INDEX
 from urnsim.simulate import CheckpointGrid
 
 # 50-digit summation oracle: exp(-5) * (1 + 5 + 25/2)
@@ -40,6 +41,41 @@ GEO_T1_K1_STAR = 0.85461332089277831
 # E[cells with >= 1 ball] after n = 100 fixed throws
 ZIPF_N100_LO = 13.337047249829562
 ZIPF_N100_HI = 13.33705332910058
+# float.hex of the series_sweep outputs at (family, t, k), at-least-k counts,
+# frozen from the commit before the tail power sums were shared: moment_report
+# (binomial law) exact_mean, exact_var, asym_mean, asym_var,
+# truncation_error, then poisson exact_mean and mean_difference (value, bound)
+SERIES_HEX = {
+    ("zipf2", 10_000, 1): (
+        "0x1.1366161698714p+7", "0x1.c9f25ed958dc0p+5", "0x1.10f5387a6d806p+7",
+        "0x1.c4405eb353bb3p+5", "0x1.4452c4fb39804p-43", "0x1.136533a9eef9dp+7",
+        "0x1.4457405fb5616p-43", "0x1.c4d952eed5355p-10", "0x1.3ebb2dd0fffccp-56"),
+    ("zipf_log21", 316_228, 2): (
+        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c1fp+5", "0x1.95e455a56da2ap+7",
+        "0x1.817ead7c6edb4p+5", "0x1.caf41082c872bp-43", "0x1.96c6bfefe4f5ep+7",
+        "0x1.caf40c08e5b55p-43", "0x1.4b966f606aec6p-14", "0x1.d774c7c74159ap-61"),
+    ("theta_one_log", 31_623, 1): (
+        "0x1.c15656b974b68p+11", "0x1.74712e7ed444ap+11", "0x1.c15627674959bp+11",
+        "0x1.c15627674959bp+11", "0x1.08f89a9dea5d3p-38", "0x1.c15627386fdf0p+11",
+        "0x1.090019032c781p-38", "0x1.7c0826bb7839cp-8", "0x1.8e9cb393ca733p-55"),
+    ("theta_one_log", 10_000_000, 2): (
+        "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204ep+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.d2c73684c6d2ap-35", "0x1.8f7c1597a5bd8p+15",
+        "0x1.d2c7420a54993p-35", "0x1.3f1d24fa2c0d2p-12", "0x1.38b809bdbf99ap-57"),
+    ("geometric_half", 1000, 2): (
+        "0x1.1b68d308362edp+3", "0x1.4752cf481c0c6p-1", "0x1.2000000000000p+3",
+        "nan", "0x1.3f1737d9ff7adp-47", "0x1.1b62eb5093c11p+3",
+        "0x1.3f1091cf2542dp-47", "0x1.79ede89b71495p-11", "0x1.09f1b218c17cap-57"),
+}
+
+
+def series_point(d, t, k):
+    """The outputs of one series_sweep op, as float.hex strings."""
+    rep = moment_report(d, t, k, star=True, law="binomial")
+    vals = (rep.exact_mean, rep.exact_var, rep.asym_mean, rep.asym_var,
+            rep.truncation_error) + exact_mean(d, t, k, True, "poisson") \
+        + mean_difference(d, t, k, True)
+    return tuple(float(v).hex() for v in vals)
 
 
 class TestPoissonCdf:
@@ -370,6 +406,43 @@ class TestMeanDifference:
         got, bound = mean_difference(theta_one_log, n, k, True)
         assert abs(got - (head + tail)) <= 1e-10 * abs(head + tail)
         assert bound < 1e-10 * abs(got)
+
+
+class TestSharedTailSums:
+    def test_series_bitwise_frozen(self, request):
+        for (fam, t, k), want in SERIES_HEX.items():
+            d = request.getfixturevalue(fam)
+            assert series_point(d, t, k) == want
+            # again with every tail power sum at t already computed
+            assert series_point(d, t, k) == want
+
+    @pytest.mark.parametrize("spec, t", [
+        (DistributionSpec(family="zipf", s=2.0), 10_000),  # head below _EM_MIN_INDEX
+        (DistributionSpec(family="zipf_log", s=2.0, a=1.0), 1_000_000),
+        (DistributionSpec(family="theta_one_log"), 100_000),  # L* cuts at its own J
+    ])
+    def test_one_quadrature_per_tail_power_sum(self, monkeypatch, spec, t):
+        d = build_distribution(spec)
+        asked = []
+        quads = []
+        tail_power_sum = distributions.CellDistribution.tail_power_sum
+        quad = distributions._quad
+
+        def spy_tail(self, at, J, r):
+            asked.append((at, max(J, _EM_MIN_INDEX), r))
+            return tail_power_sum(self, at, J, r)
+
+        def spy_quad(*args):
+            quads.append(args)
+            return quad(*args)
+
+        monkeypatch.setattr(distributions.CellDistribution, "tail_power_sum", spy_tail)
+        monkeypatch.setattr(distributions, "_quad", spy_quad)
+        for k in (1, 2, 3):
+            series_point(d, t, k)
+        # each power sum beyond _EM_MIN_INDEX is one quadrature
+        assert len(quads) == len(set(asked))
+        assert len(asked) > 4 * len(quads)
 
 
 class TestMomentReport:
