@@ -11,17 +11,14 @@ import sys
 
 import numpy as np
 
-from urnsim import DistributionSpec, build_distribution
+from urnsim import DistributionError, build_distribution
+from urnsim.cli import add_family_flags, spec_from_args
 from urnsim.moments import MomentReport, moment_report
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--family", default="zipf",
-                        choices=["zipf", "zipf_log", "theta_one_log", "geometric"])
-    parser.add_argument("--s", type=float, default=2.0)
-    parser.add_argument("--a", type=float, default=None)
-    parser.add_argument("--q", type=float, default=0.5)
+    add_family_flags(parser)
     parser.add_argument("--k", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--star", action="store_true")
     parser.add_argument("--t-min", type=float, default=1e3)
@@ -29,14 +26,10 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=6)
     args = parser.parse_args()
 
-    kwargs = {}
-    if args.family in ("zipf", "zipf_log"):
-        kwargs["s"] = args.s
-    if args.family == "zipf_log":
-        kwargs["a"] = 1.0 if args.a is None else args.a
-    if args.family == "geometric":
-        kwargs["q"] = args.q
-    d = build_distribution(DistributionSpec(family=args.family, **kwargs))
+    try:
+        d = build_distribution(spec_from_args(args))
+    except DistributionError as exc:
+        parser.error(str(exc))
 
     print(MomentReport.CSV_HEADER)
     for t in np.logspace(np.log10(args.t_min), np.log10(args.t_max), args.points):

@@ -12,18 +12,14 @@ import sys
 import time
 from pathlib import Path
 
-from urnsim import DistributionSpec, ExperimentConfig
-from urnsim.distributions import DistributionError
+from urnsim import DistributionError, ExperimentConfig
+from urnsim.cli import add_family_flags, spec_from_args
 from urnsim.studies import STUDIES, run_study, write_study_outputs
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--family", default="zipf",
-                        choices=["zipf", "zipf_log", "theta_one_log", "geometric"])
-    parser.add_argument("--s", type=float, default=2.0)
-    parser.add_argument("--a", type=float, default=None)
-    parser.add_argument("--q", type=float, default=0.5)
+    add_family_flags(parser)
     parser.add_argument("--n-min", type=int, default=1_000)
     parser.add_argument("--n-max", type=int, default=1_000_000)
     parser.add_argument("--points", type=int, default=17)
@@ -33,20 +29,15 @@ def main() -> int:
     parser.add_argument("--out", default="study_outputs")
     args = parser.parse_args()
 
-    if args.family == "zipf":
-        dist = DistributionSpec(family="zipf", s=args.s)
-    elif args.family == "zipf_log":
-        dist = DistributionSpec(family="zipf_log", s=args.s,
-                                a=1.0 if args.a is None else args.a)
-    elif args.family == "theta_one_log":
-        dist = DistributionSpec(family="theta_one_log")
-    else:
-        dist = DistributionSpec(family="geometric", q=args.q)
-
-    cfg = ExperimentConfig(distribution=dist, n_min=args.n_min, n_max=args.n_max,
-                           points=args.points, ks=(1, 2), k_max=3,
-                           seeds=args.seeds, master_seed=args.seed,
-                           workers=args.workers, out_dir=args.out)
+    try:
+        dist = spec_from_args(args)
+        cfg = ExperimentConfig(distribution=dist, n_min=args.n_min, n_max=args.n_max,
+                               points=args.points, ks=(1, 2), k_max=3,
+                               seeds=args.seeds, master_seed=args.seed,
+                               workers=args.workers, out_dir=args.out)
+        cfg.validate()
+    except ValueError as exc:  # DistributionError and ConfigError
+        parser.error(str(exc))
     out_dir = Path(args.out)
     failures = []
     for name in sorted(STUDIES):

@@ -6,7 +6,6 @@ from .distributions import (
     CellDistribution,
     DistributionError,
     DistributionSpec,
-    RegVarProfile,
     build_distribution,
     slowly_varying,
     smoothed_slowly_varying,

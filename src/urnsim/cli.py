@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 from pathlib import Path
@@ -27,19 +26,21 @@ from .config import (
 from .distributions import DistributionError, DistributionSpec, build_distribution
 from .moments import moment_report, normalizer
 from .simulate import CheckpointGrid, run_coupled
-from .studies import STUDIES, run_study, write_study_outputs
+from .studies import STUDIES, run_study, theta_estimate, write_study_outputs
 
 TRAJECTORY_HEADER = ["seed", "n", "K", "k", "rstar_fixed", "rstar_poisson",
                      "r_fixed", "r_poisson", "b_n", "scaled_diff"]
 
 
-def _dist_from_args(args: argparse.Namespace) -> DistributionSpec:
+def spec_from_args(args: argparse.Namespace) -> DistributionSpec:
+    """The validated DistributionSpec of the flags add_family_flags adds."""
     spec = DistributionSpec(family=args.family, s=args.s, a=args.a, q=args.q)
     spec.validate()
     return spec
 
 
-def _add_family_flags(parser: argparse.ArgumentParser) -> None:
+def add_family_flags(parser: argparse.ArgumentParser) -> None:
+    """--family and its parameters --s, --a, --q (no defaults)."""
     parser.add_argument("--family", required=True,
                         choices=["zipf", "zipf_log", "theta_one_log", "geometric"])
     parser.add_argument("--s", type=float, default=None, help="power exponent (zipf types)")
@@ -48,7 +49,7 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    d = build_distribution(_dist_from_args(args))
+    d = build_distribution(spec_from_args(args))
     report = moment_report(d, args.t, args.k, star=args.star, law=args.law)
     if args.json:
         import json
@@ -60,14 +61,13 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    d = build_distribution(_dist_from_args(args))
+    d = build_distribution(spec_from_args(args))
     grid = CheckpointGrid.logspaced(args.n_min, int(args.n_max), args.points,
                                     k_max=args.k_max)
-    profile = d.profile()
     ks = list(range(1, args.k_max + 1))
     b_cols = {}
     for k in ks:
-        spec = normalizer(d.theta, k, profile)
+        spec = normalizer(d, k)
         b_cols[k] = [spec.b(float(n)) for n in grid.positions]
     out_path = Path(args.out)
     tmp_path = out_path.with_name(out_path.name + ".partial")
@@ -152,10 +152,7 @@ def _cmd_estimate_theta(args: argparse.Namespace) -> int:
     estimates = []
     print("seed,theta_estimate")
     for seed in sorted(last_rows):
-        n, occupied = last_rows[seed]
-        if n < 100 or occupied < 1:
-            raise ConfigError("need final checkpoints with n >= 100 and occupied cells")
-        est = math.log(occupied) / math.log(n)
+        est = theta_estimate(*last_rows[seed])
         estimates.append(est)
         print(f"{seed},{est!r}")
     print(f"median,{float(np.median(estimates))!r}")
@@ -169,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mom = sub.add_parser("moments", help="print one exact/asymptotic moment row")
-    _add_family_flags(p_mom)
+    add_family_flags(p_mom)
     p_mom.add_argument("--t", type=float, required=True, help="poissonization scale / sample size")
     p_mom.add_argument("--k", type=int, required=True)
     p_mom.add_argument("--star", action="store_true", help="at-least-k count (else exactly k)")
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.set_defaults(fn=_cmd_moments)
 
     p_sim = sub.add_parser("simulate", help="write coupled trajectories as CSV")
-    _add_family_flags(p_sim)
+    add_family_flags(p_sim)
     p_sim.add_argument("--n-min", type=int, default=16)
     p_sim.add_argument("--n-max", type=float, required=True)
     p_sim.add_argument("--points", type=int, default=20)

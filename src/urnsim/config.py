@@ -119,8 +119,8 @@ def _parse_tuple(raw, cast):
     return tuple(cast(float(p)) if cast is int else cast(p) for p in parts)
 
 
-def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a key-value config file, then apply overrides (e.g. CLI flags)."""
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Parse a key-value config file; :func:`override_config` applies flags."""
     text = Path(path).read_text()
     if not text.lstrip().startswith("["):
         text = "[urnsim]\n" + text
@@ -132,8 +132,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     values: dict = {}
     for section in parser.sections():
         values.update(parser[section])
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_mapping(values)
 
 

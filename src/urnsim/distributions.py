@@ -296,6 +296,7 @@ class CellDistribution:
             out[lo:lo + _SEARCH_CHUNK] = self._count(flat[lo:lo + _SEARCH_CHUNK])
         return int(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
+    # perfbench/tracing.py counts _lstar_eval's array searches under this name
     counting_function_many = counting_function
 
     def _count(self, xs: np.ndarray) -> np.ndarray:
@@ -397,10 +398,6 @@ class CellDistribution:
         return math.exp(r * lmu) * (val + r * dlog / 24.0)
 
     # ---------- sampling
-
-    def sample_cell(self, rng: np.random.Generator) -> int:
-        """One cell index with probability exactly p_j."""
-        return int(self.draw_cells(rng, 1)[0])
 
     def draw_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket)."""
@@ -508,11 +505,6 @@ class CellDistribution:
                 filled += took
         return out
 
-    # ---------- regular-variation profile
-
-    def profile(self) -> "RegVarProfile":
-        return RegVarProfile(theta=self.theta, distribution=self)
-
 
 def build_distribution(spec: DistributionSpec) -> CellDistribution:
     """Validate the parameters and construct the distribution
@@ -520,27 +512,11 @@ def build_distribution(spec: DistributionSpec) -> CellDistribution:
     return CellDistribution(spec)
 
 
-@dataclass(frozen=True)
-class RegVarProfile:
-    """Regular-variation view of a distribution: exponent theta, the slowly
-    varying factor L(x) = counting_function(x)/x^theta, and the smoothed
-    transform L*(t) used by theta=1 normalizers."""
-
-    theta: float
-    distribution: CellDistribution
-
-    def L(self, x: float) -> float:
-        return slowly_varying(self, x)
-
-    def Lstar(self, t: float) -> float:
-        return smoothed_slowly_varying(self, t)
-
-
-def slowly_varying(p: RegVarProfile, x: float) -> float:
+def slowly_varying(d: CellDistribution, x: float) -> float:
     """L(x) = counting_function(x) / x^theta (exact, step-valued)."""
     if x < 1.0:
         raise DistributionError("slowly varying factor defined for x >= 1")
-    return p.distribution.counting_function(x) / x ** p.theta
+    return d.counting_function(x) / x ** d.theta
 
 
 def _exp_inv_log_simpson(f: Callable[[np.ndarray], np.ndarray],
@@ -560,7 +536,7 @@ def _exp_inv_log_simpson(f: Callable[[np.ndarray], np.ndarray],
 _LSTAR_SPLIT = 100.0
 
 
-def smoothed_slowly_varying(p: RegVarProfile, t: float,
+def smoothed_slowly_varying(d: CellDistribution, t: float,
                             rel_target: float = 1e-6) -> float:
     """L*(t): the exp(-1/y)/y - weighted smoothing of L(ty), theta = 1 only.
 
@@ -568,11 +544,10 @@ def smoothed_slowly_varying(p: RegVarProfile, t: float,
     convergent) y > Y remainder evaluated analytically; the quadrature is
     refined until two resolutions agree to ``rel_target``.
     """
-    if p.theta != 1.0:
+    if d.theta != 1.0:
         raise DistributionError("smoothed slowly varying transform requires theta = 1")
     if t < 1.0:
         raise DistributionError("transform defined for t >= 1")
-    d = p.distribution
     cached = d._lstar_cache.get((t, rel_target))
     if cached is not None:
         return cached[0]
@@ -581,11 +556,11 @@ def smoothed_slowly_varying(p: RegVarProfile, t: float,
     return val
 
 
-def smoothed_slowly_varying_error(p: RegVarProfile, t: float,
+def smoothed_slowly_varying_error(d: CellDistribution, t: float,
                                   rel_target: float = 1e-6) -> float:
     """Reported error estimate (refinement gap + endpoint handling) of L*(t)."""
-    smoothed_slowly_varying(p, t, rel_target)
-    return p.distribution._lstar_cache[(t, rel_target)][1]
+    smoothed_slowly_varying(d, t, rel_target)
+    return d._lstar_cache[(t, rel_target)][1]
 
 
 def _lstar_eval(d: CellDistribution, t: float, rel_target: float) -> tuple[float, float]:

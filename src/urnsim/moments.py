@@ -23,10 +23,12 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
+# smoothed_slowly_varying is called through this module's global, which
+# perfbench/tracing.py wraps
 from .distributions import (
     CellDistribution,
     DistributionError,
-    RegVarProfile,
+    slowly_varying,
     smoothed_slowly_varying,
 )
 
@@ -250,6 +252,19 @@ def _head_length(d: CellDistribution, t: float) -> int:
 
 # ---------------------------------------------------------- exact series
 
+def _check_series_args(t: float, k: int, law: str) -> None:
+    """The arguments every exact series accepts: k >= 1, t >= 0 and, for
+    the fixed-n (binomial) law, an integer t."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if law not in ("poisson", "binomial"):
+        raise ValueError(f"unknown law {law!r}")
+    if law == "binomial" and int(t) != t:
+        raise ValueError("binomial law requires integer n")
+
+
 def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
                law: str = "poisson") -> tuple[float, float]:
     """Exact series mean of the occupancy count (cells with >= k balls for
@@ -257,20 +272,9 @@ def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
 
     Returns (value, truncation_error_bound).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if law not in ("poisson", "binomial"):
-        raise ValueError(f"unknown law {law!r}")
-    if t == 0:
+    _check_series_args(t, k, law)
+    if t == 0 or (law == "binomial" and k > t):
         return 0.0, 0.0
-    if law == "binomial":
-        n = int(t)
-        if n != t:
-            raise ValueError("binomial law requires integer n")
-        if k > n:
-            return 0.0, 0.0
     J = _head_length(d, t)
     p = d.probs_prefix(J)
     if law == "poisson":
@@ -294,10 +298,7 @@ def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
 def exact_var(d: CellDistribution, t: float, k: int, star: bool) -> tuple[float, float]:
     """Exact series variance of the poissonized count (Bernoulli sum
     g(1-g) over independent per-cell indicators)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_series_args(t, k, "poisson")
     if t == 0:
         return 0.0, 0.0
     J = _head_length(d, t)
@@ -320,6 +321,7 @@ def exact_var(d: CellDistribution, t: float, k: int, star: bool) -> tuple[float,
 def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[float, float]:
     """E[count under fixed-n law] - E[count under poissonized law],
     evaluated termwise so the tiny difference is not lost to cancellation."""
+    _check_series_args(n, k, "binomial")
     if n == 0:
         return 0.0, 0.0
     n = int(n)
@@ -344,26 +346,24 @@ def moment_report(d: CellDistribution, t: float, k: int, star: bool,
     """
     em, te_m = exact_mean(d, t, k, star, law)
     ev, te_v = exact_var(d, t, k, star)
-    prof = d.profile()
     cnt = d.counting_function(t) if t >= 1 else 0
-    cm = asym_mean_coeff(d.theta, k, star)
-    if isinstance(cm, RegimeFlag):
-        am = t * smoothed_slowly_varying(prof, t) if t >= 1 else math.nan
-    else:
-        am = cm * cnt
+    am = _asymptotic(d, t, asym_mean_coeff(d.theta, k, star), cnt)
     try:
         cv = asym_var_coeff(d.theta, k, star)
     except DistributionError:
         cv = math.nan
-    if isinstance(cv, RegimeFlag):
-        av = t * smoothed_slowly_varying(prof, t) if t >= 1 else math.nan
-    elif isinstance(cv, float) and math.isnan(cv):
-        av = math.nan
-    else:
-        av = cv * cnt
+    av = _asymptotic(d, t, cv, cnt)
     return MomentReport(t_or_n=t, k=k, star=star, law=law, exact_mean=em,
                         exact_var=ev, asym_mean=am, asym_var=av,
                         truncation_error=max(te_m, te_v))
+
+
+def _asymptotic(d: CellDistribution, t: float, coeff, cnt: int) -> float:
+    """coeff * counting_function(t), or t L*(t) when coeff is
+    T_LSTAR_REGIME (L* is evaluated only then)."""
+    if isinstance(coeff, RegimeFlag):
+        return t * smoothed_slowly_varying(d, t) if t >= 1 else math.nan
+    return coeff * cnt
 
 
 # ------------------------------------------------- asymptotic constants
@@ -458,16 +458,15 @@ class NormalizerSpec:
     tprime: Callable[[float], float]
 
 
-def normalizer(theta: float, k: int, profile: RegVarProfile) -> NormalizerSpec:
-    """The decay normalizer b(n) and window tprime(n) for (theta, k).
+def normalizer(d: CellDistribution, k: int) -> NormalizerSpec:
+    """The decay normalizer b(n) and window tprime(n) for (d.theta, k).
 
     theta = 1 uses the exact scheme formulas; theta < 1 uses a concrete
     representative that is o() of the admissible class:
         b(n) = min(n^(1/2-theta)/(L(n) lnln n), 1/ln n) / lnln n.
     Evaluators require n >= 16 so lnln n > 0.
     """
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError("theta must be in [0, 1]")
+    theta = d.theta
     if k < 1:
         raise ValueError("k must be >= 1")
 
@@ -479,23 +478,23 @@ def normalizer(theta: float, k: int, profile: RegVarProfile) -> NormalizerSpec:
     if theta == 1.0 and k == 1:
         def b(n: float) -> float:
             ll = _check(n)
-            return 1.0 / math.sqrt(n * smoothed_slowly_varying(profile, n) * ll)
+            return 1.0 / math.sqrt(n * smoothed_slowly_varying(d, n) * ll)
 
         def tprime(n: float) -> float:
             ll = _check(n)
-            return math.sqrt(n * ll) * smoothed_slowly_varying(profile, n) ** -0.25
+            return math.sqrt(n * ll) * smoothed_slowly_varying(d, n) ** -0.25
     elif theta == 1.0:
         def b(n: float) -> float:
             ll = _check(n)
-            return 1.0 / math.sqrt(n * profile.L(n) * ll)
+            return 1.0 / math.sqrt(n * slowly_varying(d, n) * ll)
 
         def tprime(n: float) -> float:
             ll = _check(n)
-            return math.sqrt(n * ll) * profile.L(n) ** -0.25
+            return math.sqrt(n * ll) * slowly_varying(d, n) ** -0.25
     else:
         def b(n: float) -> float:
             ll = _check(n)
-            Ln = profile.L(n)
+            Ln = slowly_varying(d, n)
             return min(n ** (0.5 - theta) / (Ln * ll), 1.0 / math.log(n)) / ll
 
         def tprime(n: float) -> float:

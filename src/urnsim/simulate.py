@@ -23,15 +23,6 @@ from .distributions import _TABLE_SIZE, CellDistribution
 _COUNT_SPACE_MIN = 3 << 14
 
 
-@dataclass(frozen=True)
-class SnapshotRow:
-    """Occupancy profile at one stream position."""
-
-    ball_count: int
-    rstar: tuple[int, ...]  # index k-1 -> cells with >= k balls, k = 1..k_max
-    r: tuple[int, ...]      # index k-1 -> cells with exactly k balls
-
-
 class OccupancyState:
     """Per-cell counts plus the at-least-k profile, k <= k_max.
 
@@ -113,11 +104,6 @@ class OccupancyState:
         if not (1 <= k <= self.k_max + 1):
             raise ValueError(f"k must be in 1..{self.k_max + 1}")
         return int(self._rstar[k])
-
-    def snapshot(self) -> SnapshotRow:
-        rs = tuple(int(v) for v in self._rstar[1:self.k_max + 1])
-        r = tuple(int(self._rstar[k] - self._rstar[k + 1]) for k in range(1, self.k_max + 1))
-        return SnapshotRow(ball_count=self.ball_count, rstar=rs, r=r)
 
     def _profile_row(self) -> np.ndarray:
         return self._rstar[1:self.k_max + 2].copy()

@@ -141,7 +141,7 @@ def median_band(d: CellDistribution, n: int, seeds: int,
 
     if seeds < 2:
         raise ValueError("the median band needs at least 2 seeds")
-    b = normalizer(d.theta, k, d.profile()).b(float(n))
+    b = normalizer(d, k).b(float(n))
     rate = k * exact_mean(d, float(n), k, star=False)[0] / n
     gaps = np.arange(int(12 * math.sqrt(n)) + 10)
     gap_pmf = sps.poisson.pmf(n + gaps, n)
@@ -190,13 +190,12 @@ def study_coupling_decay(cfg: ExperimentConfig,
     grid = _grid_for(cfg)
     if trajectories is None:
         trajectories = generate_trajectories(cfg, d, grid)
-    profile = d.profile()
     ns = np.asarray(grid.positions, dtype=np.float64)
     stats: dict[str, list[float]] = {}
     flags: dict[str, bool] = {}
     margins: dict[str, float] = {}
     for k in cfg.ks:
-        spec = normalizer(d.theta, k, profile)
+        spec = normalizer(d, k)
         b = np.array([spec.b(float(n)) for n in ns])
         diffs = np.array([np.abs(t.rstar_fixed[:, k - 1] - t.rstar_poisson[:, k - 1])
                           for t in trajectories])
@@ -471,18 +470,22 @@ def study_variance_sandwich(cfg: ExperimentConfig) -> StudyResult:
         meta={"distribution": cfg.distribution.as_mapping()})
 
 
-def estimate_theta(trajectory: CoupledTrajectory) -> float:
-    """Crude regular-variation exponent estimate from the final at-least-1
-    count: log(count)/log(n).  Uses the fixed-n columns only."""
-    if trajectory.positions.size == 0:
-        raise ValueError("empty trajectory")
-    n_last = int(trajectory.positions[-1])
-    if n_last < 100:
+def theta_estimate(n: int, occupied: int) -> float:
+    """Crude regular-variation exponent estimate log(occupied)/log(n) from
+    the at-least-1 count ``occupied`` at a final checkpoint n >= 100."""
+    if n < 100:
         raise ValueError("need a final checkpoint with n >= 100")
-    occupied = int(trajectory.rstar_fixed[-1, 0])
     if occupied < 1:
         raise ValueError("no occupied cells recorded")
-    return math.log(occupied) / math.log(n_last)
+    return math.log(occupied) / math.log(n)
+
+
+def estimate_theta(trajectory: CoupledTrajectory) -> float:
+    """:func:`theta_estimate` at the last checkpoint; uses the fixed-n
+    columns only."""
+    if trajectory.positions.size == 0:
+        raise ValueError("empty trajectory")
+    return theta_estimate(int(trajectory.positions[-1]), int(trajectory.rstar_fixed[-1, 0]))
 
 
 STUDIES: dict[str, Callable[[ExperimentConfig], StudyResult]] = {

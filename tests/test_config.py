@@ -52,7 +52,7 @@ def test_validation_failures(bad):
 def test_load_config_flags_override(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text("family = zipf\ns = 2.0\nseeds = 50\nn_max = 1e6\n")
-    cfg = load_config(path, overrides={"seeds": 7, "master_seed": None})
+    cfg = override_config(load_config(path), seeds=7, master_seed=None)
     assert cfg.seeds == 7            # flag wins
     assert cfg.master_seed == 42     # None override ignored
 

@@ -292,24 +292,21 @@ class TestTailPowerSum:
 class TestSlowlyVarying:
     def test_zipf_stabilizes(self, zipf2):
         target = (1.0 / zipf2.Z) ** 0.5
-        profile = zipf2.profile()
         for x in np.logspace(4, 10, 7):
-            val = slowly_varying(profile, x)
+            val = slowly_varying(zipf2, x)
             assert val == zipf2.counting_function(x) / math.sqrt(x)
             if x >= 1e6:  # the integer-valued count rounds ~1/count away
                 assert abs(val - target) < 0.01 * target
 
     def test_theta_one_log_decreasing(self, theta_one_log):
-        profile = theta_one_log.profile()
-        vals = [slowly_varying(profile, x) for x in np.logspace(4, 10, 7)]
+        vals = [slowly_varying(theta_one_log, x) for x in np.logspace(4, 10, 7)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals == [theta_one_log.counting_function(x) / x
                         for x in np.logspace(4, 10, 7)]
 
     def test_geometric_theta0_is_count(self, geometric_half):
-        profile = geometric_half.profile()
         for x in (10.0, 1e4, 1e8):
-            assert slowly_varying(profile, x) == geometric_half.counting_function(x)
+            assert slowly_varying(geometric_half, x) == geometric_half.counting_function(x)
 
 
 class TestSmoothedSlowlyVarying:
@@ -325,29 +322,26 @@ class TestSmoothedSlowlyVarying:
     def test_matches_exact_series_identity(self, theta_one_log):
         # Independent oracle: with L built from the exact counting function,
         # the smoothed transform equals (exact poissonized occupied mean)/t.
-        profile = theta_one_log.profile()
         for t in (1e4, 1e6):
-            quad_val = smoothed_slowly_varying(profile, t)
+            quad_val = smoothed_slowly_varying(theta_one_log, t)
             series_val = exact_mean(theta_one_log, t, 1, star=True)[0] / t
             assert abs(quad_val - series_val) < 3e-6 * series_val
 
     def test_decreasing_to_zero_trend(self, theta_one_log):
-        profile = theta_one_log.profile()
-        vals = [smoothed_slowly_varying(profile, t) for t in np.logspace(4, 10, 7)]
+        vals = [smoothed_slowly_varying(theta_one_log, t) for t in np.logspace(4, 10, 7)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.6 * vals[0]
 
     def test_refinement_self_check(self, theta_one_log):
         from urnsim.distributions import smoothed_slowly_varying_error
-        profile = theta_one_log.profile()
-        val = smoothed_slowly_varying(profile, 1e5)
-        err = smoothed_slowly_varying_error(profile, 1e5)
+        val = smoothed_slowly_varying(theta_one_log, 1e5)
+        err = smoothed_slowly_varying_error(theta_one_log, 1e5)
         assert err < 1e-6 * val
 
     def test_requires_theta_one(self, zipf2, geometric_half):
         for d in (zipf2, geometric_half):
             with pytest.raises(DistributionError):
-                smoothed_slowly_varying(d.profile(), 1e4)
+                smoothed_slowly_varying(d, 1e4)
 
 
 class TestSampler:
@@ -408,7 +402,3 @@ class TestSampler:
         a = zipf2.draw_cells(np.random.default_rng(123), 10 ** 4)
         b = zipf2.draw_cells(np.random.default_rng(123), 10 ** 4)
         assert np.array_equal(a, b)
-
-    def test_scalar_sample(self, zipf2, rng):
-        val = zipf2.sample_cell(rng)
-        assert isinstance(val, int) and val >= 1

@@ -23,6 +23,7 @@ from urnsim import (
     normalizer,
     poisson_cdf_below,
     run_coupled,
+    slowly_varying,
     smoothed_slowly_varying,
     variance_sandwich_check,
 )
@@ -287,40 +288,72 @@ class TestAsymCoeffs:
             assert ratios[-1] < 0.25 * ratios[0]
 
 
+# float.hex of (b(n), tprime(n)) at n = 16, 1e4, 1e7, frozen from the
+# normalizer before it read theta from the distribution.  For theta < 1 the
+# 1/ln n branch of the minimum is the smaller one at these n, so the three
+# theta < 1 families share one row for both k.
+_NORMALIZER_BITS_THETA_LT1 = (
+    ("0x1.6a2a6fe4309f2p-2", "0x1.051065802df07p+2"),
+    ("0x1.90966476a737bp-5", "0x1.bc10bb843467ap+7"),
+    ("0x1.6da76f8703d36p-6", "0x1.12b79a57a9a42p+13"),
+)
+NORMALIZER_BITS = {
+    ("zipf2", 1): _NORMALIZER_BITS_THETA_LT1,
+    ("zipf2", 2): _NORMALIZER_BITS_THETA_LT1,
+    ("zipf_log21", 1): _NORMALIZER_BITS_THETA_LT1,
+    ("zipf_log21", 2): _NORMALIZER_BITS_THETA_LT1,
+    ("geometric_half", 1): _NORMALIZER_BITS_THETA_LT1,
+    ("geometric_half", 2): _NORMALIZER_BITS_THETA_LT1,
+    ("theta_one_log", 1): (
+        ("0x1.570527e6e8bdbp-2", "0x1.2cb7ee70543a4p+2"),
+        ("0x1.2c82d104a00e2p-6", "0x1.ecad7cad199f9p+7"),
+        ("0x1.8dd85c2db5836p-11", "0x1.49922c243f481p+13"),
+    ),
+    ("theta_one_log", 2): (
+        ("0x1.24b8e77439bf1p-1", "0x1.88dd68508b3d7p+2"),
+        ("0x1.71d0d2557537ap-5", "0x1.827716bd48173p+8"),
+        ("0x1.50af051ba0e51p-9", "0x1.2f2e82da65452p+14"),
+    ),
+}
+
+
 class TestNormalizer:
+    @pytest.mark.parametrize("fixture,k", sorted(NORMALIZER_BITS))
+    def test_frozen_bits(self, request, fixture, k):
+        spec = normalizer(request.getfixturevalue(fixture), k)
+        got = tuple((spec.b(n).hex(), spec.tprime(n).hex()) for n in (16.0, 1e4, 1e7))
+        assert got == NORMALIZER_BITS[(fixture, k)]
+
     def test_theta1_k1_formula(self, theta_one_log):
-        profile = theta_one_log.profile()
-        spec = normalizer(1.0, 1, profile)
+        spec = normalizer(theta_one_log, 1)
         n = 1e6
-        want = (n * smoothed_slowly_varying(profile, n) * math.log(math.log(n))) ** -0.5
+        want = (n * smoothed_slowly_varying(theta_one_log, n) * math.log(math.log(n))) ** -0.5
         assert abs(spec.b(n) - want) < 1e-12 * want
 
     def test_theta1_k2_uses_plain_L(self, theta_one_log):
-        profile = theta_one_log.profile()
-        spec = normalizer(1.0, 2, profile)
+        spec = normalizer(theta_one_log, 2)
         n = 1e6
-        want = (n * profile.L(n) * math.log(math.log(n))) ** -0.5
+        want = (n * slowly_varying(theta_one_log, n) * math.log(math.log(n))) ** -0.5
         assert abs(spec.b(n) - want) < 1e-12 * want
 
     def test_theta_half_min_structure(self, zipf2):
-        spec = normalizer(0.5, 1, zipf2.profile())
+        spec = normalizer(zipf2, 1)
         n = 1e6
         assert spec.b(n) <= 1.0 / (math.log(n) * math.log(math.log(n))) + 1e-15
 
     def test_small_o_of_admissible_class(self, zipf2):
         # ratio of our b_n to the admissible bound must decrease to 0
-        profile = zipf2.profile()
-        spec = normalizer(0.5, 1, profile)
+        spec = normalizer(zipf2, 1)
         ratios = []
         for n in np.logspace(3, 9, 7):
-            bound = min(n ** 0.0 / (profile.L(n) * math.log(math.log(n))),
+            bound = min(n ** 0.0 / (slowly_varying(zipf2, n) * math.log(math.log(n))),
                         1.0 / math.log(n))
             ratios.append(spec.b(n) / bound)
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
     def test_b_decreasing_tprime_small_o(self, zipf2, theta_one_log):
-        for d, theta in ((zipf2, 0.5), (theta_one_log, 1.0)):
-            spec = normalizer(theta, 1, d.profile())
+        for d in (zipf2, theta_one_log):
+            spec = normalizer(d, 1)
             ns = np.logspace(2, 8, 7)
             bs = [spec.b(n) for n in ns]
             assert all(b < a for a, b in zip(bs, bs[1:]))
@@ -328,7 +361,7 @@ class TestNormalizer:
             assert all(b < a for a, b in zip(tp, tp[1:]))
 
     def test_requires_n_at_least_16(self, zipf2):
-        spec = normalizer(0.5, 1, zipf2.profile())
+        spec = normalizer(zipf2, 1)
         with pytest.raises(ValueError):
             spec.b(15.0)
 
@@ -385,6 +418,18 @@ class TestMeanDifference:
 
     def test_zero_balls(self, zipf2):
         assert mean_difference(zipf2, 0, 1, star=True) == (0.0, 0.0)
+
+    # the argument checks of the binomial-law exact_mean
+    @pytest.mark.parametrize("n,k,star,match", [
+        (1000.7, 2, True, "integer n"),
+        (1000, 0, False, "k must be >= 1"),
+        (-5, 1, True, "t must be >= 0"),
+    ])
+    def test_rejects_bad_arguments(self, zipf2, n, k, star, match):
+        with pytest.raises(ValueError, match=match):
+            exact_mean(zipf2, n, k, star, law="binomial")
+        with pytest.raises(ValueError, match=match):
+            mean_difference(zipf2, n, k, star)
 
     def test_theta_one_log_large_n_head(self, theta_one_log):
         # at-least-2 gap at n = 1e8: per head cell
@@ -457,5 +502,5 @@ class TestMomentReport:
 
     def test_report_tlstar_scale(self, theta_one_log):
         rep = moment_report(theta_one_log, 1e4, 1, star=True)
-        want = 1e4 * smoothed_slowly_varying(theta_one_log.profile(), 1e4)
+        want = 1e4 * smoothed_slowly_varying(theta_one_log, 1e4)
         assert abs(rep.asym_mean - want) < 1e-9 * want

@@ -30,6 +30,14 @@ def _one_at_a_time(cells, k_max=3) -> OccupancyState:
     return state
 
 
+def _rstar(state: OccupancyState) -> tuple[int, ...]:
+    return tuple(state.rstar(k) for k in range(1, state.k_max + 1))
+
+
+def _exactly(state: OccupancyState) -> tuple[int, ...]:
+    return tuple(state.rstar(k) - state.rstar(k + 1) for k in range(1, state.k_max + 1))
+
+
 class TestOccupancyState:
     def test_single_ball(self):
         state = _one_at_a_time([7])
@@ -46,17 +54,16 @@ class TestOccupancyState:
 
     def test_snapshot_example(self):
         state = _one_at_a_time([11, 11, 11, 29], k_max=2)
-        row = state.snapshot()
-        assert row.rstar == (2, 1)
+        assert _rstar(state) == (2, 1)
         # exactly-k rows follow r[k] = rstar[k] - rstar[k+1]: the 3-ball
         # cell is counted in rstar[2] and rstar[3], so exactly-2 is empty
-        assert row.r == (1, 0)
-        assert row.ball_count == 4
+        assert _exactly(state) == (1, 0)
+        assert state.ball_count == 4
 
     def test_empty_snapshot(self):
-        row = OccupancyState(k_max=4).snapshot()
-        assert row.rstar == (0, 0, 0, 0) and row.r == (0, 0, 0, 0)
-        assert row.ball_count == 0
+        state = OccupancyState(k_max=4)
+        assert _rstar(state) == (0, 0, 0, 0) and _exactly(state) == (0, 0, 0, 0)
+        assert state.ball_count == 0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -78,7 +85,8 @@ class TestOccupancyState:
             in_table = arr[arr <= _TABLE_SIZE]
             three.add_table_counts(np.bincount(in_table - 1, minlength=_TABLE_SIZE))
             three.add_cells(arr[arr > _TABLE_SIZE])
-        assert one.snapshot() == two.snapshot() == three.snapshot()
+        rows = [(s.ball_count, _rstar(s), _exactly(s)) for s in (one, two, three)]
+        assert rows[0] == rows[1] == rows[2]
         for c in set(cells):
             assert one.count_of(c) == two.count_of(c) == three.count_of(c)
 

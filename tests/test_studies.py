@@ -91,7 +91,7 @@ class TestCouplingDecay:
                         ks=(1,), seeds=30)
         grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
         ends = np.asarray(grid.positions)
-        b = np.array([normalizer(1.0, 1, theta_one_log.profile()).b(float(n)) for n in ends])
+        b = np.array([normalizer(theta_one_log, 1).b(float(n)) for n in ends])
         (p0, lo0, hi0), (p1, lo1, hi1) = (median_band(theta_one_log, int(n), cfg.seeds)
                                           for n in ends)
         assert p1 < p0 and lo0 < p0 < hi0 and lo1 < p1 < hi1
