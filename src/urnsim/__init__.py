@@ -17,6 +17,7 @@ from .moments import (
     asym_mean_coeff,
     asym_var_coeff,
     binomial_tail_at_least,
+    depoissonization_gap,
     exact_mean,
     exact_var,
     gamma_tail_partial_sum,

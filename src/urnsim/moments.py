@@ -331,10 +331,31 @@ def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[fl
         head = float(-poisson_tail_at_least(n * p, k).sum())
     else:
         head = _head_sum(lambda q: _binom_minus_poisson(n, q, k, star), p)
-    cb = _coeffs_binom_tail(n, k, _MAX_ORDER) if star else _coeffs_binom_pmf(n, k, _MAX_ORDER)
+    # the binomial coefficient of (n p)^r is the Poisson one times
+    # falling(n, r) / n^r, so their difference is cp * expm1(ln falling)
     cp = _coeffs_poisson_tail(k, _MAX_ORDER) if star else _coeffs_poisson_pmf(k, _MAX_ORDER)
-    tail, bound = _tail_series(d, float(n), J, cb - cp, abs(head) + 1e-12)
+    ln_falling = np.array([_log_falling_factor(n, r) for r in range(_MAX_ORDER + 1)])
+    tail, bound = _tail_series(d, float(n), J, cp * np.expm1(ln_falling), abs(head) + 1e-12)
     return float(head + tail), float(bound + 1e-14 * abs(head))
+
+
+def depoissonization_gap(d: CellDistribution, n: int, k: int, star: bool) -> float:
+    """The second-order depoissonization prediction -(n/2) m''(n) of
+    ``mean_difference``, m the poissonized mean, from the poissonized
+    exactly-j means E R_j (Jacquet and Szpankowski 1998):
+
+        at least k:  (k(k+1) E R_{k+1} - k(k-1) E R_k) / (2n)
+        exactly k:   (-k(k-1) E R_k + 2k(k+1) E R_{k+1} - (k+1)(k+2) E R_{k+2}) / (2n)
+
+    It matches ``mean_difference`` to a relative O(1/n).
+    """
+    _check_series_args(n, k, "binomial")
+    if n == 0:
+        return 0.0
+    weights = {k: -k * (k - 1), k + 1: k * (k + 1)} if star else \
+        {k: -k * (k - 1), k + 1: 2 * k * (k + 1), k + 2: -(k + 1) * (k + 2)}
+    return sum(w * exact_mean(d, float(n), j, False)[0]
+               for j, w in weights.items() if w) / (2.0 * n)
 
 
 def moment_report(d: CellDistribution, t: float, k: int, star: bool,

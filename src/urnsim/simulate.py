@@ -24,12 +24,13 @@ _COUNT_SPACE_MIN = 3 << 14
 
 
 class OccupancyState:
-    """Per-cell counts plus the at-least-k profile, k <= k_max.
+    """Per-cell counts and the at-least-k profile, k <= k_max, stop by stop.
 
-    Counts of the sampler-table cells 1..table sit in a dense array; the
-    rarer cells beyond it (synthetic ids included) in sorted parallel arrays
-    of cell ids and counts.  Internally tracks k_max + 1 thresholds so rows
-    of exactly-k counts are available up to k_max.
+    Counts of the sampler-table cells 1..table sit in a dense array whose
+    profile is updated at every add.  The rarer balls beyond the table
+    (synthetic ids included) are only kept, sorted, with the index of their
+    stop; ``profile_rows`` folds all of them in one pass.  Internally tracks
+    k_max + 1 thresholds so rows of exactly-k counts are available up to k_max.
     """
 
     def __init__(self, k_max: int = 5):
@@ -37,19 +38,12 @@ class OccupancyState:
             raise ValueError("k_max must be >= 1")
         self.k_max = k_max
         self._table = np.zeros(_TABLE_SIZE + 1, dtype=np.int64)  # indexed by cell id
-        self._tail_ids = np.empty(0, dtype=np.int64)
-        self._tail_counts = np.empty(0, dtype=np.int64)
-        # rstar[k] for k = 1..k_max+1 at indices 1..k_max+1
+        # table part of rstar[k] for k = 1..k_max+1 at indices 1..k_max+1
         self._rstar = np.zeros(k_max + 2, dtype=np.int64)
+        self._table_rows: list[np.ndarray] = []  # table part after each ended stop
+        self._tail: list[np.ndarray] = []        # sorted tail ids of each add
+        self._tail_stop: list[int] = []          # and the stop they belong to
         self.ball_count = 0
-
-    def count_of(self, cell: int) -> int:
-        if cell <= _TABLE_SIZE:
-            return int(self._table[cell])
-        i = int(np.searchsorted(self._tail_ids, cell))
-        if i < self._tail_ids.size and self._tail_ids[i] == cell:
-            return int(self._tail_counts[i])
-        return 0
 
     def add_cells(self, cells: np.ndarray) -> None:
         """Throw one ball into each listed cell."""
@@ -59,54 +53,84 @@ class OccupancyState:
         in_table = cells <= _TABLE_SIZE
         ids, mult = np.unique(cells[in_table], return_counts=True)
         self._add_table(ids, mult)
-        ids, mult = np.unique(cells[~in_table], return_counts=True)
-        self._add_tail(ids, mult)
+        tail = np.sort(cells[~in_table])
+        if tail.size:
+            self._tail.append(tail)
+            self._tail_stop.append(len(self._table_rows))
+        self.ball_count += cells.size
 
     def add_table_counts(self, counts: np.ndarray) -> None:
         """Throw counts[j-1] balls into each table cell j = 1..table."""
         ids = np.flatnonzero(counts)
         self._add_table(ids + 1, counts[ids])
+        self.ball_count += int(counts.sum())
 
     def _add_table(self, ids: np.ndarray, mult: np.ndarray) -> None:
         old = self._table[ids]
         new = old + mult
         self._table[ids] = new
-        self._bump(old, new)
-
-    def _add_tail(self, ids: np.ndarray, mult: np.ndarray) -> None:
-        """Merge sorted distinct ids with their multiplicities."""
-        if not ids.size:
-            return
-        keys = self._tail_ids
-        pos = np.searchsorted(keys, ids)
-        found = (keys[np.minimum(pos, keys.size - 1)] == ids if keys.size
-                 else np.zeros(ids.size, dtype=bool))
-        old = np.zeros_like(mult)
-        old[found] = self._tail_counts[pos[found]]
-        new = old + mult
-        self._tail_counts[pos[found]] = new[found]
-        fresh = ~found
-        self._tail_ids = np.insert(keys, pos[fresh], ids[fresh])
-        self._tail_counts = np.insert(self._tail_counts, pos[fresh], mult[fresh])
-        self._bump(old, new)
-
-    def _bump(self, old: np.ndarray, new: np.ndarray) -> None:
-        """Update the profile for cells whose counts went from old to new."""
         top = self.k_max + 1
         moved = (np.bincount(np.minimum(new, top), minlength=top + 1)
                  - np.bincount(np.minimum(old, top), minlength=top + 1))
         # cells with >= k balls gained: sum of moved[c] over c >= k
         self._rstar[1:] += np.cumsum(moved[:0:-1])[::-1]
-        self.ball_count += int(new.sum() - old.sum())
+
+    def end_stop(self) -> None:
+        """Close the current stop; later balls belong to the next one."""
+        self._table_rows.append(self._rstar[1:].copy())
+
+    def profile_rows(self) -> np.ndarray:
+        """At-least-k counts, k = 1..k_max+1, after each ended stop (one row
+        per stop)."""
+        n = len(self._table_rows)
+        table = np.array(self._table_rows, dtype=np.int64).reshape(n, self.k_max + 1)
+        return table + _fold_tail(self._tail, self._tail_stop, n + 1, self.k_max + 1)[:n]
 
     def rstar(self, k: int) -> int:
         """Number of cells holding at least k balls (k <= k_max + 1)."""
         if not (1 <= k <= self.k_max + 1):
             raise ValueError(f"k must be in 1..{self.k_max + 1}")
-        return int(self._rstar[k])
+        tail = _fold_tail(self._tail, [0] * len(self._tail), 1, self.k_max + 1)
+        return int(self._rstar[k] + tail[0, k - 1])
 
-    def _profile_row(self) -> np.ndarray:
-        return self._rstar[1:self.k_max + 2].copy()
+
+def _fold_tail(parts: list[np.ndarray], stops: list[int], n_stops: int,
+               top: int) -> np.ndarray:
+    """Cells holding at least k = 1..top balls after each stop 0..n_stops-1,
+    from the ball ids ``parts[i]`` thrown at stop ``stops[i]`` (nondecreasing).
+
+    A cell reaches k balls exactly once, with its k-th ball, so row s counts
+    the balls thrown up to stop s that were the k-th of their cell.  Cells
+    hit once are counted by stop alone.  The balls of repeated cells are
+    sorted by (rank of the cell among the repeated ids) << b | stop and
+    numbered within their cell; ranks, unlike ids, always leave room for
+    the b stop bits.
+    """
+    reached = np.zeros((n_stops, top + 2), dtype=np.int64)  # columns: 0, 1..top, > top
+    every = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    every.sort()
+    rep = np.unique(every[1:][every[1:] == every[:-1]])
+    del every
+    b = (n_stops - 1).bit_length()
+    packed = []
+    for part, stop in zip(parts, stops):
+        if rep.size:
+            rank = np.searchsorted(rep, part)
+            hit = rep[np.minimum(rank, rep.size - 1)] == part
+            packed.append((rank[hit] << b) | stop)
+            reached[stop, 1] += part.size - packed[-1].size
+        else:
+            reached[stop, 1] += part.size
+    if packed:
+        keys = np.sort(np.concatenate(packed))
+        cell = keys >> b
+        idx = np.arange(keys.size)
+        first = np.maximum.accumulate(
+            np.where(np.concatenate(([True], cell[1:] != cell[:-1])), idx, 0))
+        nth = np.minimum(idx - first + 1, top + 1)
+        reached += np.bincount((keys & ((1 << b) - 1)) * (top + 2) + nth,
+                               minlength=reached.size).reshape(reached.shape)
+    return np.cumsum(reached[:, 1:top + 1], axis=0)
 
 
 @dataclass(frozen=True)
@@ -191,7 +215,6 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     positions = np.asarray(grid.positions, dtype=np.int64)
     schedule = np.unique(np.concatenate([positions, K]))
     state = OccupancyState(k_max=grid.k_max)
-    snaps: dict[int, np.ndarray] = {}
     done = 0
     for stop in schedule.tolist():
         take = stop - done
@@ -202,10 +225,11 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
         elif take:
             state.add_cells(d.draw_cells(cell_rng, take))
         done = stop
-        snaps[stop] = state._profile_row()
+        state.end_stop()
+    rows = state.profile_rows()
     kmax = grid.k_max
-    rsf = np.stack([snaps[int(n)] for n in positions])
-    rsp = np.stack([snaps[int(k)] for k in K])
+    rsf = rows[np.searchsorted(schedule, positions)]
+    rsp = rows[np.searchsorted(schedule, K)]
     return CoupledTrajectory(
         seed=seed,
         positions=positions,

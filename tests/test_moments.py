@@ -14,6 +14,7 @@ from urnsim import (
     asym_var_coeff,
     binomial_tail_at_least,
     build_distribution,
+    depoissonization_gap,
     exact_mean,
     exact_var,
     gamma_tail_partial_sum,
@@ -45,7 +46,10 @@ ZIPF_N100_HI = 13.33705332910058
 # float.hex of the series_sweep outputs at (family, t, k), at-least-k counts,
 # frozen from the commit before the tail power sums were shared: moment_report
 # (binomial law) exact_mean, exact_var, asym_mean, asym_var,
-# truncation_error, then poisson exact_mean and mean_difference (value, bound)
+# truncation_error, then poisson exact_mean and mean_difference (value, bound).
+# The mean_difference pairs of zipf_log21 and theta_one_log were re-pinned
+# when its tail coefficients stopped subtracting the binomial and Poisson
+# ones (TestDepoissonization shows the new values are the right ones).
 SERIES_HEX = {
     ("zipf2", 10_000, 1): (
         "0x1.1366161698714p+7", "0x1.c9f25ed958dc0p+5", "0x1.10f5387a6d806p+7",
@@ -54,15 +58,15 @@ SERIES_HEX = {
     ("zipf_log21", 316_228, 2): (
         "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c1fp+5", "0x1.95e455a56da2ap+7",
         "0x1.817ead7c6edb4p+5", "0x1.caf41082c872bp-43", "0x1.96c6bfefe4f5ep+7",
-        "0x1.caf40c08e5b55p-43", "0x1.4b966f606aec6p-14", "0x1.d774c7c74159ap-61"),
+        "0x1.caf40c08e5b55p-43", "0x1.4b966f606b1e4p-14", "0x1.d774c7c74159ap-61"),
     ("theta_one_log", 31_623, 1): (
         "0x1.c15656b974b68p+11", "0x1.74712e7ed444ap+11", "0x1.c15627674959bp+11",
         "0x1.c15627674959bp+11", "0x1.08f89a9dea5d3p-38", "0x1.c15627386fdf0p+11",
-        "0x1.090019032c781p-38", "0x1.7c0826bb7839cp-8", "0x1.8e9cb393ca733p-55"),
+        "0x1.090019032c781p-38", "0x1.7c0826bb777fap-8", "0x1.8e9cb393ca731p-55"),
     ("theta_one_log", 10_000_000, 2): (
         "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204ep+14", "0x1.a9ec000000000p+15",
         "0x1.a9ec000000000p+14", "0x1.d2c73684c6d2ap-35", "0x1.8f7c1597a5bd8p+15",
-        "0x1.d2c7420a54993p-35", "0x1.3f1d24fa2c0d2p-12", "0x1.38b809bdbf99ap-57"),
+        "0x1.d2c7420a54993p-35", "0x1.3f1d24f615ed0p-12", "0x1.38b809bdbf9dfp-57"),
     ("geometric_half", 1000, 2): (
         "0x1.1b68d308362edp+3", "0x1.4752cf481c0c6p-1", "0x1.2000000000000p+3",
         "nan", "0x1.3f1737d9ff7adp-47", "0x1.1b62eb5093c11p+3",
@@ -435,7 +439,8 @@ class TestMeanDifference:
         # at-least-2 gap at n = 1e8: per head cell
         #   e^-lam (-expm1(n L)) - lam e^-lam expm1(n L - log1p(-p)),
         # L = log1p(-p) + p, here from its Taylor series below p = 1e-3;
-        # the analytic tail comes from the same Maclaurin series as the code
+        # the analytic tail from the Maclaurin series of the code with each
+        # coefficient difference cb - cp taken at 50 digits
         n, k = 10 ** 8, 2
         J = moments._head_length(theta_one_log, float(n))
         p = theta_one_log.probs_prefix(J)
@@ -445,12 +450,76 @@ class TestMeanDifference:
                      np.log1p(-p) + p)
         head = float((np.exp(-lam) * (-np.expm1(n * L))
                       - lam * np.exp(-lam) * np.expm1(n * L - np.log1p(-p))).sum())
-        coeffs = (moments._coeffs_binom_tail(n, k, moments._MAX_ORDER)
-                  - moments._coeffs_poisson_tail(k, moments._MAX_ORDER))
+        coeffs = np.zeros(moments._MAX_ORDER + 1)
+        with mp.workdps(50):
+            for r in range(k, coeffs.size):
+                m = r - k
+                cp = mp.mpf(-1) ** m / (mp.factorial(m) * r * mp.factorial(k - 1))
+                falling = mp.fprod(1 - mp.mpf(i) / n for i in range(r))
+                coeffs[r] = float(cp * (falling - 1))
         tail, _ = moments._tail_series(theta_one_log, float(n), J, coeffs, abs(head))
         got, bound = mean_difference(theta_one_log, n, k, True)
         assert abs(got - (head + tail)) <= 1e-10 * abs(head + tail)
         assert bound < 1e-10 * abs(got)
+
+
+_FAMILIES = ("zipf2", "zipf_log21", "theta_one_log", "geometric_half")
+_GAP_N = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8, 3 * 10 ** 8)
+
+
+class TestDepoissonization:
+    # |n (mean_difference / prediction - 1)| sits at 0.04..0.25 on these
+    # rows at every n.  At theta = 0 the exactly-k prediction nearly cancels
+    # and the next order swings n (ratio - 1) through +-75, so geometric
+    # exactly-k rows are checked against a direct sum instead.
+    C_LIMIT = 1.0
+
+    @pytest.mark.parametrize("fam", _FAMILIES)
+    def test_gap_matches_second_order_prediction(self, request, fam):
+        d = request.getfixturevalue(fam)
+        for n in _GAP_N:
+            for k in (1, 2, 3):
+                for star in (True, False) if d.theta > 0 else (True,):
+                    gap, bound = mean_difference(d, n, k, star)
+                    pred = depoissonization_gap(d, n, k, star)
+                    dev = n * (gap / pred - 1.0)
+                    assert abs(dev) <= self.C_LIMIT, (fam, n, k, star, gap, pred, dev)
+                    assert bound < 1e-9 * abs(gap)
+
+    def test_geometric_gap_direct_sum(self, geometric_half):
+        # 40-digit sum over the cells p_j = 2^-j that carry the gap
+        def direct(n, k, star):
+            tot = mp.mpf(0)
+            for j in range(1, int(math.log2(n)) + 120):
+                p = mp.mpf(2) ** -j
+                lam = n * p
+                binom = [mp.binomial(n, i) * p ** i * (1 - p) ** (n - i) for i in range(k + 1)]
+                pois = [mp.exp(-lam) * lam ** i / mp.factorial(i) for i in range(k + 1)]
+                tot += sum(pois[:k]) - sum(binom[:k]) if star else binom[k] - pois[k]
+            return tot
+
+        for n in (10 ** 3, 10 ** 5, 3 * 10 ** 8):
+            for k in (1, 2, 3):
+                for star in (True, False):
+                    with mp.workdps(40):
+                        want = float(direct(n, k, star))
+                    got, _ = mean_difference(geometric_half, n, k, star)
+                    assert abs(got - want) <= 1e-9 * abs(want), (n, k, star, got, want)
+
+    @pytest.mark.parametrize("fam", _FAMILIES)
+    def test_occupied_gap_bound(self, request, fam):
+        # 0 < E K_n - Phi(n) < 2 Phi_2(n) / n (Gnedin, Hansen and Pitman
+        # 2007); positive since (1 - p)^n <= exp(-n p) per cell
+        d = request.getfixturevalue(fam)
+        for n in _GAP_N:
+            gap, _ = mean_difference(d, n, 1, True)
+            phi2, _ = exact_mean(d, float(n), 2, False)
+            assert 0.0 < gap < 2.0 * phi2 / n, (fam, n, gap, phi2)
+
+    def test_prediction_arguments(self, zipf2):
+        assert depoissonization_gap(zipf2, 0, 2, True) == 0.0
+        with pytest.raises(ValueError, match="integer n"):
+            depoissonization_gap(zipf2, 1000.5, 1, True)
 
 
 class TestSharedTailSums:

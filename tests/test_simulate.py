@@ -1,8 +1,10 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnsim import (
@@ -87,8 +89,8 @@ class TestOccupancyState:
             three.add_cells(arr[arr > _TABLE_SIZE])
         rows = [(s.ball_count, _rstar(s), _exactly(s)) for s in (one, two, three)]
         assert rows[0] == rows[1] == rows[2]
-        for c in set(cells):
-            assert one.count_of(c) == two.count_of(c) == three.count_of(c)
+        counts = Counter(cells)
+        assert rows[0][1] == tuple(sum(v >= k for v in counts.values()) for k in (1, 2, 3))
 
     @given(cells=st.lists(_CELLS, min_size=1, max_size=80))
     @settings(max_examples=40, deadline=None)
@@ -100,15 +102,69 @@ class TestOccupancyState:
             cur = np.array([state.rstar(k) for k in (1, 2, 3)])
             assert np.all((cur - prev) >= 0) and np.all((cur - prev) <= 1)
             prev = cur
-        counts = [state.count_of(c) for c in set(cells)]
-        assert sum(counts) == state.ball_count == len(cells)
+        counts = Counter(cells)
+        assert sum(counts.values()) == state.ball_count == len(cells)
         # exactly-k rows weighted by k recover the ball count (full histogram)
-        hist = {}
-        for c in set(cells):
-            hist[state.count_of(c)] = hist.get(state.count_of(c), 0) + 1
+        hist = Counter(counts.values())
         assert sum(k * v for k, v in hist.items()) == len(cells)
         for k in (1, 2, 3):
             assert state.rstar(k) == sum(v for c, v in hist.items() if c >= k)
+
+
+def _merge_rows(stops, k_max):
+    """Per-stop at-least-k rows, k = 1..k_max+1, by merging each stop's
+    cells into running per-cell counts."""
+    counts: Counter = Counter()
+    rows = []
+    for cells in stops:
+        counts.update(cells)
+        rows.append([sum(v >= k for v in counts.values()) for k in range(1, k_max + 2)])
+    return np.array(rows, dtype=np.int64).reshape(len(stops), k_max + 1)
+
+
+# tail ids where the fold's ranks and packing could go wrong: next to the
+# table boundary, at 2^57, and synthetic ids (one of them often repeated)
+_TAIL_CELLS = st.one_of(st.integers(min_value=_TABLE_SIZE - 1, max_value=_TABLE_SIZE + 1),
+                        st.integers(min_value=(1 << 57) - 1, max_value=(1 << 57) + 1),
+                        st.sampled_from([_SYNTHETIC_BASE, _SYNTHETIC_BASE + 3,
+                                         (1 << 63) - 1]),
+                        st.integers(min_value=1, max_value=6))
+
+
+# more than 64 stops, an empty one, a repeated synthetic id
+_LONG_RUN = ([[_SYNTHETIC_BASE, 7], [], [_TABLE_SIZE + 1] * 3]
+             + [[(1 << 57) + s % 2] for s in range(70)] + [[_SYNTHETIC_BASE]])
+
+
+class TestTailFold:
+    @given(stops=st.lists(st.lists(_TAIL_CELLS, max_size=12), min_size=1, max_size=80),
+           k_max=st.sampled_from([1, 5]))
+    @example(stops=_LONG_RUN, k_max=1)
+    @example(stops=_LONG_RUN, k_max=5)
+    @settings(max_examples=80, deadline=None)
+    def test_fold_equals_per_stop_merge(self, stops, k_max):
+        # each stop split into a ball-by-ball add and a count-space add, as
+        # run_coupled does for small and large increments
+        state = OccupancyState(k_max=k_max)
+        for cells in stops:
+            arr = np.asarray(cells, dtype=np.int64)
+            state.add_cells(arr[::2])
+            rest = arr[1::2]
+            state.add_table_counts(np.bincount(rest[rest <= _TABLE_SIZE] - 1,
+                                               minlength=_TABLE_SIZE))
+            state.add_cells(rest[rest > _TABLE_SIZE])
+            state.end_stop()
+        expect = _merge_rows(stops, k_max)
+        assert np.array_equal(state.profile_rows(), expect)
+        # an open stop is not in the rows, and rstar reads the current state
+        state.add_cells(np.asarray(stops[0], dtype=np.int64))
+        assert np.array_equal(state.profile_rows(), expect)
+        now = _merge_rows([sum(stops, []) + stops[0]], k_max)[0]
+        assert [state.rstar(k) for k in range(1, k_max + 2)] == now.tolist()
+        assert state.ball_count == sum(map(len, stops)) + len(stops[0])
+
+    def test_no_stops(self):
+        assert OccupancyState(k_max=3).profile_rows().shape == (0, 4)
 
 
 class TestCheckpointGrid:
@@ -236,6 +292,23 @@ class TestRunCoupled:
                                    0.0) / sample.size)
             z_var = (sample.var(ddof=1) - v) / se_var
             assert abs(z_mean) < 4.0 and abs(z_var) < 4.0, (kk, z_mean, z_var)
+
+    def test_trajectories_frozen(self, zipf2, theta_one_log, geometric_half):
+        # hashes of (K, rstar_fixed, rstar_poisson) as a per-stop merge into
+        # a sorted id/count store computed them; increments run
+        # 1,000..152,945 balls, on both sides of _COUNT_SPACE_MIN
+        grid = CheckpointGrid.logspaced(1_000, 300_000, 9, k_max=3)
+        frozen = {
+            "zipf": "6131f0c84aa09660b9c545c40531cee3003c2d30ccba42e5687d1bfdb21b47ab",
+            "theta_one_log": "e1ee456688b8c39b1755c043dc13e78cb10a3c7495aadb8c8fe31bcd0c1e9583",
+            "geometric": "4f2c52d11e9b575437740a591c90ee6192d9ebbad41b8343804cf9aff0a768db",
+        }
+        inc = np.diff((0,) + grid.positions)
+        assert inc.min() < simulate._COUNT_SPACE_MIN < inc.max()
+        for d in (zipf2, theta_one_log, geometric_half):
+            tr = run_coupled(d, grid, seed=(2024, 7))
+            text = repr((tr.K.tolist(), tr.rstar_fixed.tolist(), tr.rstar_poisson.tolist()))
+            assert hashlib.sha256(text.encode()).hexdigest() == frozen[d.family], d.family
 
     def test_geometric_trajectory(self, geometric_half):
         grid = CheckpointGrid.logspaced(16, 5_000, 5, k_max=3)
