@@ -32,8 +32,7 @@ def main() -> int:
     try:
         dist = spec_from_args(args)
         cfg = ExperimentConfig(distribution=dist, n_min=args.n_min, n_max=args.n_max,
-                               points=args.points, ks=(1, 2), k_max=3,
-                               seeds=args.seeds, master_seed=args.seed,
+                               points=args.points, seeds=args.seeds, master_seed=args.seed,
                                workers=args.workers, out_dir=args.out)
         cfg.validate()
     except ValueError as exc:  # DistributionError and ConfigError

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -61,6 +62,10 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.n_max):
+        raise ConfigError("--n-max must be finite")
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
     d = build_distribution(spec_from_args(args))
     grid = CheckpointGrid.logspaced(args.n_min, int(args.n_max), args.points,
                                     k_max=args.k_max)

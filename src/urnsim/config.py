@@ -1,14 +1,17 @@
 """Experiment configuration: dataclass, file parsing, overrides.
 
 Config files are flat ``key = value`` text (INI-compatible; a leading
-section header is optional).  CLI flags override file values.
+section header is optional).  CLI flags override file values.  The keys
+are the fields of :class:`ExperimentConfig` and of
+:class:`~urnsim.distributions.DistributionSpec`; the studies' pass
+criteria are constants in :mod:`urnsim.studies`.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .distributions import DistributionSpec
@@ -29,23 +32,12 @@ class ExperimentConfig:
     n_max: int = 1_000_000
     points: int = 25
     ks: tuple[int, ...] = (1, 2)
-    k_max: int = 5
     seeds: int = 100
     master_seed: int = 42
-    # decay study
-    decay_factor: float = 0.5
-    decay_abs_threshold: float = 0.5
-    # bound study
-    slack: float = 0.1
-    pass_fraction: float = 0.95
+    # bound, mean-convergence and increment studies
     n_floor: int = 1_000
     # rate-ratio study
     rate_t_values: tuple[float, ...] = (1e4, 1e6, 1e8)
-    rate_v_exponent: float = 0.6
-    rate_threshold: float = 0.05
-    # mean-convergence study
-    ratio_band: tuple[float, float] = (0.95, 1.05)
-    convergence_factor: float = 0.1
     workers: int = 1
     out_dir: str | None = None
 
@@ -59,16 +51,8 @@ class ExperimentConfig:
             raise ConfigError("points must be >= 2")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ConfigError("ks must be positive")
-        if self.k_max < max(self.ks):
-            raise ConfigError("k_max must cover every requested k")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
-        for name in ("decay_factor", "decay_abs_threshold", "slack",
-                     "rate_threshold", "convergence_factor"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if not (0.0 < self.pass_fraction <= 1.0):
-            raise ConfigError("pass_fraction must be in (0, 1]")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -78,14 +62,32 @@ class ExperimentConfig:
         return Path(os.environ.get(OUTPUT_DIR_ENV, "."))
 
 
-_DIST_KEYS = {"family", "s", "a", "q", "normalization_tolerance"}
-_INT_KEYS = {"n_min", "n_max", "points", "k_max", "seeds", "master_seed",
-             "n_floor", "workers"}
-_FLOAT_KEYS = {"decay_factor", "decay_abs_threshold", "slack", "pass_fraction",
-               "rate_v_exponent", "rate_threshold", "convergence_factor"}
-_TUPLE_INT_KEYS = {"ks"}
-_TUPLE_FLOAT_KEYS = {"rate_t_values", "ratio_band"}
-_STR_KEYS = {"out_dir"}
+def _integer(raw) -> int:
+    """An integer literal, or an integral float such as ``1e6``; ``2.7``,
+    ``inf`` and ``nan`` are refused."""
+    try:
+        return int(str(raw))
+    except ValueError:
+        value = float(raw)
+    if not value.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(value)
+
+
+def _parser(default):
+    """The parser of a config value, chosen by the type of the field's
+    default: integer, float, comma-separated tuple of either, or text."""
+    if default is None:
+        return str
+    if isinstance(default, tuple):
+        item = _parser(default[0])
+        return lambda raw: tuple(item(v) for v in str(raw).split(",") if v.strip())
+    return _integer if isinstance(default, int) else float
+
+
+_DIST_KEYS = {f.name for f in fields(DistributionSpec)}
+_PARSERS = {f.name: _parser(f.default) for f in fields(ExperimentConfig)
+            if f.name != "distribution"}
 
 
 def config_from_mapping(values: dict) -> ExperimentConfig:
@@ -95,28 +97,15 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
         raise ConfigError("config must set a distribution family")
     kwargs = {"distribution": DistributionSpec.from_mapping(dist_map)}
     for key, raw in values.items():
-        if key in _INT_KEYS:
-            kwargs[key] = int(float(raw))
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(raw)
-        elif key in _TUPLE_INT_KEYS:
-            kwargs[key] = _parse_tuple(raw, int)
-        elif key in _TUPLE_FLOAT_KEYS:
-            kwargs[key] = _parse_tuple(raw, float)
-        elif key in _STR_KEYS:
-            kwargs[key] = str(raw)
-        else:
+        if key not in _PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            kwargs[key] = _PARSERS[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
-
-
-def _parse_tuple(raw, cast):
-    if isinstance(raw, (list, tuple)):
-        return tuple(cast(v) for v in raw)
-    parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-    return tuple(cast(float(p)) if cast is int else cast(p) for p in parts)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -136,9 +125,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def override_config(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    if not updates:
-        return cfg
-    out = replace(cfg, **updates)
+    out = replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})
     out.validate()
     return out

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -107,17 +107,11 @@ class DistributionSpec:
 
     @staticmethod
     def from_mapping(m: dict) -> "DistributionSpec":
-        known = {"family", "s", "a", "q", "normalization_tolerance"}
-        unknown = set(m) - known
+        unknown = set(m) - {f.name for f in fields(DistributionSpec)}
         if unknown:
             raise DistributionError(f"unknown distribution keys: {sorted(unknown)}")
-        return DistributionSpec(
-            family=str(m["family"]),
-            s=None if m.get("s") is None else float(m["s"]),
-            a=None if m.get("a") is None else float(m["a"]),
-            q=None if m.get("q") is None else float(m["q"]),
-            normalization_tolerance=float(m.get("normalization_tolerance", 1e-12)),
-        )
+        return DistributionSpec(family=str(m["family"]), **{
+            k: None if v is None else float(v) for k, v in m.items() if k != "family"})
 
 
 def _quad(f, lo, hi) -> tuple[float, float]:

@@ -253,12 +253,12 @@ def _head_length(d: CellDistribution, t: float) -> int:
 # ---------------------------------------------------------- exact series
 
 def _check_series_args(t: float, k: int, law: str) -> None:
-    """The arguments every exact series accepts: k >= 1, t >= 0 and, for
-    the fixed-n (binomial) law, an integer t."""
+    """The arguments every exact series accepts: k >= 1, a finite t >= 0
+    and, for the fixed-n (binomial) law, an integer t."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be >= 0 and finite, got {t!r}")
     if law not in ("poisson", "binomial"):
         raise ValueError(f"unknown law {law!r}")
     if law == "binomial" and int(t) != t:

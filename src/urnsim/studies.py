@@ -2,9 +2,9 @@
 rate ratios, mean convergence, and the exact-series inequality sweeps.
 
 Almost-sure limits are not finitely observable; each study replaces one
-with an explicit finite-grid decay or threshold criterion (documented in
-the study docstrings) and reports margins alongside the pass flags.  Every
-study is deterministic given (config, master seed).
+with an explicit finite-grid decay or threshold criterion (the constants
+below, named in the study docstrings) and reports margins alongside the
+pass flags.  Every study is deterministic given (config, master seed).
 """
 
 from __future__ import annotations
@@ -37,6 +37,16 @@ from .moments import (
 from .simulate import CheckpointGrid, CoupledTrajectory, run_coupled
 
 SCHEMA_VERSION = 1
+
+# Pass criteria: the fixed finite-grid stand-ins for the almost-sure limits.
+DECAY_FACTOR = 0.5          # theorem1: median at n_max <= this x median at n_min
+DECAY_ABS_THRESHOLD = 0.5   # theorem1: and median at n_max <= this
+SLACK = 0.1                 # corollary1: envelope ratio at most 1 + SLACK
+PASS_FRACTION = 0.95        # corollary1: share of seeds within the envelope
+RATE_V_EXPONENT = 0.6       # prop1: witness window floor t^RATE_V_EXPONENT
+RATE_THRESHOLD = 0.05       # prop1: final median deviation below this
+RATIO_BAND = (0.95, 1.05)   # remark1: exact/asymptotic mean ratio at n_max
+CONVERGENCE_FACTOR = 0.1    # remark1: final |difference| < this x initial
 
 
 @dataclass
@@ -116,7 +126,7 @@ def generate_trajectories(cfg: ExperimentConfig, d: CellDistribution,
 
 
 def _grid_for(cfg: ExperimentConfig) -> CheckpointGrid:
-    return CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
+    return CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, max(cfg.ks))
 
 
 # ------------------------------------------------------------- studies
@@ -173,8 +183,8 @@ def study_coupling_decay(cfg: ExperimentConfig,
                          trajectories: list[CoupledTrajectory] | None = None) -> StudyResult:
     """Decay of b(n) * |fixed-n count - poissonized count| along the grid.
 
-    Pass (per k): the seed-median at n_max is <= decay_factor times its
-    value at n_min and below the absolute threshold.  At theta = 1 the
+    Pass (per k): the seed-median at n_max is <= DECAY_FACTOR times its
+    value at n_min and <= DECAY_ABS_THRESHOLD.  At theta = 1 the
     expected median falls only like the new-cell rate, and halving it takes
     decades beyond reach; there the median must lie at n_min and at n_max in
     the 99.9% band of :func:`median_band`, and both the predicted and the
@@ -222,15 +232,15 @@ def study_coupling_decay(cfg: ExperimentConfig,
                             f"vacuous_low_first_k{k}": lo0 == 0,
                             f"vacuous_low_last_k{k}": lo1 == 0})
         else:
-            flags[f"decay_k{k}"] = bool(last <= cfg.decay_factor * first
-                                        and last <= cfg.decay_abs_threshold)
-            margins[f"decay_margin_k{k}"] = cfg.decay_factor * first - last
+            flags[f"decay_k{k}"] = bool(last <= DECAY_FACTOR * first
+                                        and last <= DECAY_ABS_THRESHOLD)
+            margins[f"decay_margin_k{k}"] = DECAY_FACTOR * first - last
     return StudyResult(
         study="coupling_decay", checkpoints=ns.tolist(), stats=stats,
         pass_flags=flags, margins=margins,
         meta={"distribution": cfg.distribution.as_mapping(),
               "seeds": cfg.seeds, "master_seed": cfg.master_seed,
-              "decay_factor": cfg.decay_factor})
+              "decay_factor": DECAY_FACTOR})
 
 
 def study_lil_bound(cfg: ExperimentConfig,
@@ -238,9 +248,9 @@ def study_lil_bound(cfg: ExperimentConfig,
     """Normalized centered counts against the sqrt(2 * var * ln n) envelope.
 
     Centering uses exact fixed-n means; envelopes use exact poissonized
-    variances.  Pass (per k, both count types): at least ``pass_fraction``
-    of seeds keep their maximum over checkpoints n >= n_floor at or below
-    1 + slack.  Refuses theta = 0 families (their mean grows too slowly
+    variances.  Pass (per k, both count types): at least PASS_FRACTION of
+    seeds keep their maximum over checkpoints n >= n_floor at or below
+    1 + SLACK.  Refuses theta = 0 families (their mean grows too slowly
     for the envelope's precondition).
     """
     cfg.validate()
@@ -282,8 +292,8 @@ def study_lil_bound(cfg: ExperimentConfig,
             agg = aggregate(rows)
             stats[f"ratio_median_{label}_k{k}"] = agg["median"].tolist()
             stats[f"ratio_q95_{label}_k{k}"] = agg["q95"].tolist()
-            frac = float(np.mean(np.asarray(per_seed) <= 1.0 + cfg.slack))
-            flags[f"bound_{label}_k{k}"] = bool(frac >= cfg.pass_fraction)
+            frac = float(np.mean(np.asarray(per_seed) <= 1.0 + SLACK))
+            flags[f"bound_{label}_k{k}"] = bool(frac >= PASS_FRACTION)
             margins[f"seed_fraction_{label}_k{k}"] = frac
             margins[f"worst_seed_{label}_k{k}"] = float(max(per_seed))
     return StudyResult(
@@ -291,24 +301,24 @@ def study_lil_bound(cfg: ExperimentConfig,
         pass_flags=flags, margins=margins,
         meta={"distribution": cfg.distribution.as_mapping(),
               "seeds": cfg.seeds, "master_seed": cfg.master_seed,
-              "slack": cfg.slack, "n_floor": cfg.n_floor})
+              "slack": SLACK, "n_floor": cfg.n_floor})
 
 
 def study_rate_ratio(cfg: ExperimentConfig,
                      increments_fn: Callable | None = None) -> StudyResult:
     """Uniform closeness of Poisson increment ratios to one.
 
-    For each t, the witness window floor is v = t^rate_v_exponent and the
+    For each t, the witness window floor is v = t^RATE_V_EXPONENT and the
     statistic is max over the doubling window grid {v, 2v, ..., t} of
-    |increment/width - 1|.  Pass: seed-medians decrease along t_values and
-    the final median is below rate_threshold.
+    |increment/width - 1|.  Pass: seed-medians decrease along rate_t_values
+    and the final median is below RATE_THRESHOLD.
     """
     cfg.validate()
     t_values = cfg.rate_t_values
     medians = []
     stats: dict[str, list[float]] = {"deviation_median": [], "deviation_q95": []}
     for t in t_values:
-        v = t ** cfg.rate_v_exponent
+        v = t ** RATE_V_EXPONENT
         widths = [v]
         while widths[-1] * 2.0 < t:
             widths.append(widths[-1] * 2.0)
@@ -329,15 +339,15 @@ def study_rate_ratio(cfg: ExperimentConfig,
         stats["deviation_median"].append(medians[-1])
         stats["deviation_q95"].append(float(np.quantile(devs, 0.95)))
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    final_ok = medians[-1] < cfg.rate_threshold
+    final_ok = medians[-1] < RATE_THRESHOLD
     return StudyResult(
         study="rate_ratio", checkpoints=list(t_values), stats=stats,
         pass_flags={"medians_decreasing": bool(decreasing),
                     "final_below_threshold": bool(final_ok)},
         margins={"final_median": medians[-1],
-                 "threshold": cfg.rate_threshold},
+                 "threshold": RATE_THRESHOLD},
         meta={"seeds": cfg.seeds, "master_seed": cfg.master_seed,
-              "v_exponent": cfg.rate_v_exponent})
+              "v_exponent": RATE_V_EXPONENT})
 
 
 def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:
@@ -345,8 +355,8 @@ def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:
 
     The absolute fixed-n minus poissonized differences (at-least-1 count
     and each exactly-k count) must be nonincreasing for n >= n_floor with
-    final value below convergence_factor times the initial one.  At n_max
-    the exact/asymptotic mean ratios must sit in ratio_band (theta > 0;
+    final value below CONVERGENCE_FACTOR times the initial one.  At n_max
+    the exact/asymptotic mean ratios must sit in RATIO_BAND (theta > 0;
     for theta = 0 the ratio must instead trend to zero).
     """
     cfg.validate()
@@ -363,7 +373,7 @@ def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:
         sub = np.abs(series[keep])
         slack = 1e-9 * max(1.0, float(sub[0]))
         monotone = bool(np.all(np.diff(sub) <= slack))
-        final_ok = bool(sub[-1] < cfg.convergence_factor * sub[0])
+        final_ok = bool(sub[-1] < CONVERGENCE_FACTOR * sub[0])
         flags[f"nonincreasing_{label}"] = monotone
         flags[f"final_small_{label}"] = final_ok
         margins[f"final_over_initial_{label}"] = float(sub[-1] / sub[0]) if sub[0] else 0.0
@@ -377,7 +387,7 @@ def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:
     n_max = float(grid.positions[-1])
     count_max = d.counting_function(n_max)
     if d.theta > 0.0:
-        lo, hi = cfg.ratio_band
+        lo, hi = RATIO_BAND
         for k in cfg.ks:
             for star in (True, False):
                 coeff = asym_mean_coeff(d.theta, k, star)
@@ -402,7 +412,7 @@ def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:
         pass_flags=flags, margins=margins,
         meta={"distribution": cfg.distribution.as_mapping(),
               "n_floor": cfg.n_floor,
-              "convergence_factor": cfg.convergence_factor})
+              "convergence_factor": CONVERGENCE_FACTOR})
 
 
 _INCREMENT_RULES: tuple[tuple[str, Callable[[float], float]], ...] = (
@@ -414,8 +424,8 @@ _INCREMENT_RULES: tuple[tuple[str, Callable[[float], float]], ...] = (
 
 def study_increment_bound(cfg: ExperimentConfig) -> StudyResult:
     """Exact-series sweep of the poissonized mean increment inequality
-    over the grid (n >= n_floor), window rules sqrt(n), n^0.6, n/ln n, and
-    each configured k.  Pass: the inequality holds everywhere."""
+    over the grid (n >= n_floor), the window rules of _INCREMENT_RULES
+    (sqrt(n), n^0.6, n/ln n), and each configured k.  Pass: the inequality holds everywhere."""
     cfg.validate()
     d = build_distribution(cfg.distribution)
     grid = _grid_for(cfg)

@@ -68,10 +68,9 @@ def _decay_run(label: str, spec: DistributionSpec, ks: tuple[int, ...]):
     if key not in _CACHE:
         start = time.monotonic()
         cfg = ExperimentConfig(distribution=spec, n_min=10_000, n_max=10_000_000,
-                               points=13, ks=ks, k_max=max(ks) + 1, seeds=100,
-                               master_seed=MASTER_SEED)
+                               points=13, ks=ks, seeds=100, master_seed=MASTER_SEED)
         d = build_distribution(spec)
-        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, max(ks) + 1)
         trajs = generate_trajectories(cfg, d, grid)
         result = study_coupling_decay(cfg, trajectories=trajs)
         _CACHE[key] = (result, trajs)
@@ -83,10 +82,10 @@ def _lil_run():
     if "lil" not in _CACHE:
         cfg = ExperimentConfig(distribution=DistributionSpec(family="zipf", s=2.0),
                                n_min=1_000, n_max=1_000_000, points=25, ks=(1, 2),
-                               k_max=3, seeds=100, master_seed=MASTER_SEED,
-                               slack=0.1, pass_fraction=0.95, n_floor=1_000)
+                               seeds=100, master_seed=MASTER_SEED, n_floor=1_000)
         d = _zipf()
-        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
+        # profile depth 3: criterion 4 checks the coupling on every column
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, 3)
         trajs = generate_trajectories(cfg, d, grid)
         result = study_lil_bound(cfg, trajectories=trajs)
         _CACHE["lil"] = (result, trajs)
@@ -355,7 +354,7 @@ def test_criterion_10_increment_rate_ratio():
     # decreasing across t in {1e4, 1e6, 1e8} and below 0.05 at t = 1e8.
     cfg = ExperimentConfig(distribution=DistributionSpec(family="zipf", s=2.0),
                            seeds=100, master_seed=MASTER_SEED,
-                           rate_t_values=(1e4, 1e6, 1e8), rate_threshold=0.05)
+                           rate_t_values=(1e4, 1e6, 1e8))
     res = study_rate_ratio(cfg)
     med = res.stats["deviation_median"]
     ok = res.passed

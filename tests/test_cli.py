@@ -29,6 +29,13 @@ class TestMoments:
         fields = out.strip().splitlines()[1].split(",")
         assert float(fields[3]) > 0 and fields[2] == "1"
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_t_rejected(self, capsys, t):
+        rc, out, err = run_cli(capsys, "moments", "--family", "zipf", "--s", "2",
+                               "--t", t, "--k", "1")
+        assert rc == 2 and not out
+        assert "t must be >= 0 and finite" in err
+
     def test_bad_family_params(self, capsys):
         rc, _, err = run_cli(capsys, "moments", "--family", "zipf", "--s", "0.5",
                              "--t", "10", "--k", "1")
@@ -58,6 +65,18 @@ class TestSimulate:
             f = row.split(",")
             diff = abs(int(f[4]) - int(f[5]))
             assert abs(float(f[9]) - float(f[8]) * diff) < 1e-12
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-max", "inf"], "--n-max must be finite"),
+        (["--n-max", "1000", "--seeds", "0"], "--seeds must be >= 1"),
+        (["--n-max", "1000", "--seeds", "-1"], "--seeds must be >= 1"),
+    ], ids=["n_max_inf", "seeds_0", "seeds_negative"])
+    def test_bad_input_rejected(self, capsys, tmp_path, flags, message):
+        rc, out, err = run_cli(capsys, "simulate", "--family", "zipf", "--s", "2",
+                               *flags, "--out", str(tmp_path / "t.csv"))
+        assert rc == 2 and not out
+        assert message in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerify:
@@ -90,9 +109,9 @@ class TestVerify:
 
     def test_failing_study_exit_code(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.ini"
-        # an impossible rate threshold forces a clean FAIL
+        # along a decreasing t grid the medians rise: a clean FAIL
         cfg.write_text("family = zipf\ns = 2.0\nseeds = 5\n"
-                       "rate_t_values = 1e4, 1e5\nrate_threshold = 1e-12\n")
+                       "rate_t_values = 1e5, 1e4\n")
         rc, out, _ = run_cli(capsys, "verify", "prop1", "--config", str(cfg),
                              "--out", str(tmp_path))
         assert rc == 1
@@ -119,10 +138,13 @@ class TestVerify:
 
     def test_bad_config_diagnostic(self, capsys, tmp_path):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("family = zipf\ns = 2.0\nbogus_key = 3\n")
-        rc, _, err = run_cli(capsys, "verify", "lemma2", "--config", str(cfg))
-        assert rc == 2
-        assert "bogus_key" in err
+        for key, value in (("bogus_key", "3"), ("k_max", "3"),
+                           ("rate_threshold", "1e-12"), ("n_max", "inf"),
+                           ("seeds", "2.7")):
+            cfg.write_text(f"family = zipf\ns = 2.0\n{key} = {value}\n")
+            rc, _, err = run_cli(capsys, "verify", "lemma2", "--config", str(cfg))
+            assert rc == 2
+            assert key in err
 
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "lemma2", "--config",

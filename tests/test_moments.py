@@ -435,6 +435,16 @@ class TestMeanDifference:
         with pytest.raises(ValueError, match=match):
             mean_difference(zipf2, n, k, star)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_t(self, zipf2, t):
+        for law in ("poisson", "binomial"):
+            with pytest.raises(ValueError, match="finite"):
+                exact_mean(zipf2, t, 1, star=True, law=law)
+        with pytest.raises(ValueError, match="finite"):
+            exact_var(zipf2, t, 1, star=True)
+        with pytest.raises(ValueError, match="finite"):
+            mean_difference(zipf2, t, 1, star=True)
+
     def test_theta_one_log_large_n_head(self, theta_one_log):
         # at-least-2 gap at n = 1e8: per head cell
         #   e^-lam (-expm1(n L)) - lam e^-lam expm1(n L - log1p(-p)),

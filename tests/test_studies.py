@@ -76,7 +76,7 @@ class TestCouplingDecay:
 
     def test_forced_equal_clock_gives_zero(self, zipf2):
         cfg = small_cfg(seeds=5)
-        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points)
         forced = lambda g, rng: np.asarray(g.positions, dtype=np.int64)
         trajs = [run_coupled(zipf2, grid, seed=(7, i), increments_fn=forced)
                  for i in range(cfg.seeds)]
@@ -89,7 +89,7 @@ class TestCouplingDecay:
         # median_band at both ends and a fall, not for a halving
         cfg = small_cfg(distribution=T1L, n_min=10_000, n_max=1_000_000, points=2,
                         ks=(1,), seeds=30)
-        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points)
         ends = np.asarray(grid.positions)
         b = np.array([normalizer(theta_one_log, 1).b(float(n)) for n in ends])
         (p0, lo0, hi0), (p1, lo1, hi1) = (median_band(theta_one_log, int(n), cfg.seeds)
@@ -100,11 +100,11 @@ class TestCouplingDecay:
 
         def run(diffs):
             trajs = [CoupledTrajectory(
-                seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=cfg.k_max,
-                rstar_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
-                rstar_poisson=np.tile(np.asarray(diffs)[:, None], (1, cfg.k_max)),
-                r_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
-                r_poisson=np.zeros((2, cfg.k_max), dtype=np.int64))
+                seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=grid.k_max,
+                rstar_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
+                rstar_poisson=np.tile(np.asarray(diffs)[:, None], (1, grid.k_max)),
+                r_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
+                r_poisson=np.zeros((2, grid.k_max), dtype=np.int64))
                 for i in range(cfg.seeds)]
             return study_coupling_decay(cfg, trajectories=trajs)
 
@@ -133,17 +133,17 @@ class TestCouplingDecay:
         # there and that end cannot fail low; at 1e6 it is not
         cfg = small_cfg(distribution=T1L, n_min=10_000, n_max=1_000_000, points=2,
                         ks=(2,), seeds=30)
-        ends = np.asarray(CheckpointGrid.logspaced(
-            cfg.n_min, cfg.n_max, cfg.points, cfg.k_max).positions)
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points)
+        ends = np.asarray(grid.positions)
         (_, lo0, _), (_, lo1, _) = (median_band(theta_one_log, int(n), cfg.seeds, k=2)
                                     for n in ends)
         assert lo0 == 0.0 < lo1
         trajs = [CoupledTrajectory(
-            seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=cfg.k_max,
-            rstar_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
-            rstar_poisson=np.ones((2, cfg.k_max), dtype=np.int64),
-            r_fixed=np.zeros((2, cfg.k_max), dtype=np.int64),
-            r_poisson=np.zeros((2, cfg.k_max), dtype=np.int64))
+            seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=grid.k_max,
+            rstar_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
+            rstar_poisson=np.ones((2, grid.k_max), dtype=np.int64),
+            r_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
+            r_poisson=np.zeros((2, grid.k_max), dtype=np.int64))
             for i in range(cfg.seeds)]
         res = study_coupling_decay(cfg, trajectories=trajs)
         assert res.margins["vacuous_low_first_k2"] is True
@@ -227,13 +227,13 @@ class TestMeanConvergence:
 class TestInequalStudies:
     def test_increment_bound_zipf_and_geometric(self):
         for dist in (ZIPF, GEO):
-            cfg = small_cfg(distribution=dist, ks=(1, 2, 3), k_max=4)
+            cfg = small_cfg(distribution=dist, ks=(1, 2, 3))
             res = study_increment_bound(cfg)
             assert res.passed, res.margins
 
     def test_variance_sandwich_zipf_and_geometric(self):
         for dist in (ZIPF, GEO):
-            cfg = small_cfg(distribution=dist, n_min=100, ks=(1, 2, 3), k_max=4)
+            cfg = small_cfg(distribution=dist, n_min=100, ks=(1, 2, 3))
             res = study_variance_sandwich(cfg)
             assert res.passed, res.margins
 
@@ -304,7 +304,7 @@ class TestResultPlumbing:
 
     def test_worker_pool_matches_serial(self, zipf2):
         cfg = small_cfg(seeds=4, n_max=5_000, points=4)
-        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points, cfg.k_max)
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points)
         serial = generate_trajectories(cfg, zipf2, grid)
         cfg2 = small_cfg(seeds=4, n_max=5_000, points=4, workers=2)
         parallel = generate_trajectories(cfg2, zipf2, grid)
