@@ -10,6 +10,7 @@ criteria are constants in :mod:`urnsim.studies`.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -53,6 +54,11 @@ class ExperimentConfig:
             raise ConfigError("ks must be positive")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
+        if not self.rate_t_values:
+            raise ConfigError("rate_t_values must list at least one t")
+        for t in self.rate_t_values:
+            if not (math.isfinite(t) and t >= 1):
+                raise ConfigError(f"rate_t_values must be finite and >= 1, got {t}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 

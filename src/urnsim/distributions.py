@@ -42,6 +42,10 @@ _EM_MIN_INDEX = 1 << 10
 # at one t cut at the head length, at _EM_MIN_INDEX below it and at L*'s
 # split, so fewer slots would evict a pair that is about to be used again.
 _TAIL_SLOTS = 4
+# Exact-series heads a distribution keeps for moments: head lengths by t and
+# head sums by point (t, k, star).  The series of one point read one key;
+# depoissonization_gap and variance_sandwich_check read up to three.
+_HEAD_SLOTS = 4
 # Draws that would land beyond this index (per-cell probability < ~1e-21)
 # are materialized as unique synthetic cells in [base, 2*base).
 _SYNTHETIC_BASE = 1 << 62
@@ -70,6 +74,10 @@ class DistributionSpec:
         if self.family not in _FAMILIES:
             raise DistributionError(
                 f"unknown family {self.family!r}; expected one of {_FAMILIES}")
+        for name in ("s", "a", "q", "normalization_tolerance"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DistributionError(f"{name} must be finite, got {value}")
         if self.normalization_tolerance <= 0:
             raise DistributionError("normalization_tolerance must be > 0")
         if self.family == "zipf":
@@ -164,13 +172,30 @@ def _powerlog_tail_sum(s: float, a: float, J: int) -> tuple[float, float]:
     return est, qerr + rem
 
 
+class _Kept(dict):
+    """A dict that keeps only its newest ``slots`` keys."""
+
+    def __init__(self, slots: int):
+        super().__init__()
+        self.slots = slots
+
+    def keep(self, key, make: Callable[[], object]):
+        """self[key], made by ``make()`` on a miss; the oldest key is
+        evicted to make room."""
+        if key not in self:
+            if len(self) >= self.slots:
+                del self[next(iter(self))]
+            self[key] = make()
+        return self[key]
+
+
 class CellDistribution:
     """A concrete infinite discrete law p_1 >= p_2 >= ... > 0.
 
     Immutable after construction apart from internal caches: the grow-only
-    probability prefix (idempotent to racing readers), the L*(t) values and
-    the tail power sums of the last few (t, J) pairs.  Construct via
-    :func:`build_distribution`.
+    probability prefix (idempotent to racing readers), the L*(t) values,
+    the tail power sums of the last few (t, J) pairs and the exact-series
+    heads of the last few points.  Construct via :func:`build_distribution`.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -197,8 +222,13 @@ class CellDistribution:
         self._prefix = self._unnormalized_prefix(_TABLE_SIZE) / self.Z
         self._cum = np.cumsum(self._prefix)
         self._lstar_cache: dict[float, tuple[float, float]] = {}
-        # (t, J) -> {r: tail_power_sum(t, J, r)}, oldest pair first
-        self._tail_sums: dict[tuple[float, int], dict[int, float]] = {}
+        # (t, J) -> {r: tail_power_sum(t, J, r)}
+        self._tail_sums = _Kept(_TAIL_SLOTS)
+        # filled by moments: t -> head length, (t, k, star) -> {name: head
+        # sum}, and ((t, k, star), array) for the one head array held
+        self._head_lengths = _Kept(_HEAD_SLOTS)
+        self._head_sums = _Kept(_HEAD_SLOTS)
+        self._head_array: tuple | None = None
 
     # ---------- construction internals
 
@@ -354,11 +384,7 @@ class CellDistribution:
         tail of truncated occupancy series.  Kept for the last _TAIL_SLOTS
         (t, J) pairs, so the series at one t share each quadrature.
         """
-        sums = self._tail_sums.get((t, J))
-        if sums is None:
-            if len(self._tail_sums) >= _TAIL_SLOTS:
-                self._tail_sums.pop(next(iter(self._tail_sums)))
-            sums = self._tail_sums[(t, J)] = {}
+        sums = self._tail_sums.keep((t, J), dict)
         if r not in sums:
             sums[r] = self._tail_power_sum(t, J, r)
         return sums[r]

@@ -100,11 +100,6 @@ def poisson_cdf_below(lam: float, k: int) -> float:
     return float(special.gammaincc(k, lam))
 
 
-def poisson_tail_at_least(lam, k: int):
-    """P(Poisson(lam) >= k) (vector friendly)."""
-    return special.gammainc(k, lam)
-
-
 def binomial_tail_at_least(n: int, p, k: int):
     """P(Binomial(n, p) >= k); 0 when k > n.  Vector friendly in p.
 
@@ -118,7 +113,7 @@ def binomial_tail_at_least(n: int, p, k: int):
     if k == 1:
         return -np.expm1(n * np.log1p(-np.asarray(p, dtype=np.float64)))
     p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    out = poisson_tail_at_least(n * p_arr, k) + _binom_minus_poisson(n, p_arr, k, True)
+    out = special.gammainc(k, n * p_arr) + _binom_minus_poisson(n, p_arr, k, True)
     return out if np.ndim(p) else float(out[0])
 
 
@@ -247,7 +242,59 @@ def _tail_series(d: CellDistribution, t: float, J: int, coeffs: np.ndarray,
 
 
 def _head_length(d: CellDistribution, t: float) -> int:
-    return max(d.counting_function(t / _TAU), _MIN_HEAD)
+    """The number J of head cells at t (the distribution keeps it by t)."""
+    return d._head_lengths.keep(t, lambda: max(d.counting_function(t / _TAU), _MIN_HEAD))
+
+
+def _head(d: CellDistribution, t: float, k: int, star: bool,
+          name: str) -> tuple[float, int]:
+    """The head sum ``name`` of the series at (t, k, star), and the head
+    length J.
+
+    Over the cells j <= J, with g = P(Poisson(t p_j) in A) and A = {>= k}
+    for star, {k} otherwise: "pois" sums g, "var" g (1 - g), "binom"
+    P(Bin(t, p_j) in A) and "gap" that minus g.  The distribution keeps the
+    sums by point and the array g of the latest point only; a call records
+    every sum that the arrays it builds give, so the series at one point
+    build the head once.
+    """
+    J = _head_length(d, t)
+    key = (t, k, star)
+    sums = d._head_sums.keep(key, dict)
+    if name in sums:
+        return sums[name], J
+    p = d.probs_prefix(J)
+    n = int(t)
+
+    def g() -> np.ndarray:
+        if d._head_array is None or d._head_array[0] != key:
+            d._head_array = None  # free the last point's array first
+            lam = t * p
+            d._head_array = (key, special.gammainc(k, lam) if star else _poisson_pmf(k, lam))
+        return d._head_array[1]
+
+    if name == "pois":
+        sums[name] = float(g().sum())
+    elif name == "var":
+        gc = special.gammaincc(k, t * p) if star else 1.0 - g()
+        sums[name] = float((g() * gc).sum())
+    elif name == "binom" and star and k == 1:
+        sums[name] = _head_sum(lambda q: binomial_tail_at_least(n, q, 1), p)
+    elif name == "binom":
+        # per chunk g + correction; the corrections alone are the gap
+        binom = gap = 0
+        for lo in range(0, p.size, _HEAD_CHUNK):
+            c = _binom_minus_poisson(n, p[lo:lo + _HEAD_CHUNK], k, star)
+            binom += (g()[lo:lo + _HEAD_CHUNK] + c).sum()
+            gap += c.sum()
+        sums.update(binom=float(binom), gap=float(gap), pois=float(g().sum()))
+    elif star and k > n:
+        # the gap, where the fixed-n count is 0
+        sums[name] = -_head(d, t, k, star, "pois")[0]
+    else:
+        # the gap
+        sums[name] = _head_sum(lambda q: _binom_minus_poisson(n, q, k, star), p)
+    return sums[name], J
 
 
 # ---------------------------------------------------------- exact series
@@ -275,21 +322,14 @@ def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
     _check_series_args(t, k, law)
     if t == 0 or (law == "binomial" and k > t):
         return 0.0, 0.0
-    J = _head_length(d, t)
-    p = d.probs_prefix(J)
     if law == "poisson":
-        lam = t * p
-        head = float(poisson_tail_at_least(lam, k).sum()) if star \
-            else float(_poisson_pmf(k, lam).sum())
+        head, J = _head(d, t, k, star, "pois")
         coeffs = _coeffs_poisson_tail(k, _MAX_ORDER) if star \
             else _coeffs_poisson_pmf(k, _MAX_ORDER)
     else:
-        n = int(t)
-        head = _head_sum(lambda q: binomial_tail_at_least(n, q, k), p) if star \
-            else _head_sum(lambda q: _poisson_pmf(k, n * q)
-                           + _binom_minus_poisson(n, q, k, False), p)
-        coeffs = _coeffs_binom_tail(n, k, _MAX_ORDER) if star \
-            else _coeffs_binom_pmf(n, k, _MAX_ORDER)
+        head, J = _head(d, t, k, star, "binom")
+        coeffs = _coeffs_binom_tail(int(t), k, _MAX_ORDER) if star \
+            else _coeffs_binom_pmf(int(t), k, _MAX_ORDER)
     tail, bound = _tail_series(d, t, J, coeffs, head)
     value = head + tail
     return float(value), float(bound + 1e-15 * abs(value))
@@ -301,17 +341,8 @@ def exact_var(d: CellDistribution, t: float, k: int, star: bool) -> tuple[float,
     _check_series_args(t, k, "poisson")
     if t == 0:
         return 0.0, 0.0
-    J = _head_length(d, t)
-    lam = t * d.probs_prefix(J)
-    if star:
-        g = poisson_tail_at_least(lam, k)
-        gc = special.gammaincc(k, lam)
-        head = float((g * gc).sum())
-        cm = _coeffs_poisson_tail(k, _MAX_ORDER)
-    else:
-        g = _poisson_pmf(k, lam)
-        head = float((g * (1.0 - g)).sum())
-        cm = _coeffs_poisson_pmf(k, _MAX_ORDER)
+    head, J = _head(d, t, k, star, "var")
+    cm = _coeffs_poisson_tail(k, _MAX_ORDER) if star else _coeffs_poisson_pmf(k, _MAX_ORDER)
     coeffs = cm - _series_square(cm)
     tail, bound = _tail_series(d, t, J, coeffs, head)
     value = head + tail
@@ -325,12 +356,7 @@ def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[fl
     if n == 0:
         return 0.0, 0.0
     n = int(n)
-    J = _head_length(d, float(n))
-    p = d.probs_prefix(J)
-    if star and k > n:
-        head = float(-poisson_tail_at_least(n * p, k).sum())
-    else:
-        head = _head_sum(lambda q: _binom_minus_poisson(n, q, k, star), p)
+    head, J = _head(d, n, k, star, "gap")
     # the binomial coefficient of (n p)^r is the Poisson one times
     # falling(n, r) / n^r, so their difference is cp * expm1(ln falling)
     cp = _coeffs_poisson_tail(k, _MAX_ORDER) if star else _coeffs_poisson_pmf(k, _MAX_ORDER)

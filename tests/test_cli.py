@@ -42,6 +42,15 @@ class TestMoments:
         assert rc == 2
         assert "s > 1" in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "zipf", "--s", "inf"], "s must be finite"),
+        (["--family", "zipf_log", "--s", "2", "--a", "nan"], "a must be finite"),
+    ], ids=["zipf_s_inf", "zipf_log_a_nan"])
+    def test_non_finite_family_params(self, capsys, flags, message):
+        rc, out, err = run_cli(capsys, "moments", *flags, "--t", "100", "--k", "1")
+        assert rc == 2 and not out
+        assert message in err
+
 
 class TestSimulate:
     def test_deterministic_csv(self, capsys, tmp_path):
@@ -140,7 +149,8 @@ class TestVerify:
         cfg = tmp_path / "bad.ini"
         for key, value in (("bogus_key", "3"), ("k_max", "3"),
                            ("rate_threshold", "1e-12"), ("n_max", "inf"),
-                           ("seeds", "2.7")):
+                           ("seeds", "2.7"), ("rate_t_values", "-1e4"),
+                           ("rate_t_values", "1e4, inf"), ("rate_t_values", "0")):
             cfg.write_text(f"family = zipf\ns = 2.0\n{key} = {value}\n")
             rc, _, err = run_cli(capsys, "verify", "lemma2", "--config", str(cfg))
             assert rc == 2

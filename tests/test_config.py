@@ -81,11 +81,17 @@ def test_integer_keys_accept_integral_floats():
     {"ks": "0,1"},
     {"seeds": 0},
     {"workers": 0},
+    {"rate_t_values": ""},
+    {"rate_t_values": "-1e4"},
+    {"rate_t_values": "1e4, inf"},
+    {"rate_t_values": "1e4, nan"},
+    {"rate_t_values": "0.5"},
+    {"rate_t_values": "0"},
 ])
 def test_validation_failures(bad):
     base = {"family": "zipf", "s": 2.0}
     base.update(bad)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
         config_from_mapping(base)
 
 

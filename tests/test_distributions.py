@@ -130,6 +130,23 @@ class TestBuild:
         with pytest.raises(DistributionError):
             build_distribution(spec)
 
+    @pytest.mark.parametrize("spec, name", [
+        (DistributionSpec(family="zipf", s=math.inf), "s"),
+        (DistributionSpec(family="zipf", s=math.nan), "s"),
+        (DistributionSpec(family="zipf_log", s=math.inf, a=1.0), "s"),
+        (DistributionSpec(family="zipf_log", s=2.0, a=math.nan), "a"),
+        (DistributionSpec(family="zipf_log", s=2.0, a=math.inf), "a"),
+        (DistributionSpec(family="zipf_log", s=2.0, a=-math.inf), "a"),
+        (DistributionSpec(family="geometric", q=math.nan), "q"),
+        (DistributionSpec(family="zipf", s=2.0, normalization_tolerance=math.inf),
+         "normalization_tolerance"),
+        (DistributionSpec(family="zipf", s=2.0, normalization_tolerance=math.nan),
+         "normalization_tolerance"),
+    ])
+    def test_non_finite_parameters_rejected(self, spec, name):
+        with pytest.raises(DistributionError, match=f"^{name} must be finite"):
+            build_distribution(spec)
+
     def test_normalization_partial_plus_tail(self, zipf_log21, theta_one_log, zipf2,
                                               geometric_half):
         for d in (zipf_log21, theta_one_log, zipf2, geometric_half):

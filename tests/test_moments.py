@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -29,7 +30,7 @@ from urnsim import (
     variance_sandwich_check,
 )
 from urnsim import distributions, moments
-from urnsim.distributions import _EM_MIN_INDEX
+from urnsim.distributions import _EM_MIN_INDEX, _HEAD_SLOTS
 from urnsim.simulate import CheckpointGrid
 
 # 50-digit summation oracle: exp(-5) * (1 + 5 + 25/2)
@@ -567,6 +568,107 @@ class TestSharedTailSums:
         # each power sum beyond _EM_MIN_INDEX is one quadrature
         assert len(quads) == len(set(asked))
         assert len(asked) > 4 * len(quads)
+
+    # the series share the head too: theta_one_log at this t has 3.7e4 head
+    # cells, more than one _HEAD_CHUNK
+    SPEC = DistributionSpec(family="theta_one_log")
+    T = 3_000_017
+    CALLS = {
+        "mean_binomial": lambda d, t, k, star: exact_mean(d, t, k, star, "binomial"),
+        "mean_poisson": lambda d, t, k, star: exact_mean(d, t, k, star, "poisson"),
+        "var": exact_var,
+        "gap": mean_difference,
+    }
+
+    @staticmethod
+    def count_head_work(monkeypatch) -> dict:
+        """Spy on the head work: elements passed to gammainc, gammaincc and
+        the binomial-minus-Poisson correction, and the thresholds of
+        counting_function (the head length at t searches at t / _TAU)."""
+        work = {"gammainc": 0, "gammaincc": 0, "correction": 0, "searches": []}
+
+        def spy(name, fn):
+            def counted(*args):
+                work[name] += np.size(args[1])
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(moments.special, "gammainc", spy("gammainc", moments.special.gammainc))
+        monkeypatch.setattr(moments.special, "gammaincc",
+                            spy("gammaincc", moments.special.gammaincc))
+        monkeypatch.setattr(moments, "_binom_minus_poisson",
+                            spy("correction", moments._binom_minus_poisson))
+        counting_function = distributions.CellDistribution.counting_function
+
+        def search(self, x):
+            work["searches"].append(x)
+            return counting_function(self, x)
+
+        monkeypatch.setattr(distributions.CellDistribution, "counting_function", search)
+        return work
+
+    def test_one_head_pass_per_point(self, monkeypatch):
+        # zipf_log's head at t = 1e4 is the _MIN_HEAD floor
+        for spec, ts in ((self.SPEC, (31_623, self.T)),
+                         (DistributionSpec(family="zipf_log", s=2.0, a=1.0), (10_000,))):
+            d = build_distribution(spec)
+            work = self.count_head_work(monkeypatch)
+            for t in ts:
+                J = moments._head_length(d, t)
+                for k in (1, 2, 3):
+                    work.update(gammainc=0, gammaincc=0, correction=0)
+                    series_point(d, t, k)
+                    # one head of each; at k = 1 the fixed-n head is closed form
+                    assert (work["gammainc"], work["gammaincc"], work["correction"]) == (J, J, J)
+            # one head-length search per t (moment_report searches at t itself)
+            heads = [t / moments._TAU for t in ts]
+            assert sorted(x for x in work["searches"] if x in heads) == heads
+
+    # head work of each series alone before the series shared their head, in
+    # heads: (gammainc, gammaincc, correction) for k = 1 and k = 2 at least
+    # k, and the correction for exactly k (which evaluates no incomplete gamma)
+    ALONE = {
+        "mean_binomial": ((0, 0, 0), (1, 0, 1), 1),
+        "mean_poisson": ((1, 0, 0), (1, 0, 0), 0),
+        "var": ((1, 1, 0), (1, 1, 0), 0),
+        "gap": ((0, 0, 1), (0, 0, 1), 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ALONE))
+    def test_no_more_head_work_alone(self, monkeypatch, name):
+        work = self.count_head_work(monkeypatch)
+        at_least_1, at_least_2, exactly = self.ALONE[name]
+        J = moments._head_length(build_distribution(self.SPEC), self.T)
+        for k, star, want in ((1, True, at_least_1), (2, True, at_least_2),
+                              (2, False, (0, 0, exactly))):
+            work.update(gammainc=0, gammaincc=0, correction=0, searches=[])
+            self.CALLS[name](build_distribution(self.SPEC), self.T, k, star)
+            assert (work["gammainc"], work["gammaincc"], work["correction"]) \
+                == tuple(J * w for w in want)
+            assert work["searches"] == [self.T / moments._TAU]
+
+    @pytest.mark.parametrize("k, star", [(1, True), (2, True), (2, False)])
+    def test_any_order_matches_cold_calls(self, k, star):
+        cold = {name: call(build_distribution(self.SPEC), self.T, k, star)
+                for name, call in self.CALLS.items()}
+        for order in itertools.permutations(self.CALLS):
+            d = build_distribution(self.SPEC)
+            for name in order:
+                got = self.CALLS[name](d, self.T, k, star)
+                assert [v.hex() for v in got] == [v.hex() for v in cold[name]], (order, name)
+
+    def test_memo_stays_at_cap(self):
+        d = build_distribution(DistributionSpec(family="zipf", s=2.0))
+        for t, k in itertools.product(np.logspace(3, 6, 34).astype(int), (1, 2, 3)):
+            series_point(d, int(t), k)
+            assert len(d._head_sums) <= _HEAD_SLOTS
+            assert len(d._head_lengths) <= _HEAD_SLOTS
+            # one head array, of the last point; the sums are scalars
+            key, g = d._head_array
+            assert key == (int(t), k, True) and g.size == moments._head_length(d, int(t))
+            assert all(isinstance(v, float) for sums in d._head_sums.values()
+                       for v in sums.values())
+        assert len(d._head_sums) == _HEAD_SLOTS
 
 
 class TestMomentReport:
