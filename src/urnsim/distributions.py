@@ -31,6 +31,8 @@ _FAMILIES = ("zipf", "zipf_log", "theta_one_log", "geometric")
 # Inversion-table size for power-law samplers; draws beyond the table go
 # through exact rejection-inversion in the unbounded tail block.
 _TABLE_SIZE = 1 << 16
+# Smallest multinomial cut of a count-space draw.
+_CUT_MIN = 1 << 6
 # Cap on the cached probability prefix (8M float64 = 64 MB).
 _PREFIX_CAP = 1 << 23
 # Thresholds per pass of the vectorized counting-function search.
@@ -421,9 +423,37 @@ class CellDistribution:
 
     def draw_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket)."""
+        return self._draw_beyond(rng, size, 0)
+
+    def draw_counts(self, rng: np.random.Generator,
+                    size: int) -> tuple[np.ndarray, np.ndarray]:
+        """``size`` i.i.d. draws in count space, exact in law as draw_cells:
+        the number in each cell 1..J (one multinomial whose last category is
+        the mass beyond J) and, one by one, the draws that land beyond J.
+
+        J is the smallest power of two in [_CUT_MIN, table] at which at most
+        J/2 draws are expected beyond J, which balances the O(J) multinomial
+        against the per-draw cost of the rest.
+        """
+        J = _CUT_MIN
+        while J < _TABLE_SIZE and size * (1.0 - self._cum[J - 1]) > J / 2:
+            J *= 2
+        beyond = max(0.0, 1.0 - float(self._cum[J - 1]))
+        counts = rng.multinomial(size, np.append(self._prefix[:J], beyond))
+        return counts[:-1], self._draw_beyond(rng, int(counts[-1]), J)
+
+    def _draw_beyond(self, rng: np.random.Generator, m: int, J: int) -> np.ndarray:
+        """``m`` i.i.d. draws conditioned on landing beyond cell J (J = 0:
+        unconditioned): inversion on the table from u in [cum_J, 1), then
+        rejection-inversion for the draws beyond the table (all of them when
+        J is the table)."""
         if self.family == "geometric":
-            return rng.geometric(1.0 - self.q, size=size).astype(np.int64)
-        u = rng.random(size)
+            # memoryless; not by _cum, which reaches 1.0 after a few dozen cells
+            return J + rng.geometric(1.0 - self.q, size=m).astype(np.int64)
+        if J == _TABLE_SIZE:
+            return self._draw_tail_block(rng, m)
+        lo = float(self._cum[J - 1]) if J else 0.0
+        u = lo + (1.0 - lo) * rng.random(m)
         cells = np.searchsorted(self._cum, u, side="right").astype(np.int64) + 1
         in_tail = cells > _TABLE_SIZE
         n_tail = int(in_tail.sum())
@@ -431,45 +461,25 @@ class CellDistribution:
             cells[in_tail] = self._draw_tail_block(rng, n_tail)
         return cells
 
-    def draw_counts(self, rng: np.random.Generator,
-                    size: int) -> tuple[np.ndarray, np.ndarray]:
-        """``size`` i.i.d. draws in count space, exact in law as draw_cells:
-        the number in each table cell 1..table (one multinomial whose last
-        category is the mass beyond the table) and, one by one, the draws
-        that land beyond the table."""
-        # the mass beyond the table as draw_cells sees it; built per call, so
-        # that a distribution used only for series carries no extra table
-        beyond = max(0.0, 1.0 - float(self._cum[_TABLE_SIZE - 1]))
-        counts = rng.multinomial(size, np.append(self._prefix[:_TABLE_SIZE], beyond))
-        return counts[:-1], self._draw_tail_block(rng, int(counts[-1]))
-
-    def _draw_tail_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """Exact draws from {j > table}: for geometric by memorylessness,
-        otherwise rejection-inversion under a convex closed-form envelope
-        (power envelope; log factor frozen or absorbed into the exponent
-        depending on its sign).
-
-        Candidates beyond _SYNTHETIC_BASE (where per-cell probabilities are
-        below ~1e-21 and indices exceed what int64/float64 resolve) become
-        unique synthetic singleton cells: the neglected chance that two such
-        draws would truly coincide is < 1e-11 per 1e7-draw run, far inside
-        the sampler's per-draw fidelity budget.
-        """
-        N = _TABLE_SIZE
-        if self.family == "geometric":
-            # memoryless: beyond the table, the table size plus a fresh draw
-            return N + rng.geometric(1.0 - self.q, size=m).astype(np.int64)
+    def _tail_envelope(self) -> tuple[Callable, Callable, float]:
+        """Rejection-inversion beyond the table of a power family, as
+        (inverse, accept_ratio, squeeze): ``inverse`` maps a uniform to a
+        point under the convex closed-form envelope (power envelope; log
+        factor frozen or absorbed into the exponent depending on its sign),
+        ``accept_ratio(j)`` is cell j's mass over the envelope's, and the
+        computed ratio is never below ``squeeze`` on j in (table, 2^62]."""
         s, a = self.s, self.a
-        x0 = N + 0.5
+        x0 = _TABLE_SIZE + 0.5
         w0 = math.log(x0 + _E)
-        out = np.empty(m, dtype=np.int64)
-        filled = 0
         if s > 1.0:
             # envelope x^-s_env * c: for a>=0 freeze the log factor at x0;
             # for a<0 absorb it via (ln(x+e))^(-a) <= w0^(-a) exp(-a u / w0).
             s_env = s if a >= 0.0 else s + a / w0
             if s_env <= 1.0:
                 raise DistributionError("tail envelope not integrable; table too small")
+            # for a == 0 the ratio is j^-s over its integral across the cell,
+            # 1 - s(s+1)/(24 j^2) to leading order; squeeze at twice that gap
+            squeeze = 1.0 - s * (s + 1.0) / (12.0 * x0 * x0) if a == 0.0 else 0.0
 
             def inverse(u: np.ndarray) -> np.ndarray:
                 return x0 * (1.0 - u) ** (1.0 / (1.0 - s_env))
@@ -486,9 +496,11 @@ class CellDistribution:
         else:
             # s == 1, a > 1: envelope h(x) = c0 (ln(x+e))^-a/(x+e), c0 covering
             # the f/h = (x+e)/x excess; exact tail antiderivative
-            # c0 (ln(x+e))^(1-a)/(a-1).
+            # c0 (ln(x+e))^(1-a)/(a-1).  f/h >= 1, so the ratio stays at or
+            # above 1/c0 up to rounding.
             g0 = w0 ** (1.0 - a) / (a - 1.0)
             c0 = 1.0 + _E / x0
+            squeeze = (1.0 - 1e-9) / c0
 
             def inverse(u: np.ndarray) -> np.ndarray:
                 return np.exp(((1.0 - u) * g0 * (a - 1.0)) ** (1.0 / (1.0 - a))) - _E
@@ -503,6 +515,22 @@ class CellDistribution:
                 f = 1.0 / j.astype(np.float64) * np.log(j + _E) ** -a
                 return f / mass
 
+        return inverse, accept_ratio, squeeze
+
+    def _draw_tail_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """Exact draws from {j > table} of a power family by
+        rejection-inversion under :meth:`_tail_envelope`; a uniform at or
+        below the squeeze accepts without the ratio.
+
+        Candidates beyond _SYNTHETIC_BASE (where per-cell probabilities are
+        below ~1e-21 and indices exceed what int64/float64 resolve) become
+        unique synthetic singleton cells: the neglected chance that two such
+        draws would truly coincide is < 1e-11 per 1e7-draw run, far inside
+        the sampler's per-draw fidelity budget.
+        """
+        inverse, accept_ratio, squeeze = self._tail_envelope()
+        out = np.empty(m, dtype=np.int64)
+        filled = 0
         while filled < m:
             need = m - filled
             u = rng.random(need)
@@ -518,8 +546,11 @@ class CellDistribution:
                 filled += n_huge
             j = np.floor(x[~huge] + 0.5).astype(np.int64)
             if j.size:
-                np.maximum(j, N + 1, out=j)
-                acc = rng.random(j.size) <= accept_ratio(j)
+                np.maximum(j, _TABLE_SIZE + 1, out=j)
+                v = rng.random(j.size)
+                acc = v <= squeeze
+                slow = np.flatnonzero(~acc)
+                acc[slow] = v[slow] <= accept_ratio(j[slow])
                 took = int(acc.sum())
                 out[filled:filled + took] = j[acc]
                 filled += took

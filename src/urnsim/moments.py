@@ -16,6 +16,7 @@ supplied by the distribution.  This keeps the residual bound far below the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -164,20 +165,25 @@ def _series_square(c: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1 << 12)
 def _log_falling_factor(n: int, r: int) -> float:
-    """ln of the falling factor n(n-1)...(n-r+1)/n^r; -inf when r > n."""
+    """ln of the falling factor n(n-1)...(n-r+1)/n^r; -inf when r > n.
+    The series at one n ask for r = 0.._MAX_ORDER, so the last values are
+    kept."""
     if r > n:
         return -math.inf
     return float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
 
 
-def _binom_minus_poisson(n: int, p: np.ndarray, k: int, star: bool) -> np.ndarray:
+def _binom_minus_poisson(n: int, p: np.ndarray, k: int, star: bool,
+                         pmf_k: np.ndarray | None = None) -> np.ndarray:
     """Per cell P(Bin(n, p) in A) - P(Poisson(np) in A), A = {>= k} for
     star and {k} otherwise, with no cancellation between the two laws.
 
     Per i, P(Bin = i) / P(Pois = i) = exp(ln falling(n, i) + n (log1p(-p) + p)
     - i log1p(-p)), so the difference is P(Pois = i) expm1(that exponent);
-    the at-least-k difference is minus the sum over i < k.
+    the at-least-k difference is minus the sum over i < k.  ``pmf_k``, when
+    the caller holds it, is P(Pois = k) of the exactly-k term.
     """
     lam = n * p
     nl = n * _log1p_neg_plus(p)
@@ -186,8 +192,8 @@ def _binom_minus_poisson(n: int, p: np.ndarray, k: int, star: bool) -> np.ndarra
         if i == 0:
             out += np.exp(-lam) * np.expm1(nl)
         else:
-            out += _poisson_pmf(i, lam) * np.expm1(
-                _log_falling_factor(n, i) + nl - i * np.log1p(-p))
+            pmf = pmf_k if i == k and pmf_k is not None else _poisson_pmf(i, lam)
+            out += pmf * np.expm1(_log_falling_factor(n, i) + nl - i * np.log1p(-p))
     return -out if star else out
 
 
@@ -284,8 +290,10 @@ def _head(d: CellDistribution, t: float, k: int, star: bool,
         # per chunk g + correction; the corrections alone are the gap
         binom = gap = 0
         for lo in range(0, p.size, _HEAD_CHUNK):
-            c = _binom_minus_poisson(n, p[lo:lo + _HEAD_CHUNK], k, star)
-            binom += (g()[lo:lo + _HEAD_CHUNK] + c).sum()
+            gc = g()[lo:lo + _HEAD_CHUNK]
+            c = _binom_minus_poisson(n, p[lo:lo + _HEAD_CHUNK], k, star,
+                                     None if star else gc)
+            binom += (gc + c).sum()
             gap += c.sum()
         sums.update(binom=float(binom), gap=float(gap), pois=float(g().sum()))
     elif star and k > n:

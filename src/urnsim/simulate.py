@@ -16,12 +16,6 @@ import numpy as np
 
 from .distributions import _TABLE_SIZE, CellDistribution
 
-# Increments of at least this many balls are drawn in count space.  One
-# multinomial over the sampler table costs O(table), 2-4 ms, which per-ball
-# draws match between 2^15 and 2^16 balls; of 2^14..2^17, this value gave
-# the fastest trajectories on both the 1e3..1e6 and the 1e4..1e7 grids.
-_COUNT_SPACE_MIN = 3 << 14
-
 
 class OccupancyState:
     """Per-cell counts and the at-least-k profile, k <= k_max, stop by stop.
@@ -60,7 +54,8 @@ class OccupancyState:
         self.ball_count += cells.size
 
     def add_table_counts(self, counts: np.ndarray) -> None:
-        """Throw counts[j-1] balls into each table cell j = 1..table."""
+        """Throw counts[j-1] balls into each cell j = 1..counts.size (at most
+        the table)."""
         ids = np.flatnonzero(counts)
         self._add_table(ids + 1, counts[ids])
         self.ball_count += int(counts.sum())
@@ -202,12 +197,11 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     """Stream one trajectory, snapshotting the profile at {n_i} and {K_i}.
 
     The total number of draws is max(n_m, K_m).  Balls between two stops
-    are i.i.d. and the profile depends only on per-cell counts, so an
-    increment of at least _COUNT_SPACE_MIN balls is drawn in count space
-    (one multinomial over the sampler table, then the balls beyond it);
-    smaller ones ball by ball.  ``increments_fn`` replaces the Poisson
-    clock (a testing hook; e.g. forcing K_i = n_i makes both columns
-    identical).
+    are i.i.d. and the profile depends only on per-cell counts, so each
+    increment is drawn in count space (one multinomial over the first cells,
+    cut where the increment's mass runs out, then the balls beyond the cut).
+    ``increments_fn`` replaces the Poisson clock (a testing hook; e.g.
+    forcing K_i = n_i makes both columns identical).
     """
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments
@@ -217,13 +211,9 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     state = OccupancyState(k_max=grid.k_max)
     done = 0
     for stop in schedule.tolist():
-        take = stop - done
-        if take >= _COUNT_SPACE_MIN:
-            table_counts, beyond = d.draw_counts(cell_rng, take)
-            state.add_table_counts(table_counts)
-            state.add_cells(beyond)
-        elif take:
-            state.add_cells(d.draw_cells(cell_rng, take))
+        counts, beyond = d.draw_counts(cell_rng, stop - done)
+        state.add_table_counts(counts)
+        state.add_cells(beyond)
         done = stop
         state.end_stop()
     rows = state.profile_rows()

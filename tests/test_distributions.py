@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -22,6 +23,29 @@ from urnsim.distributions import (
     _lstar_eval,
 )
 from urnsim.moments import exact_mean
+
+_SAMPLER_SPECS = {
+    "zipf_s2": DistributionSpec(family="zipf", s=2.0),
+    "zipf_s1.2": DistributionSpec(family="zipf", s=1.2),
+    "zipf_log": DistributionSpec(family="zipf_log", s=2.0, a=1.0),
+    "theta_one_log": DistributionSpec(family="theta_one_log"),
+    "geometric": DistributionSpec(family="geometric", q=0.5),
+    # about 0.1% of the mass lies beyond the table
+    "geometric_near_one": DistributionSpec(family="geometric", q=0.9999),
+}
+# sha256 of draw_cells and _draw_tail_block at fixed seeds; see
+# TestSampler.test_draws_pinned
+_PINNED_DRAWS = {
+    "zipf_s2": ("944b64f2db9c95642dc0a779b10f6666f6f2c979086af784e5a4b15c5a5f2b96",
+                "0882a62ee1ada591f58c99531552c50724865e4adef358efd136c288da107290"),
+    "zipf_s1.2": ("1fd644de7bd98bf62e8de70f83ad4135a1e0eb9663d4d0758501dec26981e39b",
+                  "198b9237aeae768a36b40ef3fb6afb54e0d34646ae157b84600f840294ec6ab8"),
+    "zipf_log": ("52e43911ecdf3ab76a0d3749ec9bb9c058874f291a092e47e48b66a1c538ebcd",
+                 "d3fd964e4fbb69f6d36c377d0303c29cef0016de0ece99bc664c4b7a56c98161"),
+    "theta_one_log": ("2cd703ff1ff8be62a2cab0431617d895a0bf979334d9727b560319c3bd4216ac",
+                      "50303a4aaebc70d69e8080df2d656db02e6b00fa454468ef3f6494d02aa3022f"),
+    "geometric": ("e4f0fc4345988f7c2c650277e1d45e0c404e197e51dae2d62f2dfe25c11dd2f6", None),
+}
 
 # Normalization constants, frozen from independent dev-time oracles:
 # zipf_log(2,1): brute partial sum over 1e8 terms plus integral tail bracket;
@@ -419,3 +443,79 @@ class TestSampler:
         a = zipf2.draw_cells(np.random.default_rng(123), 10 ** 4)
         b = zipf2.draw_cells(np.random.default_rng(123), 10 ** 4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_DRAWS))
+    def test_draws_pinned(self, name):
+        # draw_cells(default_rng(31), 200_000) and, for the power families,
+        # _draw_tail_block(default_rng(37), 20_000), as sha256 of the int64
+        # bytes: frozen before the count-space cut and the tail squeeze, which
+        # leave both streams bitwise unchanged
+        d = build_distribution(_SAMPLER_SPECS[name])
+        cells, tail = _PINNED_DRAWS[name]
+        got = d.draw_cells(np.random.default_rng(31), 200_000)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == cells
+        if tail is not None:
+            got = d._draw_tail_block(np.random.default_rng(37), 20_000)
+            assert hashlib.sha256(got.tobytes()).hexdigest() == tail
+
+    @pytest.mark.parametrize("name", ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log"])
+    def test_tail_squeeze_below_ratio(self, name):
+        # a uniform at or below the squeeze is accepted without the ratio, so
+        # the computed ratio must never fall below it beyond the table
+        d = build_distribution(_SAMPLER_SPECS[name])
+        _, accept_ratio, squeeze = d._tail_envelope()
+        if d.a == 0.0 or d.s == 1.0:
+            assert squeeze > 0.9999
+        dense = np.arange(_TABLE_SIZE + 1, _TABLE_SIZE + 1 + 2_000_000)
+        spread = np.minimum(np.exp(np.linspace(math.log(_TABLE_SIZE + 1), 62 * math.log(2),
+                                               2_000_000)).astype(np.int64), 1 << 62)
+        for j in (dense, spread):
+            assert float(accept_ratio(j).min()) >= squeeze
+
+    @pytest.mark.parametrize("name,size,reps,cut", [
+        ("zipf_s2", 2_000, 500, 1 << 6),
+        ("zipf_s2", 2_000_000, 1, 1 << 11),
+        ("zipf_s2", 2_000_000_000, 1, _TABLE_SIZE),
+        ("zipf_log", 5_000, 200, 1 << 6),
+        ("zipf_log", 10_000_000, 1, 1 << 11),
+        ("zipf_log", 20_000_000_000, 1, _TABLE_SIZE),
+        ("theta_one_log", 100, 5_000, 1 << 6),
+        ("theta_one_log", 10_000, 50, 1 << 11),
+        ("theta_one_log", 1_000_000, 1, _TABLE_SIZE),
+        ("geometric_near_one", 30, 10_000, 1 << 6),
+        ("geometric_near_one", 1_000, 300, 1 << 11),
+        ("geometric_near_one", 1_000_000, 1, _TABLE_SIZE),
+    ])
+    def test_draw_counts_law(self, name, size, reps, cut, rng):
+        # the multinomial over cells 1..J and the draws beyond J pooled over
+        # reps calls, against size * p_j: cells 1..32 and J, J+1 on their
+        # own, the rest in bins of growing width, beyond the table in one
+        d = build_distribution(_SAMPLER_SPECS[name])
+        observed = np.zeros(_TABLE_SIZE + 2, dtype=np.int64)  # cells 1..table, beyond
+        for _ in range(reps):
+            counts, beyond = d.draw_counts(rng, size)
+            assert counts.size == cut
+            assert int(counts.sum()) + beyond.size == size and beyond.min(initial=cut + 1) > cut
+            observed[1:cut + 1] += counts
+            observed += np.bincount(np.minimum(beyond, _TABLE_SIZE + 1),
+                                    minlength=_TABLE_SIZE + 2)
+        p = np.concatenate([[0.0], d.prob_array(np.arange(1, _TABLE_SIZE + 1)),
+                            [d.tail_mass(_TABLE_SIZE)]])
+        edges = np.unique(np.concatenate([
+            np.arange(1, 33), [cut, cut + 1],
+            np.geomspace(33, _TABLE_SIZE + 1, 60).astype(np.int64)]))
+        obs, exp = np.add.reduceat(observed, edges), np.add.reduceat(p, edges) * size * reps
+        # merge bins until each expects at least 20 draws
+        keep_obs, keep_exp, o_acc, e_acc = [], [], 0, 0.0
+        for o, e in zip(obs, exp):
+            o_acc, e_acc = o_acc + o, e_acc + e
+            if e_acc >= 20.0:
+                keep_obs.append(o_acc)
+                keep_exp.append(e_acc)
+                o_acc, e_acc = 0, 0.0
+        keep_obs[-1] += o_acc
+        keep_exp[-1] += e_acc
+        keep_obs, keep_exp = np.array(keep_obs), np.array(keep_exp)
+        stat = float(((keep_obs - keep_exp) ** 2 / keep_exp).sum())
+        pvalue = float(stats.chi2.sf(stat, df=keep_obs.size - 1))
+        assert pvalue > 1e-3, (stat, keep_obs.size)

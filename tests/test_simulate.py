@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from urnsim import (
     CheckpointGrid,
+    DistributionSpec,
     OccupancyState,
+    build_distribution,
     exact_mean,
     exact_var,
     poisson_increments,
@@ -79,14 +81,15 @@ class TestOccupancyState:
         cells = [c for block in blocks for c in block]
         one = _one_at_a_time(cells)
         two = OccupancyState(k_max=3)
-        # the count-space form run_coupled uses for large increments
+        # the count-space form run_coupled uses: counts of the cells up to a
+        # cut (inside the table or the whole of it), then the ids beyond it
         three = OccupancyState(k_max=3)
-        for block in blocks:
+        for i, block in enumerate(blocks):
             arr = np.asarray(block, dtype=np.int64)
             two.add_cells(arr)
-            in_table = arr[arr <= _TABLE_SIZE]
-            three.add_table_counts(np.bincount(in_table - 1, minlength=_TABLE_SIZE))
-            three.add_cells(arr[arr > _TABLE_SIZE])
+            cut = (32, _TABLE_SIZE)[i % 2]
+            three.add_table_counts(np.bincount(arr[arr <= cut] - 1, minlength=cut))
+            three.add_cells(arr[arr > cut])
         rows = [(s.ball_count, _rstar(s), _exactly(s)) for s in (one, two, three)]
         assert rows[0] == rows[1] == rows[2]
         counts = Counter(cells)
@@ -109,6 +112,31 @@ class TestOccupancyState:
         assert sum(k * v for k, v in hist.items()) == len(cells)
         for k in (1, 2, 3):
             assert state.rstar(k) == sum(v for c, v in hist.items() if c >= k)
+
+
+def _law_matches_exact_series(d, n: int, trajectories: int, seed: int) -> None:
+    """Mean and variance z-tests of the poissonized column's R*_1, R*_2 at
+    one checkpoint n, over seeds (seed, i), against the exact series."""
+    # the increments, min(n, K) and |K - n|, cut at the table and short of it
+    spread = 6 * math.isqrt(n)
+    cut = lambda size: d.draw_counts(np.random.default_rng(0), size)[0].size
+    assert cut(n - spread) == _TABLE_SIZE > cut(spread)
+    grid = CheckpointGrid(positions=(n,), k_max=2)
+    vals = np.empty((trajectories, 2))
+    for i in range(trajectories):
+        vals[i] = run_coupled(d, grid, seed=(seed, i)).rstar_poisson[0]
+    for kk in (1, 2):
+        sample = vals[:, kk - 1]
+        m, _ = exact_mean(d, float(n), kk, star=True)
+        v, _ = exact_var(d, float(n), kk, star=True)
+        z_mean = (sample.mean() - m) / math.sqrt(v / sample.size)
+        centered = sample - sample.mean()
+        m2 = float((centered ** 2).mean())
+        m4 = float((centered ** 4).mean())
+        se_var = math.sqrt(max(m4 - m2 * m2 * (sample.size - 3) / (sample.size - 1),
+                               0.0) / sample.size)
+        z_var = (sample.var(ddof=1) - v) / se_var
+        assert abs(z_mean) < 4.0 and abs(z_var) < 4.0, (kk, z_mean, z_var)
 
 
 def _merge_rows(stops, k_max):
@@ -143,16 +171,15 @@ class TestTailFold:
     @example(stops=_LONG_RUN, k_max=5)
     @settings(max_examples=80, deadline=None)
     def test_fold_equals_per_stop_merge(self, stops, k_max):
-        # each stop split into a ball-by-ball add and a count-space add, as
-        # run_coupled does for small and large increments
+        # each stop split into a ball-by-ball add and a count-space add cut
+        # at cell 4, as run_coupled adds the draws of one increment
         state = OccupancyState(k_max=k_max)
         for cells in stops:
             arr = np.asarray(cells, dtype=np.int64)
             state.add_cells(arr[::2])
             rest = arr[1::2]
-            state.add_table_counts(np.bincount(rest[rest <= _TABLE_SIZE] - 1,
-                                               minlength=_TABLE_SIZE))
-            state.add_cells(rest[rest > _TABLE_SIZE])
+            state.add_table_counts(np.bincount(rest[rest <= 4] - 1, minlength=4))
+            state.add_cells(rest[rest > 4])
             state.end_stop()
         expect = _merge_rows(stops, k_max)
         assert np.array_equal(state.profile_rows(), expect)
@@ -271,44 +298,54 @@ class TestRunCoupled:
     @pytest.mark.slow
     def test_theta_one_log_law_matches_exact_series(self, theta_one_log):
         # splitting-property check through the count-space path: the first
-        # increment (about n balls) is one multinomial over the sampler table
-        # plus rejection-inversion draws beyond it.  Poissonized-column mean
-        # and variance of R*_1, R*_2 against the exact series.
-        n = 300_000
-        assert 2 * simulate._COUNT_SPACE_MIN < n
-        grid = CheckpointGrid(positions=(n,), k_max=2)
-        vals = np.empty((300, 2))
-        for i in range(vals.shape[0]):
-            vals[i] = run_coupled(theta_one_log, grid, seed=(2718, i)).rstar_poisson[0]
-        for kk in (1, 2):
-            sample = vals[:, kk - 1]
-            m, _ = exact_mean(theta_one_log, float(n), kk, star=True)
-            v, _ = exact_var(theta_one_log, float(n), kk, star=True)
-            z_mean = (sample.mean() - m) / math.sqrt(v / sample.size)
-            centered = sample - sample.mean()
-            m2 = float((centered ** 2).mean())
-            m4 = float((centered ** 4).mean())
-            se_var = math.sqrt(max(m4 - m2 * m2 * (sample.size - 3) / (sample.size - 1),
-                                   0.0) / sample.size)
-            z_var = (sample.var(ddof=1) - v) / se_var
-            assert abs(z_mean) < 4.0 and abs(z_var) < 4.0, (kk, z_mean, z_var)
+        # increment (about n balls) is one multinomial over the whole sampler
+        # table plus rejection-inversion draws beyond it, the second (|K - n|
+        # balls) a multinomial cut short.  Poissonized-column mean and
+        # variance of R*_1, R*_2 against the exact series.
+        _law_matches_exact_series(theta_one_log, 300_000, 300, 2718)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("spec,n", [
+        (DistributionSpec(family="zipf", s=2.0), 10 ** 9),
+        (DistributionSpec(family="zipf_log", s=2.0, a=1.0), 2 * 10 ** 10),
+        (DistributionSpec(family="geometric", q=0.9999), 10 ** 6),
+    ], ids=["zipf", "zipf_log", "geometric"])
+    def test_count_space_law_matches_exact_series(self, spec, n):
+        # the same check for the other families, at n where the first
+        # increment uses the whole table
+        _law_matches_exact_series(build_distribution(spec), n, 300, 3141)
 
     def test_trajectories_frozen(self, zipf2, theta_one_log, geometric_half):
-        # hashes of (K, rstar_fixed, rstar_poisson) as a per-stop merge into
-        # a sorted id/count store computed them; increments run
-        # 1,000..152,945 balls, on both sides of _COUNT_SPACE_MIN
-        grid = CheckpointGrid.logspaced(1_000, 300_000, 9, k_max=3)
+        # hashes of (K, rstar_fixed, rstar_poisson), pinned after the rows
+        # matched an independent expansion of the same seed's count-space
+        # draws (cells 1..J by count, then the ids beyond J) merged into
+        # per-cell counts stop by stop; increments run 1,000..683,772 balls
+        grid = CheckpointGrid.logspaced(1_000, 1_000_000, 7, k_max=3)
         frozen = {
-            "zipf": "6131f0c84aa09660b9c545c40531cee3003c2d30ccba42e5687d1bfdb21b47ab",
-            "theta_one_log": "e1ee456688b8c39b1755c043dc13e78cb10a3c7495aadb8c8fe31bcd0c1e9583",
-            "geometric": "4f2c52d11e9b575437740a591c90ee6192d9ebbad41b8343804cf9aff0a768db",
+            "zipf": "18b20b885516907256320cc93dd071e674f8638a8dd46f16f5672198f515d123",
+            "theta_one_log": "c4d7c7e4f24b0297d45fcd914bde294676a0cc070e5d9dab9ffe4f6d329ca5c9",
+            "geometric": "4909808cfbc0557456dcf8138d218de2c40c1e83860df2e863595075f99b5623",
         }
-        inc = np.diff((0,) + grid.positions)
-        assert inc.min() < simulate._COUNT_SPACE_MIN < inc.max()
+        cuts = set()
         for d in (zipf2, theta_one_log, geometric_half):
             tr = run_coupled(d, grid, seed=(2024, 7))
+            clock_rng, cell_rng = simulate._trajectory_rng((2024, 7))
+            assert np.array_equal(poisson_increments(grid, clock_rng), tr.K)
+            schedule = np.unique(np.concatenate([grid.positions, tr.K]))
+            stops, done = [], 0
+            for stop in schedule.tolist():
+                counts, beyond = d.draw_counts(cell_rng, stop - done)
+                cuts.add(counts.size)
+                stops.append(np.repeat(np.arange(1, counts.size + 1), counts).tolist()
+                             + beyond.tolist())
+                done = stop
+            rows = _merge_rows(stops, 3)
+            for at, got in ((tr.positions, tr.rstar_fixed), (tr.K, tr.rstar_poisson)):
+                assert np.array_equal(rows[np.searchsorted(schedule, at), :3], got)
             text = repr((tr.K.tolist(), tr.rstar_fixed.tolist(), tr.rstar_poisson.tolist()))
             assert hashlib.sha256(text.encode()).hexdigest() == frozen[d.family], d.family
+        # the grid reaches cuts short of the table and the whole table
+        assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
 
     def test_geometric_trajectory(self, geometric_half):
         grid = CheckpointGrid.logspaced(16, 5_000, 5, k_max=3)
