@@ -33,6 +33,9 @@ _FAMILIES = ("zipf", "zipf_log", "theta_one_log", "geometric")
 _TABLE_SIZE = 1 << 16
 # Smallest multinomial cut of a count-space draw.
 _CUT_MIN = 1 << 6
+# Draws per call of the tail sampler in draw_tail, which bounds its
+# temporaries; of 2^14..2^16 this one kept traj_1e6_pair's peak RSS flattest.
+_TAIL_CHUNK = 1 << 14
 # Cap on the cached probability prefix (8M float64 = 64 MB).
 _PREFIX_CAP = 1 << 23
 # Thresholds per pass of the vectorized counting-function search.
@@ -423,43 +426,62 @@ class CellDistribution:
 
     def draw_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket)."""
-        return self._draw_beyond(rng, size, 0)
+        if self.family == "geometric":
+            return rng.geometric(1.0 - self.q, size=size).astype(np.int64)
+        cells = np.searchsorted(self._cum, rng.random(size), side="right").astype(np.int64) + 1
+        in_tail = cells > _TABLE_SIZE
+        cells[in_tail] = self._draw_tail_block(rng, int(in_tail.sum()))
+        return cells
 
     def draw_counts(self, rng: np.random.Generator,
-                    size: int) -> tuple[np.ndarray, np.ndarray]:
+                    size: int) -> tuple[np.ndarray, np.ndarray, int]:
         """``size`` i.i.d. draws in count space, exact in law as draw_cells:
-        the number in each cell 1..J (one multinomial whose last category is
-        the mass beyond J) and, one by one, the draws that land beyond J.
+        the number in each cell 1..J, the table cells beyond J that draws
+        land in, and the number of draws past the table, whose ids
+        :meth:`draw_tail` makes (later, for many increments at once).
 
-        J is the smallest power of two in [_CUT_MIN, table] at which at most
-        J/2 draws are expected beyond J, which balances the O(J) multinomial
-        against the per-draw cost of the rest.
+        One multinomial over the cells 1..J, the mass in (J, table] and the
+        mass past the table gives the numbers; the draws in (J, table] are
+        made by inversion.  J is the smallest power of two in [_CUT_MIN,
+        table] at which at most J/2 draws are expected in (J, table]; draws
+        past the table cost the same at any J.
         """
         J = _CUT_MIN
-        while J < _TABLE_SIZE and size * (1.0 - self._cum[J - 1]) > J / 2:
+        while J < _TABLE_SIZE and size * self._table_mass(J) > J / 2:
             J *= 2
-        beyond = max(0.0, 1.0 - float(self._cum[J - 1]))
-        counts = rng.multinomial(size, np.append(self._prefix[:J], beyond))
-        return counts[:-1], self._draw_beyond(rng, int(counts[-1]), J)
+        # the last category, past the table, takes the remaining mass
+        counts = rng.multinomial(size, np.append(self._prefix[:J], (self._table_mass(J), 0.0)))
+        u = rng.random(int(counts[J]))
+        if self.family == "geometric":
+            # J + a geometric conditioned on at most table - J
+            lq = math.log(self.q)
+            g = np.ceil(np.log1p(u * math.expm1((_TABLE_SIZE - J) * lq)) / lq)
+            ids = J + np.clip(g, 1, _TABLE_SIZE - J).astype(np.int64)
+        else:
+            # u in [cum_J, cum_table); one rounded up to cum_table maps past it
+            lo, hi = self._cum[J - 1], self._cum[_TABLE_SIZE - 1]
+            ids = np.searchsorted(self._cum, lo + (hi - lo) * u, side="right") + 1
+            ids = np.minimum(ids, _TABLE_SIZE)
+        return counts[:J], ids, int(counts[J + 1])
 
-    def _draw_beyond(self, rng: np.random.Generator, m: int, J: int) -> np.ndarray:
-        """``m`` i.i.d. draws conditioned on landing beyond cell J (J = 0:
-        unconditioned): inversion on the table from u in [cum_J, 1), then
-        rejection-inversion for the draws beyond the table (all of them when
-        J is the table)."""
+    def _table_mass(self, J: int) -> float:
+        """The mass of the table cells beyond J."""
         if self.family == "geometric":
             # memoryless; not by _cum, which reaches 1.0 after a few dozen cells
-            return J + rng.geometric(1.0 - self.q, size=m).astype(np.int64)
-        if J == _TABLE_SIZE:
-            return self._draw_tail_block(rng, m)
-        lo = float(self._cum[J - 1]) if J else 0.0
-        u = lo + (1.0 - lo) * rng.random(m)
-        cells = np.searchsorted(self._cum, u, side="right").astype(np.int64) + 1
-        in_tail = cells > _TABLE_SIZE
-        n_tail = int(in_tail.sum())
-        if n_tail:
-            cells[in_tail] = self._draw_tail_block(rng, n_tail)
-        return cells
+            return self.q ** J - self.q ** _TABLE_SIZE
+        return float(self._cum[_TABLE_SIZE - 1] - self._cum[J - 1])
+
+    def draw_tail(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """``m`` i.i.d. draws conditioned on landing past the table, made in
+        chunks of _TAIL_CHUNK (memorylessness for geometric)."""
+        out = np.empty(m, dtype=np.int64)
+        for lo in range(0, m, _TAIL_CHUNK):
+            part = min(_TAIL_CHUNK, m - lo)
+            if self.family == "geometric":
+                out[lo:lo + part] = _TABLE_SIZE + rng.geometric(1.0 - self.q, size=part)
+            else:
+                out[lo:lo + part] = self._draw_tail_block(rng, part)
+        return out
 
     def _tail_envelope(self) -> tuple[Callable, Callable, float]:
         """Rejection-inversion beyond the table of a power family, as

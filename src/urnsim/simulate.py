@@ -16,15 +16,19 @@ import numpy as np
 
 from .distributions import _TABLE_SIZE, CellDistribution
 
+_NO_CELLS = np.empty(0, dtype=np.int64)
+
 
 class OccupancyState:
     """Per-cell counts and the at-least-k profile, k <= k_max, stop by stop.
 
     Counts of the sampler-table cells 1..table sit in a dense array whose
-    profile is updated at every add.  The rarer balls beyond the table
-    (synthetic ids included) are only kept, sorted, with the index of their
-    stop; ``profile_rows`` folds all of them in one pass.  Internally tracks
-    k_max + 1 thresholds so rows of exactly-k counts are available up to k_max.
+    profile is updated at every add.  The rarer balls past the table
+    (synthetic ids included) are only kept, as ids in stop order and a
+    number per stop; ``profile_rows`` folds all of them in one pass.  Their
+    ids may follow their numbers (``add_counts``, then ``add_tail``).
+    Internally tracks k_max + 1 thresholds so rows of exactly-k counts are
+    available up to k_max.
     """
 
     def __init__(self, k_max: int = 5):
@@ -35,8 +39,9 @@ class OccupancyState:
         # table part of rstar[k] for k = 1..k_max+1 at indices 1..k_max+1
         self._rstar = np.zeros(k_max + 2, dtype=np.int64)
         self._table_rows: list[np.ndarray] = []  # table part after each ended stop
-        self._tail: list[np.ndarray] = []        # sorted tail ids of each add
-        self._tail_stop: list[int] = []          # and the stop they belong to
+        self._tail: list[np.ndarray] = []        # ids past the table, in stop order
+        self._n_tail = [0]                       # their number per stop, open stop last
+        self._pending = 0                        # of those, balls whose ids are to come
         self.ball_count = 0
 
     def add_cells(self, cells: np.ndarray) -> None:
@@ -45,87 +50,97 @@ class OccupancyState:
         if cells.size and cells.min() < 1:
             raise ValueError("cell index must be >= 1")
         in_table = cells <= _TABLE_SIZE
-        ids, mult = np.unique(cells[in_table], return_counts=True)
-        self._add_table(ids, mult)
-        tail = np.sort(cells[~in_table])
-        if tail.size:
-            self._tail.append(tail)
-            self._tail_stop.append(len(self._table_rows))
-        self.ball_count += cells.size
+        self.add_counts(_NO_CELLS, cells[in_table], cells.size - int(in_table.sum()))
+        self.add_tail(cells[~in_table])
 
-    def add_table_counts(self, counts: np.ndarray) -> None:
-        """Throw counts[j-1] balls into each cell j = 1..counts.size (at most
-        the table)."""
-        ids = np.flatnonzero(counts)
-        self._add_table(ids + 1, counts[ids])
-        self.ball_count += int(counts.sum())
+    def add_counts(self, counts: np.ndarray, ids: np.ndarray = _NO_CELLS,
+                   n_tail: int = 0) -> None:
+        """Throw counts[j-1] balls into each cell j = 1..counts.size, one
+        into each table cell listed in ``ids`` (all beyond counts.size) and
+        ``n_tail`` balls past the table, whose ids ``add_tail`` gives later."""
+        self._add_table(counts, ids)
+        self._n_tail[-1] += n_tail
+        self._pending += n_tail
+        self.ball_count += int(counts.sum()) + ids.size + n_tail
 
-    def _add_table(self, ids: np.ndarray, mult: np.ndarray) -> None:
-        old = self._table[ids]
-        new = old + mult
-        self._table[ids] = new
-        top = self.k_max + 1
-        moved = (np.bincount(np.minimum(new, top), minlength=top + 1)
-                 - np.bincount(np.minimum(old, top), minlength=top + 1))
-        # cells with >= k balls gained: sum of moved[c] over c >= k
-        self._rstar[1:] += np.cumsum(moved[:0:-1])[::-1]
+    def add_tail(self, ids: np.ndarray) -> None:
+        """The ids of all the balls past the table that ``add_counts`` has
+        given only by number, in stop order."""
+        if ids.size != self._pending:
+            raise ValueError(f"expected {self._pending} ids past the table, got {ids.size}")
+        self._tail.append(ids)
+        self._pending = 0
+
+    def _add_table(self, counts: np.ndarray, ids: np.ndarray) -> None:
+        # cells 1..J as a slice, then the cells listed in ids (beyond J)
+        cells, mult = np.unique(ids, return_counts=True)
+        J = counts.size
+        old = np.concatenate([self._table[1:J + 1], self._table[cells]])
+        new = old + np.concatenate([counts, mult])
+        self._table[1:J + 1] = new[:J]
+        self._table[cells] = new[J:]
+        self._rstar[1:] += _gained(old, new, self.k_max + 1)
 
     def end_stop(self) -> None:
         """Close the current stop; later balls belong to the next one."""
         self._table_rows.append(self._rstar[1:].copy())
+        self._n_tail.append(0)
 
     def profile_rows(self) -> np.ndarray:
         """At-least-k counts, k = 1..k_max+1, after each ended stop (one row
         per stop)."""
+        if self._pending:
+            raise ValueError(f"{self._pending} ids past the table are still to come")
         n = len(self._table_rows)
         table = np.array(self._table_rows, dtype=np.int64).reshape(n, self.k_max + 1)
-        return table + _fold_tail(self._tail, self._tail_stop, n + 1, self.k_max + 1)[:n]
-
-    def rstar(self, k: int) -> int:
-        """Number of cells holding at least k balls (k <= k_max + 1)."""
-        if not (1 <= k <= self.k_max + 1):
-            raise ValueError(f"k must be in 1..{self.k_max + 1}")
-        tail = _fold_tail(self._tail, [0] * len(self._tail), 1, self.k_max + 1)
-        return int(self._rstar[k] + tail[0, k - 1])
+        tail = self._tail[0] if len(self._tail) == 1 else np.concatenate(
+            [_NO_CELLS, *self._tail])
+        return table + _fold_tail(tail, self._n_tail[:n], self.k_max + 1)
 
 
-def _fold_tail(parts: list[np.ndarray], stops: list[int], n_stops: int,
-               top: int) -> np.ndarray:
-    """Cells holding at least k = 1..top balls after each stop 0..n_stops-1,
-    from the ball ids ``parts[i]`` thrown at stop ``stops[i]`` (nondecreasing).
+def _gained(old: np.ndarray, new: np.ndarray, top: int) -> np.ndarray:
+    """How many of the cells went from below k balls (``old``) to at least
+    k (``new``), for k = 1..top."""
+    moved = (np.bincount(np.minimum(new, top), minlength=top + 1)
+             - np.bincount(np.minimum(old, top), minlength=top + 1))
+    return np.cumsum(moved[:0:-1])[::-1]
 
-    A cell reaches k balls exactly once, with its k-th ball, so row s counts
-    the balls thrown up to stop s that were the k-th of their cell.  Cells
-    hit once are counted by stop alone.  The balls of repeated cells are
-    sorted by (rank of the cell among the repeated ids) << b | stop and
-    numbered within their cell; ranks, unlike ids, always leave room for
-    the b stop bits.
+
+def _fold_tail(tail: np.ndarray, n_tail: list[int], top: int) -> np.ndarray:
+    """Cells holding at least k = 1..top balls after each stop, from the
+    ball ids ``tail`` thrown in stop order, ``n_tail[s]`` of them at stop s
+    (in any order within a stop; ids after the last stop are ignored).
+
+    The repeated ids come from one sorted copy; a ball whose id is not among
+    them is a single of its stop.  The repeated cells keep a count, indexed
+    by rank among the repeated ids and updated stop by stop as the table
+    is.  Only the ids whose low bits equal a repeated id's are sorted and
+    ranked: with more than 8 slots of low bits per repeated id, about 1/8
+    of the singles or fewer get through.
     """
-    reached = np.zeros((n_stops, top + 2), dtype=np.int64)  # columns: 0, 1..top, > top
-    every = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    every.sort()
-    rep = np.unique(every[1:][every[1:] == every[:-1]])
-    del every
-    b = (n_stops - 1).bit_length()
-    packed = []
-    for part, stop in zip(parts, stops):
-        if rep.size:
+    reached = np.zeros((len(n_tail), top), dtype=np.int64)
+    reached[:, 0] = n_tail  # every ball a single of its stop, bar the repeats
+    ends = np.cumsum(n_tail, dtype=np.int64)
+    d = np.sort(tail[:ends[-1]] if len(n_tail) else _NO_CELLS)
+    rep = d[1:][d[1:] == d[:-1]]
+    del d
+    if rep.size:
+        rep = rep[np.r_[True, rep[1:] != rep[:-1]]]
+        mask = (1 << (8 * rep.size).bit_length()) - 1
+        marked = np.zeros(mask + 1, dtype=bool)
+        marked[rep & mask] = True
+        seen = np.zeros(rep.size, dtype=np.int64)  # balls so far per repeated cell
+        for stop, (lo, hi) in enumerate(zip(ends - n_tail, ends)):
+            part = tail[lo:hi]
+            part = np.sort(part[marked[part & mask]])
             rank = np.searchsorted(rep, part)
-            hit = rep[np.minimum(rank, rep.size - 1)] == part
-            packed.append((rank[hit] << b) | stop)
-            reached[stop, 1] += part.size - packed[-1].size
-        else:
-            reached[stop, 1] += part.size
-    if packed:
-        keys = np.sort(np.concatenate(packed))
-        cell = keys >> b
-        idx = np.arange(keys.size)
-        first = np.maximum.accumulate(
-            np.where(np.concatenate(([True], cell[1:] != cell[:-1])), idx, 0))
-        nth = np.minimum(idx - first + 1, top + 1)
-        reached += np.bincount((keys & ((1 << b) - 1)) * (top + 2) + nth,
-                               minlength=reached.size).reshape(reached.shape)
-    return np.cumsum(reached[:, 1:top + 1], axis=0)
+            rank = rank[rep[np.minimum(rank, rep.size - 1)] == part]
+            cells, mult = np.unique(rank, return_counts=True)
+            old = seen[cells]
+            seen[cells] = new = old + mult
+            reached[stop] += _gained(old, new, top)
+            reached[stop, 0] -= rank.size
+    return np.cumsum(reached, axis=0)
 
 
 @dataclass(frozen=True)
@@ -198,10 +213,14 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
 
     The total number of draws is max(n_m, K_m).  Balls between two stops
     are i.i.d. and the profile depends only on per-cell counts, so each
-    increment is drawn in count space (one multinomial over the first cells,
-    cut where the increment's mass runs out, then the balls beyond the cut).
-    ``increments_fn`` replaces the Poisson clock (a testing hook; e.g.
-    forcing K_i = n_i makes both columns identical).
+    increment is drawn in count space (``draw_counts``: one multinomial
+    over the first cells, cut where the increment's table mass runs out,
+    the table cells beyond the cut, and the number of balls past the
+    table).  The ids of all balls past the table are drawn once after the
+    last stop and handed to the stops in order, which keeps the law: given
+    their numbers, they are i.i.d.  ``increments_fn`` replaces the Poisson
+    clock (a testing hook; e.g. forcing K_i = n_i makes both columns
+    identical).
     """
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments
@@ -211,11 +230,10 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     state = OccupancyState(k_max=grid.k_max)
     done = 0
     for stop in schedule.tolist():
-        counts, beyond = d.draw_counts(cell_rng, stop - done)
-        state.add_table_counts(counts)
-        state.add_cells(beyond)
+        state.add_counts(*d.draw_counts(cell_rng, stop - done))
         done = stop
         state.end_stop()
+    state.add_tail(d.draw_tail(cell_rng, state._pending))
     rows = state.profile_rows()
     kmax = grid.k_max
     rsf = rows[np.searchsorted(schedule, positions)]
@@ -225,8 +243,8 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
         positions=positions,
         K=K,
         k_max=kmax,
-        rstar_fixed=rsf[:, :kmax],
-        rstar_poisson=rsp[:, :kmax],
+        rstar_fixed=rsf[:, :kmax].copy(),    # not views that keep the k_max + 1 column
+        rstar_poisson=rsp[:, :kmax].copy(),
         r_fixed=rsf[:, :kmax] - rsf[:, 1:kmax + 1],
         r_poisson=rsp[:, :kmax] - rsp[:, 1:kmax + 1],
     )

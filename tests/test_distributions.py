@@ -429,8 +429,10 @@ class TestSampler:
         q = 1.0 - 1e-5
         d = build_distribution(DistributionSpec(family="geometric", q=q))
         m = 10 ** 5
-        counts, beyond = d.draw_counts(rng, m)
-        assert counts.size == _TABLE_SIZE and int(counts.sum()) + beyond.size == m
+        counts, ids, n_tail = d.draw_counts(rng, m)
+        beyond = d.draw_tail(rng, n_tail)
+        assert counts.size == _TABLE_SIZE and ids.size == 0
+        assert int(counts.sum()) + beyond.size == m
         for p, got in ((1.0 - q ** (_TABLE_SIZE // 2), counts[:_TABLE_SIZE // 2].sum() / m),
                        (q ** _TABLE_SIZE, beyond.size / m)):
             assert abs(got - p) < 4 * math.sqrt(p * (1 - p) / m)
@@ -480,27 +482,29 @@ class TestSampler:
         ("zipf_log", 10_000_000, 1, 1 << 11),
         ("zipf_log", 20_000_000_000, 1, _TABLE_SIZE),
         ("theta_one_log", 100, 5_000, 1 << 6),
-        ("theta_one_log", 10_000, 50, 1 << 11),
-        ("theta_one_log", 1_000_000, 1, _TABLE_SIZE),
+        ("theta_one_log", 10_000, 50, 1 << 10),
+        ("theta_one_log", 10_000_000, 1, _TABLE_SIZE),
         ("geometric_near_one", 30, 10_000, 1 << 6),
         ("geometric_near_one", 1_000, 300, 1 << 11),
         ("geometric_near_one", 1_000_000, 1, _TABLE_SIZE),
     ])
     def test_draw_counts_law(self, name, size, reps, cut, rng):
-        # the multinomial over cells 1..J and the draws beyond J pooled over
-        # reps calls, against size * p_j: cells 1..32 and J, J+1 on their
-        # own, the rest in bins of growing width, beyond the table in one
+        # the three-way draw (the multinomial over cells 1..J, the table
+        # cells beyond J, the number past the table) pooled over reps calls,
+        # against size * p_j: cells 1..32 and J, J+1 on their own, the rest
+        # in bins of growing width, past the table in one at 1 - cum_table
         d = build_distribution(_SAMPLER_SPECS[name])
-        observed = np.zeros(_TABLE_SIZE + 2, dtype=np.int64)  # cells 1..table, beyond
+        observed = np.zeros(_TABLE_SIZE + 2, dtype=np.int64)  # cells 1..table, past
         for _ in range(reps):
-            counts, beyond = d.draw_counts(rng, size)
+            counts, ids, n_tail = d.draw_counts(rng, size)
             assert counts.size == cut
-            assert int(counts.sum()) + beyond.size == size and beyond.min(initial=cut + 1) > cut
+            assert int(counts.sum()) + ids.size + n_tail == size
+            assert ids.min(initial=cut + 1) > cut and ids.max(initial=0) <= _TABLE_SIZE
             observed[1:cut + 1] += counts
-            observed += np.bincount(np.minimum(beyond, _TABLE_SIZE + 1),
-                                    minlength=_TABLE_SIZE + 2)
+            observed += np.bincount(ids, minlength=_TABLE_SIZE + 2)
+            observed[-1] += n_tail
         p = np.concatenate([[0.0], d.prob_array(np.arange(1, _TABLE_SIZE + 1)),
-                            [d.tail_mass(_TABLE_SIZE)]])
+                            [1.0 - d._cum[_TABLE_SIZE - 1]]])
         edges = np.unique(np.concatenate([
             np.arange(1, 33), [cut, cut + 1],
             np.geomspace(33, _TABLE_SIZE + 1, 60).astype(np.int64)]))

@@ -41,6 +41,17 @@ def test_run_all_studies(tmp_path):
     assert all(json.loads(p.read_text())["study"] for p in docs)
 
 
+def test_traj_scale():
+    res = run_script("traj_scale.py", "--family", "theta_one_log", "--n-max", "1e5")
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.strip().splitlines()
+    assert lines[:2] == ["family=theta_one_log n_max=100000 points=5",
+                         "run,seconds,peak_rss_mb"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert [row[0] for row in rows] == ["0"]
+    assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
+
+
 def test_bad_flags_exit_2():
     for name in ("moment_table.py", "run_all_studies.py"):
         res = run_script(name, "--s", "2")
@@ -49,3 +60,7 @@ def test_bad_flags_exit_2():
         assert res.returncode == 2 and "log power a" in res.stderr
     res = run_script("run_all_studies.py", "--family", "zipf", "--s", "2", "--seeds", "0")
     assert res.returncode == 2 and "seeds must be >= 1" in res.stderr
+    for bad in (["--family", "zipf_log", "--s", "2", "--n-max", "1e5"],
+                ["--family", "zipf", "--s", "2", "--n-max", "1e3"]):
+        res = run_script("traj_scale.py", *bad)
+        assert res.returncode == 2 and "error:" in res.stderr, bad

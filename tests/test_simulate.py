@@ -34,27 +34,35 @@ def _one_at_a_time(cells, k_max=3) -> OccupancyState:
     return state
 
 
+def _row(state: OccupancyState) -> list[int]:
+    """At-least-k counts, k = 1..k_max+1, of every ball thrown so far: the
+    last profile row once the open stop is closed."""
+    state.end_stop()
+    return state.profile_rows()[-1].tolist()
+
+
 def _rstar(state: OccupancyState) -> tuple[int, ...]:
-    return tuple(state.rstar(k) for k in range(1, state.k_max + 1))
+    return tuple(_row(state)[:-1])
 
 
 def _exactly(state: OccupancyState) -> tuple[int, ...]:
-    return tuple(state.rstar(k) - state.rstar(k + 1) for k in range(1, state.k_max + 1))
+    row = _row(state)
+    return tuple(a - b for a, b in zip(row, row[1:]))
 
 
 class TestOccupancyState:
     def test_single_ball(self):
         state = _one_at_a_time([7])
-        assert state.rstar(1) == 1 and state.rstar(2) == 0
+        assert _row(state)[:2] == [1, 0]
         assert state.ball_count == 1
 
     def test_two_balls_same_cell(self):
         state = _one_at_a_time([4, 4])
-        assert state.rstar(1) == 1 and state.rstar(2) == 1 and state.rstar(3) == 0
+        assert _row(state)[:3] == [1, 1, 0]
 
     def test_distinct_cells(self):
         state = _one_at_a_time(range(1, 26), k_max=2)
-        assert state.rstar(1) == 25 and state.rstar(2) == 0
+        assert _row(state)[:2] == [25, 0]
 
     def test_snapshot_example(self):
         state = _one_at_a_time([11, 11, 11, 29], k_max=2)
@@ -74,6 +82,16 @@ class TestOccupancyState:
             OccupancyState(k_max=0)
         with pytest.raises(ValueError):
             OccupancyState(k_max=2).add_cells(np.array([0]))
+        # ids past the table given by number must come, all of them, before
+        # any other ball given by id and before the rows
+        state = OccupancyState(k_max=2)
+        state.add_counts(np.array([1, 0]), n_tail=2)
+        with pytest.raises(ValueError):
+            state.add_cells(np.array([_TABLE_SIZE + 1]))
+        with pytest.raises(ValueError):
+            state.profile_rows()
+        with pytest.raises(ValueError):
+            state.add_tail(np.array([_TABLE_SIZE + 1]))
 
     @given(blocks=st.lists(st.lists(_CELLS, max_size=60), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
@@ -88,7 +106,7 @@ class TestOccupancyState:
             arr = np.asarray(block, dtype=np.int64)
             two.add_cells(arr)
             cut = (32, _TABLE_SIZE)[i % 2]
-            three.add_table_counts(np.bincount(arr[arr <= cut] - 1, minlength=cut))
+            three.add_counts(np.bincount(arr[arr <= cut] - 1, minlength=cut))
             three.add_cells(arr[arr > cut])
         rows = [(s.ball_count, _rstar(s), _exactly(s)) for s in (one, two, three)]
         assert rows[0] == rows[1] == rows[2]
@@ -99,28 +117,28 @@ class TestOccupancyState:
     @settings(max_examples=40, deadline=None)
     def test_lipschitz_and_conservation(self, cells):
         state = OccupancyState(k_max=3)
-        prev = np.array([state.rstar(k) for k in (1, 2, 3)])
         for c in cells:
             state.add_cells(np.array([c], dtype=np.int64))
-            cur = np.array([state.rstar(k) for k in (1, 2, 3)])
-            assert np.all((cur - prev) >= 0) and np.all((cur - prev) <= 1)
-            prev = cur
+            state.end_stop()
+        rows = state.profile_rows()[:, :3]
+        step = np.diff(rows, axis=0, prepend=0)
+        assert np.all(step >= 0) and np.all(step <= 1)
         counts = Counter(cells)
         assert sum(counts.values()) == state.ball_count == len(cells)
         # exactly-k rows weighted by k recover the ball count (full histogram)
         hist = Counter(counts.values())
         assert sum(k * v for k, v in hist.items()) == len(cells)
         for k in (1, 2, 3):
-            assert state.rstar(k) == sum(v for c, v in hist.items() if c >= k)
+            assert rows[-1, k - 1] == sum(v for c, v in hist.items() if c >= k)
 
 
 def _law_matches_exact_series(d, n: int, trajectories: int, seed: int) -> None:
     """Mean and variance z-tests of the poissonized column's R*_1, R*_2 at
     one checkpoint n, over seeds (seed, i), against the exact series."""
-    # the increments, min(n, K) and |K - n|, cut at the table and short of it
+    # the increments, min(n, K) and |K - n|, cut at two different J
     spread = 6 * math.isqrt(n)
     cut = lambda size: d.draw_counts(np.random.default_rng(0), size)[0].size
-    assert cut(n - spread) == _TABLE_SIZE > cut(spread)
+    assert cut(n - spread) > cut(spread)
     grid = CheckpointGrid(positions=(n,), k_max=2)
     vals = np.empty((trajectories, 2))
     for i in range(trajectories):
@@ -166,28 +184,41 @@ _LONG_RUN = ([[_SYNTHETIC_BASE, 7], [], [_TABLE_SIZE + 1] * 3]
 
 class TestTailFold:
     @given(stops=st.lists(st.lists(_TAIL_CELLS, max_size=12), min_size=1, max_size=80),
-           k_max=st.sampled_from([1, 5]))
-    @example(stops=_LONG_RUN, k_max=1)
-    @example(stops=_LONG_RUN, k_max=5)
+           k_max=st.sampled_from([1, 5]), seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @example(stops=_LONG_RUN, k_max=1, seed=0)
+    @example(stops=_LONG_RUN, k_max=5, seed=1)
     @settings(max_examples=80, deadline=None)
-    def test_fold_equals_per_stop_merge(self, stops, k_max):
-        # each stop split into a ball-by-ball add and a count-space add cut
-        # at cell 4, as run_coupled adds the draws of one increment
-        state = OccupancyState(k_max=k_max)
+    def test_fold_equals_per_stop_merge(self, stops, k_max, seed):
+        # each stop's balls in a random order, thrown two ways: split into a
+        # ball-by-ball add and a count-space add cut at cell 4; and as
+        # run_coupled throws them, the table cells by count and by id and
+        # the balls past the table by number, with their ids after the
+        # last stop
+        rng = np.random.default_rng(seed)
+        state, later = OccupancyState(k_max=k_max), OccupancyState(k_max=k_max)
+        tail = []
         for cells in stops:
-            arr = np.asarray(cells, dtype=np.int64)
+            arr = rng.permutation(np.asarray(cells, dtype=np.int64))
             state.add_cells(arr[::2])
             rest = arr[1::2]
-            state.add_table_counts(np.bincount(rest[rest <= 4] - 1, minlength=4))
+            state.add_counts(np.bincount(rest[rest <= 4] - 1, minlength=4))
             state.add_cells(rest[rest > 4])
             state.end_stop()
+            past = arr > _TABLE_SIZE
+            later.add_counts(np.bincount(arr[arr <= 4] - 1, minlength=4),
+                             arr[(arr > 4) & ~past], int(past.sum()))
+            later.end_stop()
+            tail.append(arr[past])
+        later.add_tail(np.concatenate(tail))
         expect = _merge_rows(stops, k_max)
         assert np.array_equal(state.profile_rows(), expect)
-        # an open stop is not in the rows, and rstar reads the current state
+        assert np.array_equal(later.profile_rows(), expect)
+        assert later.ball_count == sum(map(len, stops))
+        # an open stop is not in the rows; closing it adds the current state
         state.add_cells(np.asarray(stops[0], dtype=np.int64))
         assert np.array_equal(state.profile_rows(), expect)
         now = _merge_rows([sum(stops, []) + stops[0]], k_max)[0]
-        assert [state.rstar(k) for k in range(1, k_max + 2)] == now.tolist()
+        assert _row(state) == now.tolist()
         assert state.ball_count == sum(map(len, stops)) + len(stops[0])
 
     def test_no_stops(self):
@@ -298,10 +329,10 @@ class TestRunCoupled:
     @pytest.mark.slow
     def test_theta_one_log_law_matches_exact_series(self, theta_one_log):
         # splitting-property check through the count-space path: the first
-        # increment (about n balls) is one multinomial over the whole sampler
-        # table plus rejection-inversion draws beyond it, the second (|K - n|
-        # balls) a multinomial cut short.  Poissonized-column mean and
-        # variance of R*_1, R*_2 against the exact series.
+        # increment (about n balls) is a multinomial cut at 2^13 with about
+        # 4,000 table cells beyond the cut and 17,000 balls past the table,
+        # the second (|K - n| balls) one cut at 2^9.  Poissonized-column mean
+        # and variance of R*_1, R*_2 against the exact series.
         _law_matches_exact_series(theta_one_log, 300_000, 300, 2718)
 
     @pytest.mark.slow
@@ -311,40 +342,51 @@ class TestRunCoupled:
         (DistributionSpec(family="geometric", q=0.9999), 10 ** 6),
     ], ids=["zipf", "zipf_log", "geometric"])
     def test_count_space_law_matches_exact_series(self, spec, n):
-        # the same check for the other families, at n where the first
-        # increment uses the whole table
+        # the same check for the other families; the first increment is cut
+        # at 2^15 (zipf) or uses the whole table
         _law_matches_exact_series(build_distribution(spec), n, 300, 3141)
 
     def test_trajectories_frozen(self, zipf2, theta_one_log, geometric_half):
         # hashes of (K, rstar_fixed, rstar_poisson), pinned after the rows
-        # matched an independent expansion of the same seed's count-space
-        # draws (cells 1..J by count, then the ids beyond J) merged into
-        # per-cell counts stop by stop; increments run 1,000..683,772 balls
+        # matched an independent expansion of the same seed's stream merged
+        # into per-cell counts stop by stop: per stop, the cells 1..J by
+        # count, the table cells beyond J and the number past the table;
+        # after the last stop, the ids past the table, split by those
+        # numbers.  Increments run 1,000..683,772 balls
         grid = CheckpointGrid.logspaced(1_000, 1_000_000, 7, k_max=3)
+        near_one = build_distribution(DistributionSpec(family="geometric", q=0.9999))
         frozen = {
-            "zipf": "18b20b885516907256320cc93dd071e674f8638a8dd46f16f5672198f515d123",
-            "theta_one_log": "c4d7c7e4f24b0297d45fcd914bde294676a0cc070e5d9dab9ffe4f6d329ca5c9",
+            "zipf": "815ef5b2173717883642ab3534542d7966f03010faa056bceeabfc72b2d9acf0",
+            "theta_one_log": "c336802a55d1666cd227a334a047c50cc63ee073d04fb1f905e4b6418926a58e",
             "geometric": "4909808cfbc0557456dcf8138d218de2c40c1e83860df2e863595075f99b5623",
+            "geometric_near_one":
+                "8a292ceabf491244b36ec1b4637ff28b90be756f3983c0f6358e73c23fe0480e",
         }
         cuts = set()
-        for d in (zipf2, theta_one_log, geometric_half):
+        for name, d in (("zipf", zipf2), ("theta_one_log", theta_one_log),
+                        ("geometric", geometric_half), ("geometric_near_one", near_one)):
             tr = run_coupled(d, grid, seed=(2024, 7))
             clock_rng, cell_rng = simulate._trajectory_rng((2024, 7))
             assert np.array_equal(poisson_increments(grid, clock_rng), tr.K)
             schedule = np.unique(np.concatenate([grid.positions, tr.K]))
-            stops, done = [], 0
+            stops, n_tail, done = [], [], 0
             for stop in schedule.tolist():
-                counts, beyond = d.draw_counts(cell_rng, stop - done)
+                counts, ids, m = d.draw_counts(cell_rng, stop - done)
                 cuts.add(counts.size)
                 stops.append(np.repeat(np.arange(1, counts.size + 1), counts).tolist()
-                             + beyond.tolist())
+                             + ids.tolist())
+                n_tail.append(m)
                 done = stop
+            tail = d.draw_tail(cell_rng, sum(n_tail)).tolist()
+            for cells, lo, hi in zip(stops, np.cumsum(n_tail) - n_tail, np.cumsum(n_tail)):
+                cells += tail[lo:hi]
             rows = _merge_rows(stops, 3)
             for at, got in ((tr.positions, tr.rstar_fixed), (tr.K, tr.rstar_poisson)):
                 assert np.array_equal(rows[np.searchsorted(schedule, at), :3], got)
             text = repr((tr.K.tolist(), tr.rstar_fixed.tolist(), tr.rstar_poisson.tolist()))
-            assert hashlib.sha256(text.encode()).hexdigest() == frozen[d.family], d.family
-        # the grid reaches cuts short of the table and the whole table
+            assert hashlib.sha256(text.encode()).hexdigest() == frozen[name], name
+        # the grid reaches cuts short of the table and (geometric near one)
+        # the whole table
         assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
 
     def test_geometric_trajectory(self, geometric_half):
