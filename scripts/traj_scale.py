@@ -38,13 +38,13 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     add_family_flags(parser)
     parser.add_argument("--n-max", type=float, required=True,
-                        help=f"last checkpoint, at least {N_MIN}")
+                        help=f"last checkpoint, above {N_MIN}")
     parser.add_argument("--points", type=int, default=None,
                         help="checkpoints (default: 4 per decade, plus one)")
     parser.add_argument("--runs", type=int, default=1)
     args = parser.parse_args()
-    if not (math.isfinite(args.n_max) and N_MIN <= args.n_max < 2 ** 62):
-        parser.error(f"--n-max must be in [{N_MIN}, 2^62), got {args.n_max}")
+    if not (math.isfinite(args.n_max) and N_MIN < args.n_max < 2 ** 62):
+        parser.error(f"--n-max must be in ({N_MIN}, 2^62), got {args.n_max}")
     n_max = int(args.n_max)
     points = round(4 * math.log10(n_max / N_MIN)) + 1 if args.points is None else args.points
     if points < 1 or args.runs < 1:

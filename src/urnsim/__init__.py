@@ -25,7 +25,6 @@ from .moments import (
     mean_increment_check,
     moment_report,
     normalizer,
-    poisson_cdf_below,
     variance_sandwich_check,
 )
 from .simulate import (
@@ -39,7 +38,6 @@ from .studies import (
     STUDIES,
     StudyResult,
     aggregate,
-    estimate_theta,
     run_study,
     write_study_outputs,
 )

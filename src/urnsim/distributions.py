@@ -108,15 +108,8 @@ class DistributionSpec:
 
     def as_mapping(self) -> dict:
         """Serializable key-value form (shared with the CLI config schema)."""
-        out = {"family": self.family}
-        if self.s is not None:
-            out["s"] = self.s
-        if self.a is not None:
-            out["a"] = self.a
-        if self.q is not None:
-            out["q"] = self.q
-        out["normalization_tolerance"] = self.normalization_tolerance
-        return out
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v for name, v in values if v is not None}
 
     @staticmethod
     def from_mapping(m: dict) -> "DistributionSpec":
@@ -226,7 +219,7 @@ class CellDistribution:
         self.p1 = float(self.prob(1))
         self._prefix = self._unnormalized_prefix(_TABLE_SIZE) / self.Z
         self._cum = np.cumsum(self._prefix)
-        self._lstar_cache: dict[float, tuple[float, float]] = {}
+        self._lstar_cache: dict[tuple[float, float], float] = {}
         # (t, J) -> {r: tail_power_sum(t, J, r)}
         self._tail_sums = _Kept(_TAIL_SLOTS)
         # filled by moments: t -> head length, (t, k, star) -> {name: head
@@ -301,12 +294,6 @@ class CellDistribution:
             self._cum = np.cumsum(grown)
             return self._prefix[:J]
         return self.prob_array(np.arange(1, J + 1))
-
-    def prefix_sum(self, J: int) -> float:
-        """sum_{j<=J} p_j."""
-        if J <= self._prefix.size:
-            return float(self._cum[J - 1])
-        return float(self.probs_prefix(J).sum())
 
     # ---------- counting function and tail analytics
 
@@ -621,19 +608,10 @@ def smoothed_slowly_varying(d: CellDistribution, t: float,
         raise DistributionError("smoothed slowly varying transform requires theta = 1")
     if t < 1.0:
         raise DistributionError("transform defined for t >= 1")
-    cached = d._lstar_cache.get((t, rel_target))
-    if cached is not None:
-        return cached[0]
-    val, err = _lstar_eval(d, t, rel_target)
-    d._lstar_cache[(t, rel_target)] = (val, err)
-    return val
-
-
-def smoothed_slowly_varying_error(d: CellDistribution, t: float,
-                                  rel_target: float = 1e-6) -> float:
-    """Reported error estimate (refinement gap + endpoint handling) of L*(t)."""
-    smoothed_slowly_varying(d, t, rel_target)
-    return d._lstar_cache[(t, rel_target)][1]
+    key = (t, rel_target)
+    if key not in d._lstar_cache:
+        d._lstar_cache[key] = _lstar_eval(d, t, rel_target)[0]
+    return d._lstar_cache[key]
 
 
 def _lstar_eval(d: CellDistribution, t: float, rel_target: float) -> tuple[float, float]:

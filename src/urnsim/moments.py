@@ -6,19 +6,20 @@ Bernoulli indicators, so means and variances reduce to series over cells:
     mean  = sum_j g(t p_j)          variance = sum_j g(t p_j)(1 - g(t p_j))
 
 with g the per-cell probability (at least k / exactly k events, Poisson or
-binomial law).  Series are evaluated as an explicit head over cells with
-t*p_j above a cut plus an analytic tail: g is expanded around 0 and the
-resulting power sums of t*p_j are closed-form/Euler-Maclaurin quantities
-supplied by the distribution.  This keeps the residual bound far below the
-1e-8-relative budget even at t = 1e8 where direct truncation would need
-~1e11 terms.
+binomial law).  One routine evaluates every series as an explicit head
+over cells with t*p_j above a cut plus an analytic tail: g is expanded
+around 0 and the power sums of t*p_j are closed-form/Euler-Maclaurin
+quantities of the distribution.  The fixed-n tail and the gap's tail take
+one rule: the coefficient of (n p)^r is the Poisson one times
+falling(n, r) / n^r.  The residual bound stays far below the 1e-8-relative
+budget even at t = 1e8, where direct truncation would need ~1e11 terms.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -80,25 +81,11 @@ class MomentReport:
                         else str(v) for v in vals)
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t_or_n, "k": self.k, "star": self.star, "law": self.law,
-            "exact_mean": self.exact_mean, "exact_var": self.exact_var,
-            "asym_mean": self.asym_mean, "asym_var": self.asym_var,
-            "truncation_error": self.truncation_error,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"t": out.pop("t_or_n"), **out}
 
 
 # ---------------------------------------------------------------- tails
-
-
-def poisson_cdf_below(lam: float, k: int) -> float:
-    """P(Poisson(lam) < k), absolute error < 1e-14."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    # P(Poisson(lam) <= k-1) equals the regularized upper incomplete gamma.
-    return float(special.gammaincc(k, lam))
 
 
 def binomial_tail_at_least(n: int, p, k: int):
@@ -138,30 +125,24 @@ def _log1p_neg_plus(p: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------- Maclaurin coefficients
 
-def _coeffs_poisson_tail(k: int, order: int) -> np.ndarray:
-    """Coefficients of P(Poisson(lam) >= k) = sum_r c_r lam^r."""
-    c = np.zeros(order + 1)
-    for m in range(0, order - k + 1):
-        c[k + m] = (-1.0) ** m / (math.factorial(m) * (k + m) * math.factorial(k - 1))
-    return c
-
-
-def _coeffs_poisson_pmf(k: int, order: int) -> np.ndarray:
-    """Coefficients of P(Poisson(lam) = k)."""
-    c = np.zeros(order + 1)
-    for m in range(0, order - k + 1):
-        c[k + m] = (-1.0) ** m / (math.factorial(k) * math.factorial(m))
+@functools.lru_cache(maxsize=64)
+def _coeffs(k: int, star: bool) -> np.ndarray:
+    """The coefficients c_r of lam^r, r <= _MAX_ORDER, in P(Poisson(lam) >= k)
+    for star, else in P(Poisson(lam) = k); cached, so read-only."""
+    c = np.zeros(_MAX_ORDER + 1)
+    for m in range(0, _MAX_ORDER - k + 1):
+        c[k + m] = (-1.0) ** m / (
+            math.factorial(m) * (k + m) * math.factorial(k - 1) if star
+            else math.factorial(k) * math.factorial(m))
+    c.flags.writeable = False
     return c
 
 
 def _series_square(c: np.ndarray) -> np.ndarray:
+    """The coefficients of (sum_r c_r x^r)^2 up to the order of c."""
     out = np.zeros_like(c)
-    n = len(c)
-    for i in range(n):
-        if c[i] == 0.0:
-            continue
-        top = n - i
-        out[i:i + top] += c[i] * c[:top]
+    for i in range(c.size):
+        out[i:] += c[i] * c[:c.size - i]
     return out
 
 
@@ -201,29 +182,6 @@ def _head_sum(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> float:
     """sum of f over the head cells p, in chunks that bound the temporaries."""
     return float(sum(f(p[lo:lo + _HEAD_CHUNK]).sum()
                      for lo in range(0, p.size, _HEAD_CHUNK)))
-
-
-def _coeffs_binom_tail(n: int, k: int, order: int) -> np.ndarray:
-    """Scaled coefficients: P(Bin(n,p) >= k) = sum_r c_r (n p)^r."""
-    c = np.zeros(order + 1)
-    for r in range(k, order + 1):
-        if r > n:
-            break
-        cb = special.comb(r - 1, k - 1, exact=True)
-        c[r] = (-1.0) ** (r - k) * cb * math.exp(_log_falling_factor(n, r)) / math.factorial(r)
-    return c
-
-
-def _coeffs_binom_pmf(n: int, k: int, order: int) -> np.ndarray:
-    """Scaled coefficients: P(Bin(n,p) = k) = sum_r c_r (n p)^r."""
-    c = np.zeros(order + 1)
-    for m in range(0, order - k + 1):
-        r = k + m
-        if r > n:
-            break
-        c[r] = (-1.0) ** m * math.exp(_log_falling_factor(n, r)) / (
-            math.factorial(k) * math.factorial(m))
-    return c
 
 
 def _tail_series(d: CellDistribution, t: float, J: int, coeffs: np.ndarray,
@@ -320,6 +278,24 @@ def _check_series_args(t: float, k: int, law: str) -> None:
         raise ValueError("binomial law requires integer n")
 
 
+def _series(d: CellDistribution, t: float, k: int, star: bool,
+            name: str) -> tuple[float, float, float]:
+    """The head sum ``name`` of :func:`_head` at (t, k, star), the series
+    value (head plus the tail beyond it) and the tail's bound.  The tail
+    takes the coefficients c of :func:`_coeffs`: "pois" c, "var" c - c^2;
+    the fixed-n coefficient of (t p)^r is c_r falling(t, r) / t^r, so
+    "binom" takes c * falling and "gap" c * expm1(ln falling)."""
+    head, J = _head(d, t, k, star, name)
+    c = _coeffs(k, star)
+    if name == "var":
+        c = c - _series_square(c)
+    elif name != "pois":
+        ln_falling = np.array([_log_falling_factor(int(t), r) for r in range(_MAX_ORDER + 1)])
+        c = c * (np.exp(ln_falling) if name == "binom" else np.expm1(ln_falling))
+    tail, bound = _tail_series(d, t, J, c, abs(head) + 1e-12 if name == "gap" else head)
+    return head, head + tail, bound
+
+
 def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
                law: str = "poisson") -> tuple[float, float]:
     """Exact series mean of the occupancy count (cells with >= k balls for
@@ -330,16 +306,7 @@ def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
     _check_series_args(t, k, law)
     if t == 0 or (law == "binomial" and k > t):
         return 0.0, 0.0
-    if law == "poisson":
-        head, J = _head(d, t, k, star, "pois")
-        coeffs = _coeffs_poisson_tail(k, _MAX_ORDER) if star \
-            else _coeffs_poisson_pmf(k, _MAX_ORDER)
-    else:
-        head, J = _head(d, t, k, star, "binom")
-        coeffs = _coeffs_binom_tail(int(t), k, _MAX_ORDER) if star \
-            else _coeffs_binom_pmf(int(t), k, _MAX_ORDER)
-    tail, bound = _tail_series(d, t, J, coeffs, head)
-    value = head + tail
+    _, value, bound = _series(d, t, k, star, "pois" if law == "poisson" else "binom")
     return float(value), float(bound + 1e-15 * abs(value))
 
 
@@ -349,11 +316,7 @@ def exact_var(d: CellDistribution, t: float, k: int, star: bool) -> tuple[float,
     _check_series_args(t, k, "poisson")
     if t == 0:
         return 0.0, 0.0
-    head, J = _head(d, t, k, star, "var")
-    cm = _coeffs_poisson_tail(k, _MAX_ORDER) if star else _coeffs_poisson_pmf(k, _MAX_ORDER)
-    coeffs = cm - _series_square(cm)
-    tail, bound = _tail_series(d, t, J, coeffs, head)
-    value = head + tail
+    _, value, bound = _series(d, t, k, star, "var")
     return float(value), float(bound + 1e-15 * abs(value))
 
 
@@ -363,14 +326,8 @@ def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[fl
     _check_series_args(n, k, "binomial")
     if n == 0:
         return 0.0, 0.0
-    n = int(n)
-    head, J = _head(d, n, k, star, "gap")
-    # the binomial coefficient of (n p)^r is the Poisson one times
-    # falling(n, r) / n^r, so their difference is cp * expm1(ln falling)
-    cp = _coeffs_poisson_tail(k, _MAX_ORDER) if star else _coeffs_poisson_pmf(k, _MAX_ORDER)
-    ln_falling = np.array([_log_falling_factor(n, r) for r in range(_MAX_ORDER + 1)])
-    tail, bound = _tail_series(d, float(n), J, cp * np.expm1(ln_falling), abs(head) + 1e-12)
-    return float(head + tail), float(bound + 1e-14 * abs(head))
+    head, value, bound = _series(d, float(n), k, star, "gap")
+    return float(value), float(bound + 1e-14 * abs(head))
 
 
 def depoissonization_gap(d: CellDistribution, n: int, k: int, star: bool) -> float:
@@ -530,31 +487,23 @@ def normalizer(d: CellDistribution, k: int) -> NormalizerSpec:
             raise ValueError("normalizer defined for n >= 16")
         return math.log(math.log(n))
 
-    if theta == 1.0 and k == 1:
-        def b(n: float) -> float:
-            ll = _check(n)
-            return 1.0 / math.sqrt(n * smoothed_slowly_varying(d, n) * ll)
+    lstar = theta == 1.0 and k == 1
 
-        def tprime(n: float) -> float:
-            ll = _check(n)
-            return math.sqrt(n * ll) * smoothed_slowly_varying(d, n) ** -0.25
-    elif theta == 1.0:
-        def b(n: float) -> float:
-            ll = _check(n)
-            return 1.0 / math.sqrt(n * slowly_varying(d, n) * ll)
+    def slow(n: float) -> float:
+        # L* on the t L*(t) scale, looked up as this module's global per call
+        return smoothed_slowly_varying(d, n) if lstar else slowly_varying(d, n)
 
-        def tprime(n: float) -> float:
-            ll = _check(n)
-            return math.sqrt(n * ll) * slowly_varying(d, n) ** -0.25
-    else:
-        def b(n: float) -> float:
-            ll = _check(n)
-            Ln = slowly_varying(d, n)
-            return min(n ** (0.5 - theta) / (Ln * ll), 1.0 / math.log(n)) / ll
+    def b(n: float) -> float:
+        ll = _check(n)
+        if theta == 1.0:
+            return 1.0 / math.sqrt(n * slow(n) * ll)
+        return min(n ** (0.5 - theta) / (slow(n) * ll), 1.0 / math.log(n)) / ll
 
-        def tprime(n: float) -> float:
-            ll = _check(n)
-            return math.sqrt(n) * ll
+    def tprime(n: float) -> float:
+        ll = _check(n)
+        if theta == 1.0:
+            return math.sqrt(n * ll) * slow(n) ** -0.25
+        return math.sqrt(n) * ll
 
     return NormalizerSpec(theta=theta, k=k, b=b, tprime=tprime)
 

@@ -162,6 +162,10 @@ class CheckpointGrid:
 
     @staticmethod
     def logspaced(n_min: int, n_max: int, points: int, k_max: int = 5) -> "CheckpointGrid":
+        # below 2^62 the counts K_i, which pass n_max, stay inside int64
+        if not 1 <= n_min < n_max < 2 ** 62:
+            raise ValueError(f"grid needs 1 <= n_min < n_max < 2^62, "
+                             f"got n_min={n_min}, n_max={n_max}")
         raw = np.unique(np.round(np.exp(np.linspace(
             np.log(n_min), np.log(n_max), points))).astype(np.int64))
         return CheckpointGrid(positions=tuple(int(v) for v in raw), k_max=k_max)

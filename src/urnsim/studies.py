@@ -490,14 +490,6 @@ def theta_estimate(n: int, occupied: int) -> float:
     return math.log(occupied) / math.log(n)
 
 
-def estimate_theta(trajectory: CoupledTrajectory) -> float:
-    """:func:`theta_estimate` at the last checkpoint; uses the fixed-n
-    columns only."""
-    if trajectory.positions.size == 0:
-        raise ValueError("empty trajectory")
-    return theta_estimate(int(trajectory.positions[-1]), int(trajectory.rstar_fixed[-1, 0]))
-
-
 STUDIES: dict[str, Callable[[ExperimentConfig], StudyResult]] = {
     "theorem1": study_coupling_decay,
     "corollary1": study_lil_bound,

@@ -79,7 +79,12 @@ class TestSimulate:
         (["--n-max", "inf"], "--n-max must be finite"),
         (["--n-max", "1000", "--seeds", "0"], "--seeds must be >= 1"),
         (["--n-max", "1000", "--seeds", "-1"], "--seeds must be >= 1"),
-    ], ids=["n_max_inf", "seeds_0", "seeds_negative"])
+        (["--n-max", "1e30"], "n_max < 2^62"),
+        (["--n-max", "1e19"], "n_max < 2^62"),
+        (["--n-min", "200", "--n-max", "100"], "n_min < n_max"),
+        (["--n-min", "0", "--n-max", "1000"], "1 <= n_min"),
+    ], ids=["n_max_inf", "seeds_0", "seeds_negative", "n_max_1e30", "n_max_1e19",
+            "n_min_above_n_max", "n_min_0"])
     def test_bad_input_rejected(self, capsys, tmp_path, flags, message):
         rc, out, err = run_cli(capsys, "simulate", "--family", "zipf", "--s", "2",
                                *flags, "--out", str(tmp_path / "t.csv"))
@@ -150,7 +155,8 @@ class TestVerify:
         for key, value in (("bogus_key", "3"), ("k_max", "3"),
                            ("rate_threshold", "1e-12"), ("n_max", "inf"),
                            ("seeds", "2.7"), ("rate_t_values", "-1e4"),
-                           ("rate_t_values", "1e4, inf"), ("rate_t_values", "0")):
+                           ("rate_t_values", "1e4, inf"), ("rate_t_values", "0"),
+                           ("n_max", "1e30"), ("n_max", "1e19")):
             cfg.write_text(f"family = zipf\ns = 2.0\n{key} = {value}\n")
             rc, _, err = run_cli(capsys, "verify", "lemma2", "--config", str(cfg))
             assert rc == 2
@@ -176,6 +182,22 @@ class TestEstimateTheta:
         assert lines[0] == "seed,theta_estimate"
         med = float(lines[-1].split(",")[1])
         assert 0.3 < med < 0.75
+
+    def test_uses_fixed_columns_only(self, capsys, tmp_path):
+        out = tmp_path / "traj.csv"
+        rc, _, _ = run_cli(capsys, "simulate", "--family", "zipf", "--s", "2",
+                           "--n-max", "20000", "--points", "5", "--seeds", "2",
+                           "--k-max", "2", "--seed", "4", "--out", str(out))
+        assert rc == 0
+        rc, text, _ = run_cli(capsys, "estimate-theta", "--traj", str(out))
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        col = rows[0].index("rstar_poisson")
+        for row in rows[1:]:
+            row[col] = "0"
+        out.write_text("".join(",".join(row) + "\n" for row in rows))
+        rc, tweaked, _ = run_cli(capsys, "estimate-theta", "--traj", str(out))
+        assert rc == 0 and tweaked == text
 
     def test_rejects_non_trajectory(self, capsys, tmp_path):
         bad = tmp_path / "x.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from urnsim import (
     DistributionError,
@@ -23,7 +24,6 @@ from urnsim import (
     mean_increment_check,
     moment_report,
     normalizer,
-    poisson_cdf_below,
     run_coupled,
     slowly_varying,
     smoothed_slowly_varying,
@@ -85,29 +85,28 @@ def series_point(d, t, k):
 
 
 class TestPoissonCdf:
+    """P(Poisson(lam) < k) = gammaincc(k, lam), as the variance head of the
+    at-least-k series takes 1 - g, to an absolute 1e-14."""
+
     def test_zero_rate(self):
         for k in (1, 2, 7):
-            assert poisson_cdf_below(0.0, k) == 1.0
+            assert special.gammaincc(k, 0.0) == 1.0
 
     def test_log2_half(self):
-        assert abs(poisson_cdf_below(math.log(2.0), 1) - 0.5) < 1e-14
+        assert abs(special.gammaincc(1, math.log(2.0)) - 0.5) < 1e-14
 
     def test_frozen_oracle(self):
-        assert abs(poisson_cdf_below(5.0, 3) - POI_5_LT_3) < 1e-14
+        assert abs(special.gammaincc(3, 5.0) - POI_5_LT_3) < 1e-14
 
     @given(lam=st.floats(min_value=0.0, max_value=50.0),
            k=st.integers(min_value=1, max_value=10))
     @settings(max_examples=25, deadline=None)
     def test_matches_high_precision(self, lam, k):
-        got = poisson_cdf_below(lam, k)
+        got = special.gammaincc(k, lam)
         with mp.workdps(30):
             want = float(mp.fsum(mp.e ** -lam * mp.mpf(lam) ** s / mp.factorial(s)
                                  for s in range(k)))
         assert abs(got - want) < 1e-14
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            poisson_cdf_below(1.0, 0)
 
 
 class TestBinomialTail:
@@ -161,6 +160,38 @@ class TestExactMean:
         val, trunc = exact_mean(zipf2, 100.0, 1, star=True, law="binomial")
         assert ZIPF_N100_LO <= val <= ZIPF_N100_HI + 1e-9
         assert trunc < 1e-6
+
+    @pytest.mark.parametrize("n", [17, 10 ** 3, 10 ** 5])
+    def test_binomial_matches_oracle(self, zipf2, n):
+        # 40 digits: P(Bin(n, p_j) in A) summed over the cells j <= M, plus
+        # the cells beyond (n p_j <= 0.1, so r <= 80 suffices) from
+        # P(Bin(n, p) = i) = sum_r C(n, i) C(n - i, r - i) (-1)^(r - i) p^r
+        # and sum_{j > M} p_j^r = zeta(2r, M + 1) / zeta(2)^r
+        with mp.workdps(40):
+            z2 = mp.zeta(2)
+            M = max(100, math.ceil(math.sqrt(10 * n / float(z2))))
+            pmf_sum = [mp.mpf(0)] * 4  # sum_j P(Bin = i), j <= M
+            ge_sum = [mp.mpf(0)] * 4   # sum_j P(Bin >= i), j <= M
+            for j in range(1, M + 1):
+                p = 1 / (z2 * j * j)
+                below = mp.mpf(0)
+                for i in range(4):
+                    pmf = mp.binomial(n, i) * p ** i * (1 - p) ** (n - i)
+                    pmf_sum[i] += pmf
+                    ge_sum[i] += 1 - below
+                    below += pmf
+            R = min(n, 80)
+            power = [mp.zeta(2 * r, M + 1) / z2 ** r for r in range(R + 1)]
+            # the r = 0 term of i = 0 is the 1 of P(Bin >= k) = 1 - P(Bin < k)
+            pmf_tail = [mp.fsum(mp.binomial(n, i) * mp.binomial(n - i, r - i)
+                                * (-1) ** (r - i) * power[r]
+                                for r in range(max(i, 1), R + 1)) for i in range(4)]
+            for k in (1, 2, 3):
+                for star in (True, False):
+                    want = float(ge_sum[k] - mp.fsum(pmf_tail[:k]) if star
+                                 else pmf_sum[k] + pmf_tail[k])
+                    got, bound = exact_mean(zipf2, float(n), k, star, law="binomial")
+                    assert abs(got - want) <= bound + 1e-14 * abs(want), (k, star)
 
     @pytest.mark.parametrize("t", [1e2, 1e5, 1e8])
     def test_truncation_budget(self, zipf2, theta_one_log, t):

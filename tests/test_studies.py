@@ -11,7 +11,6 @@ from urnsim import (
     ExperimentConfig,
     StudyResult,
     aggregate,
-    estimate_theta,
     normalizer,
     run_coupled,
     run_study,
@@ -27,6 +26,7 @@ from urnsim.studies import (
     study_mean_convergence,
     study_rate_ratio,
     study_variance_sandwich,
+    theta_estimate,
 )
 
 ZIPF = DistributionSpec(family="zipf", s=2.0)
@@ -238,6 +238,11 @@ class TestInequalStudies:
             assert res.passed, res.margins
 
 
+def last_fixed_estimate(traj: CoupledTrajectory) -> float:
+    """theta_estimate on the last fixed-n row, as estimate-theta reads it."""
+    return theta_estimate(int(traj.positions[-1]), int(traj.rstar_fixed[-1, 0]))
+
+
 class TestEstimateTheta:
     def test_all_distinct_stub(self):
         n = 512
@@ -251,29 +256,22 @@ class TestEstimateTheta:
             r_fixed=np.array([[n]]),
             r_poisson=np.array([[0]]),
         )
-        from urnsim.simulate import CoupledTrajectory
         traj = CoupledTrajectory(**traj_kwargs)
-        assert estimate_theta(traj) == 1.0
-
-    def test_uses_fixed_columns_only(self, zipf2):
-        grid = CheckpointGrid.logspaced(100, 20_000, 5, k_max=2)
-        traj = run_coupled(zipf2, grid, seed=4)
-        est = estimate_theta(traj)
-        from dataclasses import replace
-        tweaked = replace(traj, rstar_poisson=np.zeros_like(traj.rstar_poisson))
-        assert estimate_theta(tweaked) == est
+        assert last_fixed_estimate(traj) == 1.0
 
     def test_rejects_small_or_empty(self, zipf2):
         grid = CheckpointGrid(positions=(50,), k_max=1)
         traj = run_coupled(zipf2, grid, seed=4)
         with pytest.raises(ValueError):
-            estimate_theta(traj)
+            last_fixed_estimate(traj)
+        with pytest.raises(ValueError):
+            theta_estimate(1000, 0)
 
     @pytest.mark.slow
     def test_zipf_recovers_exponent(self, zipf2):
         grid = CheckpointGrid.logspaced(1_000, 10_000_000, 8, k_max=2)
         traj = run_coupled(zipf2, grid, seed=(2024, 0))
-        assert abs(estimate_theta(traj) - 0.5) < 0.1
+        assert abs(last_fixed_estimate(traj) - 0.5) < 0.1
 
 
 class TestResultPlumbing:
