@@ -34,7 +34,6 @@ def main() -> int:
         cfg = ExperimentConfig(distribution=dist, n_min=args.n_min, n_max=args.n_max,
                                points=args.points, seeds=args.seeds, master_seed=args.seed,
                                workers=args.workers, out_dir=args.out)
-        cfg.validate()
     except ValueError as exc:  # DistributionError and ConfigError
         parser.error(str(exc))
     out_dir = Path(args.out)

@@ -34,10 +34,8 @@ TRAJECTORY_HEADER = ["seed", "n", "K", "k", "rstar_fixed", "rstar_poisson",
 
 
 def spec_from_args(args: argparse.Namespace) -> DistributionSpec:
-    """The validated DistributionSpec of the flags add_family_flags adds."""
-    spec = DistributionSpec(family=args.family, s=args.s, a=args.a, q=args.q)
-    spec.validate()
-    return spec
+    """The DistributionSpec of the flags add_family_flags adds."""
+    return DistributionSpec(family=args.family, s=args.s, a=args.a, q=args.q)
 
 
 def add_family_flags(parser: argparse.ArgumentParser) -> None:

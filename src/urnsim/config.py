@@ -26,7 +26,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Shared knobs for all verification studies."""
+    """Shared knobs for all verification studies, checked when the config
+    is built (directly, by :func:`dataclasses.replace` or from a file)."""
 
     distribution: DistributionSpec
     n_min: int = 1_000
@@ -42,8 +43,7 @@ class ExperimentConfig:
     workers: int = 1
     out_dir: str | None = None
 
-    def validate(self) -> None:
-        self.distribution.validate()
+    def __post_init__(self) -> None:
         if self.n_min < 16:
             raise ConfigError("n_min must be >= 16 (normalizers need lnln n > 0)")
         if self.n_max <= self.n_min:
@@ -109,9 +109,7 @@ def config_from_mapping(values: dict) -> ExperimentConfig:
             kwargs[key] = _PARSERS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-    cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -131,6 +129,5 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def override_config(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    out = replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})
-    out.validate()
-    return out
+    """``cfg`` with the flags that are set (not None) replaced."""
+    return replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})

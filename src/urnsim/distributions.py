@@ -36,6 +36,8 @@ _CUT_MIN = 1 << 6
 # Draws per call of the tail sampler in draw_tail, which bounds its
 # temporaries; of 2^14..2^16 this one kept traj_1e6_pair's peak RSS flattest.
 _TAIL_CHUNK = 1 << 14
+# Bound on the error of the normalizing constant Z of the log families.
+_NORM_TOL = 1e-12
 # Cap on the cached probability prefix (8M float64 = 64 MB).
 _PREFIX_CAP = 1 << 23
 # Thresholds per pass of the vectorized counting-function search.
@@ -62,7 +64,8 @@ class DistributionError(ValueError):
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Parameters of one cell-probability family.
+    """Parameters of one cell-probability family, checked when the spec is
+    built (directly, by :func:`dataclasses.replace` or from a mapping).
 
     Exactly the parameters of the chosen family may be set: ``s`` (and
     optionally ``a``) for the zipf types, ``q`` for geometric;
@@ -73,18 +76,15 @@ class DistributionSpec:
     s: float | None = None
     a: float | None = None
     q: float | None = None
-    normalization_tolerance: float = 1e-12
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise DistributionError(
                 f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        for name in ("s", "a", "q", "normalization_tolerance"):
+        for name in ("s", "a", "q"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DistributionError(f"{name} must be finite, got {value}")
-        if self.normalization_tolerance <= 0:
-            raise DistributionError("normalization_tolerance must be > 0")
         if self.family == "zipf":
             if self.s is None or self.s <= 1.0:
                 raise DistributionError(f"zipf requires s > 1, got s={self.s}")
@@ -197,7 +197,6 @@ class CellDistribution:
     """
 
     def __init__(self, spec: DistributionSpec):
-        spec.validate()
         self.spec = spec
         self.family = spec.family
         if spec.family == "zipf":
@@ -213,13 +212,14 @@ class CellDistribution:
             self.s = self.a = None
             self.theta = 0.0
         self.q = None if spec.q is None else float(spec.q)
-        self.Z, self.Z_error = self._normalization(spec.normalization_tolerance)
+        self.Z = self._normalization()
         if self.a is not None and self.a < 0.0:
             self._check_monotone_negative_a()
         self.p1 = float(self.prob(1))
-        self._prefix = self._unnormalized_prefix(_TABLE_SIZE) / self.Z
+        self._prefix = self.prob_array(np.arange(1, _TABLE_SIZE + 1))
+        # the sampler's inversion table; probs_prefix never grows it
         self._cum = np.cumsum(self._prefix)
-        self._lstar_cache: dict[tuple[float, float], float] = {}
+        self._lstar_cache: dict[float, float] = {}
         # (t, J) -> {r: tail_power_sum(t, J, r)}
         self._tail_sums = _Kept(_TAIL_SLOTS)
         # filled by moments: t -> head length, (t, k, star) -> {name: head
@@ -230,21 +230,21 @@ class CellDistribution:
 
     # ---------- construction internals
 
-    def _normalization(self, tol: float) -> tuple[float, float]:
+    def _normalization(self) -> float:
         if self.family == "geometric":
-            return 1.0, 0.0
+            return 1.0
         if self.family == "zipf":
             # Riemann zeta, library accuracy ~1e-16 relative
-            return float(special.zeta(self.s, 1.0)), 1e-15 * float(special.zeta(self.s, 1.0))
+            return float(special.zeta(self.s, 1.0))
         J = 1 << 14
         while True:
-            head = float(self._unnormalized_prefix(J).sum())
+            head = float(self._weights(np.arange(1, J + 1, dtype=np.float64)).sum())
             tail, bound = _powerlog_tail_sum(self.s, self.a, J)
-            if bound <= tol / 4.0 or J >= (1 << 22):
-                if bound > tol:
+            if bound <= _NORM_TOL / 4.0 or J >= (1 << 22):
+                if bound > _NORM_TOL:
                     raise DistributionError(
-                        f"normalization stalled at J={J}: bound {bound:.2e} > {tol:.2e}")
-                return head + tail, bound
+                        f"normalization stalled at J={J}: bound {bound:.2e} > {_NORM_TOL:.2e}")
+                return head + tail
             J *= 2
 
     def _check_monotone_negative_a(self) -> None:
@@ -252,8 +252,7 @@ class CellDistribution:
         j_star = int(math.ceil(math.exp(abs(self.a) / self.s))) + 2
         if j_star > 10**7:
             raise DistributionError("log power too negative for monotone probabilities")
-        j = np.arange(1, j_star + 1, dtype=np.float64)
-        vals = j ** -self.s * np.log(j + _E) ** -self.a
+        vals = self._weights(np.arange(1, j_star + 1, dtype=np.float64))
         if np.any(np.diff(vals) > 0):
             raise DistributionError(
                 f"p_j not monotone nonincreasing for s={self.s}, a={self.a}")
@@ -261,8 +260,8 @@ class CellDistribution:
             raise DistributionError(
                 "log power too negative for an integrable sampling envelope")
 
-    def _unnormalized_prefix(self, J: int) -> np.ndarray:
-        j = np.arange(1, J + 1, dtype=np.float64)
+    def _weights(self, j: np.ndarray) -> np.ndarray:
+        """p_j times Z at float indices j; Z = 1 for geometric."""
         if self.family == "geometric":
             return (1.0 - self.q) * self.q ** (j - 1.0)
         return j ** -self.s * np.log(j + _E) ** -self.a
@@ -279,21 +278,16 @@ class CellDistribution:
         """p_j elementwise, at least 1-d.  numpy may round pow and log of a
         0-d array differently in the last place, so a scalar is evaluated as
         a length-1 array, as the prefix and the counting function see it."""
-        j = np.atleast_1d(np.asarray(j, dtype=np.float64))
-        if self.family == "geometric":
-            return (1.0 - self.q) * self.q ** (j - 1.0)
-        return j ** -self.s * np.log(j + _E) ** -self.a / self.Z
+        return self._weights(np.atleast_1d(np.asarray(j, dtype=np.float64))) / self.Z
 
     def probs_prefix(self, J: int) -> np.ndarray:
-        """p_1..p_J as a (cached) vector."""
+        """p_1..p_J as a vector, cached up to _PREFIX_CAP cells."""
         if J <= self._prefix.size:
             return self._prefix[:J]
+        grown = self.prob_array(np.arange(1, J + 1, dtype=np.float64))
         if J <= _PREFIX_CAP:
-            grown = self._unnormalized_prefix(J) / self.Z
             self._prefix = grown
-            self._cum = np.cumsum(grown)
-            return self._prefix[:J]
-        return self.prob_array(np.arange(1, J + 1))
+        return grown
 
     # ---------- counting function and tail analytics
 
@@ -567,8 +561,8 @@ class CellDistribution:
 
 
 def build_distribution(spec: DistributionSpec) -> CellDistribution:
-    """Validate the parameters and construct the distribution
-    (normalization, sampler table, analytic caches)."""
+    """Construct the distribution of a spec, which checked its parameters
+    when built (normalization, sampler table, analytic caches)."""
     return CellDistribution(spec)
 
 
@@ -594,27 +588,27 @@ def _exp_inv_log_simpson(f: Callable[[np.ndarray], np.ndarray],
 # upper quadrature cutoff: the region y > _LSTAR_SPLIT is evaluated
 # analytically cell by cell (closed form plus a convergent power series).
 _LSTAR_SPLIT = 100.0
+# relative agreement of two Simpson resolutions at which L* stops refining
+_LSTAR_REL = 1e-6
 
 
-def smoothed_slowly_varying(d: CellDistribution, t: float,
-                            rel_target: float = 1e-6) -> float:
+def smoothed_slowly_varying(d: CellDistribution, t: float) -> float:
     """L*(t): the exp(-1/y)/y - weighted smoothing of L(ty), theta = 1 only.
 
     Adaptive log-grid Simpson on [y_min, Y] with the (otherwise slowly
     convergent) y > Y remainder evaluated analytically; the quadrature is
-    refined until two resolutions agree to ``rel_target``.
+    refined until two resolutions agree to _LSTAR_REL.  Cached by t.
     """
     if d.theta != 1.0:
         raise DistributionError("smoothed slowly varying transform requires theta = 1")
     if t < 1.0:
         raise DistributionError("transform defined for t >= 1")
-    key = (t, rel_target)
-    if key not in d._lstar_cache:
-        d._lstar_cache[key] = _lstar_eval(d, t, rel_target)[0]
-    return d._lstar_cache[key]
+    if t not in d._lstar_cache:
+        d._lstar_cache[t] = _lstar_eval(d, t)[0]
+    return d._lstar_cache[t]
 
 
-def _lstar_eval(d: CellDistribution, t: float, rel_target: float) -> tuple[float, float]:
+def _lstar_eval(d: CellDistribution, t: float) -> tuple[float, float]:
     # integrand exp(-1/y) L(ty)/y = exp(-1/y) counting(ty) / (t y^2)
     ylo = max(1.0 / (t * d.p1), 1.0 / 700.0)
     yhi = _LSTAR_SPLIT
@@ -631,7 +625,7 @@ def _lstar_eval(d: CellDistribution, t: float, rel_target: float) -> tuple[float
         cur = _exp_inv_log_simpson(integrand, ylo, yhi, npts)
         gap = abs(cur - prev)
         prev = cur
-        if gap <= rel_target * abs(cur) / 2.0:
+        if gap <= _LSTAR_REL * abs(cur) / 2.0:
             break
     # analytic remainder over y > Y: per cell, int_a^inf exp(-1/y)/y^2 dy
     # = 1 - exp(-1/a); cells split at the counting function of t*Y.

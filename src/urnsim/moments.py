@@ -43,18 +43,10 @@ _MIN_HEAD = 1000
 _HEAD_CHUNK = 1 << 15
 
 
-class RegimeFlag:
-    """Sentinel: the requested asymptotic lives on the t*L*(t) scale, not
-    a constant multiple of the counting function."""
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RegimeFlag({self.label!r})"
-
-
-T_LSTAR_REGIME = RegimeFlag("t_lstar")
+# Returned by asym_mean_coeff and asym_var_coeff (compare with ``is``) when
+# the asymptotic lives on the t L*(t) scale, not a constant multiple of the
+# counting function.
+T_LSTAR_REGIME = object()
 
 
 @dataclass(frozen=True)
@@ -373,7 +365,7 @@ def moment_report(d: CellDistribution, t: float, k: int, star: bool,
 def _asymptotic(d: CellDistribution, t: float, coeff, cnt: int) -> float:
     """coeff * counting_function(t), or t L*(t) when coeff is
     T_LSTAR_REGIME (L* is evaluated only then)."""
-    if isinstance(coeff, RegimeFlag):
+    if coeff is T_LSTAR_REGIME:
         return t * smoothed_slowly_varying(d, t) if t >= 1 else math.nan
     return coeff * cnt
 
@@ -399,8 +391,9 @@ def gamma_tail_partial_sum(theta: float, M: float) -> float:
 
 
 def asym_mean_coeff(theta: float, k: int, star: bool):
-    """Constant c with E[count] ~ c * counting_function(t); returns the
-    T_LSTAR_REGIME sentinel when the scale is t L*(t) instead."""
+    """Constant c with E[count] ~ c * counting_function(t), a float; for
+    theta = 1, k = 1 the mean lives on the t L*(t) scale instead, and the
+    T_LSTAR_REGIME sentinel is returned (test it with ``is``)."""
     if not (0.0 <= theta <= 1.0):
         raise ValueError("theta must be in [0, 1]")
     if k < 1:
@@ -464,16 +457,16 @@ class NormalizerSpec:
     """Normalizing sequence b(n) for the fixed-n/poissonized gap and the
     window width tprime(n) used in its derivation."""
 
-    theta: float
-    k: int
     b: Callable[[float], float]
     tprime: Callable[[float], float]
 
 
 def normalizer(d: CellDistribution, k: int) -> NormalizerSpec:
-    """The decay normalizer b(n) and window tprime(n) for (d.theta, k).
+    """The decay normalizer b(n) and window tprime(n) for (d.theta, k), as
+    the two evaluators only.
 
-    theta = 1 uses the exact scheme formulas; theta < 1 uses a concrete
+    theta = 1 uses the exact scheme formulas, with L*(n) in place of the
+    slowly varying factor L(n) when k = 1; theta < 1 uses a concrete
     representative that is o() of the admissible class:
         b(n) = min(n^(1/2-theta)/(L(n) lnln n), 1/ln n) / lnln n.
     Evaluators require n >= 16 so lnln n > 0.
@@ -505,7 +498,7 @@ def normalizer(d: CellDistribution, k: int) -> NormalizerSpec:
             return math.sqrt(n * ll) * slow(n) ** -0.25
         return math.sqrt(n) * ll
 
-    return NormalizerSpec(theta=theta, k=k, b=b, tprime=tprime)
+    return NormalizerSpec(b=b, tprime=tprime)
 
 
 # ---------------------------------------------------- inequality checks

@@ -166,6 +166,8 @@ class CheckpointGrid:
         if not 1 <= n_min < n_max < 2 ** 62:
             raise ValueError(f"grid needs 1 <= n_min < n_max < 2^62, "
                              f"got n_min={n_min}, n_max={n_max}")
+        if points < 2:
+            raise ValueError(f"grid needs points >= 2, got points={points}")
         raw = np.unique(np.round(np.exp(np.linspace(
             np.log(n_min), np.log(n_max), points))).astype(np.int64))
         return CheckpointGrid(positions=tuple(int(v) for v in raw), k_max=k_max)

@@ -83,8 +83,9 @@ class TestSimulate:
         (["--n-max", "1e19"], "n_max < 2^62"),
         (["--n-min", "200", "--n-max", "100"], "n_min < n_max"),
         (["--n-min", "0", "--n-max", "1000"], "1 <= n_min"),
+        (["--n-max", "1e6", "--points", "1"], "points >= 2"),
     ], ids=["n_max_inf", "seeds_0", "seeds_negative", "n_max_1e30", "n_max_1e19",
-            "n_min_above_n_max", "n_min_0"])
+            "n_min_above_n_max", "n_min_0", "points_1"])
     def test_bad_input_rejected(self, capsys, tmp_path, flags, message):
         rc, out, err = run_cli(capsys, "simulate", "--family", "zipf", "--s", "2",
                                *flags, "--out", str(tmp_path / "t.csv"))
@@ -156,7 +157,8 @@ class TestVerify:
                            ("rate_threshold", "1e-12"), ("n_max", "inf"),
                            ("seeds", "2.7"), ("rate_t_values", "-1e4"),
                            ("rate_t_values", "1e4, inf"), ("rate_t_values", "0"),
-                           ("n_max", "1e30"), ("n_max", "1e19")):
+                           ("n_max", "1e30"), ("n_max", "1e19"),
+                           ("normalization_tolerance", "1e-9")):
             cfg.write_text(f"family = zipf\ns = 2.0\n{key} = {value}\n")
             rc, _, err = run_cli(capsys, "verify", "lemma2", "--config", str(cfg))
             assert rc == 2

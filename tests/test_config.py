@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -45,11 +45,12 @@ def test_requires_family():
 
 
 def test_unknown_key_rejected():
-    # the pass criteria are constants of urnsim.studies and k_max is
-    # max(ks), so their former keys are unknown too
+    # the pass criteria are constants of urnsim.studies, k_max is max(ks)
+    # and the normalization tolerance is a constant of urnsim.distributions,
+    # so their former keys are unknown too
     for key in ("frobnicate", "k_max", "decay_factor", "decay_abs_threshold",
                 "slack", "pass_fraction", "rate_v_exponent", "rate_threshold",
-                "ratio_band", "convergence_factor"):
+                "ratio_band", "convergence_factor", "normalization_tolerance"):
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             config_from_mapping({"family": "zipf", "s": 2.0, key: "1"})
 
@@ -108,3 +109,13 @@ def test_override_config_validates():
     assert override_config(cfg).seeds == cfg.seeds
     with pytest.raises(ConfigError):
         override_config(cfg, seeds=0)
+
+
+def test_config_checked_when_built():
+    # a config checks itself when built, directly or by dataclasses.replace
+    spec = DistributionSpec(family="zipf", s=2.0)
+    with pytest.raises(ConfigError, match="n_min must be >= 16"):
+        ExperimentConfig(distribution=spec, n_min=8)
+    cfg = ExperimentConfig(distribution=spec)
+    with pytest.raises(ConfigError, match="seeds must be >= 1"):
+        replace(cfg, seeds=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -58,7 +59,7 @@ ALPHA_1E6_ZIPF2 = 779
 # analytic completion bound 1/(Z*1.1e7)
 TAIL_1000_ZIPF2_LO = 0.0006075679785453176
 TAIL_1000_ZIPF2_COMPLETION = 5.6e-8
-# (value, error) of _lstar_eval(theta_one_log, t, 1e-6) as float.hex, frozen
+# (value, error) of _lstar_eval(theta_one_log, t) as float.hex, frozen
 # from the per-threshold Python bisection the vectorized counting function
 # replaced
 LSTAR_T1L_HEX = {
@@ -140,36 +141,41 @@ class TestBuild:
         assert theta_one_log.theta == 1.0
 
     @pytest.mark.parametrize("spec", [
-        DistributionSpec(family="zipf", s=1.0),
-        DistributionSpec(family="zipf", s=0.5),
-        DistributionSpec(family="geometric", q=0.0),
-        DistributionSpec(family="geometric", q=1.0),
-        DistributionSpec(family="geometric", q=1.7),
-        DistributionSpec(family="zipf", s=2.0, q=0.5),
-        DistributionSpec(family="zipf_log", s=2.0),
-        DistributionSpec(family="theta_one_log", s=1.0),
-        DistributionSpec(family="nope"),
+        dict(family="zipf", s=1.0),
+        dict(family="zipf", s=0.5),
+        dict(family="geometric", q=0.0),
+        dict(family="geometric", q=1.0),
+        dict(family="geometric", q=1.7),
+        dict(family="zipf", s=2.0, q=0.5),
+        dict(family="zipf_log", s=2.0),
+        dict(family="theta_one_log", s=1.0),
+        dict(family="nope"),
     ])
     def test_invalid_specs_rejected(self, spec):
         with pytest.raises(DistributionError):
-            build_distribution(spec)
+            build_distribution(DistributionSpec(**spec))
 
     @pytest.mark.parametrize("spec, name", [
-        (DistributionSpec(family="zipf", s=math.inf), "s"),
-        (DistributionSpec(family="zipf", s=math.nan), "s"),
-        (DistributionSpec(family="zipf_log", s=math.inf, a=1.0), "s"),
-        (DistributionSpec(family="zipf_log", s=2.0, a=math.nan), "a"),
-        (DistributionSpec(family="zipf_log", s=2.0, a=math.inf), "a"),
-        (DistributionSpec(family="zipf_log", s=2.0, a=-math.inf), "a"),
-        (DistributionSpec(family="geometric", q=math.nan), "q"),
-        (DistributionSpec(family="zipf", s=2.0, normalization_tolerance=math.inf),
-         "normalization_tolerance"),
-        (DistributionSpec(family="zipf", s=2.0, normalization_tolerance=math.nan),
-         "normalization_tolerance"),
+        (dict(family="zipf", s=math.inf), "s"),
+        (dict(family="zipf", s=math.nan), "s"),
+        (dict(family="zipf_log", s=math.inf, a=1.0), "s"),
+        (dict(family="zipf_log", s=2.0, a=math.nan), "a"),
+        (dict(family="zipf_log", s=2.0, a=math.inf), "a"),
+        (dict(family="zipf_log", s=2.0, a=-math.inf), "a"),
+        (dict(family="geometric", q=math.nan), "q"),
     ])
     def test_non_finite_parameters_rejected(self, spec, name):
         with pytest.raises(DistributionError, match=f"^{name} must be finite"):
-            build_distribution(spec)
+            build_distribution(DistributionSpec(**spec))
+
+    def test_spec_checked_when_built(self):
+        # no distribution is built: the spec refuses itself, and
+        # dataclasses.replace builds (and so checks) a new spec
+        with pytest.raises(DistributionError, match="s > 1"):
+            DistributionSpec(family="zipf", s=0.5)
+        spec = DistributionSpec(family="zipf", s=2.0)
+        with pytest.raises(DistributionError, match="s > 1"):
+            dataclasses.replace(spec, s=1.0)
 
     def test_normalization_partial_plus_tail(self, zipf_log21, theta_one_log, zipf2,
                                               geometric_half):
@@ -268,8 +274,8 @@ class TestCountingFunction:
 
     def test_lstar_bitwise_frozen(self, theta_one_log):
         for t, (val, err) in LSTAR_T1L_HEX.items():
-            assert _lstar_eval(theta_one_log, t, 1e-6) == (float.fromhex(val),
-                                                           float.fromhex(err))
+            assert _lstar_eval(theta_one_log, t) == (float.fromhex(val),
+                                                     float.fromhex(err))
 
     def test_warm_grid_matches_scalar(self, theta_one_log, zipf2):
         xs = np.logspace(1, 9, 25)
@@ -376,7 +382,7 @@ class TestSmoothedSlowlyVarying:
     def test_refinement_self_check(self, theta_one_log):
         from urnsim.distributions import _lstar_eval
         val = smoothed_slowly_varying(theta_one_log, 1e5)
-        err = _lstar_eval(theta_one_log, 1e5, 1e-6)[1]
+        err = _lstar_eval(theta_one_log, 1e5)[1]
         assert err < 1e-6 * val
 
     def test_requires_theta_one(self, zipf2, geometric_half):
@@ -459,6 +465,21 @@ class TestSampler:
         if tail is not None:
             got = d._draw_tail_block(np.random.default_rng(37), 20_000)
             assert hashlib.sha256(got.tobytes()).hexdigest() == tail
+
+    @pytest.mark.parametrize("name", ["zipf_s2", "zipf_log", "theta_one_log", "geometric"])
+    def test_prefix_growth_keeps_table(self, name):
+        # growing the probability prefix leaves the sampler's inversion
+        # table at the first _TABLE_SIZE cells, and the draws as a fresh
+        # distribution's
+        fresh, grown = (build_distribution(_SAMPLER_SPECS[name]) for _ in range(2))
+        grown.probs_prefix(1 << 20)
+        assert grown._prefix.size == 1 << 20 and grown._cum.size == _TABLE_SIZE
+        for seed, size in ((3, 200_000), (4, 3_000_000)):
+            want = fresh.draw_cells(np.random.default_rng(seed), size)
+            assert np.array_equal(grown.draw_cells(np.random.default_rng(seed), size), want)
+            want = fresh.draw_counts(np.random.default_rng(seed), size)
+            got = grown.draw_counts(np.random.default_rng(seed), size)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("name", ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log"])
     def test_tail_squeeze_below_ratio(self, name):

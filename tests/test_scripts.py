@@ -2,9 +2,12 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,15 +55,24 @@ def test_traj_scale():
     assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
 
 
-def test_bad_flags_exit_2():
+def test_bad_flags_exit_2(monkeypatch, capsys):
+    # in this process: a bad flag stops each script before it does any work
+    def run(name, *argv):
+        monkeypatch.setattr(sys, "argv", [name, *argv])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+        return exc.value.code, capsys.readouterr().err
+
     for name in ("moment_table.py", "run_all_studies.py"):
-        res = run_script(name, "--s", "2")
-        assert res.returncode == 2 and "--family" in res.stderr
-        res = run_script(name, "--family", "zipf_log", "--s", "2")
-        assert res.returncode == 2 and "log power a" in res.stderr
-    res = run_script("run_all_studies.py", "--family", "zipf", "--s", "2", "--seeds", "0")
-    assert res.returncode == 2 and "seeds must be >= 1" in res.stderr
+        code, err = run(name, "--s", "2")
+        assert code == 2 and "--family" in err
+        code, err = run(name, "--family", "zipf_log", "--s", "2")
+        assert code == 2 and "log power a" in err
+    code, err = run("run_all_studies.py", "--family", "zipf", "--s", "2", "--seeds", "0")
+    assert code == 2 and "seeds must be >= 1" in err
     for bad in (["--family", "zipf_log", "--s", "2", "--n-max", "1e5"],
-                ["--family", "zipf", "--s", "2", "--n-max", "1e3"]):
-        res = run_script("traj_scale.py", *bad)
-        assert res.returncode == 2 and "error:" in res.stderr, bad
+                ["--family", "zipf", "--s", "2", "--n-max", "1e3"],
+                ["--family", "zipf", "--s", "2", "--n-max", "1e6", "--points", "1"]):
+        code, err = run("traj_scale.py", *bad)
+        assert code == 2 and "error:" in err, bad
+    assert "--points must be >= 2" in err
