@@ -193,7 +193,7 @@ class CellDistribution:
     Immutable after construction apart from internal caches: the grow-only
     probability prefix (idempotent to racing readers), the L*(t) values,
     the tail power sums of the last few (t, J) pairs and the exact-series
-    heads of the last few points.  Construct via :func:`build_distribution`.
+    head sums of the last few points.  Construct via :func:`build_distribution`.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -222,11 +222,9 @@ class CellDistribution:
         self._lstar_cache: dict[float, float] = {}
         # (t, J) -> {r: tail_power_sum(t, J, r)}
         self._tail_sums = _Kept(_TAIL_SLOTS)
-        # filled by moments: t -> head length, (t, k, star) -> {name: head
-        # sum}, and ((t, k, star), array) for the one head array held
+        # filled by moments: t -> head length, (t, k, star) -> head sums
         self._head_lengths = _Kept(_HEAD_SLOTS)
         self._head_sums = _Kept(_HEAD_SLOTS)
-        self._head_array: tuple | None = None
 
     # ---------- construction internals
 
@@ -281,10 +279,14 @@ class CellDistribution:
         return self._weights(np.atleast_1d(np.asarray(j, dtype=np.float64))) / self.Z
 
     def probs_prefix(self, J: int) -> np.ndarray:
-        """p_1..p_J as a vector, cached up to _PREFIX_CAP cells."""
+        """p_1..p_J, cached up to _PREFIX_CAP cells; grown _TABLE_SIZE cells at a time."""
         if J <= self._prefix.size:
             return self._prefix[:J]
-        grown = self.prob_array(np.arange(1, J + 1, dtype=np.float64))
+        grown = np.empty(J)
+        grown[:self._prefix.size] = self._prefix
+        for lo in range(self._prefix.size, J, _TABLE_SIZE):
+            hi = min(lo + _TABLE_SIZE, J)
+            grown[lo:hi] = self.prob_array(np.arange(lo + 1, hi + 1, dtype=np.float64))
         if J <= _PREFIX_CAP:
             self._prefix = grown
         return grown
@@ -363,8 +365,8 @@ class CellDistribution:
         est, bound = _powerlog_tail_sum(self.s, self.a, J2)
         return block + (est + bound) / self.Z
 
-    def tail_power_sum(self, t: float, J: int, r: int) -> float:
-        """sum_{j>J} (t p_j)^r, evaluated stably for large t and r.
+    def tail_power_sum(self, t: float, J: int, r: int) -> tuple[float, float]:
+        """sum_{j>J} (t p_j)^r, stable for large t and r, and its error bound.
 
         Requires t*p_{J+1} <= O(1); the result is used as the analytic
         tail of truncated occupancy series.  Kept for the last _TAIL_SLOTS
@@ -375,19 +377,20 @@ class CellDistribution:
             sums[r] = self._tail_power_sum(t, J, r)
         return sums[r]
 
-    def _tail_power_sum(self, t: float, J: int, r: int) -> float:
+    def _tail_power_sum(self, t: float, J: int, r: int) -> tuple[float, float]:
         if self.family == "geometric":
             lam = t * self.prob(J + 1)
-            return lam ** r / (1.0 - self.q ** r)
+            return lam ** r / (1.0 - self.q ** r), 0.0
         if J < _EM_MIN_INDEX:
             j = np.arange(J + 1, _EM_MIN_INDEX + 1)
             block = float(((t * self.prob_array(j)) ** r).sum())
-            return block + self.tail_power_sum(t, _EM_MIN_INDEX, r)
+            rest, err = self.tail_power_sum(t, _EM_MIN_INDEX, r)
+            return block + rest, err
         s, a, Z = self.s, self.a, self.Z
         rs = r * s
         if r == 1 and rs <= 1.0:
-            est, _ = _powerlog_tail_sum(s, a, J)
-            return t / Z * est
+            est, bound = _powerlog_tail_sum(s, a, J)
+            return t / Z * est, t / Z * bound
         x0 = J + 0.5
         w0 = math.log(x0 + _E)
         lmu = math.log(t) - math.log(Z) - s * math.log(x0) - a * math.log(w0)
@@ -398,10 +401,13 @@ class CellDistribution:
             return math.exp(r * dlnf + u)
 
         span = min(745.0 / max(rs - 1.0, 1e-9), 700.0)
-        val, _ = _quad(scaled, 0.0, span)
-        val *= x0
+        val, qerr = _quad(scaled, 0.0, span)
         dlog = -s / x0 - a / ((x0 + _E) * w0)
-        return math.exp(r * lmu) * (val + r * dlog / 24.0)
+        # Euler-Maclaurin remainder: at most 7/5760 |f^(3)(x0)|, and
+        # |f^(3)(x0)| <= f(x0) (r (s + |a|) + 2)^3 / x0^3
+        rem = 7.0 / 5760.0 * (r * (s + abs(a)) + 2.0) ** 3 / x0 ** 3
+        f0 = math.exp(r * lmu)
+        return f0 * (val * x0 + r * dlog / 24.0), f0 * (qerr * x0 + rem)
 
     # ---------- sampling
 
@@ -494,8 +500,7 @@ class CellDistribution:
                 mass = jm ** (1.0 - s_env) * (-np.expm1(
                     (1.0 - s_env) * np.log1p(1.0 / jm))) / (s_env - 1.0)
                 mass *= w0 ** -a * x0 ** (s_env - s)
-                f = j.astype(np.float64) ** -s * np.log(j + _E) ** -a
-                return f / mass
+                return self._weights(j.astype(np.float64)) / mass
         else:
             # s == 1, a > 1: envelope h(x) = c0 (ln(x+e))^-a/(x+e), c0 covering
             # the f/h = (x+e)/x excess; exact tail antiderivative
@@ -515,8 +520,7 @@ class CellDistribution:
                 dl = np.log1p(1.0 / (jm + _E))
                 mass = c0 * lm ** (1.0 - a) * (-np.expm1(
                     (1.0 - a) * np.log1p(dl / lm))) / (a - 1.0)
-                f = 1.0 / j.astype(np.float64) * np.log(j + _E) ** -a
-                return f / mass
+                return self._weights(j.astype(np.float64)) / mass
 
         return inverse, accept_ratio, squeeze
 
@@ -635,7 +639,7 @@ def _lstar_eval(d: CellDistribution, t: float) -> tuple[float, float]:
     bound = 0.0
     sign = 1.0
     for r in range(1, 40):
-        term = sign * d.tail_power_sum(t, JY, r) / math.factorial(r)
+        term = sign * d.tail_power_sum(t, JY, r)[0] / math.factorial(r)
         series += term
         sign = -sign
         bound = abs(term)

@@ -6,13 +6,13 @@ Bernoulli indicators, so means and variances reduce to series over cells:
     mean  = sum_j g(t p_j)          variance = sum_j g(t p_j)(1 - g(t p_j))
 
 with g the per-cell probability (at least k / exactly k events, Poisson or
-binomial law).  One routine evaluates every series as an explicit head
-over cells with t*p_j above a cut plus an analytic tail: g is expanded
-around 0 and the power sums of t*p_j are closed-form/Euler-Maclaurin
-quantities of the distribution.  The fixed-n tail and the gap's tail take
-one rule: the coefficient of (n p)^r is the Poisson one times
-falling(n, r) / n^r.  The residual bound stays far below the 1e-8-relative
-budget even at t = 1e8, where direct truncation would need ~1e11 terms.
+binomial law).  Every series is a head over the cells with t*p_j above a
+cut, summed for the four series of a point in one chunked pass from Poisson
+pmfs by recurrence, plus an analytic tail: g expanded around 0 times the
+power sums of t*p_j, quantities of the distribution; the fixed-n and gap
+tails take the Poisson coefficient of (n p)^r times falling(n, r) / n^r.
+The bound covers truncation and rounding and stays far below 1e-8 relative
+even at t = 1e8, where direct truncation would need ~1e11 terms.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from scipy import special
 # smoothed_slowly_varying is called through this module's global, which
 # perfbench/tracing.py wraps
 from .distributions import (
+    _PREFIX_CAP,
     CellDistribution,
     DistributionError,
     slowly_varying,
@@ -39,8 +40,12 @@ from .distributions import (
 _TAU = 0.5
 _MAX_ORDER = 60
 _MIN_HEAD = 1000
-# head cells per vectorized pass of the binomial-law head
-_HEAD_CHUNK = 1 << 15
+# head cells per pass: 2^13 keeps a pass's dozen temporaries in L2
+_HEAD_CHUNK = 1 << 13
+# rates whose Poisson pmfs come from logarithms (exp(-lam) is subnormal)
+_LAM_LOG = 700.0
+# bound, in ulps, on the relative error of _poisson_cells' g and 1 - g, k <= 10
+_CELL_ULPS = 64
 
 
 # Returned by asym_mean_coeff and asym_var_coeff (compare with ``is``) when
@@ -81,38 +86,66 @@ class MomentReport:
 
 
 def binomial_tail_at_least(n: int, p, k: int):
-    """P(Binomial(n, p) >= k); 0 when k > n.  Vector friendly in p.
-
-    For k >= 2 this is P(Poisson(np) >= k) plus the cancellation-free
-    binomial-minus-Poisson correction of :func:`_binom_minus_poisson`.
+    """P(Binomial(n, p) >= k); 0 when k > n.  Vector friendly in p.  As in
+    the series' head: :func:`_poisson_cells` plus :func:`_binom_minus_poisson`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n:
         return np.zeros_like(p) if np.ndim(p) else 0.0
-    if k == 1:
-        return -np.expm1(n * np.log1p(-np.asarray(p, dtype=np.float64)))
     p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    out = special.gammainc(k, n * p_arr) + _binom_minus_poisson(n, p_arr, k, True)
+    g, _, pmf = _poisson_cells(n * p_arr, k, True)
+    out = g + _binom_minus_poisson(n, p_arr, pmf, k, True)
     return out if np.ndim(p) else float(out[0])
 
 
-def _poisson_pmf(k: int, lam: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(lam)
-    pos = lam > 0
-    lp = lam[pos]
-    out[pos] = np.exp(k * np.log(lp) - lp - special.gammaln(k + 1))
-    return out
+def _poisson_cells(lam: np.ndarray, k: int, star: bool) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per cell g = P(Poisson(lam) in A), 1 - g and the pmfs P(Poisson(lam)
+    = i), i <= k, A = {>= k} for star, {k} otherwise.  The pmfs come by
+    pmf_i = pmf_{i-1} lam / i from exp(-lam), or from logarithms past
+    _LAM_LOG.  At least 1 is -expm1(-lam); at least k is 1 - S, S the sum
+    of the pmfs below k, where S <= 1/2, else the upward series
+    pmf_k sum_m lam^m k!/(k+m)! (lam < k there); 1 - g is S or 1 minus that."""
+    pmf = [np.exp(-lam)]
+    for i in range(1, k + 1):
+        pmf.append(pmf[-1] * lam / i)
+    if lam.max(initial=0.0) > _LAM_LOG:
+        big = np.flatnonzero(lam > _LAM_LOG)
+        for i in range(1, k + 1):
+            pmf[i][big] = np.exp(_log_pmf(i, lam[big]))
+    if not star:
+        return pmf[k], 1.0 - pmf[k], pmf
+    if k == 1:
+        return -np.expm1(-lam), pmf[0], pmf
+    below = sum(pmf[1:k], pmf[0])
+    g = 1.0 - below
+    up = below > 0.5
+    if up.any():
+        # a head chunk near the cut is all up: a slice.  Horner in y = lam/k
+        # over c_m = k^m k!/(k+m)! to the first term below 2^-54 at max y
+        up = slice(None) if up.all() else np.flatnonzero(up)
+        y = lam[up] / k
+        ymax = float(y.max())
+        coeffs = [1.0]
+        while coeffs[-1] * ymax ** (len(coeffs) - 1) > 2.0 ** -54:
+            coeffs.append(coeffs[-1] * k / (k + len(coeffs)))
+        acc = np.full(y.size, coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc *= y
+            acc += c
+        g[up] = pmf[k][up] * acc
+        below[up] = 1.0 - g[up]
+    return g, below, pmf
 
 
-def _log1p_neg_plus(p: np.ndarray) -> np.ndarray:
-    """log1p(-p) + p evaluated without cancellation (= -p^2/2 - p^3/3 - ...)."""
-    out = np.empty_like(p)
-    big = p > 1e-4
-    out[big] = np.log1p(-p[big]) + p[big]
-    q = p[~big]
-    out[~big] = -q * q * (0.5 + q * (1.0 / 3.0 + q * (0.25 + q * (0.2 + q / 6.0))))
-    return out
+def _log_pmf(i: int, lam: np.ndarray) -> np.ndarray:
+    """ln P(Poisson(lam) = i), i >= 1, as (i - lam) + i log1p((lam - i)/i)
+    - ln sqrt(2 pi i) - r_i, r_i the remainder of Stirling's series for
+    ln i!, so the large terms of i ln lam - lam - ln i! do not cancel."""
+    x = 1.0 / (i * i)
+    r = (math.lgamma(i + 1.0) - (i + 0.5) * math.log(i) + i - 0.5 * math.log(2.0 * math.pi)
+         if i < 16 else (1 / 12 - x * (1 / 360 - x * (1 / 1260 - x * (1 / 1680 - x / 1188)))) / i)
+    return (i - lam) + i * np.log1p((lam - i) / i) - 0.5 * math.log(2.0 * math.pi * i) - r
 
 
 # ------------------------------------------------- Maclaurin coefficients
@@ -148,53 +181,46 @@ def _log_falling_factor(n: int, r: int) -> float:
     return float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
 
 
-def _binom_minus_poisson(n: int, p: np.ndarray, k: int, star: bool,
-                         pmf_k: np.ndarray | None = None) -> np.ndarray:
+def _binom_minus_poisson(n: int, p: np.ndarray, pmf: list, k: int,
+                         star: bool) -> np.ndarray:
     """Per cell P(Bin(n, p) in A) - P(Poisson(np) in A), A = {>= k} for
-    star and {k} otherwise, with no cancellation between the two laws.
+    star and {k} otherwise, with no cancellation between the two laws;
+    ``pmf`` holds P(Poisson(np) = i), i = 0..k, of :func:`_poisson_cells`.
 
     Per i, P(Bin = i) / P(Pois = i) = exp(ln falling(n, i) + n (log1p(-p) + p)
     - i log1p(-p)), so the difference is P(Pois = i) expm1(that exponent);
-    the at-least-k difference is minus the sum over i < k.  ``pmf_k``, when
-    the caller holds it, is P(Pois = k) of the exactly-k term.
+    the at-least-k difference is minus the sum over i < k.  log1p(-p) + p is
+    its series to p^5 up to p = 1e-4 (the next term is below 2^-54 of it).
     """
-    lam = n * p
-    nl = n * _log1p_neg_plus(p)
-    out = np.zeros_like(p)
-    for i in (range(k) if star else (k,)):
-        if i == 0:
-            out += np.exp(-lam) * np.expm1(nl)
-        else:
-            pmf = pmf_k if i == k and pmf_k is not None else _poisson_pmf(i, lam)
-            out += pmf * np.expm1(_log_falling_factor(n, i) + nl - i * np.log1p(-p))
-    return -out if star else out
-
-
-def _head_sum(f: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> float:
-    """sum of f over the head cells p, in chunks that bound the temporaries."""
-    return float(sum(f(p[lo:lo + _HEAD_CHUNK]).sum()
-                     for lo in range(0, p.size, _HEAD_CHUNK)))
+    l1p = np.log1p(-p)
+    nl = p * p * (-0.5 - p * (1.0 / 3.0 + p * (0.25 + 0.2 * p)))
+    np.copyto(nl, l1p + p, where=p > 1e-4)
+    nl *= n
+    terms = [pmf[i] * np.expm1(nl - i * l1p + _log_falling_factor(n, i) if i else nl)
+             for i in (range(k) if star else (k,))]
+    return -sum(terms) if star else terms[0]
 
 
 def _tail_series(d: CellDistribution, t: float, J: int, coeffs: np.ndarray,
                  scale: float) -> tuple[float, float]:
-    """sum_{j>J} g(t p_j) from the Maclaurin coefficients of g.
+    """sum_{j>J} g(t p_j) from the Maclaurin coefficients of g, and a bound.
 
     Valid when t*p_{J+1} <= _TAU; terms decay at least geometrically, so
-    the bound on the stopped remainder is the last included term.
+    the stopped remainder is bounded by the last included term, to which
+    the power sums' own error bounds are added.
     """
-    total = 0.0
-    last = 0.0
+    total = last = err = 0.0
     for r in range(len(coeffs)):
         if coeffs[r] == 0.0:
             continue
-        lam_r = d.tail_power_sum(t, J, r)
+        lam_r, lam_err = d.tail_power_sum(t, J, r)
         term = coeffs[r] * lam_r
         total += term
+        err += abs(coeffs[r]) * lam_err
         last = abs(term)
         if last <= 1e-16 * max(abs(total), scale, 1e-300) and r >= 3:
             break
-    return total, last
+    return total, last + err
 
 
 def _head_length(d: CellDistribution, t: float) -> int:
@@ -202,57 +228,34 @@ def _head_length(d: CellDistribution, t: float) -> int:
     return d._head_lengths.keep(t, lambda: max(d.counting_function(t / _TAU), _MIN_HEAD))
 
 
-def _head(d: CellDistribution, t: float, k: int, star: bool,
-          name: str) -> tuple[float, int]:
-    """The head sum ``name`` of the series at (t, k, star), and the head
-    length J.
-
-    Over the cells j <= J, with g = P(Poisson(t p_j) in A) and A = {>= k}
-    for star, {k} otherwise: "pois" sums g, "var" g (1 - g), "binom"
-    P(Bin(t, p_j) in A) and "gap" that minus g.  The distribution keeps the
-    sums by point and the array g of the latest point only; a call records
-    every sum that the arrays it builds give, so the series at one point
-    build the head once.
-    """
-    J = _head_length(d, t)
-    key = (t, k, star)
-    sums = d._head_sums.keep(key, dict)
-    if name in sums:
-        return sums[name], J
-    p = d.probs_prefix(J)
-    n = int(t)
-
-    def g() -> np.ndarray:
-        if d._head_array is None or d._head_array[0] != key:
-            d._head_array = None  # free the last point's array first
-            lam = t * p
-            d._head_array = (key, special.gammainc(k, lam) if star else _poisson_pmf(k, lam))
-        return d._head_array[1]
-
-    if name == "pois":
-        sums[name] = float(g().sum())
-    elif name == "var":
-        gc = special.gammaincc(k, t * p) if star else 1.0 - g()
-        sums[name] = float((g() * gc).sum())
-    elif name == "binom" and star and k == 1:
-        sums[name] = _head_sum(lambda q: binomial_tail_at_least(n, q, 1), p)
-    elif name == "binom":
-        # per chunk g + correction; the corrections alone are the gap
-        binom = gap = 0
-        for lo in range(0, p.size, _HEAD_CHUNK):
-            gc = g()[lo:lo + _HEAD_CHUNK]
-            c = _binom_minus_poisson(n, p[lo:lo + _HEAD_CHUNK], k, star,
-                                     None if star else gc)
-            binom += (gc + c).sum()
-            gap += c.sum()
-        sums.update(binom=float(binom), gap=float(gap), pois=float(g().sum()))
-    elif star and k > n:
-        # the gap, where the fixed-n count is 0
-        sums[name] = -_head(d, t, k, star, "pois")[0]
-    else:
-        # the gap
-        sums[name] = _head_sum(lambda q: _binom_minus_poisson(n, q, k, star), p)
-    return sums[name], J
+def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dict:
+    """{name: (head sum, rounding bound)} over the cells j <= J at (t, k,
+    star), in one pass by chunks (p_j past _PREFIX_CAP made per chunk).
+    With g = P(Poisson(t p_j) in A), A = {>= k} for star, {k} otherwise:
+    "pois" sums g, "var" g (1 - g) and, for an integer t, "binom"
+    P(Bin(t, p_j) in A) and "gap" that minus g.  The bound on a sum of
+    f(lam_j) is 2^-53 sum_j |lam_j f'(lam_j)| (the rounding of t p_j) plus
+    _CELL_ULPS ulps of sum_j |f|; g' is pmf_{k-1}, or pmf_{k-1} - pmf_k."""
+    n = int(t) if t == int(t) else None
+    prefix = d.probs_prefix(J) if J <= _PREFIX_CAP else None
+    pois = var = gap = slope = 0.0
+    for lo in range(0, J, _HEAD_CHUNK):
+        hi = min(lo + _HEAD_CHUNK, J)
+        p = prefix[lo:hi] if prefix is not None else d.prob_array(np.arange(lo + 1, hi + 1))
+        lam = t * p
+        g, gc, pmf = _poisson_cells(lam, k, star)
+        pois += float(g.sum())
+        var += float(g @ gc)
+        slope += float(lam @ (pmf[k - 1] if star else np.abs(pmf[k - 1] - pmf[k])))
+        if n is not None:
+            corr = -g if star and k > n else _binom_minus_poisson(n, p, pmf, k, star)
+            gap += float(corr.sum())
+    u, cell = 2.0 ** -53, _CELL_ULPS * 2.0 ** -52
+    sums = {"pois": (pois, u * slope + cell * pois),
+            "var": (var, u * slope + 2.0 * cell * var)}
+    if n is not None:
+        sums.update(binom=(pois + gap, sums["pois"][1] + cell * abs(gap)), gap=(gap, 0.0))
+    return sums
 
 
 # ---------------------------------------------------------- exact series
@@ -272,12 +275,13 @@ def _check_series_args(t: float, k: int, law: str) -> None:
 
 def _series(d: CellDistribution, t: float, k: int, star: bool,
             name: str) -> tuple[float, float, float]:
-    """The head sum ``name`` of :func:`_head` at (t, k, star), the series
-    value (head plus the tail beyond it) and the tail's bound.  The tail
-    takes the coefficients c of :func:`_coeffs`: "pois" c, "var" c - c^2;
-    the fixed-n coefficient of (t p)^r is c_r falling(t, r) / t^r, so
-    "binom" takes c * falling and "gap" c * expm1(ln falling)."""
-    head, J = _head(d, t, k, star, name)
+    """The head sum ``name`` of :func:`_head_pass` at (t, k, star) (the
+    distribution keeps them by point), the series value and its bound.  The
+    tail takes the coefficients c of :func:`_coeffs`: "pois" c, "var"
+    c - c^2; the fixed-n coefficient of (t p)^r is c_r falling(t, r) / t^r,
+    so "binom" takes c * falling and "gap" c * expm1(ln falling)."""
+    J = _head_length(d, t)
+    head, rounding = d._head_sums.keep((t, k, star), lambda: _head_pass(d, t, k, star, J))[name]
     c = _coeffs(k, star)
     if name == "var":
         c = c - _series_square(c)
@@ -285,7 +289,7 @@ def _series(d: CellDistribution, t: float, k: int, star: bool,
         ln_falling = np.array([_log_falling_factor(int(t), r) for r in range(_MAX_ORDER + 1)])
         c = c * (np.exp(ln_falling) if name == "binom" else np.expm1(ln_falling))
     tail, bound = _tail_series(d, t, J, c, abs(head) + 1e-12 if name == "gap" else head)
-    return head, head + tail, bound
+    return head, head + tail, bound + rounding
 
 
 def exact_mean(d: CellDistribution, t: float, k: int, star: bool,

@@ -210,6 +210,19 @@ class TestProb:
         # geometric positivity only within float64 range (underflows beyond)
         assert geometric_half.prob(min(j, 1000)) > 0.0
 
+    def test_grown_prefix_bitwise(self, grown_family):
+        # the prefix grows by table-sized pieces, to the bits of one
+        # prob_array over all of it; the table part keeps its bits
+        for spec, grown in zip(FAMILY_SPECS, grown_family):
+            d = build_distribution(spec)
+            table = d.probs_prefix(_TABLE_SIZE).copy()
+            J = 3 * _TABLE_SIZE + 5
+            want = d.prob_array(np.arange(1, J + 1, dtype=np.float64))
+            assert d.probs_prefix(J).tobytes() == want.tobytes()
+            assert d._prefix.size == J
+            assert d._prefix[:_TABLE_SIZE].tobytes() == table.tobytes()
+            assert grown.probs_prefix(GROWN).tobytes() == want[:GROWN].tobytes()
+
 
 class TestCountingFunction:
     def test_geometric_example(self, geometric_half):
@@ -320,10 +333,10 @@ class TestTailPowerSum:
             warm, cold = build_distribution(spec), build_distribution(spec)
             for t, J in self.POINTS:
                 for r in range(1, 8):
-                    first = warm.tail_power_sum(t, J, r)
-                    assert warm.tail_power_sum(t, J, r).hex() == first.hex()
+                    first = [v.hex() for v in warm.tail_power_sum(t, J, r)]
+                    assert [v.hex() for v in warm.tail_power_sum(t, J, r)] == first
                     cold._tail_sums.clear()
-                    assert cold.tail_power_sum(t, J, r).hex() == first.hex()
+                    assert [v.hex() for v in cold.tail_power_sum(t, J, r)] == first
 
     def test_cache_stays_at_cap(self):
         d = build_distribution(DistributionSpec(family="zipf", s=2.0))

@@ -44,14 +44,41 @@ GEO_T1_K1_STAR = 0.85461332089277831
 # E[cells with >= 1 ball] after n = 100 fixed throws
 ZIPF_N100_LO = 13.337047249829562
 ZIPF_N100_HI = 13.33705332910058
-# float.hex of the series_sweep outputs at (family, t, k), at-least-k counts,
-# frozen from the commit before the tail power sums were shared: moment_report
-# (binomial law) exact_mean, exact_var, asym_mean, asym_var,
-# truncation_error, then poisson exact_mean and mean_difference (value, bound).
-# The mean_difference pairs of zipf_log21 and theta_one_log were re-pinned
-# when its tail coefficients stopped subtracting the binomial and Poisson
-# ones (TestDepoissonization shows the new values are the right ones).
+# float.hex of the series_sweep outputs at (family, t, k), at-least-k counts:
+# moment_report (binomial law) exact_mean, exact_var, asym_mean, asym_var,
+# truncation_error, then poisson exact_mean and mean_difference (value,
+# bound).  Frozen when the head became one pass with the Poisson
+# probabilities by recurrence and the bounds took in the head's rounding
+# and the tail power sums' remainders.
 SERIES_HEX = {
+    ("zipf2", 10_000, 1): (
+        "0x1.1366161698714p+7", "0x1.c9f25ed958dbfp+5", "0x1.10f5387a6d806p+7",
+        "0x1.c4405eb353bb3p+5", "0x1.15a49d6518118p-38", "0x1.136533a9eef9dp+7",
+        "0x1.15a45205c3ceep-38", "0x1.c4d952eed5354p-10", "0x1.4681806879948p-56"),
+    ("zipf_log21", 316_228, 2): (
+        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
+        "0x1.817ead7c6edb4p+5", "0x1.f82a7a0358dfap-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f82a7f3b997f4p-39", "0x1.4b966f606b1e4p-14", "0x1.754c301bc8410p-59"),
+    ("theta_one_log", 31_623, 1): (
+        "0x1.c15656b974b67p+11", "0x1.74712e7ed444ap+11", "0x1.c15627674959bp+11",
+        "0x1.c15627674959bp+11", "0x1.b0897153cf20ap-26", "0x1.c15627386fdf0p+11",
+        "0x1.ab5bfa01e78dap-26", "0x1.7c0826bb777fap-8", "0x1.4e5eb96b48507p-48"),
+    ("theta_one_log", 10_000_000, 2): (
+        "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204ep+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.b441619a3cee5p-31", "0x1.8f7c1597a5bd8p+15",
+        "0x1.b44162821c349p-31", "0x1.3f1d24f615ed6p-12", "0x1.d8f9c710d94cap-56"),
+    ("geometric_half", 1_000, 2): (
+        "0x1.1b68d308362eep+3", "0x1.4752cf481c0c6p-1", "0x1.2000000000000p+3",
+        "nan", "0x1.2fb69d1e32189p-43", "0x1.1b62eb5093c12p+3",
+        "0x1.2fb04b05e2075p-43", "0x1.79ede89b71495p-11", "0x1.09f1b218c17cap-57"),
+}
+# The same outputs before that change, when the head took the incomplete
+# gamma functions; the series values moved within the two bounds of these.
+# The mean_difference pairs of zipf_log21 and theta_one_log had been
+# re-pinned when its tail coefficients stopped subtracting the binomial and
+# Poisson ones (TestDepoissonization shows the new values are the right
+# ones).
+SERIES_HEX_GAMMAINC = {
     ("zipf2", 10_000, 1): (
         "0x1.1366161698714p+7", "0x1.c9f25ed958dc0p+5", "0x1.10f5387a6d806p+7",
         "0x1.c4405eb353bb3p+5", "0x1.4452c4fb39804p-43", "0x1.136533a9eef9dp+7",
@@ -84,29 +111,55 @@ def series_point(d, t, k):
     return tuple(float(v).hex() for v in vals)
 
 
+def poisson_cells(lam, k):
+    """P(Poisson(lam) >= k) and P(Poisson(lam) < k) of the head kernel."""
+    g, gc, _ = moments._poisson_cells(np.array([float(lam)]), k, True)
+    return float(g[0]), float(gc[0])
+
+
 class TestPoissonCdf:
-    """P(Poisson(lam) < k) = gammaincc(k, lam), as the variance head of the
-    at-least-k series takes 1 - g, to an absolute 1e-14."""
+    """P(Poisson(lam) >= k) and P(Poisson(lam) < k) of the head kernel,
+    which every head sum takes, to an absolute 1e-14 and within
+    _CELL_ULPS ulps (the per-cell error the series bounds assume)."""
 
     def test_zero_rate(self):
         for k in (1, 2, 7):
-            assert special.gammaincc(k, 0.0) == 1.0
+            assert poisson_cells(0.0, k) == (0.0, 1.0)
 
     def test_log2_half(self):
-        assert abs(special.gammaincc(1, math.log(2.0)) - 0.5) < 1e-14
+        assert abs(poisson_cells(math.log(2.0), 1)[1] - 0.5) < 1e-14
 
     def test_frozen_oracle(self):
-        assert abs(special.gammaincc(3, 5.0) - POI_5_LT_3) < 1e-14
+        assert abs(poisson_cells(5.0, 3)[1] - POI_5_LT_3) < 1e-14
 
-    @given(lam=st.floats(min_value=0.0, max_value=50.0),
+    @given(lam=st.one_of(st.floats(min_value=0.0, max_value=0.5),
+                         st.floats(min_value=0.0, max_value=50.0)),
            k=st.integers(min_value=1, max_value=10))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_matches_high_precision(self, lam, k):
-        got = special.gammaincc(k, lam)
+        # lam below 1/2 too: the _MIN_HEAD floor puts head cells there
         with mp.workdps(30):
-            want = float(mp.fsum(mp.e ** -lam * mp.mpf(lam) ** s / mp.factorial(s)
-                                 for s in range(k)))
-        assert abs(got - want) < 1e-14
+            want = (float(mp.gammainc(k, 0, lam, regularized=True)),
+                    float(mp.gammainc(k, lam, mp.inf, regularized=True)))
+        for got, w in zip(poisson_cells(lam, k), want):
+            assert abs(got - w) < 1e-14
+            if w < 1e-290:
+                assert abs(got - w) <= 1e-300
+            else:
+                assert abs(got - w) <= moments._CELL_ULPS * math.ulp(w), (lam, k, got, w)
+
+    def test_large_rates(self):
+        # exp(-800) underflows, so the pmfs come from their logarithms and
+        # at least 1000 is not 1 - 0; the bound is the conditioning,
+        # |k - lam| ulps, of the pmf at k
+        for lam, k in ((800.0, 1000), (1e8, 3)):
+            with mp.workdps(30):
+                want = (float(mp.gammainc(k, 0, lam, regularized=True)),
+                        float(mp.gammainc(k, lam, mp.inf, regularized=True)))
+            got = poisson_cells(lam, k)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= abs(k - lam) * math.ulp(w), (lam, k, got, want)
+        assert 0.0 < poisson_cells(800.0, 1000)[0] < 1e-11
 
 
 class TestBinomialTail:
@@ -192,6 +245,37 @@ class TestExactMean:
                                  else pmf_sum[k] + pmf_tail[k])
                     got, bound = exact_mean(zipf2, float(n), k, star, law="binomial")
                     assert abs(got - want) <= bound + 1e-14 * abs(want), (k, star)
+                    # the bound alone covers the error: the head's rounding
+                    # and the tail power sums' remainders are in it
+                    assert abs(got - want) <= bound, (k, star, got - want, bound)
+
+    @pytest.mark.parametrize("t", [17, 10 ** 3, 10 ** 5])
+    def test_poisson_matches_oracle(self, zipf2, t):
+        # 40 digits, as the binomial oracle: P(Pois(t p_j) in A) over the
+        # cells j <= M, and beyond them P(Pois(t p) = i) =
+        # sum_r (-1)^(r - i) t^r p^r / (i! (r - i)!), r <= 80
+        with mp.workdps(40):
+            z2 = mp.zeta(2)
+            M = max(100, math.ceil(math.sqrt(10 * t / float(z2))))
+            pmf_sum = [mp.mpf(0)] * 4
+            ge_sum = [mp.mpf(0)] * 4
+            for j in range(1, M + 1):
+                lam = t / (z2 * j * j)
+                below = mp.mpf(0)
+                for i in range(4):
+                    pmf = mp.exp(-lam) * lam ** i / mp.factorial(i)
+                    pmf_sum[i] += pmf
+                    ge_sum[i] += 1 - below
+                    below += pmf
+            power = [(t / z2) ** r * mp.zeta(2 * r, M + 1) for r in range(81)]
+            pmf_tail = [mp.fsum((-1) ** (r - i) * power[r] / (mp.factorial(i) * mp.factorial(r - i))
+                                for r in range(max(i, 1), 81)) for i in range(4)]
+            for k in (1, 2, 3):
+                for star in (True, False):
+                    want = float(ge_sum[k] - mp.fsum(pmf_tail[:k]) if star
+                                 else pmf_sum[k] + pmf_tail[k])
+                    got, bound = exact_mean(zipf2, float(t), k, star)
+                    assert abs(got - want) <= bound, (k, star, got - want, bound)
 
     @pytest.mark.parametrize("t", [1e2, 1e5, 1e8])
     def test_truncation_budget(self, zipf2, theta_one_log, t):
@@ -572,6 +656,18 @@ class TestSharedTailSums:
             # again with every tail power sum at t already computed
             assert series_point(d, t, k) == want
 
+    def test_series_within_bounds_of_gammainc_head(self):
+        # (value, bound) positions in series_point; the asymptotic values
+        # do not depend on the head and keep their bits
+        pairs = ((0, 4), (1, 4), (5, 6), (7, 8))
+        for key, new in SERIES_HEX.items():
+            old = SERIES_HEX_GAMMAINC[key]
+            assert new[2:4] == old[2:4], key
+            new_f = [float.fromhex(v) for v in new]
+            old_f = [float.fromhex(v) for v in old]
+            for v, b in pairs:
+                assert abs(new_f[v] - old_f[v]) <= new_f[b] + old_f[b], (key, v)
+
     @pytest.mark.parametrize("spec, t", [
         (DistributionSpec(family="zipf", s=2.0), 10_000),  # head below _EM_MIN_INDEX
         (DistributionSpec(family="zipf_log", s=2.0, a=1.0), 1_000_000),
@@ -613,22 +709,17 @@ class TestSharedTailSums:
 
     @staticmethod
     def count_head_work(monkeypatch) -> dict:
-        """Spy on the head work: elements passed to gammainc, gammaincc and
-        the binomial-minus-Poisson correction, and the thresholds of
-        counting_function (the head length at t searches at t / _TAU)."""
-        work = {"gammainc": 0, "gammaincc": 0, "correction": 0, "searches": []}
+        """Spy on the head work: the cells passed to the head kernel
+        _poisson_cells, and the thresholds of counting_function (the head
+        length at t searches at t / _TAU)."""
+        work = {"cells": 0, "searches": []}
+        kernel = moments._poisson_cells
 
-        def spy(name, fn):
-            def counted(*args):
-                work[name] += np.size(args[1])
-                return fn(*args)
-            return counted
+        def cells(lam, k, star):
+            work["cells"] += lam.size
+            return kernel(lam, k, star)
 
-        monkeypatch.setattr(moments.special, "gammainc", spy("gammainc", moments.special.gammainc))
-        monkeypatch.setattr(moments.special, "gammaincc",
-                            spy("gammaincc", moments.special.gammaincc))
-        monkeypatch.setattr(moments, "_binom_minus_poisson",
-                            spy("correction", moments._binom_minus_poisson))
+        monkeypatch.setattr(moments, "_poisson_cells", cells)
         counting_function = distributions.CellDistribution.counting_function
 
         def search(self, x):
@@ -647,36 +738,33 @@ class TestSharedTailSums:
             for t in ts:
                 J = moments._head_length(d, t)
                 for k in (1, 2, 3):
-                    work.update(gammainc=0, gammaincc=0, correction=0)
+                    work["cells"] = 0
                     series_point(d, t, k)
-                    # one head of each; at k = 1 the fixed-n head is closed form
-                    assert (work["gammainc"], work["gammaincc"], work["correction"]) == (J, J, J)
+                    # one pass over the head gives all four sums
+                    assert work["cells"] == J
             # one head-length search per t (moment_report searches at t itself)
             heads = [t / moments._TAU for t in ts]
             assert sorted(x for x in work["searches"] if x in heads) == heads
 
-    # head work of each series alone before the series shared their head, in
-    # heads: (gammainc, gammaincc, correction) for k = 1 and k = 2 at least
-    # k, and the correction for exactly k (which evaluates no incomplete gamma)
-    ALONE = {
-        "mean_binomial": ((0, 0, 0), (1, 0, 1), 1),
-        "mean_poisson": ((1, 0, 0), (1, 0, 0), 0),
-        "var": ((1, 1, 0), (1, 1, 0), 0),
-        "gap": ((0, 0, 1), (0, 0, 1), 1),
-    }
-
-    @pytest.mark.parametrize("name", sorted(ALONE))
+    @pytest.mark.parametrize("name", sorted(CALLS))
     def test_no_more_head_work_alone(self, monkeypatch, name):
+        # each series alone makes the one pass, at an integer t (four sums)
+        # and at a t that is not (two sums), and then every other series
+        # at the point reads the kept sums
         work = self.count_head_work(monkeypatch)
-        at_least_1, at_least_2, exactly = self.ALONE[name]
         J = moments._head_length(build_distribution(self.SPEC), self.T)
-        for k, star, want in ((1, True, at_least_1), (2, True, at_least_2),
-                              (2, False, (0, 0, exactly))):
-            work.update(gammainc=0, gammaincc=0, correction=0, searches=[])
-            self.CALLS[name](build_distribution(self.SPEC), self.T, k, star)
-            assert (work["gammainc"], work["gammaincc"], work["correction"]) \
-                == tuple(J * w for w in want)
-            assert work["searches"] == [self.T / moments._TAU]
+        ts = (self.T, self.T + 0.5) if name in ("mean_poisson", "var") else (self.T,)
+        for t in ts:
+            for k, star in ((1, True), (2, True), (2, False)):
+                work.update(cells=0, searches=[])
+                d = build_distribution(self.SPEC)
+                self.CALLS[name](d, t, k, star)
+                assert work["cells"] == J
+                assert work["searches"] == [t / moments._TAU]
+                for other in self.CALLS:
+                    if t == self.T or other in ("mean_poisson", "var"):
+                        self.CALLS[other](d, t, k, star)
+                assert work["cells"] == J
 
     @pytest.mark.parametrize("k, star", [(1, True), (2, True), (2, False)])
     def test_any_order_matches_cold_calls(self, k, star):
@@ -688,17 +776,22 @@ class TestSharedTailSums:
                 got = self.CALLS[name](d, self.T, k, star)
                 assert [v.hex() for v in got] == [v.hex() for v in cold[name]], (order, name)
 
-    def test_memo_stays_at_cap(self):
+    def test_memo_stays_at_cap(self, monkeypatch):
+        work = self.count_head_work(monkeypatch)
         d = build_distribution(DistributionSpec(family="zipf", s=2.0))
         for t, k in itertools.product(np.logspace(3, 6, 34).astype(int), (1, 2, 3)):
+            J = moments._head_length(d, int(t))
+            work["cells"] = 0
             series_point(d, int(t), k)
+            series_point(d, int(t), k)
+            # one pass for the new point, none for the kept one
+            assert work["cells"] == J
             assert len(d._head_sums) <= _HEAD_SLOTS
             assert len(d._head_lengths) <= _HEAD_SLOTS
-            # one head array, of the last point; the sums are scalars
-            key, g = d._head_array
-            assert key == (int(t), k, True) and g.size == moments._head_length(d, int(t))
+            # the sums and their bounds are scalars; no head array is kept
             assert all(isinstance(v, float) for sums in d._head_sums.values()
-                       for v in sums.values())
+                       for pair in sums.values() for v in pair)
+            assert not any(isinstance(v, np.ndarray) and v.size == J for v in vars(d).values())
         assert len(d._head_sums) == _HEAD_SLOTS
 
 
