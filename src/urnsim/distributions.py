@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import special
 from scipy.integrate import quad
 
@@ -45,10 +46,18 @@ _SEARCH_CHUNK = 1 << 15
 # Smallest index at which Euler-Maclaurin tail sums take over from
 # explicit summation.
 _EM_MIN_INDEX = 1 << 10
-# (t, J) pairs whose tail power sums a distribution keeps: the series calls
-# at one t cut at the head length, at _EM_MIN_INDEX below it and at L*'s
-# split, so fewer slots would evict a pair that is about to be used again.
+# Orders r = 1.._MAX_ORDER of the tail power sums sum_{j>J} (t p_j)^r.
+_MAX_ORDER = 60
+_ORDERS = np.arange(1.0, _MAX_ORDER + 1.0)
+_ORDERS.flags.writeable = False
+# Cuts J whose tail power sums a distribution keeps: the series calls at one
+# t cut at the head length, at _EM_MIN_INDEX below it and at L*'s split, so
+# fewer slots would evict a cut that is about to be used again.
 _TAIL_SLOTS = 4
+# Gauss-Legendre rule of the tail power integrals on each interval, and the
+# lower-order rule whose difference from it bounds its error.
+_GAUSS = leggauss(20)
+_GAUSS_LOW = leggauss(10)
 # Exact-series heads a distribution keeps for moments: head lengths by t and
 # head sums by point (t, k, star).  The series of one point read one key;
 # depoissonization_gap and variance_sandwich_check read up to three.
@@ -137,14 +146,19 @@ def _powerlog_tail_integral(s: float, a: float, x0: float) -> tuple[float, float
     these slowly decaying integrands.
     """
     if s > 1.0:
-        span = min(745.0 / (s - 1.0), 700.0)
+        # past span the integrand is below e^-745 times a power of u; one
+        # quad reaches at most u = 700, a second one the rest of the span
+        span = 745.0 / (s - 1.0)
 
         def integrand(u: float) -> float:
             # ln(x0 e^u + e) = u + ln(x0 + e e^-u), safe for huge u
             w = u + math.log(x0 + _E * math.exp(-u))
             return math.exp((1.0 - s) * u) * w ** -a
 
-        val, err = _quad(integrand, 0.0, span)
+        val, err = _quad(integrand, 0.0, min(span, 700.0))
+        if span > 700.0:
+            more, more_err = _quad(integrand, 700.0, span)
+            val, err = val + more, err + more_err
         scale = x0 ** (1.0 - s)
         return val * scale, err * scale
     if a <= 1.0:
@@ -170,6 +184,50 @@ def _powerlog_tail_sum(s: float, a: float, J: int) -> tuple[float, float]:
     return est, qerr + rem
 
 
+def _power_integrals(s: float, a: float, x0: float) -> tuple[np.ndarray, np.ndarray]:
+    """integral_0^inf exp(r dlnf(u) + u) du for every order r = 1.._MAX_ORDER
+    at once, dlnf(u) = ln(f(x0 e^u) / f(x0)), f(x) = x^-s (ln(x+e))^-a, and
+    per order a bound on its error; nan for the orders with r s <= 1, whose
+    integrals diverge.
+
+    One composite Gauss rule on the dyadic partition 0, 2^k0, ..., 2^m, U
+    of u: 2^k0 is below half the decay length 1/(_MAX_ORDER s) of the
+    highest order, and past U = 745/lam, lam = r s - 1 of the slowest order,
+    the integrand is below e^-745 times a power of u.  The bound is the
+    lower-order rule's distance from it, interval by interval, plus the
+    rounding, which grows with r as the rounding of r dlnf does.
+    """
+    r = _ORDERS
+    top = 745.0 / (s - 1.0 if s > 1.0 else 2.0 * s - 1.0)
+    k0 = -math.ceil(math.log2(_MAX_ORDER * s)) - 1
+    edges = np.concatenate(([0.0], 2.0 ** np.arange(k0, math.ceil(math.log2(top))), [top]))
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    (x, w), (x_low, w_low) = _GAUSS, _GAUSS_LOW
+    split = half.size * x.size
+    u = np.concatenate([(mid[:, None] + np.multiply.outer(half, nodes)).ravel()
+                        for nodes in (x, x_low)])
+    # ln(x0 e^u + e) - ln(x0 + e), without cancellation near u = 0
+    w0 = math.log(x0 + _E)
+    dw = np.empty_like(u)
+    near = u <= 1.0
+    dw[near] = np.log1p(x0 / (x0 + _E) * np.expm1(u[near]))
+    dw[~near] = u[~near] + np.log(x0 + _E * np.exp(-u[~near])) - w0
+    lw = np.log1p(dw / w0)
+    f = np.multiply.outer(r, -s * u - a * lw)
+    f += u
+    np.exp(f, out=f)
+    high = f[:, :split].reshape(r.size, half.size, x.size) @ w * half
+    low = f[:, split:].reshape(r.size, half.size, x_low.size) @ w_low * half
+    val = high.sum(axis=1)
+    # rounding, in units of 2^-52 of the integrand: about 7 r (s u + |a| lw)
+    # from the exponent r dlnf + u, and 20 from exp, the weights and the sums
+    size = f[:, :split] @ ((s * u[:split] + abs(a) * lw[:split]) * np.outer(half, w).ravel())
+    err = np.abs(high - low).sum(axis=1) + 2.0 ** -52 * (8.0 * r * size + 24.0 * val)
+    diverge = r * s <= 1.0
+    val[diverge] = err[diverge] = math.nan
+    return val, err
+
+
 class _Kept(dict):
     """A dict that keeps only its newest ``slots`` keys."""
 
@@ -192,7 +250,7 @@ class CellDistribution:
 
     Immutable after construction apart from internal caches: the grow-only
     probability prefix (idempotent to racing readers), the L*(t) values,
-    the tail power sums of the last few (t, J) pairs and the exact-series
+    the tail power sums of the last few cuts J and the exact-series
     head sums of the last few points.  Construct via :func:`build_distribution`.
     """
 
@@ -220,8 +278,8 @@ class CellDistribution:
         # the sampler's inversion table; probs_prefix never grows it
         self._cum = np.cumsum(self._prefix)
         self._lstar_cache: dict[float, float] = {}
-        # (t, J) -> {r: tail_power_sum(t, J, r)}
-        self._tail_sums = _Kept(_TAIL_SLOTS)
+        # J -> the part of tail_power_sum(t, J, r) that does not depend on t
+        self._tail_cuts = _Kept(_TAIL_SLOTS)
         # filled by moments: t -> head length, (t, k, star) -> head sums
         self._head_lengths = _Kept(_HEAD_SLOTS)
         self._head_sums = _Kept(_HEAD_SLOTS)
@@ -366,48 +424,64 @@ class CellDistribution:
         return block + (est + bound) / self.Z
 
     def tail_power_sum(self, t: float, J: int, r: int) -> tuple[float, float]:
-        """sum_{j>J} (t p_j)^r, stable for large t and r, and its error bound.
+        """sum_{j>J} (t p_j)^r, r = 1.._MAX_ORDER, stable for large t and r,
+        and its error bound.
 
         Requires t*p_{J+1} <= O(1); the result is used as the analytic
-        tail of truncated occupancy series.  Kept for the last _TAIL_SLOTS
-        (t, J) pairs, so the series at one t share each quadrature.
+        tail of truncated occupancy series.  t enters only as a factor, so
+        each cut J is worked out once for every order, without t, and kept
+        for the last _TAIL_SLOTS cuts.
         """
-        sums = self._tail_sums.keep((t, J), dict)
-        if r not in sums:
-            sums[r] = self._tail_power_sum(t, J, r)
-        return sums[r]
-
-    def _tail_power_sum(self, t: float, J: int, r: int) -> tuple[float, float]:
+        if not 1 <= r <= _MAX_ORDER:
+            raise DistributionError(f"power sum order must be in 1..{_MAX_ORDER}, got {r}")
+        cut = self._tail_cuts.keep(J, lambda: self._tail_cut(J))
         if self.family == "geometric":
-            lam = t * self.prob(J + 1)
+            lam = t * cut
             return lam ** r / (1.0 - self.q ** r), 0.0
         if J < _EM_MIN_INDEX:
-            j = np.arange(J + 1, _EM_MIN_INDEX + 1)
-            block = float(((t * self.prob_array(j)) ** r).sum())
+            block = float(((t * cut) ** r).sum())
             rest, err = self.tail_power_sum(t, _EM_MIN_INDEX, r)
             return block + rest, err
-        s, a, Z = self.s, self.a, self.Z
-        rs = r * s
-        if r == 1 and rs <= 1.0:
-            est, bound = _powerlog_tail_sum(s, a, J)
-            return t / Z * est, t / Z * bound
+        log_p0, size, values, errors, powerlog = cut
+        if r == 1 and self.s <= 1.0:
+            est, bound = powerlog
+            return t / self.Z * est, t / self.Z * bound
+        # f0 = (t p(x0))^r; the relative rounding of f0 times the sum: 2 ulps
+        # of each log term of lmu = ln t + ln p(x0) and one of r lmu, all
+        # times r, then exp, the sum's last two steps and the product
+        lt = math.log(t)
+        f0 = math.exp(r * (lt + log_p0))
+        value = f0 * values[r - 1]
+        return value, f0 * errors[r - 1] + abs(value) * 2.0 ** -52 * (
+            3.0 * r * (abs(lt) + size) + 3.0)
+
+    def _tail_cut(self, J: int):
+        """What tail_power_sum keeps of the cut J, none of it depending on t:
+        p_{J+1} for geometric; below _EM_MIN_INDEX the probabilities of the
+        cells J+1.._EM_MIN_INDEX; otherwise, with x0 = J + 1/2 and
+        (t p(x0))^r factored out, ln p(x0) = -ln Z - s ln x0 - a ln ln(x0+e)
+        and the sum of its terms' magnitudes, the midpoint Euler-Maclaurin
+        sums of every order and their bounds, and, for s <= 1, the estimate
+        and bound of _powerlog_tail_sum, which times t / Z give the sum for
+        r = 1 (its integral has no exponential decay)."""
+        if self.family == "geometric":
+            return self.prob(J + 1)
+        if J < _EM_MIN_INDEX:
+            return self.prob_array(np.arange(J + 1, _EM_MIN_INDEX + 1))
+        s, a = self.s, self.a
         x0 = J + 0.5
         w0 = math.log(x0 + _E)
-        lmu = math.log(t) - math.log(Z) - s * math.log(x0) - a * math.log(w0)
-
-        def scaled(u: float) -> float:
-            w = u + math.log(x0 + _E * math.exp(-u))  # ln(x0 e^u + e), no overflow
-            dlnf = -s * u - a * (math.log(w) - math.log(w0))
-            return math.exp(r * dlnf + u)
-
-        span = min(745.0 / max(rs - 1.0, 1e-9), 700.0)
-        val, qerr = _quad(scaled, 0.0, span)
+        logs = (math.log(self.Z), s * math.log(x0), a * math.log(w0))
+        log_p0, size = -sum(logs), sum(map(abs, logs))
+        val, qerr = _power_integrals(s, a, x0)
+        r = _ORDERS
         dlog = -s / x0 - a / ((x0 + _E) * w0)
         # Euler-Maclaurin remainder: at most 7/5760 |f^(3)(x0)|, and
         # |f^(3)(x0)| <= f(x0) (r (s + |a|) + 2)^3 / x0^3
         rem = 7.0 / 5760.0 * (r * (s + abs(a)) + 2.0) ** 3 / x0 ** 3
-        f0 = math.exp(r * lmu)
-        return f0 * (val * x0 + r * dlog / 24.0), f0 * (qerr * x0 + rem)
+        powerlog = _powerlog_tail_sum(s, a, J) if s <= 1.0 else None
+        values, errors = val * x0 + r * dlog / 24.0, qerr * x0 + rem
+        return log_p0, size, values.tolist(), errors.tolist(), powerlog
 
     # ---------- sampling
 
@@ -581,12 +655,13 @@ def _exp_inv_log_simpson(f: Callable[[np.ndarray], np.ndarray],
                          ylo: float, yhi: float, npts: int) -> float:
     """Composite Simpson of f(y) dy on a log-spaced grid over [ylo, yhi]."""
     u = np.linspace(math.log(ylo), math.log(yhi), npts + 1)
-    y = np.exp(u)
+    du = u[1] - u[0]
+    y = np.exp(u, out=u)
     h = f(y) * y  # jacobian dy = y du
-    w = np.ones(npts + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float((u[1] - u[0]) / 3.0 * (w * h).sum())
+    # the weights 1, 4, 2, ..., 4, 1 in place: L* refines to 2^18 points
+    h[1:-1:2] *= 4.0
+    h[2:-1:2] *= 2.0
+    return float(du / 3.0 * h.sum())
 
 
 # upper quadrature cutoff: the region y > _LSTAR_SPLIT is evaluated

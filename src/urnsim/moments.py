@@ -28,6 +28,7 @@ from scipy import special
 # smoothed_slowly_varying is called through this module's global, which
 # perfbench/tracing.py wraps
 from .distributions import (
+    _MAX_ORDER,
     _PREFIX_CAP,
     CellDistribution,
     DistributionError,
@@ -38,7 +39,6 @@ from .distributions import (
 # per-cell scale t*p_j at which the head/tail split happens: tail cells
 # satisfy t*p_j <= _TAU and their contribution converges geometrically.
 _TAU = 0.5
-_MAX_ORDER = 60
 _MIN_HEAD = 1000
 # head cells per pass: 2^13 keeps a pass's dozen temporaries in L2
 _HEAD_CHUNK = 1 << 13
@@ -54,9 +54,10 @@ _CELL_ULPS = 64
 T_LSTAR_REGIME = object()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MomentReport:
-    """Exact vs asymptotic values for one (t, k) pair."""
+    """Exact vs asymptotic values for one (t, k) pair (slotted: callers
+    keep many)."""
 
     t_or_n: float
     k: int
@@ -95,7 +96,10 @@ def binomial_tail_at_least(n: int, p, k: int):
         return np.zeros_like(p) if np.ndim(p) else 0.0
     p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
     g, _, pmf = _poisson_cells(n * p_arr, k, True)
-    out = g + _binom_minus_poisson(n, p_arr, pmf, k, True)
+    # at p = 1 the correction takes log1p(-1) and -inf + inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = g + _binom_minus_poisson(n, p_arr, pmf, k, True)
+    out[p_arr == 1.0] = 1.0  # Binomial(n, 1) = n >= k
     return out if np.ndim(p) else float(out[0])
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,13 @@ from urnsim import (
 )
 from urnsim.distributions import (
     _EM_MIN_INDEX,
+    _MAX_ORDER,
     _PREFIX_CAP,
     _TABLE_SIZE,
     _TAIL_SLOTS,
     _exp_inv_log_simpson,
     _lstar_eval,
+    _powerlog_tail_integral,
 )
 from urnsim.moments import exact_mean
 
@@ -335,7 +338,7 @@ class TestTailPowerSum:
                 for r in range(1, 8):
                     first = [v.hex() for v in warm.tail_power_sum(t, J, r)]
                     assert [v.hex() for v in warm.tail_power_sum(t, J, r)] == first
-                    cold._tail_sums.clear()
+                    cold._tail_cuts.clear()
                     assert [v.hex() for v in cold.tail_power_sum(t, J, r)] == first
 
     def test_cache_stays_at_cap(self):
@@ -343,10 +346,93 @@ class TestTailPowerSum:
         first = exact_mean(d, 1e3, 2, star=True)
         for t in np.logspace(3, 8, 100):
             exact_mean(d, float(t), 2, star=True)
-            assert len(d._tail_sums) <= _TAIL_SLOTS
-        assert len(d._tail_sums) == _TAIL_SLOTS
+            assert len(d._tail_cuts) <= _TAIL_SLOTS
+        assert len(d._tail_cuts) == _TAIL_SLOTS
         # the evicted power sums at t = 1e3 are recomputed to the same bits
         assert exact_mean(d, 1e3, 2, star=True) == first
+
+
+def tail_power_oracle(d, t, J, r):
+    """sum_{j>J} (t p_j)^r at 40 digits, p_j = j^-s (ln(j+e))^-a / Z with
+    the float Z of d: Euler-Maclaurin from N = J + 1 with five derivative
+    terms (the next is below 1e-19 of the sum for r s <= 120, N > 1000)."""
+    with mp.workdps(40):
+        s, a = mp.mpf(d.s), mp.mpf(d.a)
+        lc = mp.log(t) - mp.log(d.Z)
+
+        def f(x):
+            return mp.exp(r * (lc - s * mp.log(x) - a * mp.log(mp.log(x + mp.e))))
+
+        N = mp.mpf(J + 1)
+        if d.a == 0.0:
+            integral = f(N) * N / (r * s - 1)
+        elif r * d.s > 1.0:
+            lam = r * s - 1
+            integral = N * mp.quad(lambda u: f(N * mp.exp(u)) * mp.exp(u),
+                                   [0, 1 / lam, 8 / lam, mp.inf])
+        else:
+            # y = ln(x + e): the integral is a closed form plus a correction
+            # that decays like e^-y
+            y0 = mp.log(N + mp.e)
+            integral = mp.exp(lc) * (y0 ** (1 - a) / (a - 1) + mp.e * mp.quad(
+                lambda y: y ** -a / (mp.exp(y) - mp.e), [y0, y0 + 1, mp.inf]))
+        der = mp.taylor(f, N, 9)  # f^(n)(N) / n!
+        total = integral + der[0] / 2
+        for k in range(1, 6):
+            total -= mp.bernoulli(2 * k) / (2 * k) * der[2 * k - 1]
+        return float(total)
+
+
+class TestTailPowerOracle:
+    """tail_power_sum against tail_power_oracle at t p_{J+1} = 0.4, inside
+    the series' cut t p_{J+1} <= 1/2."""
+
+    @pytest.mark.parametrize("spec", [
+        DistributionSpec(family="zipf", s=2.0),
+        DistributionSpec(family="zipf", s=1.2),
+        DistributionSpec(family="zipf_log", s=1.5, a=1.0),
+        DistributionSpec(family="zipf_log", s=1.5, a=-0.5),
+        DistributionSpec(family="theta_one_log"),
+    ], ids=lambda spec: "-".join(str(v) for v in spec.as_mapping().values()))
+    def test_within_bound(self, spec):
+        d = build_distribution(spec)
+        for J in (1 << 10, 37_000, 10 ** 7):
+            t = 0.4 / d.prob(J + 1)
+            for r in (1, 2, 5, 20, 40, 60):
+                got, bound = d.tail_power_sum(t, J, r)
+                want = tail_power_oracle(d, t, J, r)
+                assert abs(got - want) <= bound, (J, r, got, want, bound)
+                # the bound is not vacuous: it stays below the Euler-Maclaurin
+                # remainder at the smallest cut, and near rounding beyond it
+                assert bound <= (1e-6 if J == 1 << 10 else 1e-11) * want
+
+    @pytest.mark.parametrize("spec", [
+        DistributionSpec(family="zipf", s=1.01),
+        DistributionSpec(family="zipf_log", s=1.01, a=1.0),
+    ], ids=("zipf-1.01", "zipf_log-1.01-1"))
+    def test_slow_decay_reaches_its_mass(self, spec):
+        # at s = 1.01 the integrals decay like e^(-0.01 u): a range cut at
+        # u = 700 drops e^-7 of them
+        d = build_distribution(spec)
+        for J in (2048, 37_000):
+            got, bound = d.tail_power_sum(1e4, J, 1)
+            want = tail_power_oracle(d, 1e4, J, 1)
+            assert abs(got - want) <= bound, (J, got, want, bound)
+            assert bound <= 1e-12 * want
+        x0 = 16_384.5
+        got, err = _powerlog_tail_integral(d.s, d.a, x0)
+        with mp.workdps(30):
+            s, a = mp.mpf(d.s), mp.mpf(d.a)
+            want = x0 ** (1 - s) * mp.quad(
+                lambda u: mp.exp((1 - s) * u) * (u + mp.log(x0 + mp.e * mp.exp(-u))) ** -a,
+                [0, 1, 10, 100, 1000, mp.inf])
+        assert abs(got - float(want)) <= err + 1e-15 * float(want)
+        assert err <= 1e-12 * float(want)
+
+    def test_orders(self, zipf2):
+        for r in (0, _MAX_ORDER + 1):
+            with pytest.raises(DistributionError, match="order"):
+                zipf2.tail_power_sum(1e4, 5000, r)
 
 
 class TestSlowlyVarying:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -47,10 +48,35 @@ ZIPF_N100_HI = 13.33705332910058
 # float.hex of the series_sweep outputs at (family, t, k), at-least-k counts:
 # moment_report (binomial law) exact_mean, exact_var, asym_mean, asym_var,
 # truncation_error, then poisson exact_mean and mean_difference (value,
-# bound).  Frozen when the head became one pass with the Poisson
-# probabilities by recurrence and the bounds took in the head's rounding
-# and the tail power sums' remainders.
+# bound).  Frozen when the tail power sums of all orders at a cut came from
+# one composite Gauss pass and their bounds took in the rounding of
+# (t p(x0))^r.
 SERIES_HEX = {
+    ("zipf2", 10_000, 1): (
+        "0x1.1366161698714p+7", "0x1.c9f25ed958dbfp+5", "0x1.10f5387a6d806p+7",
+        "0x1.c4405eb353bb3p+5", "0x1.6e137bac9b165p-39", "0x1.136533a9eef9dp+7",
+        "0x1.6e12e51629c38p-39", "0x1.c4d952eed5354p-10", "0x1.46d1eecd79182p-56"),
+    ("zipf_log21", 316_228, 2): (
+        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
+        "0x1.817ead7c6edb4p+5", "0x1.f96b28b9b1a2bp-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f96b2e37b0e6dp-39", "0x1.4b966f606b1e4p-14", "0x1.79a81a6337143p-59"),
+    ("theta_one_log", 31_623, 1): (
+        "0x1.c15656b974b67p+11", "0x1.74712e7ed4449p+11", "0x1.c15627674959bp+11",
+        "0x1.c15627674959bp+11", "0x1.b02138a581019p-26", "0x1.c15627386fdf0p+11",
+        "0x1.ab37cda370992p-26", "0x1.7c0826bb777fdp-8", "0x1.3caed0b627cb0p-48"),
+    ("theta_one_log", 10_000_000, 2): (
+        "0x1.8f7c15bf89623p+15", "0x1.4e7e133332051p+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.69ce8871e10a1p-30", "0x1.8f7c1597a5bdap+15",
+        "0x1.69ce8a6b9eff7p-30", "0x1.3f1d24f615ec6p-12", "0x1.fc0cc3fe368d3p-54"),
+    ("geometric_half", 1_000, 2): (
+        "0x1.1b68d308362eep+3", "0x1.4752cf481c0c6p-1", "0x1.2000000000000p+3",
+        "nan", "0x1.2fb69d1e32189p-43", "0x1.1b62eb5093c12p+3",
+        "0x1.2fb04b05e2075p-43", "0x1.79ede89b71495p-11", "0x1.09f1b218c17cap-57"),
+}
+# The same outputs before that change, when each tail power sum was one
+# scipy quad at its (t, J) and the head one pass with the Poisson
+# probabilities by recurrence.
+SERIES_HEX_QUAD = {
     ("zipf2", 10_000, 1): (
         "0x1.1366161698714p+7", "0x1.c9f25ed958dbfp+5", "0x1.10f5387a6d806p+7",
         "0x1.c4405eb353bb3p+5", "0x1.15a49d6518118p-38", "0x1.136533a9eef9dp+7",
@@ -72,8 +98,9 @@ SERIES_HEX = {
         "nan", "0x1.2fb69d1e32189p-43", "0x1.1b62eb5093c12p+3",
         "0x1.2fb04b05e2075p-43", "0x1.79ede89b71495p-11", "0x1.09f1b218c17cap-57"),
 }
-# The same outputs before that change, when the head took the incomplete
-# gamma functions; the series values moved within the two bounds of these.
+# The same outputs before the head became one pass, when it took the
+# incomplete gamma functions; the series values moved within the two bounds
+# of these.
 # The mean_difference pairs of zipf_log21 and theta_one_log had been
 # re-pinned when its tail coefficients stopped subtracting the binomial and
 # Poisson ones (TestDepoissonization shows the new values are the right
@@ -178,6 +205,14 @@ class TestBinomialTail:
 
     def test_k_above_n(self):
         assert binomial_tail_at_least(5, 0.5, 6) == 0.0
+
+    def test_sure_success(self):
+        # Binomial(n, 1) = n: every k <= n is reached, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert binomial_tail_at_least(5, 1.0, 2) == 1.0
+            got = binomial_tail_at_least(5, [0.5, 1.0], 3)
+        assert abs(got[0] - 0.5) < 1e-15 and got[1] == 1.0
 
     def test_large_n_head_cells(self):
         # the head cells of the series at n ~ 1e8 have n p in [0.5, 4]; the
@@ -656,45 +691,63 @@ class TestSharedTailSums:
             # again with every tail power sum at t already computed
             assert series_point(d, t, k) == want
 
-    def test_series_within_bounds_of_gammainc_head(self):
+    @staticmethod
+    def assert_within_bounds(pins, older):
         # (value, bound) positions in series_point; the asymptotic values
-        # do not depend on the head and keep their bits
+        # depend on neither the head nor the tail and keep their bits
         pairs = ((0, 4), (1, 4), (5, 6), (7, 8))
-        for key, new in SERIES_HEX.items():
-            old = SERIES_HEX_GAMMAINC[key]
+        for key, new in pins.items():
+            old = older[key]
             assert new[2:4] == old[2:4], key
             new_f = [float.fromhex(v) for v in new]
             old_f = [float.fromhex(v) for v in old]
             for v, b in pairs:
                 assert abs(new_f[v] - old_f[v]) <= new_f[b] + old_f[b], (key, v)
 
+    def test_series_within_bounds_of_gammainc_head(self):
+        self.assert_within_bounds(SERIES_HEX, SERIES_HEX_GAMMAINC)
+
+    def test_series_within_bounds_of_quad_tail(self):
+        self.assert_within_bounds(SERIES_HEX, SERIES_HEX_QUAD)
+
     @pytest.mark.parametrize("spec, t", [
         (DistributionSpec(family="zipf", s=2.0), 10_000),  # head below _EM_MIN_INDEX
         (DistributionSpec(family="zipf_log", s=2.0, a=1.0), 1_000_000),
         (DistributionSpec(family="theta_one_log"), 100_000),  # L* cuts at its own J
     ])
-    def test_one_quadrature_per_tail_power_sum(self, monkeypatch, spec, t):
+    def test_one_pass_per_tail_cut(self, monkeypatch, spec, t):
         d = build_distribution(spec)
         asked = []
+        passes = []
         quads = []
         tail_power_sum = distributions.CellDistribution.tail_power_sum
+        power_integrals = distributions._power_integrals
         quad = distributions._quad
 
         def spy_tail(self, at, J, r):
             asked.append((at, max(J, _EM_MIN_INDEX), r))
             return tail_power_sum(self, at, J, r)
 
+        def spy_pass(*args):
+            passes.append(args)
+            return power_integrals(*args)
+
         def spy_quad(*args):
             quads.append(args)
             return quad(*args)
 
         monkeypatch.setattr(distributions.CellDistribution, "tail_power_sum", spy_tail)
+        monkeypatch.setattr(distributions, "_power_integrals", spy_pass)
         monkeypatch.setattr(distributions, "_quad", spy_quad)
         for k in (1, 2, 3):
             series_point(d, t, k)
-        # each power sum beyond _EM_MIN_INDEX is one quadrature
-        assert len(quads) == len(set(asked))
-        assert len(asked) > 4 * len(quads)
+        # every order at a cut beyond _EM_MIN_INDEX comes from one pass;
+        # a quad runs only for the r = 1 sum of theta_one_log (r s = 1),
+        # once per cut
+        cuts = {J for _, J, _ in asked}
+        assert len(passes) == len(cuts)
+        assert len(quads) == (len(cuts) if d.s == 1.0 else 0)
+        assert len(asked) > 4 * len(passes)
 
     # the series share the head too: theta_one_log at this t has 3.7e4 head
     # cells, more than one _HEAD_CHUNK
