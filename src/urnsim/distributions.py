@@ -50,16 +50,17 @@ _EM_MIN_INDEX = 1 << 10
 _MAX_ORDER = 60
 _ORDERS = np.arange(1.0, _MAX_ORDER + 1.0)
 _ORDERS.flags.writeable = False
-# Cuts J whose tail power sums a distribution keeps: the series calls at one
-# t cut at the head length, at _EM_MIN_INDEX below it and at L*'s split, so
-# fewer slots would evict a cut that is about to be used again.
+# Cuts J whose tail power sums a distribution keeps: the series at one t cut
+# at the head length and at _EM_MIN_INDEX below it, and variance_sandwich_check
+# reads two t, so fewer slots would evict a cut that is about to be used again.
 _TAIL_SLOTS = 4
 # Gauss-Legendre rule of the tail power integrals on each interval, and the
 # lower-order rule whose difference from it bounds its error.
 _GAUSS = leggauss(20)
 _GAUSS_LOW = leggauss(10)
 # Exact-series heads a distribution keeps for moments: head lengths by t and
-# head sums by point (t, k, star).  The series of one point read one key;
+# head sums by point (t, k, star).  The series of one point read one key, and
+# L*(t) reads the (t, 1, star) key that moment_report's k = 1 series fill;
 # depoissonization_gap and variance_sandwich_check read up to three.
 _HEAD_SLOTS = 4
 # Draws that would land beyond this index (per-cell probability < ~1e-21)
@@ -249,9 +250,10 @@ class CellDistribution:
     """A concrete infinite discrete law p_1 >= p_2 >= ... > 0.
 
     Immutable after construction apart from internal caches: the grow-only
-    probability prefix (idempotent to racing readers), the L*(t) values,
-    the tail power sums of the last few cuts J and the exact-series
-    head sums of the last few points.  Construct via :func:`build_distribution`.
+    probability prefix (idempotent to racing readers), the L*(t) values
+    (each the exact at-least-1 Poisson series at t, over t), the tail
+    power sums of the last few cuts J and the exact-series head sums of
+    the last few points.  Construct via :func:`build_distribution`.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -297,11 +299,15 @@ class CellDistribution:
             head = float(self._weights(np.arange(1, J + 1, dtype=np.float64)).sum())
             tail, bound = _powerlog_tail_sum(self.s, self.a, J)
             if bound <= _NORM_TOL / 4.0 or J >= (1 << 22):
-                if bound > _NORM_TOL:
-                    raise DistributionError(
-                        f"normalization stalled at J={J}: bound {bound:.2e} > {_NORM_TOL:.2e}")
-                return head + tail
+                break
             J *= 2
+        # a large Z (s near 1, a < 0) is judged relative to itself where the
+        # absolute test fails, so a Z that passes that test keeps its bits
+        Z = head + tail
+        if bound > _NORM_TOL * max(1.0, Z):
+            raise DistributionError(f"normalization stalled at J={J}: bound {bound:.2e} "
+                                    f"> {_NORM_TOL:.2e} max(1, Z)")
+        return Z
 
     def _check_monotone_negative_a(self) -> None:
         # p is eventually decreasing once s*ln(j+e) >= |a|; check the prefix.
@@ -312,9 +318,12 @@ class CellDistribution:
         if np.any(np.diff(vals) > 0):
             raise DistributionError(
                 f"p_j not monotone nonincreasing for s={self.s}, a={self.a}")
-        if self.s + self.a / math.log(_TABLE_SIZE + 0.5 + _E) <= 1.0:
+        s_env = self.s + self.a / math.log(_TABLE_SIZE + 0.5 + _E)
+        if s_env <= 1.0:
             raise DistributionError(
-                "log power too negative for an integrable sampling envelope")
+                "log power too negative for an integrable sampling envelope: a < 0 needs "
+                f"s + a / ln(2^{_TABLE_SIZE.bit_length() - 1} + 1/2 + e) > 1, got {s_env:.6g} "
+                f"at s={self.s}, a={self.a}")
 
     def _weights(self, j: np.ndarray) -> np.ndarray:
         """p_j times Z at float indices j; Z = 1 for geometric."""
@@ -366,7 +375,8 @@ class CellDistribution:
             out[lo:lo + _SEARCH_CHUNK] = self._count(flat[lo:lo + _SEARCH_CHUNK])
         return int(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
-    # perfbench/tracing.py counts _lstar_eval's array searches under this name
+    # no caller in urnsim; perfbench/tracing.py wraps this name, so it stays
+    # until the tracer drops it
     counting_function_many = counting_function
 
     def _count(self, xs: np.ndarray) -> np.ndarray:
@@ -651,74 +661,25 @@ def slowly_varying(d: CellDistribution, x: float) -> float:
     return d.counting_function(x) / x ** d.theta
 
 
-def _exp_inv_log_simpson(f: Callable[[np.ndarray], np.ndarray],
-                         ylo: float, yhi: float, npts: int) -> float:
-    """Composite Simpson of f(y) dy on a log-spaced grid over [ylo, yhi]."""
-    u = np.linspace(math.log(ylo), math.log(yhi), npts + 1)
-    du = u[1] - u[0]
-    y = np.exp(u, out=u)
-    h = f(y) * y  # jacobian dy = y du
-    # the weights 1, 4, 2, ..., 4, 1 in place: L* refines to 2^18 points
-    h[1:-1:2] *= 4.0
-    h[2:-1:2] *= 2.0
-    return float(du / 3.0 * h.sum())
-
-
-# upper quadrature cutoff: the region y > _LSTAR_SPLIT is evaluated
-# analytically cell by cell (closed form plus a convergent power series).
-_LSTAR_SPLIT = 100.0
-# relative agreement of two Simpson resolutions at which L* stops refining
-_LSTAR_REL = 1e-6
-
-
 def smoothed_slowly_varying(d: CellDistribution, t: float) -> float:
-    """L*(t): the exp(-1/y)/y - weighted smoothing of L(ty), theta = 1 only.
+    """L*(t), the exp(-1/y)/y - weighted smoothing of L(ty), theta = 1 only.
 
-    Adaptive log-grid Simpson on [y_min, Y] with the (otherwise slowly
-    convergent) y > Y remainder evaluated analytically; the quadrature is
-    refined until two resolutions agree to _LSTAR_REL.  Cached by t.
+    With L(x) = N(x)/x, N the counting function, t L*(t) = int_0^inf
+    exp(-1/y) N(ty) y^-2 dy.  By parts with the antiderivative
+    exp(-1/y) - 1 (its product with N(ty) vanishes at 0 and, as N(x) =
+    o(x), at infinity) this is int (1 - exp(-1/y)) dN(ty).  N(ty) steps
+    by one at each y = 1/(t p_j), so t L*(t) = sum_j (1 - exp(-t p_j)),
+    the poissonized mean number of occupied cells (Karlin's Phi(t)).  L*
+    is that exact series over t, whose bound is below 1e-11 of L*; it
+    reads the head sums the distribution keeps at (t, 1, star).  Cached
+    by t.
     """
     if d.theta != 1.0:
         raise DistributionError("smoothed slowly varying transform requires theta = 1")
     if t < 1.0:
         raise DistributionError("transform defined for t >= 1")
     if t not in d._lstar_cache:
-        d._lstar_cache[t] = _lstar_eval(d, t)[0]
+        # moments imports this module
+        from .moments import exact_mean
+        d._lstar_cache[t] = exact_mean(d, t, 1, True, "poisson")[0] / t
     return d._lstar_cache[t]
-
-
-def _lstar_eval(d: CellDistribution, t: float) -> tuple[float, float]:
-    # integrand exp(-1/y) L(ty)/y = exp(-1/y) counting(ty) / (t y^2)
-    ylo = max(1.0 / (t * d.p1), 1.0 / 700.0)
-    yhi = _LSTAR_SPLIT
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        counts = d.counting_function_many(t * y)
-        return np.exp(-1.0 / y) * counts / (t * y * y)
-
-    npts = 1 << 12
-    prev = _exp_inv_log_simpson(integrand, ylo, yhi, npts)
-    gap = math.inf
-    for _ in range(6):
-        npts *= 2
-        cur = _exp_inv_log_simpson(integrand, ylo, yhi, npts)
-        gap = abs(cur - prev)
-        prev = cur
-        if gap <= _LSTAR_REL * abs(cur) / 2.0:
-            break
-    # analytic remainder over y > Y: per cell, int_a^inf exp(-1/y)/y^2 dy
-    # = 1 - exp(-1/a); cells split at the counting function of t*Y.
-    JY = d.counting_function(t * yhi)
-    head = JY * (-math.expm1(-1.0 / yhi))
-    series = 0.0
-    bound = 0.0
-    sign = 1.0
-    for r in range(1, 40):
-        term = sign * d.tail_power_sum(t, JY, r)[0] / math.factorial(r)
-        series += term
-        sign = -sign
-        bound = abs(term)
-        if bound < 1e-15 * max(series, prev * t):
-            break
-    tail = (head + series) / t
-    return prev + tail, gap + bound / t

@@ -19,12 +19,12 @@ from urnsim import (
 from urnsim.distributions import (
     _EM_MIN_INDEX,
     _MAX_ORDER,
+    _NORM_TOL,
     _PREFIX_CAP,
     _TABLE_SIZE,
     _TAIL_SLOTS,
-    _exp_inv_log_simpson,
-    _lstar_eval,
     _powerlog_tail_integral,
+    _powerlog_tail_sum,
 )
 from urnsim.moments import exact_mean
 
@@ -36,6 +36,9 @@ _SAMPLER_SPECS = {
     "geometric": DistributionSpec(family="geometric", q=0.5),
     # about 0.1% of the mass lies beyond the table
     "geometric_near_one": DistributionSpec(family="geometric", q=0.9999),
+    # theta just below 1 with a < 0: Z = 49 normalizes only by the bound
+    # relative to Z, and 65% of the mass lies beyond the table
+    "zipf_log_near_one": DistributionSpec(family="zipf_log", s=1.07, a=-0.5),
 }
 # sha256 of draw_cells and _draw_tail_block at fixed seeds; see
 # TestSampler.test_draws_pinned
@@ -62,9 +65,9 @@ ALPHA_1E6_ZIPF2 = 779
 # analytic completion bound 1/(Z*1.1e7)
 TAIL_1000_ZIPF2_LO = 0.0006075679785453176
 TAIL_1000_ZIPF2_COMPLETION = 5.6e-8
-# (value, error) of _lstar_eval(theta_one_log, t) as float.hex, frozen
-# from the per-threshold Python bisection the vectorized counting function
-# replaced
+# (value, error) of L*(theta_one_log, t) as float.hex, frozen when it came
+# from a log-grid Simpson rule over the counting function, refined until two
+# resolutions agreed to 1e-6 relative, and its analytic remainder past y = 100
 LSTAR_T1L_HEX = {
     10_000: ("0x1.122d7fb080298p-3", "0x1.ff6844601f2b5p-27"),
     31_623: ("0x1.d19b253a4cdd4p-4", "0x1.6aaaf5ac1a003p-27"),
@@ -78,6 +81,18 @@ FAMILY_SPECS = (DistributionSpec(family="zipf", s=2.0),
                 DistributionSpec(family="geometric", q=0.5))
 # prefix length of the grown copies in the equivalence test
 GROWN = 100_003
+# float.hex of Z for families that built before large Z could be judged
+# relative to itself; each normalizes by the absolute bound, so Z keeps its bits
+Z_HEX = {
+    ("zipf", 2.0, None): "0x1.a51a6625307d4p+0",
+    ("zipf", 1.2, None): "0x1.65dc7c996fc33p+2",
+    ("zipf_log", 2.0, 1.0): "0x1.1adebdb84c920p+0",
+    ("zipf_log", 1.5, 1.0): "0x1.7824f1965a2c0p+0",
+    ("zipf_log", 1.1, -0.5): "0x1.d73ca7e20dc96p+4",
+    ("zipf_log", 1.01, 1.0): "0x1.3c2d449472d04p+2",
+    ("zipf_log", 3.0, -2.0): "0x1.2a968edd9d369p+1",
+    ("theta_one_log", None, None): "0x1.8ac32d52b2f53p+0",
+}
 
 
 def scalar_count(d, x):
@@ -179,6 +194,34 @@ class TestBuild:
         spec = DistributionSpec(family="zipf", s=2.0)
         with pytest.raises(DistributionError, match="s > 1"):
             dataclasses.replace(spec, s=1.0)
+
+    @pytest.mark.parametrize("family, s, a", sorted(Z_HEX, key=str))
+    def test_normalization_bits_pinned(self, family, s, a):
+        d = build_distribution(DistributionSpec(family=family, s=s, a=a))
+        assert d.Z.hex() == Z_HEX[(family, s, a)]
+
+    def test_near_one_negative_log_power(self):
+        # the absolute bound at the last cut, 2^22, is above _NORM_TOL but
+        # within _NORM_TOL Z; Z and the tail masses hold within their bounds
+        # against 40-digit Euler-Maclaurin sums
+        d = build_distribution(_SAMPLER_SPECS["zipf_log_near_one"])
+        bound = _powerlog_tail_sum(d.s, d.a, 1 << 22)[1]
+        assert _NORM_TOL < bound <= _NORM_TOL * d.Z
+        with mp.workdps(40):
+            head = mp.fsum(mp.mpf(j) ** -mp.mpf(d.s) * mp.log(j + mp.e) ** -mp.mpf(d.a)
+                           for j in range(1, 1001))
+        want = float(head + mp.mpf(tail_power_oracle(d, d.Z, 1000, 1)))
+        assert abs(d.Z - want) <= bound
+        for J in (1000, _TABLE_SIZE, 10 ** 7):
+            # tail_mass is the estimate plus its bound at max(J, _EM_MIN_INDEX)
+            excess = d.tail_mass(J) - tail_power_oracle(d, 1.0, J, 1)
+            tail_bound = _powerlog_tail_sum(d.s, d.a, max(J, _EM_MIN_INDEX))[1] / d.Z
+            assert 0.0 <= excess <= 2.0 * tail_bound, J
+
+    def test_envelope_range_named(self):
+        # (1.05, -1.0) normalizes (Z = 402) and then fails the envelope
+        with pytest.raises(DistributionError, match=r"s \+ a / ln\(2\^16 \+ 1/2 \+ e\) > 1"):
+            build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-1.0))
 
     def test_normalization_partial_plus_tail(self, zipf_log21, theta_one_log, zipf2,
                                               geometric_half):
@@ -287,11 +330,6 @@ class TestCountingFunction:
             assert d.counting_function(np.array(probe[::-1])).tolist() == want[::-1]
             assert [d.counting_function(x) for x in probe[:3]] == want[:3]
             assert d._prefix.size == size  # the search never grows the prefix
-
-    def test_lstar_bitwise_frozen(self, theta_one_log):
-        for t, (val, err) in LSTAR_T1L_HEX.items():
-            assert _lstar_eval(theta_one_log, t) == (float.fromhex(val),
-                                                     float.fromhex(err))
 
     def test_warm_grid_matches_scalar(self, theta_one_log, zipf2):
         xs = np.logspace(1, 9, 25)
@@ -456,33 +494,32 @@ class TestSlowlyVarying:
 
 
 class TestSmoothedSlowlyVarying:
-    def test_quadrature_core_gamma_identity(self):
-        # int exp(-1/y)/y^2 dy has closed form exp(-1/y); the log-grid
-        # Simpson core must reproduce it (and hence scale constants exactly).
-        for c in (1.0, 3.5):
-            got = _exp_inv_log_simpson(
-                lambda y: c * np.exp(-1.0 / y) / y ** 2, 1e-3, 1e3, 1 << 12)
-            want = c * (math.exp(-1e-3) - math.exp(-1e3))
-            assert abs(got - want) < 1e-9 * want
+    def test_within_frozen_quadrature(self, theta_one_log):
+        # the quadrature over the counting function is an independent
+        # oracle: the series lies within its refinement target
+        for t, (val, _) in LSTAR_T1L_HEX.items():
+            want = float.fromhex(val)
+            assert abs(smoothed_slowly_varying(theta_one_log, t) - want) <= 1e-6 * want, t
 
     def test_matches_exact_series_identity(self, theta_one_log):
-        # Independent oracle: with L built from the exact counting function,
-        # the smoothed transform equals (exact poissonized occupied mean)/t.
-        for t in (1e4, 1e6):
-            quad_val = smoothed_slowly_varying(theta_one_log, t)
-            series_val = exact_mean(theta_one_log, t, 1, star=True)[0] / t
-            assert abs(quad_val - series_val) < 3e-6 * series_val
+        # t L*(t) is the exact poissonized occupied mean, to the rounding of
+        # the division by t and the product
+        for t in (1e4, 31_623, 1e6, 3e7):
+            series_val = exact_mean(theta_one_log, t, 1, star=True)[0]
+            got = t * smoothed_slowly_varying(theta_one_log, t)
+            assert abs(got - series_val) <= 2.0 * math.ulp(series_val), t
 
     def test_decreasing_to_zero_trend(self, theta_one_log):
         vals = [smoothed_slowly_varying(theta_one_log, t) for t in np.logspace(4, 10, 7)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.6 * vals[0]
 
-    def test_refinement_self_check(self, theta_one_log):
-        from urnsim.distributions import _lstar_eval
-        val = smoothed_slowly_varying(theta_one_log, 1e5)
-        err = _lstar_eval(theta_one_log, 1e5)[1]
-        assert err < 1e-6 * val
+    def test_series_bound_self_check(self, theta_one_log):
+        # below t = 1e5 the head is cut near _EM_MIN_INDEX, where the
+        # Euler-Maclaurin remainder of the r = 1 tail sum dominates the bound
+        for t, rel in ((1e4, 1e-11), (31_623, 1e-11), (1e5, 1e-12), (1e7, 1e-12)):
+            val = smoothed_slowly_varying(theta_one_log, t)
+            assert exact_mean(theta_one_log, t, 1, star=True)[1] / t <= rel * val, t
 
     def test_requires_theta_one(self, zipf2, geometric_half):
         for d in (zipf2, geometric_half):
@@ -607,6 +644,7 @@ class TestSampler:
         ("geometric_near_one", 30, 10_000, 1 << 6),
         ("geometric_near_one", 1_000, 300, 1 << 11),
         ("geometric_near_one", 1_000_000, 1, _TABLE_SIZE),
+        ("zipf_log_near_one", 3_000, 300, 1 << 10),
     ])
     def test_draw_counts_law(self, name, size, reps, cut, rng):
         # the three-way draw (the multinomial over cells 1..J, the table
