@@ -9,22 +9,24 @@ counting function (number of cells whose probability exceeds a threshold):
     geometric      p_j = (1-q) q^(j-1)             theta = 0
 
 Everything downstream (exact moment series, samplers, normalizing
-sequences) relies on the closed-form tail analytics implemented here:
-rigorous tail-mass bounds, Euler-Maclaurin tail sums, and stable power
-sums of the scaled probabilities.
+sequences) relies on the tail analytics implemented here.  The rigorous
+tail-mass bounds and stable power sums of the scaled probabilities of the
+power families, and the normalizing constant Z of the log families, all
+come from one midpoint Euler-Maclaurin sum past a cut, whose integrals of
+every order are one composite Gauss pass with one error estimate
+(:func:`_power_integrals`); zipf's Z is the Riemann zeta, and geometric has
+closed forms.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special
-from scipy.integrate import quad
 
 _E = math.e
 _FAMILIES = ("zipf", "zipf_log", "theta_one_log", "geometric")
@@ -37,7 +39,8 @@ _CUT_MIN = 1 << 6
 # Draws per call of the tail sampler in draw_tail, which bounds its
 # temporaries; of 2^14..2^16 this one kept traj_1e6_pair's peak RSS flattest.
 _TAIL_CHUNK = 1 << 14
-# Bound on the error of the normalizing constant Z of the log families.
+# Bound on the error of the normalizing constant Z of the log families,
+# relative to max(1, Z); its head grows until the tail's bound is a quarter of it.
 _NORM_TOL = 1e-12
 # Cap on the cached probability prefix (8M float64 = 64 MB).
 _PREFIX_CAP = 1 << 23
@@ -130,76 +133,24 @@ class DistributionSpec:
             k: None if v is None else float(v) for k, v in m.items() if k != "family"})
 
 
-def _quad(f, lo, hi) -> tuple[float, float]:
-    """scipy.quad with tight tolerances; returns (value, error estimate)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, err = quad(f, lo, hi, epsabs=1e-16, epsrel=1e-12, limit=200)
-    return val, err
-
-
-def _powerlog_tail_integral(s: float, a: float, x0: float) -> tuple[float, float]:
-    """integral_{x0}^inf x^-s (ln(x+e))^-a dx with a rigorous error estimate.
-
-    The semi-infinite integral is transformed so the integrand decays
-    exponentially (s > 1) or splits into a closed form plus a bounded
-    correction (s == 1, a > 1); a raw quad on [x0, inf) is unreliable for
-    these slowly decaying integrands.
-    """
-    if s > 1.0:
-        # past span the integrand is below e^-745 times a power of u; one
-        # quad reaches at most u = 700, a second one the rest of the span
-        span = 745.0 / (s - 1.0)
-
-        def integrand(u: float) -> float:
-            # ln(x0 e^u + e) = u + ln(x0 + e e^-u), safe for huge u
-            w = u + math.log(x0 + _E * math.exp(-u))
-            return math.exp((1.0 - s) * u) * w ** -a
-
-        val, err = _quad(integrand, 0.0, min(span, 700.0))
-        if span > 700.0:
-            more, more_err = _quad(integrand, 700.0, span)
-            val, err = val + more, err + more_err
-        scale = x0 ** (1.0 - s)
-        return val * scale, err * scale
-    if a <= 1.0:
-        raise DistributionError("tail integral diverges for s=1, a<=1")
-    main = math.log(x0 + _E) ** (1.0 - a) / (a - 1.0)
-    corr, err = _quad(
-        lambda u: math.log(x0 / u + _E) ** -a / (x0 + _E * u), 0.0, 1.0)
-    return main + _E * corr, err * _E
-
-
-def _powerlog_tail_sum(s: float, a: float, J: int) -> tuple[float, float]:
-    """sum_{j>J} j^-s (ln(j+e))^-a by midpoint Euler-Maclaurin.
-
-    Returns (estimate, bound) where bound covers the quadrature error and
-    the Euler-Maclaurin remainder (ratio (s+a+1)^3/x0^3 of one term).
-    """
-    x0 = J + 0.5
-    integ, qerr = _powerlog_tail_integral(s, a, x0)
-    f0 = x0 ** -s * math.log(x0 + _E) ** -a
-    dlog = -s / x0 - a / ((x0 + _E) * math.log(x0 + _E))
-    est = integ + f0 * dlog / 24.0
-    rem = f0 * (s + a + 1.0) ** 3 / x0 ** 3
-    return est, qerr + rem
-
-
 def _power_integrals(s: float, a: float, x0: float) -> tuple[np.ndarray, np.ndarray]:
     """integral_0^inf exp(r dlnf(u) + u) du for every order r = 1.._MAX_ORDER
-    at once, dlnf(u) = ln(f(x0 e^u) / f(x0)), f(x) = x^-s (ln(x+e))^-a, and
-    per order a bound on its error; nan for the orders with r s <= 1, whose
-    integrals diverge.
+    at once, dlnf(u) = ln(f(x0 e^u) / f(x0)), f(x) = x^-s (ln(x+e))^-a with
+    s > 1, or s = 1 and a > 1, and per order a bound on its error.
 
     One composite Gauss rule on the dyadic partition 0, 2^k0, ..., 2^m, U
     of u: 2^k0 is below half the decay length 1/(_MAX_ORDER s) of the
-    highest order, and past U = 745/lam, lam = r s - 1 of the slowest order,
-    the integrand is below e^-745 times a power of u.  The bound is the
-    lower-order rule's distance from it, interval by interval, plus the
-    rounding, which grows with r as the rounding of r dlnf does.
+    highest order, and past U = 745/lam, lam = r s - 1 of the slowest order
+    (1 for s = 1), the integrand is below e^-745 times a power of u.  For
+    s = 1 the r = 1 integrand (w/w0)^-a, w = ln(x0 e^u + e), decays only like
+    u^-a; as dw/du = 1 - e/(x0 e^u + e), its integral is w0/(a-1) plus that
+    of (w/w0)^-a e/(x0 e^u + e), which decays like e^-u and takes the row's
+    place on the same nodes.  The bound is the lower-order rule's distance
+    from it, interval by interval, plus the rounding, which grows with r as
+    the rounding of r dlnf does.
     """
     r = _ORDERS
-    top = 745.0 / (s - 1.0 if s > 1.0 else 2.0 * s - 1.0)
+    top = 745.0 / (s - 1.0 if s > 1.0 else 1.0)
     k0 = -math.ceil(math.log2(_MAX_ORDER * s)) - 1
     edges = np.concatenate(([0.0], 2.0 ** np.arange(k0, math.ceil(math.log2(top))), [top]))
     mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
@@ -209,24 +160,44 @@ def _power_integrals(s: float, a: float, x0: float) -> tuple[np.ndarray, np.ndar
                         for nodes in (x, x_low)])
     # ln(x0 e^u + e) - ln(x0 + e), without cancellation near u = 0
     w0 = math.log(x0 + _E)
+    e_u = _E * np.exp(-u)
     dw = np.empty_like(u)
     near = u <= 1.0
     dw[near] = np.log1p(x0 / (x0 + _E) * np.expm1(u[near]))
-    dw[~near] = u[~near] + np.log(x0 + _E * np.exp(-u[~near])) - w0
+    dw[~near] = u[~near] + np.log(x0 + e_u[~near]) - w0
     lw = np.log1p(dw / w0)
     f = np.multiply.outer(r, -s * u - a * lw)
     f += u
     np.exp(f, out=f)
+    if s == 1.0:
+        f[0] *= e_u / (x0 + e_u)
     high = f[:, :split].reshape(r.size, half.size, x.size) @ w * half
     low = f[:, split:].reshape(r.size, half.size, x_low.size) @ w_low * half
     val = high.sum(axis=1)
+    if s == 1.0:
+        val[0] += w0 / (a - 1.0)
     # rounding, in units of 2^-52 of the integrand: about 7 r (s u + |a| lw)
-    # from the exponent r dlnf + u, and 20 from exp, the weights and the sums
+    # from the exponent r dlnf + u, and 20 from exp, the weights, the sums
+    # and, for s = 1, the r = 1 factor and closed form
     size = f[:, :split] @ ((s * u[:split] + abs(a) * lw[:split]) * np.outer(half, w).ravel())
     err = np.abs(high - low).sum(axis=1) + 2.0 ** -52 * (8.0 * r * size + 24.0 * val)
-    diverge = r * s <= 1.0
-    val[diverge] = err[diverge] = math.nan
     return val, err
+
+
+def _tail_sums(s: float, a: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{j>J} (f(j) / f(x0))^r, f(x) = x^-s (ln(x+e))^-a, x0 = J + 1/2,
+    for every order r = 1.._MAX_ORDER and a cut J >= _EM_MIN_INDEX, by
+    midpoint Euler-Maclaurin on :func:`_power_integrals`, and per order a
+    bound on its error."""
+    x0 = J + 0.5
+    w0 = math.log(x0 + _E)
+    val, qerr = _power_integrals(s, a, x0)
+    r = _ORDERS
+    dlog = -s / x0 - a / ((x0 + _E) * w0)
+    # Euler-Maclaurin remainder: at most 7/5760 |f^(3)(x0)|, and
+    # |f^(3)(x0)| <= f(x0) (r (s + |a|) + 2)^3 / x0^3
+    rem = 7.0 / 5760.0 * (r * (s + abs(a)) + 2.0) ** 3 / x0 ** 3
+    return val * x0 + r * dlog / 24.0, qerr * x0 + rem
 
 
 class _Kept(dict):
@@ -253,7 +224,9 @@ class CellDistribution:
     probability prefix (idempotent to racing readers), the L*(t) values
     (each the exact at-least-1 Poisson series at t, over t), the tail
     power sums of the last few cuts J and the exact-series head sums of
-    the last few points.  Construct via :func:`build_distribution`.
+    the last few points.  Z, the tail masses and the tail power sums past
+    _EM_MIN_INDEX share the sums of :func:`_tail_sums`.  Construct via
+    :func:`build_distribution`.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -297,17 +270,27 @@ class CellDistribution:
         J = 1 << 14
         while True:
             head = float(self._weights(np.arange(1, J + 1, dtype=np.float64)).sum())
-            tail, bound = _powerlog_tail_sum(self.s, self.a, J)
-            if bound <= _NORM_TOL / 4.0 or J >= (1 << 22):
+            tail, bound = self._weight_tail(J)
+            if bound <= _NORM_TOL / 4.0 * max(1.0, head + tail) or J >= (1 << 22):
                 break
             J *= 2
-        # a large Z (s near 1, a < 0) is judged relative to itself where the
-        # absolute test fails, so a Z that passes that test keeps its bits
         Z = head + tail
         if bound > _NORM_TOL * max(1.0, Z):
             raise DistributionError(f"normalization stalled at J={J}: bound {bound:.2e} "
                                     f"> {_NORM_TOL:.2e} max(1, Z)")
         return Z
+
+    def _weight_tail(self, J: int) -> tuple[float, float]:
+        """sum_{j>J} Z p_j for J >= _EM_MIN_INDEX, the r = 1 sum of
+        :func:`_tail_sums` times f(x0), and a bound on its error."""
+        x0 = J + 0.5
+        f0 = x0 ** -self.s * math.log(x0 + _E) ** -self.a
+        values, errors = _tail_sums(self.s, self.a, J)
+        est = f0 * float(values[0])
+        # the rounding of f0: an ulp from x0^-s, 2 |a| + 1 from
+        # ln(x0 + e)^-a (two of the log, times |a|, and the pow), one from
+        # the product
+        return est, f0 * float(errors[0]) + est * 2.0 ** -52 * (2.0 * abs(self.a) + 3.0)
 
     def _check_monotone_negative_a(self) -> None:
         # p is eventually decreasing once s*ln(j+e) >= |a|; check the prefix.
@@ -419,7 +402,9 @@ class CellDistribution:
         return out
 
     def tail_mass(self, J: int) -> float:
-        """Upper bound on sum_{j>J} p_j, tight to well within one term."""
+        """Upper bound on sum_{j>J} p_j, tight to well within one term: the
+        cells up to _EM_MIN_INDEX summed, past it the r = 1 tail sum of
+        :func:`_tail_sums` plus its bound."""
         if J < 1:
             raise DistributionError("J must be >= 1")
         if self.family == "geometric":
@@ -430,7 +415,7 @@ class CellDistribution:
         block = 0.0
         if J2 > J:
             block = float(self.prob_array(np.arange(J + 1, J2 + 1)).sum())
-        est, bound = _powerlog_tail_sum(self.s, self.a, J2)
+        est, bound = self._weight_tail(J2)
         return block + (est + bound) / self.Z
 
     def tail_power_sum(self, t: float, J: int, r: int) -> tuple[float, float]:
@@ -438,9 +423,12 @@ class CellDistribution:
         and its error bound.
 
         Requires t*p_{J+1} <= O(1); the result is used as the analytic
-        tail of truncated occupancy series.  t enters only as a factor, so
-        each cut J is worked out once for every order, without t, and kept
-        for the last _TAIL_SLOTS cuts.
+        tail of truncated occupancy series.  For a cut J >= _EM_MIN_INDEX
+        it is (t p(x0))^r, x0 = J + 1/2, times the sum of
+        :func:`_tail_sums`, the r = 1 sum of theta_one_log included; a lower
+        cut adds the cells up to _EM_MIN_INDEX one by one.  t enters only
+        as a factor, so each cut J is worked out once for every order,
+        without t, and kept for the last _TAIL_SLOTS cuts.
         """
         if not 1 <= r <= _MAX_ORDER:
             raise DistributionError(f"power sum order must be in 1..{_MAX_ORDER}, got {r}")
@@ -452,10 +440,7 @@ class CellDistribution:
             block = float(((t * cut) ** r).sum())
             rest, err = self.tail_power_sum(t, _EM_MIN_INDEX, r)
             return block + rest, err
-        log_p0, size, values, errors, powerlog = cut
-        if r == 1 and self.s <= 1.0:
-            est, bound = powerlog
-            return t / self.Z * est, t / self.Z * bound
+        log_p0, size, values, errors = cut
         # f0 = (t p(x0))^r; the relative rounding of f0 times the sum: 2 ulps
         # of each log term of lmu = ln t + ln p(x0) and one of r lmu, all
         # times r, then exp, the sum's last two steps and the product
@@ -470,28 +455,16 @@ class CellDistribution:
         p_{J+1} for geometric; below _EM_MIN_INDEX the probabilities of the
         cells J+1.._EM_MIN_INDEX; otherwise, with x0 = J + 1/2 and
         (t p(x0))^r factored out, ln p(x0) = -ln Z - s ln x0 - a ln ln(x0+e)
-        and the sum of its terms' magnitudes, the midpoint Euler-Maclaurin
-        sums of every order and their bounds, and, for s <= 1, the estimate
-        and bound of _powerlog_tail_sum, which times t / Z give the sum for
-        r = 1 (its integral has no exponential decay)."""
+        and the sum of its terms' magnitudes, and the sums of every order
+        of :func:`_tail_sums` and their bounds."""
         if self.family == "geometric":
             return self.prob(J + 1)
         if J < _EM_MIN_INDEX:
             return self.prob_array(np.arange(J + 1, _EM_MIN_INDEX + 1))
-        s, a = self.s, self.a
         x0 = J + 0.5
-        w0 = math.log(x0 + _E)
-        logs = (math.log(self.Z), s * math.log(x0), a * math.log(w0))
-        log_p0, size = -sum(logs), sum(map(abs, logs))
-        val, qerr = _power_integrals(s, a, x0)
-        r = _ORDERS
-        dlog = -s / x0 - a / ((x0 + _E) * w0)
-        # Euler-Maclaurin remainder: at most 7/5760 |f^(3)(x0)|, and
-        # |f^(3)(x0)| <= f(x0) (r (s + |a|) + 2)^3 / x0^3
-        rem = 7.0 / 5760.0 * (r * (s + abs(a)) + 2.0) ** 3 / x0 ** 3
-        powerlog = _powerlog_tail_sum(s, a, J) if s <= 1.0 else None
-        values, errors = val * x0 + r * dlog / 24.0, qerr * x0 + rem
-        return log_p0, size, values.tolist(), errors.tolist(), powerlog
+        logs = (math.log(self.Z), self.s * math.log(x0), self.a * math.log(math.log(x0 + _E)))
+        values, errors = _tail_sums(self.s, self.a, J)
+        return -sum(logs), sum(map(abs, logs)), values.tolist(), errors.tolist()
 
     # ---------- sampling
 
