@@ -48,6 +48,9 @@ class ExperimentConfig:
             raise ConfigError("n_min must be >= 16 (normalizers need lnln n > 0)")
         if self.n_max <= self.n_min:
             raise ConfigError("n_max must exceed n_min")
+        if self.n_floor > self.n_max:
+            raise ConfigError(f"n_floor must not exceed n_max, got n_floor={self.n_floor}, "
+                              f"n_max={self.n_max}")
         if self.points < 2:
             raise ConfigError("points must be >= 2")
         if not self.ks or any(k < 1 for k in self.ks):

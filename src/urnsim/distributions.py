@@ -44,8 +44,6 @@ _TAIL_CHUNK = 1 << 14
 _NORM_TOL = 1e-12
 # Cap on the cached probability prefix (8M float64 = 64 MB).
 _PREFIX_CAP = 1 << 23
-# Thresholds per pass of the vectorized counting-function search.
-_SEARCH_CHUNK = 1 << 15
 # Smallest index at which Euler-Maclaurin tail sums take over from
 # explicit summation.
 _EM_MIN_INDEX = 1 << 10
@@ -53,9 +51,10 @@ _EM_MIN_INDEX = 1 << 10
 _MAX_ORDER = 60
 _ORDERS = np.arange(1.0, _MAX_ORDER + 1.0)
 _ORDERS.flags.writeable = False
-# Cuts J whose tail power sums a distribution keeps: the series at one t cut
-# at the head length and at _EM_MIN_INDEX below it, and variance_sandwich_check
-# reads two t, so fewer slots would evict a cut that is about to be used again.
+# Cuts J whose tail power sums a distribution keeps, tail_mass's among them:
+# the series at one t cut at the head length and at _EM_MIN_INDEX below it,
+# and variance_sandwich_check reads two t, so fewer slots would evict a cut
+# that is about to be used again.
 _TAIL_SLOTS = 4
 # Gauss-Legendre rule of the tail power integrals on each interval, and the
 # lower-order rule whose difference from it bounds its error.
@@ -63,8 +62,9 @@ _GAUSS = leggauss(20)
 _GAUSS_LOW = leggauss(10)
 # Exact-series heads a distribution keeps for moments: head lengths by t and
 # head sums by point (t, k, star).  The series of one point read one key, and
-# L*(t) reads the (t, 1, star) key that moment_report's k = 1 series fill;
-# depoissonization_gap and variance_sandwich_check read up to three.
+# L*(t), which keeps nothing of its own, reads the (t, 1, star) key that
+# moment_report's k = 1 series fill; depoissonization_gap and
+# variance_sandwich_check read up to three.
 _HEAD_SLOTS = 4
 # Draws that would land beyond this index (per-cell probability < ~1e-21)
 # are materialized as unique synthetic cells in [base, 2*base).
@@ -200,6 +200,12 @@ def _tail_sums(s: float, a: float, J: int) -> tuple[np.ndarray, np.ndarray]:
     return val * x0 + r * dlog / 24.0, qerr * x0 + rem
 
 
+def _at_least(p: np.ndarray, thr):
+    """The number of entries >= thr of a nonincreasing array p, per
+    threshold; a search in C on a reversed view, which copies nothing."""
+    return p.size - np.searchsorted(p[::-1], thr, side="left")
+
+
 class _Kept(dict):
     """A dict that keeps only its newest ``slots`` keys."""
 
@@ -221,12 +227,12 @@ class CellDistribution:
     """A concrete infinite discrete law p_1 >= p_2 >= ... > 0.
 
     Immutable after construction apart from internal caches: the grow-only
-    probability prefix (idempotent to racing readers), the L*(t) values
-    (each the exact at-least-1 Poisson series at t, over t), the tail
-    power sums of the last few cuts J and the exact-series head sums of
-    the last few points.  Z, the tail masses and the tail power sums past
-    _EM_MIN_INDEX share the sums of :func:`_tail_sums`.  Construct via
-    :func:`build_distribution`.
+    probability prefix (idempotent to racing readers), which the counting
+    function searches; the tail power sums of the last few cuts J, which
+    tail_mass reads too; and the exact-series head lengths and head sums
+    of the last few points, which L*(t) reads too.  Z and the tail power
+    sums past _EM_MIN_INDEX share the sums of :func:`_tail_sums`.
+    Construct via :func:`build_distribution`.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -252,7 +258,6 @@ class CellDistribution:
         self._prefix = self.prob_array(np.arange(1, _TABLE_SIZE + 1))
         # the sampler's inversion table; probs_prefix never grows it
         self._cum = np.cumsum(self._prefix)
-        self._lstar_cache: dict[float, float] = {}
         # J -> the part of tail_power_sum(t, J, r) that does not depend on t
         self._tail_cuts = _Kept(_TAIL_SLOTS)
         # filled by moments: t -> head length, (t, k, star) -> head sums
@@ -347,76 +352,53 @@ class CellDistribution:
         """Largest index j with p_j >= 1/x (0 if none), for a scalar x or an
         array of x in any order; the predicate is ``prob_array(j) >= 1/x``.
 
-        Thresholds inside the cached prefix are found by a vectorized
-        bisection over it, the others by doubling and bisection on
-        prob_array; the prefix is never grown here.
+        Each threshold is counted in the cached prefix by :func:`_at_least`.
+        One past it is bracketed the same way on the dyadic ladder
+        prefix.size 2^m up to the first rung >= 2^62 (one prob_array call),
+        then narrowed by bisection on prob_array; the prefix is never grown
+        here.
         """
         xs = np.asarray(x, dtype=np.float64)
-        flat = xs.reshape(-1)
-        out = np.empty(flat.size, dtype=np.int64)
-        for lo in range(0, flat.size, _SEARCH_CHUNK):
-            out[lo:lo + _SEARCH_CHUNK] = self._count(flat[lo:lo + _SEARCH_CHUNK])
-        return int(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+        out = np.zeros(xs.shape, dtype=np.int64)
+        pos = xs > 0.0
+        thr = 1.0 / xs[pos]
+        prefix = self._prefix
+        count = _at_least(prefix, thr)
+        past = np.flatnonzero(count == prefix.size)
+        if past.size:
+            t_past = thr[past]
+            # prefix.size 2^m, m >= 1, up to the first rung >= _SYNTHETIC_BASE
+            top = _SYNTHETIC_BASE.bit_length() - prefix.size.bit_length()
+            rungs = prefix.size << np.arange(1, top + 1)
+            m = _at_least(self.prob_array(rungs), t_past)
+            if np.any(m == rungs.size):
+                raise DistributionError("counting function beyond 2^62 cells "
+                                        "(threshold below every resolvable p_j)")
+            # p_lo >= thr > p_hi
+            lo, hi = prefix.size << m, prefix.size << (m + 1)
+            todo = np.arange(past.size)
+            while todo.size:
+                mid = (lo[todo] + hi[todo]) // 2
+                ok = self.prob_array(mid) >= t_past[todo]
+                lo[todo[ok]] = mid[ok]
+                hi[todo[~ok]] = mid[~ok]
+                todo = todo[hi[todo] - lo[todo] > 1]
+            count[past] = lo
+        out[pos] = count
+        return int(out) if xs.ndim == 0 else out
 
     # no caller in urnsim; perfbench/tracing.py wraps this name, so it stays
     # until the tracer drops it
     counting_function_many = counting_function
 
-    def _count(self, xs: np.ndarray) -> np.ndarray:
-        out = np.zeros(xs.size, dtype=np.int64)
-        pos = np.flatnonzero(xs > 0.0)
-        thr = 1.0 / xs[pos]
-        prefix = self._prefix
-        inside = thr > prefix[-1]
-        # inside: the number of prefix entries >= thr, by a branch-free
-        # bisection (the entries are nonincreasing; no reversed copy)
-        t_in = thr[inside]
-        base = np.zeros(t_in.size, dtype=np.int64)
-        n = prefix.size
-        while n > 1:
-            half = n // 2
-            np.add(base, half, out=base, where=prefix[base + half] >= t_in)
-            n -= half
-        out[pos[inside]] = base + (prefix[base] >= t_in)
-        # beyond: p_lo >= thr > p_hi, first by doubling hi, then by bisection
-        t_out = thr[~inside]
-        lo = np.full(t_out.size, prefix.size, dtype=np.int64)
-        hi = 2 * lo
-        todo = np.arange(t_out.size)
-        while todo.size:
-            grow = self.prob_array(hi[todo]) >= t_out[todo]
-            todo = todo[grow]
-            if todo.size and hi[todo].max() >= _SYNTHETIC_BASE:
-                raise DistributionError("counting function beyond 2^62 cells "
-                                        "(threshold below every resolvable p_j)")
-            lo[todo] = hi[todo]
-            hi[todo] *= 2
-        todo = np.flatnonzero(hi - lo > 1)
-        while todo.size:
-            mid = (lo[todo] + hi[todo]) // 2
-            ok = self.prob_array(mid) >= t_out[todo]
-            lo[todo[ok]] = mid[ok]
-            hi[todo[~ok]] = mid[~ok]
-            todo = todo[hi[todo] - lo[todo] > 1]
-        out[pos[~inside]] = lo
-        return out
-
     def tail_mass(self, J: int) -> float:
         """Upper bound on sum_{j>J} p_j, tight to well within one term: the
-        cells up to _EM_MIN_INDEX summed, past it the r = 1 tail sum of
-        :func:`_tail_sums` plus its bound."""
+        r = 1 tail power sum at t = 1 plus its bound, from the cuts that
+        :meth:`tail_power_sum` keeps."""
         if J < 1:
             raise DistributionError("J must be >= 1")
-        if self.family == "geometric":
-            return self.q ** J
-        # Euler-Maclaurin remainders only become negligible for large cut
-        # indices; bridge small J with explicit summation.
-        J2 = max(J, _EM_MIN_INDEX)
-        block = 0.0
-        if J2 > J:
-            block = float(self.prob_array(np.arange(J + 1, J2 + 1)).sum())
-        est, bound = self._weight_tail(J2)
-        return block + (est + bound) / self.Z
+        value, bound = self.tail_power_sum(1.0, J, 1)
+        return value + bound
 
     def tail_power_sum(self, t: float, J: int, r: int) -> tuple[float, float]:
         """sum_{j>J} (t p_j)^r, r = 1.._MAX_ORDER, stable for large t and r,
@@ -644,15 +626,13 @@ def smoothed_slowly_varying(d: CellDistribution, t: float) -> float:
     by one at each y = 1/(t p_j), so t L*(t) = sum_j (1 - exp(-t p_j)),
     the poissonized mean number of occupied cells (Karlin's Phi(t)).  L*
     is that exact series over t, whose bound is below 1e-11 of L*; it
-    reads the head sums the distribution keeps at (t, 1, star).  Cached
-    by t.
+    reads the head sums the distribution keeps at (t, 1, star) and keeps
+    nothing of its own.
     """
     if d.theta != 1.0:
         raise DistributionError("smoothed slowly varying transform requires theta = 1")
     if t < 1.0:
         raise DistributionError("transform defined for t >= 1")
-    if t not in d._lstar_cache:
-        # moments imports this module
-        from .moments import exact_mean
-        d._lstar_cache[t] = exact_mean(d, t, 1, True, "poisson")[0] / t
-    return d._lstar_cache[t]
+    # moments imports this module
+    from .moments import exact_mean
+    return exact_mean(d, t, 1, True, "poisson")[0] / t

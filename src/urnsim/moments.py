@@ -167,11 +167,16 @@ def _coeffs(k: int, star: bool) -> np.ndarray:
     return c
 
 
-def _series_square(c: np.ndarray) -> np.ndarray:
-    """The coefficients of (sum_r c_r x^r)^2 up to the order of c."""
-    out = np.zeros_like(c)
+@functools.lru_cache(maxsize=64)
+def _var_coeffs(k: int, star: bool) -> np.ndarray:
+    """c - c^2 up to the order of c, c the coefficients of :func:`_coeffs`:
+    those of g (1 - g); cached, so read-only."""
+    c = _coeffs(k, star)
+    square = np.zeros_like(c)
     for i in range(c.size):
-        out[i:] += c[i] * c[:c.size - i]
+        square[i:] += c[i] * c[:c.size - i]
+    out = c - square
+    out.flags.writeable = False
     return out
 
 
@@ -282,14 +287,13 @@ def _series(d: CellDistribution, t: float, k: int, star: bool,
     """The head sum ``name`` of :func:`_head_pass` at (t, k, star) (the
     distribution keeps them by point), the series value and its bound.  The
     tail takes the coefficients c of :func:`_coeffs`: "pois" c, "var"
-    c - c^2; the fixed-n coefficient of (t p)^r is c_r falling(t, r) / t^r,
-    so "binom" takes c * falling and "gap" c * expm1(ln falling)."""
+    c - c^2 (:func:`_var_coeffs`); the fixed-n coefficient of (t p)^r is
+    c_r falling(t, r) / t^r, so "binom" takes c * falling and "gap"
+    c * expm1(ln falling)."""
     J = _head_length(d, t)
     head, rounding = d._head_sums.keep((t, k, star), lambda: _head_pass(d, t, k, star, J))[name]
-    c = _coeffs(k, star)
-    if name == "var":
-        c = c - _series_square(c)
-    elif name != "pois":
+    c = _var_coeffs(k, star) if name == "var" else _coeffs(k, star)
+    if name in ("binom", "gap"):
         ln_falling = np.array([_log_falling_factor(int(t), r) for r in range(_MAX_ORDER + 1)])
         c = c * (np.exp(ln_falling) if name == "binom" else np.expm1(ln_falling))
     tail, bound = _tail_series(d, t, J, c, abs(head) + 1e-12 if name == "gap" else head)

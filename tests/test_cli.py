@@ -164,6 +164,16 @@ class TestVerify:
             assert rc == 2
             assert key in err
 
+    def test_n_floor_above_n_max(self, capsys, tmp_path):
+        # no checkpoint n >= n_floor: refused before any study runs
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("family = zipf\ns = 2.0\nn_max = 5000\nn_floor = 100000\n")
+        rc, _, err = run_cli(capsys, "verify", "remark1", "--config", str(cfg),
+                             "--out", str(tmp_path))
+        assert rc == 2
+        assert "n_floor must not exceed n_max" in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "lemma2", "--config",
                              "/nonexistent/cfg.ini")

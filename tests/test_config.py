@@ -78,6 +78,7 @@ def test_integer_keys_accept_integral_floats():
 @pytest.mark.parametrize("bad", [
     {"n_min": 8},
     {"n_max": 999},          # below n_min
+    {"n_floor": 2_000_000},  # above n_max
     {"points": 1},
     {"ks": "0,1"},
     {"seeds": 0},

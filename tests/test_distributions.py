@@ -361,6 +361,13 @@ class TestCountingFunction:
             grid = d.counting_function_many(xs)
             scalar = [d.counting_function(x) for x in xs]
             assert grid.tolist() == scalar
+            # one array of more than 2^15 thresholds, up to and one ulp
+            # around the table edge p_{2^16}
+            many = np.geomspace(1.0, 1.0 / d.prob(_TABLE_SIZE), (1 << 15) + 999).tolist()
+            many += edge_thresholds(d, (_TABLE_SIZE - 1, _TABLE_SIZE, _TABLE_SIZE + 1))
+            assert len(many) > 1 << 15
+            scalar = [d.counting_function(x) for x in many]
+            assert d.counting_function_many(np.array(many)).tolist() == scalar
 
     def test_regular_variation_witness(self, zipf2):
         for x in np.logspace(6, 10, 9):
@@ -380,7 +387,8 @@ class TestTailMass:
 
     def test_monotone_in_J(self, zipf2, zipf_log21, theta_one_log):
         for d in (zipf2, zipf_log21, theta_one_log):
-            vals = [d.tail_mass(J) for J in (10, 100, 1000, 10000, 100000)]
+            # 1023..1025 cross _EM_MIN_INDEX, below which the cells are summed
+            vals = [d.tail_mass(J) for J in (10, 100, 1000, 1023, 1024, 1025, 10000, 100000)]
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_invalid(self, zipf2):
@@ -536,6 +544,18 @@ class TestSmoothedSlowlyVarying:
             series_val = exact_mean(theta_one_log, t, 1, star=True)[0]
             got = t * smoothed_slowly_varying(theta_one_log, t)
             assert abs(got - series_val) <= 2.0 * math.ulp(series_val), t
+
+    def test_keeps_nothing_of_its_own(self):
+        # six distinct t evict the first t's head sums from the four slots;
+        # L* there is the series made again, bitwise the same
+        d = build_distribution(DistributionSpec(family="theta_one_log"))
+        ts = (1e4, 2e4, 5e4, 1e5, 2e5, 5e5)
+        first = smoothed_slowly_varying(d, ts[0])
+        for t in ts[1:]:
+            smoothed_slowly_varying(d, t)
+        assert (ts[0], 1, True) not in d._head_sums
+        again = smoothed_slowly_varying(d, ts[0])
+        assert again == first == exact_mean(d, ts[0], 1, True, "poisson")[0] / ts[0]
 
     def test_decreasing_to_zero_trend(self, theta_one_log):
         vals = [smoothed_slowly_varying(theta_one_log, t) for t in np.logspace(4, 10, 7)]
