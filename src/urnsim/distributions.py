@@ -44,28 +44,24 @@ _TAIL_CHUNK = 1 << 14
 _NORM_TOL = 1e-12
 # Cap on the cached probability prefix (8M float64 = 64 MB).
 _PREFIX_CAP = 1 << 23
-# Smallest index at which Euler-Maclaurin tail sums take over from
-# explicit summation.
+# Smallest cut J of a power family's Euler-Maclaurin tail sums, and so the
+# smallest head of an exact series.
 _EM_MIN_INDEX = 1 << 10
 # Orders r = 1.._MAX_ORDER of the tail power sums sum_{j>J} (t p_j)^r.
 _MAX_ORDER = 60
 _ORDERS = np.arange(1.0, _MAX_ORDER + 1.0)
 _ORDERS.flags.writeable = False
-# Cuts J whose tail power sums a distribution keeps, tail_mass's among them:
-# the series at one t cut at the head length and at _EM_MIN_INDEX below it,
-# and variance_sandwich_check reads two t, so fewer slots would evict a cut
-# that is about to be used again.
-_TAIL_SLOTS = 4
 # Gauss-Legendre rule of the tail power integrals on each interval, and the
 # lower-order rule whose difference from it bounds its error.
 _GAUSS = leggauss(20)
 _GAUSS_LOW = leggauss(10)
-# Exact-series heads a distribution keeps for moments: head lengths by t and
-# head sums by point (t, k, star).  The series of one point read one key, and
-# L*(t), which keeps nothing of its own, reads the (t, 1, star) key that
-# moment_report's k = 1 series fill; depoissonization_gap and
-# variance_sandwich_check read up to three.
-_HEAD_SLOTS = 4
+# Points a distribution keeps: tail power sums by cut J (tail_mass's among
+# them) and, for moments, head lengths by t and head sums by (t, k, star).
+# A series point cuts once, at its head length; L*(t), which keeps nothing of
+# its own, reads the (t, 1, star) sums that moment_report's k = 1 series
+# fill; depoissonization_gap and variance_sandwich_check read up to three
+# points, so fewer slots would evict one that is about to be used again.
+_SLOTS = 4
 # Draws that would land beyond this index (per-cell probability < ~1e-21)
 # are materialized as unique synthetic cells in [base, 2*base).
 _SYNTHETIC_BASE = 1 << 62
@@ -258,11 +254,11 @@ class CellDistribution:
         self._prefix = self.prob_array(np.arange(1, _TABLE_SIZE + 1))
         # the sampler's inversion table; probs_prefix never grows it
         self._cum = np.cumsum(self._prefix)
-        # J -> the part of tail_power_sum(t, J, r) that does not depend on t
-        self._tail_cuts = _Kept(_TAIL_SLOTS)
+        # J -> the part of tail_power_sum(t, J) that does not depend on t
+        self._tail_cuts = _Kept(_SLOTS)
         # filled by moments: t -> head length, (t, k, star) -> head sums
-        self._head_lengths = _Kept(_HEAD_SLOTS)
-        self._head_sums = _Kept(_HEAD_SLOTS)
+        self._head_lengths = _Kept(_SLOTS)
+        self._head_sums = _Kept(_SLOTS)
 
     # ---------- construction internals
 
@@ -394,59 +390,60 @@ class CellDistribution:
     def tail_mass(self, J: int) -> float:
         """Upper bound on sum_{j>J} p_j, tight to well within one term: the
         r = 1 tail power sum at t = 1 plus its bound, from the cuts that
-        :meth:`tail_power_sum` keeps."""
+        :meth:`tail_power_sum` keeps past max(J, _EM_MIN_INDEX), plus the
+        prefix cells J+1.._EM_MIN_INDEX; p_{J+1} / (1 - q) for geometric."""
         if J < 1:
             raise DistributionError("J must be >= 1")
-        value, bound = self.tail_power_sum(1.0, J, 1)
-        return value + bound
+        if self.family == "geometric":
+            return self.prob(J + 1) / (1.0 - self.q)
+        values, bounds = self.tail_power_sum(1.0, max(J, _EM_MIN_INDEX))
+        return float(self._prefix[J:_EM_MIN_INDEX].sum() + values[0] + bounds[0])
 
-    def tail_power_sum(self, t: float, J: int, r: int) -> tuple[float, float]:
-        """sum_{j>J} (t p_j)^r, r = 1.._MAX_ORDER, stable for large t and r,
-        and its error bound.
+    def tail_power_sum(self, t: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+        """sum_{j>J} (t p_j)^r for every order r = 1.._MAX_ORDER (entry r - 1),
+        stable for large t and r, and per order its error bound.
 
-        Requires t*p_{J+1} <= O(1); the result is used as the analytic
-        tail of truncated occupancy series.  For a cut J >= _EM_MIN_INDEX
-        it is (t p(x0))^r, x0 = J + 1/2, times the sum of
-        :func:`_tail_sums`, the r = 1 sum of theta_one_log included; a lower
-        cut adds the cells up to _EM_MIN_INDEX one by one.  t enters only
-        as a factor, so each cut J is worked out once for every order,
-        without t, and kept for the last _TAIL_SLOTS cuts.
+        Requires t*p_{J+1} <= O(1): the analytic tail of truncated occupancy
+        series.  A power family takes a cut J >= _EM_MIN_INDEX, where the sum
+        is (t p(x0))^r, x0 = J + 1/2, times the sum of :func:`_tail_sums`;
+        geometric is (t p_{J+1})^r / (1 - q^r).  t enters only as a factor,
+        so each cut is worked out once, without t, and kept (_SLOTS cuts).
         """
-        if not 1 <= r <= _MAX_ORDER:
-            raise DistributionError(f"power sum order must be in 1..{_MAX_ORDER}, got {r}")
         cut = self._tail_cuts.keep(J, lambda: self._tail_cut(J))
         if self.family == "geometric":
+            # Python ** (libm pow); the relative rounding, in ulps: 3 r from
+            # t p_{J+1} (p from pow and a product, then the product with t)
+            # through the r-th power, 2 from pow and the division, and
+            # q^r / (1 - q^r) from q^r in 1 - q^r
             lam = t * cut
-            return lam ** r / (1.0 - self.q ** r), 0.0
-        if J < _EM_MIN_INDEX:
-            block = float(((t * cut) ** r).sum())
-            rest, err = self.tail_power_sum(t, _EM_MIN_INDEX, r)
-            return block + rest, err
+            qr = np.array([self.q ** r for r in range(1, _MAX_ORDER + 1)])
+            value = np.array([lam ** r for r in range(1, _MAX_ORDER + 1)]) / (1.0 - qr)
+            return value, value * 2.0 ** -52 * (3.0 * _ORDERS + 2.0 + qr / (1.0 - qr))
         log_p0, size, values, errors = cut
-        # f0 = (t p(x0))^r; the relative rounding of f0 times the sum: 2 ulps
-        # of each log term of lmu = ln t + ln p(x0) and one of r lmu, all
-        # times r, then exp, the sum's last two steps and the product
+        # f0 = (t p(x0))^r, one libm exp per order (numpy's may differ in the
+        # last place); the relative rounding of f0 times the sum: 2 ulps of
+        # each log term of lmu = ln t + ln p(x0) and one of r lmu, all times
+        # r, then exp, the sum's last two steps and the product
         lt = math.log(t)
-        f0 = math.exp(r * (lt + log_p0))
-        value = f0 * values[r - 1]
-        return value, f0 * errors[r - 1] + abs(value) * 2.0 ** -52 * (
-            3.0 * r * (abs(lt) + size) + 3.0)
+        f0 = np.array([math.exp(r * (lt + log_p0)) for r in range(1, _MAX_ORDER + 1)])
+        value = f0 * values
+        return value, f0 * errors + np.abs(value) * 2.0 ** -52 * (
+            3.0 * _ORDERS * (abs(lt) + size) + 3.0)
 
     def _tail_cut(self, J: int):
         """What tail_power_sum keeps of the cut J, none of it depending on t:
-        p_{J+1} for geometric; below _EM_MIN_INDEX the probabilities of the
-        cells J+1.._EM_MIN_INDEX; otherwise, with x0 = J + 1/2 and
+        p_{J+1} for geometric; for a power family, with x0 = J + 1/2 and
         (t p(x0))^r factored out, ln p(x0) = -ln Z - s ln x0 - a ln ln(x0+e)
         and the sum of its terms' magnitudes, and the sums of every order
         of :func:`_tail_sums` and their bounds."""
         if self.family == "geometric":
             return self.prob(J + 1)
         if J < _EM_MIN_INDEX:
-            return self.prob_array(np.arange(J + 1, _EM_MIN_INDEX + 1))
+            raise DistributionError(f"power family tail cut J must be >= {_EM_MIN_INDEX}, got {J}")
         x0 = J + 0.5
         logs = (math.log(self.Z), self.s * math.log(x0), self.a * math.log(math.log(x0 + _E)))
         values, errors = _tail_sums(self.s, self.a, J)
-        return -sum(logs), sum(map(abs, logs)), values.tolist(), errors.tolist()
+        return -sum(logs), sum(map(abs, logs)), values, errors
 
     # ---------- sampling
 

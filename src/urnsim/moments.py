@@ -28,7 +28,9 @@ from scipy import special
 # smoothed_slowly_varying is called through this module's global, which
 # perfbench/tracing.py wraps
 from .distributions import (
+    _EM_MIN_INDEX,
     _MAX_ORDER,
+    _ORDERS,
     _PREFIX_CAP,
     CellDistribution,
     DistributionError,
@@ -39,7 +41,6 @@ from .distributions import (
 # per-cell scale t*p_j at which the head/tail split happens: tail cells
 # satisfy t*p_j <= _TAU and their contribution converges geometrically.
 _TAU = 0.5
-_MIN_HEAD = 1000
 # head cells per pass: 2^13 keeps a pass's dozen temporaries in L2
 _HEAD_CHUNK = 1 << 13
 # rates whose Poisson pmfs come from logarithms (exp(-lam) is subnormal)
@@ -95,10 +96,11 @@ def binomial_tail_at_least(n: int, p, k: int):
     if k > n:
         return np.zeros_like(p) if np.ndim(p) else 0.0
     p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    g, _, pmf = _poisson_cells(n * p_arr, k, True)
+    lam = n * p_arr
+    g, _, pmf = _poisson_cells(lam, k, True)
     # at p = 1 the correction takes log1p(-1) and -inf + inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = g + _binom_minus_poisson(n, p_arr, pmf, k, True)
+        out = g + _binom_minus_poisson(n, p_arr, lam, pmf, k, True)[0]
     out[p_arr == 1.0] = 1.0  # Binomial(n, 1) = n >= k
     return out if np.ndim(p) else float(out[0])
 
@@ -180,61 +182,88 @@ def _var_coeffs(k: int, star: bool) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _log_falling_factor(n: int, r: int) -> float:
-    """ln of the falling factor n(n-1)...(n-r+1)/n^r; -inf when r > n.
-    The series at one n ask for r = 0.._MAX_ORDER, so the last values are
-    kept."""
-    if r > n:
-        return -math.inf
-    return float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
+@functools.lru_cache(maxsize=64)
+def _log_falling_factors(n: int) -> np.ndarray:
+    """ln of the falling factors n(n-1)...(n-r+1)/n^r, r = 0.._MAX_ORDER;
+    -inf where r > n.  Cached per n, so read-only."""
+    out = np.array([float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
+                    if r <= n else -math.inf for r in range(_MAX_ORDER + 1)])
+    out.flags.writeable = False
+    return out
 
 
-def _binom_minus_poisson(n: int, p: np.ndarray, pmf: list, k: int,
-                         star: bool) -> np.ndarray:
+def _binom_minus_poisson(n: int, p: np.ndarray, lam: np.ndarray, pmf: list, k: int,
+                         star: bool) -> tuple[np.ndarray, float]:
     """Per cell P(Bin(n, p) in A) - P(Poisson(np) in A), A = {>= k} for
-    star and {k} otherwise, with no cancellation between the two laws;
-    ``pmf`` holds P(Poisson(np) = i), i = 0..k, of :func:`_poisson_cells`.
+    star and {k} otherwise, with no cancellation between the two laws, and
+    a bound on the rounding of their sum (p taken as exact); ``pmf`` holds
+    P(Poisson(lam) = i), i = 0..k, of :func:`_poisson_cells` at lam = n p.
 
-    Per i, P(Bin = i) / P(Pois = i) = exp(ln falling(n, i) + n (log1p(-p) + p)
-    - i log1p(-p)), so the difference is P(Pois = i) expm1(that exponent);
-    the at-least-k difference is minus the sum over i < k.  log1p(-p) + p is
-    its series to p^5 up to p = 1e-4 (the next term is below 2^-54 of it).
+    Per i, P(Bin = i) / P(Pois = i) = exp(x_i), x_i = ln falling(n, i) +
+    n (log1p(-p) + p) - i log1p(-p), so the difference is P(Pois = i)
+    expm1(x_i); the at-least-k difference is minus the sum over i < k.
+    log1p(-p) + p is its series to p^5 up to p = 1e-4 (the next term is
+    below 2^-54 of it).  The bound takes _CELL_ULPS ulps of each |term|
+    (pmf_i, expm1 and the sum) and 2^-51 (k + lam) of it (the rounding of
+    lam, and the logarithms past _LAM_LOG), plus P(Bin = i) = pmf_i e^x_i
+    times the error of x_i: 8 ulps of |n (log1p(-p) + p)|, i |log1p(-p)|
+    and |ln falling(n, i)|, and where log1p(-p) + p cancels, 2 ulps of
+    n |log1p(-p)| (numpy's log1p is within one).
     """
     l1p = np.log1p(-p)
-    nl = p * p * (-0.5 - p * (1.0 / 3.0 + p * (0.25 + 0.2 * p)))
-    np.copyto(nl, l1p + p, where=p > 1e-4)
+    big = np.flatnonzero(p > 1e-4)
+    # p^2 (-1/2 - p (1/3 + p (1/4 + p/5))) in place
+    nl = 0.2 * p
+    for c in (0.25, 1.0 / 3.0):
+        nl += c
+        nl *= p
+    np.subtract(-0.5, nl, out=nl)
+    nl *= p * p
+    nl[big] = l1p[big] + p[big]
     nl *= n
-    terms = [pmf[i] * np.expm1(nl - i * l1p + _log_falling_factor(n, i) if i else nl)
+    ln_falling = _log_falling_factors(n)
+    terms = [pmf[i] * np.expm1(nl - i * l1p + ln_falling[i] if i else nl)
              for i in (range(k) if star else (k,))]
-    return -sum(terms) if star else terms[0]
+    corr = -sum(terms) if star else terms[0]
+    mag = sum(map(np.abs, terms[1:]), np.abs(terms[0]))
+    # P(Bin < k) = P(Pois < k) - corr for star, P(Bin = k) = pmf_k + corr
+    binom = np.abs(sum(pmf[1:k], pmf[0]) - corr if star else pmf[k] + corr)
+    # binom times the terms of x_i, i <= top, whose sizes bound its error,
+    # summed over cells: all are <= 0 (ln falling is -inf only where
+    # P(Bin = k) = 0, and then counts for nothing)
+    top = k - 1 if star else k
+    lf = ln_falling[top] if math.isfinite(ln_falling[top]) else 0.0
+    x_size = (lf * float(binom.sum()) + float(binom @ nl) + top * float(binom @ l1p)
+              + n / 4.0 * float(binom[big] @ l1p[big]))
+    return corr, ((_CELL_ULPS * 2.0 ** -52 + 2.0 ** -51 * k) * float(mag.sum())
+                  + 2.0 ** -51 * float(mag @ lam) - 8.0 * 2.0 ** -52 * x_size)
 
 
 def _tail_series(d: CellDistribution, t: float, J: int, coeffs: np.ndarray,
-                 scale: float) -> tuple[float, float]:
-    """sum_{j>J} g(t p_j) from the Maclaurin coefficients of g, and a bound.
+                 scale: float) -> tuple[float, float, float]:
+    """sum_{j>J} g(t p_j) from the Maclaurin coefficients c_r of g (c_0 =
+    0), a bound, and the sum of the magnitudes of its terms, from one
+    tail_power_sum call.
 
     Valid when t*p_{J+1} <= _TAU; terms decay at least geometrically, so
-    the stopped remainder is bounded by the last included term, to which
-    the power sums' own error bounds are added.
+    the sum stopped at the first r >= 3 with c_r != 0 whose term is at most
+    1e-16 max(|sum|, scale) leaves a remainder bounded by that term, to
+    which the power sums' own error bounds are added.
     """
-    total = last = err = 0.0
-    for r in range(len(coeffs)):
-        if coeffs[r] == 0.0:
-            continue
-        lam_r, lam_err = d.tail_power_sum(t, J, r)
-        term = coeffs[r] * lam_r
-        total += term
-        err += abs(coeffs[r]) * lam_err
-        last = abs(term)
-        if last <= 1e-16 * max(abs(total), scale, 1e-300) and r >= 3:
-            break
-    return total, last + err
+    values, bounds = d.tail_power_sum(t, J)
+    c = coeffs[1:]
+    terms = c * values
+    total, err, size = np.cumsum(terms), np.cumsum(np.abs(c) * bounds), np.abs(terms)
+    live = np.flatnonzero(c)
+    small = size[live] <= 1e-16 * np.maximum(np.abs(total[live]), max(scale, 1e-300))
+    stop = live[small & (_ORDERS[live] >= 3)]
+    i = stop[0] if stop.size else live[-1]
+    return float(total[i]), float(size[i] + err[i]), float(size[:i + 1].sum())
 
 
 def _head_length(d: CellDistribution, t: float) -> int:
-    """The number J of head cells at t (the distribution keeps it by t)."""
-    return d._head_lengths.keep(t, lambda: max(d.counting_function(t / _TAU), _MIN_HEAD))
+    """The number J >= _EM_MIN_INDEX of head cells at t (kept by t)."""
+    return d._head_lengths.keep(t, lambda: max(d.counting_function(t / _TAU), _EM_MIN_INDEX))
 
 
 def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dict:
@@ -244,10 +273,12 @@ def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dic
     "pois" sums g, "var" g (1 - g) and, for an integer t, "binom"
     P(Bin(t, p_j) in A) and "gap" that minus g.  The bound on a sum of
     f(lam_j) is 2^-53 sum_j |lam_j f'(lam_j)| (the rounding of t p_j) plus
-    _CELL_ULPS ulps of sum_j |f|; g' is pmf_{k-1}, or pmf_{k-1} - pmf_k."""
+    _CELL_ULPS ulps of sum_j |f|; g' is pmf_{k-1}, or pmf_{k-1} - pmf_k.
+    The gap's is that of :func:`_binom_minus_poisson`, and "binom" adds it
+    to the Poisson one."""
     n = int(t) if t == int(t) else None
     prefix = d.probs_prefix(J) if J <= _PREFIX_CAP else None
-    pois = var = gap = slope = 0.0
+    pois = var = gap = slope = gap_abs = gap_err = 0.0
     for lo in range(0, J, _HEAD_CHUNK):
         hi = min(lo + _HEAD_CHUNK, J)
         p = prefix[lo:hi] if prefix is not None else d.prob_array(np.arange(lo + 1, hi + 1))
@@ -257,13 +288,23 @@ def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dic
         var += float(g @ gc)
         slope += float(lam @ (pmf[k - 1] if star else np.abs(pmf[k - 1] - pmf[k])))
         if n is not None:
-            corr = -g if star and k > n else _binom_minus_poisson(n, p, pmf, k, star)
-            gap += float(corr.sum())
+            if star and k > n:
+                corr = -g
+            else:
+                corr, err = _binom_minus_poisson(n, p, lam, pmf, k, star)
+                gap_err += err
+            chunk = float(corr.sum())
+            gap += chunk
+            gap_abs += abs(chunk)
     u, cell = 2.0 ** -53, _CELL_ULPS * 2.0 ** -52
     sums = {"pois": (pois, u * slope + cell * pois),
             "var": (var, u * slope + 2.0 * cell * var)}
     if n is not None:
-        sums.update(binom=(pois + gap, sums["pois"][1] + cell * abs(gap)), gap=(gap, 0.0))
+        # the cells' rounding (for star k > n, gap = -pois) and that of the
+        # sum over chunks: 2^-53 of the chunk sums' magnitudes per chunk
+        gap_bound = (sums["pois"][1] if star and k > n else gap_err) \
+            + u * (J // _HEAD_CHUNK) * gap_abs
+        sums.update(binom=(pois + gap, sums["pois"][1] + gap_bound), gap=(gap, gap_bound))
     return sums
 
 
@@ -294,9 +335,13 @@ def _series(d: CellDistribution, t: float, k: int, star: bool,
     head, rounding = d._head_sums.keep((t, k, star), lambda: _head_pass(d, t, k, star, J))[name]
     c = _var_coeffs(k, star) if name == "var" else _coeffs(k, star)
     if name in ("binom", "gap"):
-        ln_falling = np.array([_log_falling_factor(int(t), r) for r in range(_MAX_ORDER + 1)])
+        ln_falling = _log_falling_factors(int(t))
         c = c * (np.exp(ln_falling) if name == "binom" else np.expm1(ln_falling))
-    tail, bound = _tail_series(d, t, J, c, abs(head) + 1e-12 if name == "gap" else head)
+    tail, bound, size = _tail_series(d, t, J, c, abs(head) + 1e-12 if name == "gap" else head)
+    if name == "gap":
+        # the gap's head may cancel, so its tail's rounding counts on its own:
+        # r + 8 ulps of each term (c_r expm1(ln falling) and the sum), r <= 60
+        bound += (_MAX_ORDER + 8) * 2.0 ** -52 * size
     return head, head + tail, bound + rounding
 
 
@@ -326,12 +371,19 @@ def exact_var(d: CellDistribution, t: float, k: int, star: bool) -> tuple[float,
 
 def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[float, float]:
     """E[count under fixed-n law] - E[count under poissonized law],
-    evaluated termwise so the tiny difference is not lost to cancellation."""
+    evaluated termwise so the tiny difference is not lost to cancellation.
+
+    Returns (value, bound).  With the p_j taken as exact, the bound covers
+    the rounding of each head cell's difference and of their sum
+    (:func:`_binom_minus_poisson`), the tail's truncation, the error bounds
+    of its power sums and the rounding of its coefficients and sum, and
+    1e-15 of the value for the last addition.
+    """
     _check_series_args(n, k, "binomial")
     if n == 0:
         return 0.0, 0.0
-    head, value, bound = _series(d, float(n), k, star, "gap")
-    return float(value), float(bound + 1e-14 * abs(head))
+    _, value, bound = _series(d, float(n), k, star, "gap")
+    return float(value), float(bound + 1e-15 * abs(value))
 
 
 def depoissonization_gap(d: CellDistribution, n: int, k: int, star: bool) -> float:

@@ -25,8 +25,8 @@ from urnsim.distributions import (
     _MAX_ORDER,
     _NORM_TOL,
     _PREFIX_CAP,
+    _SLOTS,
     _TABLE_SIZE,
-    _TAIL_SLOTS,
     _tail_sums,
 )
 from urnsim.moments import exact_mean
@@ -55,6 +55,15 @@ _PINNED_DRAWS = {
     "theta_one_log": ("2cd703ff1ff8be62a2cab0431617d895a0bf979334d9727b560319c3bd4216ac",
                       "50303a4aaebc70d69e8080df2d656db02e6b00fa454468ef3f6494d02aa3022f"),
     "geometric": ("e4f0fc4345988f7c2c650277e1d45e0c404e197e51dae2d62f2dfe25c11dd2f6", None),
+}
+# The same without numpy's AVX-512 loops, whose exp, log and pow round some
+# p_j and sampler ratios differently in the last place
+_PINNED_DRAWS_NO_V4 = {
+    **_PINNED_DRAWS,
+    "zipf_s1.2": ("103ba3085e3438f0c6083f3b3bbe8477f80a8df367e0084555bdfe500d0b72f1",
+                  "9694eaeb151792986873f228146e981a7381cde6e6a360b2acbd706f160bfbab"),
+    "theta_one_log": ("25bb01f295f0f3675882c5c8d6909d24f89f23fe3f050f285972cd83d0f7e62a",
+                      "9aba2822573a8ff527735f6167ed239dd25027ee0c362d22ba956acbb1f1d978"),
 }
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -98,6 +107,64 @@ Z_HEX = {
     ("zipf_log", 1.01, 1.0): "0x1.3c2d449472d04p+2",
     ("zipf_log", 3.0, -2.0): "0x1.2a968edd9d369p+1",
     ("theta_one_log", None, None): "0x1.8ac32d52b2f53p+0",
+}
+# float.hex of tail_mass(J) at TAIL_MASS_J, frozen when a cut below
+# _EM_MIN_INDEX summed its cells up to there inside tail_power_sum; one set
+# where numpy's AVX-512 loops run and one where they do not
+TAIL_MASS_J = (1, 10, 100, 1000, 1023, 1024, 1025, 70000)
+TAIL_MASS_SPECS = {
+    "zipf2": DistributionSpec(family="zipf", s=2.0),
+    "zipf1.2": DistributionSpec(family="zipf", s=1.2),
+    "zipf_log21": DistributionSpec(family="zipf_log", s=2.0, a=1.0),
+    "zipf_log1.5-0.5": DistributionSpec(family="zipf_log", s=1.5, a=-0.5),
+    "theta_one_log": DistributionSpec(family="theta_one_log"),
+    "geo0.5": DistributionSpec(family="geometric", q=0.5),
+    "geo0.99": DistributionSpec(family="geometric", q=0.99),
+}
+TAIL_MASS_HEX = {
+    "zipf2": (
+        "0x1.917b8eccbd550p-2", "0x1.d9f10a3dfa9cbp-5", "0x1.8c6cfa05030cep-8",
+        "0x1.3e91cf8a30d3cp-11", "0x1.3769241eba814p-11", "0x1.371b53909418fp-11",
+        "0x1.36cda9dc22849p-11", "0x1.23683d39cc2cbp-17"),
+    "zipf1.2": (
+        "0x1.a46f0d00a8585p-1", "0x1.1e0a74d30c2ebp-1", "0x1.6c2af757d6d75p-2",
+        "0x1.cbf63b0d61f5fp-3", "0x1.c9e031ad97d76p-3", "0x1.c9c94d70d8017p-3",
+        "0x1.c9b27010476c6p-3", "0x1.8958a27e36c60p-4"),
+    "zipf_log21": (
+        "0x1.3e547d78001b0p-2", "0x1.acb50a8609438p-6", "0x1.ae4ab1c85d89ep-10",
+        "0x1.e61782400f51cp-14", "0x1.d9c67a81f59e2p-14", "0x1.d940d4b4a47bep-14",
+        "0x1.d8bb766c4ba69p-14", "0x1.1f308db9021f3p-20"),
+    "zipf_log1.5-0.5": (
+        "0x1.647f9b47188b0p-1", "0x1.59cd6a22196adp-2", "0x1.13f415c8e254fp-3",
+        "0x1.9787cb16c8f05p-5", "0x1.9372fcc9559e7p-5", "0x1.9346529cd10a8p-5",
+        "0x1.9319b85db7c0ep-5", "0x1.db001cbdda22cp-8"),
+    "theta_one_log": (
+        "0x1.3f7b5d444081ep-1", "0x1.0f8266cc21586p-2", "0x1.1f9fca4f549ecp-3",
+        "0x1.8077d8272fa12p-4", "0x1.7f3550781f376p-4", "0x1.7f2780e2e328ep-4",
+        "0x1.7f19b5be86e49p-4", "0x1.dc2f434234e1cp-5"),
+    "geo0.5": (
+        "0x1.0000000000000p-1", "0x1.0000000000000p-10", "0x1.0000000000000p-100",
+        "0x1.0000000000000p-1000", "0x0.8000000000000p-1022", "0x0.4000000000000p-1022",
+        "0x0.2000000000000p-1022", "0x0.0p+0"),
+    "geo0.99": (
+        "0x1.fae147ae147afp-1", "0x1.cf0b2ad680bbfp-1", "0x1.76d12e9c2ff44p-2",
+        "0x1.6a258c41be10ep-15", "0x1.1f679f15ca584p-15", "0x1.1c87dd7e88524p-15",
+        "0x1.19af777077992p-15", "0x1.0566adc708a35p-1015"),
+}
+TAIL_MASS_HEX_NO_V4 = {
+    **TAIL_MASS_HEX,
+    "zipf1.2": (
+        "0x1.a46f0d00a8585p-1", "0x1.1e0a74d30c2ebp-1", "0x1.6c2af757d6d75p-2",
+        "0x1.cbf63b0d61f5fp-3", "0x1.c9e031ad97d76p-3", "0x1.c9c94d70d8017p-3",
+        "0x1.c9b27010476c6p-3", "0x1.8958a27e36c5fp-4"),
+    "theta_one_log": (
+        "0x1.3f7b5d444081fp-1", "0x1.0f8266cc21586p-2", "0x1.1f9fca4f549ecp-3",
+        "0x1.8077d8272fa12p-4", "0x1.7f3550781f376p-4", "0x1.7f2780e2e328ep-4",
+        "0x1.7f19b5be86e49p-4", "0x1.dc2f434234e1cp-5"),
+    "geo0.99": (
+        "0x1.fae147ae147afp-1", "0x1.cf0b2ad680bbfp-1", "0x1.76d12e9c2ff45p-2",
+        "0x1.6a258c41be10ep-15", "0x1.1f679f15ca584p-15", "0x1.1c87dd7e88524p-15",
+        "0x1.19af777077992p-15", "0x1.0566adc708a35p-1015"),
 }
 
 
@@ -315,21 +382,25 @@ class TestCountingFunction:
                 assert d.prob(j) >= 1.0 / x
             assert d.prob(j + 1) < 1.0 / x
 
-    def test_duality_at_rounding_windows(self, zipf2, zipf_log21, theta_one_log):
+    def test_duality_at_rounding_windows(self, zipf2, zipf_log21, theta_one_log, x86_v4):
         # cells whose p_j the math-library form j^-s ln(j+e)^-a / Z rounds
-        # differently from numpy's: prob must agree with the prob_array the
-        # search uses, also at thresholds one ulp around 1/p_j there
+        # differently from numpy's (more than 100 of them where numpy's
+        # AVX-512 loops run; none where they do not): prob must agree with
+        # the prob_array the search uses, and the search must hold at
+        # thresholds one ulp around 1/p_j of every cell
         for d in (zipf2, zipf_log21, theta_one_log):
             cells = np.arange(1, 20_001)
             libm = [float(j) ** -d.s * math.log(j + math.e) ** -d.a / d.Z
                     for j in cells.tolist()]
-            cells = cells[d.prob_array(cells) != np.array(libm)]
-            assert cells.size > 100
-            assert [d.prob(j) for j in cells.tolist()] == d.prob_array(cells).tolist()
-            xs = edge_thresholds(d, cells.tolist())
-            for x, j in zip(xs, d.counting_function(np.array(xs)).tolist()):
-                assert d.prob(j) >= 1.0 / x
-                assert d.prob(j + 1) < 1.0 / x
+            differ = cells[d.prob_array(cells) != np.array(libm)]
+            if x86_v4:
+                assert differ.size > 100
+            assert [d.prob(j) for j in differ.tolist()] == d.prob_array(differ).tolist()
+            xs = np.array(edge_thresholds(d, cells.tolist()))
+            j = d.counting_function(xs)
+            hit = j >= 1  # below 1/p_1 no cell qualifies
+            assert np.all(d.prob_array(j[hit]) >= 1.0 / xs[hit])
+            assert np.all(d.prob_array(j + 1) < 1.0 / xs)
 
     def test_nondecreasing(self, zipf_log21):
         xs = np.logspace(0, 10, 60)
@@ -395,29 +466,51 @@ class TestTailMass:
         with pytest.raises(DistributionError):
             zipf2.tail_mass(0)
 
+    @pytest.mark.parametrize("name", sorted(TAIL_MASS_SPECS))
+    def test_bits_pinned(self, name, x86_v4):
+        d = build_distribution(TAIL_MASS_SPECS[name])
+        want = (TAIL_MASS_HEX if x86_v4 else TAIL_MASS_HEX_NO_V4)[name]
+        assert tuple(d.tail_mass(J).hex() for J in TAIL_MASS_J) == want
+
 
 class TestTailPowerSum:
-    # (t, J) pairs: J below _EM_MIN_INDEX (explicit block plus the sum
-    # beyond it), at it, and a head length; geometric uses its closed form
-    POINTS = ((1e4, 1000), (1e4, _EM_MIN_INDEX), (1e6, 5000), (3e7, 40_000))
+    # (t, J) pairs: J at _EM_MIN_INDEX, the smallest cut of a power family,
+    # and head lengths; geometric uses its closed form
+    POINTS = ((1e4, _EM_MIN_INDEX), (1e6, 5000), (3e7, 40_000))
 
     def test_hits_equal_misses_bitwise(self):
         for spec in FAMILY_SPECS:
             warm, cold = build_distribution(spec), build_distribution(spec)
             for t, J in self.POINTS:
-                for r in range(1, 8):
-                    first = [v.hex() for v in warm.tail_power_sum(t, J, r)]
-                    assert [v.hex() for v in warm.tail_power_sum(t, J, r)] == first
-                    cold._tail_cuts.clear()
-                    assert [v.hex() for v in cold.tail_power_sum(t, J, r)] == first
+                def bits(d):  # every order's value and bound
+                    return [v.hex() for arr in d.tail_power_sum(t, J) for v in arr]
+
+                first = bits(warm)
+                assert bits(warm) == first
+                cold._tail_cuts.clear()
+                assert bits(cold) == first
+
+    def test_cut_below_em_min_index(self):
+        # a power family's sums start at _EM_MIN_INDEX; geometric's closed
+        # form takes any cut
+        for spec in FAMILY_SPECS:
+            d = build_distribution(spec)
+            if spec.family == "geometric":
+                values, bounds = d.tail_power_sum(1e4, 1000)
+                assert values[0] == 1e4 * d.prob(1001) / (1.0 - d.q)
+                assert np.all(bounds >= 0.0)
+            else:
+                with pytest.raises(DistributionError, match="cut J must be >= 1024"):
+                    d.tail_power_sum(1e4, 1000)
+                assert not d._tail_cuts
 
     def test_cache_stays_at_cap(self):
         d = build_distribution(DistributionSpec(family="zipf", s=2.0))
         first = exact_mean(d, 1e3, 2, star=True)
         for t in np.logspace(3, 8, 100):
             exact_mean(d, float(t), 2, star=True)
-            assert len(d._tail_cuts) <= _TAIL_SLOTS
-        assert len(d._tail_cuts) == _TAIL_SLOTS
+            assert len(d._tail_cuts) <= _SLOTS
+        assert len(d._tail_cuts) == _SLOTS
         # the evicted power sums at t = 1e3 are recomputed to the same bits
         assert exact_mean(d, 1e3, 2, star=True) == first
 
@@ -468,8 +561,9 @@ class TestTailPowerOracle:
         d = build_distribution(spec)
         for J in (1 << 10, 37_000, 10 ** 7):
             t = 0.4 / d.prob(J + 1)
+            values, bounds = d.tail_power_sum(t, J)
             for r in (1, 2, 5, 20, 40, 60):
-                got, bound = d.tail_power_sum(t, J, r)
+                got, bound = values[r - 1], bounds[r - 1]
                 want = tail_power_oracle(d, t, J, r)
                 assert abs(got - want) <= bound, (J, r, got, want, bound)
                 # the bound is not vacuous: it stays below the Euler-Maclaurin
@@ -485,7 +579,7 @@ class TestTailPowerOracle:
         # u = 700 drops e^-7 of them
         d = build_distribution(spec)
         for J in (2048, 37_000):
-            got, bound = d.tail_power_sum(1e4, J, 1)
+            got, bound = (v[0] for v in d.tail_power_sum(1e4, J))
             want = tail_power_oracle(d, 1e4, J, 1)
             assert abs(got - want) <= bound, (J, got, want, bound)
             assert bound <= 1e-12 * want
@@ -504,9 +598,11 @@ class TestTailPowerOracle:
         assert err <= 1e-12 * float(want)
 
     def test_orders(self, zipf2):
-        for r in (0, _MAX_ORDER + 1):
-            with pytest.raises(DistributionError, match="order"):
-                zipf2.tail_power_sum(1e4, 5000, r)
+        # entry r - 1 holds order r = 1.._MAX_ORDER, and the sums fall with r
+        # (t p_j < 1 past the cut)
+        values, bounds = zipf2.tail_power_sum(1e4, 5000)
+        assert values.shape == bounds.shape == (_MAX_ORDER,)
+        assert np.all(np.diff(values) < 0.0) and np.all(bounds >= 0.0)
 
 
 class TestSlowlyVarying:
@@ -638,13 +734,13 @@ class TestSampler:
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("name", sorted(_PINNED_DRAWS))
-    def test_draws_pinned(self, name):
+    def test_draws_pinned(self, name, x86_v4):
         # draw_cells(default_rng(31), 200_000) and, for the power families,
         # _draw_tail_block(default_rng(37), 20_000), as sha256 of the int64
         # bytes: frozen before the count-space cut and the tail squeeze, which
         # leave both streams bitwise unchanged
         d = build_distribution(_SAMPLER_SPECS[name])
-        cells, tail = _PINNED_DRAWS[name]
+        cells, tail = (_PINNED_DRAWS if x86_v4 else _PINNED_DRAWS_NO_V4)[name]
         got = d.draw_cells(np.random.default_rng(31), 200_000)
         assert hashlib.sha256(got.tobytes()).hexdigest() == cells
         if tail is not None:

@@ -31,7 +31,7 @@ from urnsim import (
     variance_sandwich_check,
 )
 from urnsim import distributions, moments
-from urnsim.distributions import _EM_MIN_INDEX, _HEAD_SLOTS
+from urnsim.distributions import _EM_MIN_INDEX, _SLOTS
 from urnsim.simulate import CheckpointGrid
 
 # 50-digit summation oracle: exp(-5) * (1 + 5 + 25/2)
@@ -57,7 +57,59 @@ ZIPF_N100_HI = 13.33705332910058
 # scipy quad for the same Gauss pass as the other orders: its values moved one
 # ulp and its bounds fell 50- and 120-fold, still within the bounds of the older
 # pins below.
+# Re-pinned when every series head took at least _EM_MIN_INDEX cells (the
+# tail power sums no longer bridge a lower cut by explicit summation) and
+# mean_difference's bound took in the rounding of the gap head's cells and
+# of the gap tail's coefficients: values moved by an ulp or two only where
+# the old head had fewer than 2^10 cells (all rows but theta_one_log at
+# 1e7 and geometric), every mean_difference bound grew, and so did the
+# binomial mean's bound and with it truncation_error.  SERIES_HEX holds the
+# bits where numpy dispatches its AVX-512 loops and SERIES_HEX_NO_V4 where
+# it does not; the older pins below are the AVX-512 ones.
 SERIES_HEX = {
+    ("zipf2", 10_000, 1): (
+        "0x1.1366161698713p+7", "0x1.c9f25ed958dc1p+5", "0x1.10f5387a6d806p+7",
+        "0x1.c4405eb353bb3p+5", "0x1.6ed3ad0925571p-39", "0x1.136533a9eef9cp+7",
+        "0x1.6e27b4d5eec12p-39", "0x1.c4d952eed5355p-10", "0x1.5887ed36c0e80p-48"),
+    ("zipf_log21", 316_228, 2): (
+        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
+        "0x1.817ead7c6edb4p+5", "0x1.f96fd275ffe93p-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f96fa32f4fdc6p-39", "0x1.4b966f606b1e6p-14", "0x1.409e4ea62e0f6p-57"),
+    ("theta_one_log", 31_623, 1): (
+        "0x1.c15656b974b65p+11", "0x1.74712e7ed444dp+11", "0x1.c15627386fdeep+11",
+        "0x1.c15627386fdeep+11", "0x1.0f78b3f681af6p-31", "0x1.c15627386fdeep+11",
+        "0x1.c9270e28100f6p-33", "0x1.7c0826bb777fcp-8", "0x1.f9e163e0da81dp-48"),
+    ("theta_one_log", 10_000_000, 2): (
+        "0x1.8f7c15bf89623p+15", "0x1.4e7e133332051p+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.69ce895a5a853p-30", "0x1.8f7c1597a5bdap+15",
+        "0x1.69ce8a6b9eff7p-30", "0x1.3f1d24f615ec6p-12", "0x1.b198efbe88fdep-53"),
+    ("geometric_half", 1_000, 2): (
+        "0x1.1b68d308362eep+3", "0x1.4752cf481c0c6p-1", "0x1.2000000000000p+3",
+        "nan", "0x1.3286a9b332394p-43", "0x1.1b62eb5093c12p+3",
+        "0x1.2fb04b05e2075p-43", "0x1.79ede89b71495p-11", "0x1.6b2f56a818fc4p-50"),
+}
+SERIES_HEX_NO_V4 = {
+    **SERIES_HEX,
+    ("zipf2", 10_000, 1): (
+        "0x1.1366161698713p+7", "0x1.c9f25ed958dc1p+5", "0x1.10f5387a6d806p+7",
+        "0x1.c4405eb353bb3p+5", "0x1.6ed335f20de8ap-39", "0x1.136533a9eef9cp+7",
+        "0x1.6e273dbed49ecp-39", "0x1.c4d952eed5355p-10", "0x1.5887ed315904ep-48"),
+    ("zipf_log21", 316_228, 2): (
+        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
+        "0x1.817ead7c6edb4p+5", "0x1.f97005271641dp-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f96fd5e070b86p-39", "0x1.4b966f606b1e6p-14", "0x1.409e78b3721d0p-57"),
+    ("theta_one_log", 31_623, 1): (
+        "0x1.c15656b974b65p+11", "0x1.74712e7ed444dp+11", "0x1.c15627386fdeep+11",
+        "0x1.c15627386fdeep+11", "0x1.0f78c4d4a7054p-31", "0x1.c15627386fdeep+11",
+        "0x1.c92713138b593p-33", "0x1.7c0826bb77800p-8", "0x1.f9e184921a074p-48"),
+    ("theta_one_log", 10_000_000, 2): (
+        "0x1.8f7c15bf89623p+15", "0x1.4e7e133332051p+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.69ce6af225d60p-30", "0x1.8f7c1597a5bdap+15",
+        "0x1.69ce6c0369c86p-30", "0x1.3f1d24f615ec6p-12", "0x1.b198abd9b8d7ep-53"),
+}
+# The same outputs before that change, when a head had at least 1000 cells
+# and the tail power sums below _EM_MIN_INDEX added the cells up to it.
+SERIES_HEX_EM_BRIDGE = {
     ("zipf2", 10_000, 1): (
         "0x1.1366161698714p+7", "0x1.c9f25ed958dbfp+5", "0x1.10f5387a6d806p+7",
         "0x1.c4405eb353bb3p+5", "0x1.6e137bac9b165p-39", "0x1.136533a9eef9dp+7",
@@ -170,7 +222,7 @@ class TestPoissonCdf:
            k=st.integers(min_value=1, max_value=10))
     @settings(max_examples=50, deadline=None)
     def test_matches_high_precision(self, lam, k):
-        # lam below 1/2 too: the _MIN_HEAD floor puts head cells there
+        # lam below 1/2 too: the _EM_MIN_INDEX floor puts head cells there
         with mp.workdps(30):
             want = (float(mp.gammainc(k, 0, lam, regularized=True)),
                     float(mp.gammainc(k, lam, mp.inf, regularized=True)))
@@ -479,6 +531,16 @@ NORMALIZER_BITS = {
         ("0x1.50af051ba0e51p-9", "0x1.2f2e82da65452p+14"),
     ),
 }
+# The same without numpy's AVX-512 loops.  Both sets held these bits until
+# the series heads took at least _EM_MIN_INDEX cells; L*(16) then moved one
+# ulp on this path, and b(16) with it.
+NORMALIZER_BITS_NO_V4 = {
+    **NORMALIZER_BITS,
+    ("theta_one_log", 1): (
+        ("0x1.57051c0ceba48p-2", "0x1.2cb7e93e697e1p+2"),
+        *NORMALIZER_BITS[("theta_one_log", 1)][1:],
+    ),
+}
 
 
 # The theta_one_log k = 1 row before that, when L* came from a log-grid
@@ -495,10 +557,10 @@ LSTAR_SIMPSON_REL_ERR = (2.65e-6, 1.12e-7, 4.0e-10)
 
 class TestNormalizer:
     @pytest.mark.parametrize("fixture,k", sorted(NORMALIZER_BITS))
-    def test_frozen_bits(self, request, fixture, k):
+    def test_frozen_bits(self, request, fixture, k, x86_v4):
         spec = normalizer(request.getfixturevalue(fixture), k)
         got = tuple((spec.b(n).hex(), spec.tprime(n).hex()) for n in (16.0, 1e4, 1e7))
-        assert got == NORMALIZER_BITS[(fixture, k)]
+        assert got == (NORMALIZER_BITS if x86_v4 else NORMALIZER_BITS_NO_V4)[(fixture, k)]
 
     def test_within_simpson_bits(self, theta_one_log):
         # the Simpson L* was good to its 1e-6 target or its returned error,
@@ -650,10 +712,83 @@ class TestMeanDifference:
                 cp = mp.mpf(-1) ** m / (mp.factorial(m) * r * mp.factorial(k - 1))
                 falling = mp.fprod(1 - mp.mpf(i) / n for i in range(r))
                 coeffs[r] = float(cp * (falling - 1))
-        tail, _ = moments._tail_series(theta_one_log, float(n), J, coeffs, abs(head))
+        tail, _, _ = moments._tail_series(theta_one_log, float(n), J, coeffs, abs(head))
         got, bound = mean_difference(theta_one_log, n, k, True)
         assert abs(got - (head + tail)) <= 1e-10 * abs(head + tail)
         assert bound < 1e-10 * abs(got)
+
+
+def exact_gaps(d, n):
+    """{(k, star): mean_difference at 50 digits}, k = 1..3, over the
+    computed p_j: the head cells j <= J term by term, and past them the tail
+    power sums of d (whose own bounds the series bound carries) times the
+    exact coefficients, or for geometric the cells themselves up to J + 3000
+    (what is left is below 1e-30)."""
+    J = moments._head_length(d, float(n))
+    ps = list(d.probs_prefix(J))
+    if d.family == "geometric":
+        ps += list(d.prob_array(np.arange(J + 1, J + 3001)))
+    with mp.workdps(50):
+        # per i, the sum over cells of P(Bin(n, p) = i) - P(Pois(n p) = i)
+        diffs = [mp.mpf(0)] * 4
+        for p in ps:
+            p = mp.mpf(float(p))
+            lam, l1p = n * p, mp.log1p(-p)
+            for i in range(4):
+                diffs[i] += (mp.binomial(n, i) * p ** i * mp.exp((n - i) * l1p)
+                             - mp.exp(-lam) * lam ** i / mp.factorial(i))
+        out = {}
+        values = [] if d.family == "geometric" else d.tail_power_sum(float(n), J)[0]
+        for k, star in itertools.product((1, 2, 3), (True, False)):
+            total = -mp.fsum(diffs[:k]) if star else diffs[k]
+            for r in range(k, len(values) + 1):
+                m = r - k
+                c = (mp.mpf(-1) ** m / (mp.factorial(m) * r * mp.factorial(k - 1)) if star
+                     else mp.mpf(-1) ** m / (mp.factorial(k) * mp.factorial(m)))
+                falling = mp.fprod(1 - mp.mpf(i) / n for i in range(r))
+                total += c * (falling - 1) * mp.mpf(float(values[r - 1]))
+            out[(k, star)] = total
+        return out
+
+
+class TestMeanDifferenceBound:
+    """mean_difference's bound holds against exact_gaps, the gap head's
+    cancellation included: the head cells' exponents n (log1p(-p) + p) lose
+    about 2^-52 n p to rounding where p > 1e-4, which a bound of 1e-14 of
+    the head missed 20- to 130-fold at the points of POINTS_SEEN; for
+    geometric q = 0.99 at n = 1e4, exactly 3, whose gap is below 1e-19, the
+    value is rounding (about 5e-16) and a bound that omitted the head's
+    and the tail's rounding read 1e-24."""
+
+    SPECS = {
+        "zipf2": DistributionSpec(family="zipf", s=2.0),
+        "zipf_log1.5-1": DistributionSpec(family="zipf_log", s=1.5, a=1.0),
+        "theta_one_log": DistributionSpec(family="theta_one_log"),
+    }
+    POINTS_SEEN = (("zipf2", 31_623, 3, False), ("zipf2", 10_000, 3, False),
+                   ("zipf_log1.5-1", 10_000, 3, False), ("theta_one_log", 1_000, 3, True))
+
+    N = (1_000, 10_000, 31_623)
+    COUNTS = ((1, True), (2, True), (3, True), (2, False), (3, False))
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_holds_at_fifty_digits(self, name):
+        d = build_distribution(self.SPECS[name])
+        assert all(n in self.N and (k, star) in self.COUNTS
+                   for fam, n, k, star in self.POINTS_SEEN if fam == name)
+        for n in self.N:
+            wants = exact_gaps(d, n)
+            for k, star in self.COUNTS:
+                got, bound = mean_difference(d, n, k, star)
+                assert abs(mp.mpf(got) - wants[(k, star)]) <= bound, (n, k, star, got, bound)
+                assert bound <= 1e-9 * abs(got)
+
+    def test_holds_where_the_gap_cancels(self):
+        d = build_distribution(DistributionSpec(family="geometric", q=0.99))
+        got, bound = mean_difference(d, 10_000, 3, False)
+        want = exact_gaps(d, 10_000)[(3, False)]
+        assert abs(want) < 1e-19 < 1e-17 < abs(got)
+        assert abs(mp.mpf(got) - want) <= bound < 1e-12
 
 
 _FAMILIES = ("zipf2", "zipf_log21", "theta_one_log", "geometric_half")
@@ -716,8 +851,8 @@ class TestDepoissonization:
 
 
 class TestSharedTailSums:
-    def test_series_bitwise_frozen(self, request):
-        for (fam, t, k), want in SERIES_HEX.items():
+    def test_series_bitwise_frozen(self, request, x86_v4):
+        for (fam, t, k), want in (SERIES_HEX if x86_v4 else SERIES_HEX_NO_V4).items():
             d = request.getfixturevalue(fam)
             assert series_point(d, t, k) == want
             # again with every tail power sum at t already computed
@@ -742,13 +877,19 @@ class TestSharedTailSums:
                 assert abs(new_f[v] - old_f[v]) <= new_f[b] + old_f[b], (key, v)
 
     def test_series_within_bounds_of_gammainc_head(self):
-        self.assert_within_bounds(SERIES_HEX, SERIES_HEX_GAMMAINC)
+        for pins in (SERIES_HEX, SERIES_HEX_NO_V4):
+            self.assert_within_bounds(pins, SERIES_HEX_GAMMAINC)
 
     def test_series_within_bounds_of_quad_tail(self):
-        self.assert_within_bounds(SERIES_HEX, SERIES_HEX_QUAD)
+        for pins in (SERIES_HEX, SERIES_HEX_NO_V4):
+            self.assert_within_bounds(pins, SERIES_HEX_QUAD)
+
+    def test_series_within_bounds_of_em_bridge(self):
+        for pins in (SERIES_HEX, SERIES_HEX_NO_V4):
+            self.assert_within_bounds(pins, SERIES_HEX_EM_BRIDGE)
 
     @pytest.mark.parametrize("spec, t", [
-        (DistributionSpec(family="zipf", s=2.0), 10_000),  # head below _EM_MIN_INDEX
+        (DistributionSpec(family="zipf", s=2.0), 10_000),  # head at the floor
         (DistributionSpec(family="zipf_log", s=2.0, a=1.0), 1_000_000),
         (DistributionSpec(family="theta_one_log"), 100_000),  # k = 1 reaches L*
     ])
@@ -759,9 +900,9 @@ class TestSharedTailSums:
         tail_power_sum = distributions.CellDistribution.tail_power_sum
         power_integrals = distributions._power_integrals
 
-        def spy_tail(self, at, J, r):
-            asked.append((at, max(J, _EM_MIN_INDEX), r))
-            return tail_power_sum(self, at, J, r)
+        def spy_tail(self, at, J):
+            asked.append((at, J))
+            return tail_power_sum(self, at, J)
 
         def spy_pass(*args):
             passes.append(args)
@@ -769,11 +910,20 @@ class TestSharedTailSums:
 
         monkeypatch.setattr(distributions.CellDistribution, "tail_power_sum", spy_tail)
         monkeypatch.setattr(distributions, "_power_integrals", spy_pass)
+        series = 0
         for k in (1, 2, 3):
             series_point(d, t, k)
-        # every order at a cut beyond _EM_MIN_INDEX comes from one pass, the
+            # moment_report's binomial mean and variance (and at theta = 1,
+            # k = 1, L* for its asymptotic mean and variance), the Poisson
+            # mean and the gap
+            series += 6 if d.theta == 1.0 and k == 1 else 4
+        # one call per series, every order from it, at one cut per t, which
+        # is never below _EM_MIN_INDEX; its orders come from one pass, the
         # r = 1 sum of theta_one_log (r s = 1) included
-        cuts = {J for _, J, _ in asked}
+        assert len(asked) == series
+        cuts = {J for _, J in asked}
+        assert cuts == {moments._head_length(d, t)}
+        assert min(cuts) >= _EM_MIN_INDEX
         assert len(passes) == len(cuts)
         assert len(asked) > 4 * len(passes)
 
@@ -811,7 +961,7 @@ class TestSharedTailSums:
         return work
 
     def test_one_head_pass_per_point(self, monkeypatch):
-        # zipf_log's head at t = 1e4 is the _MIN_HEAD floor
+        # zipf_log's head at t = 1e4 is the _EM_MIN_INDEX floor
         for spec, ts in ((self.SPEC, (31_623, self.T)),
                          (DistributionSpec(family="zipf_log", s=2.0, a=1.0), (10_000,))):
             d = build_distribution(spec)
@@ -890,13 +1040,13 @@ class TestSharedTailSums:
             series_point(d, int(t), k)
             # one pass for the new point, none for the kept one
             assert work["cells"] == J
-            assert len(d._head_sums) <= _HEAD_SLOTS
-            assert len(d._head_lengths) <= _HEAD_SLOTS
+            assert len(d._head_sums) <= _SLOTS
+            assert len(d._head_lengths) <= _SLOTS
             # the sums and their bounds are scalars; no head array is kept
             assert all(isinstance(v, float) for sums in d._head_sums.values()
                        for pair in sums.values() for v in pair)
             assert not any(isinstance(v, np.ndarray) and v.size == J for v in vars(d).values())
-        assert len(d._head_sums) == _HEAD_SLOTS
+        assert len(d._head_sums) == _SLOTS
 
 
 class TestMomentReport:
