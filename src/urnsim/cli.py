@@ -24,8 +24,9 @@ from .config import (
     load_config,
     override_config,
 )
-from .distributions import DistributionError, DistributionSpec, build_distribution
-from .moments import moment_report, normalizer
+from .distributions import (_FAMILIES, _PARAMETERS, DistributionError, DistributionSpec,
+                            build_distribution)
+from .moments import _LAWS, moment_report, normalizer
 from .simulate import CheckpointGrid, run_coupled
 from .studies import STUDIES, run_study, theta_estimate, write_study_outputs
 
@@ -39,12 +40,12 @@ def spec_from_args(args: argparse.Namespace) -> DistributionSpec:
 
 
 def add_family_flags(parser: argparse.ArgumentParser) -> None:
-    """--family and its parameters --s, --a, --q (no defaults)."""
-    parser.add_argument("--family", required=True,
-                        choices=["zipf", "zipf_log", "theta_one_log", "geometric"])
-    parser.add_argument("--s", type=float, default=None, help="power exponent (zipf types)")
-    parser.add_argument("--a", type=float, default=None, help="log power (zipf_log)")
-    parser.add_argument("--q", type=float, default=None, help="ratio (geometric)")
+    """--family and its parameters --s, --a, --q (no defaults), from the
+    family table."""
+    parser.add_argument("--family", required=True, choices=list(_FAMILIES))
+    for name, meaning in _PARAMETERS.items():
+        takers = ", ".join(f for f, takes in _FAMILIES.items() if name in takes)
+        parser.add_argument(f"--{name}", type=float, default=None, help=f"{meaning} ({takers})")
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--t", type=float, required=True, help="poissonization scale / sample size")
     p_mom.add_argument("--k", type=int, required=True)
     p_mom.add_argument("--star", action="store_true", help="at-least-k count (else exactly k)")
-    p_mom.add_argument("--law", choices=["poisson", "binomial"], default="poisson")
+    p_mom.add_argument("--law", choices=_LAWS, default="poisson")
     p_mom.add_argument("--json", action="store_true", help="emit a JSON document instead of CSV")
     p_mom.set_defaults(fn=_cmd_moments)
 

@@ -10,7 +10,6 @@ criteria are constants in :mod:`urnsim.studies`.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -60,8 +59,9 @@ class ExperimentConfig:
         if not self.rate_t_values:
             raise ConfigError("rate_t_values must list at least one t")
         for t in self.rate_t_values:
-            if not (math.isfinite(t) and t >= 1):
-                raise ConfigError(f"rate_t_values must be finite and >= 1, got {t}")
+            # study_rate_ratio seeds each t's stream with int(t)
+            if not (t >= 1 and float(t).is_integer()):
+                raise ConfigError(f"rate_t_values must be integers >= 1, got {t}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 

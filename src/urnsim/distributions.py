@@ -29,7 +29,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 _E = math.e
-_FAMILIES = ("zipf", "zipf_log", "theta_one_log", "geometric")
+# The parameters of a spec and their meaning; the family table, from each
+# family to the parameters that its spec sets; and the s and a that a family
+# fixes instead.
+_PARAMETERS = {"s": "power exponent s", "a": "log power a", "q": "ratio q"}
+_FAMILIES = {"zipf": ("s",), "zipf_log": ("s", "a"), "theta_one_log": (), "geometric": ("q",)}
+_FIXED = {"zipf": {"a": 0.0}, "theta_one_log": {"s": 1.0, "a": 2.0}}
 
 # Inversion-table size for power-law samplers; draws beyond the table go
 # through exact rejection-inversion in the unbounded tail block.
@@ -76,9 +81,8 @@ class DistributionSpec:
     """Parameters of one cell-probability family, checked when the spec is
     built (directly, by :func:`dataclasses.replace` or from a mapping).
 
-    Exactly the parameters of the chosen family may be set: ``s`` (and
-    optionally ``a``) for the zipf types, ``q`` for geometric;
-    ``theta_one_log`` takes no parameters.
+    A spec sets exactly the parameters of its family in _FAMILIES, each
+    finite, with s > 1 and q in (0,1).
     """
 
     family: str
@@ -87,33 +91,21 @@ class DistributionSpec:
     q: float | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        takes = _FAMILIES.get(self.family)
+        if takes is None:
             raise DistributionError(
-                f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        for name in ("s", "a", "q"):
+                f"unknown family {self.family!r}; expected one of {tuple(_FAMILIES)}")
+        for name, meaning in _PARAMETERS.items():
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise DistributionError(f"{name} must be finite, got {value}")
-        if self.family == "zipf":
-            if self.s is None or self.s <= 1.0:
-                raise DistributionError(f"zipf requires s > 1, got s={self.s}")
-            if self.a is not None or self.q is not None:
-                raise DistributionError("zipf takes only the exponent s")
-        elif self.family == "zipf_log":
-            if self.s is None or self.s <= 1.0:
-                raise DistributionError(f"zipf_log requires s > 1, got s={self.s}")
-            if self.a is None:
-                raise DistributionError("zipf_log requires the log power a")
-            if self.q is not None:
-                raise DistributionError("zipf_log takes only s and a")
-        elif self.family == "theta_one_log":
-            if self.s is not None or self.a is not None or self.q is not None:
-                raise DistributionError("theta_one_log is parameter free")
-        elif self.family == "geometric":
-            if self.q is None or not (0.0 < self.q < 1.0):
-                raise DistributionError(f"geometric requires q in (0,1), got q={self.q}")
-            if self.s is not None or self.a is not None:
-                raise DistributionError("geometric takes only the ratio q")
+            if (value is not None) != (name in takes):
+                verb = "requires" if value is None else "does not take"
+                raise DistributionError(f"{self.family} {verb} the {meaning}")
+        if self.s is not None and self.s <= 1.0:
+            raise DistributionError(f"{self.family} requires s > 1, got s={self.s}")
+        if self.q is not None and not 0.0 < self.q < 1.0:
+            raise DistributionError(f"{self.family} requires q in (0,1), got q={self.q}")
 
     def as_mapping(self) -> dict:
         """Serializable key-value form (shared with the CLI config schema)."""
@@ -232,21 +224,10 @@ class CellDistribution:
     """
 
     def __init__(self, spec: DistributionSpec):
-        self.spec = spec
         self.family = spec.family
-        if spec.family == "zipf":
-            self.s, self.a = float(spec.s), 0.0
-            self.theta = 1.0 / self.s
-        elif spec.family == "zipf_log":
-            self.s, self.a = float(spec.s), float(spec.a)
-            self.theta = 1.0 / self.s
-        elif spec.family == "theta_one_log":
-            self.s, self.a = 1.0, 2.0
-            self.theta = 1.0
-        else:
-            self.s = self.a = None
-            self.theta = 0.0
-        self.q = None if spec.q is None else float(spec.q)
+        values = {**_FIXED.get(spec.family, {}), **spec.as_mapping()}
+        self.s, self.a, self.q = (float(values[n]) if n in values else None for n in _PARAMETERS)
+        self.theta = 0.0 if self.s is None else 1.0 / self.s
         self.Z = self._normalization()
         if self.a is not None and self.a < 0.0:
             self._check_monotone_negative_a()
@@ -519,9 +500,8 @@ class CellDistribution:
         if s > 1.0:
             # envelope x^-s_env * c: for a>=0 freeze the log factor at x0;
             # for a<0 absorb it via (ln(x+e))^(-a) <= w0^(-a) exp(-a u / w0).
+            # s_env > 1: _check_monotone_negative_a checks it at construction
             s_env = s if a >= 0.0 else s + a / w0
-            if s_env <= 1.0:
-                raise DistributionError("tail envelope not integrable; table too small")
             # for a == 0 the ratio is j^-s over its integral across the cell,
             # 1 - s(s+1)/(24 j^2) to leading order; squeeze at twice that gap
             squeeze = 1.0 - s * (s + 1.0) / (12.0 * x0 * x0) if a == 0.0 else 0.0

@@ -47,6 +47,7 @@ _HEAD_CHUNK = 1 << 13
 _LAM_LOG = 700.0
 # bound, in ulps, on the relative error of _poisson_cells' g and 1 - g, k <= 10
 _CELL_ULPS = 64
+_LAWS = ("poisson", "binomial")  # of an exact series: poissonized, and fixed n
 
 
 # Returned by asym_mean_coeff and asym_var_coeff (compare with ``is``) when
@@ -311,25 +312,26 @@ def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dic
 # ---------------------------------------------------------- exact series
 
 def _check_series_args(t: float, k: int, law: str) -> None:
-    """The arguments every exact series accepts: k >= 1, a finite t >= 0
-    and, for the fixed-n (binomial) law, an integer t."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """The arguments every exact series accepts: k in 1.._MAX_ORDER (its
+    tail's orders), a finite t >= 0, a law of _LAWS, and for binomial an integer t."""
+    if not 1 <= k <= _MAX_ORDER:
+        raise ValueError(f"k must be >= 1 and <= {_MAX_ORDER}, got {k}")
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be >= 0 and finite, got {t!r}")
-    if law not in ("poisson", "binomial"):
+    if law not in _LAWS:
         raise ValueError(f"unknown law {law!r}")
     if law == "binomial" and int(t) != t:
         raise ValueError("binomial law requires integer n")
 
 
 def _series(d: CellDistribution, t: float, k: int, star: bool,
-            name: str) -> tuple[float, float, float]:
-    """The head sum ``name`` of :func:`_head_pass` at (t, k, star) (the
-    distribution keeps them by point), the series value and its bound.  The
-    tail takes the coefficients c of :func:`_coeffs`: "pois" c, "var"
-    c - c^2 (:func:`_var_coeffs`); the fixed-n coefficient of (t p)^r is
-    c_r falling(t, r) / t^r, so "binom" takes c * falling and "gap"
+            name: str) -> tuple[float, float]:
+    """The series whose head is the sum ``name`` of :func:`_head_pass` at
+    (t, k, star) (the distribution keeps them by point), and its bound,
+    which adds 1e-15 of the value for the last addition.  The tail takes the
+    coefficients c of :func:`_coeffs`: "pois" c, "var" c - c^2
+    (:func:`_var_coeffs`); the fixed-n coefficient of (t p)^r is c_r
+    falling(t, r) / t^r, so "binom" takes c * falling and "gap"
     c * expm1(ln falling)."""
     J = _head_length(d, t)
     head, rounding = d._head_sums.keep((t, k, star), lambda: _head_pass(d, t, k, star, J))[name]
@@ -342,7 +344,8 @@ def _series(d: CellDistribution, t: float, k: int, star: bool,
         # the gap's head may cancel, so its tail's rounding counts on its own:
         # r + 8 ulps of each term (c_r expm1(ln falling) and the sum), r <= 60
         bound += (_MAX_ORDER + 8) * 2.0 ** -52 * size
-    return head, head + tail, bound + rounding
+    value = head + tail
+    return float(value), float(bound + rounding + 1e-15 * abs(value))
 
 
 def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
@@ -355,8 +358,7 @@ def exact_mean(d: CellDistribution, t: float, k: int, star: bool,
     _check_series_args(t, k, law)
     if t == 0 or (law == "binomial" and k > t):
         return 0.0, 0.0
-    _, value, bound = _series(d, t, k, star, "pois" if law == "poisson" else "binom")
-    return float(value), float(bound + 1e-15 * abs(value))
+    return _series(d, t, k, star, "pois" if law == "poisson" else "binom")
 
 
 def exact_var(d: CellDistribution, t: float, k: int, star: bool) -> tuple[float, float]:
@@ -365,8 +367,7 @@ def exact_var(d: CellDistribution, t: float, k: int, star: bool) -> tuple[float,
     _check_series_args(t, k, "poisson")
     if t == 0:
         return 0.0, 0.0
-    _, value, bound = _series(d, t, k, star, "var")
-    return float(value), float(bound + 1e-15 * abs(value))
+    return _series(d, t, k, star, "var")
 
 
 def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[float, float]:
@@ -382,8 +383,7 @@ def mean_difference(d: CellDistribution, n: int, k: int, star: bool) -> tuple[fl
     _check_series_args(n, k, "binomial")
     if n == 0:
         return 0.0, 0.0
-    _, value, bound = _series(d, float(n), k, star, "gap")
-    return float(value), float(bound + 1e-15 * abs(value))
+    return _series(d, float(n), k, star, "gap")
 
 
 def depoissonization_gap(d: CellDistribution, n: int, k: int, star: bool) -> float:

@@ -1,10 +1,13 @@
+import argparse
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from urnsim.cli import TRAJECTORY_HEADER, main
+from urnsim.cli import TRAJECTORY_HEADER, build_parser, main
+from urnsim.distributions import _FAMILIES, _PARAMETERS
+from urnsim.moments import _LAWS
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +53,14 @@ class TestMoments:
         rc, out, err = run_cli(capsys, "moments", *flags, "--t", "100", "--k", "1")
         assert rc == 2 and not out
         assert message in err
+
+    @pytest.mark.parametrize("law", _LAWS)
+    def test_k_past_the_tail_orders(self, capsys, law):
+        # the series tail has orders 1..60; k = 61 is refused, not an IndexError
+        rc, out, err = run_cli(capsys, "moments", "--family", "zipf", "--s", "2", "--t", "1e4",
+                               "--k", "61", "--star", "--law", law)
+        assert rc == 2 and not out
+        assert err == "error: k must be >= 1 and <= 60, got 61\n"
 
 
 class TestSimulate:
@@ -174,6 +185,14 @@ class TestVerify:
         assert "n_floor must not exceed n_max" in err
         assert "Traceback" not in err
 
+    def test_k_past_the_tail_orders(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("family = zipf\ns = 2.0\nn_max = 5000\nks = 61\n")
+        rc, _, err = run_cli(capsys, "verify", "lemma5", "--config", str(cfg),
+                             "--out", str(tmp_path))
+        assert rc == 2
+        assert err == "error: k must be >= 1 and <= 60, got 61\n"
+
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "lemma2", "--config",
                              "/nonexistent/cfg.ini")
@@ -232,3 +251,16 @@ class TestParsing:
     def test_subcommand_required(self, capsys):
         rc, _, _ = run_cli(capsys)
         assert rc == 2
+
+    def test_choices_from_the_tables(self):
+        # --family, --s/--a/--q and --law come from the family table, the
+        # parameter table and the law tuple that the spec and series check
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command in ("moments", "simulate"):
+            actions = {a.dest: a for a in sub.choices[command]._actions}
+            assert list(actions["family"].choices) == list(_FAMILIES)
+            for name, meaning in _PARAMETERS.items():
+                assert actions[name].help.startswith(meaning)
+        law = {a.dest: a for a in sub.choices["moments"]._actions}["law"]
+        assert tuple(law.choices) == _LAWS

@@ -89,12 +89,21 @@ def test_integer_keys_accept_integral_floats():
     {"rate_t_values": "1e4, nan"},
     {"rate_t_values": "0.5"},
     {"rate_t_values": "0"},
+    {"rate_t_values": "1e4, 2.5"},
 ])
 def test_validation_failures(bad):
     base = {"family": "zipf", "s": 2.0}
     base.update(bad)
     with pytest.raises(ConfigError, match=next(iter(bad))):
         config_from_mapping(base)
+
+
+def test_rate_t_values_named_when_not_integers():
+    # the rate-ratio study seeds each t's stream with int(t), so 1.2 and 1.7
+    # would read the same uniforms
+    with pytest.raises(ConfigError, match="must be integers >= 1, got 1.2"):
+        ExperimentConfig(distribution=DistributionSpec(family="zipf", s=2.0),
+                         rate_t_values=(1.2, 1.7))
 
 
 def test_load_config_flags_override(tmp_path):

@@ -22,6 +22,7 @@ from urnsim import (
 )
 from urnsim.distributions import (
     _EM_MIN_INDEX,
+    _FAMILIES,
     _MAX_ORDER,
     _NORM_TOL,
     _PREFIX_CAP,
@@ -258,6 +259,22 @@ class TestBuild:
     def test_non_finite_parameters_rejected(self, spec, name):
         with pytest.raises(DistributionError, match=f"^{name} must be finite"):
             build_distribution(DistributionSpec(**spec))
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_family_table_rule(self, family):
+        # a family takes exactly its parameters in the table: each one it
+        # does not take is refused, and so is each one it needs left unset;
+        # both messages name the parameter
+        valid = {"s": 2.0, "a": 1.0, "q": 0.5}
+        takes = {name: valid[name] for name in _FAMILIES[family]}
+        assert build_distribution(DistributionSpec(family=family, **takes)).family == family
+        for name in set(valid) - set(takes):
+            with pytest.raises(DistributionError, match=f"{family} does not take the .* {name}$"):
+                DistributionSpec(family=family, **takes, **{name: valid[name]})
+        for name in takes:
+            rest = {other: v for other, v in takes.items() if other != name}
+            with pytest.raises(DistributionError, match=f"{family} requires the .* {name}$"):
+                DistributionSpec(family=family, **rest)
 
     def test_spec_checked_when_built(self):
         # no distribution is built: the spec refuses itself, and

@@ -31,7 +31,7 @@ from urnsim import (
     variance_sandwich_check,
 )
 from urnsim import distributions, moments
-from urnsim.distributions import _EM_MIN_INDEX, _SLOTS
+from urnsim.distributions import _EM_MIN_INDEX, _MAX_ORDER, _SLOTS
 from urnsim.simulate import CheckpointGrid
 
 # 50-digit summation oracle: exp(-5) * (1 + 5 + 25/2)
@@ -679,6 +679,23 @@ class TestMeanDifference:
             exact_mean(zipf2, n, k, star, law="binomial")
         with pytest.raises(ValueError, match=match):
             mean_difference(zipf2, n, k, star)
+
+    def test_k_within_the_tail_orders(self, zipf2):
+        # the tail has orders 1.._MAX_ORDER, so k = 60 is the last k a series takes
+        assert _MAX_ORDER == 60
+        assert exact_mean(zipf2, 1e4, 60, True)[0] == pytest.approx(9.629032375569306, rel=1e-12)
+        for value, bound in (exact_mean(zipf2, 1e4, 60, False, law="binomial"),
+                             exact_var(zipf2, 1e4, 60, True),
+                             mean_difference(zipf2, 10_000, 60, True)):
+            assert value > 0.0 and 0.0 < bound < 1e-10
+        for star in (True, False):
+            for law in ("poisson", "binomial"):
+                with pytest.raises(ValueError, match="k must be >= 1 and <= 60, got 61"):
+                    exact_mean(zipf2, 1e4, 61, star, law=law)
+            with pytest.raises(ValueError, match="k must be >= 1 and <= 60, got 61"):
+                exact_var(zipf2, 1e4, 61, star)
+            with pytest.raises(ValueError, match="k must be >= 1 and <= 60, got 61"):
+                mean_difference(zipf2, 10_000, 61, star)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_rejects_non_finite_t(self, zipf2, t):
