@@ -3,7 +3,7 @@
 
 The grid is logspaced(1e4, n_max, points) with k_max = 3; run r uses seed
 r.  Each run is a fresh process, so its ru_maxrss (the peak resident set
-of that process: interpreter, numpy and scipy, the distribution and the
+of that process: interpreter, numpy, the distribution and the
 trajectory) is its own.  The wall time covers run_coupled only.
 
 Example:

@@ -14,8 +14,8 @@ tail-mass bounds and stable power sums of the scaled probabilities of the
 power families, and the normalizing constant Z of the log families, all
 come from one midpoint Euler-Maclaurin sum past a cut, whose integrals of
 every order are one composite Gauss pass with one error estimate
-(:func:`_power_integrals`); zipf's Z is the Riemann zeta, and geometric has
-closed forms.
+(:func:`_power_integrals`); zipf's Z is the Riemann zeta of :func:`_zeta`,
+a port of cephes', and geometric has closed forms.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import special
 
 _E = math.e
 # The parameters of a spec and their meaning; the family table, from each
@@ -188,6 +187,33 @@ def _tail_sums(s: float, a: float, J: int) -> tuple[np.ndarray, np.ndarray]:
     return val * x0 + r * dlog / 24.0, qerr * x0 + rem
 
 
+def _zeta(s: float) -> float:
+    """The Riemann zeta at s > 1, cephes' Hurwitz zeta at q = 1 step for step (so
+    bitwise): terms j <= 10, then Euler-Maclaurin past 10 over (2m)!/B_2m, m <= 12."""
+    total = 1.0
+    for j in range(2, 11):
+        b = float(j) ** -s
+        total += b
+        if abs(b / total) < 2.0 ** -53:
+            return total
+    total += b * 10.0 / (s - 1.0)
+    total -= 0.5 * b  # merged with the line above, this rounds differently
+    rise = 1.0
+    for m, divisor in enumerate((12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+                                 -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+                                 1.1646782814350067249e14, -4.5979787224074726105e15,
+                                 1.8152105401943546773e17, -7.1661652561756670113e18)):
+        rise *= s + 2 * m
+        b /= 10.0
+        term = rise * b / divisor
+        total += term
+        if abs(term / total) < 2.0 ** -53:
+            break
+        rise *= s + 2 * m + 1
+        b /= 10.0
+    return total
+
+
 def _at_least(p: np.ndarray, thr):
     """The number of entries >= thr of a nonincreasing array p, per
     threshold; a search in C on a reversed view, which copies nothing."""
@@ -247,8 +273,9 @@ class CellDistribution:
         if self.family == "geometric":
             return 1.0
         if self.family == "zipf":
-            # Riemann zeta, library accuracy ~1e-16 relative
-            return float(special.zeta(self.s, 1.0))
+            # not the log families' sums: their r = 1 rounding term grows like
+            # 1/(s - 1) and stalls them below s = 1.0018, and the tail is most of Z
+            return _zeta(self.s)
         J = 1 << 14
         while True:
             head = float(self._weights(np.arange(1, J + 1, dtype=np.float64)).sum())

@@ -23,7 +23,6 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 # smoothed_slowly_varying is called through this module's global, which
 # perfbench/tracing.py wraps
@@ -90,10 +89,10 @@ class MomentReport:
 
 def binomial_tail_at_least(n: int, p, k: int):
     """P(Binomial(n, p) >= k); 0 when k > n.  Vector friendly in p.  As in
-    the series' head: :func:`_poisson_cells` plus :func:`_binom_minus_poisson`.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    the series' head: :func:`_poisson_cells` plus :func:`_binom_minus_poisson`,
+    whose falling factors reach order k - 1 <= _MAX_ORDER."""
+    if k < 1 or _MAX_ORDER + 1 < k <= n:
+        raise ValueError(f"k must be >= 1 and <= {_MAX_ORDER + 1} (or > n), got {k}")
     if k > n:
         return np.zeros_like(p) if np.ndim(p) else 0.0
     p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -397,6 +396,9 @@ def depoissonization_gap(d: CellDistribution, n: int, k: int, star: bool) -> flo
     It matches ``mean_difference`` to a relative O(1/n).
     """
     _check_series_args(n, k, "binomial")
+    if k > (top := _MAX_ORDER - (1 if star else 2)):  # it reads the means of k + 1, or k + 2
+        raise ValueError(f"k must be <= {top} for the {'at-least' if star else 'exactly'}-k "
+                         f"gap, got {k}")
     if n == 0:
         return 0.0
     weights = {k: -k * (k - 1), k + 1: k * (k + 1)} if star else \
@@ -446,12 +448,12 @@ def gamma_tail_partial_sum(theta: float, M: float) -> float:
         # sum_{i=2}^{M} 1/(i(i-1)) = 1 - 1/M, with a divergent i=1 term
         raise ValueError("partial sums diverge at theta = 1 (first term)")
     if M > 1e6:
-        # gammaln differences cancel catastrophically here; use the ratio
+        # lgamma differences cancel catastrophically here; use the ratio
         # asymptotic Gamma(M+1-theta)/Gamma(M+1) ~ M^-theta (1 - theta(1-theta)/(2M))
         rest = M ** -theta * (1.0 - theta * (1.0 - theta) / (2.0 * M))
     else:
-        rest = math.exp(special.gammaln(M + 1.0 - theta) - special.gammaln(M + 1.0))
-    return float(special.gamma(1.0 - theta) - rest)
+        rest = math.exp(math.lgamma(M + 1.0 - theta) - math.lgamma(M + 1.0))
+    return float(math.gamma(1.0 - theta) - rest)
 
 
 def asym_mean_coeff(theta: float, k: int, star: bool):
@@ -467,7 +469,7 @@ def asym_mean_coeff(theta: float, k: int, star: bool):
             return 0.0
         if theta == 1.0 and k == 1:
             return T_LSTAR_REGIME
-        return theta * special.gamma(k - theta) / math.factorial(k)
+        return theta * math.gamma(k - theta) / math.factorial(k)
     if theta == 0.0:
         return 1.0
     if theta == 1.0:
@@ -475,9 +477,9 @@ def asym_mean_coeff(theta: float, k: int, star: bool):
             return T_LSTAR_REGIME
         # theta sum_{i>=k} Gamma(i-1)/i! telescopes to 1/(k-1)
         return 1.0 / (k - 1)
-    c = special.gamma(1.0 - theta)
+    c = math.gamma(1.0 - theta)
     for i in range(1, k):
-        c -= theta * special.gamma(i - theta) / math.factorial(i)
+        c -= theta * math.gamma(i - theta) / math.factorial(i)
     return float(c)
 
 
@@ -492,17 +494,17 @@ def asym_var_coeff(theta: float, k: int, star: bool):
         if k == 1:
             if theta == 1.0:
                 return T_LSTAR_REGIME
-            return float(special.gamma(1.0 - theta) * (2.0 ** theta - 1.0))
+            return float(math.gamma(1.0 - theta) * (2.0 ** theta - 1.0))
         if not (0.0 < theta <= 1.0):
             raise ValueError("theta must be in (0, 1] for the star variance")
-        total = 2.0 ** theta * special.gamma(2.0 - theta) \
-            - special.gamma(k - theta) / math.factorial(k - 1)
+        total = 2.0 ** theta * math.gamma(2.0 - theta) \
+            - math.gamma(k - theta) / math.factorial(k - 1)
         double = 0.0
         for s_ in range(k):
             for m_ in range(k):
                 r = s_ + m_
                 if r >= 2:
-                    double += special.gamma(r - theta) / (
+                    double += math.gamma(r - theta) / (
                         2.0 ** (r - theta) * math.factorial(s_) * math.factorial(m_))
         return float(total - theta * double)
     if theta == 0.0:
@@ -510,8 +512,8 @@ def asym_var_coeff(theta: float, k: int, star: bool):
     if theta == 1.0 and k == 1:
         return T_LSTAR_REGIME
     return float(theta / math.factorial(k) * (
-        special.gamma(k - theta)
-        - special.gamma(2 * k - theta) / (2.0 ** (2 * k - theta) * math.factorial(k))))
+        math.gamma(k - theta)
+        - math.gamma(2 * k - theta) / (2.0 ** (2 * k - theta) * math.factorial(k))))
 
 
 # ---------------------------------------------------------- normalizers

@@ -25,6 +25,7 @@ from .distributions import (
     build_distribution,
 )
 from .moments import (
+    _log_pmf,
     T_LSTAR_REGIME,
     asym_mean_coeff,
     exact_mean,
@@ -145,25 +146,32 @@ def median_band(d: CellDistribution, n: int, seeds: int,
     statistics, whose laws are binomial in the CDF F of X; each side of the
     band gets probability 0.0005.
     """
-    # imported here: scipy.stats takes ~0.4 s to import, and only the
-    # theta = 1 rows of the decay study need it
-    from scipy import stats as sps
-
     if seeds < 2:
         raise ValueError("the median band needs at least 2 seeds")
     b = normalizer(d, k).b(float(n))
     rate = k * exact_mean(d, float(n), k, star=False)[0] / n
     gaps = np.arange(int(12 * math.sqrt(n)) + 10)
-    gap_pmf = sps.poisson.pmf(n + gaps, n)
-    gap_pmf[1:] += sps.poisson.pmf(n - gaps[1:], n)
+    # P(|K - n| = g): P(K = n) times n/(n+i), and (n-i+1)/n (0 at i = n + 1), i = 1..g
+    gap_pmf = math.exp(_log_pmf(n, n)) * np.cumprod(np.concatenate(([1.0], n / (n + gaps[1:]))))
+    gap_pmf[1:] += gap_pmf[0] * np.cumprod((n + 1 - gaps[1:]) / n)
     median_gap = gaps[np.searchsorted(np.cumsum(gap_pmf), 0.5)]
+    ln_factorial = np.array([math.lgamma(i + 1.0) for i in range(max(gaps.size, seeds + 1))])
 
-    def smallest(holds) -> int:
-        # smallest x with holds(F(x)); F(-1) = 0 and F(max gap) = 1
+    def binom_pmf(m, x, p):
+        # P(Bin(m, p) = x), elementwise in m or x; 0 < p < 1
+        return np.exp(ln_factorial[m] - ln_factorial[x] - ln_factorial[m - x]
+                      + x * math.log(p) + (m - x) * math.log1p(-p))
+
+    def smallest(holds, h: int) -> int:
+        # smallest x with holds(P(Bin(seeds, F(x)) >= h)), F(max gap) = 1; past g = x,
+        # P(Bin(g, rate) <= x) = 1 - rate sum_{j=x}^{g-1} P(Bin(j, rate) = x); F may pass 1
         lo, hi = -1, int(gaps[-1])
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if holds(float(gap_pmf @ sps.binom.cdf(mid, gaps, rate))):
+            below = np.ones(gaps.size)
+            below[mid + 1:] -= rate * np.cumsum(binom_pmf(gaps[mid:-1], mid, rate))
+            f = float(gap_pmf @ below)
+            if f >= 1.0 or holds(float(binom_pmf(seeds, np.arange(h, seeds + 1), f).sum())):
                 hi = mid
             else:
                 lo = mid
@@ -171,12 +179,10 @@ def median_band(d: CellDistribution, n: int, seeds: int,
 
     tail = 0.0005
     half = seeds // 2
-    # P(X_(half) < x) = P(Bin(seeds, F(x-1)) >= half) <= tail while F(x-1) <= p_lo
-    p_lo = sps.beta.ppf(tail, half, seeds - half + 1)
-    # P(X_(half+1) > x) = P(Bin(seeds, F(x)) <= half) <= tail once F(x) >= p_hi
-    p_hi = sps.beta.ppf(1.0 - tail, half + 1, seeds - half)
-    return (b * rate * median_gap, b * smallest(lambda f: f > p_lo),
-            b * smallest(lambda f: f >= p_hi))
+    # P(X_(half) < x) = P(Bin(seeds, F(x-1)) >= half) <= tail up to the low edge;
+    # P(X_(half+1) > x) = P(Bin(seeds, F(x)) <= half) <= tail from the high one
+    return (b * rate * median_gap, b * smallest(lambda p: p > tail, half),
+            b * smallest(lambda p: p >= 1.0 - tail, half + 1))
 
 
 def study_coupling_decay(cfg: ExperimentConfig,

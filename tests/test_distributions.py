@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from urnsim import (
     DistributionError,
@@ -29,6 +29,7 @@ from urnsim.distributions import (
     _SLOTS,
     _TABLE_SIZE,
     _tail_sums,
+    _zeta,
 )
 from urnsim.moments import exact_mean
 
@@ -290,6 +291,17 @@ class TestBuild:
         d = build_distribution(DistributionSpec(family=family, s=s, a=a))
         assert d.Z.hex() == Z_HEX[(family, s, a)]
 
+    def test_zeta_is_scipys(self):
+        # zipf's Z is cephes' Hurwitz zeta at q = 1, bitwise, and so within a
+        # few ulps of a 40-digit zeta: at fixed points and 200 seeded ones
+        points = [1.0001, 1.001, 1.01, 1.2, 1.5, 2.0, 3.0, 10.0, 40.0, 60.0]
+        points += (1.0 + 32.0 * np.random.default_rng(21).random(200)).tolist()
+        for s in points:
+            assert _zeta(s) == float(special.zeta(s, 1.0)), s
+            with mp.workdps(40):
+                want = mp.zeta(s)
+                assert abs(mp.mpf(_zeta(s)) - want) <= 8 * math.ulp(float(want)), s
+
     @pytest.mark.parametrize("s, a", [(1.07, -0.5), (1.1, -0.5), (1.01, 1.0)],
                              ids=("1.07--0.5", "1.1--0.5", "1.01-1.0"))
     def test_near_one_negative_log_power(self, s, a):
@@ -320,23 +332,50 @@ class TestBuild:
 
     def test_normalization_partial_plus_tail(self, zipf_log21, theta_one_log, zipf2,
                                               geometric_half):
-        for d in (zipf_log21, theta_one_log, zipf2, geometric_half):
+        # zipf at s = 1.001, whose Z is 99% tail, too
+        zipf_near_one = build_distribution(DistributionSpec(family="zipf", s=1.001))
+        for d in (zipf_log21, theta_one_log, zipf2, geometric_half, zipf_near_one):
             for J in (10, 100, 5000, 60000):
                 total = d.probs_prefix(J).sum() + d.tail_mass(J)
                 assert 1.0 - 1e-9 <= total <= 1.0 + 1e-9
 
-    def test_import_leaves_scipy_integrate_out(self):
-        # every tail sum comes from the Gauss pass, so importing the package
-        # (in a fresh process) loads no scipy.integrate module
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: in a fresh process, importing
+        # the package loads no scipy module, and with every scipy import
+        # refused the four families (zipf near s = 1 too) build, draw and give
+        # a moment report, and the gamma constants, the median band and a
+        # theorem1 run all work
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = ("import sys, urnsim; "
-                "print([m for m in sys.modules if m.startswith('scipy.integrate')])")
+        (tmp_path / "cfg.ini").write_text("family = theta_one_log\nn_min = 1000\n"
+                                          "n_max = 10000\npoints = 2\nks = 1,\nseeds = 10\n")
+        code = f"""
+import sys
+import numpy as np
+import urnsim
+print([m for m in sys.modules if m.startswith("scipy")])
+sys.modules["scipy"] = None
+from urnsim import DistributionSpec, build_distribution, gamma_tail_partial_sum, moment_report
+from urnsim.cli import main
+from urnsim.studies import median_band
+for spec in (dict(family="zipf", s=1.001), dict(family="zipf", s=2.0),
+             dict(family="zipf_log", s=2.0, a=1.0), dict(family="theta_one_log"),
+             dict(family="geometric", q=0.5)):
+    d = build_distribution(DistributionSpec(**spec))
+    d.draw_cells(np.random.default_rng(1), 1000)
+    moment_report(d, 1e4, 2, True)
+gamma_tail_partial_sum(0.5, 1e3)
+median_band(build_distribution(DistributionSpec(family="theta_one_log")), 10_000, 30)
+print(main(["verify", "theorem1", "--config", {str(tmp_path / "cfg.ini")!r},
+            "--out", {str(tmp_path)!r}]))
+"""
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=120)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.strip() == "[]"
+        assert res.stdout.splitlines()[0] == "[]"
+        assert res.stdout.splitlines()[-1] == "0"
+        assert (tmp_path / "theorem1_theta_one_log.json").exists()
 
 
 class TestProb:

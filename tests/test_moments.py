@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 import warnings
 
 import mpmath as mp
@@ -65,7 +66,10 @@ ZIPF_N100_HI = 13.33705332910058
 # 1e7 and geometric), every mean_difference bound grew, and so did the
 # binomial mean's bound and with it truncation_error.  SERIES_HEX holds the
 # bits where numpy dispatches its AVX-512 loops and SERIES_HEX_NO_V4 where
-# it does not; the older pins below are the AVX-512 ones.
+# it does not; the older pins below are the AVX-512 ones.  The asym_var of
+# zipf_log21 (index 3) was re-pinned when math.gamma replaced scipy's gamma
+# in the asymptotic constants: it moved 3 ulps (its constant 4 ulps, to
+# within 3.3e-16 of a 40-digit one, from 8.6e-16).
 SERIES_HEX = {
     ("zipf2", 10_000, 1): (
         "0x1.1366161698713p+7", "0x1.c9f25ed958dc1p+5", "0x1.10f5387a6d806p+7",
@@ -73,7 +77,7 @@ SERIES_HEX = {
         "0x1.6e27b4d5eec12p-39", "0x1.c4d952eed5355p-10", "0x1.5887ed36c0e80p-48"),
     ("zipf_log21", 316_228, 2): (
         "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
-        "0x1.817ead7c6edb4p+5", "0x1.f96fd275ffe93p-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.817ead7c6edb1p+5", "0x1.f96fd275ffe93p-39", "0x1.96c6bfefe4f5ep+7",
         "0x1.f96fa32f4fdc6p-39", "0x1.4b966f606b1e6p-14", "0x1.409e4ea62e0f6p-57"),
     ("theta_one_log", 31_623, 1): (
         "0x1.c15656b974b65p+11", "0x1.74712e7ed444dp+11", "0x1.c15627386fdeep+11",
@@ -96,7 +100,7 @@ SERIES_HEX_NO_V4 = {
         "0x1.6e273dbed49ecp-39", "0x1.c4d952eed5355p-10", "0x1.5887ed315904ep-48"),
     ("zipf_log21", 316_228, 2): (
         "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
-        "0x1.817ead7c6edb4p+5", "0x1.f97005271641dp-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.817ead7c6edb1p+5", "0x1.f97005271641dp-39", "0x1.96c6bfefe4f5ep+7",
         "0x1.f96fd5e070b86p-39", "0x1.4b966f606b1e6p-14", "0x1.409e78b3721d0p-57"),
     ("theta_one_log", 31_623, 1): (
         "0x1.c15656b974b65p+11", "0x1.74712e7ed444dp+11", "0x1.c15627386fdeep+11",
@@ -263,6 +267,21 @@ class TestBinomialTail:
 
     def test_k_above_n(self):
         assert binomial_tail_at_least(5, 0.5, 6) == 0.0
+        assert binomial_tail_at_least(10, 0.5, 70) == 0.0
+
+    def test_k_past_the_falling_factors(self):
+        # k - 1 <= _MAX_ORDER orders of falling factors: k = 61 is the last
+        got = binomial_tail_at_least(1000, 0.06, 61)
+        assert got == 0.46572111717245535
+        with mp.workdps(40):
+            q = mp.mpf(0.06)
+            want = 1 - mp.fsum(mp.binomial(1000, i) * q ** i * (1 - q) ** (1000 - i)
+                               for i in range(61))
+        assert abs(got - float(want)) < 1e-13
+        for n, p, k in ((1000, 0.06, 62), (100, 0.5, 70), (5, 0.5, 0)):
+            message = f"k must be >= 1 and <= 61 \\(or > n\\), got {k}$"
+            with pytest.raises(ValueError, match=message):
+                binomial_tail_at_least(n, p, k)
 
     def test_sure_success(self):
         # Binomial(n, 1) = n: every k <= n is reached, with no warning
@@ -481,6 +500,29 @@ class TestAsymCoeffs:
                 c = asym_mean_coeff(theta, k, star=False)
                 assert c < prev
                 prev = c
+
+    @pytest.mark.parametrize("theta", [0.2, 0.3, 0.5, 0.8, 1.0])
+    def test_constants_match_scipy_gamma(self, monkeypatch, theta):
+        # math.gamma and math.lgamma against scipy's gamma and gammaln in
+        # the same formulas: within 1e-14 relative on the theta grids above.
+        # The partial sum is compared at M = 10: from M ~ 100 on, the
+        # difference of two lgamma values of size M ln M cancels in both
+        # (they are 2e-11 apart at M = 1e6)
+        def constants():
+            out = [gamma_tail_partial_sum(theta, 10.0)] if theta < 1.0 else []
+            for k, star in itertools.product((1, 2, 3, 4), (True, False)):
+                for coeff in (asym_mean_coeff, asym_var_coeff):
+                    c = coeff(theta, k, star)
+                    out += [] if c is T_LSTAR_REGIME else [c]
+            return out
+
+        got = constants()
+        monkeypatch.setattr(moments, "math", types.SimpleNamespace(
+            **{**vars(math), "gamma": special.gamma, "lgamma": special.gammaln}))
+        want = constants()
+        assert len(got) == len(want) > 10
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-14 * abs(w), (g, w)
 
     def test_star_var_matches_exact_series_zipf(self, zipf2):
         t = 1e8
@@ -865,6 +907,14 @@ class TestDepoissonization:
         assert depoissonization_gap(zipf2, 0, 2, True) == 0.0
         with pytest.raises(ValueError, match="integer n"):
             depoissonization_gap(zipf2, 1000.5, 1, True)
+        # it reads the exactly-j means up to k + 1 (at least) or k + 2
+        # (exactly), and names the caller's k past the last one
+        for star, top, law in ((True, 59, "at-least"), (False, 58, "exactly")):
+            assert math.isfinite(depoissonization_gap(zipf2, 1000, top, star))
+            for k in (top + 1, _MAX_ORDER):
+                with pytest.raises(ValueError,
+                                   match=f"k must be <= {top} for the {law}-k gap, got {k}$"):
+                    depoissonization_gap(zipf2, 1000, k, star)
 
 
 class TestSharedTailSums:
@@ -879,7 +929,9 @@ class TestSharedTailSums:
     def assert_within_bounds(pins, older):
         # (value, bound) positions in series_point; the asymptotic values
         # keep their bits, except those on the t L*(t) scale (theta = 1,
-        # k = 1), which the older pins took from a quadrature good to 1e-6
+        # k = 1), which the older pins took from a quadrature good to 1e-6,
+        # and zipf_log21's asym_var, which the older pins took from scipy's
+        # gamma and which moved 3 ulps with math.gamma
         pairs = ((0, 4), (1, 4), (5, 6), (7, 8))
         for key, new in pins.items():
             old = older[key]
@@ -888,6 +940,9 @@ class TestSharedTailSums:
             if key[0] == "theta_one_log" and key[2] == 1:
                 for v in (2, 3):
                     assert abs(new_f[v] - old_f[v]) <= 1e-6 * old_f[v], (key, v)
+            elif key[0] == "zipf_log21":
+                assert new[2] == old[2], key
+                assert abs(new_f[3] - old_f[3]) <= 3 * math.ulp(old_f[3]), key
             else:
                 assert new[2:4] == old[2:4], key
             for v, b in pairs:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from urnsim import (
     CheckpointGrid,
@@ -16,6 +17,7 @@ from urnsim import (
     run_study,
     write_study_outputs,
 )
+from urnsim.moments import exact_mean
 from urnsim.simulate import CoupledTrajectory
 from urnsim.studies import (
     generate_trajectories,
@@ -32,6 +34,33 @@ from urnsim.studies import (
 ZIPF = DistributionSpec(family="zipf", s=2.0)
 GEO = DistributionSpec(family="geometric", q=0.5)
 T1L = DistributionSpec(family="theta_one_log")
+
+
+def scipy_median_band(d, n, seeds, k=1):
+    """median_band as it was with scipy.stats: the Poisson and binomial
+    pmfs and CDFs from scipy, and the band's edges from beta quantiles."""
+    b = normalizer(d, k).b(float(n))
+    rate = k * exact_mean(d, float(n), k, star=False)[0] / n
+    gaps = np.arange(int(12 * math.sqrt(n)) + 10)
+    gap_pmf = sps.poisson.pmf(n + gaps, n)
+    gap_pmf[1:] += sps.poisson.pmf(n - gaps[1:], n)
+    median_gap = gaps[np.searchsorted(np.cumsum(gap_pmf), 0.5)]
+
+    def smallest(holds):
+        lo, hi = -1, int(gaps[-1])
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if holds(float(gap_pmf @ sps.binom.cdf(mid, gaps, rate))):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    tail, half = 0.0005, seeds // 2
+    p_lo = sps.beta.ppf(tail, half, seeds - half + 1)
+    p_hi = sps.beta.ppf(1.0 - tail, half + 1, seeds - half)
+    return (b * rate * median_gap, b * smallest(lambda f: f > p_lo),
+            b * smallest(lambda f: f >= p_hi))
 
 
 def small_cfg(**kw):
@@ -127,6 +156,15 @@ class TestCouplingDecay:
         assert not res.pass_flags["decay_k1"]
         assert not res.margins["vacuous_low_first_k1"]
         assert not res.margins["vacuous_low_last_k1"]
+
+    @pytest.mark.parametrize("n, seeds, k", [
+        (10_000, 100, 1), (10_000_000, 100, 1), (10_000, 30, 2), (1_000_000, 30, 2),
+        (16, 2, 1), (1000, 1000, 1), (100_000, 2000, 1)])
+    def test_median_band_is_scipys(self, theta_one_log, n, seeds, k):
+        # the pmf ratios, the binomial sums and the order-statistic identity
+        # give scipy.stats' band float for float
+        assert median_band(theta_one_log, n, seeds, k) == scipy_median_band(
+            theta_one_log, n, seeds, k)
 
     def test_theta_one_vacuous_low_band_edge(self, theta_one_log):
         # |dR*_2| is 0 in most seeds at n = 1e4, so the band's low edge is 0
