@@ -47,6 +47,9 @@ _LAM_LOG = 700.0
 # bound, in ulps, on the relative error of _poisson_cells' g and 1 - g, k <= 10
 _CELL_ULPS = 64
 _LAWS = ("poisson", "binomial")  # of an exact series: poissonized, and fixed n
+# Bernoulli numbers B_0..B_20, B_1 = -1/2, of gamma_tail_partial_sum's Stirling series
+_BERNOULLI = (1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0,
+              -691 / 2730, 0.0, 7 / 6, 0.0, -3617 / 510, 0.0, 43867 / 798, 0.0, -174611 / 330)
 
 
 # Returned by asym_mean_coeff and asym_var_coeff (compare with ``is``) when
@@ -447,12 +450,19 @@ def gamma_tail_partial_sum(theta: float, M: float) -> float:
     if theta == 1.0:
         # sum_{i=2}^{M} 1/(i(i-1)) = 1 - 1/M, with a divergent i=1 term
         raise ValueError("partial sums diverge at theta = 1 (first term)")
-    if M > 1e6:
-        # lgamma differences cancel catastrophically here; use the ratio
-        # asymptotic Gamma(M+1-theta)/Gamma(M+1) ~ M^-theta (1 - theta(1-theta)/(2M))
-        rest = M ** -theta * (1.0 - theta * (1.0 - theta) / (2.0 * M))
-    else:
+    if M < 10.0:
         rest = math.exp(math.lgamma(M + 1.0 - theta) - math.lgamma(M + 1.0))
+    else:
+        # not a difference of two lgamma values of size M ln M, which cancel:
+        # ln Gamma(M+1-theta) - ln Gamma(M+1) = -theta ln M + sum_{k>=2}
+        # (B_k(theta) - B_k) / (k (k-1) M^(k-1)) (DLMF 5.11.8, with
+        # B_k(1 - theta) = (-1)^k B_k(theta)), whose terms past k = 20 stay
+        # below 1e-18 from M = 10 on
+        series = 0.0
+        for k in range(len(_BERNOULLI) - 1, 1, -1):
+            c = sum(math.comb(k, j) * _BERNOULLI[j] * theta ** (k - j) for j in range(k))
+            series = (series + c / (k * (k - 1))) / M
+        rest = M ** -theta * math.exp(series)
     return float(math.gamma(1.0 - theta) - rest)
 
 

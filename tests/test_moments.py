@@ -469,6 +469,21 @@ class TestAsymCoeffs:
         assert abs(asym_mean_coeff(0.5, 1, star=True) - math.sqrt(math.pi)) < 1e-12
         assert abs(gamma_tail_partial_sum(0.5, 1e17) - math.sqrt(math.pi)) < 1e-8
 
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+    def test_partial_sum_against_mpmath(self, theta):
+        # Gamma(1-theta) - Gamma(M+1-theta)/Gamma(M+1) to 50 digits, with
+        # M + 1 - theta formed in mpf (the float sum alone moves it by about
+        # 1e-12): within 4 ulps of Gamma(1-theta) for M = 10..1e12.  A
+        # difference of two lgamma values was off by 2e-12 at theta = 0.2,
+        # M = 1e4, and 6.5e-11 at 1e6
+        with mp.workdps(50):
+            th = mp.mpf(theta)
+            for M in 10.0 ** np.arange(1, 13):
+                want = mp.gamma(1 - th) - mp.exp(mp.loggamma(mp.mpf(M) + 1 - th)
+                                                 - mp.loggamma(mp.mpf(M) + 1))
+                got = gamma_tail_partial_sum(theta, float(M))
+                assert abs(got - want) <= 4 * 2.0 ** -52 * math.gamma(1 - theta), (M, got)
+
     def test_star_additivity(self):
         want = (math.sqrt(math.pi) - asym_mean_coeff(0.5, 1, star=False)
                 - asym_mean_coeff(0.5, 2, star=False))
@@ -505,11 +520,10 @@ class TestAsymCoeffs:
     def test_constants_match_scipy_gamma(self, monkeypatch, theta):
         # math.gamma and math.lgamma against scipy's gamma and gammaln in
         # the same formulas: within 1e-14 relative on the theta grids above.
-        # The partial sum is compared at M = 10: from M ~ 100 on, the
-        # difference of two lgamma values of size M ln M cancels in both
-        # (they are 2e-11 apart at M = 1e6)
+        # The partial sum is compared at M = 4, below the cut where it stops
+        # taking lgamma (test_partial_sum_against_mpmath checks it above)
         def constants():
-            out = [gamma_tail_partial_sum(theta, 10.0)] if theta < 1.0 else []
+            out = [gamma_tail_partial_sum(theta, 4.0)] if theta < 1.0 else []
             for k, star in itertools.product((1, 2, 3, 4), (True, False)):
                 for coeff in (asym_mean_coeff, asym_var_coeff):
                     c = coeff(theta, k, star)
