@@ -43,6 +43,10 @@ _CUT_MIN = 1 << 6
 # Draws per call of the tail sampler in draw_tail, which bounds its
 # temporaries; of 2^14..2^16 this one kept traj_1e6_pair's peak RSS flattest.
 _TAIL_CHUNK = 1 << 14
+# Balls past the table that a trajectory expects in one run of consecutive
+# dyadic ranges of cells, merged so that a small tail costs a few draws and
+# folds, not one per range; a range that expects more is a run of its own.
+_TAIL_RUN = 1 << 15
 # Bound on the error of the normalizing constant Z of the log families,
 # relative to max(1, Z); its head grows until the tail's bound is a quarter of it.
 _NORM_TOL = 1e-12
@@ -69,6 +73,10 @@ _SLOTS = 4
 # Draws that would land beyond this index (per-cell probability < ~1e-21)
 # are materialized as unique synthetic cells in [base, 2*base).
 _SYNTHETIC_BASE = 1 << 62
+# Edges 2^16, 2^17, ..., 2^62 of the ranges of cells past the table that a
+# trajectory's balls are drawn by: the dyadic ranges (2^m, 2^(m+1)], then
+# the synthetic range past 2^62.
+_RANGE_EDGES = _TABLE_SIZE << np.arange(_SYNTHETIC_BASE.bit_length() - _TABLE_SIZE.bit_length() + 1)
 
 
 class DistributionError(ValueError):
@@ -120,7 +128,8 @@ class DistributionSpec:
             k: None if v is None else float(v) for k, v in m.items() if k != "family"})
 
 
-def _power_integrals(s: float, a: float, x0: float) -> tuple[np.ndarray, np.ndarray]:
+def _power_integrals(s: float, a: float, x0: float,
+                     r: np.ndarray = _ORDERS) -> tuple[np.ndarray, np.ndarray]:
     """integral_0^inf exp(r dlnf(u) + u) du for every order r = 1.._MAX_ORDER
     at once, dlnf(u) = ln(f(x0 e^u) / f(x0)), f(x) = x^-s (ln(x+e))^-a with
     s > 1, or s = 1 and a > 1, and per order a bound on its error.
@@ -134,9 +143,8 @@ def _power_integrals(s: float, a: float, x0: float) -> tuple[np.ndarray, np.ndar
     of (w/w0)^-a e/(x0 e^u + e), which decays like e^-u and takes the row's
     place on the same nodes.  The bound is the lower-order rule's distance
     from it, interval by interval, plus the rounding, which grows with r as
-    the rounding of r dlnf does.
+    the rounding of r dlnf does.  ``r`` may be a prefix of the orders.
     """
-    r = _ORDERS
     top = 745.0 / (s - 1.0 if s > 1.0 else 1.0)
     k0 = -math.ceil(math.log2(_MAX_ORDER * s)) - 1
     edges = np.concatenate(([0.0], 2.0 ** np.arange(k0, math.ceil(math.log2(top))), [top]))
@@ -171,15 +179,15 @@ def _power_integrals(s: float, a: float, x0: float) -> tuple[np.ndarray, np.ndar
     return val, err
 
 
-def _tail_sums(s: float, a: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+def _tail_sums(s: float, a: float, J: int,
+               r: np.ndarray = _ORDERS) -> tuple[np.ndarray, np.ndarray]:
     """sum_{j>J} (f(j) / f(x0))^r, f(x) = x^-s (ln(x+e))^-a, x0 = J + 1/2,
     for every order r = 1.._MAX_ORDER and a cut J >= _EM_MIN_INDEX, by
     midpoint Euler-Maclaurin on :func:`_power_integrals`, and per order a
     bound on its error."""
     x0 = J + 0.5
     w0 = math.log(x0 + _E)
-    val, qerr = _power_integrals(s, a, x0)
-    r = _ORDERS
+    val, qerr = _power_integrals(s, a, x0, r)
     dlog = -s / x0 - a / ((x0 + _E) * w0)
     # Euler-Maclaurin remainder: at most 7/5760 |f^(3)(x0)|, and
     # |f^(3)(x0)| <= f(x0) (r (s + |a|) + 2)^3 / x0^3
@@ -266,6 +274,9 @@ class CellDistribution:
         # filled by moments: t -> head length, (t, k, star) -> head sums
         self._head_lengths = _Kept(_SLOTS)
         self._head_sums = _Kept(_SLOTS)
+        # filled by the first draw_tail: the law of a ball past the table
+        # over its ranges of cells
+        self._ranges = None
 
     # ---------- construction internals
 
@@ -289,12 +300,14 @@ class CellDistribution:
                                     f"> {_NORM_TOL:.2e} max(1, Z)")
         return Z
 
-    def _weight_tail(self, J: int) -> tuple[float, float]:
+    def _weight_tail(self, J: int, r: np.ndarray = _ORDERS) -> tuple[float, float]:
         """sum_{j>J} Z p_j for J >= _EM_MIN_INDEX, the r = 1 sum of
-        :func:`_tail_sums` times f(x0), and a bound on its error."""
+        :func:`_tail_sums` (over the orders ``r``, which start at 1; the
+        value does not depend on the others) times f(x0), and a bound on
+        its error."""
         x0 = J + 0.5
         f0 = x0 ** -self.s * math.log(x0 + _E) ** -self.a
-        values, errors = _tail_sums(self.s, self.a, J)
+        values, errors = _tail_sums(self.s, self.a, J, r)
         est = f0 * float(values[0])
         # the rounding of f0: an ulp from x0^-s, 2 |a| + 1 from
         # ln(x0 + e)^-a (two of the log, times |a|, and the pow), one from
@@ -505,25 +518,84 @@ class CellDistribution:
             return self.q ** J - self.q ** _TABLE_SIZE
         return float(self._cum[_TABLE_SIZE - 1] - self._cum[J - 1])
 
-    def draw_tail(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """``m`` i.i.d. draws conditioned on landing past the table, made in
-        chunks of _TAIL_CHUNK (memorylessness for geometric)."""
-        out = np.empty(m, dtype=np.int64)
-        for lo in range(0, m, _TAIL_CHUNK):
-            part = min(_TAIL_CHUNK, m - lo)
-            if self.family == "geometric":
-                out[lo:lo + part] = _TABLE_SIZE + rng.geometric(1.0 - self.q, size=part)
-            else:
-                out[lo:lo + part] = self._draw_tail_block(rng, part)
-        return out
+    def draw_tail(self, rng: np.random.Generator, n_tail):
+        """The ids of the balls past the table, ``n_tail[s]`` of them at
+        stop s, a run of cells at a time: yields ``(ids, counts)``, with
+        ``counts[s]`` of the run's balls at stop s and their ids in stop
+        order, or ids None for the synthetic range past 2^62, whose balls
+        each have a cell of their own.
 
-    def _tail_envelope(self) -> tuple[Callable, Callable, float]:
+        The runs are the dyadic ranges of :meth:`_tail_ranges`, consecutive
+        ones merged while together they expect about _TAIL_RUN balls or
+        fewer, so a small tail costs a few draws and folds and a large one
+        holds one range's ids at a time.  They depend on the total number of
+        balls alone.  One multinomial over the stops splits each stop's
+        balls across the runs and the synthetic range; given those numbers
+        the balls are i.i.d. within each run, so drawing a run's ids for
+        every stop at once keeps the law.  A run's ids are drawn in chunks
+        of _TAIL_CHUNK by rejection-inversion restricted to it; geometric
+        draws its one range by memorylessness.
+        """
+        n_tail = np.asarray(n_tail, dtype=np.int64)
+        if self.family == "geometric":
+            m = int(n_tail.sum())
+            if m:
+                yield _TABLE_SIZE + rng.geometric(1.0 - self.q, size=m), n_tail
+            return
+        law, spans, _ = self._tail_ranges()
+        # the first range of each run: where the mass of the ranges before
+        # it, times the balls, passes a multiple of _TAIL_RUN
+        before = np.cumsum(law[:-1]) - law[:-1]
+        starts = np.flatnonzero(np.diff(np.floor(before * n_tail.sum() / _TAIL_RUN), prepend=-1.0))
+        ends = np.append(starts[1:], law.size - 1)
+        split = rng.multinomial(n_tail, np.append(np.add.reduceat(law[:-1], starts), law[-1]))
+        for r, counts in enumerate(split.T):
+            m = int(counts.sum())
+            if m and r == starts.size:
+                yield None, counts
+            elif m:
+                ids = np.empty(m, dtype=np.int64)
+                span = spans[starts[r]], spans[ends[r]]
+                cells = int(_RANGE_EDGES[starts[r]]) + 1, int(_RANGE_EDGES[ends[r]])
+                for lo in range(0, m, _TAIL_CHUNK):
+                    part = min(_TAIL_CHUNK, m - lo)
+                    ids[lo:lo + part] = self._draw_tail_block(rng, part, span, cells)
+                yield ids, counts
+                del ids  # not held while the next run is drawn
+
+    def _tail_ranges(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The law of a ball past the table of a power family over its
+        ranges of cells: the dyadic ranges (2^m, 2^(m+1)], m = 16..61, and
+        the synthetic range past 2^62, as probabilities; the envelope's tail
+        fractions at the range edges 2^m + 1/2; and a bound on the total
+        variation distance of the probabilities from the exact law, so that
+        a trajectory's range labels are exact but for a chance of at most
+        that bound times its number of balls past the table.
+
+        The masses are differences of the r = 1 tail sums of
+        :meth:`_weight_tail` at the edges, worked out at the first call and
+        kept.  A range's mass is off by at most the bounds of its two tail
+        sums and an ulp of each, so the total variation distance is at most
+        the sum of those over the past-table mass.
+        """
+        if self._ranges is None:
+            tails, bounds = np.array([self._weight_tail(int(J), _ORDERS[:1])
+                                      for J in _RANGE_EDGES]).T
+            mass = np.append(-np.diff(tails), tails[-1])
+            total = mass.sum()
+            spans = self._tail_envelope()[1](_RANGE_EDGES + 0.5)
+            self._ranges = (mass / total, spans,
+                            float(2.0 * (bounds.sum() + 2.0 ** -52 * tails.sum()) / total))
+        return self._ranges
+
+    def _tail_envelope(self) -> tuple[Callable, Callable, Callable, float]:
         """Rejection-inversion beyond the table of a power family, as
-        (inverse, accept_ratio, squeeze): ``inverse`` maps a uniform to a
-        point under the convex closed-form envelope (power envelope; log
-        factor frozen or absorbed into the exponent depending on its sign),
-        ``accept_ratio(j)`` is cell j's mass over the envelope's, and the
-        computed ratio is never below ``squeeze`` on j in (table, 2^62]."""
+        (inverse, fraction, accept_ratio, squeeze): the convex closed-form
+        envelope (power envelope; log factor frozen or absorbed into the
+        exponent depending on its sign) puts the fraction ``fraction(x)`` of
+        its mass past x > table + 1/2, and ``inverse`` maps a fraction back
+        to x; ``accept_ratio(j)`` is cell j's mass over the envelope's, and
+        the computed ratio is never below ``squeeze`` on j in (table, 2^62]."""
         s, a = self.s, self.a
         x0 = _TABLE_SIZE + 0.5
         w0 = math.log(x0 + _E)
@@ -536,8 +608,11 @@ class CellDistribution:
             # 1 - s(s+1)/(24 j^2) to leading order; squeeze at twice that gap
             squeeze = 1.0 - s * (s + 1.0) / (12.0 * x0 * x0) if a == 0.0 else 0.0
 
-            def inverse(u: np.ndarray) -> np.ndarray:
-                return x0 * (1.0 - u) ** (1.0 / (1.0 - s_env))
+            def inverse(v: np.ndarray) -> np.ndarray:
+                return x0 * v ** (1.0 / (1.0 - s_env))
+
+            def fraction(x: np.ndarray) -> np.ndarray:
+                return (x / x0) ** (1.0 - s_env)
 
             def accept_ratio(j: np.ndarray) -> np.ndarray:
                 # cell mass under the envelope, as jm^(1-s) (1 - (jp/jm)^(1-s))
@@ -556,8 +631,11 @@ class CellDistribution:
             c0 = 1.0 + _E / x0
             squeeze = (1.0 - 1e-9) / c0
 
-            def inverse(u: np.ndarray) -> np.ndarray:
-                return np.exp(((1.0 - u) * g0 * (a - 1.0)) ** (1.0 / (1.0 - a))) - _E
+            def inverse(v: np.ndarray) -> np.ndarray:
+                return np.exp((v * g0 * (a - 1.0)) ** (1.0 / (1.0 - a))) - _E
+
+            def fraction(x: np.ndarray) -> np.ndarray:
+                return (np.log(x + _E) / w0) ** (1.0 - a)
 
             def accept_ratio(j: np.ndarray) -> np.ndarray:
                 jm = j - 0.5
@@ -568,28 +646,44 @@ class CellDistribution:
                     (1.0 - a) * np.log1p(dl / lm))) / (a - 1.0)
                 return self._weights(j.astype(np.float64)) / mass
 
-        return inverse, accept_ratio, squeeze
+        return inverse, fraction, accept_ratio, squeeze
 
-    def _draw_tail_block(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """Exact draws from {j > table} of a power family by
-        rejection-inversion under :meth:`_tail_envelope`; a uniform at or
-        below the squeeze accepts without the ratio.
+    def _draw_tail_block(self, rng: np.random.Generator, m: int,
+                         span=(1.0, 0.0), cells=(_TABLE_SIZE + 1, None)) -> np.ndarray:
+        """Exact draws from the cells ``cells`` (first, last; None: no end)
+        of a power family by rejection-inversion under
+        :meth:`_tail_envelope`, restricted to the envelope's tail fractions
+        ``span`` = (top, bottom) that map onto those cells: a candidate is
+        ``inverse(top - (top - bottom) u)`` for u uniform on [0, 1), the
+        uniform interval [1 - top, 1 - bottom) of the whole tail's sampler
+        taken as its complement, which keeps its precision in the far
+        ranges.  A uniform at or below the squeeze accepts without the ratio.
 
-        Candidates beyond _SYNTHETIC_BASE (where per-cell probabilities are
+        With no last cell (``draw_cells`` draws the whole tail, span (1, 0))
+        candidates beyond _SYNTHETIC_BASE (where per-cell probabilities are
         below ~1e-21 and indices exceed what int64/float64 resolve) become
-        unique synthetic singleton cells: the neglected chance that two such
-        draws would truly coincide is < 1e-11 per 1e7-draw run, far inside
-        the sampler's per-draw fidelity budget.
+        synthetic singleton cells with random ids in [2^62, 2^63).
+        ``draw_tail`` draws the ranges below 2^62 here and the synthetic
+        range by count alone, every ball a single: the chance that two of n
+        such balls would truly share a cell is below n^2 p_(2^62) / (2
+        T(2^62)), T(2^62) the mass past 2^62: 2.5e-21 n^2 for theta_one_log
+        (6e-7 for the 1.5e7 synthetic balls of a trajectory to 1e9, 6e-5 at
+        1e10), 2.2e-20 n^2 for zipf s = 1.2, whose synthetic range holds
+        0.17% of its balls past the table.
         """
-        inverse, accept_ratio, squeeze = self._tail_envelope()
+        inverse, _, accept_ratio, squeeze = self._tail_envelope()
+        top, bottom = span
+        first, last = cells
+        # x past the last cell's edge only by rounding: clipped below
+        limit = _SYNTHETIC_BASE if last is None else math.inf
         out = np.empty(m, dtype=np.int64)
         filled = 0
         while filled < m:
             need = m - filled
             u = rng.random(need)
             with np.errstate(over="ignore", invalid="ignore"):
-                x = inverse(u)
-            huge = ~(x < _SYNTHETIC_BASE)  # catches inf/nan as well
+                x = inverse(top - (top - bottom) * u)
+            huge = ~(x < limit)  # catches inf/nan as well
             n_huge = int(huge.sum())
             if n_huge:
                 # acceptance ratio is 1 - O(2^-60) out here; mint fresh ids
@@ -599,7 +693,7 @@ class CellDistribution:
                 filled += n_huge
             j = np.floor(x[~huge] + 0.5).astype(np.int64)
             if j.size:
-                np.maximum(j, _TABLE_SIZE + 1, out=j)
+                np.clip(j, first, last, out=j)
                 v = rng.random(j.size)
                 acc = v <= squeeze
                 slow = np.flatnonzero(~acc)

@@ -17,16 +17,21 @@ import numpy as np
 from .distributions import _TABLE_SIZE, CellDistribution
 
 _NO_CELLS = np.empty(0, dtype=np.int64)
+# Ids past the table folded in one pass; a range with more is folded class
+# by class of its cells' low bits, which bounds the fold's temporaries.
+_FOLD_CAP = 1 << 21
 
 
 class OccupancyState:
     """Per-cell counts and the at-least-k profile, k <= k_max, stop by stop.
 
     Counts of the sampler-table cells 1..table sit in a dense array whose
-    profile is updated at every add.  The rarer balls past the table
-    (synthetic ids included) are only kept, as ids in stop order and a
-    number per stop; ``profile_rows`` folds all of them in one pass.  Their
-    ids may follow their numbers (``add_counts``, then ``add_tail``).
+    profile is updated at every add.  The rarer balls past the table come by
+    number, per stop (``add_counts``), and after the last stop by id, one
+    range of cells at a time (``add_tail``): each range is folded into what
+    it adds to every stop's row at once and dropped, so at most one range's
+    ids are held.  Balls that ``add_cells`` throws past the table by id are
+    counted cell by cell instead; a state takes them one way or the other.
     Internally tracks k_max + 1 thresholds so rows of exactly-k counts are
     available up to k_max.
     """
@@ -39,9 +44,12 @@ class OccupancyState:
         # table part of rstar[k] for k = 1..k_max+1 at indices 1..k_max+1
         self._rstar = np.zeros(k_max + 2, dtype=np.int64)
         self._table_rows: list[np.ndarray] = []  # table part after each ended stop
-        self._tail: list[np.ndarray] = []        # ids past the table, in stop order
-        self._n_tail = [0]                       # their number per stop, open stop last
-        self._pending = 0                        # of those, balls whose ids are to come
+        self._n_tail = [0]  # balls past the table by number per stop, open stop last
+        # of those, the ones add_tail has folded per ended stop, and what
+        # they add to each stop's row (not summed over the stops before it)
+        self._given = _NO_CELLS
+        self._tail_rows = np.zeros((0, k_max + 1), dtype=np.int64)
+        self._by_id: dict[int, int] = {}  # cell past the table -> balls add_cells threw there
         self.ball_count = 0
 
     def add_cells(self, cells: np.ndarray) -> None:
@@ -50,26 +58,53 @@ class OccupancyState:
         if cells.size and cells.min() < 1:
             raise ValueError("cell index must be >= 1")
         in_table = cells <= _TABLE_SIZE
-        self.add_counts(_NO_CELLS, cells[in_table], cells.size - int(in_table.sum()))
-        self.add_tail(cells[~in_table])
+        past, mult = np.unique(cells[~in_table], return_counts=True)
+        if past.size and sum(self._n_tail):
+            raise ValueError("balls past the table come by number or by id, not both")
+        self.add_counts(_NO_CELLS, cells[in_table])
+        old = np.array([self._by_id.get(c, 0) for c in past.tolist()], dtype=np.int64)
+        self._by_id.update(zip(past.tolist(), (old + mult).tolist()))
+        self._rstar[1:] += _gained(old, old + mult, self.k_max + 1)
+        self.ball_count += int(mult.sum())
 
     def add_counts(self, counts: np.ndarray, ids: np.ndarray = _NO_CELLS,
                    n_tail: int = 0) -> None:
         """Throw counts[j-1] balls into each cell j = 1..counts.size, one
         into each table cell listed in ``ids`` (all beyond counts.size) and
         ``n_tail`` balls past the table, whose ids ``add_tail`` gives later."""
+        if n_tail and self._by_id:
+            raise ValueError("balls past the table come by number or by id, not both")
         self._add_table(counts, ids)
         self._n_tail[-1] += n_tail
-        self._pending += n_tail
         self.ball_count += int(counts.sum()) + ids.size + n_tail
 
-    def add_tail(self, ids: np.ndarray) -> None:
-        """The ids of all the balls past the table that ``add_counts`` has
-        given only by number, in stop order."""
-        if ids.size != self._pending:
-            raise ValueError(f"expected {self._pending} ids past the table, got {ids.size}")
-        self._tail.append(ids)
-        self._pending = 0
+    def add_tail(self, ids: np.ndarray | None, counts: np.ndarray) -> None:
+        """The ids of balls past the table that ``add_counts`` gave by
+        number, in one range of cells that no other call names: counts[s]
+        of them at ended stop s, their ids in stop order, or ids None when
+        each has a cell of its own (the synthetic range)."""
+        counts = np.asarray(counts, dtype=np.int64)
+        n = len(self._table_rows)
+        if counts.shape != (n,):
+            raise ValueError(f"expected a count for each of the {n} ended stops, "
+                             f"got shape {counts.shape}")
+        given = _grown(self._given, n) + counts
+        if np.any(given > self._n_tail[:n]):
+            raise ValueError("more ids past the table than balls at some stop")
+        rows = _grown(self._tail_rows, n)
+        if ids is None or ids.size <= _FOLD_CAP:
+            rows += _fold_tail(ids, counts, self.k_max + 1)
+        else:
+            classes = min(1 << (ids.size // _FOLD_CAP).bit_length(), 256)
+            low = ids.astype(np.uint8)
+            low &= classes - 1
+            ends = np.cumsum(counts)
+            for c in range(classes):
+                at = np.flatnonzero(low == c)
+                part = np.diff(np.searchsorted(at, ends), prepend=0)
+                rows += _fold_tail(ids[at], part, self.k_max + 1)
+        self._tail_rows = rows
+        self._given = given
 
     def _add_table(self, counts: np.ndarray, ids: np.ndarray) -> None:
         # cells 1..J as a slice, then the cells listed in ids (beyond J)
@@ -89,13 +124,17 @@ class OccupancyState:
     def profile_rows(self) -> np.ndarray:
         """At-least-k counts, k = 1..k_max+1, after each ended stop (one row
         per stop)."""
-        if self._pending:
-            raise ValueError(f"{self._pending} ids past the table are still to come")
+        pending = sum(self._n_tail) - int(self._given.sum())
+        if pending:
+            raise ValueError(f"{pending} ids past the table are still to come")
         n = len(self._table_rows)
         table = np.array(self._table_rows, dtype=np.int64).reshape(n, self.k_max + 1)
-        tail = self._tail[0] if len(self._tail) == 1 else np.concatenate(
-            [_NO_CELLS, *self._tail])
-        return table + _fold_tail(tail, self._n_tail[:n], self.k_max + 1)
+        return table + np.cumsum(_grown(self._tail_rows, n), axis=0)
+
+
+def _grown(a: np.ndarray, n: int) -> np.ndarray:
+    """``a`` with zero rows appended up to n rows."""
+    return np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:], dtype=a.dtype)])
 
 
 def _gained(old: np.ndarray, new: np.ndarray, top: int) -> np.ndarray:
@@ -106,41 +145,42 @@ def _gained(old: np.ndarray, new: np.ndarray, top: int) -> np.ndarray:
     return np.cumsum(moved[:0:-1])[::-1]
 
 
-def _fold_tail(tail: np.ndarray, n_tail: list[int], top: int) -> np.ndarray:
-    """Cells holding at least k = 1..top balls after each stop, from the
-    ball ids ``tail`` thrown in stop order, ``n_tail[s]`` of them at stop s
-    (in any order within a stop; ids after the last stop are ignored).
+def _fold_tail(ids: np.ndarray | None, counts: np.ndarray, top: int) -> np.ndarray:
+    """How many cells reach at least k = 1..top balls at each stop, from
+    the balls ``ids`` thrown in stop order, ``counts[s]`` of them at stop s
+    (in any order within a stop), into cells that no other ball reaches;
+    ids None when each ball has a cell of its own.
 
-    The repeated ids come from one sorted copy; a ball whose id is not among
-    them is a single of its stop.  The repeated cells keep a count, indexed
-    by rank among the repeated ids and updated stop by stop as the table
-    is.  Only the ids whose low bits equal a repeated id's are sorted and
-    ranked: with more than 8 slots of low bits per repeated id, about 1/8
-    of the singles or fewer get through.
+    A cell's k-th ball, in stop order, brings it to k balls at that ball's
+    stop.  One sort of a key that packs each ball's cell above its stop
+    orders the balls by cell, then stop, so a ball has at least c balls of
+    its cell before it when the ball c places earlier has its cell.  The
+    cell is the id less the smallest one or, where that would not fit
+    beside the stop in 63 bits (the far ranges), the id's rank among the
+    distinct ids.  No loop runs over the stops.
     """
-    reached = np.zeros((len(n_tail), top), dtype=np.int64)
-    reached[:, 0] = n_tail  # every ball a single of its stop, bar the repeats
-    ends = np.cumsum(n_tail, dtype=np.int64)
-    d = np.sort(tail[:ends[-1]] if len(n_tail) else _NO_CELLS)
-    rep = d[1:][d[1:] == d[:-1]]
-    del d
-    if rep.size:
-        rep = rep[np.r_[True, rep[1:] != rep[:-1]]]
-        mask = (1 << (8 * rep.size).bit_length()) - 1
-        marked = np.zeros(mask + 1, dtype=bool)
-        marked[rep & mask] = True
-        seen = np.zeros(rep.size, dtype=np.int64)  # balls so far per repeated cell
-        for stop, (lo, hi) in enumerate(zip(ends - n_tail, ends)):
-            part = tail[lo:hi]
-            part = np.sort(part[marked[part & mask]])
-            rank = np.searchsorted(rep, part)
-            rank = rank[rep[np.minimum(rank, rep.size - 1)] == part]
-            cells, mult = np.unique(rank, return_counts=True)
-            old = seen[cells]
-            seen[cells] = new = old + mult
-            reached[stop] += _gained(old, new, top)
-            reached[stop, 0] -= rank.size
-    return np.cumsum(reached, axis=0)
+    reached = np.zeros((counts.size, top), dtype=np.int64)
+    reached[:, 0] = counts  # every ball the first of its cell, bar the repeats
+    if ids is None or ids.size == 0:
+        return reached
+    bits = max(counts.size - 1, 1).bit_length()
+    lo = int(ids.min())
+    if (int(ids.max()) - lo) >> (62 - bits):
+        key = np.unique(ids, return_inverse=True)[1].astype(np.int64)
+    else:
+        key = ids - lo
+    key <<= bits
+    key |= np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    key.sort()
+    stop = key & ((1 << bits) - 1)
+    key >>= bits  # the cells, in order
+    for c in range(1, top + 1):
+        # the balls with at least c balls of their cell before them
+        later = np.bincount(stop[c:][key[c:] == key[:-c]], minlength=counts.size)
+        reached[:, c - 1] -= later
+        if c < top:
+            reached[:, c] += later
+    return reached
 
 
 @dataclass(frozen=True)
@@ -222,9 +262,14 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     increment is drawn in count space (``draw_counts``: one multinomial
     over the first cells, cut where the increment's table mass runs out,
     the table cells beyond the cut, and the number of balls past the
-    table).  The ids of all balls past the table are drawn once after the
-    last stop and handed to the stops in order, which keeps the law: given
-    their numbers, they are i.i.d.  ``increments_fn`` replaces the Poisson
+    table).  After the last stop ``draw_tail`` splits every stop's balls
+    past the table across the dyadic ranges of cells (2^m, 2^(m+1)],
+    m = 16..61, and the synthetic range past 2^62 by one multinomial, which
+    keeps the law: given their numbers, the balls are i.i.d.  Then range by
+    range it draws their ids for all stops at once, and ``add_tail`` folds
+    them into every stop's row and drops them, so memory holds one range's
+    ids, not all of them; the synthetic range's balls need no ids, each
+    having a cell of its own.  ``increments_fn`` replaces the Poisson
     clock (a testing hook; e.g. forcing K_i = n_i makes both columns
     identical).
     """
@@ -239,7 +284,9 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
         state.add_counts(*d.draw_counts(cell_rng, stop - done))
         done = stop
         state.end_stop()
-    state.add_tail(d.draw_tail(cell_rng, state._pending))
+    for ids, counts in d.draw_tail(cell_rng, state._n_tail[:-1]):
+        state.add_tail(ids, counts)
+        del ids  # not held while the next range is drawn
     rows = state.profile_rows()
     kmax = grid.k_max
     rsf = rows[np.searchsorted(schedule, positions)]

@@ -18,7 +18,8 @@ from urnsim import (
     run_coupled,
 )
 from urnsim import simulate
-from urnsim.distributions import _SYNTHETIC_BASE, _TABLE_SIZE
+from urnsim.distributions import _RANGE_EDGES, _SYNTHETIC_BASE, _TABLE_SIZE
+from urnsim.simulate import _NO_CELLS
 
 # cells on both sides of the table boundary and synthetic ids beyond 2^62,
 # few enough per region that blocks repeat cells and revisit stored ones
@@ -82,8 +83,9 @@ class TestOccupancyState:
             OccupancyState(k_max=0)
         with pytest.raises(ValueError):
             OccupancyState(k_max=2).add_cells(np.array([0]))
-        # ids past the table given by number must come, all of them, before
-        # any other ball given by id and before the rows
+        # balls past the table come by number or by id, not both; ids for
+        # those given by number come for ended stops, no more than a stop's
+        # number, and all of them before the rows
         state = OccupancyState(k_max=2)
         state.add_counts(np.array([1, 0]), n_tail=2)
         with pytest.raises(ValueError):
@@ -91,7 +93,19 @@ class TestOccupancyState:
         with pytest.raises(ValueError):
             state.profile_rows()
         with pytest.raises(ValueError):
-            state.add_tail(np.array([_TABLE_SIZE + 1]))
+            state.add_tail(np.array([_TABLE_SIZE + 1]), np.array([1]))
+        state.end_stop()
+        with pytest.raises(ValueError):
+            state.add_tail(np.array([_TABLE_SIZE + 1] * 3), np.array([3]))
+        state.add_tail(np.array([_TABLE_SIZE + 1]), np.array([1]))
+        with pytest.raises(ValueError):
+            state.profile_rows()
+        state.add_tail(None, np.array([1]))  # a synthetic single
+        assert state.profile_rows().tolist() == [[3, 0, 0]]
+        by_id = OccupancyState(k_max=2)
+        by_id.add_cells(np.array([_TABLE_SIZE + 1]))
+        with pytest.raises(ValueError):
+            by_id.add_counts(np.array([1]), n_tail=1)
 
     @given(blocks=st.lists(st.lists(_CELLS, max_size=60), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
@@ -193,7 +207,7 @@ class TestTailFold:
         # ball-by-ball add and a count-space add cut at cell 4; and as
         # run_coupled throws them, the table cells by count and by id and
         # the balls past the table by number, with their ids after the
-        # last stop
+        # last stop, one range of cells at a time
         rng = np.random.default_rng(seed)
         state, later = OccupancyState(k_max=k_max), OccupancyState(k_max=k_max)
         tail = []
@@ -209,7 +223,10 @@ class TestTailFold:
                              arr[(arr > 4) & ~past], int(past.sum()))
             later.end_stop()
             tail.append(arr[past])
-        later.add_tail(np.concatenate(tail))
+        by_range = [np.searchsorted(_RANGE_EDGES, ids) for ids in tail]
+        for r in np.unique(np.concatenate(by_range)):
+            later.add_tail(np.concatenate([ids[at == r] for ids, at in zip(tail, by_range)]),
+                           [int((at == r).sum()) for at in by_range])
         expect = _merge_rows(stops, k_max)
         assert np.array_equal(state.profile_rows(), expect)
         assert np.array_equal(later.profile_rows(), expect)
@@ -220,6 +237,22 @@ class TestTailFold:
         now = _merge_rows([sum(stops, []) + stops[0]], k_max)[0]
         assert _row(state) == now.tolist()
         assert state.ball_count == sum(map(len, stops)) + len(stops[0])
+
+    @pytest.mark.parametrize("cap", [3, 1 << 21])
+    def test_fold_by_classes(self, monkeypatch, cap):
+        # a range with more ids than the cap is folded class by class of the
+        # cells' low bits; the rows are the per-stop merge's either way
+        monkeypatch.setattr(simulate, "_FOLD_CAP", cap)
+        rng = np.random.default_rng(5)
+        stops = [(_TABLE_SIZE + rng.integers(1, 40, size=rng.integers(0, 9))).tolist()
+                 for _ in range(30)]
+        state = OccupancyState(k_max=3)
+        for cells in stops:
+            state.add_counts(_NO_CELLS, n_tail=len(cells))
+            state.end_stop()
+        state.add_tail(np.concatenate([np.asarray(c, dtype=np.int64) for c in stops]),
+                       [len(c) for c in stops])
+        assert np.array_equal(state.profile_rows(), _merge_rows(stops, 3))
 
     def test_no_stops(self):
         assert OccupancyState(k_max=3).profile_rows().shape == (0, 4)
@@ -351,18 +384,19 @@ class TestRunCoupled:
         # matched an independent expansion of the same seed's stream merged
         # into per-cell counts stop by stop: per stop, the cells 1..J by
         # count, the table cells beyond J and the number past the table;
-        # after the last stop, the ids past the table, split by those
-        # numbers.  Increments run 1,000..683,772 balls
+        # after the last stop, run by run of ranges, the run's ids split by
+        # its numbers per stop, and a fresh id for each synthetic ball.
+        # Increments run 1,000..683,772 balls
         grid = CheckpointGrid.logspaced(1_000, 1_000_000, 7, k_max=3)
         near_one = build_distribution(DistributionSpec(family="geometric", q=0.9999))
         frozen = {
             "zipf": "815ef5b2173717883642ab3534542d7966f03010faa056bceeabfc72b2d9acf0",
-            "theta_one_log": "c336802a55d1666cd227a334a047c50cc63ee073d04fb1f905e4b6418926a58e",
+            "theta_one_log": "f1493496dba6668d2da9e990595cddc34fc69ada503341d7f45c99b8e78d4120",
             "geometric": "4909808cfbc0557456dcf8138d218de2c40c1e83860df2e863595075f99b5623",
             "geometric_near_one":
                 "8a292ceabf491244b36ec1b4637ff28b90be756f3983c0f6358e73c23fe0480e",
         }
-        cuts = set()
+        cuts, ranges, synthetic = set(), {}, 0
         for name, d in (("zipf", zipf2), ("theta_one_log", theta_one_log),
                         ("geometric", geometric_half), ("geometric_near_one", near_one)):
             tr = run_coupled(d, grid, seed=(2024, 7))
@@ -377,17 +411,24 @@ class TestRunCoupled:
                              + ids.tolist())
                 n_tail.append(m)
                 done = stop
-            tail = d.draw_tail(cell_rng, sum(n_tail)).tolist()
-            for cells, lo, hi in zip(stops, np.cumsum(n_tail) - n_tail, np.cumsum(n_tail)):
-                cells += tail[lo:hi]
+            for ids, counts in d.draw_tail(cell_rng, n_tail):
+                assert counts.sum() > 0 and np.all(counts <= n_tail)
+                if ids is None:
+                    ids = -1 - synthetic - np.arange(counts.sum())
+                    synthetic += counts.sum()
+                ranges[name] = ranges.get(name, 0) + 1
+                for cells, lo, hi in zip(stops, np.cumsum(counts) - counts, np.cumsum(counts)):
+                    cells += ids[lo:hi].tolist()
             rows = _merge_rows(stops, 3)
             for at, got in ((tr.positions, tr.rstar_fixed), (tr.K, tr.rstar_poisson)):
                 assert np.array_equal(rows[np.searchsorted(schedule, at), :3], got)
             text = repr((tr.K.tolist(), tr.rstar_fixed.tolist(), tr.rstar_poisson.tolist()))
             assert hashlib.sha256(text.encode()).hexdigest() == frozen[name], name
         # the grid reaches cuts short of the table and (geometric near one)
-        # the whole table
+        # the whole table; theta_one_log's balls past the table come in more
+        # than one run of ranges and in the synthetic range
         assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
+        assert ranges["theta_one_log"] >= 3 and synthetic > 0
 
     def test_geometric_trajectory(self, geometric_half):
         grid = CheckpointGrid.logspaced(16, 5_000, 5, k_max=3)
