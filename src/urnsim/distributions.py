@@ -46,7 +46,8 @@ _TAIL_CHUNK = 1 << 14
 # Balls past the table that a trajectory expects in one run of consecutive
 # dyadic ranges of cells, merged so that a small tail costs a few draws and
 # folds, not one per range; a range that expects more is a run of its own.
-_TAIL_RUN = 1 << 15
+# Of 2^12..2^16, 2^12 and 2^13 kept traj_1e6_pair's peak RSS lowest.
+_TAIL_RUN = 1 << 13
 # Bound on the error of the normalizing constant Z of the log families,
 # relative to max(1, Z); its head grows until the tail's bound is a quarter of it.
 _NORM_TOL = 1e-12
@@ -520,21 +521,17 @@ class CellDistribution:
 
     def draw_tail(self, rng: np.random.Generator, n_tail):
         """The ids of the balls past the table, ``n_tail[s]`` of them at
-        stop s, a run of cells at a time: yields ``(ids, counts)``, with
-        ``counts[s]`` of the run's balls at stop s and their ids in stop
+        stop s, a run of cells at a time: yields ``(ids, counts)``,
+        ``counts[s]`` of the run's balls at stop s with their ids in stop
         order, or ids None for the synthetic range past 2^62, whose balls
         each have a cell of their own.
 
-        The runs are the dyadic ranges of :meth:`_tail_ranges`, consecutive
-        ones merged while together they expect about _TAIL_RUN balls or
-        fewer, so a small tail costs a few draws and folds and a large one
-        holds one range's ids at a time.  They depend on the total number of
-        balls alone.  One multinomial over the stops splits each stop's
-        balls across the runs and the synthetic range; given those numbers
-        the balls are i.i.d. within each run, so drawing a run's ids for
-        every stop at once keeps the law.  A run's ids are drawn in chunks
-        of _TAIL_CHUNK by rejection-inversion restricted to it; geometric
-        draws its one range by memorylessness.
+        A run is one dyadic range of :meth:`_tail_ranges` or consecutive
+        ones that together expect at most about _TAIL_RUN of the balls (set
+        by their total alone).  One multinomial over the stops splits each
+        stop's balls across the runs; given those numbers the balls in a run
+        are i.i.d., so its ids are drawn for every stop at once, in chunks
+        of _TAIL_CHUNK.  Geometric has one run, drawn by memorylessness.
         """
         n_tail = np.asarray(n_tail, dtype=np.int64)
         if self.family == "geometric":
@@ -564,19 +561,15 @@ class CellDistribution:
                 del ids  # not held while the next run is drawn
 
     def _tail_ranges(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The law of a ball past the table of a power family over its
-        ranges of cells: the dyadic ranges (2^m, 2^(m+1)], m = 16..61, and
-        the synthetic range past 2^62, as probabilities; the envelope's tail
-        fractions at the range edges 2^m + 1/2; and a bound on the total
-        variation distance of the probabilities from the exact law, so that
-        a trajectory's range labels are exact but for a chance of at most
-        that bound times its number of balls past the table.
-
-        The masses are differences of the r = 1 tail sums of
-        :meth:`_weight_tail` at the edges, worked out at the first call and
-        kept.  A range's mass is off by at most the bounds of its two tail
-        sums and an ulp of each, so the total variation distance is at most
-        the sum of those over the past-table mass.
+        """For a power family, the law of a ball past the table over the
+        dyadic ranges (2^m, 2^(m+1)], m = 16..61, and the synthetic range
+        past 2^62; the envelope's tail fractions at the edges 2^m + 1/2; and
+        a bound on the law's total variation distance from the exact one, so
+        that a trajectory's range labels are exact but for a chance of at
+        most the bound times its balls past the table.  The masses are
+        differences of the r = 1 tail sums at the edges, each off by its
+        bound and an ulp, so the bound is twice their sum over the mass past
+        the table.  Worked out at the first call and kept.
         """
         if self._ranges is None:
             tails, bounds = np.array([self._weight_tail(int(J), _ORDERS[:1])

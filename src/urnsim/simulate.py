@@ -9,6 +9,7 @@ pathwise bounded by |K_i - n_i|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -212,6 +213,14 @@ class CheckpointGrid:
             np.log(n_min), np.log(n_max), points))).astype(np.int64))
         return CheckpointGrid(positions=tuple(int(v) for v in raw), k_max=k_max)
 
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The positions as a read-only int64 array, which every trajectory
+        on this grid shares."""
+        positions = np.asarray(self.positions, dtype=np.int64)
+        positions.flags.writeable = False
+        return positions
+
 
 def poisson_increments(grid: CheckpointGrid,
                        rng: np.random.Generator) -> np.ndarray:
@@ -276,7 +285,7 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments
     K = np.asarray(inc_fn(grid, clock_rng), dtype=np.int64)
-    positions = np.asarray(grid.positions, dtype=np.int64)
+    positions = grid.array
     schedule = np.unique(np.concatenate([positions, K]))
     state = OccupancyState(k_max=grid.k_max)
     done = 0

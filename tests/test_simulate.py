@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestRunCoupled:
         near_one = build_distribution(DistributionSpec(family="geometric", q=0.9999))
         frozen = {
             "zipf": "815ef5b2173717883642ab3534542d7966f03010faa056bceeabfc72b2d9acf0",
-            "theta_one_log": "f1493496dba6668d2da9e990595cddc34fc69ada503341d7f45c99b8e78d4120",
+            "theta_one_log": "38fdd629166a27c55f73f62233c935add60fdd25b5c7604a5d5573f9d3b358ca",
             "geometric": "4909808cfbc0557456dcf8138d218de2c40c1e83860df2e863595075f99b5623",
             "geometric_near_one":
                 "8a292ceabf491244b36ec1b4637ff28b90be756f3983c0f6358e73c23fe0480e",
@@ -429,6 +430,21 @@ class TestRunCoupled:
         # than one run of ranges and in the synthetic range
         assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
         assert ranges["theta_one_log"] >= 3 and synthetic > 0
+
+    def test_memory_holds_one_range(self, theta_one_log):
+        # the balls past the table are drawn, folded and dropped a run of
+        # ranges at a time: one trajectory on the 1e4..1e7 grid, with about
+        # 584,000 such balls, peaks at 2.6 MB of allocations (the stop loop
+        # alone 2.5 MB), 10.6 MB when all their ids were held at once
+        grid = CheckpointGrid.logspaced(10_000, 10_000_000, 13, k_max=3)
+        run_coupled(theta_one_log, grid, seed=(1, 1))  # the range masses, kept
+        tracemalloc.start()
+        try:
+            run_coupled(theta_one_log, grid, seed=(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6, peak
 
     def test_geometric_trajectory(self, geometric_half):
         grid = CheckpointGrid.logspaced(16, 5_000, 5, k_max=3)
