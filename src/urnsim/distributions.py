@@ -537,7 +537,9 @@ class CellDistribution:
         if self.family == "geometric":
             m = int(n_tail.sum())
             if m:
-                yield _TABLE_SIZE + rng.geometric(1.0 - self.q, size=m), n_tail
+                ids = rng.geometric(1.0 - self.q, size=m)
+                ids += _TABLE_SIZE  # in place: the one run holds every ball
+                yield ids, n_tail
             return
         law, spans, _ = self._tail_ranges()
         # the first range of each run: where the mass of the ranges before

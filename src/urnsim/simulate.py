@@ -9,7 +9,6 @@ pathwise bounded by |K_i - n_i|.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,9 +17,6 @@ import numpy as np
 from .distributions import _TABLE_SIZE, CellDistribution
 
 _NO_CELLS = np.empty(0, dtype=np.int64)
-# Ids past the table folded in one pass; a range with more is folded class
-# by class of its cells' low bits, which bounds the fold's temporaries.
-_FOLD_CAP = 1 << 21
 
 
 class OccupancyState:
@@ -89,22 +85,12 @@ class OccupancyState:
         if counts.shape != (n,):
             raise ValueError(f"expected a count for each of the {n} ended stops, "
                              f"got shape {counts.shape}")
+        if ids is not None and ids.size != counts.sum():
+            raise ValueError(f"{ids.size} ids for {counts.sum()} balls")
         given = _grown(self._given, n) + counts
         if np.any(given > self._n_tail[:n]):
             raise ValueError("more ids past the table than balls at some stop")
-        rows = _grown(self._tail_rows, n)
-        if ids is None or ids.size <= _FOLD_CAP:
-            rows += _fold_tail(ids, counts, self.k_max + 1)
-        else:
-            classes = min(1 << (ids.size // _FOLD_CAP).bit_length(), 256)
-            low = ids.astype(np.uint8)
-            low &= classes - 1
-            ends = np.cumsum(counts)
-            for c in range(classes):
-                at = np.flatnonzero(low == c)
-                part = np.diff(np.searchsorted(at, ends), prepend=0)
-                rows += _fold_tail(ids[at], part, self.k_max + 1)
-        self._tail_rows = rows
+        self._tail_rows = _grown(self._tail_rows, n) + _fold_tail(ids, counts, self.k_max + 1)
         self._given = given
 
     def _add_table(self, counts: np.ndarray, ids: np.ndarray) -> None:
@@ -213,14 +199,6 @@ class CheckpointGrid:
             np.log(n_min), np.log(n_max), points))).astype(np.int64))
         return CheckpointGrid(positions=tuple(int(v) for v in raw), k_max=k_max)
 
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        """The positions as a read-only int64 array, which every trajectory
-        on this grid shares."""
-        positions = np.asarray(self.positions, dtype=np.int64)
-        positions.flags.writeable = False
-        return positions
-
 
 def poisson_increments(grid: CheckpointGrid,
                        rng: np.random.Generator) -> np.ndarray:
@@ -285,7 +263,7 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments
     K = np.asarray(inc_fn(grid, clock_rng), dtype=np.int64)
-    positions = grid.array
+    positions = np.asarray(grid.positions, dtype=np.int64)
     schedule = np.unique(np.concatenate([positions, K]))
     state = OccupancyState(k_max=grid.k_max)
     done = 0

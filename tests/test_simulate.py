@@ -85,8 +85,8 @@ class TestOccupancyState:
         with pytest.raises(ValueError):
             OccupancyState(k_max=2).add_cells(np.array([0]))
         # balls past the table come by number or by id, not both; ids for
-        # those given by number come for ended stops, no more than a stop's
-        # number, and all of them before the rows
+        # those given by number come for ended stops, one per ball counted,
+        # no more than a stop's number, and all of them before the rows
         state = OccupancyState(k_max=2)
         state.add_counts(np.array([1, 0]), n_tail=2)
         with pytest.raises(ValueError):
@@ -98,6 +98,8 @@ class TestOccupancyState:
         state.end_stop()
         with pytest.raises(ValueError):
             state.add_tail(np.array([_TABLE_SIZE + 1] * 3), np.array([3]))
+        with pytest.raises(ValueError):
+            state.add_tail(np.array([_TABLE_SIZE + 1, _TABLE_SIZE + 2]), np.array([1]))
         state.add_tail(np.array([_TABLE_SIZE + 1]), np.array([1]))
         with pytest.raises(ValueError):
             state.profile_rows()
@@ -238,22 +240,6 @@ class TestTailFold:
         now = _merge_rows([sum(stops, []) + stops[0]], k_max)[0]
         assert _row(state) == now.tolist()
         assert state.ball_count == sum(map(len, stops)) + len(stops[0])
-
-    @pytest.mark.parametrize("cap", [3, 1 << 21])
-    def test_fold_by_classes(self, monkeypatch, cap):
-        # a range with more ids than the cap is folded class by class of the
-        # cells' low bits; the rows are the per-stop merge's either way
-        monkeypatch.setattr(simulate, "_FOLD_CAP", cap)
-        rng = np.random.default_rng(5)
-        stops = [(_TABLE_SIZE + rng.integers(1, 40, size=rng.integers(0, 9))).tolist()
-                 for _ in range(30)]
-        state = OccupancyState(k_max=3)
-        for cells in stops:
-            state.add_counts(_NO_CELLS, n_tail=len(cells))
-            state.end_stop()
-        state.add_tail(np.concatenate([np.asarray(c, dtype=np.int64) for c in stops]),
-                       [len(c) for c in stops])
-        assert np.array_equal(state.profile_rows(), _merge_rows(stops, 3))
 
     def test_no_stops(self):
         assert OccupancyState(k_max=3).profile_rows().shape == (0, 4)
