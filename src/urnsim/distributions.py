@@ -470,12 +470,19 @@ class CellDistribution:
     # ---------- sampling
 
     def draw_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket)."""
+        """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket):
+        the table by inversion, and the draws past it by :meth:`draw_tail`,
+        the synthetic range's as fresh ids in [2^62, 2^63), shuffled into
+        their places because draw_tail yields them run by run."""
         if self.family == "geometric":
             return rng.geometric(1.0 - self.q, size=size).astype(np.int64)
         cells = np.searchsorted(self._cum, rng.random(size), side="right").astype(np.int64) + 1
-        in_tail = cells > _TABLE_SIZE
-        cells[in_tail] = self._draw_tail_block(rng, int(in_tail.sum()))
+        past = cells > _TABLE_SIZE
+        if past.any():
+            runs = [_SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE, size=int(counts.sum()),
+                                                   dtype=np.int64) if ids is None else ids
+                    for ids, counts in self.draw_tail(rng, [int(past.sum())])]
+            cells[past] = rng.permutation(np.concatenate(runs))
         return cells
 
     def draw_counts(self, rng: np.random.Generator,
@@ -644,20 +651,18 @@ class CellDistribution:
         return inverse, fraction, accept_ratio, squeeze
 
     def _draw_tail_block(self, rng: np.random.Generator, m: int,
-                         span=(1.0, 0.0), cells=(_TABLE_SIZE + 1, None)) -> np.ndarray:
-        """Exact draws from the cells ``cells`` (first, last; None: no end)
-        of a power family by rejection-inversion under
-        :meth:`_tail_envelope`, restricted to the envelope's tail fractions
-        ``span`` = (top, bottom) that map onto those cells: a candidate is
-        ``inverse(top - (top - bottom) u)`` for u uniform on [0, 1), the
-        uniform interval [1 - top, 1 - bottom) of the whole tail's sampler
-        taken as its complement, which keeps its precision in the far
-        ranges.  A uniform at or below the squeeze accepts without the ratio.
+                         span: tuple[float, float], cells: tuple[int, int]) -> np.ndarray:
+        """Exact draws from the cells ``cells`` (first, last) of a power
+        family by rejection-inversion under :meth:`_tail_envelope`,
+        restricted to the envelope's tail fractions ``span`` = (top, bottom)
+        that map onto those cells: a candidate is ``inverse(top - (top -
+        bottom) u)`` for u uniform on [0, 1), the uniform interval
+        [1 - top, 1 - bottom) of the whole tail's sampler taken as its
+        complement, which keeps its precision in the far ranges.  Past 2^52
+        the float candidates lie h >= 1 apart, so the cell is one of the h
+        nearest the candidate, uniformly, not the nearest.  A uniform at or
+        below the squeeze accepts without the ratio.
 
-        With no last cell (``draw_cells`` draws the whole tail, span (1, 0))
-        candidates beyond _SYNTHETIC_BASE (where per-cell probabilities are
-        below ~1e-21 and indices exceed what int64/float64 resolve) become
-        synthetic singleton cells with random ids in [2^62, 2^63).
         ``draw_tail`` draws the ranges below 2^62 here and the synthetic
         range by count alone, every ball a single: the chance that two of n
         such balls would truly share a cell is below n^2 p_(2^62) / (2
@@ -669,33 +674,26 @@ class CellDistribution:
         inverse, _, accept_ratio, squeeze = self._tail_envelope()
         top, bottom = span
         first, last = cells
-        # x past the last cell's edge only by rounding: clipped below
-        limit = _SYNTHETIC_BASE if last is None else math.inf
         out = np.empty(m, dtype=np.int64)
         filled = 0
         while filled < m:
-            need = m - filled
-            u = rng.random(need)
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = inverse(top - (top - bottom) * u)
-            huge = ~(x < limit)  # catches inf/nan as well
-            n_huge = int(huge.sum())
-            if n_huge:
-                # acceptance ratio is 1 - O(2^-60) out here; mint fresh ids
-                ids = _SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE,
-                                                     size=n_huge, dtype=np.int64)
-                out[filled:filled + n_huge] = ids
-                filled += n_huge
-            j = np.floor(x[~huge] + 0.5).astype(np.int64)
-            if j.size:
-                np.clip(j, first, last, out=j)
-                v = rng.random(j.size)
-                acc = v <= squeeze
-                slow = np.flatnonzero(~acc)
-                acc[slow] = v[slow] <= accept_ratio(j[slow])
-                took = int(acc.sum())
-                out[filled:filled + took] = j[acc]
-                filled += took
+            x = inverse(top - (top - bottom) * rng.random(m - filled))
+            j = np.floor(x + 0.5).astype(np.int64)
+            wide = np.flatnonzero(x >= 2.0 ** 52)
+            if wide.size:
+                # the cells x - h/2 .. x + h/2 - 1 (x itself for h = 1)
+                h = np.spacing(x[wide])
+                j[wide] = x[wide].astype(np.int64) + (
+                    np.floor(rng.random(wide.size) * h) - np.floor(h / 2.0)).astype(np.int64)
+            # x past the run's edges only by rounding
+            np.clip(j, first, last, out=j)
+            v = rng.random(j.size)
+            acc = v <= squeeze
+            slow = np.flatnonzero(~acc)
+            acc[slow] = v[slow] <= accept_ratio(j[slow])
+            took = int(acc.sum())
+            out[filled:filled + took] = j[acc]
+            filled += took
         return out
 
 

@@ -23,14 +23,11 @@ class OccupancyState:
     """Per-cell counts and the at-least-k profile, k <= k_max, stop by stop.
 
     Counts of the sampler-table cells 1..table sit in a dense array whose
-    profile is updated at every add.  The rarer balls past the table come by
-    number, per stop (``add_counts``), and after the last stop by id, one
-    range of cells at a time (``add_tail``): each range is folded into what
-    it adds to every stop's row at once and dropped, so at most one range's
-    ids are held.  Balls that ``add_cells`` throws past the table by id are
-    counted cell by cell instead; a state takes them one way or the other.
-    Internally tracks k_max + 1 thresholds so rows of exactly-k counts are
-    available up to k_max.
+    profile is updated at every add; balls that ``add_cells`` throws past
+    the table are counted cell by cell.  ``run_coupled`` gives this state
+    only the table's balls and folds those past the table itself, after the
+    last stop (``_fold_tail``).  Internally tracks k_max + 1 thresholds so
+    rows of exactly-k counts are available up to k_max.
     """
 
     def __init__(self, k_max: int = 5):
@@ -38,14 +35,9 @@ class OccupancyState:
             raise ValueError("k_max must be >= 1")
         self.k_max = k_max
         self._table = np.zeros(_TABLE_SIZE + 1, dtype=np.int64)  # indexed by cell id
-        # table part of rstar[k] for k = 1..k_max+1 at indices 1..k_max+1
+        # rstar[k] for k = 1..k_max+1 at indices 1..k_max+1
         self._rstar = np.zeros(k_max + 2, dtype=np.int64)
-        self._table_rows: list[np.ndarray] = []  # table part after each ended stop
-        self._n_tail = [0]  # balls past the table by number per stop, open stop last
-        # of those, the ones add_tail has folded per ended stop, and what
-        # they add to each stop's row (not summed over the stops before it)
-        self._given = _NO_CELLS
-        self._tail_rows = np.zeros((0, k_max + 1), dtype=np.int64)
+        self._rows: list[np.ndarray] = []  # rstar after each ended stop
         self._by_id: dict[int, int] = {}  # cell past the table -> balls add_cells threw there
         self.ball_count = 0
 
@@ -56,44 +48,15 @@ class OccupancyState:
             raise ValueError("cell index must be >= 1")
         in_table = cells <= _TABLE_SIZE
         past, mult = np.unique(cells[~in_table], return_counts=True)
-        if past.size and sum(self._n_tail):
-            raise ValueError("balls past the table come by number or by id, not both")
         self.add_counts(_NO_CELLS, cells[in_table])
         old = np.array([self._by_id.get(c, 0) for c in past.tolist()], dtype=np.int64)
         self._by_id.update(zip(past.tolist(), (old + mult).tolist()))
         self._rstar[1:] += _gained(old, old + mult, self.k_max + 1)
         self.ball_count += int(mult.sum())
 
-    def add_counts(self, counts: np.ndarray, ids: np.ndarray = _NO_CELLS,
-                   n_tail: int = 0) -> None:
-        """Throw counts[j-1] balls into each cell j = 1..counts.size, one
-        into each table cell listed in ``ids`` (all beyond counts.size) and
-        ``n_tail`` balls past the table, whose ids ``add_tail`` gives later."""
-        if n_tail and self._by_id:
-            raise ValueError("balls past the table come by number or by id, not both")
-        self._add_table(counts, ids)
-        self._n_tail[-1] += n_tail
-        self.ball_count += int(counts.sum()) + ids.size + n_tail
-
-    def add_tail(self, ids: np.ndarray | None, counts: np.ndarray) -> None:
-        """The ids of balls past the table that ``add_counts`` gave by
-        number, in one range of cells that no other call names: counts[s]
-        of them at ended stop s, their ids in stop order, or ids None when
-        each has a cell of its own (the synthetic range)."""
-        counts = np.asarray(counts, dtype=np.int64)
-        n = len(self._table_rows)
-        if counts.shape != (n,):
-            raise ValueError(f"expected a count for each of the {n} ended stops, "
-                             f"got shape {counts.shape}")
-        if ids is not None and ids.size != counts.sum():
-            raise ValueError(f"{ids.size} ids for {counts.sum()} balls")
-        given = _grown(self._given, n) + counts
-        if np.any(given > self._n_tail[:n]):
-            raise ValueError("more ids past the table than balls at some stop")
-        self._tail_rows = _grown(self._tail_rows, n) + _fold_tail(ids, counts, self.k_max + 1)
-        self._given = given
-
-    def _add_table(self, counts: np.ndarray, ids: np.ndarray) -> None:
+    def add_counts(self, counts: np.ndarray, ids: np.ndarray = _NO_CELLS) -> None:
+        """Throw counts[j-1] balls into each cell j = 1..counts.size and one
+        into each table cell listed in ``ids`` (all beyond counts.size)."""
         # cells 1..J as a slice, then the cells listed in ids (beyond J)
         cells, mult = np.unique(ids, return_counts=True)
         J = counts.size
@@ -102,26 +65,16 @@ class OccupancyState:
         self._table[1:J + 1] = new[:J]
         self._table[cells] = new[J:]
         self._rstar[1:] += _gained(old, new, self.k_max + 1)
+        self.ball_count += int(counts.sum()) + ids.size
 
     def end_stop(self) -> None:
         """Close the current stop; later balls belong to the next one."""
-        self._table_rows.append(self._rstar[1:].copy())
-        self._n_tail.append(0)
+        self._rows.append(self._rstar[1:].copy())
 
     def profile_rows(self) -> np.ndarray:
         """At-least-k counts, k = 1..k_max+1, after each ended stop (one row
         per stop)."""
-        pending = sum(self._n_tail) - int(self._given.sum())
-        if pending:
-            raise ValueError(f"{pending} ids past the table are still to come")
-        n = len(self._table_rows)
-        table = np.array(self._table_rows, dtype=np.int64).reshape(n, self.k_max + 1)
-        return table + np.cumsum(_grown(self._tail_rows, n), axis=0)
-
-
-def _grown(a: np.ndarray, n: int) -> np.ndarray:
-    """``a`` with zero rows appended up to n rows."""
-    return np.concatenate([a, np.zeros((n - len(a),) + a.shape[1:], dtype=a.dtype)])
+        return np.array(self._rows, dtype=np.int64).reshape(len(self._rows), self.k_max + 1)
 
 
 def _gained(old: np.ndarray, new: np.ndarray, top: int) -> np.ndarray:
@@ -146,6 +99,8 @@ def _fold_tail(ids: np.ndarray | None, counts: np.ndarray, top: int) -> np.ndarr
     beside the stop in 63 bits (the far ranges), the id's rank among the
     distinct ids.  No loop runs over the stops.
     """
+    if ids is not None and ids.size != counts.sum():
+        raise ValueError(f"{ids.size} ids for {counts.sum()} balls")
     reached = np.zeros((counts.size, top), dtype=np.int64)
     reached[:, 0] = counts  # every ball the first of its cell, bar the repeats
     if ids is None or ids.size == 0:
@@ -249,16 +204,18 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     increment is drawn in count space (``draw_counts``: one multinomial
     over the first cells, cut where the increment's table mass runs out,
     the table cells beyond the cut, and the number of balls past the
-    table).  After the last stop ``draw_tail`` splits every stop's balls
-    past the table across the dyadic ranges of cells (2^m, 2^(m+1)],
-    m = 16..61, and the synthetic range past 2^62 by one multinomial, which
-    keeps the law: given their numbers, the balls are i.i.d.  Then range by
-    range it draws their ids for all stops at once, and ``add_tail`` folds
-    them into every stop's row and drops them, so memory holds one range's
-    ids, not all of them; the synthetic range's balls need no ids, each
-    having a cell of its own.  ``increments_fn`` replaces the Poisson
-    clock (a testing hook; e.g. forcing K_i = n_i makes both columns
-    identical).
+    table); the state takes the table's balls.  After the last stop
+    ``draw_tail`` splits every stop's balls past the table across runs of
+    the dyadic ranges of cells (2^m, 2^(m+1)], m = 16..61, and the
+    synthetic range past 2^62 by one multinomial, which keeps the law:
+    given their numbers, the balls are i.i.d.  Then run by run it draws
+    their ids for all stops at once, and ``_fold_tail`` turns them into
+    what they add to each stop's row and drops them, so memory holds one
+    run's ids, not all of them; the synthetic range's balls need no ids,
+    each having a cell of its own.  The runs' rows, summed over the stops
+    before each, are added to the state's.  ``increments_fn`` replaces the
+    Poisson clock (a testing hook; e.g. forcing K_i = n_i makes both
+    columns identical).
     """
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments
@@ -266,15 +223,22 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     positions = np.asarray(grid.positions, dtype=np.int64)
     schedule = np.unique(np.concatenate([positions, K]))
     state = OccupancyState(k_max=grid.k_max)
+    n_tail = np.empty(schedule.size, dtype=np.int64)  # balls past the table per stop
     done = 0
-    for stop in schedule.tolist():
-        state.add_counts(*d.draw_counts(cell_rng, stop - done))
+    for i, stop in enumerate(schedule.tolist()):
+        counts, ids, n_tail[i] = d.draw_counts(cell_rng, stop - done)
+        state.add_counts(counts, ids)
         done = stop
         state.end_stop()
-    for ids, counts in d.draw_tail(cell_rng, state._n_tail[:-1]):
-        state.add_tail(ids, counts)
-        del ids  # not held while the next range is drawn
-    rows = state.profile_rows()
+    tail = np.zeros((schedule.size, grid.k_max + 1), dtype=np.int64)
+    given = np.zeros_like(n_tail)
+    for ids, counts in d.draw_tail(cell_rng, n_tail):
+        tail += _fold_tail(ids, counts, grid.k_max + 1)
+        given += counts
+        del ids  # not held while the next run is drawn
+    if not np.array_equal(given, n_tail):
+        raise RuntimeError("draw_tail's runs do not add up to each stop's balls past the table")
+    rows = state.profile_rows() + np.cumsum(tail, axis=0)
     kmax = grid.k_max
     rsf = rows[np.searchsorted(schedule, positions)]
     rsp = rows[np.searchsorted(schedule, K)]

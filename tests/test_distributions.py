@@ -46,27 +46,27 @@ _SAMPLER_SPECS = {
     # relative to Z, and 65% of the mass lies beyond the table
     "zipf_log_near_one": DistributionSpec(family="zipf_log", s=1.07, a=-0.5),
 }
-# sha256 of draw_cells and _draw_tail_block at fixed seeds; see
+# sha256 of draw_cells and draw_tail at fixed seeds; see
 # TestSampler.test_draws_pinned
 _PINNED_DRAWS = {
-    "zipf_s2": ("944b64f2db9c95642dc0a779b10f6666f6f2c979086af784e5a4b15c5a5f2b96",
-                "0882a62ee1ada591f58c99531552c50724865e4adef358efd136c288da107290"),
-    "zipf_s1.2": ("1fd644de7bd98bf62e8de70f83ad4135a1e0eb9663d4d0758501dec26981e39b",
-                  "198b9237aeae768a36b40ef3fb6afb54e0d34646ae157b84600f840294ec6ab8"),
-    "zipf_log": ("52e43911ecdf3ab76a0d3749ec9bb9c058874f291a092e47e48b66a1c538ebcd",
-                 "d3fd964e4fbb69f6d36c377d0303c29cef0016de0ece99bc664c4b7a56c98161"),
-    "theta_one_log": ("2cd703ff1ff8be62a2cab0431617d895a0bf979334d9727b560319c3bd4216ac",
-                      "50303a4aaebc70d69e8080df2d656db02e6b00fa454468ef3f6494d02aa3022f"),
+    "zipf_s2": ("efb6135bde26c1dc5270576c2217deba62ec845933198dd90833df3b3ae6e6d3",
+                "14e0b29bdd89532379b55b68ad76b4a3e2ef4c5c77081b9cb6802a004a40940f"),
+    "zipf_s1.2": ("d6d63498e6c7d7046ca267c3c1f4bf36d1ac93db0f2658dd7c65608833c549fe",
+                  "7a49c02e5ce11970abb5d6a2b1fd7094fcdac03ecc6d208dcba727383753c981"),
+    "zipf_log": ("40b2042729bcc24c5bba7102c3b55815cfdf13141b6b14ed69b41bb23f73fb25",
+                 "543f5446600ba33788a64066a35b36fddb4f413c61099127e34d7d2a293177ae"),
+    "theta_one_log": ("26603719bf873c99c7b21f3c71909a54f73f25cc3fd90b2a7cec48abcac2ab99",
+                      "4160cba857719246671891e763b4826ca75beaa9e339c6fe6ef8ed52de501ac9"),
     "geometric": ("e4f0fc4345988f7c2c650277e1d45e0c404e197e51dae2d62f2dfe25c11dd2f6", None),
 }
 # The same without numpy's AVX-512 loops, whose exp, log and pow round some
 # p_j and sampler ratios differently in the last place
 _PINNED_DRAWS_NO_V4 = {
     **_PINNED_DRAWS,
-    "zipf_s1.2": ("103ba3085e3438f0c6083f3b3bbe8477f80a8df367e0084555bdfe500d0b72f1",
-                  "9694eaeb151792986873f228146e981a7381cde6e6a360b2acbd706f160bfbab"),
-    "theta_one_log": ("25bb01f295f0f3675882c5c8d6909d24f89f23fe3f050f285972cd83d0f7e62a",
-                      "9aba2822573a8ff527735f6167ed239dd25027ee0c362d22ba956acbb1f1d978"),
+    "zipf_s1.2": ("098e0e375cc1945adc890a930dd57407217bdd0a37688a75e6f17f2ad1d0b58b",
+                  "4f21cce33c709f705b01d7f8a5775e4e234fada21c37fbab29423f3f08ebb95d"),
+    "theta_one_log": ("71d7db1c47a01369e24f85fc0261e0139f02092421fe3172622d3f80213aa4b6",
+                      "1de9c0f3a8c95437e96835810928f660203619efef04cb146fb042c48f9449e9"),
 }
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -813,20 +813,41 @@ class TestSampler:
         assert _chi2_pvalue(binned, p / p.sum() * first.size) > 1e-3
 
     @pytest.mark.parametrize("name", ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log",
-                                      pytest.param("zipf_log_near_one", marks=pytest.mark.xfail(
-                                          strict=True, reason="the whole tail's sampler takes "
-                                          "every candidate past 2^62 without its ratio, which "
-                                          "for a < 0 is far below 1: 51% of its draws land "
-                                          "there against a mass of 17%"))])
-    def test_tail_ranges_match_whole_sampler(self, name, rng):
-        # the range masses against the whole tail's sampler that draw_cells
-        # uses past the table, binned by range
+                                      "zipf_log_near_one"])
+    def test_tail_ranges_match_oracle(self, name):
+        # the law over the ranges against differences of the 40-digit tail
+        # sums, at the first two ranges, two far ones and the synthetic one,
+        # within the bound that _tail_ranges returns
         d = build_distribution(_SAMPLER_SPECS[name])
-        law = d._tail_ranges()[0]
-        m = 1_000_000
-        binned = np.bincount(np.searchsorted(_RANGE_EDGES, d._draw_tail_block(rng, m)) - 1,
-                             minlength=law.size)
-        assert _chi2_pvalue(binned, law * m) > 1e-3
+        law, _, bound = d._tail_ranges()
+        tail = {m: tail_power_oracle(d, 1.0, 1 << m, 1) for m in (16, 17, 18, 40, 41, 61, 62)}
+        for m in (16, 17, 40, 61):
+            want = (tail[m] - tail[m + 1]) / tail[16]
+            assert abs(law[m - 16] - want) <= bound, (m, law[m - 16], want, bound)
+        assert abs(law[-1] - tail[62] / tail[16]) <= bound
+
+    @pytest.mark.parametrize("m", [56, 61])
+    def test_far_range_low_bits(self, theta_one_log, m, rng):
+        # past 2^52 the float candidates lie 2^(m-52) apart in range m, and
+        # the cells drawn there must not: their low 10 bits are uniform
+        _, spans, _ = theta_one_log._tail_ranges()
+        i = m - 16
+        ids = theta_one_log._draw_tail_block(rng, 20_000, (spans[i], spans[i + 1]),
+                                             (int(_RANGE_EDGES[i]) + 1, int(_RANGE_EDGES[i + 1])))
+        assert ids.min() > _RANGE_EDGES[i] and ids.max() <= _RANGE_EDGES[i + 1]
+        low = np.bincount(ids & 1023, minlength=1024)
+        assert _chi2_pvalue(low, np.full(1024, ids.size / 1024)) > 1e-3
+
+    def test_draw_cells_exchangeable(self, theta_one_log):
+        # draw_cells' draws past the table come run by run of cell ranges and
+        # must be shuffled into their places: the mean log2 id of the first
+        # half of them against the second
+        cells = theta_one_log.draw_cells(np.random.default_rng(5), 2_000_000)
+        logs = np.log2(cells[cells > _TABLE_SIZE].astype(np.float64))
+        first, second = np.array_split(logs, 2)
+        z = (first.mean() - second.mean()) / math.sqrt(
+            first.var() / first.size + second.var() / second.size)
+        assert abs(z) < 4.0, (first.mean(), second.mean(), z)
 
     def test_geometric_count_space(self, rng):
         # near q = 1 about half the mass lies beyond the table, where the
@@ -856,15 +877,15 @@ class TestSampler:
     @pytest.mark.parametrize("name", sorted(_PINNED_DRAWS))
     def test_draws_pinned(self, name, x86_v4):
         # draw_cells(default_rng(31), 200_000) and, for the power families,
-        # _draw_tail_block(default_rng(37), 20_000), as sha256 of the int64
-        # bytes: frozen before the count-space cut and the tail squeeze, which
-        # leave both streams bitwise unchanged
+        # the ids of draw_tail(default_rng(37), [20_000]) concatenated run by
+        # run (the synthetic run has none), as sha256 of the int64 bytes
         d = build_distribution(_SAMPLER_SPECS[name])
         cells, tail = (_PINNED_DRAWS if x86_v4 else _PINNED_DRAWS_NO_V4)[name]
         got = d.draw_cells(np.random.default_rng(31), 200_000)
         assert hashlib.sha256(got.tobytes()).hexdigest() == cells
         if tail is not None:
-            got = d._draw_tail_block(np.random.default_rng(37), 20_000)
+            got = np.concatenate([ids for ids, _ in d.draw_tail(np.random.default_rng(37), [20_000])
+                                  if ids is not None])
             assert hashlib.sha256(got.tobytes()).hexdigest() == tail
 
     @pytest.mark.parametrize("name", ["zipf_s2", "zipf_log", "theta_one_log", "geometric"])

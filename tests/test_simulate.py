@@ -20,7 +20,7 @@ from urnsim import (
 )
 from urnsim import simulate
 from urnsim.distributions import _RANGE_EDGES, _SYNTHETIC_BASE, _TABLE_SIZE
-from urnsim.simulate import _NO_CELLS
+from urnsim.simulate import _fold_tail
 
 # cells on both sides of the table boundary and synthetic ids beyond 2^62,
 # few enough per region that blocks repeat cells and revisit stored ones
@@ -84,31 +84,10 @@ class TestOccupancyState:
             OccupancyState(k_max=0)
         with pytest.raises(ValueError):
             OccupancyState(k_max=2).add_cells(np.array([0]))
-        # balls past the table come by number or by id, not both; ids for
-        # those given by number come for ended stops, one per ball counted,
-        # no more than a stop's number, and all of them before the rows
-        state = OccupancyState(k_max=2)
-        state.add_counts(np.array([1, 0]), n_tail=2)
+        # a run's ids are one per ball it counts
         with pytest.raises(ValueError):
-            state.add_cells(np.array([_TABLE_SIZE + 1]))
-        with pytest.raises(ValueError):
-            state.profile_rows()
-        with pytest.raises(ValueError):
-            state.add_tail(np.array([_TABLE_SIZE + 1]), np.array([1]))
-        state.end_stop()
-        with pytest.raises(ValueError):
-            state.add_tail(np.array([_TABLE_SIZE + 1] * 3), np.array([3]))
-        with pytest.raises(ValueError):
-            state.add_tail(np.array([_TABLE_SIZE + 1, _TABLE_SIZE + 2]), np.array([1]))
-        state.add_tail(np.array([_TABLE_SIZE + 1]), np.array([1]))
-        with pytest.raises(ValueError):
-            state.profile_rows()
-        state.add_tail(None, np.array([1]))  # a synthetic single
-        assert state.profile_rows().tolist() == [[3, 0, 0]]
-        by_id = OccupancyState(k_max=2)
-        by_id.add_cells(np.array([_TABLE_SIZE + 1]))
-        with pytest.raises(ValueError):
-            by_id.add_counts(np.array([1]), n_tail=1)
+            _fold_tail(np.array([_TABLE_SIZE + 1] * 3), np.array([1, 1]), 3)
+        assert _fold_tail(None, np.array([2, 0]), 3).tolist() == [[2, 0, 0], [0, 0, 0]]
 
     @given(blocks=st.lists(st.lists(_CELLS, max_size=60), min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)
@@ -208,9 +187,10 @@ class TestTailFold:
     def test_fold_equals_per_stop_merge(self, stops, k_max, seed):
         # each stop's balls in a random order, thrown two ways: split into a
         # ball-by-ball add and a count-space add cut at cell 4; and as
-        # run_coupled throws them, the table cells by count and by id and
-        # the balls past the table by number, with their ids after the
-        # last stop, one range of cells at a time
+        # run_coupled throws them, the table cells by count and by id into
+        # the state, then the balls past the table, after the last stop, one
+        # range of cells at a time, each folded into what it adds to every
+        # stop's row and those rows summed over the stops before each
         rng = np.random.default_rng(seed)
         state, later = OccupancyState(k_max=k_max), OccupancyState(k_max=k_max)
         tail = []
@@ -222,18 +202,18 @@ class TestTailFold:
             state.add_cells(rest[rest > 4])
             state.end_stop()
             past = arr > _TABLE_SIZE
-            later.add_counts(np.bincount(arr[arr <= 4] - 1, minlength=4),
-                             arr[(arr > 4) & ~past], int(past.sum()))
+            later.add_counts(np.bincount(arr[arr <= 4] - 1, minlength=4), arr[(arr > 4) & ~past])
             later.end_stop()
             tail.append(arr[past])
         by_range = [np.searchsorted(_RANGE_EDGES, ids) for ids in tail]
+        folded = np.zeros((len(stops), k_max + 1), dtype=np.int64)
         for r in np.unique(np.concatenate(by_range)):
-            later.add_tail(np.concatenate([ids[at == r] for ids, at in zip(tail, by_range)]),
-                           [int((at == r).sum()) for at in by_range])
+            folded += _fold_tail(np.concatenate([ids[at == r] for ids, at in zip(tail, by_range)]),
+                                 np.array([(at == r).sum() for at in by_range]), k_max + 1)
         expect = _merge_rows(stops, k_max)
         assert np.array_equal(state.profile_rows(), expect)
-        assert np.array_equal(later.profile_rows(), expect)
-        assert later.ball_count == sum(map(len, stops))
+        assert np.array_equal(later.profile_rows() + np.cumsum(folded, axis=0), expect)
+        assert later.ball_count + sum(map(len, tail)) == sum(map(len, stops))
         # an open stop is not in the rows; closing it adds the current state
         state.add_cells(np.asarray(stops[0], dtype=np.int64))
         assert np.array_equal(state.profile_rows(), expect)
