@@ -301,19 +301,12 @@ class CellDistribution:
                                     f"> {_NORM_TOL:.2e} max(1, Z)")
         return Z
 
-    def _weight_tail(self, J: int, r: np.ndarray = _ORDERS) -> tuple[float, float]:
-        """sum_{j>J} Z p_j for J >= _EM_MIN_INDEX, the r = 1 sum of
-        :func:`_tail_sums` (over the orders ``r``, which start at 1; the
-        value does not depend on the others) times f(x0), and a bound on
-        its error."""
-        x0 = J + 0.5
-        f0 = x0 ** -self.s * math.log(x0 + _E) ** -self.a
-        values, errors = _tail_sums(self.s, self.a, J, r)
+    def _weight_tail(self, J: int) -> tuple[float, float]:
+        """sum_{j>J} Z p_j for J >= _EM_MIN_INDEX, f(x0) times the r = 1 sum
+        of :meth:`_tail_cut`, and a bound on its error."""
+        f0, ulps, values, errors = self._tail_cut(J, _ORDERS[:1])
         est = f0 * float(values[0])
-        # the rounding of f0: an ulp from x0^-s, 2 |a| + 1 from
-        # ln(x0 + e)^-a (two of the log, times |a|, and the pow), one from
-        # the product
-        return est, f0 * float(errors[0]) + est * 2.0 ** -52 * (2.0 * abs(self.a) + 3.0)
+        return est, f0 * float(errors[0]) + est * 2.0 ** -52 * ulps
 
     def _check_monotone_negative_a(self) -> None:
         # p is eventually decreasing once s*ln(j+e) >= |a|; check the prefix.
@@ -426,46 +419,42 @@ class CellDistribution:
         stable for large t and r, and per order its error bound.
 
         Requires t*p_{J+1} <= O(1): the analytic tail of truncated occupancy
-        series.  A power family takes a cut J >= _EM_MIN_INDEX, where the sum
-        is (t p(x0))^r, x0 = J + 1/2, times the sum of :func:`_tail_sums`;
-        geometric is (t p_{J+1})^r / (1 - q^r).  t enters only as a factor,
-        so each cut is worked out once, without t, and kept (_SLOTS cuts).
+        series.  The sum is (t f0 / Z)^r times the sum of :meth:`_tail_cut`;
+        t enters only as that factor, so each cut is worked out once, without
+        t, and kept (_SLOTS cuts).
         """
-        cut = self._tail_cuts.keep(J, lambda: self._tail_cut(J))
-        if self.family == "geometric":
-            # Python ** (libm pow); the relative rounding, in ulps: 3 r from
-            # t p_{J+1} (p from pow and a product, then the product with t)
-            # through the r-th power, 2 from pow and the division, and
-            # q^r / (1 - q^r) from q^r in 1 - q^r
-            lam = t * cut
-            qr = np.array([self.q ** r for r in range(1, _MAX_ORDER + 1)])
-            value = np.array([lam ** r for r in range(1, _MAX_ORDER + 1)]) / (1.0 - qr)
-            return value, value * 2.0 ** -52 * (3.0 * _ORDERS + 2.0 + qr / (1.0 - qr))
-        log_p0, size, values, errors = cut
-        # f0 = (t p(x0))^r, one libm exp per order (numpy's may differ in the
-        # last place); the relative rounding of f0 times the sum: 2 ulps of
-        # each log term of lmu = ln t + ln p(x0) and one of r lmu, all times
-        # r, then exp, the sum's last two steps and the product
-        lt = math.log(t)
-        f0 = np.array([math.exp(r * (lt + log_p0)) for r in range(1, _MAX_ORDER + 1)])
-        value = f0 * values
-        return value, f0 * errors + np.abs(value) * 2.0 ** -52 * (
-            3.0 * _ORDERS * (abs(lt) + size) + 3.0)
+        f0, ulps, sums, errors = self._tail_cuts.keep(J, lambda: self._tail_cut(J))
+        # (t f0 / Z)^r by repeated IEEE products, the same bits on every
+        # numpy dispatch path; the relative rounding, in ulps: ulps + 2 from
+        # t f0 / Z, taken to the r-th power by r - 1 products, and one from
+        # the product with the sum
+        lam = np.cumprod(np.full(_MAX_ORDER, t * f0 / self.Z))
+        value = lam * sums
+        return value, lam * errors + np.abs(value) * 2.0 ** -52 * (_ORDERS * (ulps + 3.0) + 1.0)
 
-    def _tail_cut(self, J: int):
+    def _tail_cut(self, J: int, r: np.ndarray = _ORDERS):
         """What tail_power_sum keeps of the cut J, none of it depending on t:
-        p_{J+1} for geometric; for a power family, with x0 = J + 1/2 and
-        (t p(x0))^r factored out, ln p(x0) = -ln Z - s ln x0 - a ln ln(x0+e)
-        and the sum of its terms' magnitudes, and the sums of every order
-        of :func:`_tail_sums` and their bounds."""
+        f0, a bound on its rounding in ulps, and per order r the sum of
+        (p_j / p(x0))^r, or of (p_j / p_{J+1})^r for geometric, and its
+        bound.  A power family takes J >= _EM_MIN_INDEX, f0 = f(x0),
+        x0 = J + 1/2, and the sums of :func:`_tail_sums`; geometric takes
+        f0 = p_{J+1} and the sums 1/(1 - q^r).  ``r`` may be a prefix of
+        the orders."""
         if self.family == "geometric":
-            return self.prob(J + 1)
+            # libm pow: an ulp each from 1 - q, the pow and the product.  q^r
+            # by products is off by r - 1 ulps, which 1 - q^r scales by
+            # q^r / (1 - q^r); two more from the difference and the division
+            qr = np.cumprod(np.full(r.size, self.q))
+            sums = 1.0 / (1.0 - qr)
+            return ((1.0 - self.q) * self.q ** J, 3.0, sums,
+                    sums * 2.0 ** -52 * ((r - 1.0) * qr * sums + 2.0))
         if J < _EM_MIN_INDEX:
             raise DistributionError(f"power family tail cut J must be >= {_EM_MIN_INDEX}, got {J}")
+        # f(x0) by libm: an ulp from x0^-s, 2 |a| + 1 from ln(x0 + e)^-a (two
+        # of the log, times |a|, and the pow), one from the product
         x0 = J + 0.5
-        logs = (math.log(self.Z), self.s * math.log(x0), self.a * math.log(math.log(x0 + _E)))
-        values, errors = _tail_sums(self.s, self.a, J)
-        return -sum(logs), sum(map(abs, logs)), values, errors
+        f0 = x0 ** -self.s * math.log(x0 + _E) ** -self.a
+        return (f0, 2.0 * abs(self.a) + 3.0, *_tail_sums(self.s, self.a, J, r))
 
     # ---------- sampling
 
@@ -581,8 +570,7 @@ class CellDistribution:
         the table.  Worked out at the first call and kept.
         """
         if self._ranges is None:
-            tails, bounds = np.array([self._weight_tail(int(J), _ORDERS[:1])
-                                      for J in _RANGE_EDGES]).T
+            tails, bounds = np.array([self._weight_tail(int(J)) for J in _RANGE_EDGES]).T
             mass = np.append(-np.diff(tails), tails[-1])
             total = mass.sum()
             spans = self._tail_envelope()[1](_RANGE_EDGES + 0.5)

@@ -474,23 +474,13 @@ def asym_mean_coeff(theta: float, k: int, star: bool):
         raise ValueError("theta must be in [0, 1]")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if theta == 1.0 and k == 1:
+        return T_LSTAR_REGIME
     if not star:
-        if theta == 0.0:
-            return 0.0
-        if theta == 1.0 and k == 1:
-            return T_LSTAR_REGIME
         return theta * math.gamma(k - theta) / math.factorial(k)
-    if theta == 0.0:
-        return 1.0
-    if theta == 1.0:
-        if k == 1:
-            return T_LSTAR_REGIME
-        # theta sum_{i>=k} Gamma(i-1)/i! telescopes to 1/(k-1)
-        return 1.0 / (k - 1)
-    c = math.gamma(1.0 - theta)
-    for i in range(1, k):
-        c -= theta * math.gamma(i - theta) / math.factorial(i)
-    return float(c)
+    # Gamma(1-theta) - theta sum_{i<k} Gamma(i-theta)/i! telescopes, as in
+    # gamma_tail_partial_sum, to Gamma(k-theta)/(k-1)!
+    return math.gamma(k - theta) / math.factorial(k - 1)
 
 
 def asym_var_coeff(theta: float, k: int, star: bool):

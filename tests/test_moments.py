@@ -70,23 +70,32 @@ ZIPF_N100_HI = 13.33705332910058
 # zipf_log21 (index 3) was re-pinned when math.gamma replaced scipy's gamma
 # in the asymptotic constants: it moved 3 ulps (its constant 4 ulps, to
 # within 3.3e-16 of a 40-digit one, from 8.6e-16).
+# Both sets were re-pinned when tail_power_sum formed (t f(x0) / Z)^r by
+# repeated products in place of exp(r (ln t + ln p(x0))), whose bound
+# charged 3 r (|ln t| + |ln p(x0)|) ulps: the theta_one_log values moved by
+# 1-4 ulps and its mean_difference at 1e7 by 16 (3e-15 of it, within the
+# gap's bound), and the bounds fell, truncation_error and the Poisson mean's
+# by 0.2% (zipf_log21) to 37% (theta_one_log at 1e7), the gap's by up to
+# 42%.  zipf_log21's asym_mean (index 2) moved one ulp at the same time, when
+# the at-least-k constant became Gamma(k-theta)/(k-1)!: it is now the
+# rounded 40-digit value, where the telescoping loop was 0.65 ulp off.
 SERIES_HEX = {
     ("zipf2", 10_000, 1): (
         "0x1.1366161698713p+7", "0x1.c9f25ed958dc1p+5", "0x1.10f5387a6d806p+7",
-        "0x1.c4405eb353bb3p+5", "0x1.6ed3ad0925571p-39", "0x1.136533a9eef9cp+7",
-        "0x1.6e27b4d5eec12p-39", "0x1.c4d952eed5355p-10", "0x1.5887ed36c0e80p-48"),
+        "0x1.c4405eb353bb3p+5", "0x1.626e90c0d639cp-39", "0x1.136533a9eef9cp+7",
+        "0x1.61c29865f255cp-39", "0x1.c4d952eed5355p-10", "0x1.58879ddc24cf1p-48"),
     ("zipf_log21", 316_228, 2): (
-        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
-        "0x1.817ead7c6edb1p+5", "0x1.f96fd275ffe93p-39", "0x1.96c6bfefe4f5ep+7",
-        "0x1.f96fa32f4fdc6p-39", "0x1.4b966f606b1e6p-14", "0x1.409e4ea62e0f6p-57"),
+        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2bp+7",
+        "0x1.817ead7c6edb1p+5", "0x1.f83827810d33cp-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f837f7f6ae42ap-39", "0x1.4b966f606b1e6p-14", "0x1.3f8f9314e779ep-57"),
     ("theta_one_log", 31_623, 1): (
-        "0x1.c15656b974b65p+11", "0x1.74712e7ed444dp+11", "0x1.c15627386fdeep+11",
-        "0x1.c15627386fdeep+11", "0x1.0f78b3f681af6p-31", "0x1.c15627386fdeep+11",
-        "0x1.c9270e28100f6p-33", "0x1.7c0826bb777fcp-8", "0x1.f9e163e0da81dp-48"),
+        "0x1.c15656b974b66p+11", "0x1.74712e7ed444ep+11", "0x1.c15627386fdf0p+11",
+        "0x1.c15627386fdf0p+11", "0x1.efa3053054ec1p-32", "0x1.c15627386fdf0p+11",
+        "0x1.738eacace90c3p-33", "0x1.7c0826bb777fdp-8", "0x1.f542c26982791p-48"),
     ("theta_one_log", 10_000_000, 2): (
-        "0x1.8f7c15bf89623p+15", "0x1.4e7e133332051p+14", "0x1.a9ec000000000p+15",
-        "0x1.a9ec000000000p+14", "0x1.69ce895a5a853p-30", "0x1.8f7c1597a5bdap+15",
-        "0x1.69ce8a6b9eff7p-30", "0x1.3f1d24f615ec6p-12", "0x1.b198efbe88fdep-53"),
+        "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204dp+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.c9224a94a71fdp-31", "0x1.8f7c1597a5bd7p+15",
+        "0x1.c92249e406d0cp-31", "0x1.3f1d24f615ed6p-12", "0x1.f99d3dc467e04p-54"),
     ("geometric_half", 1_000, 2): (
         "0x1.1b68d308362eep+3", "0x1.4752cf481c0c6p-1", "0x1.2000000000000p+3",
         "nan", "0x1.3286a9b332394p-43", "0x1.1b62eb5093c12p+3",
@@ -96,20 +105,20 @@ SERIES_HEX_NO_V4 = {
     **SERIES_HEX,
     ("zipf2", 10_000, 1): (
         "0x1.1366161698713p+7", "0x1.c9f25ed958dc1p+5", "0x1.10f5387a6d806p+7",
-        "0x1.c4405eb353bb3p+5", "0x1.6ed335f20de8ap-39", "0x1.136533a9eef9cp+7",
-        "0x1.6e273dbed49ecp-39", "0x1.c4d952eed5355p-10", "0x1.5887ed315904ep-48"),
+        "0x1.c4405eb353bb3p+5", "0x1.626e19a9becb5p-39", "0x1.136533a9eef9cp+7",
+        "0x1.61c2214ed8336p-39", "0x1.c4d952eed5355p-10", "0x1.58879dd6bcebfp-48"),
     ("zipf_log21", 316_228, 2): (
-        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2ap+7",
-        "0x1.817ead7c6edb1p+5", "0x1.f97005271641dp-39", "0x1.96c6bfefe4f5ep+7",
-        "0x1.f96fd5e070b86p-39", "0x1.4b966f606b1e6p-14", "0x1.409e78b3721d0p-57"),
+        "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2bp+7",
+        "0x1.817ead7c6edb1p+5", "0x1.f8385a32238c6p-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f8382aa7cf1e9p-39", "0x1.4b966f606b1e6p-14", "0x1.3f8fbd222b877p-57"),
     ("theta_one_log", 31_623, 1): (
-        "0x1.c15656b974b65p+11", "0x1.74712e7ed444dp+11", "0x1.c15627386fdeep+11",
-        "0x1.c15627386fdeep+11", "0x1.0f78c4d4a7054p-31", "0x1.c15627386fdeep+11",
-        "0x1.c92713138b593p-33", "0x1.7c0826bb77800p-8", "0x1.f9e184921a074p-48"),
+        "0x1.c15656b974b66p+11", "0x1.74712e7ed444ep+11", "0x1.c15627386fdf0p+11",
+        "0x1.c15627386fdf0p+11", "0x1.efa326ec9f97bp-32", "0x1.c15627386fdf0p+11",
+        "0x1.738eb19864560p-33", "0x1.7c0826bb77800p-8", "0x1.f542e31ac1fe6p-48"),
     ("theta_one_log", 10_000_000, 2): (
-        "0x1.8f7c15bf89623p+15", "0x1.4e7e133332051p+14", "0x1.a9ec000000000p+15",
-        "0x1.a9ec000000000p+14", "0x1.69ce6af225d60p-30", "0x1.8f7c1597a5bdap+15",
-        "0x1.69ce6c0369c86p-30", "0x1.3f1d24f615ec6p-12", "0x1.b198abd9b8d7ep-53"),
+        "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204dp+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.c9220dc43dc15p-31", "0x1.8f7c1597a5bd7p+15",
+        "0x1.c9220d139c62bp-31", "0x1.3f1d24f615ed6p-12", "0x1.f99cb5fac7945p-54"),
 }
 # The same outputs before that change, when a head had at least 1000 cells
 # and the tail power sums below _EM_MIN_INDEX added the cells up to it.
@@ -484,6 +493,18 @@ class TestAsymCoeffs:
                 got = gamma_tail_partial_sum(theta, float(M))
                 assert abs(got - want) <= 4 * 2.0 ** -52 * math.gamma(1 - theta), (M, got)
 
+    @pytest.mark.parametrize("theta", [0.0, 0.2, 0.5, 0.8, 0.9, 1.0])
+    def test_star_against_mpmath(self, theta):
+        # Gamma(k-theta)/(k-1)! to 40 digits for k = 1..60: the closed form
+        # is within 1.5e-14 (math.gamma's own error at large arguments); a
+        # loop subtracting theta Gamma(i-theta)/i! from Gamma(1-theta) was
+        # 3.0e-14 off at theta = 0.9, k = 60
+        with mp.workdps(40):
+            for k in range(2 if theta == 1.0 else 1, 61):
+                want = mp.gamma(k - mp.mpf(theta)) / mp.factorial(k - 1)
+                got = asym_mean_coeff(theta, k, star=True)
+                assert abs(got - want) <= 2e-14 * want, (k, got)
+
     def test_star_additivity(self):
         want = (math.sqrt(math.pi) - asym_mean_coeff(0.5, 1, star=False)
                 - asym_mean_coeff(0.5, 2, star=False))
@@ -573,28 +594,21 @@ NORMALIZER_BITS = {
     ("zipf_log21", 2): _NORMALIZER_BITS_THETA_LT1,
     ("geometric_half", 1): _NORMALIZER_BITS_THETA_LT1,
     ("geometric_half", 2): _NORMALIZER_BITS_THETA_LT1,
-    # re-pinned when L* became the exact series, and again (n = 1e4, 1e7,
-    # 1-3 ulps) when its r = 1 tail sum came from the Gauss pass; see
-    # NORMALIZER_BITS_SIMPSON
+    # re-pinned when L* became the exact series, again (n = 1e4, 1e7, 1-3
+    # ulps) when its r = 1 tail sum came from the Gauss pass, and again (n =
+    # 1e4, 1e7, 1-3 ulps) when tail_power_sum formed (t f(x0) / Z)^r by
+    # products; see NORMALIZER_BITS_SIMPSON.  Until then L*(16), and b(16)
+    # with it, was one ulp lower where numpy's AVX-512 loops do not run; now
+    # both paths give these bits, so there is one set
     ("theta_one_log", 1): (
         ("0x1.57051c0ceba49p-2", "0x1.2cb7e93e697e1p+2"),
-        ("0x1.2c82cb4cd0856p-6", "0x1.ecad77fd2a725p+7"),
-        ("0x1.8dd85c1d87331p-11", "0x1.49922c1d8b8e5p+13"),
+        ("0x1.2c82cb4cd0858p-6", "0x1.ecad77fd2a726p+7"),
+        ("0x1.8dd85c1d87334p-11", "0x1.49922c1d8b8e6p+13"),
     ),
     ("theta_one_log", 2): (
         ("0x1.24b8e77439bf1p-1", "0x1.88dd68508b3d7p+2"),
         ("0x1.71d0d2557537ap-5", "0x1.827716bd48173p+8"),
         ("0x1.50af051ba0e51p-9", "0x1.2f2e82da65452p+14"),
-    ),
-}
-# The same without numpy's AVX-512 loops.  Both sets held these bits until
-# the series heads took at least _EM_MIN_INDEX cells; L*(16) then moved one
-# ulp on this path, and b(16) with it.
-NORMALIZER_BITS_NO_V4 = {
-    **NORMALIZER_BITS,
-    ("theta_one_log", 1): (
-        ("0x1.57051c0ceba48p-2", "0x1.2cb7e93e697e1p+2"),
-        *NORMALIZER_BITS[("theta_one_log", 1)][1:],
     ),
 }
 
@@ -613,10 +627,10 @@ LSTAR_SIMPSON_REL_ERR = (2.65e-6, 1.12e-7, 4.0e-10)
 
 class TestNormalizer:
     @pytest.mark.parametrize("fixture,k", sorted(NORMALIZER_BITS))
-    def test_frozen_bits(self, request, fixture, k, x86_v4):
+    def test_frozen_bits(self, request, fixture, k):
         spec = normalizer(request.getfixturevalue(fixture), k)
         got = tuple((spec.b(n).hex(), spec.tprime(n).hex()) for n in (16.0, 1e4, 1e7))
-        assert got == (NORMALIZER_BITS if x86_v4 else NORMALIZER_BITS_NO_V4)[(fixture, k)]
+        assert got == NORMALIZER_BITS[(fixture, k)]
 
     def test_within_simpson_bits(self, theta_one_log):
         # the Simpson L* was good to its 1e-6 target or its returned error,
@@ -944,8 +958,9 @@ class TestSharedTailSums:
         # (value, bound) positions in series_point; the asymptotic values
         # keep their bits, except those on the t L*(t) scale (theta = 1,
         # k = 1), which the older pins took from a quadrature good to 1e-6,
-        # and zipf_log21's asym_var, which the older pins took from scipy's
-        # gamma and which moved 3 ulps with math.gamma
+        # and zipf_log21's, whose asym_var the older pins took from scipy's
+        # gamma (3 ulps from math.gamma's) and whose asym_mean from the
+        # telescoping loop (one ulp from the closed form)
         pairs = ((0, 4), (1, 4), (5, 6), (7, 8))
         for key, new in pins.items():
             old = older[key]
@@ -955,7 +970,7 @@ class TestSharedTailSums:
                 for v in (2, 3):
                     assert abs(new_f[v] - old_f[v]) <= 1e-6 * old_f[v], (key, v)
             elif key[0] == "zipf_log21":
-                assert new[2] == old[2], key
+                assert abs(new_f[2] - old_f[2]) <= math.ulp(old_f[2]), key
                 assert abs(new_f[3] - old_f[3]) <= 3 * math.ulp(old_f[3]), key
             else:
                 assert new[2:4] == old[2:4], key
@@ -1149,3 +1164,10 @@ class TestMomentReport:
         rep = moment_report(theta_one_log, 1e4, 1, star=True)
         want = 1e4 * smoothed_slowly_varying(theta_one_log, 1e4)
         assert abs(rep.asym_mean - want) < 1e-9 * want
+
+    def test_theta_one_log_k1_truncation_error(self, theta_one_log):
+        # (t p(x0))^r as exp(r (ln t + ln p(x0))) was charged
+        # 3 r (|ln t| + |ln p(x0)|) ulps, which set this bound at 2.07e-9;
+        # formed by products, t p(x0) is charged a few ulps per order
+        rep = moment_report(theta_one_log, 1e6, 1, star=True)
+        assert rep.truncation_error <= 1e-9
