@@ -442,12 +442,12 @@ class CellDistribution:
         the orders."""
         if self.family == "geometric":
             # libm pow: an ulp each from 1 - q, the pow and the product.  q^r
-            # by products is off by r - 1 ulps, which 1 - q^r scales by
+            # by one pow per order is off by an ulp, which 1 - q^r scales by
             # q^r / (1 - q^r); two more from the difference and the division
-            qr = np.cumprod(np.full(r.size, self.q))
+            qr = np.array([self.q ** i for i in range(1, r.size + 1)])
             sums = 1.0 / (1.0 - qr)
             return ((1.0 - self.q) * self.q ** J, 3.0, sums,
-                    sums * 2.0 ** -52 * ((r - 1.0) * qr * sums + 2.0))
+                    sums * 2.0 ** -52 * (qr * sums + 2.0))
         if J < _EM_MIN_INDEX:
             raise DistributionError(f"power family tail cut J must be >= {_EM_MIN_INDEX}, got {J}")
         # f(x0) by libm: an ulp from x0^-s, 2 |a| + 1 from ln(x0 + e)^-a (two

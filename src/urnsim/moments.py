@@ -479,8 +479,9 @@ def asym_mean_coeff(theta: float, k: int, star: bool):
     if not star:
         return theta * math.gamma(k - theta) / math.factorial(k)
     # Gamma(1-theta) - theta sum_{i<k} Gamma(i-theta)/i! telescopes, as in
-    # gamma_tail_partial_sum, to Gamma(k-theta)/(k-1)!
-    return math.gamma(k - theta) / math.factorial(k - 1)
+    # gamma_tail_partial_sum, to Gamma(k-theta)/Gamma(k): 1.0 at theta = 0
+    # for every k math.gamma takes (up to 171)
+    return math.gamma(k - theta) / math.gamma(k)
 
 
 def asym_var_coeff(theta: float, k: int, star: bool):

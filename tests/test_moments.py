@@ -77,7 +77,7 @@ ZIPF_N100_HI = 13.33705332910058
 # gap's bound), and the bounds fell, truncation_error and the Poisson mean's
 # by 0.2% (zipf_log21) to 37% (theta_one_log at 1e7), the gap's by up to
 # 42%.  zipf_log21's asym_mean (index 2) moved one ulp at the same time, when
-# the at-least-k constant became Gamma(k-theta)/(k-1)!: it is now the
+# the at-least-k constant became Gamma(k-theta)/Gamma(k): it is now the
 # rounded 40-digit value, where the telescoping loop was 0.65 ulp off.
 SERIES_HEX = {
     ("zipf2", 10_000, 1): (
@@ -504,6 +504,21 @@ class TestAsymCoeffs:
                 want = mp.gamma(k - mp.mpf(theta)) / mp.factorial(k - 1)
                 got = asym_mean_coeff(theta, k, star=True)
                 assert abs(got - want) <= 2e-14 * want, (k, got)
+
+    def test_star_at_theta_zero_and_one(self):
+        # the closed form keeps the old branches' 1.0 (theta = 0) bitwise for
+        # every k math.gamma takes, and 1/(k-1) (theta = 1) bitwise while
+        # math.gamma is exact on integers (k <= 23), within 3 ulps past it;
+        # past k = 171 Gamma(k) overflows, as Gamma(k-theta) does for every
+        # theta
+        for k in range(1, 172):
+            assert asym_mean_coeff(0.0, k, star=True) == 1.0, k
+        for k in range(2, 172):
+            got, want = asym_mean_coeff(1.0, k, star=True), 1.0 / (k - 1)
+            assert got == want if k <= 23 else abs(got - want) <= 3 * math.ulp(want), k
+        for theta in (0.0, 0.5, 1.0):
+            with pytest.raises(OverflowError):
+                asym_mean_coeff(theta, 172, star=True)
 
     def test_star_additivity(self):
         want = (math.sqrt(math.pi) - asym_mean_coeff(0.5, 1, star=False)
@@ -960,7 +975,8 @@ class TestSharedTailSums:
         # k = 1), which the older pins took from a quadrature good to 1e-6,
         # and zipf_log21's, whose asym_var the older pins took from scipy's
         # gamma (3 ulps from math.gamma's) and whose asym_mean from the
-        # telescoping loop (one ulp from the closed form)
+        # telescoping loop (0x1.95e455a56da2ap+7, where the closed form
+        # gives the rounded 40-digit value 0x1.95e455a56da2bp+7)
         pairs = ((0, 4), (1, 4), (5, 6), (7, 8))
         for key, new in pins.items():
             old = older[key]
@@ -970,7 +986,7 @@ class TestSharedTailSums:
                 for v in (2, 3):
                     assert abs(new_f[v] - old_f[v]) <= 1e-6 * old_f[v], (key, v)
             elif key[0] == "zipf_log21":
-                assert abs(new_f[2] - old_f[2]) <= math.ulp(old_f[2]), key
+                assert (old[2], new[2]) == ("0x1.95e455a56da2ap+7", "0x1.95e455a56da2bp+7"), key
                 assert abs(new_f[3] - old_f[3]) <= 3 * math.ulp(old_f[3]), key
             else:
                 assert new[2:4] == old[2:4], key
