@@ -35,18 +35,17 @@ _PARAMETERS = {"s": "power exponent s", "a": "log power a", "q": "ratio q"}
 _FAMILIES = {"zipf": ("s",), "zipf_log": ("s", "a"), "theta_one_log": (), "geometric": ("q",)}
 _FIXED = {"zipf": {"a": 0.0}, "theta_one_log": {"s": 1.0, "a": 2.0}}
 
-# Inversion-table size for power-law samplers; draws beyond the table go
-# through exact rejection-inversion in the unbounded tail block.
+# Size of the sampler table, cells 1..2^16; draws beyond it get their ids
+# from draw_tail.
 _TABLE_SIZE = 1 << 16
 # Smallest multinomial cut of a count-space draw.
 _CUT_MIN = 1 << 6
-# Draws per call of the tail sampler in draw_tail, which bounds its
-# temporaries; of 2^14..2^16 this one kept traj_1e6_pair's peak RSS flattest.
-_TAIL_CHUNK = 1 << 14
 # Balls past the table that a trajectory expects in one run of consecutive
 # dyadic ranges of cells, merged so that a small tail costs a few draws and
 # folds, not one per range; a range that expects more is a run of its own.
-# Of 2^12..2^16, 2^12 and 2^13 kept traj_1e6_pair's peak RSS lowest.
+# It also caps the candidates of one rejection round, which bounds the
+# sampler's temporaries.  Of 2^12..2^16, 2^12 and 2^13 kept traj_1e6_pair's
+# peak RSS lowest.
 _TAIL_RUN = 1 << 13
 # Bound on the error of the normalizing constant Z of the log families,
 # relative to max(1, Z); its head grows until the tail's bound is a quarter of it.
@@ -268,8 +267,10 @@ class CellDistribution:
             self._check_monotone_negative_a()
         self.p1 = float(self.prob(1))
         self._prefix = self.prob_array(np.arange(1, _TABLE_SIZE + 1))
-        # the sampler's inversion table; probs_prefix never grows it
-        self._cum = np.cumsum(self._prefix)
+        # the sampler's table: _rest[j] is the mass of the table cells past
+        # j = 0..table, summed from the far end, so it keeps its precision
+        # relative to its value (geometric's too); probs_prefix never grows it
+        self._rest = np.append(np.cumsum(self._prefix[::-1])[::-1], 0.0)
         # J -> the part of tail_power_sum(t, J) that does not depend on t
         self._tail_cuts = _Kept(_SLOTS)
         # filled by moments: t -> head length, (t, k, star) -> head sums
@@ -427,10 +428,13 @@ class CellDistribution:
         # (t f0 / Z)^r by repeated IEEE products, the same bits on every
         # numpy dispatch path; the relative rounding, in ulps: ulps + 2 from
         # t f0 / Z, taken to the r-th power by r - 1 products, and one from
-        # the product with the sum
+        # the product with the sum.  A product that lands below the normal
+        # range rounds by up to 2^-1075 absolute instead, which the power
+        # carries r times into the sum and the last product once more
         lam = np.cumprod(np.full(_MAX_ORDER, t * f0 / self.Z))
         value = lam * sums
-        return value, lam * errors + np.abs(value) * 2.0 ** -52 * (_ORDERS * (ulps + 3.0) + 1.0)
+        return value, (lam * errors + np.abs(value) * 2.0 ** -52 * (_ORDERS * (ulps + 3.0) + 1.0)
+                       + 2.0 ** -1074 * (_ORDERS * sums + 1.0))
 
     def _tail_cut(self, J: int, r: np.ndarray = _ORDERS):
         """What tail_power_sum keeps of the cut J, none of it depending on t:
@@ -460,60 +464,41 @@ class CellDistribution:
 
     def draw_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket):
-        the table by inversion, and the draws past it by :meth:`draw_tail`,
-        the synthetic range's as fresh ids in [2^62, 2^63), shuffled into
-        their places because draw_tail yields them run by run."""
-        if self.family == "geometric":
-            return rng.geometric(1.0 - self.q, size=size).astype(np.int64)
-        cells = np.searchsorted(self._cum, rng.random(size), side="right").astype(np.int64) + 1
-        past = cells > _TABLE_SIZE
-        if past.any():
-            runs = [_SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE, size=int(counts.sum()),
-                                                   dtype=np.int64) if ids is None else ids
-                    for ids, counts in self.draw_tail(rng, [int(past.sum())])]
-            cells[past] = rng.permutation(np.concatenate(runs))
-        return cells
+        the ids of the count-space draw :meth:`draw_counts` and of its balls
+        past the table by :meth:`draw_tail`, the synthetic range's as fresh
+        ids in [2^62, 2^63), put in order by one permutation."""
+        counts, ids, n_tail = self.draw_counts(rng, size)
+        runs = [np.repeat(np.arange(1, counts.size + 1), counts), ids]
+        runs += [_SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE, size=int(n.sum()),
+                                                dtype=np.int64) if run is None else run
+                 for run, n in self.draw_tail(rng, [n_tail])]
+        return rng.permutation(np.concatenate(runs))
 
     def draw_counts(self, rng: np.random.Generator,
                     size: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """``size`` i.i.d. draws in count space, exact in law as draw_cells:
-        the number in each cell 1..J, the table cells beyond J that draws
-        land in, and the number of draws past the table, whose ids
-        :meth:`draw_tail` makes (later, for many increments at once).
+        """``size`` i.i.d. draws in count space, exact in law: the number in
+        each cell 1..J, the table cells beyond J that draws land in, and the
+        number of draws past the table, whose ids :meth:`draw_tail` makes
+        (later, for many increments at once).
 
-        One multinomial over the cells 1..J, the mass in (J, table] and the
-        mass past the table gives the numbers; the draws in (J, table] are
-        made by inversion.  J is the smallest power of two in [_CUT_MIN,
-        table] at which at most J/2 draws are expected in (J, table]; draws
-        past the table cost the same at any J.
+        One multinomial over the cells 1..J, the mass _rest[J] in (J, table]
+        and the mass past the table gives the numbers.  The draws in (J,
+        table] are made by inversion: for u uniform on [0, 1), w = _rest[J]
+        (1 - u) is in (0, _rest[J]], and its cell c has _rest[c] < w <=
+        _rest[c-1].  J is the smallest power of two in [_CUT_MIN, table] at
+        which at most J/2 draws are expected in (J, table]; draws past the
+        table cost the same at any J.
         """
         J = _CUT_MIN
-        while J < _TABLE_SIZE and size * self._table_mass(J) > J / 2:
+        while J < _TABLE_SIZE and size * self._rest[J] > J / 2:
             J *= 2
         # the last category, past the table, takes the remaining mass
-        counts = rng.multinomial(size, np.append(self._prefix[:J], (self._table_mass(J), 0.0)))
-        u = rng.random(int(counts[J]))
-        if self.family == "geometric":
-            # J + a geometric conditioned on at most table - J
-            lq = math.log(self.q)
-            g = np.ceil(np.log1p(u * math.expm1((_TABLE_SIZE - J) * lq)) / lq)
-            ids = J + np.clip(g, 1, _TABLE_SIZE - J).astype(np.int64)
-        else:
-            # u in [cum_J, cum_table); one rounded up to cum_table maps past it.
-            # Sorted keys search the table about 4 times faster, and the ids
-            # are the same multiset
-            u.sort()
-            lo, hi = self._cum[J - 1], self._cum[_TABLE_SIZE - 1]
-            ids = np.searchsorted(self._cum, lo + (hi - lo) * u, side="right") + 1
-            ids = np.minimum(ids, _TABLE_SIZE)
-        return counts[:J], ids, int(counts[J + 1])
-
-    def _table_mass(self, J: int) -> float:
-        """The mass of the table cells beyond J."""
-        if self.family == "geometric":
-            # memoryless; not by _cum, which reaches 1.0 after a few dozen cells
-            return self.q ** J - self.q ** _TABLE_SIZE
-        return float(self._cum[_TABLE_SIZE - 1] - self._cum[J - 1])
+        counts = rng.multinomial(size, np.append(self._prefix[:J], (self._rest[J], 0.0)))
+        w = self._rest[J] * (1.0 - rng.random(int(counts[J])))
+        # sorted keys search the table several times faster, and the ids
+        # are the same multiset
+        w.sort()
+        return counts[:J], _at_least(self._rest, w), int(counts[J + 1])
 
     def draw_tail(self, rng: np.random.Generator, n_tail):
         """The ids of the balls past the table, ``n_tail[s]`` of them at
@@ -526,8 +511,8 @@ class CellDistribution:
         ones that together expect at most about _TAIL_RUN of the balls (set
         by their total alone).  One multinomial over the stops splits each
         stop's balls across the runs; given those numbers the balls in a run
-        are i.i.d., so its ids are drawn for every stop at once, in chunks
-        of _TAIL_CHUNK.  Geometric has one run, drawn by memorylessness.
+        are i.i.d., so its ids are drawn for every stop at once.  Geometric
+        has one run, drawn by memorylessness.
         """
         n_tail = np.asarray(n_tail, dtype=np.int64)
         if self.family == "geometric":
@@ -549,12 +534,9 @@ class CellDistribution:
             if m and r == starts.size:
                 yield None, counts
             elif m:
-                ids = np.empty(m, dtype=np.int64)
-                span = spans[starts[r]], spans[ends[r]]
-                cells = int(_RANGE_EDGES[starts[r]]) + 1, int(_RANGE_EDGES[ends[r]])
-                for lo in range(0, m, _TAIL_CHUNK):
-                    part = min(_TAIL_CHUNK, m - lo)
-                    ids[lo:lo + part] = self._draw_tail_block(rng, part, span, cells)
+                ids = self._draw_tail_block(rng, m, (spans[starts[r]], spans[ends[r]]),
+                                            (int(_RANGE_EDGES[starts[r]]) + 1,
+                                             int(_RANGE_EDGES[ends[r]])))
                 yield ids, counts
                 del ids  # not held while the next run is drawn
 
@@ -649,7 +631,8 @@ class CellDistribution:
         complement, which keeps its precision in the far ranges.  Past 2^52
         the float candidates lie h >= 1 apart, so the cell is one of the h
         nearest the candidate, uniformly, not the nearest.  A uniform at or
-        below the squeeze accepts without the ratio.
+        below the squeeze accepts without the ratio.  A round draws at most
+        _TAIL_RUN candidates, which bounds its temporaries.
 
         ``draw_tail`` draws the ranges below 2^62 here and the synthetic
         range by count alone, every ball a single: the chance that two of n
@@ -665,7 +648,7 @@ class CellDistribution:
         out = np.empty(m, dtype=np.int64)
         filled = 0
         while filled < m:
-            x = inverse(top - (top - bottom) * rng.random(m - filled))
+            x = inverse(top - (top - bottom) * rng.random(min(m - filled, _TAIL_RUN)))
             j = np.floor(x + 0.5).astype(np.int64)
             wide = np.flatnonzero(x >= 2.0 ** 52)
             if wide.size:

@@ -47,26 +47,30 @@ _SAMPLER_SPECS = {
     "zipf_log_near_one": DistributionSpec(family="zipf_log", s=1.07, a=-0.5),
 }
 # sha256 of draw_cells and draw_tail at fixed seeds; see
-# TestSampler.test_draws_pinned
+# TestSampler.test_draws_pinned.  Re-pinned when draw_cells became the ids
+# of the count-space draw (draw_counts, then draw_tail) in one permutation,
+# in place of one table search per draw, and a rejection round of the tail
+# sampler took at most _TAIL_RUN candidates in place of chunks of 2^14 draws:
+# both change which uniforms make which draw, not the law
 _PINNED_DRAWS = {
-    "zipf_s2": ("efb6135bde26c1dc5270576c2217deba62ec845933198dd90833df3b3ae6e6d3",
-                "14e0b29bdd89532379b55b68ad76b4a3e2ef4c5c77081b9cb6802a004a40940f"),
-    "zipf_s1.2": ("d6d63498e6c7d7046ca267c3c1f4bf36d1ac93db0f2658dd7c65608833c549fe",
-                  "7a49c02e5ce11970abb5d6a2b1fd7094fcdac03ecc6d208dcba727383753c981"),
-    "zipf_log": ("40b2042729bcc24c5bba7102c3b55815cfdf13141b6b14ed69b41bb23f73fb25",
-                 "543f5446600ba33788a64066a35b36fddb4f413c61099127e34d7d2a293177ae"),
-    "theta_one_log": ("26603719bf873c99c7b21f3c71909a54f73f25cc3fd90b2a7cec48abcac2ab99",
-                      "4160cba857719246671891e763b4826ca75beaa9e339c6fe6ef8ed52de501ac9"),
-    "geometric": ("e4f0fc4345988f7c2c650277e1d45e0c404e197e51dae2d62f2dfe25c11dd2f6", None),
+    "zipf_s2": ("4f62bb7c730f6c22ac8eb623275dca6acebe9ba3a870206724c06ac3e5dd4aaa",
+                "59cb03d30aa7bc6c4f5020a1810aec3597705a9492bee7497dcca3ac65098000"),
+    "zipf_s1.2": ("611ceb4f0cff0e5f5a9bbf75403a19b2658b7f3573ee6f05cacb94f2238fd8b0",
+                  "29470098a7aa5c05b82b8fb50994e405e21bfefe5c9ec613acb16ee420f80771"),
+    "zipf_log": ("eb6a50962567f7d039439a8fb00d4ebddf2c6e66c175f02030824988f155d682",
+                 "2d7ce86de4d4db325e3a9799124aa34839079857365262a7d41c74c53db9fbc8"),
+    "theta_one_log": ("9ac658bcfbdb6670d6c2468a07721e675590ff983bc8f2e5f280adb1fffa23c5",
+                      "d0d78d3218ecb6c8de547019d9b7bd9e7aa049df087376d7033ec0d32339b08b"),
+    "geometric": ("dffd785b9957e249d01cd6aed5c12c565e85955a056409158c67ecea989eb8f3", None),
 }
 # The same without numpy's AVX-512 loops, whose exp, log and pow round some
 # p_j and sampler ratios differently in the last place
 _PINNED_DRAWS_NO_V4 = {
     **_PINNED_DRAWS,
-    "zipf_s1.2": ("098e0e375cc1945adc890a930dd57407217bdd0a37688a75e6f17f2ad1d0b58b",
-                  "4f21cce33c709f705b01d7f8a5775e4e234fada21c37fbab29423f3f08ebb95d"),
-    "theta_one_log": ("71d7db1c47a01369e24f85fc0261e0139f02092421fe3172622d3f80213aa4b6",
-                      "1de9c0f3a8c95437e96835810928f660203619efef04cb146fb042c48f9449e9"),
+    "zipf_s1.2": ("1ad86488f061af4a9fda7321f4926cf305d50a7a948d45770e4ab1b267518a57",
+                  "6a3b53d6dd7c37465abb81503ff1a2106b7150d50c4e8508f8d755ed97a8ae4d"),
+    "theta_one_log": ("52c1f50b4ccf780b287300ab52164f9127f122e096d245fc1cfbdf78f9e04c67",
+                      "0233e09ec6943c12ff7d76dd3dce190d6b776f858e2a6081b16cfaa625961966"),
 }
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -650,6 +654,22 @@ class TestTailPowerOracle:
             assert abs(tail_power_oracle(zipf2, t, J, r) - want) <= 1e-15 * want, r
             assert abs(values[r - 1] - want) <= bounds[r - 1], r
 
+    def test_subnormal_orders(self, zipf2):
+        # at t = 1 past J = 1024, (t f0 / Z)^r leaves the normal range at
+        # order 51 (8.1e-318) and rounds to 0 from order 52; a 40-digit sum
+        # of the 3,000 terms past J (the rest is below 1e-50 of it from
+        # order 46 on) must lie within the bound, which a bound relative to
+        # the value alone misses there
+        J = 1 << 10
+        values, bounds = zipf2.tail_power_sum(1.0, J)
+        assert values[50] < 2.0 ** -1022 and values[51] == 0.0
+        with mp.workdps(40):
+            terms = [mp.mpf(j) ** -2 / mp.mpf(zipf2.Z) for j in range(J + 1, J + 3001)]
+            for r in range(46, 60):
+                want = mp.fsum(p ** r for p in terms)
+                assert abs(values[r - 1] - want) <= bounds[r - 1], (r, values[r - 1], want)
+        assert np.all(bounds[50:] < 1e-320)
+
     @pytest.mark.parametrize("spec", [
         DistributionSpec(family="zipf", s=1.01),
         DistributionSpec(family="zipf_log", s=1.01, a=1.0),
@@ -872,6 +892,23 @@ class TestSampler:
             first.var() / first.size + second.var() / second.size)
         assert abs(z) < 4.0, (first.mean(), second.mean(), z)
 
+    @pytest.mark.parametrize("name", ["theta_one_log", "geometric_near_one"])
+    def test_draw_cells_is_count_space(self, name):
+        # draw_cells is the trajectories' sampler: with one seed, the ids of
+        # draw_counts, then those of draw_tail's runs (fresh ones for the
+        # synthetic run), put in order by one permutation
+        d = build_distribution(_SAMPLER_SPECS[name])
+        rng = np.random.default_rng(41)
+        counts, ids, n_tail = d.draw_counts(rng, 300_000)
+        runs = [np.repeat(np.arange(1, counts.size + 1), counts), ids]
+        for run, per_stop in d.draw_tail(rng, [n_tail]):
+            if run is None:
+                run = (1 << 62) + rng.integers(0, 1 << 62, size=int(per_stop.sum()))
+            runs.append(run)
+        want = rng.permutation(np.concatenate(runs))
+        assert n_tail > 0 and ids.size > 0
+        assert np.array_equal(d.draw_cells(np.random.default_rng(41), 300_000), want)
+
     def test_geometric_count_space(self, rng):
         # near q = 1 about half the mass lies beyond the table, where the
         # count-space draw continues by memorylessness
@@ -913,12 +950,11 @@ class TestSampler:
 
     @pytest.mark.parametrize("name", ["zipf_s2", "zipf_log", "theta_one_log", "geometric"])
     def test_prefix_growth_keeps_table(self, name):
-        # growing the probability prefix leaves the sampler's inversion
-        # table at the first _TABLE_SIZE cells, and the draws as a fresh
-        # distribution's
+        # growing the probability prefix leaves the sampler's table at the
+        # first _TABLE_SIZE cells, and the draws as a fresh distribution's
         fresh, grown = (build_distribution(_SAMPLER_SPECS[name]) for _ in range(2))
         grown.probs_prefix(1 << 20)
-        assert grown._prefix.size == 1 << 20 and grown._cum.size == _TABLE_SIZE
+        assert grown._prefix.size == 1 << 20 and grown._rest.size == _TABLE_SIZE + 1
         for seed, size in ((3, 200_000), (4, 3_000_000)):
             want = fresh.draw_cells(np.random.default_rng(seed), size)
             assert np.array_equal(grown.draw_cells(np.random.default_rng(seed), size), want)
@@ -959,7 +995,7 @@ class TestSampler:
         # the three-way draw (the multinomial over cells 1..J, the table
         # cells beyond J, the number past the table) pooled over reps calls,
         # against size * p_j: cells 1..32 and J, J+1 on their own, the rest
-        # in bins of growing width, past the table in one at 1 - cum_table
+        # in bins of growing width, past the table in one at 1 - _rest[0]
         d = build_distribution(_SAMPLER_SPECS[name])
         observed = np.zeros(_TABLE_SIZE + 2, dtype=np.int64)  # cells 1..table, past
         for _ in range(reps):
@@ -971,7 +1007,7 @@ class TestSampler:
             observed += np.bincount(ids, minlength=_TABLE_SIZE + 2)
             observed[-1] += n_tail
         p = np.concatenate([[0.0], d.prob_array(np.arange(1, _TABLE_SIZE + 1)),
-                            [1.0 - d._cum[_TABLE_SIZE - 1]]])
+                            [1.0 - d._rest[0]]])
         edges = np.unique(np.concatenate([
             np.arange(1, 33), [cut, cut + 1],
             np.geomspace(33, _TABLE_SIZE + 1, 60).astype(np.int64)]))

@@ -275,6 +275,22 @@ class TestInequalStudies:
             res = study_variance_sandwich(cfg)
             assert res.passed, res.margins
 
+    @pytest.mark.parametrize("study", [study_lil_bound, study_increment_bound])
+    def test_one_head_pass_per_point(self, study, monkeypatch):
+        # a distribution keeps the head sums of its last few points; a study
+        # that reads a point again must do so before it is evicted
+        from urnsim import moments
+        passes = []
+        head_pass = moments._head_pass
+
+        def spy(d, t, k, star, J):
+            passes.append((t, k, star))
+            return head_pass(d, t, k, star, J)
+
+        monkeypatch.setattr(moments, "_head_pass", spy)
+        study(small_cfg(distribution=T1L, n_max=100_000, points=6, seeds=2))
+        assert passes and len(passes) == len(set(passes)), len(passes) - len(set(passes))
+
 
 def last_fixed_estimate(traj: CoupledTrajectory) -> float:
     """theta_estimate on the last fixed-n row, as estimate-theta reads it."""
