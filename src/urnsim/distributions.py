@@ -64,7 +64,8 @@ _ORDERS.flags.writeable = False
 _GAUSS = leggauss(20)
 _GAUSS_LOW = leggauss(10)
 # Points a distribution keeps: tail power sums by cut J (tail_mass's among
-# them) and, for moments, head lengths by t and head sums by (t, k, star).
+# them) and, for moments, the counts N(t) that set the head lengths by t
+# and head sums by (t, k, star).
 # A series point cuts once, at its head length; L*(t), which keeps nothing of
 # its own, reads the (t, 1, star) sums that moment_report's k = 1 series
 # fill; depoissonization_gap and variance_sandwich_check read up to three
@@ -251,7 +252,7 @@ class CellDistribution:
     Immutable after construction apart from internal caches: the grow-only
     probability prefix (idempotent to racing readers), which the counting
     function searches; the tail power sums of the last few cuts J, which
-    tail_mass reads too; and the exact-series head lengths and head sums
+    tail_mass reads too; and the exact-series counts N(t) and head sums
     of the last few points, which L*(t) reads too.  Z and the tail power
     sums past _EM_MIN_INDEX share the sums of :func:`_tail_sums`.
     Construct via :func:`build_distribution`.
@@ -273,7 +274,8 @@ class CellDistribution:
         self._rest = np.append(np.cumsum(self._prefix[::-1])[::-1], 0.0)
         # J -> the part of tail_power_sum(t, J) that does not depend on t
         self._tail_cuts = _Kept(_SLOTS)
-        # filled by moments: t -> head length, (t, k, star) -> head sums
+        # filled by moments: t -> N(t), which sets the head length,
+        # (t, k, star) -> head sums
         self._head_lengths = _Kept(_SLOTS)
         self._head_sums = _Kept(_SLOTS)
         # filled by the first draw_tail: the law of a ball past the table

@@ -6,13 +6,15 @@ Bernoulli indicators, so means and variances reduce to series over cells:
     mean  = sum_j g(t p_j)          variance = sum_j g(t p_j)(1 - g(t p_j))
 
 with g the per-cell probability (at least k / exactly k events, Poisson or
-binomial law).  Every series is a head over the cells with t*p_j above a
-cut, summed for the four series of a point in one chunked pass from Poisson
-pmfs by recurrence, plus an analytic tail: g expanded around 0 times the
-power sums of t*p_j, quantities of the distribution; the fixed-n and gap
-tails take the Poisson coefficient of (n p)^r times falling(n, r) / n^r.
-The bound covers truncation and rounding and stays far below 1e-8 relative
-even at t = 1e8, where direct truncation would need ~1e11 terms.
+binomial law).  Every series is a head over the N(t) cells that the counting
+function counts at t (t p_j >= 1; at least _EM_MIN_INDEX of them), summed
+for the four series of a point in one chunked pass from Poisson pmfs by
+recurrence, plus an analytic tail over cells with t p_j < 1: g expanded
+around 0 times the power sums of t*p_j, quantities of the distribution; the
+fixed-n and gap tails take the Poisson coefficient of (n p)^r times
+falling(n, r) / n^r.  The bound covers rounding and a proved remainder of
+the Maclaurin series, and stays far below 1e-8 relative even at t = 1e8,
+where direct truncation would need ~1e11 terms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from .distributions import (
     _EM_MIN_INDEX,
     _MAX_ORDER,
-    _ORDERS,
     _PREFIX_CAP,
     CellDistribution,
     DistributionError,
@@ -37,9 +38,6 @@ from .distributions import (
     smoothed_slowly_varying,
 )
 
-# per-cell scale t*p_j at which the head/tail split happens: tail cells
-# satisfy t*p_j <= _TAU and their contribution converges geometrically.
-_TAU = 0.5
 # head cells per pass: 2^13 keeps a pass's dozen temporaries in L2
 _HEAD_CHUNK = 1 << 13
 # rates whose Poisson pmfs come from logarithms (exp(-lam) is subnormal)
@@ -248,25 +246,71 @@ def _tail_series(d: CellDistribution, t: float, J: int, coeffs: np.ndarray,
     0), a bound, and the sum of the magnitudes of its terms, from one
     tail_power_sum call.
 
-    Valid when t*p_{J+1} <= _TAU; terms decay at least geometrically, so
-    the sum stopped at the first r >= 3 with c_r != 0 whose term is at most
-    1e-16 max(|sum|, scale) leaves a remainder bounded by that term, to
-    which the power sums' own error bounds are added.
+    The sum stops at the first order whose remainder bound
+    (:func:`_remainders`, with t p_{J+1} >= t p_j for j > J, the p_j taken
+    as exact as in the head) is at most 1e-16 max(|sum|, scale), else at
+    _MAX_ORDER; the bound is that remainder plus the power sums' own error
+    bounds.
     """
     values, bounds = d.tail_power_sum(t, J)
     c = coeffs[1:]
     terms = c * values
     total, err, size = np.cumsum(terms), np.cumsum(np.abs(c) * bounds), np.abs(terms)
-    live = np.flatnonzero(c)
-    small = size[live] <= 1e-16 * np.maximum(np.abs(total[live]), max(scale, 1e-300))
-    stop = live[small & (_ORDERS[live] >= 3)]
-    i = stop[0] if stop.size else live[-1]
-    return float(total[i]), float(size[i] + err[i]), float(size[:i + 1].sum())
+    # t p_{J+1} rounded up past the rounding of the product
+    rem = _remainders(coeffs, values + bounds, t * d.prob(J + 1) * (1.0 + 2.0 ** -51))
+    stop = np.flatnonzero(rem <= 1e-16 * np.maximum(np.abs(total), max(scale, 1e-300)))
+    i = stop[0] if stop.size else _MAX_ORDER - 1
+    return float(total[i]), float(rem[i] + err[i]), float(size[:i + 1].sum())
+
+
+def _remainders(coeffs: np.ndarray, sums: np.ndarray, lam: float) -> np.ndarray:
+    """Per order i = 1.._MAX_ORDER (entry i - 1), a bound on the orders past
+    i of sum_r a_r S_r, a_r the coefficients ``coeffs`` of one rule of
+    :func:`_tail_coeffs`, from upper bounds ``sums`` on the power sums
+    S_r = sum_{j>J} (t p_j)^r, r <= _MAX_ORDER, and lam >= t p_j, j > J.
+
+    As S_r <= lam^(r-i-1) S_{i+1} for r > i, the orders past i are at most
+    S_{i+1} W_i, W_i = sum_{r>i} |a_r| lam^(r-i-1) = |a_{i+1}| + lam W_{i+1},
+    with S_61 <= lam S_60.  Past _MAX_ORDER, W_60 takes a factorial
+    envelope.  The coefficients of P(Poisson in A) are at most b_r =
+    1/(k! (r-k)!) (at least k: 1/((k-1)! (r-k)! r)), those of g (1 - g) at
+    most b_r + (b*b)_r, (b*b)_r = 2^(r-2k)/(k!^2 (r-2k)!), and the fixed-n
+    rules scale c_r by factors in [-1, 1].  By (m+j)! >= m! j!,
+    W_60 <= e^lam/(k! (61-k)!) + lam^D 2^M e^(2 lam)/(k!^2 M!),
+    M = max(61 - 2k, 0), D = max(2k - 61, 0).  k is the lowest order with
+    a_k != 0: the count's k, or 2 for the k = 1 gaps (a_1 = 0), whose
+    |a_r| <= 1/(r-1)! lie below b_r at k = 2 past order 2.  The sums are
+    scaled up by 2^-44 for rounding: under 2 ulps an order in these
+    nonnegative sums and products, and _MAX_ORDER + 8 ulps in the
+    coefficients (as :func:`_series` charges the gap's).
+    """
+    a, s = np.abs(coeffs).tolist(), (sums * (1.0 + 2.0 ** -44)).tolist()
+    k = next(r for r, x in enumerate(a) if x)
+    top = _MAX_ORDER + 1
+    m = max(top - 2 * k, 0)
+    w = (math.exp(lam) / (math.factorial(k) * math.factorial(top - k))
+         + lam ** max(2 * k - top, 0) * 2.0 ** m * math.exp(2.0 * lam)
+         / (math.factorial(k) ** 2 * math.factorial(m)))
+    out = [0.0] * _MAX_ORDER
+    s_next = lam * s[-1]
+    for i in range(_MAX_ORDER, 0, -1):
+        out[i - 1] = s_next * w
+        w = a[i] + lam * w
+        s_next = s[i - 1]
+    return np.array(out)
+
+
+def _count(d: CellDistribution, t: float) -> int:
+    """N(t), the number of cells with t p_j >= 1, kept by t: the series at t
+    sum them in their head, and moment_report scales its asymptotic
+    constants by it."""
+    return d._head_lengths.keep(t, lambda: d.counting_function(t))
 
 
 def _head_length(d: CellDistribution, t: float) -> int:
-    """The number J >= _EM_MIN_INDEX of head cells at t (kept by t)."""
-    return d._head_lengths.keep(t, lambda: max(d.counting_function(t / _TAU), _EM_MIN_INDEX))
+    """The number J = max(N(t), _EM_MIN_INDEX) of head cells at t, so every
+    tail cell has t p_j < 1."""
+    return max(_count(d, t), _EM_MIN_INDEX)
 
 
 def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dict:
@@ -326,21 +370,28 @@ def _check_series_args(t: float, k: int, law: str) -> None:
         raise ValueError("binomial law requires integer n")
 
 
-def _series(d: CellDistribution, t: float, k: int, star: bool,
-            name: str) -> tuple[float, float]:
-    """The series whose head is the sum ``name`` of :func:`_head_pass` at
-    (t, k, star) (the distribution keeps them by point), and its bound,
-    which adds 1e-15 of the value for the last addition.  The tail takes the
-    coefficients c of :func:`_coeffs`: "pois" c, "var" c - c^2
+def _tail_coeffs(name: str, t: float, k: int, star: bool) -> np.ndarray:
+    """The Maclaurin coefficients of the tail of the series ``name`` at (t,
+    k, star), from c of :func:`_coeffs`: "pois" c, "var" c - c^2
     (:func:`_var_coeffs`); the fixed-n coefficient of (t p)^r is c_r
     falling(t, r) / t^r, so "binom" takes c * falling and "gap"
     c * expm1(ln falling)."""
-    J = _head_length(d, t)
-    head, rounding = d._head_sums.keep((t, k, star), lambda: _head_pass(d, t, k, star, J))[name]
     c = _var_coeffs(k, star) if name == "var" else _coeffs(k, star)
     if name in ("binom", "gap"):
         ln_falling = _log_falling_factors(int(t))
         c = c * (np.exp(ln_falling) if name == "binom" else np.expm1(ln_falling))
+    return c
+
+
+def _series(d: CellDistribution, t: float, k: int, star: bool,
+            name: str) -> tuple[float, float]:
+    """The series whose head is the sum ``name`` of :func:`_head_pass` at
+    (t, k, star) (the distribution keeps them by point) and whose tail takes
+    the coefficients of :func:`_tail_coeffs`, and its bound, which adds
+    1e-15 of the value for the last addition."""
+    J = _head_length(d, t)
+    head, rounding = d._head_sums.keep((t, k, star), lambda: _head_pass(d, t, k, star, J))[name]
+    c = _tail_coeffs(name, t, k, star)
     tail, bound, size = _tail_series(d, t, J, c, abs(head) + 1e-12 if name == "gap" else head)
     if name == "gap":
         # the gap's head may cancel, so its tail's rounding counts on its own:
@@ -419,7 +470,7 @@ def moment_report(d: CellDistribution, t: float, k: int, star: bool,
     """
     em, te_m = exact_mean(d, t, k, star, law)
     ev, te_v = exact_var(d, t, k, star)
-    cnt = d.counting_function(t) if t >= 1 else 0
+    cnt = _count(d, t) if t >= 1 else 0
     am = _asymptotic(d, t, asym_mean_coeff(d.theta, k, star), cnt)
     try:
         cv = asym_var_coeff(d.theta, k, star)

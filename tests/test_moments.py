@@ -79,23 +79,36 @@ ZIPF_N100_HI = 13.33705332910058
 # 42%.  zipf_log21's asym_mean (index 2) moved one ulp at the same time, when
 # the at-least-k constant became Gamma(k-theta)/Gamma(k): it is now the
 # rounded 40-digit value, where the telescoping loop was 0.65 ulp off.
+# Both sets were re-pinned when the head became the N(t) cells that the
+# counting function counts at t, not N(2t), and the tail stopped at the
+# first order whose proved remainder bound is at most 1e-16 of the sum.
+# Only theta_one_log at 1e7 has a head above the _EM_MIN_INDEX floor
+# (98,165 -> 54,518 cells): its means and variance moved by 1-3 ulps and
+# its mean_difference by 14 ulps (2.5e-15 of it, within both bounds);
+# truncation_error and the Poisson mean's bound rose 21.5%, the gap's
+# bound 1.97-fold.  The other rows keep their heads and values: their
+# bounds rose by 1.6e-6 (zipf2), 3.4e-7 (zipf_log21) and 1.5e-5 to 2.1e-5
+# (theta_one_log at 31 623) of themselves, where the remainder bound takes
+# the orders past the stop in place of the last kept term, and
+# theta_one_log's mean_difference at 31 623 moved one ulp on the AVX-512
+# path.  geometric_half did not move.
 SERIES_HEX = {
     ("zipf2", 10_000, 1): (
         "0x1.1366161698713p+7", "0x1.c9f25ed958dc1p+5", "0x1.10f5387a6d806p+7",
-        "0x1.c4405eb353bb3p+5", "0x1.626e90c0d639cp-39", "0x1.136533a9eef9cp+7",
-        "0x1.61c29865f255cp-39", "0x1.c4d952eed5355p-10", "0x1.58879ddc24cf1p-48"),
+        "0x1.c4405eb353bb3p+5", "0x1.626eb5efbef97p-39", "0x1.136533a9eef9cp+7",
+        "0x1.61c2bda8e02ccp-39", "0x1.c4d952eed5355p-10", "0x1.58879de483338p-48"),
     ("zipf_log21", 316_228, 2): (
         "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2bp+7",
-        "0x1.817ead7c6edb1p+5", "0x1.f83827810d33cp-39", "0x1.96c6bfefe4f5ep+7",
-        "0x1.f837f7f6ae42ap-39", "0x1.4b966f606b1e6p-14", "0x1.3f8f9314e779ep-57"),
+        "0x1.817ead7c6edb1p+5", "0x1.f83832db2c49cp-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f838035137512p-39", "0x1.4b966f606b1e6p-14", "0x1.3f8f94ec1e7f7p-57"),
     ("theta_one_log", 31_623, 1): (
         "0x1.c15656b974b66p+11", "0x1.74712e7ed444ep+11", "0x1.c15627386fdf0p+11",
-        "0x1.c15627386fdf0p+11", "0x1.efa3053054ec1p-32", "0x1.c15627386fdf0p+11",
-        "0x1.738eacace90c3p-33", "0x1.7c0826bb777fdp-8", "0x1.f542c26982791p-48"),
+        "0x1.c15627386fdf0p+11", "0x1.efa4f1800ce89p-32", "0x1.c15627386fdf0p+11",
+        "0x1.7390b428e5a53p-33", "0x1.7c0826bb777fep-8", "0x1.f542ea67d508cp-48"),
     ("theta_one_log", 10_000_000, 2): (
-        "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204dp+14", "0x1.a9ec000000000p+15",
-        "0x1.a9ec000000000p+14", "0x1.c9224a94a71fdp-31", "0x1.8f7c1597a5bd7p+15",
-        "0x1.c92249e406d0cp-31", "0x1.3f1d24f615ed6p-12", "0x1.f99d3dc467e04p-54"),
+        "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204ep+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.15a24e08a7dfap-30", "0x1.8f7c1597a5bd8p+15",
+        "0x1.15a24f200280cp-30", "0x1.3f1d24f615ec8p-12", "0x1.f2010e63be828p-53"),
     ("geometric_half", 1_000, 2): (
         "0x1.1b68d308362eep+3", "0x1.4752cf481c0c6p-1", "0x1.2000000000000p+3",
         "nan", "0x1.3286a9b332394p-43", "0x1.1b62eb5093c12p+3",
@@ -105,20 +118,20 @@ SERIES_HEX_NO_V4 = {
     **SERIES_HEX,
     ("zipf2", 10_000, 1): (
         "0x1.1366161698713p+7", "0x1.c9f25ed958dc1p+5", "0x1.10f5387a6d806p+7",
-        "0x1.c4405eb353bb3p+5", "0x1.626e19a9becb5p-39", "0x1.136533a9eef9cp+7",
-        "0x1.61c2214ed8336p-39", "0x1.c4d952eed5355p-10", "0x1.58879dd6bcebfp-48"),
+        "0x1.c4405eb353bb3p+5", "0x1.626e3ed8a78afp-39", "0x1.136533a9eef9cp+7",
+        "0x1.61c24691c60a6p-39", "0x1.c4d952eed5355p-10", "0x1.58879ddf1b506p-48"),
     ("zipf_log21", 316_228, 2): (
         "0x1.96c6ca4c9870ep+7", "0x1.61353d6721c20p+5", "0x1.95e455a56da2bp+7",
-        "0x1.817ead7c6edb1p+5", "0x1.f8385a32238c6p-39", "0x1.96c6bfefe4f5ep+7",
-        "0x1.f8382aa7cf1e9p-39", "0x1.4b966f606b1e6p-14", "0x1.3f8fbd222b877p-57"),
+        "0x1.817ead7c6edb1p+5", "0x1.f838658c42a27p-39", "0x1.96c6bfefe4f5ep+7",
+        "0x1.f8383602582d2p-39", "0x1.4b966f606b1e6p-14", "0x1.3f8fbef9628d0p-57"),
     ("theta_one_log", 31_623, 1): (
         "0x1.c15656b974b66p+11", "0x1.74712e7ed444ep+11", "0x1.c15627386fdf0p+11",
-        "0x1.c15627386fdf0p+11", "0x1.efa326ec9f97bp-32", "0x1.c15627386fdf0p+11",
-        "0x1.738eb19864560p-33", "0x1.7c0826bb77800p-8", "0x1.f542e31ac1fe6p-48"),
+        "0x1.c15627386fdf0p+11", "0x1.efa5133c57943p-32", "0x1.c15627386fdf0p+11",
+        "0x1.7390b91460ef0p-33", "0x1.7c0826bb77800p-8", "0x1.f5430b19148e2p-48"),
     ("theta_one_log", 10_000_000, 2): (
-        "0x1.8f7c15bf89622p+15", "0x1.4e7e13333204dp+14", "0x1.a9ec000000000p+15",
-        "0x1.a9ec000000000p+14", "0x1.c9220dc43dc15p-31", "0x1.8f7c1597a5bd7p+15",
-        "0x1.c9220d139c62bp-31", "0x1.3f1d24f615ed6p-12", "0x1.f99cb5fac7945p-54"),
+        "0x1.8f7c15bf89623p+15", "0x1.4e7e133332050p+14", "0x1.a9ec000000000p+15",
+        "0x1.a9ec000000000p+14", "0x1.15e11b0b5bf11p-30", "0x1.8f7c1597a5bd8p+15",
+        "0x1.15e11c2319a9ap-30", "0x1.3f1d24f615ec8p-12", "0x1.f2329a2081a48p-53"),
 }
 # The same outputs before that change, when a head had at least 1000 cells
 # and the tail power sums below _EM_MIN_INDEX added the cells up to it.
@@ -1059,7 +1072,7 @@ class TestSharedTailSums:
     def count_head_work(monkeypatch) -> dict:
         """Spy on the head work: the cells passed to the head kernel
         _poisson_cells, and the thresholds of counting_function (the head
-        length at t searches at t / _TAU)."""
+        length at t and moment_report's count read one kept search at t)."""
         work = {"cells": 0, "searches": []}
         kernel = moments._poisson_cells
 
@@ -1090,15 +1103,15 @@ class TestSharedTailSums:
                     series_point(d, t, k)
                     # one pass over the head gives all four sums
                     assert work["cells"] == J
-            # one head-length search per t (moment_report searches at t itself)
-            heads = [t / moments._TAU for t in ts]
-            assert sorted(x for x in work["searches"] if x in heads) == heads
+            # one search per t, which the head length and moment_report's
+            # count share
+            assert work["searches"] == list(ts)
 
     @pytest.mark.parametrize("law", ["poisson", "binomial"])
     def test_report_and_lstar_one_head_pass(self, monkeypatch, law):
         # at theta = 1, k = 1 moment_report reaches L*(t), which reads the
         # head sums its own series kept at (t, 1, star) and searches nothing
-        # beyond the head length at t / _TAU and the count at t
+        # beyond the count at t, which is the head length too
         points = []
         head_pass = moments._head_pass
 
@@ -1114,7 +1127,7 @@ class TestSharedTailSums:
             work["searches"].clear()
             rep = moment_report(d, t, 1, star=True, law=law)
             assert points == [(t, 1, True)]
-            assert sorted(work["searches"]) == [t, t / moments._TAU]
+            assert work["searches"] == [t]
             assert rep.asym_mean == rep.asym_var == t * smoothed_slowly_varying(d, t)
 
     @pytest.mark.parametrize("name", sorted(CALLS))
@@ -1131,7 +1144,7 @@ class TestSharedTailSums:
                 d = build_distribution(self.SPEC)
                 self.CALLS[name](d, t, k, star)
                 assert work["cells"] == J
-                assert work["searches"] == [t / moments._TAU]
+                assert work["searches"] == [t]
                 for other in self.CALLS:
                     if t == self.T or other in ("mean_poisson", "var"):
                         self.CALLS[other](d, t, k, star)
@@ -1164,6 +1177,124 @@ class TestSharedTailSums:
                        for pair in sums.values() for v in pair)
             assert not any(isinstance(v, np.ndarray) and v.size == J for v in vars(d).values())
         assert len(d._head_sums) == _SLOTS
+
+
+def exact_tail_coeffs(name, n, k, star, top):
+    """The Maclaurin coefficients a_0..a_top of the tail rule ``name`` of
+    moments._tail_coeffs, at the working precision: "pois" c, "var"
+    c - c^2, "binom" c falling(n, r) / n^r and "gap" c (falling(n, r) / n^r - 1)."""
+    c = [mp.mpf(0)] * k + [
+        mp.mpf(-1) ** (r - k) / (mp.factorial(r - k) * r * mp.factorial(k - 1)) if star
+        else mp.mpf(-1) ** (r - k) / (mp.factorial(k) * mp.factorial(r - k))
+        for r in range(k, top + 1)]
+    if name == "var":
+        return [c[r] - mp.fsum(c[i] * c[r - i] for i in range(k, r - k + 1))
+                for r in range(top + 1)]
+    falling = [mp.mpf(1)]
+    for r in range(1, top + 1):
+        falling.append(falling[-1] * (1 - mp.mpf(r - 1) / n))
+    if name == "binom":
+        return [a * f for a, f in zip(c, falling)]
+    if name == "gap":
+        return [a * (f - 1) for a, f in zip(c, falling)]
+    return c
+
+
+class TestTailRemainder:
+    """The tail of a series is cut at N(t) cells, so every tail cell has
+    t p_j < 1, and stops where its proved remainder bound is small."""
+
+    TOP = 200  # orders past it add below 1e-300 to these sums
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 60])
+    def test_bound_covers_the_dropped_orders(self, k):
+        # at lam* = 1: the power sums of one cell at t p = 1 (every S_r = 1),
+        # and of five cells up to it; at every stop order i the bound is at
+        # least the sum of |a_r| S_r over the orders past i, to _MAX_ORDER
+        # by the code's coefficients (its rounding aside) and past it by the
+        # exact ones
+        cells = ([1.0], [1.0, 0.99, 0.9, 0.5, 0.1])
+        with mp.workdps(40):
+            for name, n, star in itertools.product(("pois", "var", "binom", "gap"),
+                                                   (50, 10 ** 6), (True, False)):
+                if (name in ("pois", "var") and n != 50) or (name == "binom" and k > n):
+                    continue
+                coeffs = moments._tail_coeffs(name, float(n), k, star)
+                exact = exact_tail_coeffs(name, n, k, star, self.TOP)
+                mags = [mp.mpf(abs(float(a))) for a in coeffs] + [abs(a) for a in exact[61:]]
+                for lams in cells:
+                    sums = [mp.fsum(mp.mpf(x) ** r for x in lams) for r in range(self.TOP + 1)]
+                    rem = moments._remainders(coeffs, np.array([float(v) for v in sums[1:61]]), 1.0)
+                    dropped = mp.fsum(mags[r] * sums[r] for r in range(_MAX_ORDER + 1, self.TOP + 1))
+                    for i in range(_MAX_ORDER, 0, -1):
+                        assert mp.mpf(rem[i - 1]) >= dropped, (name, n, k, star, lams, i)
+                        dropped += mags[i] * sums[i]
+
+    SPECS = {
+        "zipf1.2": DistributionSpec(family="zipf", s=1.2),
+        "zipf2": DistributionSpec(family="zipf", s=2.0),
+        "zipf_log1.5-1": DistributionSpec(family="zipf_log", s=1.5, a=1.0),
+        "theta_one_log": DistributionSpec(family="theta_one_log"),
+        "geometric0.9": DistributionSpec(family="geometric", q=0.9),
+    }
+    SERIES = {
+        "pois": exact_mean,
+        "var": exact_var,
+        "binom": lambda d, t, k, star: exact_mean(d, t, k, star, "binomial"),
+        "gap": mean_difference,
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_tail_cells_below_one(self, monkeypatch, name):
+        # the head takes every cell with t p_j >= 1, and the remainder of
+        # the tail the largest tail cell's t p_{J+1}, rounded up
+        lams = []
+        remainders = moments._remainders
+
+        def spy(coeffs, sums, lam):
+            lams.append(lam)
+            return remainders(coeffs, sums, lam)
+
+        monkeypatch.setattr(moments, "_remainders", spy)
+        for t in (10 ** 3, 10 ** 5, 10 ** 7):
+            d = build_distribution(self.SPECS[name])
+            J = moments._head_length(d, t)
+            exact_mean(d, t, 2, True)
+            assert t * d.prob(J + 1) <= lams[-1] < 1.0
+            assert J == _EM_MIN_INDEX or t * d.prob(J) >= 1.0
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_agrees_with_the_half_cut(self, monkeypatch, name):
+        # the head over N(t) cells against the head over N(2t), where every
+        # tail cell has t p_j <= 1/2: the two values agree within the sum of
+        # their bounds, and each bound is at most 1e-10 of its value.  The
+        # gap's bound, 5e-10 of the gap at k = 10 at either cut, and the gap
+        # itself cancels for geometric exactly-k, so it is held to 1e-10 of
+        # the means.  Geometric's head is the _EM_MIN_INDEX floor at both cuts.
+        def series(t):
+            d = build_distribution(self.SPECS[name])
+            return {(s, k, star): call(d, t, k, star) for s, call in self.SERIES.items()
+                    for k, star in ((1, True), (2, True), (2, False), (3, True), (10, True))}
+
+        heads = []
+
+        def half_cut(d, x):
+            heads.append(max(d.counting_function(2 * x), _EM_MIN_INDEX))
+            return heads[-1]
+
+        for t in (10 ** 3, 10 ** 5, 10 ** 7):
+            new = series(t)
+            with monkeypatch.context() as m:
+                m.setattr(moments, "_head_length", half_cut)
+                old = series(t)
+            for (s, k, star), (value, bound) in new.items():
+                old_value, old_bound = old[(s, k, star)]
+                assert abs(value - old_value) <= bound + old_bound, (t, s, k, star)
+                scale = abs(value) if s != "gap" else max(
+                    abs(new[(m, k, star)][0]) for m in ("pois", "binom"))
+                assert bound <= 1e-10 * scale, (t, s, k, star, value, bound)
+        if name != "geometric0.9":
+            assert max(heads) > 2 * _EM_MIN_INDEX
 
 
 class TestMomentReport:

@@ -4,14 +4,18 @@ the benchmark's smoke run."""
 
 from pathlib import Path
 
-from urnsim import distributions, moments
+from urnsim import DistributionSpec, build_distribution, distributions, moments
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_installs_and_uninstalls(monkeypatch, theta_one_log):
+def test_tracer_installs_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
+
+    # a fresh distribution: one that keeps N(1e4) from an earlier series
+    # would not search again
+    theta_one_log = build_distribution(DistributionSpec(family="theta_one_log"))
 
     before = {(owner, attr): owner.__dict__[attr] for owner, attr, *_ in tracing._POINTS}
     tracer = tracing.Tracer()
