@@ -20,6 +20,7 @@ a port of cephes', and geometric has closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -251,11 +252,12 @@ class CellDistribution:
 
     Immutable after construction apart from internal caches: the grow-only
     probability prefix (idempotent to racing readers), which the counting
-    function searches; the tail power sums of the last few cuts J, which
-    tail_mass reads too; and the exact-series counts N(t) and head sums
-    of the last few points, which L*(t) reads too.  Z and the tail power
-    sums past _EM_MIN_INDEX share the sums of :func:`_tail_sums`.
-    Construct via :func:`build_distribution`.
+    function searches; the sampler's table, made at the first draw; the
+    tail power sums of the last few cuts J, which tail_mass reads too; and
+    the exact-series counts N(t) and head sums of the last few points,
+    which L*(t) reads too.  Z and the tail power sums past _EM_MIN_INDEX
+    share the sums of :func:`_tail_sums`.  Construct via
+    :func:`build_distribution`.
     """
 
     def __init__(self, spec: DistributionSpec):
@@ -268,10 +270,6 @@ class CellDistribution:
             self._check_monotone_negative_a()
         self.p1 = float(self.prob(1))
         self._prefix = self.prob_array(np.arange(1, _TABLE_SIZE + 1))
-        # the sampler's table: _rest[j] is the mass of the table cells past
-        # j = 0..table, summed from the far end, so it keeps its precision
-        # relative to its value (geometric's too); probs_prefix never grows it
-        self._rest = np.append(np.cumsum(self._prefix[::-1])[::-1], 0.0)
         # J -> the part of tail_power_sum(t, J) that does not depend on t
         self._tail_cuts = _Kept(_SLOTS)
         # filled by moments: t -> N(t), which sets the head length,
@@ -281,6 +279,14 @@ class CellDistribution:
         # filled by the first draw_tail: the law of a ball past the table
         # over its ranges of cells
         self._ranges = None
+
+    @functools.cached_property
+    def _rest(self) -> np.ndarray:
+        """The sampler's table: _rest[j] is the mass of the table cells past
+        j = 0..table, summed from the far end, so it keeps its precision
+        relative to its value (geometric's too).  Made at the first draw, so
+        a distribution that only evaluates series never holds it."""
+        return np.append(np.cumsum(self._prefix[_TABLE_SIZE - 1::-1])[::-1], 0.0)
 
     # ---------- construction internals
 
@@ -359,6 +365,38 @@ class CellDistribution:
         if J <= _PREFIX_CAP:
             self._prefix = grown
         return grown
+
+    def _em_pieces(self, lo: float, hi: float,
+                   step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """What a midpoint Euler-Maclaurin sum over the smooth p(x) on [lo, hi],
+        0 < lo < hi, needs of l(x) = ln p(x): edges lo = x_0 < ... < x_m = hi
+        such that l falls by at most ``step`` on each piece; l' at lo and hi;
+        per piece (columns), bounds on the integrals of |l'''|, |l' l''| and
+        |l'|^3 (rows); and kappa >= x |l'(x)| on [lo, hi].
+
+        Geometric has l' = ln q, so its pieces are equal in x.  A power
+        family has l = -s ln x - a ln w, w = ln(x + e) >= 1, whose
+        derivatives are at most (s + |a|)/x, (s + 2|a|)/x^2 and
+        (2s + 7|a|)/x^3 in size, and x |l'| <= kappa = s + |a| / w(lo), so
+        its pieces are equal in ln x.
+        """
+        if self.family == "geometric":
+            lq = -math.log(self.q)
+            m = max(1, math.ceil(lq * (hi - lo) / step))
+            edges = np.linspace(lo, hi, m + 1)
+            ints = np.zeros((3, m))
+            ints[2] = lq ** 3 * np.diff(edges)
+            return edges, np.array([-lq, -lq]), ints, lq * hi
+        s, a = self.s, abs(self.a)
+        kappa = s + a / math.log(lo + _E)
+        m = max(1, math.ceil(kappa * math.log(hi / lo) / step))
+        edges = lo * (hi / lo) ** (np.arange(m + 1) / m)
+        edges[-1] = hi
+        ends = np.array([lo, hi])
+        slopes = -s / ends - self.a / ((ends + _E) * np.log(ends + _E))
+        ints = np.multiply.outer([2.0 * s + 7.0 * a, (s + a) * (s + 2.0 * a), (s + a) ** 3],
+                                 -np.diff(edges ** -2.0) / 2.0)
+        return edges, slopes, ints, kappa
 
     # ---------- counting function and tail analytics
 

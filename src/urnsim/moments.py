@@ -7,14 +7,18 @@ Bernoulli indicators, so means and variances reduce to series over cells:
 
 with g the per-cell probability (at least k / exactly k events, Poisson or
 binomial law).  Every series is a head over the N(t) cells that the counting
-function counts at t (t p_j >= 1; at least _EM_MIN_INDEX of them), summed
-for the four series of a point in one chunked pass from Poisson pmfs by
-recurrence, plus an analytic tail over cells with t p_j < 1: g expanded
-around 0 times the power sums of t*p_j, quantities of the distribution; the
-fixed-n and gap tails take the Poisson coefficient of (n p)^r times
-falling(n, r) / n^r.  The bound covers rounding and a proved remainder of
-the Maclaurin series, and stays far below 1e-8 relative even at t = 1e8,
-where direct truncation would need ~1e11 terms.
+function counts at t (t p_j >= 1; at least _EM_MIN_INDEX of them), plus an
+analytic tail over cells with t p_j < 1: g expanded around 0 times the power
+sums of t*p_j, quantities of the distribution; the fixed-n and gap tails
+take the Poisson coefficient of (n p)^r times falling(n, r) / n^r.  The head
+gives the four series of a point in one pass: its first 2^16 cells (the
+sampler table's) one by one, from Poisson pmfs by recurrence, and the cells
+past them by midpoint Euler-Maclaurin over the smooth p(x), whose nodes go
+through the same kernel, so its cost does not grow with N(t).  The bound
+covers rounding, the quadrature's error, proved remainders of the
+Euler-Maclaurin sum and of the Maclaurin series, and stays far below 1e-8
+relative up to t = 1e12 (at t = 1e8 direct truncation would need ~1e11
+terms).
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ import numpy as np
 # perfbench/tracing.py wraps
 from .distributions import (
     _EM_MIN_INDEX,
+    _GAUSS,
+    _GAUSS_LOW,
     _MAX_ORDER,
-    _PREFIX_CAP,
+    _TABLE_SIZE,
     CellDistribution,
     DistributionError,
     slowly_varying,
@@ -40,6 +46,8 @@ from .distributions import (
 
 # head cells per pass: 2^13 keeps a pass's dozen temporaries in L2
 _HEAD_CHUNK = 1 << 13
+# the largest fall of ln p across one piece of the Euler-Maclaurin head
+_EM_STEP = 0.25
 # rates whose Poisson pmfs come from logarithms (exp(-lam) is subnormal)
 _LAM_LOG = 700.0
 # bound, in ulps, on the relative error of _poisson_cells' g and 1 - g, k <= 10
@@ -193,24 +201,10 @@ def _log_falling_factors(n: int) -> np.ndarray:
     return out
 
 
-def _binom_minus_poisson(n: int, p: np.ndarray, lam: np.ndarray, pmf: list, k: int,
-                         star: bool) -> tuple[np.ndarray, float]:
-    """Per cell P(Bin(n, p) in A) - P(Poisson(np) in A), A = {>= k} for
-    star and {k} otherwise, with no cancellation between the two laws, and
-    a bound on the rounding of their sum (p taken as exact); ``pmf`` holds
-    P(Poisson(lam) = i), i = 0..k, of :func:`_poisson_cells` at lam = n p.
-
-    Per i, P(Bin = i) / P(Pois = i) = exp(x_i), x_i = ln falling(n, i) +
-    n (log1p(-p) + p) - i log1p(-p), so the difference is P(Pois = i)
-    expm1(x_i); the at-least-k difference is minus the sum over i < k.
-    log1p(-p) + p is its series to p^5 up to p = 1e-4 (the next term is
-    below 2^-54 of it).  The bound takes _CELL_ULPS ulps of each |term|
-    (pmf_i, expm1 and the sum) and 2^-51 (k + lam) of it (the rounding of
-    lam, and the logarithms past _LAM_LOG), plus P(Bin = i) = pmf_i e^x_i
-    times the error of x_i: 8 ulps of |n (log1p(-p) + p)|, i |log1p(-p)|
-    and |ln falling(n, i)|, and where log1p(-p) + p cancels, 2 ulps of
-    n |log1p(-p)| (numpy's log1p is within one).
-    """
+def _binom_logs(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log1p(-p), n (log1p(-p) + p), and the indices of the cells with
+    p > 1e-4: up to there log1p(-p) + p is its series to p^5 (the next term
+    is below 2^-54 of it), so it does not cancel."""
     l1p = np.log1p(-p)
     big = np.flatnonzero(p > 1e-4)
     # p^2 (-1/2 - p (1/3 + p (1/4 + p/5))) in place
@@ -222,6 +216,28 @@ def _binom_minus_poisson(n: int, p: np.ndarray, lam: np.ndarray, pmf: list, k: i
     nl *= p * p
     nl[big] = l1p[big] + p[big]
     nl *= n
+    return l1p, nl, big
+
+
+def _binom_minus_poisson(n: int, p: np.ndarray, lam: np.ndarray, pmf: list, k: int,
+                         star: bool, weights: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Per cell P(Bin(n, p) in A) - P(Poisson(np) in A), A = {>= k} for
+    star and {k} otherwise, with no cancellation between the two laws, and
+    a bound on the rounding of their sum (p taken as exact), or of their
+    sum with ``weights`` >= 0; ``pmf`` holds P(Poisson(lam) = i), i = 0..k,
+    of :func:`_poisson_cells` at lam = n p.
+
+    Per i, P(Bin = i) / P(Pois = i) = exp(x_i), x_i = ln falling(n, i) +
+    n (log1p(-p) + p) - i log1p(-p) (:func:`_binom_logs`), so the
+    difference is P(Pois = i) expm1(x_i); the at-least-k difference is
+    minus the sum over i < k.  The bound takes _CELL_ULPS ulps of each
+    |term| (pmf_i, expm1 and the sum) and 2^-51 (k + lam) of it (the
+    rounding of lam, and the logarithms past _LAM_LOG), plus P(Bin = i) =
+    pmf_i e^x_i times the error of x_i: 8 ulps of |n (log1p(-p) + p)|,
+    i |log1p(-p)| and |ln falling(n, i)|, and where log1p(-p) + p cancels,
+    2 ulps of n |log1p(-p)| (numpy's log1p is within one).
+    """
+    l1p, nl, big = _binom_logs(n, p)
     ln_falling = _log_falling_factors(n)
     terms = [pmf[i] * np.expm1(nl - i * l1p + ln_falling[i] if i else nl)
              for i in (range(k) if star else (k,))]
@@ -229,6 +245,8 @@ def _binom_minus_poisson(n: int, p: np.ndarray, lam: np.ndarray, pmf: list, k: i
     mag = sum(map(np.abs, terms[1:]), np.abs(terms[0]))
     # P(Bin < k) = P(Pois < k) - corr for star, P(Bin = k) = pmf_k + corr
     binom = np.abs(sum(pmf[1:k], pmf[0]) - corr if star else pmf[k] + corr)
+    if weights is not None:
+        mag, binom = mag * weights, binom * weights
     # binom times the terms of x_i, i <= top, whose sizes bound its error,
     # summed over cells: all are <= 0 (ln falling is -inf only where
     # P(Bin = k) = 0, and then counts for nothing)
@@ -313,22 +331,23 @@ def _head_length(d: CellDistribution, t: float) -> int:
     return max(_count(d, t), _EM_MIN_INDEX)
 
 
-def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dict:
-    """{name: (head sum, rounding bound)} over the cells j <= J at (t, k,
-    star), in one pass by chunks (p_j past _PREFIX_CAP made per chunk).
-    With g = P(Poisson(t p_j) in A), A = {>= k} for star, {k} otherwise:
-    "pois" sums g, "var" g (1 - g) and, for an integer t, "binom"
-    P(Bin(t, p_j) in A) and "gap" that minus g.  The bound on a sum of
-    f(lam_j) is 2^-53 sum_j |lam_j f'(lam_j)| (the rounding of t p_j) plus
-    _CELL_ULPS ulps of sum_j |f|; g' is pmf_{k-1}, or pmf_{k-1} - pmf_k.
-    The gap's is that of :func:`_binom_minus_poisson`, and "binom" adds it
-    to the Poisson one."""
+def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int,
+               explicit: int = _TABLE_SIZE) -> dict:
+    """{name: (head sum, bound)} over the cells j <= J at (t, k, star): the
+    first min(J, explicit) cells one by one, in one pass by chunks, the rest
+    by :func:`_em_head`.  With g = P(Poisson(t p_j) in A), A = {>= k} for
+    star, {k} otherwise: "pois" sums g, "var" g (1 - g) and, for an integer
+    t, "binom" P(Bin(t, p_j) in A) and "gap" that minus g.  The bound on a
+    sum of f(lam_j) over the explicit cells is 2^-53 sum_j |lam_j f'(lam_j)|
+    (the rounding of t p_j) plus _CELL_ULPS ulps of sum_j |f|; g' is
+    pmf_{k-1}, or pmf_{k-1} - pmf_k.  The gap's is that of
+    :func:`_binom_minus_poisson`, and "binom" adds it to the Poisson one."""
     n = int(t) if t == int(t) else None
-    prefix = d.probs_prefix(J) if J <= _PREFIX_CAP else None
+    cells = min(J, explicit)
+    prefix = d.probs_prefix(cells)
     pois = var = gap = slope = gap_abs = gap_err = 0.0
-    for lo in range(0, J, _HEAD_CHUNK):
-        hi = min(lo + _HEAD_CHUNK, J)
-        p = prefix[lo:hi] if prefix is not None else d.prob_array(np.arange(lo + 1, hi + 1))
+    for lo in range(0, cells, _HEAD_CHUNK):
+        p = prefix[lo:lo + _HEAD_CHUNK]
         lam = t * p
         g, gc, pmf = _poisson_cells(lam, k, star)
         pois += float(g.sum())
@@ -349,10 +368,122 @@ def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int) -> dic
     if n is not None:
         # the cells' rounding (for star k > n, gap = -pois) and that of the
         # sum over chunks: 2^-53 of the chunk sums' magnitudes per chunk
-        gap_bound = (sums["pois"][1] if star and k > n else gap_err) \
-            + u * (J // _HEAD_CHUNK) * gap_abs
-        sums.update(binom=(pois + gap, sums["pois"][1] + gap_bound), gap=(gap, gap_bound))
+        sums["gap"] = (gap, (sums["pois"][1] if star and k > n else gap_err)
+                       + u * (cells // _HEAD_CHUNK) * gap_abs)
+    if J > cells:
+        for name, (value, bound) in _em_head(d, t, k, star, n, cells, J).items():
+            head, rounding = sums[name]
+            sums[name] = (head + value, rounding + bound + u * abs(head + value))
+    if n is not None:
+        sums["binom"] = (sums["pois"][0] + sums["gap"][0], sums["pois"][1] + sums["gap"][1])
     return sums
+
+
+@functools.lru_cache(maxsize=64)
+def _theta_coeffs(k: int, star: bool) -> np.ndarray:
+    """|c_i|, i = 0..k+3 (columns), of theta^m g = sum_i c_i pmf_i, m = 1..3
+    (rows), theta = lam d/dlam and g = P(Poisson(lam) in A), A = {>= k} for
+    star, {k} otherwise; cached, so read-only.  theta pmf_i = i pmf_i -
+    (i+1) pmf_{i+1} and theta P(>= k) = k pmf_k.  The same holds for the
+    binomial pmfs under p d/dp at fixed n, so with the same c_i theta^m of
+    the gap P(Bin(n, p) in A) - g is sum_i c_i (P(Bin = i) - pmf_i)."""
+    i = np.arange(k + 4.0)
+    c = np.zeros(k + 4)
+    c[k] = k if star else 1.0
+    rows = []
+    for m in range(3):
+        if m or not star:
+            c = i * (c - np.append(0.0, c[:-1]))
+        rows.append(np.abs(c))
+    out = np.array(rows)
+    out.flags.writeable = False
+    return out
+
+
+def _em_head(d: CellDistribution, t: float, k: int, star: bool, n: int | None,
+             cells: int, J: int) -> dict:
+    """{name: (sum, bound)} of :func:`_head_pass`'s "pois", "var" and, for an
+    integer t = n, "gap" over the cells cells < j <= J, by midpoint
+    Euler-Maclaurin over the smooth p(x) = _weights(x) / Z (DLMF 2.10.1):
+
+        sum_j F(j) = int_lo^hi F - (F'(hi) - F'(lo)) / 24 + R,
+
+    lo = cells + 1/2, hi = J + 1/2, F(x) = f(t p(x)).  The integral is one
+    composite Gauss rule on the pieces of :meth:`CellDistribution._em_pieces`,
+    on each of which ln p falls by at most _EM_STEP; its nodes go through
+    the head's kernel, and its error is taken as the lower-order rule's
+    distance from it, piece by piece.
+
+    |R| <= (sqrt(3)/216) int |F'''|, sqrt(3)/216 the largest |B_3(x)| / 3!
+    on [0, 1].  With l = ln p and theta = lam d/dlam, F''' = l''' theta f +
+    3 l' l'' theta^2 f + l'^3 theta^3 f, and on a piece |theta^m f| is at
+    most sum_i |c_i| (:func:`_theta_coeffs`) times the largest pmf_i there,
+    pmf_i(lam) at lam = i clipped to the piece, for "pois"; for "gap" times
+    the smaller of p and pmf_i (1 + (1 - p)^-i) >= |P(Bin = i) - pmf_i| at
+    the piece's largest p (the first: the total variation bound of Barbour
+    and Hall, 1984; the second, as P(Bin = i) / pmf_i <= (1 - p)^-i); for
+    "var" by Leibniz, with |g|, |1 - g| <= 1.
+
+    The bound adds the cells' rounding as the head's, the rounding of lam at
+    a node (of p(x) and of the node itself) times |theta f|, and that of
+    the sums and of the end terms.
+    """
+    lo, hi = cells + 0.5, J + 0.5
+    edges, slopes, ints, kappa = d._em_pieces(lo, hi, _EM_STEP)
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    (x, w), (x_low, w_low) = _GAUSS, _GAUSS_LOW
+    split, ends = half.size * x.size, half.size * (x.size + x_low.size)
+    nodes = np.concatenate([(mid[:, None] + np.multiply.outer(half, u)).ravel()
+                            for u in (x, x_low)] + [edges])
+    weights = np.zeros(nodes.size)
+    weights[:split] = np.outer(half, w).ravel()
+    p = d.prob_array(nodes)
+    lam = t * p
+    g, gc, pmf = _poisson_cells(lam, k, star)
+    theta = lam * (pmf[k - 1] if star else pmf[k - 1] - pmf[k])
+    var = g * gc
+    # per piece, the largest pmf_i, i = 0..k+3, rounded up
+    i = np.arange(k + 4.0)[:, None]
+    at = np.clip(i, lam[ends + 1:], lam[ends:-1])
+    peak = (1.0 + 1e-9) * np.exp(i * np.log(at) - at - np.array(
+        [math.lgamma(v + 1.0) for v in range(k + 4)])[:, None])
+    coeffs = _theta_coeffs(k, star)
+    sup = coeffs @ peak
+    cell = _CELL_ULPS * 2.0 ** -52
+    # name: (f, theta f, the cells' rounding, per piece sup |theta^m f|)
+    rows = {"pois": (g, theta, cell * float(weights @ g), sup),
+            "var": (var, theta * (gc - g), 2.0 * cell * float(weights @ var),
+                    np.array([2.0 * sup[0], 2.0 * sup[1] + 2.0 * sup[0] ** 2,
+                              2.0 * sup[2] + 6.0 * sup[0] * sup[1]]))}
+    if n is not None:
+        corr, err = _binom_minus_poisson(n, p, lam, pmf, k, star, weights)
+        l1p, nl, _ = _binom_logs(n, p)
+        ln_falling = [float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
+                      for r in (k, k + 1)]
+        # theta (b - g): k (P(Bin = k) - pmf_k), less (k+1) (P(Bin = k+1) -
+        # pmf_{k+1}) for exactly k, each P(= i) expm1(x_i) as in
+        # _binom_minus_poisson
+        theta_gap = k * pmf[k] * np.expm1(nl - k * l1p + ln_falling[0])
+        if not star:
+            theta_gap -= lam * pmf[k] * np.expm1(nl - (k + 1) * l1p + ln_falling[1])
+        top = p[ends:-1]
+        rows["gap"] = (corr, theta_gap, err,
+                       coeffs @ np.minimum(top, peak * (1.0 + (1.0 - top) ** -i)))
+    # the relative rounding of lam at a node: 2 ulps of the node times
+    # kappa, and p(x) by pow and log, 16 (1 + |a|) ulps
+    lam_ulps = 2.0 ** -52 * (16.0 * (1.0 + abs(d.a or 0.0)) + 2.0 * kappa)
+    out = {}
+    for name, (f, th, rounding, sizes) in rows.items():
+        high = f[:split].reshape(half.size, x.size) @ w * half
+        low = f[split:ends].reshape(half.size, x_low.size) @ w_low * half
+        edge = (slopes[0] * th[ends] - slopes[1] * th[-1]) / 24.0
+        remainder = math.sqrt(3.0) / 216.0 * float((ints * sizes).sum(axis=1) @ (1.0, 3.0, 1.0))
+        out[name] = (float(high.sum()) + edge,
+                     float(np.abs(high - low).sum()) + rounding + remainder
+                     + lam_ulps * float(weights @ np.abs(th))
+                     + 2.0 ** -53 * (x.size + half.size + 4) * float(weights @ np.abs(f))
+                     + 2.0 ** -50 * abs(edge))
+    return out
 
 
 # ---------------------------------------------------------- exact series

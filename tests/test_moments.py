@@ -32,7 +32,7 @@ from urnsim import (
     variance_sandwich_check,
 )
 from urnsim import distributions, moments
-from urnsim.distributions import _EM_MIN_INDEX, _MAX_ORDER, _SLOTS
+from urnsim.distributions import _EM_MIN_INDEX, _MAX_ORDER, _SLOTS, _TABLE_SIZE
 from urnsim.simulate import CheckpointGrid
 
 # 50-digit summation oracle: exp(-5) * (1 + 5 + 25/2)
@@ -1295,6 +1295,62 @@ class TestTailRemainder:
                 assert bound <= 1e-10 * scale, (t, s, k, star, value, bound)
         if name != "geometric0.9":
             assert max(heads) > 2 * _EM_MIN_INDEX
+
+
+class TestEulerMaclaurinHead:
+    """Past the _TABLE_SIZE cells that it sums one by one, a head is summed
+    by midpoint Euler-Maclaurin over the smooth p(x); at points whose N(t)
+    passes 2^16 that agrees with the explicit sum over all N(t) cells."""
+
+    POINTS = [
+        pytest.param(DistributionSpec(family="zipf", s=1.2), 10 ** 8, id="zipf1.2-1e8"),
+        # zipf_log (1.5, 1) has 34,854 head cells at 1e8 and 148,379 at 1e9
+        pytest.param(DistributionSpec(family="zipf_log", s=1.5, a=1.0), 10 ** 9,
+                     id="zipf_log1.5-1-1e9"),
+        pytest.param(DistributionSpec(family="theta_one_log"), 10 ** 8, id="theta_one_log-1e8"),
+        pytest.param(DistributionSpec(family="theta_one_log"), 10 ** 9, id="theta_one_log-1e9"),
+        pytest.param(DistributionSpec(family="geometric", q=0.9999), 10 ** 10,
+                     id="geometric0.9999-1e10"),
+    ]
+
+    @pytest.mark.parametrize("spec, t", POINTS)
+    def test_agrees_with_the_explicit_head(self, spec, t):
+        # each of the four sums within the sum of the two bounds, and the
+        # new bound at most 1e-10 of the value (of the means for the gap,
+        # which cancels for geometric exactly-k)
+        d = build_distribution(spec)
+        J = moments._head_length(d, t)
+        assert J > _TABLE_SIZE
+        for k, star in itertools.product((1, 2, 3), (True, False)):
+            sums = moments._head_pass(d, t, k, star, J)
+            explicit = moments._head_pass(d, t, k, star, J, explicit=J)
+            assert sorted(sums) == sorted(explicit) == ["binom", "gap", "pois", "var"]
+            for name, (value, bound) in sums.items():
+                want, want_bound = explicit[name]
+                assert abs(value - want) <= bound + want_bound, (k, star, name, value, want)
+                scale = max(abs(sums["pois"][0]), abs(sums["binom"][0])) if name == "gap" \
+                    else abs(value)
+                assert bound <= 1e-10 * scale, (k, star, name, value, bound)
+
+    @pytest.mark.parametrize("k, star", [(1, True), (2, True), (3, True), (1, False),
+                                         (3, False), (10, True)])
+    def test_theta_coefficients_bound_the_derivatives(self, k, star):
+        # the remainder's sizes: sum_i |c_i| pmf_i(lam) >= |theta^m g(lam)|,
+        # theta = lam d/dlam = d/du at u = ln lam, m = 1..3, against a
+        # 30-digit numerical derivative (of -P(Poisson < k) for star, which
+        # keeps its digits where g is near 1)
+        coeffs = moments._theta_coeffs(k, star)
+        with mp.workdps(30):
+            def g(u):
+                lam = mp.exp(u)
+                return (-mp.gammainc(k, lam, mp.inf, regularized=True) if star
+                        else mp.exp(-lam) * lam ** k / mp.factorial(k))
+            for lam in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0):
+                pmf = [mp.exp(-lam) * mp.mpf(lam) ** i / mp.factorial(i) for i in range(k + 4)]
+                for m in (1, 2, 3):
+                    size = mp.fsum(mp.mpf(float(c)) * q for c, q in zip(coeffs[m - 1], pmf))
+                    assert abs(mp.diff(g, mp.log(lam), m)) <= size * (1 + mp.mpf(10) ** -20), \
+                        (lam, m)
 
 
 class TestMomentReport:
