@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -51,8 +52,6 @@ _TAIL_RUN = 1 << 13
 # Bound on the error of the normalizing constant Z of the log families,
 # relative to max(1, Z); its head grows until the tail's bound is a quarter of it.
 _NORM_TOL = 1e-12
-# Cap on the cached probability prefix (8M float64 = 64 MB).
-_PREFIX_CAP = 1 << 23
 # Smallest cut J of a power family's Euler-Maclaurin tail sums, and so the
 # smallest head of an exact series.
 _EM_MIN_INDEX = 1 << 10
@@ -79,6 +78,8 @@ _SYNTHETIC_BASE = 1 << 62
 # trajectory's balls are drawn by: the dyadic ranges (2^m, 2^(m+1)], then
 # the synthetic range past 2^62.
 _RANGE_EDGES = _TABLE_SIZE << np.arange(_SYNTHETIC_BASE.bit_length() - _TABLE_SIZE.bit_length() + 1)
+# Pieces of the sampler's hat per dyadic range past the table (_tail_ranges)
+_PIECES = 4
 
 
 class DistributionError(ValueError):
@@ -130,6 +131,24 @@ class DistributionSpec:
             k: None if v is None else float(v) for k, v in m.items() if k != "family"})
 
 
+def _gauss_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the composite _GAUSS rule on the pieces between ``edges``,
+    then _GAUSS_LOW's; the weights at the first; the pieces' half widths."""
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    nodes = np.concatenate([(mid[:, None] + np.multiply.outer(half, x)).ravel()
+                            for x, _ in (_GAUSS, _GAUSS_LOW)])
+    return nodes, np.outer(half, _GAUSS[1]).ravel(), half
+
+
+def _gauss_sums(f: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per piece, the sums of both rules over f at the nodes of
+    :func:`_gauss_nodes` (f's last axis, which may go on past them)."""
+    (x, w), (x_low, w_low) = _GAUSS, _GAUSS_LOW
+    split, shape = half.size * x.size, f.shape[:-1] + (half.size, -1)
+    return (f[..., :split].reshape(shape) @ w * half,
+            f[..., split:split + half.size * x_low.size].reshape(shape) @ w_low * half)
+
+
 def _power_integrals(s: float, a: float, x0: float,
                      r: np.ndarray = _ORDERS) -> tuple[np.ndarray, np.ndarray]:
     """integral_0^inf exp(r dlnf(u) + u) du for every order r = 1.._MAX_ORDER
@@ -150,11 +169,8 @@ def _power_integrals(s: float, a: float, x0: float,
     top = 745.0 / (s - 1.0 if s > 1.0 else 1.0)
     k0 = -math.ceil(math.log2(_MAX_ORDER * s)) - 1
     edges = np.concatenate(([0.0], 2.0 ** np.arange(k0, math.ceil(math.log2(top))), [top]))
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    (x, w), (x_low, w_low) = _GAUSS, _GAUSS_LOW
-    split = half.size * x.size
-    u = np.concatenate([(mid[:, None] + np.multiply.outer(half, nodes)).ravel()
-                        for nodes in (x, x_low)])
+    u, weights, half = _gauss_nodes(edges)
+    split = weights.size
     # ln(x0 e^u + e) - ln(x0 + e), without cancellation near u = 0
     w0 = math.log(x0 + _E)
     e_u = _E * np.exp(-u)
@@ -168,15 +184,14 @@ def _power_integrals(s: float, a: float, x0: float,
     np.exp(f, out=f)
     if s == 1.0:
         f[0] *= e_u / (x0 + e_u)
-    high = f[:, :split].reshape(r.size, half.size, x.size) @ w * half
-    low = f[:, split:].reshape(r.size, half.size, x_low.size) @ w_low * half
+    high, low = _gauss_sums(f, half)
     val = high.sum(axis=1)
     if s == 1.0:
         val[0] += w0 / (a - 1.0)
     # rounding, in units of 2^-52 of the integrand: about 7 r (s u + |a| lw)
     # from the exponent r dlnf + u, and 20 from exp, the weights, the sums
     # and, for s = 1, the r = 1 factor and closed form
-    size = f[:, :split] @ ((s * u[:split] + abs(a) * lw[:split]) * np.outer(half, w).ravel())
+    size = f[:, :split] @ ((s * u[:split] + abs(a) * lw[:split]) * weights)
     err = np.abs(high - low).sum(axis=1) + 2.0 ** -52 * (8.0 * r * size + 24.0 * val)
     return val, err
 
@@ -247,15 +262,23 @@ class _Kept(dict):
         return self[key]
 
 
+# A power family's rejection-inversion hat c x^-sigma past the table: piece i
+# holds cells cells[i] + 1..cells[i + 1], where the hat's mass up to x is
+# ((x/x0)^om - 1) / rate, rows = (x0 = cells[i] + 1/2, rate, om = 1 - sigma);
+# past: its mass past each x0 (0 at 2^62); squeeze: a bound below each ratio.
+_Hat = namedtuple("_Hat", "cells past rows squeeze")
+
+
 class CellDistribution:
     """A concrete infinite discrete law p_1 >= p_2 >= ... > 0.
 
-    Immutable after construction apart from internal caches: the grow-only
-    probability prefix (idempotent to racing readers), which the counting
-    function searches; the sampler's table, made at the first draw; the
-    tail power sums of the last few cuts J, which tail_mass reads too; and
-    the exact-series counts N(t) and head sums of the last few points,
-    which L*(t) reads too.  Z and the tail power sums past _EM_MIN_INDEX
+    Holds p_j of the sampler table's 2^16 cells, which the counting
+    function and the series heads read.  Immutable after construction apart
+    from internal caches: the sampler's table, made at the first draw; the
+    law and hat past the table, made at the first draw past it; the tail
+    power sums of the last few cuts J, which tail_mass reads too; and the
+    exact-series counts N(t) and head sums of the last few points, which
+    L*(t) reads too.  Z and the tail power sums past _EM_MIN_INDEX
     share the sums of :func:`_tail_sums`.  Construct via
     :func:`build_distribution`.
     """
@@ -277,7 +300,7 @@ class CellDistribution:
         self._head_lengths = _Kept(_SLOTS)
         self._head_sums = _Kept(_SLOTS)
         # filled by the first draw_tail: the law of a ball past the table
-        # over its ranges of cells
+        # over its ranges of cells, and the hat its ids are drawn by
         self._ranges = None
 
     @functools.cached_property
@@ -326,12 +349,6 @@ class CellDistribution:
         if np.any(np.diff(vals) > 0):
             raise DistributionError(
                 f"p_j not monotone nonincreasing for s={self.s}, a={self.a}")
-        s_env = self.s + self.a / math.log(_TABLE_SIZE + 0.5 + _E)
-        if s_env <= 1.0:
-            raise DistributionError(
-                "log power too negative for an integrable sampling envelope: a < 0 needs "
-                f"s + a / ln(2^{_TABLE_SIZE.bit_length() - 1} + 1/2 + e) > 1, got {s_env:.6g} "
-                f"at s={self.s}, a={self.a}")
 
     def _weights(self, j: np.ndarray) -> np.ndarray:
         """p_j times Z at float indices j; Z = 1 for geometric."""
@@ -354,17 +371,12 @@ class CellDistribution:
         return self._weights(np.atleast_1d(np.asarray(j, dtype=np.float64))) / self.Z
 
     def probs_prefix(self, J: int) -> np.ndarray:
-        """p_1..p_J, cached up to _PREFIX_CAP cells; grown _TABLE_SIZE cells at a time."""
-        if J <= self._prefix.size:
-            return self._prefix[:J]
-        grown = np.empty(J)
-        grown[:self._prefix.size] = self._prefix
-        for lo in range(self._prefix.size, J, _TABLE_SIZE):
-            hi = min(lo + _TABLE_SIZE, J)
-            grown[lo:hi] = self.prob_array(np.arange(lo + 1, hi + 1, dtype=np.float64))
-        if J <= _PREFIX_CAP:
-            self._prefix = grown
-        return grown
+        """p_1..p_J, a view of the table's 2^16 cells; prob_array gives more,
+        with the same bits."""
+        if J > _TABLE_SIZE:
+            raise DistributionError(f"probs_prefix holds the table's {_TABLE_SIZE} cells, "
+                                    f"got J={J}")
+        return self._prefix[:J]
 
     def _em_pieces(self, lo: float, hi: float,
                    step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -404,30 +416,25 @@ class CellDistribution:
         """Largest index j with p_j >= 1/x (0 if none), for a scalar x or an
         array of x in any order; the predicate is ``prob_array(j) >= 1/x``.
 
-        Each threshold is counted in the cached prefix by :func:`_at_least`.
-        One past it is bracketed the same way on the dyadic ladder
-        prefix.size 2^m up to the first rung >= 2^62 (one prob_array call),
-        then narrowed by bisection on prob_array; the prefix is never grown
-        here.
+        Each threshold is counted in the table's 2^16 cells by
+        :func:`_at_least`.  One past them is bracketed the same way by the
+        range edges 2^17..2^62 (one prob_array call), then narrowed by
+        bisection on prob_array.
         """
         xs = np.asarray(x, dtype=np.float64)
         out = np.zeros(xs.shape, dtype=np.int64)
         pos = xs > 0.0
         thr = 1.0 / xs[pos]
-        prefix = self._prefix
-        count = _at_least(prefix, thr)
-        past = np.flatnonzero(count == prefix.size)
+        count = _at_least(self._prefix, thr)
+        past = np.flatnonzero(count == _TABLE_SIZE)
         if past.size:
             t_past = thr[past]
-            # prefix.size 2^m, m >= 1, up to the first rung >= _SYNTHETIC_BASE
-            top = _SYNTHETIC_BASE.bit_length() - prefix.size.bit_length()
-            rungs = prefix.size << np.arange(1, top + 1)
-            m = _at_least(self.prob_array(rungs), t_past)
-            if np.any(m == rungs.size):
+            m = _at_least(self.prob_array(_RANGE_EDGES[1:]), t_past)
+            if np.any(m == _RANGE_EDGES.size - 1):
                 raise DistributionError("counting function beyond 2^62 cells "
                                         "(threshold below every resolvable p_j)")
             # p_lo >= thr > p_hi
-            lo, hi = prefix.size << m, prefix.size << (m + 1)
+            lo, hi = _RANGE_EDGES[m], _RANGE_EDGES[m + 1]
             todo = np.arange(past.size)
             while todo.size:
                 mid = (lo[todo] + hi[todo]) // 2
@@ -562,7 +569,7 @@ class CellDistribution:
                 ids += _TABLE_SIZE  # in place: the one run holds every ball
                 yield ids, n_tail
             return
-        law, spans, _ = self._tail_ranges()
+        law = self._tail_ranges()[0]
         # the first range of each run: where the mass of the ranges before
         # it, times the balls, passes a multiple of _TAIL_RUN
         before = np.cumsum(law[:-1]) - law[:-1]
@@ -574,105 +581,73 @@ class CellDistribution:
             if m and r == starts.size:
                 yield None, counts
             elif m:
-                ids = self._draw_tail_block(rng, m, (spans[starts[r]], spans[ends[r]]),
-                                            (int(_RANGE_EDGES[starts[r]]) + 1,
-                                             int(_RANGE_EDGES[ends[r]])))
+                ids = self._draw_tail_block(rng, m, (starts[r], ends[r]))
                 yield ids, counts
                 del ids  # not held while the next run is drawn
 
-    def _tail_ranges(self) -> tuple[np.ndarray, np.ndarray, float]:
+    def _tail_ranges(self) -> tuple[np.ndarray, _Hat, float]:
         """For a power family, the law of a ball past the table over the
         dyadic ranges (2^m, 2^(m+1)], m = 16..61, and the synthetic range
-        past 2^62; the envelope's tail fractions at the edges 2^m + 1/2; and
-        a bound on the law's total variation distance from the exact one, so
-        that a trajectory's range labels are exact but for a chance of at
-        most the bound times its balls past the table.  The masses are
-        differences of the r = 1 tail sums at the edges, each off by its
-        bound and an ulp, so the bound is twice their sum over the mass past
-        the table.  Worked out at the first call and kept.
+        past 2^62; the hat of :meth:`_draw_tail_block`; and a bound on the
+        law's total variation distance from the exact one.  The masses are
+        differences of the r = 1 tail sums at the edges, so the bound is twice
+        the sum of their bounds and an ulp each, over the mass past the table.
+
+        The hat is c x^-sigma on _PIECES pieces a range, equal in ln x (four
+        give a smallest ratio of 0.99994 for theta_one_log, one 0.9991).  In
+        y = ln x, l = ln p = -s y - a ln w, w = ln(x + e), has l'' = a (rho^2
+        / w^2 - rho (1 - rho) / w), rho = x / (x + e): of the sign of a and at
+        most |a| / w^2.  So ln hat is the secant of l through a piece's edges
+        for a >= 0 and its tangent at their midpoint for a < 0, above l by at
+        most |a| d^2 / (8 w0^2) on a piece d wide, w0 = w at its left edge
+        x0; a cell's hat mass is at most 1 + sigma (sigma + 1) / (12 x0^2)
+        times the hat at the cell; the squeeze is 1 less both, less 1e-12 for
+        rounding.  Worked out at the first call and kept.
         """
         if self._ranges is None:
             tails, bounds = np.array([self._weight_tail(int(J)) for J in _RANGE_EDGES]).T
             mass = np.append(-np.diff(tails), tails[-1])
             total = mass.sum()
-            spans = self._tail_envelope()[1](_RANGE_EDGES + 0.5)
-            self._ranges = (mass / total, spans,
+            cells = np.append(np.multiply.outer(_RANGE_EDGES[:-1], 2.0 ** (
+                np.arange(_PIECES) / _PIECES)).astype(np.int64), _RANGE_EDGES[-1])
+            x = cells + 0.5
+            x0, d, w = x[:-1], np.log(x[1:] / x[:-1]), np.log(x + _E)
+            if self.a >= 0.0:
+                ref, sigma = x0, self.s + self.a * np.log(w[1:] / w[:-1]) / d
+            else:
+                ref = np.sqrt(x0 * x[1:])
+                sigma = self.s + self.a * ref / ((ref + _E) * np.log(ref + _E))
+            # the hat divides by 1 - sigma: 2^-60 for 0 moves it by under an ulp
+            om = np.where(sigma == 1.0, 2.0 ** -60, 1.0 - sigma)
+            rate = om / (self._weights(ref) * (ref / x0) ** sigma * x0)
+            past = np.append(np.cumsum((np.expm1(om * d) / rate)[::-1])[::-1], 0.0)
+            squeeze = (1.0 - abs(self.a) * d * d / (8.0 * w[:-1] ** 2)
+                       - sigma * (sigma + 1.0) / (12.0 * x0 * x0) - 1e-12)
+            self._ranges = (mass / total, _Hat(cells, past, (x0, rate, om), squeeze),
                             float(2.0 * (bounds.sum() + 2.0 ** -52 * tails.sum()) / total))
         return self._ranges
 
-    def _tail_envelope(self) -> tuple[Callable, Callable, Callable, float]:
-        """Rejection-inversion beyond the table of a power family, as
-        (inverse, fraction, accept_ratio, squeeze): the convex closed-form
-        envelope (power envelope; log factor frozen or absorbed into the
-        exponent depending on its sign) puts the fraction ``fraction(x)`` of
-        its mass past x > table + 1/2, and ``inverse`` maps a fraction back
-        to x; ``accept_ratio(j)`` is cell j's mass over the envelope's, and
-        the computed ratio is never below ``squeeze`` on j in (table, 2^62]."""
-        s, a = self.s, self.a
-        x0 = _TABLE_SIZE + 0.5
-        w0 = math.log(x0 + _E)
-        if s > 1.0:
-            # envelope x^-s_env * c: for a>=0 freeze the log factor at x0;
-            # for a<0 absorb it via (ln(x+e))^(-a) <= w0^(-a) exp(-a u / w0).
-            # s_env > 1: _check_monotone_negative_a checks it at construction
-            s_env = s if a >= 0.0 else s + a / w0
-            # for a == 0 the ratio is j^-s over its integral across the cell,
-            # 1 - s(s+1)/(24 j^2) to leading order; squeeze at twice that gap
-            squeeze = 1.0 - s * (s + 1.0) / (12.0 * x0 * x0) if a == 0.0 else 0.0
-
-            def inverse(v: np.ndarray) -> np.ndarray:
-                return x0 * v ** (1.0 / (1.0 - s_env))
-
-            def fraction(x: np.ndarray) -> np.ndarray:
-                return (x / x0) ** (1.0 - s_env)
-
-            def accept_ratio(j: np.ndarray) -> np.ndarray:
-                # cell mass under the envelope, as jm^(1-s) (1 - (jp/jm)^(1-s))
-                # so the difference stays exact for j well beyond 1/ulp
-                jm = j - 0.5
-                mass = jm ** (1.0 - s_env) * (-np.expm1(
-                    (1.0 - s_env) * np.log1p(1.0 / jm))) / (s_env - 1.0)
-                mass *= w0 ** -a * x0 ** (s_env - s)
-                return self._weights(j.astype(np.float64)) / mass
-        else:
-            # s == 1, a > 1: envelope h(x) = c0 (ln(x+e))^-a/(x+e), c0 covering
-            # the f/h = (x+e)/x excess; exact tail antiderivative
-            # c0 (ln(x+e))^(1-a)/(a-1).  f/h >= 1, so the ratio stays at or
-            # above 1/c0 up to rounding.
-            g0 = w0 ** (1.0 - a) / (a - 1.0)
-            c0 = 1.0 + _E / x0
-            squeeze = (1.0 - 1e-9) / c0
-
-            def inverse(v: np.ndarray) -> np.ndarray:
-                return np.exp((v * g0 * (a - 1.0)) ** (1.0 / (1.0 - a))) - _E
-
-            def fraction(x: np.ndarray) -> np.ndarray:
-                return (np.log(x + _E) / w0) ** (1.0 - a)
-
-            def accept_ratio(j: np.ndarray) -> np.ndarray:
-                jm = j - 0.5
-                lm = np.log(jm + _E)
-                # lp - lm = log1p(1/(jm+e)) keeps the mass exact at huge j
-                dl = np.log1p(1.0 / (jm + _E))
-                mass = c0 * lm ** (1.0 - a) * (-np.expm1(
-                    (1.0 - a) * np.log1p(dl / lm))) / (a - 1.0)
-                return self._weights(j.astype(np.float64)) / mass
-
-        return inverse, fraction, accept_ratio, squeeze
+    def _accept_ratio(self, j: np.ndarray, piece: np.ndarray) -> np.ndarray:
+        """p_j Z over the hat's mass in cell j of its piece ``piece``, (jm/x0)^om
+        expm1(om ln(1 + 1/jm)) / rate, jm = j - 1/2, precise for j well past 1/ulp."""
+        x0, rate, om = (r[piece] for r in self._tail_ranges()[1].rows)
+        jm = j - 0.5
+        return self._weights(j.astype(np.float64)) * rate / (
+            (jm / x0) ** om * np.expm1(om * np.log1p(1.0 / jm)))
 
     def _draw_tail_block(self, rng: np.random.Generator, m: int,
-                         span: tuple[float, float], cells: tuple[int, int]) -> np.ndarray:
-        """Exact draws from the cells ``cells`` (first, last) of a power
-        family by rejection-inversion under :meth:`_tail_envelope`,
-        restricted to the envelope's tail fractions ``span`` = (top, bottom)
-        that map onto those cells: a candidate is ``inverse(top - (top -
-        bottom) u)`` for u uniform on [0, 1), the uniform interval
-        [1 - top, 1 - bottom) of the whole tail's sampler taken as its
-        complement, which keeps its precision in the far ranges.  Past 2^52
-        the float candidates lie h >= 1 apart, so the cell is one of the h
-        nearest the candidate, uniformly, not the nearest.  A uniform at or
-        below the squeeze accepts without the ratio.  A round draws at most
-        _TAIL_RUN candidates, which bounds its temporaries.
+                         ranges: tuple[int, int]) -> np.ndarray:
+        """Exact draws from the dyadic ranges ``ranges`` (first, one past the
+        last) of a power family by rejection-inversion (Hörmann and
+        Derflinger, ACM TOMACS 6, 1996) under the hat of :meth:`_tail_ranges`.
+        A candidate lies u of the way from the run's first edge to its last
+        in hat mass, u uniform on [0, 1): a guide table finds its piece, where
+        the hat's mass inverts by log1p and exp, whatever sigma, to about an
+        ulp of x in one range.  Past 2^52 the float candidates lie h >= 1
+        apart, so the cell is one of the h nearest, uniformly.  An acceptance
+        uniform at or below the run's squeeze accepts without the ratio.  A
+        round draws at most _TAIL_RUN candidates, which bounds its
+        temporaries.
 
         ``draw_tail`` draws the ranges below 2^62 here and the synthetic
         range by count alone, every ball a single: the chance that two of n
@@ -682,13 +657,37 @@ class CellDistribution:
         1e10), 2.2e-20 n^2 for zipf s = 1.2, whose synthetic range holds
         0.17% of its balls past the table.
         """
-        inverse, _, accept_ratio, squeeze = self._tail_envelope()
-        top, bottom = span
-        first, last = cells
-        out = np.empty(m, dtype=np.int64)
-        filled = 0
+        hat = self._tail_ranges()[1]
+        lo, hi = (_PIECES * int(r) for r in ranges)
+        first, last = int(hat.cells[lo]) + 1, int(hat.cells[hi])
+        squeeze = float(hat.squeeze[lo:hi].min())
+        # on the run's piece k, the hat's mass up to x times rate is u rise + start
+        top, span = hat.past[lo], hat.past[lo] - hat.past[hi]
+        x0, rate, om = (r[lo:hi] for r in hat.rows)
+        start, rise = (hat.past[lo:hi] - top) * rate, span * rate
+        ends = (top - hat.past[lo + 1:hi]) / span
+        # the guide table (Chen and Asau, AIIE Transactions 6, 1974): the
+        # piece at the start of each of g cells of u, at least 4 per piece;
+        # from there a candidate steps up past the piece ends at or below u,
+        # at most once unless its cell holds two ends
+        after = np.append(ends, np.inf)
+        g = 4 << (hi - lo - 1).bit_length()
+        at = np.searchsorted(ends, np.arange(g) / g, side="right")
+        out, filled = np.empty(m, dtype=np.int64), 0
         while filled < m:
-            x = inverse(top - (top - bottom) * rng.random(min(m - filled, _TAIL_RUN)))
+            u = rng.random(min(m - filled, _TAIL_RUN))
+            k = at.take((u * g).astype(np.intp))
+            up = np.flatnonzero(u >= after.take(k))
+            while up.size:
+                k[up] += 1
+                up = up[u[up] >= after.take(k[up])]
+            # x = x0 (1 + u rise + start)^(1/om), in place (take gathers faster than [])
+            x = u * rise.take(k)
+            x += start.take(k)
+            np.log1p(x, out=x)
+            x /= om.take(k)
+            np.exp(x, out=x)
+            x *= x0.take(k)
             j = np.floor(x + 0.5).astype(np.int64)
             wide = np.flatnonzero(x >= 2.0 ** 52)
             if wide.size:
@@ -699,12 +698,11 @@ class CellDistribution:
             # x past the run's edges only by rounding
             np.clip(j, first, last, out=j)
             v = rng.random(j.size)
-            acc = v <= squeeze
-            slow = np.flatnonzero(~acc)
-            acc[slow] = v[slow] <= accept_ratio(j[slow])
-            took = int(acc.sum())
-            out[filled:filled + took] = j[acc]
-            filled += took
+            slow = np.flatnonzero(v > squeeze)
+            if slow.size:
+                j = np.delete(j, slow[v[slow] > self._accept_ratio(j[slow], lo + k[slow])])
+            out[filled:filled + j.size] = j
+            filled += j.size
         return out
 
 

@@ -35,11 +35,12 @@ import numpy as np
 from .distributions import (
     _EM_MIN_INDEX,
     _GAUSS,
-    _GAUSS_LOW,
     _MAX_ORDER,
     _TABLE_SIZE,
     CellDistribution,
     DistributionError,
+    _gauss_nodes,
+    _gauss_sums,
     slowly_varying,
     smoothed_slowly_varying,
 )
@@ -193,10 +194,11 @@ def _var_coeffs(k: int, star: bool) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _log_falling_factors(n: int) -> np.ndarray:
-    """ln of the falling factors n(n-1)...(n-r+1)/n^r, r = 0.._MAX_ORDER;
-    -inf where r > n.  Cached per n, so read-only."""
+    """ln of the falling factors n(n-1)...(n-r+1)/n^r, r = 0.._MAX_ORDER + 1
+    (the tail's orders and k + 1 of :func:`_em_head`); -inf where r > n.
+    Cached per n, so read-only."""
     out = np.array([float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
-                    if r <= n else -math.inf for r in range(_MAX_ORDER + 1)])
+                    if r <= n else -math.inf for r in range(_MAX_ORDER + 2)])
     out.flags.writeable = False
     return out
 
@@ -332,19 +334,20 @@ def _head_length(d: CellDistribution, t: float) -> int:
 
 
 def _head_pass(d: CellDistribution, t: float, k: int, star: bool, J: int,
-               explicit: int = _TABLE_SIZE) -> dict:
+               prefix: np.ndarray | None = None) -> dict:
     """{name: (head sum, bound)} over the cells j <= J at (t, k, star): the
-    first min(J, explicit) cells one by one, in one pass by chunks, the rest
-    by :func:`_em_head`.  With g = P(Poisson(t p_j) in A), A = {>= k} for
-    star, {k} otherwise: "pois" sums g, "var" g (1 - g) and, for an integer
-    t, "binom" P(Bin(t, p_j) in A) and "gap" that minus g.  The bound on a
+    first min(J, len(prefix)) cells one by one, in one pass by chunks, the
+    rest by :func:`_em_head`.  ``prefix`` is p_1, p_2, ..., by default the
+    table's _TABLE_SIZE cells.  With g = P(Poisson(t p_j) in A), A = {>= k}
+    for star, {k} otherwise: "pois" sums g, "var" g (1 - g) and, for an
+    integer t, "binom" P(Bin(t, p_j) in A) and "gap" that minus g.  The bound on a
     sum of f(lam_j) over the explicit cells is 2^-53 sum_j |lam_j f'(lam_j)|
     (the rounding of t p_j) plus _CELL_ULPS ulps of sum_j |f|; g' is
     pmf_{k-1}, or pmf_{k-1} - pmf_k.  The gap's is that of
     :func:`_binom_minus_poisson`, and "binom" adds it to the Poisson one."""
     n = int(t) if t == int(t) else None
-    cells = min(J, explicit)
-    prefix = d.probs_prefix(cells)
+    prefix = (d.probs_prefix(_TABLE_SIZE) if prefix is None else prefix)[:J]
+    cells = prefix.size
     pois = var = gap = slope = gap_abs = gap_err = 0.0
     for lo in range(0, cells, _HEAD_CHUNK):
         p = prefix[lo:lo + _HEAD_CHUNK]
@@ -430,13 +433,9 @@ def _em_head(d: CellDistribution, t: float, k: int, star: bool, n: int | None,
     """
     lo, hi = cells + 0.5, J + 0.5
     edges, slopes, ints, kappa = d._em_pieces(lo, hi, _EM_STEP)
-    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
-    (x, w), (x_low, w_low) = _GAUSS, _GAUSS_LOW
-    split, ends = half.size * x.size, half.size * (x.size + x_low.size)
-    nodes = np.concatenate([(mid[:, None] + np.multiply.outer(half, u)).ravel()
-                            for u in (x, x_low)] + [edges])
-    weights = np.zeros(nodes.size)
-    weights[:split] = np.outer(half, w).ravel()
+    gauss, high_weights, half = _gauss_nodes(edges)
+    ends, nodes = gauss.size, np.concatenate([gauss, edges])
+    weights = np.append(high_weights, np.zeros(nodes.size - high_weights.size))
     p = d.prob_array(nodes)
     lam = t * p
     g, gc, pmf = _poisson_cells(lam, k, star)
@@ -458,8 +457,7 @@ def _em_head(d: CellDistribution, t: float, k: int, star: bool, n: int | None,
     if n is not None:
         corr, err = _binom_minus_poisson(n, p, lam, pmf, k, star, weights)
         l1p, nl, _ = _binom_logs(n, p)
-        ln_falling = [float(np.log1p(-np.arange(r, dtype=np.float64) / n).sum())
-                      for r in (k, k + 1)]
+        ln_falling = _log_falling_factors(n)[k:k + 2]
         # theta (b - g): k (P(Bin = k) - pmf_k), less (k+1) (P(Bin = k+1) -
         # pmf_{k+1}) for exactly k, each P(= i) expm1(x_i) as in
         # _binom_minus_poisson
@@ -474,14 +472,13 @@ def _em_head(d: CellDistribution, t: float, k: int, star: bool, n: int | None,
     lam_ulps = 2.0 ** -52 * (16.0 * (1.0 + abs(d.a or 0.0)) + 2.0 * kappa)
     out = {}
     for name, (f, th, rounding, sizes) in rows.items():
-        high = f[:split].reshape(half.size, x.size) @ w * half
-        low = f[split:ends].reshape(half.size, x_low.size) @ w_low * half
+        high, low = _gauss_sums(f, half)
         edge = (slopes[0] * th[ends] - slopes[1] * th[-1]) / 24.0
         remainder = math.sqrt(3.0) / 216.0 * float((ints * sizes).sum(axis=1) @ (1.0, 3.0, 1.0))
         out[name] = (float(high.sum()) + edge,
                      float(np.abs(high - low).sum()) + rounding + remainder
                      + lam_ulps * float(weights @ np.abs(th))
-                     + 2.0 ** -53 * (x.size + half.size + 4) * float(weights @ np.abs(f))
+                     + 2.0 ** -53 * (_GAUSS[0].size + half.size + 4) * float(weights @ np.abs(f))
                      + 2.0 ** -50 * abs(edge))
     return out
 
@@ -509,7 +506,7 @@ def _tail_coeffs(name: str, t: float, k: int, star: bool) -> np.ndarray:
     c * expm1(ln falling)."""
     c = _var_coeffs(k, star) if name == "var" else _coeffs(k, star)
     if name in ("binom", "gap"):
-        ln_falling = _log_falling_factors(int(t))
+        ln_falling = _log_falling_factors(int(t))[:_MAX_ORDER + 1]
         c = c * (np.exp(ln_falling) if name == "binom" else np.expm1(ln_falling))
     return c
 

@@ -25,7 +25,7 @@ from urnsim.distributions import (
     _FAMILIES,
     _MAX_ORDER,
     _NORM_TOL,
-    _PREFIX_CAP,
+    _PIECES,
     _RANGE_EDGES,
     _SLOTS,
     _TABLE_SIZE,
@@ -45,32 +45,39 @@ _SAMPLER_SPECS = {
     # theta just below 1 with a < 0: Z = 49 normalizes only by the bound
     # relative to Z, and 65% of the mass lies beyond the table
     "zipf_log_near_one": DistributionSpec(family="zipf_log", s=1.07, a=-0.5),
+    # s + a / ln(x + e) < 1 up to x = 5e8 past the table, so the hat's power
+    # sigma crosses 1 (Z = 402)
+    "zipf_log_steep": DistributionSpec(family="zipf_log", s=1.05, a=-1.0),
 }
+# the power configurations of the tail sampler tests
+_POWER_SAMPLERS = ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log", "zipf_log_near_one",
+                   "zipf_log_steep"]
 # sha256 of draw_cells and draw_tail at fixed seeds; see
-# TestSampler.test_draws_pinned.  Re-pinned when draw_cells became the ids
-# of the count-space draw (draw_counts, then draw_tail) in one permutation,
-# in place of one table search per draw, and a rejection round of the tail
-# sampler took at most _TAIL_RUN candidates in place of chunks of 2^14 draws:
-# both change which uniforms make which draw, not the law
+# TestSampler.test_draws_pinned.  Re-pinned when the balls past the table
+# came from one piecewise power hat, four pieces a dyadic range, in place of
+# the global envelope: that changes which cells the uniforms map to past the
+# table where a != 0, not the law.  zipf s = 2, whose pieces are the global
+# power hat's x^-2 to within rounding, kept its bits, as did zipf_log's
+# draw_cells, which reaches no cell past the table, and geometric
 _PINNED_DRAWS = {
     "zipf_s2": ("4f62bb7c730f6c22ac8eb623275dca6acebe9ba3a870206724c06ac3e5dd4aaa",
                 "59cb03d30aa7bc6c4f5020a1810aec3597705a9492bee7497dcca3ac65098000"),
-    "zipf_s1.2": ("611ceb4f0cff0e5f5a9bbf75403a19b2658b7f3573ee6f05cacb94f2238fd8b0",
-                  "29470098a7aa5c05b82b8fb50994e405e21bfefe5c9ec613acb16ee420f80771"),
+    "zipf_s1.2": ("c6498e94b8b016d3cbbbefa875cadbafaed514cfbdda52927c246deb49bc5a57",
+                  "14d17cd3587377f9544bb74b9bbac538dbc8ce2970e9556f6ba2bdcacac48603"),
     "zipf_log": ("eb6a50962567f7d039439a8fb00d4ebddf2c6e66c175f02030824988f155d682",
-                 "2d7ce86de4d4db325e3a9799124aa34839079857365262a7d41c74c53db9fbc8"),
-    "theta_one_log": ("9ac658bcfbdb6670d6c2468a07721e675590ff983bc8f2e5f280adb1fffa23c5",
-                      "d0d78d3218ecb6c8de547019d9b7bd9e7aa049df087376d7033ec0d32339b08b"),
+                 "a6e0fe12045189a3b9d984de5bcbc75c5b89e39ec96c43fa134078770eac335a"),
+    "theta_one_log": ("25c546a452cbc244f04f4e0eb7bfb8e02efea7ffad7c9c81861fc75bd7cec7dd",
+                      "ae9183d1ecc4596095e80fba751706121f9ffa7ccc3ecab9b838204199af2f8b"),
     "geometric": ("dffd785b9957e249d01cd6aed5c12c565e85955a056409158c67ecea989eb8f3", None),
 }
 # The same without numpy's AVX-512 loops, whose exp, log and pow round some
 # p_j and sampler ratios differently in the last place
 _PINNED_DRAWS_NO_V4 = {
     **_PINNED_DRAWS,
-    "zipf_s1.2": ("1ad86488f061af4a9fda7321f4926cf305d50a7a948d45770e4ab1b267518a57",
-                  "6a3b53d6dd7c37465abb81503ff1a2106b7150d50c4e8508f8d755ed97a8ae4d"),
-    "theta_one_log": ("52c1f50b4ccf780b287300ab52164f9127f122e096d245fc1cfbdf78f9e04c67",
-                      "0233e09ec6943c12ff7d76dd3dce190d6b776f858e2a6081b16cfaa625961966"),
+    "zipf_s1.2": ("5f155c81f2e94d32462fa8f9dbe135382ec17607244a48ed99b141168fbe3e7c",
+                  "735d255ac6b1b72b150b76e5a7a954c96014a3f1049861bb445ba89e271f173a"),
+    "theta_one_log": ("b07e7fd3d346b614a6bb0dda94492e784827e983847d86b9ff32db9f4c9ca60b",
+                      "0604cc28583457e36c0179d76998dfab908d60b8115f55aa541a301a348db59a"),
 }
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -98,7 +105,7 @@ FAMILY_SPECS = (DistributionSpec(family="zipf", s=2.0),
                 DistributionSpec(family="zipf_log", s=2.0, a=1.0),
                 DistributionSpec(family="theta_one_log"),
                 DistributionSpec(family="geometric", q=0.5))
-# prefix length of the grown copies in the equivalence test
+# a cell count past the table, at whose cells the counting function is probed
 GROWN = 100_003
 # float.hex of Z, frozen when the tail past the cut was one scipy quad and
 # the loop stopped on an absolute bound; Z keeps those bits under the Gauss
@@ -211,17 +218,6 @@ def edge_thresholds(d, cells):
     return out
 
 
-@pytest.fixture(scope="module")
-def grown_family():
-    """Fresh copies of the four families with the prefix grown to GROWN."""
-    out = []
-    for spec in FAMILY_SPECS:
-        d = build_distribution(spec)
-        d.probs_prefix(GROWN)
-        assert d._prefix.size == GROWN
-        out.append(d)
-    return out
-
 
 class TestBuild:
     def test_geometric_half_exact(self, geometric_half):
@@ -310,8 +306,8 @@ class TestBuild:
                 want = mp.zeta(s)
                 assert abs(mp.mpf(_zeta(s)) - want) <= 8 * math.ulp(float(want)), s
 
-    @pytest.mark.parametrize("s, a", [(1.07, -0.5), (1.1, -0.5), (1.01, 1.0)],
-                             ids=("1.07--0.5", "1.1--0.5", "1.01-1.0"))
+    @pytest.mark.parametrize("s, a", [(1.07, -0.5), (1.1, -0.5), (1.01, 1.0), (1.05, -1.0)],
+                             ids=("1.07--0.5", "1.1--0.5", "1.01-1.0", "1.05--1.0"))
     def test_near_one_negative_log_power(self, s, a):
         # the loop stops at its first cut, 2^14, where the bound is within
         # _NORM_TOL/4 max(1, Z); for (1.07, -0.5) it is above _NORM_TOL but
@@ -333,10 +329,18 @@ class TestBuild:
             tail_bound = d._weight_tail(max(J, _EM_MIN_INDEX))[1] / d.Z
             assert 0.0 <= excess <= 2.0 * tail_bound, J
 
-    def test_envelope_range_named(self):
-        # (1.05, -1.0) normalizes (Z = 402) and then fails the envelope
-        with pytest.raises(DistributionError, match=r"s \+ a / ln\(2\^16 \+ 1/2 \+ e\) > 1"):
-            build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-1.0))
+    def test_steep_negative_log_power_builds(self):
+        # (1.05, -1.0) has s + a / ln(x + e) < 1 just past the table, which
+        # a global power envelope could not cover; the piecewise hat does,
+        # and the law's monotonicity checks still run
+        d = build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-1.0))
+        assert 402.0 < d.Z < 403.0
+        assert d.s + d.a / math.log(_TABLE_SIZE + 0.5 + math.e) < 1.0
+        law, hat, bound = d._tail_ranges()
+        assert hat.rows[2].max() > 0.0 > hat.rows[2].min()  # 1 - sigma of both signs
+        assert abs(law.sum() - 1.0) < 1e-12 and bound < 1e-11
+        with pytest.raises(DistributionError, match="not monotone"):
+            build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-8.0))
 
     def test_normalization_partial_plus_tail(self, zipf_log21, theta_one_log, zipf2,
                                               geometric_half):
@@ -411,18 +415,19 @@ class TestProb:
         # geometric positivity only within float64 range (underflows beyond)
         assert geometric_half.prob(min(j, 1000)) > 0.0
 
-    def test_grown_prefix_bitwise(self, grown_family):
-        # the prefix grows by table-sized pieces, to the bits of one
-        # prob_array over all of it; the table part keeps its bits
-        for spec, grown in zip(FAMILY_SPECS, grown_family):
+    def test_grown_prefix_bitwise(self):
+        # a prefix past the table, made by prob_array in table-sized pieces
+        # or in one call, has the same bits, and the table's prefix is its
+        # head: so tests that read p_1..p_J for J past the table take it
+        # from prob_array
+        for spec in FAMILY_SPECS:
             d = build_distribution(spec)
-            table = d.probs_prefix(_TABLE_SIZE).copy()
             J = 3 * _TABLE_SIZE + 5
-            want = d.prob_array(np.arange(1, J + 1, dtype=np.float64))
-            assert d.probs_prefix(J).tobytes() == want.tobytes()
-            assert d._prefix.size == J
-            assert d._prefix[:_TABLE_SIZE].tobytes() == table.tobytes()
-            assert grown.probs_prefix(GROWN).tobytes() == want[:GROWN].tobytes()
+            want = d.prob_array(np.arange(1, J + 1))
+            pieces = np.concatenate([d.prob_array(np.arange(lo + 1, min(lo + _TABLE_SIZE, J) + 1))
+                                     for lo in range(0, J, _TABLE_SIZE)])
+            assert pieces.tobytes() == want.tobytes()
+            assert d.probs_prefix(_TABLE_SIZE).tobytes() == want[:_TABLE_SIZE].tobytes()
 
 
 class TestCountingFunction:
@@ -474,15 +479,13 @@ class TestCountingFunction:
     @given(xs=st.lists(st.floats(min_value=1.0, max_value=1e12), min_size=1,
                        max_size=12))
     @settings(max_examples=25, deadline=None)
-    def test_matches_scalar_bisection(self, request, grown_family, xs):
-        # every family, with the table-sized and a grown prefix; thresholds
-        # drawn over [1, 1e12], at the table edge p_{2^16}, at the grown
-        # prefix edge, beyond _PREFIX_CAP, and x <= 0
-        dists = [request.getfixturevalue(f) for f in FAMILY_FIXTURES] + grown_family
-        for d in dists:
+    def test_matches_scalar_bisection(self, request, xs):
+        # every family; thresholds drawn over [1, 1e12], at the table edge
+        # p_{2^16}, at cells GROWN and 2^23 + 5 past it, and x <= 0
+        for d in (request.getfixturevalue(f) for f in FAMILY_FIXTURES):
             size = d._prefix.size
             cells = (_TABLE_SIZE - 1, _TABLE_SIZE, _TABLE_SIZE + 1,
-                     GROWN - 1, GROWN, GROWN + 1, _PREFIX_CAP + 5, 900)
+                     GROWN - 1, GROWN, GROWN + 1, (1 << 23) + 5, 900)
             probe = xs + edge_thresholds(d, cells) + [0.0, -1.0, -math.inf, 1e-300]
             want = [scalar_count(d, x) for x in probe]
             assert d.counting_function(np.array(probe)).tolist() == want
@@ -626,6 +629,7 @@ class TestTailPowerOracle:
         DistributionSpec(family="zipf", s=1.2),
         DistributionSpec(family="zipf_log", s=1.5, a=1.0),
         DistributionSpec(family="zipf_log", s=1.5, a=-0.5),
+        DistributionSpec(family="zipf_log", s=1.05, a=-1.0),
         DistributionSpec(family="theta_one_log"),
     ], ids=lambda spec: "-".join(str(v) for v in spec.as_mapping().values()))
     def test_within_bound(self, spec):
@@ -827,12 +831,13 @@ class TestSampler:
             se = math.sqrt(p_block / n_draws)
             assert abs(got - p_block) < 5 * se + 1e-7
 
-    @pytest.mark.parametrize("name", ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log",
-                                      "zipf_log_near_one"])
+    @pytest.mark.parametrize("name", _POWER_SAMPLERS)
     def test_tail_ranges_law(self, name, rng):
         # draw_tail's draws, binned by range (the dyadic ranges, then past
         # 2^62), against the masses it splits the balls past the table by;
-        # and its draws in (2^16, 2^17] against p_j in 8 bins of cells
+        # its draws in (2^16, 2^17] against p_j in 8 bins of cells; and
+        # draws in (2^40, 2^41], across its hat's pieces, against the tail
+        # sums at 8 bin edges equal in ln x
         d = build_distribution(_SAMPLER_SPECS[name])
         law, _, bound = d._tail_ranges()
         assert law.size == _RANGE_EDGES.size and abs(law.sum() - 1.0) < 1e-12
@@ -854,9 +859,14 @@ class TestSampler:
         p = np.add.reduceat(d.prob_array(cells), np.arange(0, _TABLE_SIZE, _TABLE_SIZE // 8))
         binned = np.bincount((first - _TABLE_SIZE - 1) // (_TABLE_SIZE // 8), minlength=8)
         assert _chi2_pvalue(binned, p / p.sum() * first.size) > 1e-3
+        ids = d._draw_tail_block(rng, 200_000, (40 - 16, 41 - 16))
+        edges = ((1 << 40) * 2.0 ** (np.arange(9) / 8)).astype(np.int64)
+        assert ids.min() > edges[0] and ids.max() <= edges[-1]
+        tails = np.array([d._weight_tail(int(J))[0] for J in edges])
+        binned = np.bincount(np.searchsorted(edges, ids) - 1, minlength=8)
+        assert _chi2_pvalue(binned, -np.diff(tails) / (tails[0] - tails[-1]) * ids.size) > 1e-3
 
-    @pytest.mark.parametrize("name", ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log",
-                                      "zipf_log_near_one"])
+    @pytest.mark.parametrize("name", _POWER_SAMPLERS)
     def test_tail_ranges_match_oracle(self, name):
         # the law over the ranges against differences of the 40-digit tail
         # sums, at the first two ranges, two far ones and the synthetic one,
@@ -873,10 +883,8 @@ class TestSampler:
     def test_far_range_low_bits(self, theta_one_log, m, rng):
         # past 2^52 the float candidates lie 2^(m-52) apart in range m, and
         # the cells drawn there must not: their low 10 bits are uniform
-        _, spans, _ = theta_one_log._tail_ranges()
         i = m - 16
-        ids = theta_one_log._draw_tail_block(rng, 20_000, (spans[i], spans[i + 1]),
-                                             (int(_RANGE_EDGES[i]) + 1, int(_RANGE_EDGES[i + 1])))
+        ids = theta_one_log._draw_tail_block(rng, 20_000, (i, i + 1))
         assert ids.min() > _RANGE_EDGES[i] and ids.max() <= _RANGE_EDGES[i + 1]
         low = np.bincount(ids & 1023, minlength=1024)
         assert _chi2_pvalue(low, np.full(1024, ids.size / 1024)) > 1e-3
@@ -950,11 +958,14 @@ class TestSampler:
 
     @pytest.mark.parametrize("name", ["zipf_s2", "zipf_log", "theta_one_log", "geometric"])
     def test_prefix_growth_keeps_table(self, name):
-        # growing the probability prefix leaves the sampler's table at the
-        # first _TABLE_SIZE cells, and the draws as a fresh distribution's
+        # the probability prefix is the table's: a longer one is refused by
+        # name, and the refusal leaves the sampler's table at the first
+        # _TABLE_SIZE cells and the draws as a fresh distribution's
         fresh, grown = (build_distribution(_SAMPLER_SPECS[name]) for _ in range(2))
-        grown.probs_prefix(1 << 20)
-        assert grown._prefix.size == 1 << 20 and grown._rest.size == _TABLE_SIZE + 1
+        assert grown.probs_prefix(_TABLE_SIZE).size == _TABLE_SIZE
+        with pytest.raises(DistributionError, match="probs_prefix holds the table's 65536 cells"):
+            grown.probs_prefix(1 << 20)
+        assert grown._prefix.size == _TABLE_SIZE and grown._rest.size == _TABLE_SIZE + 1
         for seed, size in ((3, 200_000), (4, 3_000_000)):
             want = fresh.draw_cells(np.random.default_rng(seed), size)
             assert np.array_equal(grown.draw_cells(np.random.default_rng(seed), size), want)
@@ -962,19 +973,23 @@ class TestSampler:
             got = grown.draw_counts(np.random.default_rng(seed), size)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    @pytest.mark.parametrize("name", ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log"])
+    @pytest.mark.parametrize("name", _POWER_SAMPLERS)
     def test_tail_squeeze_below_ratio(self, name):
-        # a uniform at or below the squeeze is accepted without the ratio, so
-        # the computed ratio must never fall below it beyond the table
+        # a uniform at or below a piece's squeeze is accepted without the
+        # ratio, so the computed ratio must never fall below it beyond the
+        # table; and the hat is one, up to rounding: the ratio is at most 1
         d = build_distribution(_SAMPLER_SPECS[name])
-        _, _, accept_ratio, squeeze = d._tail_envelope()
-        if d.a == 0.0 or d.s == 1.0:
-            assert squeeze > 0.9999
+        hat = d._tail_ranges()[1]
+        assert hat.squeeze.size == _PIECES * (_RANGE_EDGES.size - 1)
+        assert hat.squeeze.min() > 0.9999
         dense = np.arange(_TABLE_SIZE + 1, _TABLE_SIZE + 1 + 2_000_000)
         spread = np.minimum(np.exp(np.linspace(math.log(_TABLE_SIZE + 1), 62 * math.log(2),
                                                2_000_000)).astype(np.int64), 1 << 62)
         for j in (dense, spread):
-            assert float(accept_ratio(j).min()) >= squeeze
+            piece = np.searchsorted(hat.cells, j) - 1
+            ratio = d._accept_ratio(j, piece)
+            assert np.all(ratio >= hat.squeeze[piece])
+            assert float(ratio.max()) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("name,size,reps,cut", [
         ("zipf_s2", 2_000, 500, 1 << 6),

@@ -813,7 +813,7 @@ class TestMeanDifference:
         # coefficient difference cb - cp taken at 50 digits
         n, k = 10 ** 8, 2
         J = moments._head_length(theta_one_log, float(n))
-        p = theta_one_log.probs_prefix(J)
+        p = theta_one_log.prob_array(np.arange(1, J + 1))
         lam = n * p
         small = p < 1e-3
         L = np.where(small, -p * p * sum(p ** (m - 2) / m for m in range(2, 9)),
@@ -840,7 +840,7 @@ def exact_gaps(d, n):
     exact coefficients, or for geometric the cells themselves up to J + 3000
     (what is left is below 1e-30)."""
     J = moments._head_length(d, float(n))
-    ps = list(d.probs_prefix(J))
+    ps = list(d.prob_array(np.arange(1, J + 1)))
     if d.family == "geometric":
         ps += list(d.prob_array(np.arange(J + 1, J + 3001)))
     with mp.workdps(50):
@@ -1323,7 +1323,7 @@ class TestEulerMaclaurinHead:
         assert J > _TABLE_SIZE
         for k, star in itertools.product((1, 2, 3), (True, False)):
             sums = moments._head_pass(d, t, k, star, J)
-            explicit = moments._head_pass(d, t, k, star, J, explicit=J)
+            explicit = moments._head_pass(d, t, k, star, J, d.prob_array(np.arange(1, J + 1)))
             assert sorted(sums) == sorted(explicit) == ["binom", "gap", "pois", "var"]
             for name, (value, bound) in sums.items():
                 want, want_bound = explicit[name]
