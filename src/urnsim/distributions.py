@@ -40,7 +40,7 @@ _FIXED = {"zipf": {"a": 0.0}, "theta_one_log": {"s": 1.0, "a": 2.0}}
 # Size of the sampler table, cells 1..2^16; draws beyond it get their ids
 # from draw_tail.
 _TABLE_SIZE = 1 << 16
-# Smallest multinomial cut of a count-space draw.
+# Smallest count J of the cells whose balls a trajectory follows one by one.
 _CUT_MIN = 1 << 6
 # Balls past the table that a trajectory expects in one run of consecutive
 # dyadic ranges of cells, merged so that a small tail costs a few draws and
@@ -265,8 +265,10 @@ class _Kept(dict):
 # A power family's rejection-inversion hat c x^-sigma past the table: piece i
 # holds cells cells[i] + 1..cells[i + 1], where the hat's mass up to x is
 # ((x/x0)^om - 1) / rate, rows = (x0 = cells[i] + 1/2, rate, om = 1 - sigma);
-# past: its mass past each x0 (0 at 2^62); squeeze: a bound below each ratio.
-_Hat = namedtuple("_Hat", "cells past rows squeeze")
+# grow: rate times the piece's mass, expm1(om ln(x1/x0)) at its right edge
+# x1; past: its mass past each x0 (0 at 2^62); squeeze: a bound below each
+# ratio.
+_Hat = namedtuple("_Hat", "cells past rows grow squeeze")
 
 
 class CellDistribution:
@@ -511,41 +513,62 @@ class CellDistribution:
 
     def draw_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket):
-        the ids of the count-space draw :meth:`draw_counts` and of its balls
-        past the table by :meth:`draw_tail`, the synthetic range's as fresh
-        ids in [2^62, 2^63), put in order by one permutation."""
-        counts, ids, n_tail = self.draw_counts(rng, size)
-        runs = [np.repeat(np.arange(1, counts.size + 1), counts), ids]
-        runs += [_SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE, size=int(n.sum()),
-                                                dtype=np.int64) if run is None else run
-                 for run, n in self.draw_tail(rng, [n_tail])]
+        the ids of :meth:`draw_past` past cell 0 and of its balls past the
+        table by :meth:`draw_tail`, the synthetic range's as fresh ids in
+        [2^62, 2^63), put in order by one permutation."""
+        ids, _, n_tail = self.draw_past(rng, 0, [size])
+        runs = [ids] + [_SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE, size=int(n.sum()),
+                                                       dtype=np.int64) if run is None else run
+                        for run, n in self.draw_tail(rng, n_tail)]
         return rng.permutation(np.concatenate(runs))
 
-    def draw_counts(self, rng: np.random.Generator,
-                    size: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """``size`` i.i.d. draws in count space, exact in law: the number in
-        each cell 1..J, the table cells beyond J that draws land in, and the
-        number of draws past the table, whose ids :meth:`draw_tail` makes
-        (later, for many increments at once).
-
-        One multinomial over the cells 1..J, the mass _rest[J] in (J, table]
-        and the mass past the table gives the numbers.  The draws in (J,
-        table] are made by inversion: for u uniform on [0, 1), w = _rest[J]
-        (1 - u) is in (0, _rest[J]], and its cell c has _rest[c] < w <=
-        _rest[c-1].  J is the smallest power of two in [_CUT_MIN, table] at
-        which at most J/2 draws are expected in (J, table]; draws past the
-        table cost the same at any J.
-        """
+    def _cut(self, size: int) -> int:
+        """The cells 1..J whose balls a trajectory of ``size`` balls follows
+        one by one: J is the smallest power of two in [_CUT_MIN, table] at
+        which at most J/2 balls are expected in (J, table]."""
         J = _CUT_MIN
         while J < _TABLE_SIZE and size * self._rest[J] > J / 2:
             J *= 2
-        # the last category, past the table, takes the remaining mass
-        counts = rng.multinomial(size, np.append(self._prefix[:J], (self._rest[J], 0.0)))
-        w = self._rest[J] * (1.0 - rng.random(int(counts[J])))
-        # sorted keys search the table several times faster, and the ids
-        # are the same multiset
+        return J
+
+    @functools.cached_property
+    def _past_table(self) -> float:
+        """The mass past the table's cells: its r = 1 tail sum over Z, and
+        q^table for geometric."""
+        if self.family == "geometric":
+            return self.q ** _TABLE_SIZE
+        return self._weight_tail(_TABLE_SIZE)[0] / self.Z
+
+    def _mass_past(self, J: int) -> float:
+        """The mass of the cells past J, _rest[J] in the table and the rest
+        past it."""
+        return float(self._rest[J]) + self._past_table
+
+    def draw_past(self, rng: np.random.Generator, J: int,
+                  m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The balls past cell J, ``m[s]`` of them at stop s, exact in law:
+        the ids of those in (J, table], ``counts[s]`` of them at stop s in
+        stop order, and the number past the table per stop, whose ids
+        :meth:`draw_tail` makes.
+
+        A binomial per stop splits its balls by the masses of (J, table]
+        and past the table.  The ids in (J, table] are made by inversion:
+        for u uniform on [0, 1), w = _rest[J] (1 - u) is in (0, _rest[J]],
+        and its cell c has _rest[c] < w <= _rest[c-1].  Sorted keys search
+        the table several times faster; the balls are i.i.d. given their
+        numbers, so a random permutation of the ids deals them to the
+        stops (one stop needs none).
+        """
+        m = np.asarray(m, dtype=np.int64)
+        rest = float(self._rest[J])
+        mass = rest + self._past_table
+        counts = rng.binomial(m, rest / mass if mass > 0.0 else 0.0)
+        w = rest * (1.0 - rng.random(int(counts.sum())))
         w.sort()
-        return counts[:J], _at_least(self._rest, w), int(counts[J + 1])
+        ids = _at_least(self._rest, w)
+        if counts.size > 1:
+            ids = rng.permutation(ids)
+        return ids, counts, m - counts
 
     def draw_tail(self, rng: np.random.Generator, n_tail):
         """The ids of the balls past the table, ``n_tail[s]`` of them at
@@ -620,10 +643,11 @@ class CellDistribution:
             # the hat divides by 1 - sigma: 2^-60 for 0 moves it by under an ulp
             om = np.where(sigma == 1.0, 2.0 ** -60, 1.0 - sigma)
             rate = om / (self._weights(ref) * (ref / x0) ** sigma * x0)
-            past = np.append(np.cumsum((np.expm1(om * d) / rate)[::-1])[::-1], 0.0)
+            grow = np.expm1(om * d)
+            past = np.append(np.cumsum((grow / rate)[::-1])[::-1], 0.0)
             squeeze = (1.0 - abs(self.a) * d * d / (8.0 * w[:-1] ** 2)
                        - sigma * (sigma + 1.0) / (12.0 * x0 * x0) - 1e-12)
-            self._ranges = (mass / total, _Hat(cells, past, (x0, rate, om), squeeze),
+            self._ranges = (mass / total, _Hat(cells, past, (x0, rate, om), grow, squeeze),
                             float(2.0 * (bounds.sum() + 2.0 ** -52 * tails.sum()) / total))
         return self._ranges
 
@@ -640,10 +664,13 @@ class CellDistribution:
         """Exact draws from the dyadic ranges ``ranges`` (first, one past the
         last) of a power family by rejection-inversion (Hörmann and
         Derflinger, ACM TOMACS 6, 1996) under the hat of :meth:`_tail_ranges`.
-        A candidate lies u of the way from the run's first edge to its last
-        in hat mass, u uniform on [0, 1): a guide table finds its piece, where
-        the hat's mass inverts by log1p and exp, whatever sigma, to about an
-        ulp of x in one range.  Past 2^52 the float candidates lie h >= 1
+        A candidate's piece is the one that holds the point u of the way
+        from the run's first edge to its last in hat mass, u uniform on [0,
+        1), which a guide table finds.  Its place in the piece is v of the
+        way through the piece's hat mass, by a uniform v of its own (u alone
+        would resolve a far piece of a long run only to 2^-53 of the run's
+        mass), where the hat's mass inverts by log1p and exp, whatever sigma,
+        to about an ulp of x.  Past 2^52 the float candidates lie h >= 1
         apart, so the cell is one of the h nearest, uniformly.  An acceptance
         uniform at or below the run's squeeze accepts without the ratio.  A
         round draws at most _TAIL_RUN candidates, which bounds its
@@ -661,11 +688,10 @@ class CellDistribution:
         lo, hi = (_PIECES * int(r) for r in ranges)
         first, last = int(hat.cells[lo]) + 1, int(hat.cells[hi])
         squeeze = float(hat.squeeze[lo:hi].min())
-        # on the run's piece k, the hat's mass up to x times rate is u rise + start
-        top, span = hat.past[lo], hat.past[lo] - hat.past[hi]
-        x0, rate, om = (r[lo:hi] for r in hat.rows)
-        start, rise = (hat.past[lo:hi] - top) * rate, span * rate
-        ends = (top - hat.past[lo + 1:hi]) / span
+        x0, _, om = (r[lo:hi] for r in hat.rows)
+        grow = hat.grow[lo:hi]
+        # the run's hat mass up to each piece's right edge but the last
+        ends = (hat.past[lo] - hat.past[lo + 1:hi]) / (hat.past[lo] - hat.past[hi])
         # the guide table (Chen and Asau, AIIE Transactions 6, 1974): the
         # piece at the start of each of g cells of u, at least 4 per piece;
         # from there a candidate steps up past the piece ends at or below u,
@@ -681,9 +707,9 @@ class CellDistribution:
             while up.size:
                 k[up] += 1
                 up = up[u[up] >= after.take(k[up])]
-            # x = x0 (1 + u rise + start)^(1/om), in place (take gathers faster than [])
-            x = u * rise.take(k)
-            x += start.take(k)
+            # x = x0 (1 + v grow)^(1/om), in place (take gathers faster than [])
+            x = rng.random(u.size)
+            x *= grow.take(k)
             np.log1p(x, out=x)
             x /= om.take(k)
             np.exp(x, out=x)

@@ -53,31 +53,30 @@ _SAMPLER_SPECS = {
 _POWER_SAMPLERS = ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log", "zipf_log_near_one",
                    "zipf_log_steep"]
 # sha256 of draw_cells and draw_tail at fixed seeds; see
-# TestSampler.test_draws_pinned.  Re-pinned when the balls past the table
-# came from one piecewise power hat, four pieces a dyadic range, in place of
-# the global envelope: that changes which cells the uniforms map to past the
-# table where a != 0, not the law.  zipf s = 2, whose pieces are the global
-# power hat's x^-2 to within rounding, kept its bits, as did zipf_log's
-# draw_cells, which reaches no cell past the table, and geometric
+# TestSampler.test_draws_pinned.  Re-pinned when draw_cells took its table
+# draws by one inversion past cell 0 (draw_past) in place of a multinomial
+# over the first cells, and the tail sampler placed each candidate within
+# its hat piece by a uniform of its own: both change which cells the
+# uniforms map to, not the law (test_draw_counts_law, test_tail_ranges_law)
 _PINNED_DRAWS = {
-    "zipf_s2": ("4f62bb7c730f6c22ac8eb623275dca6acebe9ba3a870206724c06ac3e5dd4aaa",
-                "59cb03d30aa7bc6c4f5020a1810aec3597705a9492bee7497dcca3ac65098000"),
-    "zipf_s1.2": ("c6498e94b8b016d3cbbbefa875cadbafaed514cfbdda52927c246deb49bc5a57",
-                  "14d17cd3587377f9544bb74b9bbac538dbc8ce2970e9556f6ba2bdcacac48603"),
-    "zipf_log": ("eb6a50962567f7d039439a8fb00d4ebddf2c6e66c175f02030824988f155d682",
-                 "a6e0fe12045189a3b9d984de5bcbc75c5b89e39ec96c43fa134078770eac335a"),
-    "theta_one_log": ("25c546a452cbc244f04f4e0eb7bfb8e02efea7ffad7c9c81861fc75bd7cec7dd",
-                      "ae9183d1ecc4596095e80fba751706121f9ffa7ccc3ecab9b838204199af2f8b"),
-    "geometric": ("dffd785b9957e249d01cd6aed5c12c565e85955a056409158c67ecea989eb8f3", None),
+    "zipf_s2": ("3dea786505b8b44ddb63379c6faa012efea842d2324554311563d15d2431af1a",
+                "b1c0a3dafb9c1f3f4e89aee219d181e3b16117be768ae4fea556f68df930ef43"),
+    "zipf_s1.2": ("73cccdf23e921780a28373e9eb97abf7f99290abd5268d08233556440503f8aa",
+                  "15bc49cb5025d18beadcc07a2114cd13b769e54bb19dbbb62ccf7d10dda53a84"),
+    "zipf_log": ("100f714f9d61ba8112485c45a48431506caa9dc9c11aef5b2fdaf719d4e4d597",
+                 "e606d87659e180f3d2a65cdfd261b29045353384a0c0616c8e166ac847423c5a"),
+    "theta_one_log": ("f26ce039b893f790776da718b5ad5eb77d1f203ccf22d254edaccf67596f4a8a",
+                      "5edce7e2fed1bf4323c7a24707461f5a54012c99c033f0701a0e29d58275da39"),
+    "geometric": ("63bec62e318f61979ddfff0d6ac1e9fed175bc05207234f3c29c918669b10f05", None),
 }
 # The same without numpy's AVX-512 loops, whose exp, log and pow round some
 # p_j and sampler ratios differently in the last place
 _PINNED_DRAWS_NO_V4 = {
     **_PINNED_DRAWS,
-    "zipf_s1.2": ("5f155c81f2e94d32462fa8f9dbe135382ec17607244a48ed99b141168fbe3e7c",
-                  "735d255ac6b1b72b150b76e5a7a954c96014a3f1049861bb445ba89e271f173a"),
-    "theta_one_log": ("b07e7fd3d346b614a6bb0dda94492e784827e983847d86b9ff32db9f4c9ca60b",
-                      "0604cc28583457e36c0179d76998dfab908d60b8115f55aa541a301a348db59a"),
+    "zipf_s1.2": ("cfdab960f3c4f010aa1d8a38d11fc0f5f9d96c1de5ff3f57c54cd286a05c0653",
+                  "ee30acd5b841002bba69db1a0432f97e85b6183b2c817b303d44f5158e8da242"),
+    "theta_one_log": ("0c850ce20af4a063c3da906cafa68f5462b807f24ab50537bfe88728bc0baa0c",
+                      "f73bbb8755d14c3c01c1738a3ac707f1d8602a0d374580560e522299a129a40b"),
 }
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -794,6 +793,19 @@ def _chi2_pvalue(observed, expected) -> float:
                                df=keep_obs.size - 1))
 
 
+class _Uniforms:
+    """A stand-in generator whose random(size) hands out the given arrays
+    in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, size):
+        out = self.arrays.pop(0)
+        assert out.size == size
+        return out
+
+
 class TestSampler:
     def test_geometric_frequency(self, geometric_half, rng):
         draws = geometric_half.draw_cells(rng, 10 ** 6)
@@ -889,6 +901,24 @@ class TestSampler:
         low = np.bincount(ids & 1023, minlength=1024)
         assert _chi2_pvalue(low, np.full(1024, ids.size / 1024)) > 1e-3
 
+    def test_whole_tail_run_proposes_adjacent_far_cells(self):
+        # a candidate's piece comes from the run's uniform and its place in
+        # the piece from a uniform of its own, so a run of every range (as a
+        # small tail draws) reaches every far cell: places 2^-49 of a piece
+        # apart, in the first piece of (2^50, 2^51], give adjacent cells.
+        # From the run's uniform alone, the cells there were 89 apart for
+        # zipf s = 1.2; here that uniform stays put
+        d = build_distribution(_SAMPLER_SPECS["zipf_s1.2"])
+        past = d._tail_ranges()[1].past
+        k, run = _PIECES * (50 - 16), (0, _RANGE_EDGES.size - 1)
+        u = (past[0] - (past[k] + past[k + 1]) / 2.0) / (past[0] - past[-1])
+        n = 64
+        places = 0.5 + np.arange(n) * 2.0 ** -49
+        ids = d._draw_tail_block(_Uniforms(np.full(n, u), places, np.zeros(n)), n, run)
+        cells = np.unique(ids)
+        assert cells.min() > 1 << 50 and cells.max() < 1 << 51
+        assert cells.size > n // 4 and np.all(np.diff(cells) == 1), np.diff(cells)
+
     def test_draw_cells_exchangeable(self, theta_one_log):
         # draw_cells' draws past the table come run by run of cell ranges and
         # must be shuffled into their places: the mean log2 id of the first
@@ -902,19 +932,19 @@ class TestSampler:
 
     @pytest.mark.parametrize("name", ["theta_one_log", "geometric_near_one"])
     def test_draw_cells_is_count_space(self, name):
-        # draw_cells is the trajectories' sampler: with one seed, the ids of
-        # draw_counts, then those of draw_tail's runs (fresh ones for the
-        # synthetic run), put in order by one permutation
+        # draw_cells is the trajectories' sampler past a cut J, at J = 0:
+        # with one seed, the ids of draw_past, then those of draw_tail's runs
+        # (fresh ones for the synthetic run), put in order by one permutation
         d = build_distribution(_SAMPLER_SPECS[name])
         rng = np.random.default_rng(41)
-        counts, ids, n_tail = d.draw_counts(rng, 300_000)
-        runs = [np.repeat(np.arange(1, counts.size + 1), counts), ids]
-        for run, per_stop in d.draw_tail(rng, [n_tail]):
+        ids, counts, n_tail = d.draw_past(rng, 0, [300_000])
+        runs = [ids]
+        for run, per_stop in d.draw_tail(rng, n_tail):
             if run is None:
                 run = (1 << 62) + rng.integers(0, 1 << 62, size=int(per_stop.sum()))
             runs.append(run)
         want = rng.permutation(np.concatenate(runs))
-        assert n_tail > 0 and ids.size > 0
+        assert n_tail[0] > 0 and ids.size == counts[0] > 0
         assert np.array_equal(d.draw_cells(np.random.default_rng(41), 300_000), want)
 
     def test_geometric_count_space(self, rng):
@@ -924,12 +954,12 @@ class TestSampler:
         q = 1.0 - 1e-5
         d = build_distribution(DistributionSpec(family="geometric", q=q))
         m = 10 ** 5
-        counts, ids, n_tail = d.draw_counts(rng, m)
-        (beyond, per_stop), = d.draw_tail(rng, [n_tail])  # one range
-        assert per_stop.tolist() == [n_tail]
-        assert counts.size == _TABLE_SIZE and ids.size == 0
-        assert int(counts.sum()) + beyond.size == m
-        for p, got in ((1.0 - q ** (_TABLE_SIZE // 2), counts[:_TABLE_SIZE // 2].sum() / m),
+        ids, counts, n_tail = d.draw_past(rng, 0, [m])
+        (beyond, per_stop), = d.draw_tail(rng, n_tail)  # one range
+        assert per_stop.tolist() == n_tail.tolist()
+        assert d._cut(m) == _TABLE_SIZE and ids.size == counts[0]
+        assert ids.size + beyond.size == m
+        for p, got in ((1.0 - q ** (_TABLE_SIZE // 2), np.sum(ids <= _TABLE_SIZE // 2) / m),
                        (q ** _TABLE_SIZE, beyond.size / m)):
             assert abs(got - p) < 4 * math.sqrt(p * (1 - p) / m)
         excess = beyond - _TABLE_SIZE
@@ -969,8 +999,9 @@ class TestSampler:
         for seed, size in ((3, 200_000), (4, 3_000_000)):
             want = fresh.draw_cells(np.random.default_rng(seed), size)
             assert np.array_equal(grown.draw_cells(np.random.default_rng(seed), size), want)
-            want = fresh.draw_counts(np.random.default_rng(seed), size)
-            got = grown.draw_counts(np.random.default_rng(seed), size)
+            cut = fresh._cut(size)
+            want = fresh.draw_past(np.random.default_rng(seed), cut, [size, size // 3])
+            got = grown.draw_past(np.random.default_rng(seed), cut, [size, size // 3])
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("name", _POWER_SAMPLERS)
@@ -1007,24 +1038,31 @@ class TestSampler:
         ("zipf_log_near_one", 3_000, 300, 1 << 10),
     ])
     def test_draw_counts_law(self, name, size, reps, cut, rng):
-        # the three-way draw (the multinomial over cells 1..J, the table
-        # cells beyond J, the number past the table) pooled over reps calls,
-        # against size * p_j: cells 1..32 and J, J+1 on their own, the rest
-        # in bins of growing width, past the table in one at 1 - _rest[0]
+        # a trajectory of size balls follows the cells 1..cut one by one
+        # (_cut), and draw_past draws its balls past the cut: the table
+        # cells beyond it by id and the number past the table, for three
+        # stops at once, pooled over reps calls, against size * p_j over the
+        # mass past the cut: cells cut+1..cut+32 on their own, the rest in
+        # bins of growing width, past the table in one
         d = build_distribution(_SAMPLER_SPECS[name])
+        assert d._cut(size) == cut
+        stops = np.array([size // 2, 0, size - size // 2])
         observed = np.zeros(_TABLE_SIZE + 2, dtype=np.int64)  # cells 1..table, past
         for _ in range(reps):
-            counts, ids, n_tail = d.draw_counts(rng, size)
-            assert counts.size == cut
-            assert int(counts.sum()) + ids.size + n_tail == size
+            ids, counts, n_tail = d.draw_past(rng, cut, stops)
+            assert np.array_equal(counts + n_tail, stops) and ids.size == counts.sum()
             assert ids.min(initial=cut + 1) > cut and ids.max(initial=0) <= _TABLE_SIZE
-            observed[1:cut + 1] += counts
             observed += np.bincount(ids, minlength=_TABLE_SIZE + 2)
-            observed[-1] += n_tail
+            observed[-1] += n_tail.sum()
+        if cut == _TABLE_SIZE:  # every ball past the cut is past the table
+            assert observed[-1] == size * reps
+            return
         p = np.concatenate([[0.0], d.prob_array(np.arange(1, _TABLE_SIZE + 1)),
-                            [1.0 - d._rest[0]]])
+                            [d._past_table]]) / d._mass_past(cut)
+        p[:cut + 1] = 0.0
         edges = np.unique(np.concatenate([
-            np.arange(1, 33), [cut, cut + 1],
-            np.geomspace(33, _TABLE_SIZE + 1, 60).astype(np.int64)]))
+            [0], np.arange(cut + 1, cut + 33),
+            np.geomspace(cut + 33, _TABLE_SIZE + 1, 60).astype(np.int64)]))
+        edges = edges[edges <= _TABLE_SIZE + 1]
         obs, exp = np.add.reduceat(observed, edges), np.add.reduceat(p, edges) * size * reps
         assert _chi2_pvalue(obs, exp) > 1e-3

@@ -1,4 +1,6 @@
+import bisect
 import hashlib
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -128,13 +130,19 @@ class TestOccupancyState:
             assert rows[-1, k - 1] == sum(v for c, v in hist.items() if c >= k)
 
 
+def _var_z(sample: np.ndarray, v: float) -> float:
+    """z of the sample variance against v, by the sample's fourth moment."""
+    centered = sample - sample.mean()
+    m2 = float((centered ** 2).mean())
+    m4 = float((centered ** 4).mean())
+    se_var = math.sqrt(max(m4 - m2 * m2 * (sample.size - 3) / (sample.size - 1),
+                           0.0) / sample.size)
+    return (sample.var(ddof=1) - v) / se_var
+
+
 def _law_matches_exact_series(d, n: int, trajectories: int, seed: int) -> None:
     """Mean and variance z-tests of the poissonized column's R*_1, R*_2 at
     one checkpoint n, over seeds (seed, i), against the exact series."""
-    # the increments, min(n, K) and |K - n|, cut at two different J
-    spread = 6 * math.isqrt(n)
-    cut = lambda size: d.draw_counts(np.random.default_rng(0), size)[0].size
-    assert cut(n - spread) > cut(spread)
     grid = CheckpointGrid(positions=(n,), k_max=2)
     vals = np.empty((trajectories, 2))
     for i in range(trajectories):
@@ -144,12 +152,7 @@ def _law_matches_exact_series(d, n: int, trajectories: int, seed: int) -> None:
         m, _ = exact_mean(d, float(n), kk, star=True)
         v, _ = exact_var(d, float(n), kk, star=True)
         z_mean = (sample.mean() - m) / math.sqrt(v / sample.size)
-        centered = sample - sample.mean()
-        m2 = float((centered ** 2).mean())
-        m4 = float((centered ** 4).mean())
-        se_var = math.sqrt(max(m4 - m2 * m2 * (sample.size - 3) / (sample.size - 1),
-                               0.0) / sample.size)
-        z_var = (sample.var(ddof=1) - v) / se_var
+        z_var = _var_z(sample, v)
         assert abs(z_mean) < 4.0 and abs(z_var) < 4.0, (kk, z_mean, z_var)
 
 
@@ -162,6 +165,112 @@ def _merge_rows(stops, k_max):
         counts.update(cells)
         rows.append([sum(v >= k for v in counts.values()) for k in range(1, k_max + 2)])
     return np.array(rows, dtype=np.int64).reshape(len(stops), k_max + 1)
+
+
+def _expand_trajectory(d, grid, seed):
+    """One trajectory by a scalar expansion of run_coupled's stream: K, the
+    stops, their at-least-k rows (k = 1..k_max+1) from per-cell counts, and
+    what the stream reached (the cut J, the runs and synthetic balls past the
+    table, the balls inverted into the table past J).
+
+    It draws the same numbers in the same order.  Per cell j <= J its
+    arrival times up to the horizon, one column at a time; the intensities
+    of Y cell by cell; the bisection bracket by bracket, level by level,
+    each level's Y bridges before its E bridges and its left children
+    before its right ones; the hypergeometric draws stop by stop within
+    each final bracket, the brackets in the order they finished; then the
+    balls past J by draw_past and draw_tail.
+    """
+    clock_rng, rng = simulate._trajectory_rng(seed)
+    K = poisson_increments(grid, clock_rng)
+    stops = sorted(set(grid.positions) | set(K.tolist()))
+    n, top = stops[-1], grid.k_max + 1
+    J = d._cut(n)
+    p, rate = d.probs_prefix(J).tolist(), d._mass_past(J)
+    horizon = n + 8.0 * (math.sqrt(n) + 8.0)
+    arrivals = [[] for _ in range(J)]
+    active = list(range(J))
+    for _ in range(top):
+        steps = rng.standard_exponential(len(active))
+        going = []
+        for cell, step in zip(active, steps):
+            t = (arrivals[cell][-1] if arrivals[cell] else 0.0) + step / p[cell]
+            if t <= horizon:
+                arrivals[cell].append(t)
+                going.append(cell)
+        active = going
+    firsts = [-math.inf] + sorted(t for times in arrivals for t in times) + [math.inf]
+    tops = sorted((times[-1], p[cell]) for cell, times in enumerate(arrivals)
+                  if len(times) == top)
+    top_times = [t for t, _ in tops]
+    after = list(itertools.accumulate((r for _, r in tops), initial=0.0))
+
+    def y_mass(lo, hi):
+        # Y's intensity integrated over (lo, hi), term by term in time order
+        first, last = bisect.bisect_right(top_times, lo), bisect.bisect_right(top_times, hi)
+        own = 0.0
+        for t, r in tops[first:last]:
+            own += r * (hi - t)
+        return after[first] * (hi - lo) + own
+
+    F = len(firsts) - 2
+    Y, E = int(rng.poisson(y_mass(0.0, horizon))), int(rng.poisson(rate * horizon))
+    assert F + Y + E >= n  # no second horizon
+    # a bracket: lo, hi, a, b, Y(a), Y(b), E(a), E(b) and its stops
+    brackets, finished = [(0, F + 1, 0.0, horizon, 0, Y, 0, E, stops)], []
+    final = lambda br: br[1] - br[0] == 1 and max(br[5] - br[4], br[7] - br[6]) < 10 ** 9
+    while brackets:
+        finished += [br for br in brackets if final(br)]
+        brackets = [br for br in brackets if not final(br)]
+        at = []
+        for lo, hi, a, b, ya, yb, ea, eb, held in brackets:
+            mid = (lo + hi) // 2 if hi - lo > 1 else hi
+            m = firsts[mid] if hi - lo > 1 else (a + b) / 2.0
+            y1, y2 = y_mass(a, m), y_mass(m, b)
+            share = y1 / (y1 + y2) if y1 + y2 > 0 else 0.0
+            at.append((mid, m, ya + int(rng.binomial(yb - ya, share))))
+        lefts, rights = [], []
+        for (lo, hi, a, b, ya, yb, ea, eb, held), (mid, m, ym) in zip(brackets, at):
+            em = ea + int(rng.binomial(eb - ea, (m - a) / (b - a)))
+            before = mid - 1 + ym + em  # N(m-)
+            inner = hi - lo > 1
+            lefts.append((lo, mid if inner else hi, a, m, ya, ym, ea, em,
+                          [s for s in held if s <= before]))
+            rights.append((mid if inner else lo, hi, m, b, ym, yb, em, eb,
+                           [s for s in held if s > before]))
+        brackets = [br for br in lefts + rights if br[8]]
+    rank, past = {}, {}
+    state = [[0, 0] for _ in finished]  # per bracket: balls dealt, E among them
+    for j in range(max(len(br[8]) for br in finished)):
+        for (lo, hi, a, b, ya, yb, ea, eb, held), dealt in zip(finished, state):
+            if len(held) > j:
+                d_s = held[j] - (lo + ya + ea)
+                x = int(rng.hypergeometric(eb - ea - dealt[1], yb - ya - dealt[0] + dealt[1],
+                                           d_s - dealt[0]))
+                dealt[0], dealt[1] = d_s, dealt[1] + x
+                rank[held[j]], past[held[j]] = lo, ea + dealt[1]
+    # each stop's cells: the first arrivals since the last stop, then the
+    # balls past J in stop order
+    ends = [firsts[rank[s]] for s in stops]
+    cells = [[] for _ in stops]
+    for cell, times in enumerate(arrivals):
+        for t in times:
+            if t <= ends[-1]:
+                cells[bisect.bisect_left(ends, t)].append(cell + 1)
+    m = np.diff([0] + [past[s] for s in stops])
+    ids, counts, n_tail = d.draw_past(rng, J, m)
+    seen = Counter(J=J, inverted=ids.size)
+    runs = [(ids, counts)]
+    for ids, counts in d.draw_tail(rng, n_tail):
+        seen["runs"] += 1
+        if ids is None:
+            ids = -1 - seen["synthetic"] - np.arange(counts.sum())
+            seen["synthetic"] += int(counts.sum())
+        runs.append((ids, counts))
+    for ids, counts in runs:
+        for stop_cells, lo, hi in zip(cells, np.cumsum(counts) - counts, np.cumsum(counts)):
+            stop_cells += ids[lo:hi].tolist()
+    return K, np.array(stops), _merge_rows(cells, grid.k_max), seen
 
 
 # tail ids where the fold's ranks and packing could go wrong: next to the
@@ -328,11 +437,11 @@ class TestRunCoupled:
 
     @pytest.mark.slow
     def test_theta_one_log_law_matches_exact_series(self, theta_one_log):
-        # splitting-property check through the count-space path: the first
-        # increment (about n balls) is a multinomial cut at 2^13 with about
-        # 4,000 table cells beyond the cut and 17,000 balls past the table,
-        # the second (|K - n| balls) one cut at 2^9.  Poissonized-column mean
-        # and variance of R*_1, R*_2 against the exact series.
+        # splitting-property check through the Poisson-time path: the cells
+        # 1..2^13 by their arrival times, about 4,000 balls in the table
+        # cells beyond them and 17,000 past the table.  Poissonized-column
+        # mean and variance of R*_1, R*_2 against the exact series.
+        assert theta_one_log._cut(300_000) == 1 << 13
         _law_matches_exact_series(theta_one_log, 300_000, 300, 2718)
 
     @pytest.mark.slow
@@ -342,70 +451,140 @@ class TestRunCoupled:
         (DistributionSpec(family="geometric", q=0.9999), 10 ** 6),
     ], ids=["zipf", "zipf_log", "geometric"])
     def test_count_space_law_matches_exact_series(self, spec, n):
-        # the same check for the other families; the first increment is cut
-        # at 2^15 (zipf) or uses the whole table
+        # the same check for the other families; the cells followed by their
+        # arrival times are 1..2^15 (zipf) or the whole table
         _law_matches_exact_series(build_distribution(spec), n, 300, 3141)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("spec", [
+        DistributionSpec(family="zipf", s=2.0),
+        DistributionSpec(family="theta_one_log"),
+        DistributionSpec(family="zipf_log", s=1.5, a=1.0),
+        DistributionSpec(family="geometric", q=0.9999),
+    ], ids=["zipf", "theta_one_log", "zipf_log", "geometric"])
+    def test_last_checkpoint_law(self, spec):
+        # both columns at the last checkpoint n = 1e5 of a five-point grid,
+        # over 300 seeds, for k = 1..3: the fixed-n column's mean against the
+        # binomial exact mean (z by its sample variance); the poissonized
+        # column's mean and variance against the Poisson exact mean and
+        # exact_var.  The cells followed by their arrival times are 1..512
+        # (zipf), 1..4096 (theta_one_log), 1..1024 (zipf_log) and 1..32768
+        # (geometric), so every path past them is drawn too.  Power: |z| < 4
+        # over 300 seeds flags a mean off by 4 / sqrt(300) = 0.23 standard
+        # deviations, which is 0.07-0.10% of R*_k for geometric, 0.2-0.5% for
+        # theta_one_log, 0.5-0.6% for zipf_log and 0.7-0.8% for zipf; and a
+        # variance off by about a third
+        d = build_distribution(spec)
+        n = 100_000
+        grid = CheckpointGrid.logspaced(1_000, n, 5, k_max=3)
+        trajectories = [run_coupled(d, grid, seed=(4242, i)) for i in range(300)]
+        for k in (1, 2, 3):
+            fixed, poissonized = (np.array([row[-1, k - 1] for row in rows], dtype=np.float64)
+                                  for rows in ([t.rstar_fixed for t in trajectories],
+                                               [t.rstar_poisson for t in trajectories]))
+            m_fixed, _ = exact_mean(d, n, k, True, "binomial")
+            m_poisson, _ = exact_mean(d, float(n), k, True, "poisson")
+            v, _ = exact_var(d, float(n), k, True)
+            z = ((fixed.mean() - m_fixed) / math.sqrt(fixed.var(ddof=1) / fixed.size),
+                 (poissonized.mean() - m_poisson) / math.sqrt(v / poissonized.size),
+                 _var_z(poissonized, v))
+            assert max(map(abs, z)) < 4.0, (k, z)
+
+    def test_stops_sharing_a_bracket(self, theta_one_log):
+        # forty consecutive positions near 5e4: many of them share a bracket
+        # with no first arrival inside, whose balls past J are dealt to its
+        # stops in turn from one urn.  Each stop adds one ball, so between
+        # stops the rows of the cells <= J and the count past J rise by one
+        # at most, all together; the coupling holds and the rows stay
+        # monotone and 1-Lipschitz in n
+        positions = np.arange(50_000, 50_040)
+        J = theta_one_log._cut(int(positions[-1]))
+        shared = []  # the steps past J between stops with no first arrival between
+        for seed in range(5):
+            rows, past = simulate._poisson_time(
+                theta_one_log.probs_prefix(J), theta_one_log._mass_past(J), positions, 4,
+                np.random.default_rng(seed))
+            steps = np.diff(rows, axis=0).sum(axis=1) + np.diff(past)
+            assert np.all(np.diff(rows, axis=0) >= 0) and np.all(np.diff(past) >= 0)
+            assert np.all((steps >= 0) & (steps <= 1)), steps
+            shared += np.diff(past)[np.all(np.diff(rows, axis=0) == 0, axis=1)].tolist()
+        assert len(shared) >= 150 and set(shared) == {0, 1}
+        grid = CheckpointGrid(positions=tuple(positions.tolist()), k_max=3)
+        for seed in range(10):
+            tr = run_coupled(theta_one_log, grid, seed=(99, seed))
+            assert tr.coupling_violations() == 0
+            assert np.all((np.diff(tr.at_least_fixed, axis=0) >= 0)
+                          & (np.diff(tr.at_least_fixed, axis=0) <= 1))
+            order = np.argsort(tr.K, kind="stable")
+            assert np.all(np.diff(tr.at_least_poisson[order], axis=0)
+                          <= np.diff(tr.K[order])[:, None])
+
+    def test_horizon_extension(self, zipf2, monkeypatch):
+        # a horizon short of the last stop's ball (a negative margin) makes
+        # the stream go on past it by fresh arrivals, which must keep the
+        # law: the poissonized column at n = 2,000 over 400 seeds
+        horizons = []
+        arrivals = simulate._arrivals
+        monkeypatch.setattr(simulate, "_MARGIN", -1.0)
+        monkeypatch.setattr(simulate, "_arrivals",
+                            lambda *args: horizons.append(args[4]) or arrivals(*args))
+        _law_matches_exact_series(zipf2, 2_000, 400, 77)
+        assert len(horizons) > 2 * 400  # more than two horizons a trajectory
+
+    def test_billion_balls_between_first_arrivals(self, geometric_half):
+        # geometric q = 1/2 follows its cells 1..64, which have all their
+        # first arrivals within a few hundred balls; past them a bracket
+        # holds about 3e9 balls, more than the urn takes (10^9 of a kind),
+        # so it splits at its middle time until it does
+        grid = CheckpointGrid(positions=(1_000_000, 3_000_000_000, 3_000_000_001), k_max=3)
+        tr = run_coupled(geometric_half, grid, seed=12)
+        assert tr.coupling_violations() == 0
+        assert np.all(np.diff(tr.at_least_fixed, axis=0) >= 0)
+        assert 25 <= tr.rstar_fixed[-1, 0] <= 40  # occupied cells grow like log2(n)
 
     def test_trajectories_frozen(self, zipf2, theta_one_log, geometric_half):
         # hashes of (K, rstar_fixed, rstar_poisson), pinned after the rows
-        # matched an independent expansion of the same seed's stream merged
-        # into per-cell counts stop by stop: per stop, the cells 1..J by
-        # count, the table cells beyond J and the number past the table;
-        # after the last stop, run by run of ranges, the run's ids split by
-        # its numbers per stop, and a fresh id for each synthetic ball.
-        # Increments run 1,000..683,772 balls.  theta_one_log was re-pinned
-        # when the ids past the table came from one piecewise power hat, four
-        # pieces a dyadic range, in place of the global envelope: that
-        # changes which cells the uniforms map to past the table, not the law
-        # (zipf's few balls there stay singles, so its rows kept their bits)
+        # matched _expand_trajectory, an independent scalar expansion of the
+        # same seed's stream merged into per-cell counts stop by stop.
+        # Re-pinned when trajectories were built in Poisson time (each cell's
+        # first k_max + 1 arrival times and a bisection of the clock) in place
+        # of a multinomial per stop: the stream changed, not its law
         grid = CheckpointGrid.logspaced(1_000, 1_000_000, 7, k_max=3)
         near_one = build_distribution(DistributionSpec(family="geometric", q=0.9999))
         frozen = {
-            "zipf": "815ef5b2173717883642ab3534542d7966f03010faa056bceeabfc72b2d9acf0",
-            "theta_one_log": "bd238bc0b8e90e4661f95bfb4ace0995b6d33658ed9336cd674c0b917263a09b",
-            "geometric": "4909808cfbc0557456dcf8138d218de2c40c1e83860df2e863595075f99b5623",
+            "zipf": "110f538c5ea9b9b5e91e8bf441155fbfabee8e2e345761d921c988cd152625d6",
+            "theta_one_log": "87b8b1477978c41f4de91fa38a13062b1ef1deb0a86a77843a76ed5f9084cacf",
+            "geometric": "ccb8a42ee3ec7898e152d2dd212b761c833755d6f51d37aaa1b15e971a6871ac",
             "geometric_near_one":
-                "8a292ceabf491244b36ec1b4637ff28b90be756f3983c0f6358e73c23fe0480e",
+                "d928a2d443fc4e6417d7d7f96ebd78a960edcdb17582d2eac022b37c1219c20b",
         }
-        cuts, ranges, synthetic = set(), {}, 0
+        cuts, facts = set(), Counter()
         for name, d in (("zipf", zipf2), ("theta_one_log", theta_one_log),
                         ("geometric", geometric_half), ("geometric_near_one", near_one)):
             tr = run_coupled(d, grid, seed=(2024, 7))
-            clock_rng, cell_rng = simulate._trajectory_rng((2024, 7))
-            assert np.array_equal(poisson_increments(grid, clock_rng), tr.K)
-            schedule = np.unique(np.concatenate([grid.positions, tr.K]))
-            stops, n_tail, done = [], [], 0
-            for stop in schedule.tolist():
-                counts, ids, m = d.draw_counts(cell_rng, stop - done)
-                cuts.add(counts.size)
-                stops.append(np.repeat(np.arange(1, counts.size + 1), counts).tolist()
-                             + ids.tolist())
-                n_tail.append(m)
-                done = stop
-            for ids, counts in d.draw_tail(cell_rng, n_tail):
-                assert counts.sum() > 0 and np.all(counts <= n_tail)
-                if ids is None:
-                    ids = -1 - synthetic - np.arange(counts.sum())
-                    synthetic += counts.sum()
-                ranges[name] = ranges.get(name, 0) + 1
-                for cells, lo, hi in zip(stops, np.cumsum(counts) - counts, np.cumsum(counts)):
-                    cells += ids[lo:hi].tolist()
-            rows = _merge_rows(stops, 3)
+            K, schedule, rows, seen = _expand_trajectory(d, grid, (2024, 7))
+            assert np.array_equal(K, tr.K)
+            cuts.add(seen["J"])
+            facts.update({f"{name} {key}": v for key, v in seen.items() if key != "J"})
             for at, got in ((tr.positions, tr.rstar_fixed), (tr.K, tr.rstar_poisson)):
                 assert np.array_equal(rows[np.searchsorted(schedule, at), :3], got)
             text = repr((tr.K.tolist(), tr.rstar_fixed.tolist(), tr.rstar_poisson.tolist()))
             assert hashlib.sha256(text.encode()).hexdigest() == frozen[name], name
+
         # the grid reaches cuts short of the table and (geometric near one)
         # the whole table; theta_one_log's balls past the table come in more
-        # than one run of ranges and in the synthetic range
+        # than one run of ranges and in the synthetic range, and some of its
+        # balls land in the table cells past its cut
         assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
-        assert ranges["theta_one_log"] >= 3 and synthetic > 0
+        assert facts["theta_one_log runs"] >= 3 and facts["theta_one_log synthetic"] > 0
+        assert facts["theta_one_log inverted"] > 0
 
     def test_memory_holds_one_range(self, theta_one_log):
         # the balls past the table are drawn, folded and dropped a run of
         # ranges at a time: one trajectory on the 1e4..1e7 grid, with about
-        # 584,000 such balls, peaks at 2.6 MB of allocations (the stop loop
-        # alone 2.5 MB), 10.6 MB when all their ids were held at once
+        # 584,000 such balls, peaks at 3.3 MB of allocations (the first
+        # arrival times of its 2^16 cells, 142,000 of them, held twice while
+        # they are merged), 10.6 MB when all their ids were held at once
         grid = CheckpointGrid.logspaced(10_000, 10_000_000, 13, k_max=3)
         run_coupled(theta_one_log, grid, seed=(1, 1))  # the range masses, kept
         tracemalloc.start()

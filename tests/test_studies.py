@@ -129,11 +129,9 @@ class TestCouplingDecay:
 
         def run(diffs):
             trajs = [CoupledTrajectory(
-                seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=grid.k_max,
-                rstar_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
-                rstar_poisson=np.tile(np.asarray(diffs)[:, None], (1, grid.k_max)),
-                r_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
-                r_poisson=np.zeros((2, grid.k_max), dtype=np.int64))
+                seed=(cfg.master_seed, i), positions=ends, K=ends,
+                at_least=np.stack([np.zeros((2, grid.k_max + 1), dtype=np.int64),
+                                   np.tile(np.asarray(diffs)[:, None], (1, grid.k_max + 1))]))
                 for i in range(cfg.seeds)]
             return study_coupling_decay(cfg, trajectories=trajs)
 
@@ -177,11 +175,9 @@ class TestCouplingDecay:
                                     for n in ends)
         assert lo0 == 0.0 < lo1
         trajs = [CoupledTrajectory(
-            seed=(cfg.master_seed, i), positions=ends, K=ends, k_max=grid.k_max,
-            rstar_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
-            rstar_poisson=np.ones((2, grid.k_max), dtype=np.int64),
-            r_fixed=np.zeros((2, grid.k_max), dtype=np.int64),
-            r_poisson=np.zeros((2, grid.k_max), dtype=np.int64))
+            seed=(cfg.master_seed, i), positions=ends, K=ends,
+            at_least=np.stack([np.zeros((2, grid.k_max + 1), dtype=np.int64),
+                               np.ones((2, grid.k_max + 1), dtype=np.int64)]))
             for i in range(cfg.seeds)]
         res = study_coupling_decay(cfg, trajectories=trajs)
         assert res.margins["vacuous_low_first_k2"] is True
@@ -304,11 +300,7 @@ class TestEstimateTheta:
             seed=0,
             positions=np.array([n]),
             K=np.array([n]),
-            k_max=1,
-            rstar_fixed=np.array([[n]]),
-            rstar_poisson=np.array([[0]]),
-            r_fixed=np.array([[n]]),
-            r_poisson=np.array([[0]]),
+            at_least=np.array([[[n, 0]], [[0, 0]]]),
         )
         traj = CoupledTrajectory(**traj_kwargs)
         assert last_fixed_estimate(traj) == 1.0
