@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .distributions import (_FAMILIES, _PARAMETERS, DistributionError, Distribut
                             build_distribution)
 from .moments import _LAWS, moment_report, normalizer
 from .simulate import CheckpointGrid, run_coupled
-from .studies import STUDIES, run_study, theta_estimate, write_study_outputs
+from .studies import STUDIES, output_files, run_study, theta_estimate, write_study_outputs
 
 TRAJECTORY_HEADER = ["seed", "n", "K", "k", "rstar_fixed", "rstar_poisson",
                      "r_fixed", "r_poisson", "b_n", "scaled_diff"]
@@ -74,30 +73,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         spec = normalizer(d, k)
         b_cols[k] = [spec.b(float(n)) for n in grid.positions]
     out_path = Path(args.out)
-    tmp_path = out_path.with_name(out_path.name + ".partial")
-    try:
-        with open(tmp_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRAJECTORY_HEADER)
-            for index in range(args.seeds):
-                traj = run_coupled(d, grid, seed=(args.seed, index))
-                for i, n in enumerate(grid.positions):
-                    for k in ks:
-                        diff = abs(int(traj.rstar_fixed[i, k - 1])
-                                   - int(traj.rstar_poisson[i, k - 1]))
-                        writer.writerow([
-                            index, int(n), int(traj.K[i]), k,
-                            int(traj.rstar_fixed[i, k - 1]),
-                            int(traj.rstar_poisson[i, k - 1]),
-                            int(traj.r_fixed[i, k - 1]),
-                            int(traj.r_poisson[i, k - 1]),
-                            repr(b_cols[k][i]),
-                            repr(b_cols[k][i] * diff),
-                        ])
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        tmp_path.unlink(missing_ok=True)
-        raise
+    with output_files(out_path) as (fh,):
+        writer = csv.writer(fh)
+        writer.writerow(TRAJECTORY_HEADER)
+        for index in range(args.seeds):
+            traj = run_coupled(d, grid, seed=(args.seed, index))
+            for i, n in enumerate(grid.positions):
+                for k in ks:
+                    diff = abs(int(traj.rstar_fixed[i, k - 1])
+                               - int(traj.rstar_poisson[i, k - 1]))
+                    writer.writerow([
+                        index, int(n), int(traj.K[i]), k,
+                        int(traj.rstar_fixed[i, k - 1]),
+                        int(traj.rstar_poisson[i, k - 1]),
+                        int(traj.r_fixed[i, k - 1]),
+                        int(traj.r_poisson[i, k - 1]),
+                        repr(b_cols[k][i]),
+                        repr(b_cols[k][i] * diff),
+                    ])
     print(f"wrote {args.seeds} trajectories x {len(grid.positions)} checkpoints "
           f"x {len(ks)} k-values to {out_path}")
     return 0

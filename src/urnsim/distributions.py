@@ -38,7 +38,7 @@ _FAMILIES = {"zipf": ("s",), "zipf_log": ("s", "a"), "theta_one_log": (), "geome
 _FIXED = {"zipf": {"a": 0.0}, "theta_one_log": {"s": 1.0, "a": 2.0}}
 
 # Size of the sampler table, cells 1..2^16; draws beyond it get their ids
-# from draw_tail.
+# from draw_past's runs past it.
 _TABLE_SIZE = 1 << 16
 # Smallest count J of the cells whose balls a trajectory follows one by one.
 _CUT_MIN = 1 << 6
@@ -301,9 +301,6 @@ class CellDistribution:
         # (t, k, star) -> head sums
         self._head_lengths = _Kept(_SLOTS)
         self._head_sums = _Kept(_SLOTS)
-        # filled by the first draw_tail: the law of a ball past the table
-        # over its ranges of cells, and the hat its ids are drawn by
-        self._ranges = None
 
     @functools.cached_property
     def _rest(self) -> np.ndarray:
@@ -513,14 +510,12 @@ class CellDistribution:
 
     def draw_cells(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized i.i.d. cell draws, exact in law (no lumped tail bucket):
-        the ids of :meth:`draw_past` past cell 0 and of its balls past the
-        table by :meth:`draw_tail`, the synthetic range's as fresh ids in
-        [2^62, 2^63), put in order by one permutation."""
-        ids, _, n_tail = self.draw_past(rng, 0, [size])
-        runs = [ids] + [_SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE, size=int(n.sum()),
-                                                       dtype=np.int64) if run is None else run
-                        for run, n in self.draw_tail(rng, n_tail)]
-        return rng.permutation(np.concatenate(runs))
+        the ids of every run of :meth:`draw_past` past cell 0, the synthetic
+        range's as fresh ids in [2^62, 2^63), put in order by one
+        permutation."""
+        return rng.permutation(np.concatenate([
+            _SYNTHETIC_BASE + rng.integers(0, _SYNTHETIC_BASE, size=int(n.sum()), dtype=np.int64)
+            if ids is None else ids for ids, n in self.draw_past(rng, 0, [size])]))
 
     def _cut(self, size: int) -> int:
         """The cells 1..J whose balls a trajectory of ``size`` balls follows
@@ -544,12 +539,13 @@ class CellDistribution:
         past it."""
         return float(self._rest[J]) + self._past_table
 
-    def draw_past(self, rng: np.random.Generator, J: int,
-                  m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The balls past cell J, ``m[s]`` of them at stop s, exact in law:
-        the ids of those in (J, table], ``counts[s]`` of them at stop s in
-        stop order, and the number past the table per stop, whose ids
-        :meth:`draw_tail` makes.
+    def draw_past(self, rng: np.random.Generator, J: int, m):
+        """The balls past cell J, ``m[s]`` of them at stop s, exact in law, a
+        run of cells at a time: yields ``(ids, counts)``, ``counts[s]`` of the
+        run's balls at stop s with their ids in stop order, or ids None for
+        the synthetic range past 2^62, whose balls each have a cell of their
+        own.  The first run, yielded even when empty, is the table cells (J,
+        table]; the others lie past the table.
 
         A binomial per stop splits its balls by the masses of (J, table]
         and past the table.  The ids in (J, table] are made by inversion:
@@ -558,56 +554,47 @@ class CellDistribution:
         the table several times faster; the balls are i.i.d. given their
         numbers, so a random permutation of the ids deals them to the
         stops (one stop needs none).
+
+        Past the table a run is one dyadic range of :attr:`_tail_ranges` or
+        consecutive ones that together expect at most about _TAIL_RUN of the
+        balls (set by their total alone).  One multinomial over the stops
+        splits each stop's balls across the runs; given those numbers the
+        balls in a run are i.i.d., so its ids are drawn for every stop at
+        once.  Geometric has one run, drawn by memorylessness.
         """
         m = np.asarray(m, dtype=np.int64)
         rest = float(self._rest[J])
         mass = rest + self._past_table
         counts = rng.binomial(m, rest / mass if mass > 0.0 else 0.0)
-        w = rest * (1.0 - rng.random(int(counts.sum())))
-        w.sort()
-        ids = _at_least(self._rest, w)
+        ids = _at_least(self._rest, np.sort(rest * (1.0 - rng.random(int(counts.sum())))))
         if counts.size > 1:
             ids = rng.permutation(ids)
-        return ids, counts, m - counts
-
-    def draw_tail(self, rng: np.random.Generator, n_tail):
-        """The ids of the balls past the table, ``n_tail[s]`` of them at
-        stop s, a run of cells at a time: yields ``(ids, counts)``,
-        ``counts[s]`` of the run's balls at stop s with their ids in stop
-        order, or ids None for the synthetic range past 2^62, whose balls
-        each have a cell of their own.
-
-        A run is one dyadic range of :meth:`_tail_ranges` or consecutive
-        ones that together expect at most about _TAIL_RUN of the balls (set
-        by their total alone).  One multinomial over the stops splits each
-        stop's balls across the runs; given those numbers the balls in a run
-        are i.i.d., so its ids are drawn for every stop at once.  Geometric
-        has one run, drawn by memorylessness.
-        """
-        n_tail = np.asarray(n_tail, dtype=np.int64)
+        yield ids, counts
+        del ids  # not held while the next run is drawn
+        m = m - counts  # the balls past the table
         if self.family == "geometric":
-            m = int(n_tail.sum())
-            if m:
-                ids = rng.geometric(1.0 - self.q, size=m)
+            if m.any():
+                ids = rng.geometric(1.0 - self.q, size=int(m.sum()))
                 ids += _TABLE_SIZE  # in place: the one run holds every ball
-                yield ids, n_tail
+                yield ids, m
             return
-        law = self._tail_ranges()[0]
+        law = self._tail_ranges[0]
         # the first range of each run: where the mass of the ranges before
         # it, times the balls, passes a multiple of _TAIL_RUN
         before = np.cumsum(law[:-1]) - law[:-1]
-        starts = np.flatnonzero(np.diff(np.floor(before * n_tail.sum() / _TAIL_RUN), prepend=-1.0))
+        starts = np.flatnonzero(np.diff(np.floor(before * m.sum() / _TAIL_RUN), prepend=-1.0))
         ends = np.append(starts[1:], law.size - 1)
-        split = rng.multinomial(n_tail, np.append(np.add.reduceat(law[:-1], starts), law[-1]))
+        split = rng.multinomial(m, np.append(np.add.reduceat(law[:-1], starts), law[-1]))
         for r, counts in enumerate(split.T):
-            m = int(counts.sum())
-            if m and r == starts.size:
+            total = int(counts.sum())
+            if total and r == starts.size:
                 yield None, counts
-            elif m:
-                ids = self._draw_tail_block(rng, m, (starts[r], ends[r]))
+            elif total:
+                ids = self._draw_tail_block(rng, total, (starts[r], ends[r]))
                 yield ids, counts
-                del ids  # not held while the next run is drawn
+                del ids
 
+    @functools.cached_property
     def _tail_ranges(self) -> tuple[np.ndarray, _Hat, float]:
         """For a power family, the law of a ball past the table over the
         dyadic ranges (2^m, 2^(m+1)], m = 16..61, and the synthetic range
@@ -625,36 +612,34 @@ class CellDistribution:
         most |a| d^2 / (8 w0^2) on a piece d wide, w0 = w at its left edge
         x0; a cell's hat mass is at most 1 + sigma (sigma + 1) / (12 x0^2)
         times the hat at the cell; the squeeze is 1 less both, less 1e-12 for
-        rounding.  Worked out at the first call and kept.
+        rounding.  Worked out at the first use and kept.
         """
-        if self._ranges is None:
-            tails, bounds = np.array([self._weight_tail(int(J)) for J in _RANGE_EDGES]).T
-            mass = np.append(-np.diff(tails), tails[-1])
-            total = mass.sum()
-            cells = np.append(np.multiply.outer(_RANGE_EDGES[:-1], 2.0 ** (
-                np.arange(_PIECES) / _PIECES)).astype(np.int64), _RANGE_EDGES[-1])
-            x = cells + 0.5
-            x0, d, w = x[:-1], np.log(x[1:] / x[:-1]), np.log(x + _E)
-            if self.a >= 0.0:
-                ref, sigma = x0, self.s + self.a * np.log(w[1:] / w[:-1]) / d
-            else:
-                ref = np.sqrt(x0 * x[1:])
-                sigma = self.s + self.a * ref / ((ref + _E) * np.log(ref + _E))
-            # the hat divides by 1 - sigma: 2^-60 for 0 moves it by under an ulp
-            om = np.where(sigma == 1.0, 2.0 ** -60, 1.0 - sigma)
-            rate = om / (self._weights(ref) * (ref / x0) ** sigma * x0)
-            grow = np.expm1(om * d)
-            past = np.append(np.cumsum((grow / rate)[::-1])[::-1], 0.0)
-            squeeze = (1.0 - abs(self.a) * d * d / (8.0 * w[:-1] ** 2)
-                       - sigma * (sigma + 1.0) / (12.0 * x0 * x0) - 1e-12)
-            self._ranges = (mass / total, _Hat(cells, past, (x0, rate, om), grow, squeeze),
-                            float(2.0 * (bounds.sum() + 2.0 ** -52 * tails.sum()) / total))
-        return self._ranges
+        tails, bounds = np.array([self._weight_tail(int(J)) for J in _RANGE_EDGES]).T
+        mass = np.append(-np.diff(tails), tails[-1])
+        total = mass.sum()
+        cells = np.append(np.multiply.outer(_RANGE_EDGES[:-1], 2.0 ** (
+            np.arange(_PIECES) / _PIECES)).astype(np.int64), _RANGE_EDGES[-1])
+        x = cells + 0.5
+        x0, d, w = x[:-1], np.log(x[1:] / x[:-1]), np.log(x + _E)
+        if self.a >= 0.0:
+            ref, sigma = x0, self.s + self.a * np.log(w[1:] / w[:-1]) / d
+        else:
+            ref = np.sqrt(x0 * x[1:])
+            sigma = self.s + self.a * ref / ((ref + _E) * np.log(ref + _E))
+        # the hat divides by 1 - sigma: 2^-60 for 0 moves it by under an ulp
+        om = np.where(sigma == 1.0, 2.0 ** -60, 1.0 - sigma)
+        rate = om / (self._weights(ref) * (ref / x0) ** sigma * x0)
+        grow = np.expm1(om * d)
+        past = np.append(np.cumsum((grow / rate)[::-1])[::-1], 0.0)
+        squeeze = (1.0 - abs(self.a) * d * d / (8.0 * w[:-1] ** 2)
+                   - sigma * (sigma + 1.0) / (12.0 * x0 * x0) - 1e-12)
+        return (mass / total, _Hat(cells, past, (x0, rate, om), grow, squeeze),
+                float(2.0 * (bounds.sum() + 2.0 ** -52 * tails.sum()) / total))
 
     def _accept_ratio(self, j: np.ndarray, piece: np.ndarray) -> np.ndarray:
         """p_j Z over the hat's mass in cell j of its piece ``piece``, (jm/x0)^om
         expm1(om ln(1 + 1/jm)) / rate, jm = j - 1/2, precise for j well past 1/ulp."""
-        x0, rate, om = (r[piece] for r in self._tail_ranges()[1].rows)
+        x0, rate, om = (r[piece] for r in self._tail_ranges[1].rows)
         jm = j - 0.5
         return self._weights(j.astype(np.float64)) * rate / (
             (jm / x0) ** om * np.expm1(om * np.log1p(1.0 / jm)))
@@ -676,7 +661,7 @@ class CellDistribution:
         round draws at most _TAIL_RUN candidates, which bounds its
         temporaries.
 
-        ``draw_tail`` draws the ranges below 2^62 here and the synthetic
+        ``draw_past`` draws the ranges below 2^62 here and the synthetic
         range by count alone, every ball a single: the chance that two of n
         such balls would truly share a cell is below n^2 p_(2^62) / (2
         T(2^62)), T(2^62) the mass past 2^62: 2.5e-21 n^2 for theta_one_log
@@ -684,7 +669,7 @@ class CellDistribution:
         1e10), 2.2e-20 n^2 for zipf s = 1.2, whose synthetic range holds
         0.17% of its balls past the table.
         """
-        hat = self._tail_ranges()[1]
+        hat = self._tail_ranges[1]
         lo, hi = (_PIECES * int(r) for r in ranges)
         first, last = int(hat.cells[lo]) + 1, int(hat.cells[hi])
         squeeze = float(hat.squeeze[lo:hi].min())

@@ -12,38 +12,32 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .distributions import _TABLE_SIZE, CellDistribution
-
-_NO_CELLS = np.empty(0, dtype=np.int64)
+from .distributions import CellDistribution
 
 
 class OccupancyState:
-    """Per-cell counts and the at-least-k profile, k <= k_max, stop by stop.
+    """Per-cell counts and the at-least-k profile, k = 1..k_max+1 (so that
+    exactly-k counts are there up to k_max), stop by stop.
 
-    Counts of the sampler-table cells 1..table sit in a dense array whose
-    profile is updated at every add; balls that ``add_cells`` throws past
-    the table are counted cell by cell.  ``run_coupled`` no longer uses it
-    (it reads the cells 1..J from their arrival times and folds the rest
-    with ``_fold_tail``); it stays while perfbench/tracing.py wraps
-    ``add_cells`` (ROADMAP item 1), and the tests check the fold against
-    it.  Internally tracks k_max + 1 thresholds so rows of exactly-k
-    counts are available up to k_max.
+    The per-cell reference: a ``Counter`` of each cell's balls, read into a
+    row at each ended stop.  ``run_coupled`` does not use it (it reads the
+    cells 1..J from their arrival times and folds the rest with
+    ``_fold_tail``); the tests check the fold against it, and
+    perfbench/tracing.py wraps ``add_cells``.
     """
 
     def __init__(self, k_max: int = 5):
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         self.k_max = k_max
-        self._table = np.zeros(_TABLE_SIZE + 1, dtype=np.int64)  # indexed by cell id
-        # rstar[k] for k = 1..k_max+1 at indices 1..k_max+1
-        self._rstar = np.zeros(k_max + 2, dtype=np.int64)
-        self._rows: list[np.ndarray] = []  # rstar after each ended stop
-        self._by_id: dict[int, int] = {}  # cell past the table -> balls add_cells threw there
+        self._counts: Counter = Counter()  # cell id -> balls
+        self._rows: list[np.ndarray] = []  # at-least-k counts after each ended stop
         self.ball_count = 0
 
     def add_cells(self, cells: np.ndarray) -> None:
@@ -51,43 +45,25 @@ class OccupancyState:
         cells = np.asarray(cells, dtype=np.int64)
         if cells.size and cells.min() < 1:
             raise ValueError("cell index must be >= 1")
-        in_table = cells <= _TABLE_SIZE
-        past, mult = np.unique(cells[~in_table], return_counts=True)
-        self.add_counts(_NO_CELLS, cells[in_table])
-        old = np.array([self._by_id.get(c, 0) for c in past.tolist()], dtype=np.int64)
-        self._by_id.update(zip(past.tolist(), (old + mult).tolist()))
-        self._rstar[1:] += _gained(old, old + mult, self.k_max + 1)
-        self.ball_count += int(mult.sum())
+        self._counts.update(cells.tolist())
+        self.ball_count += cells.size
 
-    def add_counts(self, counts: np.ndarray, ids: np.ndarray = _NO_CELLS) -> None:
+    def add_counts(self, counts: np.ndarray, ids: np.ndarray = ()) -> None:
         """Throw counts[j-1] balls into each cell j = 1..counts.size and one
-        into each table cell listed in ``ids`` (all beyond counts.size)."""
-        # cells 1..J as a slice, then the cells listed in ids (beyond J)
-        cells, mult = np.unique(ids, return_counts=True)
-        J = counts.size
-        old = np.concatenate([self._table[1:J + 1], self._table[cells]])
-        new = old + np.concatenate([counts, mult])
-        self._table[1:J + 1] = new[:J]
-        self._table[cells] = new[J:]
-        self._rstar[1:] += _gained(old, new, self.k_max + 1)
-        self.ball_count += int(counts.sum()) + ids.size
+        into each cell listed in ``ids``."""
+        self._counts.update({j: c for j, c in enumerate(counts.tolist(), 1) if c})
+        self.ball_count += int(counts.sum())
+        self.add_cells(ids)
 
     def end_stop(self) -> None:
         """Close the current stop; later balls belong to the next one."""
-        self._rows.append(self._rstar[1:].copy())
+        balls = np.fromiter(self._counts.values(), dtype=np.int64, count=len(self._counts))
+        self._rows.append((balls[:, None] >= np.arange(1, self.k_max + 2)).sum(axis=0))
 
     def profile_rows(self) -> np.ndarray:
         """At-least-k counts, k = 1..k_max+1, after each ended stop (one row
         per stop)."""
         return np.array(self._rows, dtype=np.int64).reshape(len(self._rows), self.k_max + 1)
-
-
-def _gained(old: np.ndarray, new: np.ndarray, top: int) -> np.ndarray:
-    """How many of the cells went from below k balls (``old``) to at least
-    k (``new``), for k = 1..top."""
-    moved = (np.bincount(np.minimum(new, top), minlength=top + 1)
-             - np.bincount(np.minimum(old, top), minlength=top + 1))
-    return np.cumsum(moved[:0:-1])[::-1]
 
 
 def _fold_tail(ids: np.ndarray | None, counts: np.ndarray, top: int) -> np.ndarray:
@@ -415,18 +391,16 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     draws the other arrivals only by their numbers.  J is the cut of
     ``_cut`` at the last stop.  Per stop that gives the profile of the
     cells 1..J and the number of balls past J, which are i.i.d. given
-    their numbers: ``draw_past`` splits them into the cells (J, table],
-    with their ids, and those past the table.  After the last stop
-    ``draw_tail`` splits every stop's balls past the table across runs of
-    the dyadic ranges of cells (2^m, 2^(m+1)], m = 16..61, and the
-    synthetic range past 2^62 by one multinomial, which keeps the law.
-    Then run by run it draws their ids for all stops at once, and
-    ``_fold_tail`` turns them into what they add to each stop's row and
-    drops them, so memory holds one run's ids, not all of them; the
-    synthetic range's balls need no ids, each having a cell of its own.
-    The folded rows, summed over the stops before each, are added to those
-    of the cells 1..J.  ``increments_fn`` replaces the Poisson clock (a
-    testing hook; e.g. forcing K_i = n_i makes both columns identical).
+    their numbers.  ``draw_past`` draws those balls for all stops at once,
+    a run of cells at a time: the table cells (J, table], then runs of the
+    dyadic ranges of cells (2^m, 2^(m+1)], m = 16..61, and the synthetic
+    range past 2^62.  One loop folds each run with ``_fold_tail`` into
+    what it adds to each stop's row and drops its ids, so memory holds one
+    run's ids, not all of them; the synthetic range's balls need no ids,
+    each having a cell of its own.  The folded rows, summed over the stops
+    before each, are added to those of the cells 1..J.  ``increments_fn``
+    replaces the Poisson clock (a testing hook; e.g. forcing K_i = n_i
+    makes both columns identical).
     """
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments
@@ -436,15 +410,13 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     top = grid.k_max + 1
     J = d._cut(int(schedule[-1]))
     rows, past = _poisson_time(d.probs_prefix(J), d._mass_past(J), schedule, top, cell_rng)
-    ids, counts, n_tail = d.draw_past(cell_rng, J, np.diff(past, prepend=0))
-    tail = _fold_tail(ids, counts, top)
-    given = counts.copy()
-    del ids
-    for ids, counts in d.draw_tail(cell_rng, n_tail):
+    past = np.diff(past, prepend=0)
+    tail, given = np.zeros_like(rows), np.zeros_like(past)
+    for ids, counts in d.draw_past(cell_rng, J, past):
         tail += _fold_tail(ids, counts, top)
         given += counts
         del ids  # not held while the next run is drawn
-    if not np.array_equal(given, np.diff(past, prepend=0)):
+    if not np.array_equal(given, past):
         raise RuntimeError("the balls past cell J do not add up to each stop's")
     rows += np.cumsum(tail, axis=0)
     return CoupledTrajectory(seed=seed, positions=positions, K=K,

@@ -9,10 +9,14 @@ pass flags.  Every study is deterministic given (config, master seed).
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -503,26 +507,36 @@ def run_study(name: str, cfg: ExperimentConfig) -> StudyResult:
     return fn(cfg)
 
 
+@contextlib.contextmanager
+def output_files(*paths):
+    """Open a ``.partial`` file beside each path for writing and yield
+    them; once the block ends, move each into place by ``os.replace``.  An
+    exception of any kind, KeyboardInterrupt too, removes them instead, so
+    what stood at the paths before stays as it was."""
+    partial = [Path(f"{path}.partial") for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w", newline="")) for tmp in partial]
+        for tmp, path in zip(partial, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in partial:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_study_outputs(result: StudyResult, out_dir, stem: str) -> tuple[str, str]:
-    """Write <stem>.csv and <stem>.json under out_dir; returns the paths."""
-    import csv as _csv
-    from pathlib import Path
+    """Write <stem>.csv and <stem>.json under out_dir by :func:`output_files`,
+    so a failure leaves what stood there; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}.csv"
-    json_path = out / f"{stem}.json"
+    csv_path, json_path = out / f"{stem}.csv", out / f"{stem}.json"
     header, rows = result.csv_rows()
-    try:
-        with open(csv_path, "w", newline="") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        with open(json_path, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except Exception:
-        for path in (csv_path, json_path):
-            Path(path).unlink(missing_ok=True)
-        raise
+    with output_files(csv_path, json_path) as (csv_fh, json_fh):
+        writer = csv.writer(csv_fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        json.dump(result.to_json_dict(), json_fh, indent=2, sort_keys=True)
+        json_fh.write("\n")
     return str(csv_path), str(json_path)

@@ -52,7 +52,7 @@ _SAMPLER_SPECS = {
 # the power configurations of the tail sampler tests
 _POWER_SAMPLERS = ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log", "zipf_log_near_one",
                    "zipf_log_steep"]
-# sha256 of draw_cells and draw_tail at fixed seeds; see
+# sha256 of draw_cells and draw_past at fixed seeds; see
 # TestSampler.test_draws_pinned.  Re-pinned when draw_cells took its table
 # draws by one inversion past cell 0 (draw_past) in place of a multinomial
 # over the first cells, and the tail sampler placed each candidate within
@@ -335,7 +335,7 @@ class TestBuild:
         d = build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-1.0))
         assert 402.0 < d.Z < 403.0
         assert d.s + d.a / math.log(_TABLE_SIZE + 0.5 + math.e) < 1.0
-        law, hat, bound = d._tail_ranges()
+        law, hat, bound = d._tail_ranges
         assert hat.rows[2].max() > 0.0 > hat.rows[2].min()  # 1 - sigma of both signs
         assert abs(law.sum() - 1.0) < 1e-12 and bound < 1e-11
         with pytest.raises(DistributionError, match="not monotone"):
@@ -845,19 +845,22 @@ class TestSampler:
 
     @pytest.mark.parametrize("name", _POWER_SAMPLERS)
     def test_tail_ranges_law(self, name, rng):
-        # draw_tail's draws, binned by range (the dyadic ranges, then past
-        # 2^62), against the masses it splits the balls past the table by;
+        # draw_past's draws past the table (at J = table, every ball),
+        # binned by range (the dyadic ranges, then past 2^62), against the
+        # masses it splits the balls past the table by;
         # its draws in (2^16, 2^17] against p_j in 8 bins of cells; and
         # draws in (2^40, 2^41], across its hat's pieces, against the tail
         # sums at 8 bin edges equal in ln x
         d = build_distribution(_SAMPLER_SPECS[name])
-        law, _, bound = d._tail_ranges()
+        law, _, bound = d._tail_ranges
         assert law.size == _RANGE_EDGES.size and abs(law.sum() - 1.0) < 1e-12
         assert 0.0 < bound < 1e-11
         m = 1_000_000
         binned = np.zeros(law.size, dtype=np.int64)
         first = []
-        for ids, counts in d.draw_tail(rng, [m // 2, 0, m - m // 2]):
+        runs = d.draw_past(rng, _TABLE_SIZE, [m // 2, 0, m - m // 2])
+        next(runs)  # the table run, empty at J = table
+        for ids, counts in runs:
             if ids is None:
                 binned[-1] += counts.sum()
                 continue
@@ -884,7 +887,7 @@ class TestSampler:
         # sums, at the first two ranges, two far ones and the synthetic one,
         # within the bound that _tail_ranges returns
         d = build_distribution(_SAMPLER_SPECS[name])
-        law, _, bound = d._tail_ranges()
+        law, _, bound = d._tail_ranges
         tail = {m: tail_power_oracle(d, 1.0, 1 << m, 1) for m in (16, 17, 18, 40, 41, 61, 62)}
         for m in (16, 17, 40, 61):
             want = (tail[m] - tail[m + 1]) / tail[16]
@@ -909,7 +912,7 @@ class TestSampler:
         # From the run's uniform alone, the cells there were 89 apart for
         # zipf s = 1.2; here that uniform stays put
         d = build_distribution(_SAMPLER_SPECS["zipf_s1.2"])
-        past = d._tail_ranges()[1].past
+        past = d._tail_ranges[1].past
         k, run = _PIECES * (50 - 16), (0, _RANGE_EDGES.size - 1)
         u = (past[0] - (past[k] + past[k + 1]) / 2.0) / (past[0] - past[-1])
         n = 64
@@ -933,17 +936,18 @@ class TestSampler:
     @pytest.mark.parametrize("name", ["theta_one_log", "geometric_near_one"])
     def test_draw_cells_is_count_space(self, name):
         # draw_cells is the trajectories' sampler past a cut J, at J = 0:
-        # with one seed, the ids of draw_past, then those of draw_tail's runs
+        # with one seed, the ids of draw_past's runs, the table's first
         # (fresh ones for the synthetic run), put in order by one permutation
         d = build_distribution(_SAMPLER_SPECS[name])
         rng = np.random.default_rng(41)
-        ids, counts, n_tail = d.draw_past(rng, 0, [300_000])
-        runs = [ids]
-        for run, per_stop in d.draw_tail(rng, n_tail):
+        runs = []
+        for run, per_stop in d.draw_past(rng, 0, [300_000]):
             if run is None:
                 run = (1 << 62) + rng.integers(0, 1 << 62, size=int(per_stop.sum()))
-            runs.append(run)
-        want = rng.permutation(np.concatenate(runs))
+            runs.append((run, per_stop))
+        want = rng.permutation(np.concatenate([run for run, _ in runs]))
+        (ids, counts), *tail = runs
+        n_tail = sum(per_stop for _, per_stop in tail)
         assert n_tail[0] > 0 and ids.size == counts[0] > 0
         assert np.array_equal(d.draw_cells(np.random.default_rng(41), 300_000), want)
 
@@ -954,8 +958,8 @@ class TestSampler:
         q = 1.0 - 1e-5
         d = build_distribution(DistributionSpec(family="geometric", q=q))
         m = 10 ** 5
-        ids, counts, n_tail = d.draw_past(rng, 0, [m])
-        (beyond, per_stop), = d.draw_tail(rng, n_tail)  # one range
+        (ids, counts), (beyond, per_stop) = d.draw_past(rng, 0, [m])  # one range past
+        n_tail = m - counts
         assert per_stop.tolist() == n_tail.tolist()
         assert d._cut(m) == _TABLE_SIZE and ids.size == counts[0]
         assert ids.size + beyond.size == m
@@ -975,14 +979,16 @@ class TestSampler:
     @pytest.mark.parametrize("name", sorted(_PINNED_DRAWS))
     def test_draws_pinned(self, name, x86_v4):
         # draw_cells(default_rng(31), 200_000) and, for the power families,
-        # the ids of draw_tail(default_rng(37), [20_000]) concatenated run by
-        # run (the synthetic run has none), as sha256 of the int64 bytes
+        # the ids of draw_past(default_rng(37), _TABLE_SIZE, [20_000])
+        # concatenated run by run (the table run is empty and draws nothing,
+        # the synthetic run has none), as sha256 of the int64 bytes
         d = build_distribution(_SAMPLER_SPECS[name])
         cells, tail = (_PINNED_DRAWS if x86_v4 else _PINNED_DRAWS_NO_V4)[name]
         got = d.draw_cells(np.random.default_rng(31), 200_000)
         assert hashlib.sha256(got.tobytes()).hexdigest() == cells
         if tail is not None:
-            got = np.concatenate([ids for ids, _ in d.draw_tail(np.random.default_rng(37), [20_000])
+            got = np.concatenate([ids for ids, _ in d.draw_past(np.random.default_rng(37),
+                                                                _TABLE_SIZE, [20_000])
                                   if ids is not None])
             assert hashlib.sha256(got.tobytes()).hexdigest() == tail
 
@@ -1000,8 +1006,11 @@ class TestSampler:
             want = fresh.draw_cells(np.random.default_rng(seed), size)
             assert np.array_equal(grown.draw_cells(np.random.default_rng(seed), size), want)
             cut = fresh._cut(size)
-            want = fresh.draw_past(np.random.default_rng(seed), cut, [size, size // 3])
-            got = grown.draw_past(np.random.default_rng(seed), cut, [size, size // 3])
+            # every run's ids (None for the synthetic run) and counts
+            want, got = ([part for run in dist.draw_past(np.random.default_rng(seed), cut,
+                                                         [size, size // 3]) for part in run]
+                         for dist in (fresh, grown))
+            assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("name", _POWER_SAMPLERS)
@@ -1010,7 +1019,7 @@ class TestSampler:
         # ratio, so the computed ratio must never fall below it beyond the
         # table; and the hat is one, up to rounding: the ratio is at most 1
         d = build_distribution(_SAMPLER_SPECS[name])
-        hat = d._tail_ranges()[1]
+        hat = d._tail_ranges[1]
         assert hat.squeeze.size == _PIECES * (_RANGE_EDGES.size - 1)
         assert hat.squeeze.min() > 0.9999
         dense = np.arange(_TABLE_SIZE + 1, _TABLE_SIZE + 1 + 2_000_000)
@@ -1040,17 +1049,20 @@ class TestSampler:
     def test_draw_counts_law(self, name, size, reps, cut, rng):
         # a trajectory of size balls follows the cells 1..cut one by one
         # (_cut), and draw_past draws its balls past the cut: the table
-        # cells beyond it by id and the number past the table, for three
-        # stops at once, pooled over reps calls, against size * p_j over the
-        # mass past the cut: cells cut+1..cut+32 on their own, the rest in
-        # bins of growing width, past the table in one
+        # cells beyond it by id (its first run) and the number past the
+        # table, for three stops at once, pooled over reps calls, against
+        # size * p_j over the mass past the cut: cells cut+1..cut+32 on
+        # their own, the rest in bins of growing width, past the table in one
         d = build_distribution(_SAMPLER_SPECS[name])
         assert d._cut(size) == cut
         stops = np.array([size // 2, 0, size - size // 2])
         observed = np.zeros(_TABLE_SIZE + 2, dtype=np.int64)  # cells 1..table, past
         for _ in range(reps):
-            ids, counts, n_tail = d.draw_past(rng, cut, stops)
-            assert np.array_equal(counts + n_tail, stops) and ids.size == counts.sum()
+            # the table run; the other runs' balls are counted, not drawn
+            # (2e10 ids past the table would not fit in memory)
+            ids, counts = next(d.draw_past(rng, cut, stops))
+            n_tail = stops - counts
+            assert np.all(n_tail >= 0) and ids.size == counts.sum()
             assert ids.min(initial=cut + 1) > cut and ids.max(initial=0) <= _TABLE_SIZE
             observed += np.bincount(ids, minlength=_TABLE_SIZE + 2)
             observed[-1] += n_tail.sum()

@@ -97,8 +97,8 @@ class TestOccupancyState:
         cells = [c for block in blocks for c in block]
         one = _one_at_a_time(cells)
         two = OccupancyState(k_max=3)
-        # the count-space form run_coupled uses: counts of the cells up to a
-        # cut (inside the table or the whole of it), then the ids beyond it
+        # the count-space form: counts of the cells up to a cut (inside the
+        # table or the whole of it), then the ids beyond it
         three = OccupancyState(k_max=3)
         for i, block in enumerate(blocks):
             arr = np.asarray(block, dtype=np.int64)
@@ -179,7 +179,7 @@ def _expand_trajectory(d, grid, seed):
     each level's Y bridges before its E bridges and its left children
     before its right ones; the hypergeometric draws stop by stop within
     each final bracket, the brackets in the order they finished; then the
-    balls past J by draw_past and draw_tail.
+    balls past J by draw_past's runs.
     """
     clock_rng, rng = simulate._trajectory_rng(seed)
     K = poisson_increments(grid, clock_rng)
@@ -258,11 +258,10 @@ def _expand_trajectory(d, grid, seed):
             if t <= ends[-1]:
                 cells[bisect.bisect_left(ends, t)].append(cell + 1)
     m = np.diff([0] + [past[s] for s in stops])
-    ids, counts, n_tail = d.draw_past(rng, J, m)
-    seen = Counter(J=J, inverted=ids.size)
+    (ids, counts), *past_table = d.draw_past(rng, J, m)
+    seen = Counter(J=J, inverted=ids.size, runs=len(past_table))
     runs = [(ids, counts)]
-    for ids, counts in d.draw_tail(rng, n_tail):
-        seen["runs"] += 1
+    for ids, counts in past_table:
         if ids is None:
             ids = -1 - seen["synthetic"] - np.arange(counts.sum())
             seen["synthetic"] += int(counts.sum())
@@ -295,11 +294,12 @@ class TestTailFold:
     @settings(max_examples=80, deadline=None)
     def test_fold_equals_per_stop_merge(self, stops, k_max, seed):
         # each stop's balls in a random order, thrown two ways: split into a
-        # ball-by-ball add and a count-space add cut at cell 4; and as
-        # run_coupled throws them, the table cells by count and by id into
-        # the state, then the balls past the table, after the last stop, one
-        # range of cells at a time, each folded into what it adds to every
-        # stop's row and those rows summed over the stops before each
+        # ball-by-ball add and a count-space add cut at cell 4; and the
+        # table cells by count and by id into the state, then, as
+        # run_coupled folds its runs, the balls past the table, after the
+        # last stop, one range of cells at a time, each folded into what it
+        # adds to every stop's row and those rows summed over the stops
+        # before each
         rng = np.random.default_rng(seed)
         state, later = OccupancyState(k_max=k_max), OccupancyState(k_max=k_max)
         tail = []

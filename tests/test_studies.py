@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +322,13 @@ class TestEstimateTheta:
         assert abs(last_fixed_estimate(traj) - 0.5) < 0.1
 
 
+class _Interrupted(dict):
+    """A meta entry whose JSON dump is cut short, as by Ctrl-C."""
+
+    def items(self):
+        raise KeyboardInterrupt
+
+
 class TestResultPlumbing:
     def test_json_schema_and_csv(self, tmp_path):
         cfg = small_cfg(distribution=GEO, ks=(1,), seeds=2)
@@ -338,6 +347,16 @@ class TestResultPlumbing:
         with pytest.raises(TypeError):
             write_study_outputs(res, tmp_path, "bad")
         assert not list(tmp_path.iterdir())
+        # a failed rewrite, an interrupt in the JSON dump too, leaves the
+        # previous run's pair as it was and no partial file
+        paths = write_study_outputs(dataclasses.replace(res, meta={}), tmp_path, "demo")
+        before = [Path(path).read_bytes() for path in paths]
+        for meta, error in (({"oops": object()}, TypeError),
+                            ({"cut": _Interrupted(at=1)}, KeyboardInterrupt)):
+            with pytest.raises(error):
+                write_study_outputs(dataclasses.replace(res, meta=meta), tmp_path, "demo")
+            assert [Path(path).read_bytes() for path in paths] == before
+            assert sorted(path.name for path in tmp_path.iterdir()) == ["demo.csv", "demo.json"]
 
     def test_run_study_dispatch(self):
         cfg = small_cfg(ks=(1,), seeds=3, rate_t_values=(1e4,))
