@@ -42,13 +42,12 @@ _FIXED = {"zipf": {"a": 0.0}, "theta_one_log": {"s": 1.0, "a": 2.0}}
 _TABLE_SIZE = 1 << 16
 # Smallest count J of the cells whose balls a trajectory follows one by one.
 _CUT_MIN = 1 << 6
-# Balls past the table that a trajectory expects in one run of consecutive
-# dyadic ranges of cells, merged so that a small tail costs a few draws and
-# folds, not one per range; a range that expects more is a run of its own.
-# It also caps the candidates of one rejection round, which bounds the
-# sampler's temporaries.  Of 2^12..2^16, 2^12 and 2^13 kept traj_1e6_pair's
-# peak RSS lowest.
-_TAIL_RUN = 1 << 13
+# Balls past the table that one part of them expects at most: draw_past
+# groups consecutive hat pieces into parts, so that a small tail costs a few
+# draws and folds, not one per piece, and splits a piece that expects more
+# than half a part at sub-edges, so that no part's ids, fold key or sampler
+# temporaries grow with the trajectory.
+_TAIL_RUN = 1 << 15
 # Bound on the error of the normalizing constant Z of the log families,
 # relative to max(1, Z); its head grows until the tail's bound is a quarter of it.
 _NORM_TOL = 1e-12
@@ -265,10 +264,8 @@ class _Kept(dict):
 # A power family's rejection-inversion hat c x^-sigma past the table: piece i
 # holds cells cells[i] + 1..cells[i + 1], where the hat's mass up to x is
 # ((x/x0)^om - 1) / rate, rows = (x0 = cells[i] + 1/2, rate, om = 1 - sigma);
-# grow: rate times the piece's mass, expm1(om ln(x1/x0)) at its right edge
-# x1; past: its mass past each x0 (0 at 2^62); squeeze: a bound below each
-# ratio.
-_Hat = namedtuple("_Hat", "cells past rows grow squeeze")
+# squeeze: a bound below each ratio.
+_Hat = namedtuple("_Hat", "cells rows squeeze")
 
 
 class CellDistribution:
@@ -338,6 +335,34 @@ class CellDistribution:
         f0, ulps, values, errors = self._tail_cut(J, _ORDERS[:1])
         est = f0 * float(values[0])
         return est, f0 * float(errors[0]) + est * 2.0 ** -52 * ulps
+
+    def _cell_sums(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sum_{lo < j <= hi} Z p_j of a power family for each pair of cells
+        lo < hi past the table, all in one pass, and per sum a bound on its
+        error.
+
+        Midpoint Euler-Maclaurin: the integral of f(x) = x^-s ln(x+e)^-a over
+        (lo + 1/2, hi + 1/2) by the _GAUSS rule in u = ln x, plus (f'(lo +
+        1/2) - f'(hi + 1/2)) / 24; the remainder is at most sqrt(3)/216 times
+        the integral of |f'''| <= f (s + |a| + 2)^3 / x^3, and f is largest
+        at the left edge, as p decreases past the table.  The bound adds the
+        _GAUSS_LOW rule's distance and the rounding: 24 ulps from the nodes,
+        exp, log, the products and the sum of positive terms, and 4 (s + 2|a|)
+        from the powers.  A sum relies on no difference of tail sums, so its
+        bound is a few ulps of it, however many pieces there are.
+        """
+        xa, xb = lo + 0.5, hi + 0.5
+        half = np.log1p((hi - lo) / xa) / 2.0  # precise however few the cells
+        (x, w), (x_low, w_low) = _GAUSS, _GAUSS_LOW
+        nodes = xa[:, None] * np.exp(np.multiply.outer(half, np.concatenate([x, x_low]) + 1.0))
+        f = self._weights(nodes) * nodes  # dx = x du
+        high, low = f[:, :x.size] @ w * half, f[:, x.size:] @ w_low * half
+        ends = np.stack([xa, xb])
+        slopes = self._weights(ends) * (-self.s / ends - self.a / ((ends + _E) * np.log(ends + _E)))
+        rem = (math.sqrt(3.0) / 216.0 * (self.s + abs(self.a) + 2.0) ** 3
+               * self._weights(xa) * (xa ** -2.0 - xb ** -2.0) / 2.0)
+        ulps = 24.0 + 4.0 * (self.s + 2.0 * abs(self.a))
+        return high + (slopes[0] - slopes[1]) / 24.0, np.abs(high - low) + rem + 2.0 ** -52 * ulps * high
 
     def _check_monotone_negative_a(self) -> None:
         # p is eventually decreasing once s*ln(j+e) >= |a|; check the prefix.
@@ -555,12 +580,22 @@ class CellDistribution:
         numbers, so a random permutation of the ids deals them to the
         stops (one stop needs none).
 
-        Past the table a run is one dyadic range of :attr:`_tail_ranges` or
-        consecutive ones that together expect at most about _TAIL_RUN of the
-        balls (set by their total alone).  One multinomial over the stops
-        splits each stop's balls across the runs; given those numbers the
-        balls in a run are i.i.d., so its ids are drawn for every stop at
-        once.  Geometric has one run, drawn by memorylessness.
+        Past the table one multinomial per stop splits the stop's balls
+        across the hat's pieces (:attr:`_tail_ranges`) and the synthetic
+        range past 2^62.  A piece that expects more than half of _TAIL_RUN
+        of the balls is split first into q sub-pieces of equal hat mass, at
+        edges rounded down to cells, each with its piece's mass in
+        proportion to its cell sum (:meth:`_cell_sums`).  Consecutive
+        elements, pieces or sub-pieces, form parts that expect at most
+        _TAIL_RUN balls: a part starts where the mass of the elements before
+        it, times the balls, passes a multiple of half of _TAIL_RUN.  Both
+        depend on the balls' total alone, so the law holds; given the
+        numbers, the balls in an element are i.i.d., so a part's ids are
+        drawn for every stop at once, each in its own element.  (A piece is
+        split no finer than its cells, so past about 1e12 balls a sub-piece
+        of one cell may expect more than half a part.)  The synthetic range
+        is yielded last.  Geometric has one run past the
+        table, drawn by memorylessness.
         """
         m = np.asarray(m, dtype=np.int64)
         rest = float(self._rest[J])
@@ -578,30 +613,46 @@ class CellDistribution:
                 ids += _TABLE_SIZE  # in place: the one run holds every ball
                 yield ids, m
             return
-        law = self._tail_ranges[0]
-        # the first range of each run: where the mass of the ranges before
-        # it, times the balls, passes a multiple of _TAIL_RUN
-        before = np.cumsum(law[:-1]) - law[:-1]
-        starts = np.flatnonzero(np.diff(np.floor(before * m.sum() / _TAIL_RUN), prepend=-1.0))
-        ends = np.append(starts[1:], law.size - 1)
-        split = rng.multinomial(m, np.append(np.add.reduceat(law[:-1], starts), law[-1]))
-        for r, counts in enumerate(split.T):
-            total = int(counts.sum())
-            if total and r == starts.size:
-                yield None, counts
-            elif total:
-                ids = self._draw_tail_block(rng, total, (starts[r], ends[r]))
-                yield ids, counts
+        law, hat, _ = self._tail_ranges
+        cells, piece, p = hat.cells, np.arange(law.size - 1), law[:-1]
+        half = 2.0 * float(m.sum()) / _TAIL_RUN  # halves of a part per unit of mass
+        q = np.maximum(np.ceil(p * half), 1.0).astype(np.int64)
+        if q.max() > 1:
+            piece = np.repeat(piece, q)
+            share = (np.arange(piece.size) - np.repeat(np.cumsum(q) - q, q)) / q.take(piece)
+            x0, _, om = (r.take(piece) for r in hat.rows)
+            grow = np.expm1(om * np.log((cells[1:].take(piece) + 0.5) / x0))
+            edges = cells.take(piece)
+            sub = share > 0.0  # the cells at x0 (1 + share grow)^(1/om), rounded down
+            edges[sub] = np.floor(x0[sub] * np.exp(np.log1p(share[sub] * grow[sub]) / om[sub]))
+            keep = np.flatnonzero(np.diff(np.append(edges, cells[-1])))  # no empty sub-piece
+            piece, cells = piece.take(keep), np.append(edges.take(keep), cells[-1])
+            sums = self._cell_sums(cells[:-1], cells[1:])[0]
+            p = law.take(piece) * sums / np.bincount(piece, sums).take(piece)
+        split = rng.multinomial(m, np.append(law[-1], p))  # the synthetic range first
+        starts = np.flatnonzero(np.diff(np.floor((np.cumsum(p) - p) * half), prepend=-1.0))
+        for a, b in zip(starts, np.append(starts[1:], p.size)):
+            counts = split[:, 1 + a:1 + b]
+            if counts.any():
+                ids = self._draw_tail_block(rng, cells[a:b + 1], piece[a:b], counts)
+                yield ids, counts.sum(axis=1)
                 del ids
+        if split[:, 0].any():
+            yield None, split[:, 0]
 
     @functools.cached_property
     def _tail_ranges(self) -> tuple[np.ndarray, _Hat, float]:
         """For a power family, the law of a ball past the table over the
-        dyadic ranges (2^m, 2^(m+1)], m = 16..61, and the synthetic range
-        past 2^62; the hat of :meth:`_draw_tail_block`; and a bound on the
-        law's total variation distance from the exact one.  The masses are
-        differences of the r = 1 tail sums at the edges, so the bound is twice
-        the sum of their bounds and an ulp each, over the mass past the table.
+        pieces of the hat, _PIECES per dyadic range (2^m, 2^(m+1)], m =
+        16..61, then over the synthetic range past 2^62; the hat of
+        :meth:`_draw_tail_block`; and a bound on the law's total variation
+        distance from the exact one.  A piece's mass is its cell sum
+        (:meth:`_cell_sums`, every piece in one pass), the synthetic range's
+        the r = 1 tail sum at 2^62, so the bound is twice the sum of their
+        bounds over their total, plus an ulp per mass for the total and one
+        for the division.  (As differences of the tail sums at the 185
+        edges, the masses would carry those sums' rounding, which grows as
+        the tail decays slower: 1.6e-11 for zipf_log (1.05, -1).)
 
         The hat is c x^-sigma on _PIECES pieces a range, equal in ln x (four
         give a smallest ratio of 0.99994 for theta_one_log, one 0.9991).  In
@@ -614,11 +665,12 @@ class CellDistribution:
         times the hat at the cell; the squeeze is 1 less both, less 1e-12 for
         rounding.  Worked out at the first use and kept.
         """
-        tails, bounds = np.array([self._weight_tail(int(J)) for J in _RANGE_EDGES]).T
-        mass = np.append(-np.diff(tails), tails[-1])
-        total = mass.sum()
         cells = np.append(np.multiply.outer(_RANGE_EDGES[:-1], 2.0 ** (
             np.arange(_PIECES) / _PIECES)).astype(np.int64), _RANGE_EDGES[-1])
+        sums, bounds = self._cell_sums(cells[:-1], cells[1:])
+        tail, tail_bound = self._weight_tail(_SYNTHETIC_BASE)
+        mass = np.append(sums, tail)
+        total = mass.sum()
         x = cells + 0.5
         x0, d, w = x[:-1], np.log(x[1:] / x[:-1]), np.log(x + _E)
         if self.a >= 0.0:
@@ -629,12 +681,10 @@ class CellDistribution:
         # the hat divides by 1 - sigma: 2^-60 for 0 moves it by under an ulp
         om = np.where(sigma == 1.0, 2.0 ** -60, 1.0 - sigma)
         rate = om / (self._weights(ref) * (ref / x0) ** sigma * x0)
-        grow = np.expm1(om * d)
-        past = np.append(np.cumsum((grow / rate)[::-1])[::-1], 0.0)
         squeeze = (1.0 - abs(self.a) * d * d / (8.0 * w[:-1] ** 2)
                    - sigma * (sigma + 1.0) / (12.0 * x0 * x0) - 1e-12)
-        return (mass / total, _Hat(cells, past, (x0, rate, om), grow, squeeze),
-                float(2.0 * (bounds.sum() + 2.0 ** -52 * tails.sum()) / total))
+        return (mass / total, _Hat(cells, (x0, rate, om), squeeze),
+                float(2.0 * (bounds.sum() + tail_bound) / total + 2.0 ** -52 * (mass.size + 1)))
 
     def _accept_ratio(self, j: np.ndarray, piece: np.ndarray) -> np.ndarray:
         """p_j Z over the hat's mass in cell j of its piece ``piece``, (jm/x0)^om
@@ -644,22 +694,25 @@ class CellDistribution:
         return self._weights(j.astype(np.float64)) * rate / (
             (jm / x0) ** om * np.expm1(om * np.log1p(1.0 / jm)))
 
-    def _draw_tail_block(self, rng: np.random.Generator, m: int,
-                         ranges: tuple[int, int]) -> np.ndarray:
-        """Exact draws from the dyadic ranges ``ranges`` (first, one past the
-        last) of a power family by rejection-inversion (Hörmann and
-        Derflinger, ACM TOMACS 6, 1996) under the hat of :meth:`_tail_ranges`.
-        A candidate's piece is the one that holds the point u of the way
-        from the run's first edge to its last in hat mass, u uniform on [0,
-        1), which a guide table finds.  Its place in the piece is v of the
-        way through the piece's hat mass, by a uniform v of its own (u alone
-        would resolve a far piece of a long run only to 2^-53 of the run's
-        mass), where the hat's mass inverts by log1p and exp, whatever sigma,
-        to about an ulp of x.  Past 2^52 the float candidates lie h >= 1
-        apart, so the cell is one of the h nearest, uniformly.  An acceptance
-        uniform at or below the run's squeeze accepts without the ratio.  A
-        round draws at most _TAIL_RUN candidates, which bounds its
-        temporaries.
+    def _draw_tail_block(self, rng: np.random.Generator, cells: np.ndarray,
+                         piece: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Exact draws of a power family past the table, ``counts[s, i]`` of
+        them at stop s in the cells cells[i] + 1..cells[i + 1] of the hat
+        piece piece[i] of :meth:`_tail_ranges`: their ids in stop order, and
+        within a stop by element i.  ``counts`` may be one stop's row.
+
+        By rejection-inversion (Hörmann and Derflinger, ACM TOMACS 6, 1996)
+        under the hat: a candidate lies a uniform v of the way through its
+        element's hat mass, one uniform each, where the mass inverts by
+        log1p and exp, whatever sigma, to about an ulp of x.  Past 2^52 the
+        float candidates lie h >= 1 apart, so the cell is one of the h
+        nearest, uniformly.  A candidate strays past its element's cells
+        only by rounding and is clipped to them.  An acceptance uniform at or
+        below the squeeze, which it is with the squeeze's chance, accepts
+        without the ratio; so only a Binomial(n, 1 - squeeze) subset of the n
+        candidates, chosen by ``rng.choice``, takes the ratio, against a
+        uniform on (squeeze, 1).  A rejected candidate is drawn again in its
+        own element.
 
         ``draw_past`` draws the ranges below 2^62 here and the synthetic
         range by count alone, every ball a single: the chance that two of n
@@ -670,35 +723,25 @@ class CellDistribution:
         0.17% of its balls past the table.
         """
         hat = self._tail_ranges[1]
-        lo, hi = (_PIECES * int(r) for r in ranges)
-        first, last = int(hat.cells[lo]) + 1, int(hat.cells[hi])
-        squeeze = float(hat.squeeze[lo:hi].min())
-        x0, _, om = (r[lo:hi] for r in hat.rows)
-        grow = hat.grow[lo:hi]
-        # the run's hat mass up to each piece's right edge but the last
-        ends = (hat.past[lo] - hat.past[lo + 1:hi]) / (hat.past[lo] - hat.past[hi])
-        # the guide table (Chen and Asau, AIIE Transactions 6, 1974): the
-        # piece at the start of each of g cells of u, at least 4 per piece;
-        # from there a candidate steps up past the piece ends at or below u,
-        # at most once unless its cell holds two ends
-        after = np.append(ends, np.inf)
-        g = 4 << (hi - lo - 1).bit_length()
-        at = np.searchsorted(ends, np.arange(g) / g, side="right")
-        out, filled = np.empty(m, dtype=np.int64), 0
-        while filled < m:
-            u = rng.random(min(m - filled, _TAIL_RUN))
-            k = at.take((u * g).astype(np.intp))
-            up = np.flatnonzero(u >= after.take(k))
-            while up.size:
-                k[up] += 1
-                up = up[u[up] >= after.take(k[up])]
-            # x = x0 (1 + v grow)^(1/om), in place (take gathers faster than [])
-            x = rng.random(u.size)
-            x *= grow.take(k)
+        x0, _, om = (r.take(piece) for r in hat.rows)
+        # rate times the hat's mass from x0 to each element's edges
+        lo, hi = (np.expm1(om * np.log((c + 0.5) / x0)) for c in (cells[:-1], cells[1:]))
+        width, first, last = hi - lo, cells[:-1] + 1, cells[1:]
+        squeeze = float(hat.squeeze.take(piece).min())
+        counts = np.atleast_2d(counts)
+        each = np.repeat(np.tile(np.arange(piece.size), counts.shape[0]), counts.ravel())
+
+        def draw(at):
+            """Candidates in the elements ``at``, and which of them are rejected."""
+            # x = x0 (1 + lo + v width)^(1/om), in place (take gathers faster than [])
+            x = rng.random(at.size)
+            x *= width.take(at)
+            if lo.any():
+                x += lo.take(at)
             np.log1p(x, out=x)
-            x /= om.take(k)
+            x /= om.take(at)
             np.exp(x, out=x)
-            x *= x0.take(k)
+            x *= x0.take(at)
             j = np.floor(x + 0.5).astype(np.int64)
             wide = np.flatnonzero(x >= 2.0 ** 52)
             if wide.size:
@@ -706,15 +749,19 @@ class CellDistribution:
                 h = np.spacing(x[wide])
                 j[wide] = x[wide].astype(np.int64) + (
                     np.floor(rng.random(wide.size) * h) - np.floor(h / 2.0)).astype(np.int64)
-            # x past the run's edges only by rounding
-            np.clip(j, first, last, out=j)
-            v = rng.random(j.size)
-            slow = np.flatnonzero(v > squeeze)
+            del x
+            np.clip(j, first.take(at), last.take(at), out=j)
+            slow = rng.choice(j.size, rng.binomial(j.size, 1.0 - squeeze), replace=False)
             if slow.size:
-                j = np.delete(j, slow[v[slow] > self._accept_ratio(j[slow], lo + k[slow])])
-            out[filled:filled + j.size] = j
-            filled += j.size
-        return out
+                v = squeeze + (1.0 - squeeze) * rng.random(slow.size)
+                slow = slow[v > self._accept_ratio(j.take(slow), piece.take(at.take(slow)))]
+            return j, slow
+
+        ids, todo = draw(each)
+        while todo.size:
+            ids[todo], rejected = draw(each.take(todo))
+            todo = todo.take(rejected)
+        return ids
 
 
 def build_distribution(spec: DistributionSpec) -> CellDistribution:

@@ -392,12 +392,13 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     ``_cut`` at the last stop.  Per stop that gives the profile of the
     cells 1..J and the number of balls past J, which are i.i.d. given
     their numbers.  ``draw_past`` draws those balls for all stops at once,
-    a run of cells at a time: the table cells (J, table], then runs of the
-    dyadic ranges of cells (2^m, 2^(m+1)], m = 16..61, and the synthetic
-    range past 2^62.  One loop folds each run with ``_fold_tail`` into
-    what it adds to each stop's row and drops its ids, so memory holds one
-    run's ids, not all of them; the synthetic range's balls need no ids,
-    each having a cell of its own.  The folded rows, summed over the stops
+    a run of cells at a time: the table cells (J, table], then parts of
+    the sampler's hat pieces past the table, each expecting at most
+    _TAIL_RUN balls, and the synthetic range past 2^62.  One loop folds
+    each run with ``_fold_tail`` into what it adds to each stop's row and
+    drops its ids, so memory holds one run's ids, not all of them, and
+    stays flat in n; the synthetic range's balls need no ids, each having
+    a cell of its own.  The folded rows, summed over the stops
     before each, are added to those of the cells 1..J.  ``increments_fn``
     replaces the Poisson clock (a testing hook; e.g. forcing K_i = n_i
     makes both columns identical).

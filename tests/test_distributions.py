@@ -29,6 +29,7 @@ from urnsim.distributions import (
     _RANGE_EDGES,
     _SLOTS,
     _TABLE_SIZE,
+    _TAIL_RUN,
     _tail_sums,
     _zeta,
 )
@@ -56,27 +57,30 @@ _POWER_SAMPLERS = ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log", "zipf_lo
 # TestSampler.test_draws_pinned.  Re-pinned when draw_cells took its table
 # draws by one inversion past cell 0 (draw_past) in place of a multinomial
 # over the first cells, and the tail sampler placed each candidate within
-# its hat piece by a uniform of its own: both change which cells the
+# its hat piece by a uniform of its own; and again when draw_past split the
+# balls past the table by one multinomial over the hat's pieces, each
+# candidate placed by one uniform in its own piece and only a binomial
+# subset of them taking the acceptance ratio.  Each changes which cells the
 # uniforms map to, not the law (test_draw_counts_law, test_tail_ranges_law)
 _PINNED_DRAWS = {
-    "zipf_s2": ("3dea786505b8b44ddb63379c6faa012efea842d2324554311563d15d2431af1a",
-                "b1c0a3dafb9c1f3f4e89aee219d181e3b16117be768ae4fea556f68df930ef43"),
-    "zipf_s1.2": ("73cccdf23e921780a28373e9eb97abf7f99290abd5268d08233556440503f8aa",
-                  "15bc49cb5025d18beadcc07a2114cd13b769e54bb19dbbb62ccf7d10dda53a84"),
-    "zipf_log": ("100f714f9d61ba8112485c45a48431506caa9dc9c11aef5b2fdaf719d4e4d597",
-                 "e606d87659e180f3d2a65cdfd261b29045353384a0c0616c8e166ac847423c5a"),
-    "theta_one_log": ("f26ce039b893f790776da718b5ad5eb77d1f203ccf22d254edaccf67596f4a8a",
-                      "5edce7e2fed1bf4323c7a24707461f5a54012c99c033f0701a0e29d58275da39"),
+    "zipf_s2": ("8fd60715d50dd1f82502d78ce72797875ebc9795e74a0c501376cfd0a0d0d515",
+                "4937759431c8f3c3402aaa48ce7fb0cd8bd33fd81d4860d7a82d87e98103a725"),
+    "zipf_s1.2": ("f8d5667b4bd9a232728a08bcb2064b0fd54abf97869afaf673c7be071c9a0d2e",
+                  "b318bf09bb62b5ac4775c73bc20363d13611628355b2b57f09bc0bba1fdd74e4"),
+    "zipf_log": ("48f958fcaafb415ca39f9055c7ff7207e38662b5f2dab061957cc9961d0e58e4",
+                 "0ee194e911af0728cfba675df0e66060342377a94d084c3ded08d1cb7b918b71"),
+    "theta_one_log": ("eabea11acd5504ffdf3a54db0b1cbcd360cade7e82c0bf2b463fb59f91bd6625",
+                      "f5b60c5ab4a36398959d1635e88da775c80755afc6d096a40c629e777de92228"),
     "geometric": ("63bec62e318f61979ddfff0d6ac1e9fed175bc05207234f3c29c918669b10f05", None),
 }
 # The same without numpy's AVX-512 loops, whose exp, log and pow round some
 # p_j and sampler ratios differently in the last place
 _PINNED_DRAWS_NO_V4 = {
     **_PINNED_DRAWS,
-    "zipf_s1.2": ("cfdab960f3c4f010aa1d8a38d11fc0f5f9d96c1de5ff3f57c54cd286a05c0653",
-                  "ee30acd5b841002bba69db1a0432f97e85b6183b2c817b303d44f5158e8da242"),
-    "theta_one_log": ("0c850ce20af4a063c3da906cafa68f5462b807f24ab50537bfe88728bc0baa0c",
-                      "f73bbb8755d14c3c01c1738a3ac707f1d8602a0d374580560e522299a129a40b"),
+    "zipf_s1.2": ("bdef52ebccc668cadc24613ffbf53c1eb80a79aac93bcf8b3dabfe9942411178",
+                  "13478e4e3b8934f9fed910ff2a0737f160477b56d444bf119f3cc2c657f4d662"),
+    "theta_one_log": ("486ad3d5682d5f358ea83f76c7add5b0cf0e4ab357b4758a3f48fd7c584a9112",
+                      "81a13109e567d06bf8173775bdac57f796a37b1c8fc1a2fd763c419027b3394c"),
 }
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -795,15 +799,31 @@ def _chi2_pvalue(observed, expected) -> float:
 
 class _Uniforms:
     """A stand-in generator whose random(size) hands out the given arrays
-    in turn."""
+    in turn; binomial hands out the numbers ``slow`` in turn (0 once they
+    are spent), and choice picks the first candidates."""
 
-    def __init__(self, *arrays):
-        self.arrays = list(arrays)
+    def __init__(self, *arrays, slow=()):
+        self.arrays, self.slow = list(arrays), list(slow)
 
     def random(self, size):
-        out = self.arrays.pop(0)
+        out = self.arrays.pop(0).copy()  # the sampler works in place
         assert out.size == size
         return out
+
+    def binomial(self, n, p):
+        return self.slow.pop(0) if self.slow else 0
+
+    def choice(self, n, size, replace):
+        return np.arange(size)
+
+
+def _draw_range(d, rng, m, r):
+    """m draws of the power family d in the dyadic range (2^r, 2^(r+1)]: a
+    multinomial over the range's hat pieces, then the pieces' draws."""
+    law, hat, _ = d._tail_ranges
+    piece = np.arange(_PIECES * (r - 16), _PIECES * (r - 15))
+    counts = rng.multinomial(m, law[piece] / law[piece].sum())
+    return d._draw_tail_block(rng, hat.cells[piece[0]:piece[-1] + 2], piece, counts)
 
 
 class TestSampler:
@@ -847,16 +867,19 @@ class TestSampler:
     def test_tail_ranges_law(self, name, rng):
         # draw_past's draws past the table (at J = table, every ball),
         # binned by range (the dyadic ranges, then past 2^62), against the
-        # masses it splits the balls past the table by;
-        # its draws in (2^16, 2^17] against p_j in 8 bins of cells; and
-        # draws in (2^40, 2^41], across its hat's pieces, against the tail
-        # sums at 8 bin edges equal in ln x
+        # masses of the hat's pieces it splits the balls past the table by,
+        # summed by range; its draws in (2^16, 2^17] against p_j in 8 bins
+        # of cells and over the range's four pieces; and draws in (2^40,
+        # 2^41], across its hat's pieces, against the tail sums at 8 bin
+        # edges equal in ln x
         d = build_distribution(_SAMPLER_SPECS[name])
-        law, _, bound = d._tail_ranges
-        assert law.size == _RANGE_EDGES.size and abs(law.sum() - 1.0) < 1e-12
+        law, hat, bound = d._tail_ranges
+        assert law.size == _PIECES * (_RANGE_EDGES.size - 1) + 1
+        ranges = np.append(law[:-1].reshape(-1, _PIECES).sum(axis=1), law[-1])
+        assert ranges.size == _RANGE_EDGES.size and abs(law.sum() - 1.0) < 1e-12
         assert 0.0 < bound < 1e-11
         m = 1_000_000
-        binned = np.zeros(law.size, dtype=np.int64)
+        binned = np.zeros(ranges.size, dtype=np.int64)
         first = []
         runs = d.draw_past(rng, _TABLE_SIZE, [m // 2, 0, m - m // 2])
         next(runs)  # the table run, empty at J = table
@@ -865,16 +888,21 @@ class TestSampler:
                 binned[-1] += counts.sum()
                 continue
             assert ids.min() > _TABLE_SIZE and ids.max() <= _RANGE_EDGES[-1]
-            binned += np.bincount(np.searchsorted(_RANGE_EDGES, ids) - 1, minlength=law.size)
+            binned += np.bincount(np.searchsorted(_RANGE_EDGES, ids) - 1, minlength=ranges.size)
             first.append(ids[ids <= 2 * _TABLE_SIZE])
         assert binned.sum() == m
-        assert _chi2_pvalue(binned, law * m) > 1e-3
+        assert _chi2_pvalue(binned, ranges * m) > 1e-3
         first = np.concatenate(first)
         cells = np.arange(_TABLE_SIZE + 1, 2 * _TABLE_SIZE + 1)
         p = np.add.reduceat(d.prob_array(cells), np.arange(0, _TABLE_SIZE, _TABLE_SIZE // 8))
         binned = np.bincount((first - _TABLE_SIZE - 1) // (_TABLE_SIZE // 8), minlength=8)
         assert _chi2_pvalue(binned, p / p.sum() * first.size) > 1e-3
-        ids = d._draw_tail_block(rng, 200_000, (40 - 16, 41 - 16))
+        edges = hat.cells[:_PIECES + 1]
+        p = np.add.reduceat(d.prob_array(cells), edges[:-1] - _TABLE_SIZE)
+        binned = np.bincount(np.searchsorted(edges, first) - 1, minlength=_PIECES)
+        expect = p / p.sum() * first.size
+        assert stats.chi2.sf(float(((binned - expect) ** 2 / expect).sum()), _PIECES - 1) > 1e-3
+        ids = _draw_range(d, rng, 200_000, 40)
         edges = ((1 << 40) * 2.0 ** (np.arange(9) / 8)).astype(np.int64)
         assert ids.min() > edges[0] and ids.max() <= edges[-1]
         tails = np.array([d._weight_tail(int(J))[0] for J in edges])
@@ -883,44 +911,112 @@ class TestSampler:
 
     @pytest.mark.parametrize("name", _POWER_SAMPLERS)
     def test_tail_ranges_match_oracle(self, name):
-        # the law over the ranges against differences of the 40-digit tail
-        # sums, at the first two ranges, two far ones and the synthetic one,
+        # the law over the ranges (its pieces' masses summed) against
+        # differences of the 40-digit tail sums, at the first two ranges, two
+        # far ones and the synthetic one; and the law of the first two pieces
+        # of range 16, the second of range 40 and the last of range 61; all
         # within the bound that _tail_ranges returns
         d = build_distribution(_SAMPLER_SPECS[name])
-        law, _, bound = d._tail_ranges
+        law, hat, bound = d._tail_ranges
+        ranges = np.append(law[:-1].reshape(-1, _PIECES).sum(axis=1), law[-1])
         tail = {m: tail_power_oracle(d, 1.0, 1 << m, 1) for m in (16, 17, 18, 40, 41, 61, 62)}
         for m in (16, 17, 40, 61):
             want = (tail[m] - tail[m + 1]) / tail[16]
-            assert abs(law[m - 16] - want) <= bound, (m, law[m - 16], want, bound)
+            assert abs(ranges[m - 16] - want) <= bound, (m, ranges[m - 16], want, bound)
         assert abs(law[-1] - tail[62] / tail[16]) <= bound
+        for i in (0, 1, _PIECES * (40 - 16) + 1, _PIECES * (62 - 16) - 1):
+            lo, hi = (tail_power_oracle(d, 1.0, int(c), 1) for c in hat.cells[i:i + 2])
+            assert abs(law[i] - (lo - hi) / tail[16]) <= bound, (i, law[i], (lo - hi) / tail[16])
+
+    @pytest.mark.parametrize("name", _POWER_SAMPLERS)
+    def test_cell_sums_direct(self, name):
+        # the masses that the pieces and sub-pieces of the sampler take,
+        # against direct sums of Z p_j over 1 to 40,000 cells past the table
+        # (their own rounding, 20 ulps, added to the bound)
+        d = build_distribution(_SAMPLER_SPECS[name])
+        lo = np.array([_TABLE_SIZE, _TABLE_SIZE + 1, 70_000, 90_001, 100_000, 3 * _TABLE_SIZE])
+        hi = lo + np.array([1, 2, 7, 100, 5_000, 40_000])
+        sums, bounds = d._cell_sums(lo, hi)
+        direct = np.array([d._weights(np.arange(a + 1, b + 1, dtype=np.float64)).sum()
+                           for a, b in zip(lo, hi)])
+        assert np.all(bounds < 1e-13 * sums), bounds / sums
+        assert np.all(np.abs(sums - direct) <= bounds + 20 * 2.0 ** -52 * direct), (sums - direct) / direct
 
     @pytest.mark.parametrize("m", [56, 61])
     def test_far_range_low_bits(self, theta_one_log, m, rng):
         # past 2^52 the float candidates lie 2^(m-52) apart in range m, and
         # the cells drawn there must not: their low 10 bits are uniform
-        i = m - 16
-        ids = theta_one_log._draw_tail_block(rng, 20_000, (i, i + 1))
-        assert ids.min() > _RANGE_EDGES[i] and ids.max() <= _RANGE_EDGES[i + 1]
+        ids = _draw_range(theta_one_log, rng, 20_000, m)
+        assert ids.min() > _RANGE_EDGES[m - 16] and ids.max() <= _RANGE_EDGES[m - 15]
         low = np.bincount(ids & 1023, minlength=1024)
         assert _chi2_pvalue(low, np.full(1024, ids.size / 1024)) > 1e-3
 
     def test_whole_tail_run_proposes_adjacent_far_cells(self):
-        # a candidate's piece comes from the run's uniform and its place in
-        # the piece from a uniform of its own, so a run of every range (as a
-        # small tail draws) reaches every far cell: places 2^-49 of a piece
-        # apart, in the first piece of (2^50, 2^51], give adjacent cells.
-        # From the run's uniform alone, the cells there were 89 apart for
-        # zipf s = 1.2; here that uniform stays put
+        # a candidate's place is a uniform of its own through its own
+        # piece's hat mass, so a part of every piece (as a small tail draws)
+        # reaches every far cell: places 2^-49 of a piece apart, in the first
+        # piece of (2^50, 2^51], give adjacent cells.  One uniform over the
+        # whole part's hat mass would resolve them only to 2^-53 of it: 89
+        # cells apart there for zipf s = 1.2
         d = build_distribution(_SAMPLER_SPECS["zipf_s1.2"])
-        past = d._tail_ranges[1].past
-        k, run = _PIECES * (50 - 16), (0, _RANGE_EDGES.size - 1)
-        u = (past[0] - (past[k] + past[k + 1]) / 2.0) / (past[0] - past[-1])
-        n = 64
+        hat = d._tail_ranges[1]
+        k, n = _PIECES * (50 - 16), 64
+        counts = np.zeros(hat.squeeze.size, dtype=np.int64)
+        counts[k] = n
         places = 0.5 + np.arange(n) * 2.0 ** -49
-        ids = d._draw_tail_block(_Uniforms(np.full(n, u), places, np.zeros(n)), n, run)
+        ids = d._draw_tail_block(_Uniforms(places), hat.cells, np.arange(counts.size), counts)
         cells = np.unique(ids)
         assert cells.min() > 1 << 50 and cells.max() < 1 << 51
         assert cells.size > n // 4 and np.all(np.diff(cells) == 1), np.diff(cells)
+
+    def test_rejected_candidates_redrawn_in_own_piece(self):
+        # every first candidate takes the acceptance ratio with a uniform of
+        # 1 - 2^-53, above the ratio at the middle of a piece, so all are
+        # rejected and drawn again: the ids must be those of a draw whose
+        # first candidates are the second ones, each in its own piece and
+        # its stop's place
+        d = build_distribution(_SAMPLER_SPECS["theta_one_log"])
+        hat = d._tail_ranges[1]
+        cells, piece, counts = hat.cells[:3], np.arange(2), np.array([[2, 1], [0, 3]])
+        again = np.linspace(0.1, 0.9, 6)
+        want = d._draw_tail_block(_Uniforms(again), cells, piece, counts)
+        ids = d._draw_tail_block(_Uniforms(np.full(6, 0.5), np.full(6, 1.0 - 2.0 ** -53), again,
+                                           slow=[6]), cells, piece, counts)
+        assert np.array_equal(ids, want)
+        assert np.all(np.searchsorted(cells, ids) - 1 == [0, 0, 1, 1, 1, 1])
+
+    def test_split_piece_parts_within_cap(self, rng):
+        # zipf s = 2's first piece past the table holds 16% of the balls
+        # there, so with 10^6 of them it expects five times _TAIL_RUN and is
+        # split at sub-edges into ten sub-pieces.  Every part expects at most
+        # _TAIL_RUN balls, so none holds more than 6 standard deviations
+        # over it; the piece's balls spread over several parts, and their law
+        # in it holds: 16 bins of its cells against p_j
+        d = build_distribution(_SAMPLER_SPECS["zipf_s2"])
+        law, hat, _ = d._tail_ranges
+        m = 1_000_000
+        assert law[0] * m > 4 * _TAIL_RUN
+        stops = np.array([m // 3, 0, m - m // 3])
+        runs = d.draw_past(rng, _TABLE_SIZE, stops)
+        next(runs)
+        lo, hi = hat.cells[:2]
+        got, parts, given = [], 0, np.zeros_like(stops)
+        for ids, counts in runs:
+            given += counts
+            if ids is None:
+                continue
+            assert ids.size == counts.sum() <= _TAIL_RUN + 6 * math.sqrt(_TAIL_RUN)
+            inside = ids[ids <= hi]
+            parts += inside.size > 0
+            got.append(inside)
+        assert np.array_equal(given, stops)
+        assert parts >= 5, parts
+        got = np.concatenate(got)
+        assert got.min() > lo
+        edges = np.linspace(lo, hi, 17).astype(np.int64)
+        p = np.add.reduceat(d.prob_array(np.arange(lo + 1, hi + 1)), edges[:-1] - lo)
+        binned = np.bincount(np.searchsorted(edges, got) - 1, minlength=16)
+        assert _chi2_pvalue(binned, p / p.sum() * got.size) > 1e-3
 
     def test_draw_cells_exchangeable(self, theta_one_log):
         # draw_cells' draws past the table come run by run of cell ranges and

@@ -548,12 +548,14 @@ class TestRunCoupled:
         # same seed's stream merged into per-cell counts stop by stop.
         # Re-pinned when trajectories were built in Poisson time (each cell's
         # first k_max + 1 arrival times and a bisection of the clock) in place
-        # of a multinomial per stop: the stream changed, not its law
+        # of a multinomial per stop, and when the balls past the table were
+        # split by one multinomial over the sampler's hat pieces, each drawn
+        # by one uniform in its own piece: the stream changed, not its law
         grid = CheckpointGrid.logspaced(1_000, 1_000_000, 7, k_max=3)
         near_one = build_distribution(DistributionSpec(family="geometric", q=0.9999))
         frozen = {
             "zipf": "110f538c5ea9b9b5e91e8bf441155fbfabee8e2e345761d921c988cd152625d6",
-            "theta_one_log": "87b8b1477978c41f4de91fa38a13062b1ef1deb0a86a77843a76ed5f9084cacf",
+            "theta_one_log": "f47885e355a4fbe13d5f6768e9dc9dd1a76671fa0c41b810f6eb20f0814e22f0",
             "geometric": "ccb8a42ee3ec7898e152d2dd212b761c833755d6f51d37aaa1b15e971a6871ac",
             "geometric_near_one":
                 "d928a2d443fc4e6417d7d7f96ebd78a960edcdb17582d2eac022b37c1219c20b",
@@ -573,20 +575,20 @@ class TestRunCoupled:
 
         # the grid reaches cuts short of the table and (geometric near one)
         # the whole table; theta_one_log's balls past the table come in more
-        # than one run of ranges and in the synthetic range, and some of its
+        # than one part and in the synthetic range, and some of its
         # balls land in the table cells past its cut
         assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
         assert facts["theta_one_log runs"] >= 3 and facts["theta_one_log synthetic"] > 0
         assert facts["theta_one_log inverted"] > 0
 
     def test_memory_holds_one_range(self, theta_one_log):
-        # the balls past the table are drawn, folded and dropped a run of
-        # ranges at a time: one trajectory on the 1e4..1e7 grid, with about
-        # 584,000 such balls, peaks at 3.3 MB of allocations (the first
+        # the balls past the table are drawn, folded and dropped a part of
+        # the hat's pieces at a time: one trajectory on the 1e4..1e7 grid,
+        # with about 584,000 such balls, peaks at 3.3 MB of allocations (the first
         # arrival times of its 2^16 cells, 142,000 of them, held twice while
         # they are merged), 10.6 MB when all their ids were held at once
         grid = CheckpointGrid.logspaced(10_000, 10_000_000, 13, k_max=3)
-        run_coupled(theta_one_log, grid, seed=(1, 1))  # the range masses, kept
+        run_coupled(theta_one_log, grid, seed=(1, 1))  # the piece masses, kept
         tracemalloc.start()
         try:
             run_coupled(theta_one_log, grid, seed=(1, 0))
