@@ -102,7 +102,7 @@ def _default_config() -> ExperimentConfig:
 
 # study margins that mark a check as passing without a test on one side
 _VACUOUS_NOTES = {
-    "degenerate_median": "median 0 at an end, so the halving holds vacuously",
+    "degenerate_median": "median 0 at an end, so the decay holds vacuously there",
     "vacuous_low_first": "band low edge 0 at n_min, so this end cannot fail low",
     "vacuous_low_last": "band low edge 0 at n_max, so this end cannot fail low",
 }

@@ -48,8 +48,8 @@ _CUT_MIN = 1 << 6
 # than half a part at sub-edges, so that no part's ids, fold key or sampler
 # temporaries grow with the trajectory.
 _TAIL_RUN = 1 << 15
-# Bound on the error of the normalizing constant Z of the log families,
-# relative to max(1, Z); its head grows until the tail's bound is a quarter of it.
+# Bound on the error of the log families' normalizing constant Z, relative to
+# max(1, Z); Z takes one cut, 2^14: the tail's bound is rounding-dominated there.
 _NORM_TOL = 1e-12
 # Smallest cut J of a power family's Euler-Maclaurin tail sums, and so the
 # smallest head of an exact series.
@@ -64,10 +64,10 @@ _GAUSS = leggauss(20)
 _GAUSS_LOW = leggauss(10)
 # Points a distribution keeps: tail power sums by cut J (tail_mass's among
 # them) and, for moments, the counts N(t) that set the head lengths by t
-# and head sums by (t, k, star).
-# A series point cuts once, at its head length; L*(t), which keeps nothing of
-# its own, reads the (t, 1, star) sums that moment_report's k = 1 series
-# fill; depoissonization_gap and variance_sandwich_check read up to three
+# and head sums by (t, k, star).  A series point cuts once, at its head
+# length, and sums every order there; L*(t), which keeps nothing of its
+# own, reads the (t, 1, star) sums that moment_report's k = 1 series fill;
+# depoissonization_gap and variance_sandwich_check read up to three
 # points, so fewer slots would evict one that is about to be used again.
 _SLOTS = 4
 # Draws that would land beyond this index (per-cell probability < ~1e-21)
@@ -317,13 +317,8 @@ class CellDistribution:
             # 1/(s - 1) and stalls them below s = 1.0018, and the tail is most of Z
             return _zeta(self.s)
         J = 1 << 14
-        while True:
-            head = float(self._weights(np.arange(1, J + 1, dtype=np.float64)).sum())
-            tail, bound = self._weight_tail(J)
-            if bound <= _NORM_TOL / 4.0 * max(1.0, head + tail) or J >= (1 << 22):
-                break
-            J *= 2
-        Z = head + tail
+        tail, bound = self._weight_tail(J)
+        Z = float(self._weights(np.arange(1, J + 1, dtype=np.float64)).sum()) + tail
         if bound > _NORM_TOL * max(1.0, Z):
             raise DistributionError(f"normalization stalled at J={J}: bound {bound:.2e} "
                                     f"> {_NORM_TOL:.2e} max(1, Z)")

@@ -260,64 +260,42 @@ def _binom_minus_poisson(n: int, p: np.ndarray, lam: np.ndarray, pmf: list, k: i
                   + 2.0 ** -51 * float(mag @ lam) - 8.0 * 2.0 ** -52 * x_size)
 
 
-def _tail_series(d: CellDistribution, t: float, J: int, coeffs: np.ndarray,
-                 scale: float) -> tuple[float, float, float]:
+def _tail_series(d: CellDistribution, t: float, J: int,
+                 coeffs: np.ndarray) -> tuple[float, float, float]:
     """sum_{j>J} g(t p_j) from the Maclaurin coefficients c_r of g (c_0 =
     0), a bound, and the sum of the magnitudes of its terms, from one
-    tail_power_sum call.
-
-    The sum stops at the first order whose remainder bound
-    (:func:`_remainders`, with t p_{J+1} >= t p_j for j > J, the p_j taken
-    as exact as in the head) is at most 1e-16 max(|sum|, scale), else at
-    _MAX_ORDER; the bound is that remainder plus the power sums' own error
-    bounds.
-    """
+    tail_power_sum call: every order r = 1.._MAX_ORDER, summed in order.
+    The bound is sum_r |c_r| times the power sums' own bounds, plus
+    :func:`_past_orders` at t p_{J+1} >= t p_j, j > J (the p_j taken as
+    exact, as in the head)."""
     values, bounds = d.tail_power_sum(t, J)
-    c = coeffs[1:]
-    terms = c * values
-    total, err, size = np.cumsum(terms), np.cumsum(np.abs(c) * bounds), np.abs(terms)
+    terms = coeffs[1:] * values
     # t p_{J+1} rounded up past the rounding of the product
-    rem = _remainders(coeffs, values + bounds, t * d.prob(J + 1) * (1.0 + 2.0 ** -51))
-    stop = np.flatnonzero(rem <= 1e-16 * np.maximum(np.abs(total), max(scale, 1e-300)))
-    i = stop[0] if stop.size else _MAX_ORDER - 1
-    return float(total[i]), float(rem[i] + err[i]), float(size[:i + 1].sum())
+    past = _past_orders(coeffs, values[-1] + bounds[-1], t * d.prob(J + 1) * (1.0 + 2.0 ** -51))
+    return (float(np.cumsum(terms)[-1]), float(np.abs(coeffs[1:]) @ bounds + past),
+            float(np.abs(terms).sum()))
 
 
-def _remainders(coeffs: np.ndarray, sums: np.ndarray, lam: float) -> np.ndarray:
-    """Per order i = 1.._MAX_ORDER (entry i - 1), a bound on the orders past
-    i of sum_r a_r S_r, a_r the coefficients ``coeffs`` of one rule of
-    :func:`_tail_coeffs`, from upper bounds ``sums`` on the power sums
-    S_r = sum_{j>J} (t p_j)^r, r <= _MAX_ORDER, and lam >= t p_j, j > J.
-
-    As S_r <= lam^(r-i-1) S_{i+1} for r > i, the orders past i are at most
-    S_{i+1} W_i, W_i = sum_{r>i} |a_r| lam^(r-i-1) = |a_{i+1}| + lam W_{i+1},
-    with S_61 <= lam S_60.  Past _MAX_ORDER, W_60 takes a factorial
-    envelope.  The coefficients of P(Poisson in A) are at most b_r =
+def _past_orders(coeffs: np.ndarray, s60: float, lam: float) -> float:
+    """A bound on the orders r > _MAX_ORDER of sum_r a_r S_r, a_r the
+    coefficients ``coeffs`` of one rule of :func:`_tail_coeffs`, S_r =
+    sum_{j>J} (t p_j)^r, from ``s60`` >= S_60 and lam >= t p_j, j > J: as
+    S_r <= lam^(r-60) S_60, they are at most lam S_60 W, W = sum_{r>60}
+    |a_r| lam^(r-61).  The coefficients of P(Poisson in A) are at most b_r =
     1/(k! (r-k)!) (at least k: 1/((k-1)! (r-k)! r)), those of g (1 - g) at
     most b_r + (b*b)_r, (b*b)_r = 2^(r-2k)/(k!^2 (r-2k)!), and the fixed-n
     rules scale c_r by factors in [-1, 1].  By (m+j)! >= m! j!,
-    W_60 <= e^lam/(k! (61-k)!) + lam^D 2^M e^(2 lam)/(k!^2 M!),
+    W <= e^lam/(k! (61-k)!) + lam^D 2^M e^(2 lam)/(k!^2 M!),
     M = max(61 - 2k, 0), D = max(2k - 61, 0).  k is the lowest order with
     a_k != 0: the count's k, or 2 for the k = 1 gaps (a_1 = 0), whose
-    |a_r| <= 1/(r-1)! lie below b_r at k = 2 past order 2.  The sums are
-    scaled up by 2^-44 for rounding: under 2 ulps an order in these
-    nonnegative sums and products, and _MAX_ORDER + 8 ulps in the
-    coefficients (as :func:`_series` charges the gap's).
-    """
-    a, s = np.abs(coeffs).tolist(), (sums * (1.0 + 2.0 ** -44)).tolist()
-    k = next(r for r, x in enumerate(a) if x)
-    top = _MAX_ORDER + 1
+    |a_r| <= 1/(r-1)! lie below b_r at k = 2 past order 2.  2^-44 of the
+    product covers its rounding."""
+    k, top = int(np.flatnonzero(coeffs)[0]), _MAX_ORDER + 1
     m = max(top - 2 * k, 0)
     w = (math.exp(lam) / (math.factorial(k) * math.factorial(top - k))
          + lam ** max(2 * k - top, 0) * 2.0 ** m * math.exp(2.0 * lam)
          / (math.factorial(k) ** 2 * math.factorial(m)))
-    out = [0.0] * _MAX_ORDER
-    s_next = lam * s[-1]
-    for i in range(_MAX_ORDER, 0, -1):
-        out[i - 1] = s_next * w
-        w = a[i] + lam * w
-        s_next = s[i - 1]
-    return np.array(out)
+    return lam * s60 * w * (1.0 + 2.0 ** -44)
 
 
 def _count(d: CellDistribution, t: float) -> int:
@@ -520,7 +498,7 @@ def _series(d: CellDistribution, t: float, k: int, star: bool,
     J = _head_length(d, t)
     head, rounding = d._head_sums.keep((t, k, star), lambda: _head_pass(d, t, k, star, J))[name]
     c = _tail_coeffs(name, t, k, star)
-    tail, bound, size = _tail_series(d, t, J, c, abs(head) + 1e-12 if name == "gap" else head)
+    tail, bound, size = _tail_series(d, t, J, c)
     if name == "gap":
         # the gap's head may cancel, so its tail's rounding counts on its own:
         # r + 8 ulps of each term (c_r expm1(ln falling) and the sum), r <= 60

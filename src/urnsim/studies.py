@@ -194,16 +194,16 @@ def study_coupling_decay(cfg: ExperimentConfig,
     """Decay of b(n) * |fixed-n count - poissonized count| along the grid.
 
     Pass (per k): the seed-median at n_max is <= DECAY_FACTOR times its
-    value at n_min and <= DECAY_ABS_THRESHOLD.  At theta = 1 the
-    expected median falls only like the new-cell rate, and halving it takes
-    decades beyond reach; there the median must lie at n_min and at n_max in
-    the 99.9% band of :func:`median_band`, and both the predicted and the
-    observed median must fall; a band whose low edge is 0 at an end cannot
-    fail low there, which is flagged as ``vacuous_low_first`` or
-    ``vacuous_low_last``.  The seed mean and the fraction of zero gaps
-    are reported per checkpoint; a median of 0 at either end makes the
-    halving hold vacuously and is flagged as ``degenerate_median``.  The
-    scaled coupling gap b(n)|K - n| is reported as a consistency column.
+    value at n_min and <= DECAY_ABS_THRESHOLD.  At theta = 1 the expected
+    median falls only like the new-cell rate, and halving it takes decades
+    beyond reach; there the median must lie at n_min and at n_max in the
+    99.9% band of :func:`median_band`, and the predicted and the observed
+    median must fall (the observed one unless it starts at 0); a band whose
+    low edge is 0 at an end cannot fail low there (``vacuous_low_first``,
+    ``vacuous_low_last``).  The seed mean and the fraction of zero gaps are
+    reported per checkpoint; a median of 0 at either end makes the decay
+    hold vacuously there (``degenerate_median``).  The scaled coupling gap
+    b(n)|K - n| is reported as a consistency column.
     """
     d = build_distribution(cfg.distribution)
     grid = _grid_for(cfg)
@@ -234,7 +234,7 @@ def study_coupling_decay(cfg: ExperimentConfig,
             (p0, lo0, hi0), (p1, lo1, hi1) = (median_band(d, int(n), len(trajectories), k)
                                               for n in (ns[0], ns[-1]))
             flags[f"decay_k{k}"] = bool(lo0 <= first <= hi0 and lo1 <= last <= hi1
-                                        and p1 < p0 and last < first)
+                                        and p1 < p0 and (last < first or first == 0))
             margins.update({f"predicted_first_k{k}": p0, f"predicted_last_k{k}": p1,
                             f"band_lo_first_k{k}": lo0, f"band_hi_first_k{k}": hi0,
                             f"band_lo_last_k{k}": lo1, f"band_hi_last_k{k}": hi1,

@@ -186,6 +186,29 @@ class TestCouplingDecay:
         assert res.margins["vacuous_low_last_k2"] is False
         assert res.margins["band_lo_first_k2"] == 0.0
 
+    def test_theta_one_zero_first_median(self, theta_one_log):
+        # nothing falls from a first median of 0: at theta = 1 the flag then
+        # asks for both bands and the predicted fall only, and the study
+        # flags the median as degenerate.  The k = 2 band's low edge is 0 at
+        # n = 1e4, so a median of 0 lies in it
+        cfg = small_cfg(distribution=T1L, n_min=10_000, n_max=1_000_000, points=2,
+                        ks=(2,), seeds=30)
+        grid = CheckpointGrid.logspaced(cfg.n_min, cfg.n_max, cfg.points)
+        ends = np.asarray(grid.positions)
+        (p0, lo0, _), (p1, lo1, hi1) = (median_band(theta_one_log, int(n), cfg.seeds, k=2)
+                                        for n in ends)
+        assert lo0 == 0.0 and p1 < p0
+        last = round(p1 / normalizer(theta_one_log, 2).b(float(ends[1])))
+        trajs = [CoupledTrajectory(
+            seed=(cfg.master_seed, i), positions=ends, K=ends,
+            at_least=np.stack([np.zeros((2, grid.k_max + 1), dtype=np.int64),
+                               np.tile(np.array([[0], [last]]), (1, grid.k_max + 1))]))
+            for i in range(cfg.seeds)]
+        res = study_coupling_decay(cfg, trajectories=trajs)
+        first, med = res.stats["scaled_gap_median_k2"]
+        assert first == 0.0 and lo1 <= med <= hi1
+        assert res.pass_flags["decay_k2"] and res.margins["degenerate_median_k2"]
+
     def test_scaling_monotone_in_b(self):
         # the scaled statistic can only shrink under a smaller normalizer
         cfg = small_cfg(seeds=6)
