@@ -45,7 +45,7 @@ _CUT_MIN = 1 << 6
 # Balls past the table that one part of them expects at most: draw_past
 # groups consecutive hat pieces into parts, so that a small tail costs a few
 # draws and folds, not one per piece, and splits a piece that expects more
-# than half a part at sub-edges, so that no part's ids, fold key or sampler
+# than half a part at sub-edges, so that no part's keys, ids or sampler
 # temporaries grow with the trajectory.
 _TAIL_RUN = 1 << 15
 # Bound on the error of the log families' normalizing constant Z, relative to
@@ -79,6 +79,11 @@ _SYNTHETIC_BASE = 1 << 62
 _RANGE_EDGES = _TABLE_SIZE << np.arange(_SYNTHETIC_BASE.bit_length() - _TABLE_SIZE.bit_length() + 1)
 # Pieces of the sampler's hat per dyadic range past the table (_tail_ranges)
 _PIECES = 4
+# Balls per cell of a part past the table (_draw_part) from which most have
+# another near, so each takes its cell: sorting keys would cost more than it saves
+_DENSE = 0.25
+# A ball's place in its part past the table (_draw_part), one of 2^_PLACE_BITS
+_PLACE_BITS = 62
 
 
 class DistributionError(ValueError):
@@ -266,6 +271,10 @@ class _Kept(dict):
 # ((x/x0)^om - 1) / rate, rows = (x0 = cells[i] + 1/2, rate, om = 1 - sigma);
 # squeeze: a bound below each ratio.
 _Hat = namedtuple("_Hat", "cells rows squeeze")
+# The elements of draw_past's parts: element i holds cells first[i]..last[i]
+# of piece piece[i] (its x0, om and squeeze), whose hat mass from x0 times rate
+# is lo at its left edge, lo + width at its right; spread: see _near
+_Elements = namedtuple("_Elements", "piece x0 om lo width first last spread squeeze")
 
 
 class CellDistribution:
@@ -287,9 +296,9 @@ class CellDistribution:
         values = {**_FIXED.get(spec.family, {}), **spec.as_mapping()}
         self.s, self.a, self.q = (float(values[n]) if n in values else None for n in _PARAMETERS)
         self.theta = 0.0 if self.s is None else 1.0 / self.s
-        self.Z = self._normalization()
         if self.a is not None and self.a < 0.0:
             self._check_monotone_negative_a()
+        self.Z = self._normalization()
         self.p1 = float(self.prob(1))
         self._prefix = self.prob_array(np.arange(1, _TABLE_SIZE + 1))
         # J -> the part of tail_power_sum(t, J) that does not depend on t
@@ -559,37 +568,33 @@ class CellDistribution:
         past it."""
         return float(self._rest[J]) + self._past_table
 
-    def draw_past(self, rng: np.random.Generator, J: int, m):
+    def draw_past(self, rng: np.random.Generator, J: int, m, *, alone: bool = False):
         """The balls past cell J, ``m[s]`` of them at stop s, exact in law, a
         run of cells at a time: yields ``(ids, counts)``, ``counts[s]`` of the
         run's balls at stop s with their ids in stop order, or ids None for
-        the synthetic range past 2^62, whose balls each have a cell of their
-        own.  The first run, yielded even when empty, is the table cells (J,
-        table]; the others lie past the table.
+        balls with a cell each: the synthetic range past 2^62 and, with
+        ``alone`` (run_coupled's form), the balls past the table that no
+        other can share a cell with.  The first run, yielded even when empty,
+        is the table cells (J, table]; the others lie past the table.
 
-        A binomial per stop splits its balls by the masses of (J, table]
-        and past the table.  The ids in (J, table] are made by inversion:
-        for u uniform on [0, 1), w = _rest[J] (1 - u) is in (0, _rest[J]],
-        and its cell c has _rest[c] < w <= _rest[c-1].  Sorted keys search
-        the table several times faster; the balls are i.i.d. given their
-        numbers, so a random permutation of the ids deals them to the
-        stops (one stop needs none).
-
-        Past the table one multinomial per stop splits the stop's balls
-        across the hat's pieces (:attr:`_tail_ranges`) and the synthetic
-        range past 2^62.  A piece that expects more than half of _TAIL_RUN
+        A binomial per stop splits its balls by the masses of (J, table] and
+        past the table.  The ids in (J, table] are made by inversion: for u
+        uniform on [0, 1), w = _rest[J] (1 - u) is in (0, _rest[J]], and its
+        cell c has _rest[c] < w <= _rest[c-1].  Sorted keys search the table
+        several times faster; the balls are i.i.d. given their numbers, so a
+        random permutation of the ids deals them to the stops (one stop
+        needs none).  Past the table the elements are the hat's pieces
+        (:attr:`_tail_ranges`); one that expects more than half of _TAIL_RUN
         of the balls is split first into q sub-pieces of equal hat mass, at
-        edges rounded down to cells, each with its piece's mass in
-        proportion to its cell sum (:meth:`_cell_sums`).  Consecutive
-        elements, pieces or sub-pieces, form parts that expect at most
-        _TAIL_RUN balls: a part starts where the mass of the elements before
-        it, times the balls, passes a multiple of half of _TAIL_RUN.  Both
-        depend on the balls' total alone, so the law holds; given the
-        numbers, the balls in an element are i.i.d., so a part's ids are
-        drawn for every stop at once, each in its own element.  (A piece is
-        split no finer than its cells, so past about 1e12 balls a sub-piece
-        of one cell may expect more than half a part.)  The synthetic range
-        is yielded last.  Geometric has one run past the
+        edges rounded down to cells, which share its mass by their cell sums
+        (:meth:`_cell_sums`).  Consecutive elements form parts that expect
+        at most _TAIL_RUN balls: a part starts where the mass before it,
+        times the balls, passes a multiple of half of _TAIL_RUN.  Both depend
+        on the balls' total alone, so one multinomial per stop over the parts
+        and the synthetic range keeps the law, and a part's balls, i.i.d.
+        given their numbers, are drawn for every stop at once
+        (:meth:`_draw_part`).  (Past about 1e12 balls a sub-piece of one cell
+        may expect more than half a part.)  Geometric has one run past the
         table, drawn by memorylessness.
         """
         m = np.asarray(m, dtype=np.int64)
@@ -624,14 +629,13 @@ class CellDistribution:
             piece, cells = piece.take(keep), np.append(edges.take(keep), cells[-1])
             sums = self._cell_sums(cells[:-1], cells[1:])[0]
             p = law.take(piece) * sums / np.bincount(piece, sums).take(piece)
-        split = rng.multinomial(m, np.append(law[-1], p))  # the synthetic range first
         starts = np.flatnonzero(np.diff(np.floor((np.cumsum(p) - p) * half), prepend=-1.0))
-        for a, b in zip(starts, np.append(starts[1:], p.size)):
-            counts = split[:, 1 + a:1 + b]
-            if counts.any():
-                ids = self._draw_tail_block(rng, cells[a:b + 1], piece[a:b], counts)
-                yield ids, counts.sum(axis=1)
-                del ids
+        split = rng.multinomial(m, np.append(law[-1], np.add.reduceat(p, starts)))
+        elements = self._elements(cells, piece)
+        for i, (a, b) in enumerate(zip(starts, np.append(starts[1:], p.size)), 1):
+            if split[:, i].any():
+                yield from self._draw_part(rng, _Elements(*(f[a:b] for f in elements)), p[a:b],
+                                           split[:, i], alone)
         if split[:, 0].any():
             yield None, split[:, 0]
 
@@ -640,7 +644,7 @@ class CellDistribution:
         """For a power family, the law of a ball past the table over the
         pieces of the hat, _PIECES per dyadic range (2^m, 2^(m+1)], m =
         16..61, then over the synthetic range past 2^62; the hat of
-        :meth:`_draw_tail_block`; and a bound on the law's total variation
+        :meth:`_hat_cells`; and a bound on the law's total variation
         distance from the exact one.  A piece's mass is its cell sum
         (:meth:`_cell_sums`, every piece in one pass), the synthetic range's
         the r = 1 tail sum at 2^62, so the bound is twice the sum of their
@@ -689,74 +693,184 @@ class CellDistribution:
         return self._weights(j.astype(np.float64)) * rate / (
             (jm / x0) ** om * np.expm1(om * np.log1p(1.0 / jm)))
 
-    def _draw_tail_block(self, rng: np.random.Generator, cells: np.ndarray,
-                         piece: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Exact draws of a power family past the table, ``counts[s, i]`` of
-        them at stop s in the cells cells[i] + 1..cells[i + 1] of the hat
-        piece piece[i] of :meth:`_tail_ranges`: their ids in stop order, and
-        within a stop by element i.  ``counts`` may be one stop's row.
-
-        By rejection-inversion (Hörmann and Derflinger, ACM TOMACS 6, 1996)
-        under the hat: a candidate lies a uniform v of the way through its
-        element's hat mass, one uniform each, where the mass inverts by
-        log1p and exp, whatever sigma, to about an ulp of x.  Past 2^52 the
-        float candidates lie h >= 1 apart, so the cell is one of the h
-        nearest, uniformly.  A candidate strays past its element's cells
-        only by rounding and is clipped to them.  An acceptance uniform at or
-        below the squeeze, which it is with the squeeze's chance, accepts
-        without the ratio; so only a Binomial(n, 1 - squeeze) subset of the n
-        candidates, chosen by ``rng.choice``, takes the ratio, against a
-        uniform on (squeeze, 1).  A rejected candidate is drawn again in its
-        own element.
-
-        ``draw_past`` draws the ranges below 2^62 here and the synthetic
-        range by count alone, every ball a single: the chance that two of n
-        such balls would truly share a cell is below n^2 p_(2^62) / (2
-        T(2^62)), T(2^62) the mass past 2^62: 2.5e-21 n^2 for theta_one_log
-        (6e-7 for the 1.5e7 synthetic balls of a trajectory to 1e9, 6e-5 at
-        1e10), 2.2e-20 n^2 for zipf s = 1.2, whose synthetic range holds
-        0.17% of its balls past the table.
-        """
+    def _elements(self, cells: np.ndarray, piece: np.ndarray) -> _Elements:
+        """The elements i, cells cells[i] + 1..cells[i + 1] of the hat pieces
+        piece[i] of :meth:`_tail_ranges`."""
         hat = self._tail_ranges[1]
         x0, _, om = (r.take(piece) for r in hat.rows)
-        # rate times the hat's mass from x0 to each element's edges
         lo, hi = (np.expm1(om * np.log((c + 0.5) / x0)) for c in (cells[:-1], cells[1:]))
-        width, first, last = hi - lo, cells[:-1] + 1, cells[1:]
-        squeeze = float(hat.squeeze.take(piece).min())
-        counts = np.atleast_2d(counts)
-        each = np.repeat(np.tile(np.arange(piece.size), counts.shape[0]), counts.ravel())
+        n = np.diff(cells)
+        # (x_b / x_a)^|sigma| / n (1 + 2^-44 x_b) (_near), 2^-40 over for its rounding
+        spread = (np.exp(np.abs(1.0 - om) * np.log1p(n / (cells[:-1] + 0.5))) / n
+                  * (1.0 + 2.0 ** -44 * (cells[1:] + 0.5)) * (1.0 + 2.0 ** -40))
+        return _Elements(piece, x0, om, lo, hi - lo, cells[:-1] + 1, cells[1:], spread,
+                         hat.squeeze.take(piece))
 
-        def draw(at):
-            """Candidates in the elements ``at``, and which of them are rejected."""
-            # x = x0 (1 + lo + v width)^(1/om), in place (take gathers faster than [])
-            x = rng.random(at.size)
-            x *= width.take(at)
-            if lo.any():
-                x += lo.take(at)
-            np.log1p(x, out=x)
-            x /= om.take(at)
-            np.exp(x, out=x)
-            x *= x0.take(at)
-            j = np.floor(x + 0.5).astype(np.int64)
-            wide = np.flatnonzero(x >= 2.0 ** 52)
-            if wide.size:
-                # the cells x - h/2 .. x + h/2 - 1 (x itself for h = 1)
-                h = np.spacing(x[wide])
-                j[wide] = x[wide].astype(np.int64) + (
-                    np.floor(rng.random(wide.size) * h) - np.floor(h / 2.0)).astype(np.int64)
-            del x
-            np.clip(j, first.take(at), last.take(at), out=j)
-            slow = rng.choice(j.size, rng.binomial(j.size, 1.0 - squeeze), replace=False)
-            if slow.size:
-                v = squeeze + (1.0 - squeeze) * rng.random(slow.size)
-                slow = slow[v > self._accept_ratio(j.take(slow), piece.take(at.take(slow)))]
-            return j, slow
+    def _draw_part(self, rng: np.random.Generator, e: _Elements, p: np.ndarray,
+                   counts: np.ndarray, alone: bool):
+        """The balls of a part of :meth:`draw_past`, ``counts[s]`` at stop s,
+        in its elements ``e``, of masses in proportion to p, yielded as
+        draw_past yields them.  A ball is a candidate of rejection-inversion
+        (Hörmann and Derflinger, ACM TOMACS 6, 1996) under its element's hat
+        (:meth:`_hat_cells`).  Those that a Bernoulli(1 - squeeze) picks, by
+        geometric gaps in any order of the i.i.d. balls, take the ratio
+        against a uniform on (squeeze, 1); the others' uniforms would lie
+        below the squeeze.  A rejected one is drawn again in its element.
+        Past _DENSE balls per cell, a multinomial per stop deals the balls
+        to the elements and each takes its cell.  Else each has a place of
+        2^62 (:meth:`_edges`) and a uint32 key, the place's top 32 - b bits
+        over its stop's b bits.  One sort orders the keys; the balls another
+        could share a cell with (:meth:`_near`, all without ``alone``), those
+        that take the ratio, and those within reach of one drawn again take
+        their cells (:meth:`_place`).  The synthetic range past 2^62 is drawn
+        by count: two of its n balls share a cell with a chance below n^2
+        p_(2^62) / (2 T), T the mass past 2^62: 2.5e-21 n^2 for
+        theta_one_log, 2.2e-20 n^2 for zipf s = 1.2.
+        """
+        n, bits = int(counts.sum()), max(counts.size - 1, 1).bit_length()
+        stop, edge, squeeze = (1 << bits) - 1, self._edges(p), float(e.squeeze.min())
+        steps = edge[1:] - edge[:-1]
 
-        ids, todo = draw(each)
-        while todo.size:
-            ids[todo], rejected = draw(each.take(todo))
-            todo = todo.take(rejected)
-        return ids
+        def tested(size):
+            at = np.cumsum(rng.geometric(1.0 - squeeze, size=1 + int(2.0 * size * (1.0 - squeeze))))
+            while at[-1] <= size:
+                at = np.append(at, at[-1] + np.cumsum(rng.geometric(1.0 - squeeze, size=at.size)))
+            return at[at <= size] - 1
+
+        def rejected(t, at, j):  # of the candidates t that take the ratio
+            return t[squeeze + (1.0 - squeeze) * rng.random(t.size)
+                     > self._accept_ratio(j.take(t), e.piece.take(at.take(t)))] if t.size else t
+
+        def accepted(at):  # candidates in the elements at, each v through its hat mass
+            v = rng.random(at.size)
+            j = self._hat_cells(rng, e, at, v.copy())
+            todo = rejected(tested(at.size), at, j)
+            while todo.size:
+                v[todo] = rng.random(todo.size)
+                j[todo] = self._hat_cells(rng, e, at.take(todo), v.take(todo))
+                todo = todo.take(rejected(tested(todo.size), at.take(todo), j.take(todo)))
+            return v, j
+
+        if n >= _DENSE * (e.last[-1] - e.first[0] + 1):
+            yield accepted(np.repeat(np.tile(np.arange(p.size), counts.size), rng.multinomial(
+                counts, p / p.sum()).ravel()))[1], counts  # in stop order
+            return
+        key = rng.bit_generator.random_raw((n + 1) // 2).view(np.uint32)[:n]
+        key &= np.uint32(0xFFFFFFFF ^ stop)
+        key |= np.repeat(np.arange(counts.size, dtype=np.uint32), counts)
+        key.sort()
+        near, reach = self._near(key, bits, e, edge) if alone else (np.ones(n, dtype=bool), 0)
+        t = tested(n)  # by the balls' places in the sort
+        near[t] = True
+        need = np.flatnonzero(near)
+        if need.size == 0:
+            yield None, counts
+            return
+        at, ids = self._place(rng, e, edge, key.take(need), bits)
+        t = rejected(need.searchsorted(t), at, ids)
+        if t.size:
+            (v, j), keep = accepted(at.take(t)), np.ones(need.size, dtype=bool)
+            keep[t] = False  # drawn again: their keys from v, within a key of their places
+            v *= steps.take(at.take(t))
+            new = (((edge.take(at.take(t)) + v.astype(np.int64)) >> (_PLACE_BITS - 32 + bits))
+                   << bits) | (key.take(need.take(t)) & stop)
+            lo, hi = (key.searchsorted(np.clip(new + d, 0, 0xFFFFFFFF).astype(np.uint32), side)
+                      for d, side in ((-reach, "left"), (reach, "right")))
+            more = np.unique(np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)]))
+            more = more[~near.take(more)]  # within reach of a new key, and without a cell
+            ids = np.concatenate([ids[keep], self._place(rng, e, edge, key.take(more), bits)[1]
+                                  if more.size else more, j])
+            key = np.concatenate([key.take(need[keep]), key.take(more), new.astype(np.uint32)])
+        elif need.size < n:
+            key = key.take(need)
+        key &= stop
+        got = np.bincount(key, minlength=counts.size)
+        yield ids.take(np.argsort(key.astype(np.min_scalar_type(stop)), kind="stable")), got
+        del ids, key
+        if alone and got.sum() < n:
+            yield None, counts - got
+
+    @staticmethod
+    def _edges(p: np.ndarray) -> np.ndarray:
+        """Element i of a part, of masses in proportion to p, holds the places
+        edge[i]..edge[i + 1] - 1 of the 2^_PLACE_BITS: its share rounded down
+        to a place, and the largest the rest."""
+        steps = (p * (2.0 ** _PLACE_BITS / p.sum())).astype(np.int64)
+        steps[steps.argmax()] += (1 << _PLACE_BITS) - int(steps.sum())
+        return np.append(0, np.cumsum(steps))
+
+    def _place(self, rng: np.random.Generator, e: _Elements, edge: np.ndarray,
+               key: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """The elements and cells of balls with keys ``key`` in a part, by
+        their low bits, one 64-bit draw each: the rest of the place, then its
+        fraction."""
+        shift = _PLACE_BITS - 32 + bits
+        low = rng.bit_generator.random_raw(key.size)
+        place = (key >> bits).astype(np.int64) << shift
+        place |= (low >> np.uint64(64 - shift)).astype(np.int64)
+        at = np.searchsorted(edge, place, side="right") - 1
+        v = (low & np.uint64((1 << (64 - shift)) - 1)).astype(np.float64)
+        v *= 2.0 ** (shift - 64)
+        v += place - edge.take(at)
+        v /= (edge[1:] - edge[:-1]).take(at)
+        return at, self._hat_cells(rng, e, at, v)
+
+    @staticmethod
+    def _near(key: np.ndarray, bits: int, e: _Elements, edge: np.ndarray):
+        """Which of a part's sorted keys another ball could share a cell with,
+        and the largest ``reach`` of its elements.  Two balls share a cell
+        only if their candidates lie within D = 1 + 2^-44 x cells: a cell,
+        the h <= 2^-52 x cells a float candidate spreads over past 2^52, and
+        the map's rounding, at most 2^-46 x each, x <= the element's top
+        x_b.  As the hat c x^-sigma is monotone, a cell of an element of n
+        cells from x_a to x_b holds at most (x_b / x_a)^|sigma| / n of its
+        hat mass per unit of x, so their places lie within R = D (x_b /
+        x_a)^|sigma| / n of its places, plus one, and their keys, of 2^shift
+        places, less than reach = (floor(R / 2^shift) + 2) << b apart.  A key
+        counts as in the element of its last place, and a pair is judged by
+        the larger reach of its two: two balls of one element share a key's
+        places or the first counts as in it."""
+        shift, steps = _PLACE_BITS - 32 + bits, edge[1:] - edge[:-1]
+        reach = (((np.minimum(steps * e.spread, steps) + 1.0) * 2.0 ** -shift).astype(np.int64)
+                 + 2) << bits
+        if reach.max() >> 32:  # an element of about one cell holds most of the part
+            return np.ones(key.size, dtype=bool), int(reach.max())
+        held = key.searchsorted(((edge >> shift) << bits)[:-1].astype(np.uint32))
+        held[:-1] = held[1:] - held[:-1]  # the keys from the one of each element's start on
+        held[-1] = key.size - held[-1]
+        each = np.repeat(reach.astype(np.uint32), held)
+        close = key[1:] - key[:-1] < np.maximum(each[1:], each[:-1])
+        near = np.append(close, False)
+        near[1:] |= close
+        return near, int(reach.max())
+
+    def _hat_cells(self, rng: np.random.Generator, e: _Elements, at: np.ndarray,
+                   v: np.ndarray) -> np.ndarray:
+        """The cells of candidates in the elements ``at`` of ``e``, each v of
+        the way through its element's hat mass (v is overwritten).  The mass
+        inverts by log1p and exp, whatever sigma, to about an ulp of x.
+        Past 2^52 the float candidates lie h >= 1 apart, so the cell is one
+        of the h nearest, uniformly.  A candidate strays past its element's
+        cells only by rounding and is clipped to them."""
+        # x = x0 (1 + lo + v width)^(1/om), in place (take gathers faster than [])
+        x = v
+        x *= e.width.take(at)
+        x += e.lo.take(at)
+        np.log1p(x, out=x)
+        x /= e.om.take(at)
+        np.exp(x, out=x)
+        x *= e.x0.take(at)
+        wide = np.flatnonzero(x >= 2.0 ** 52) if e.last[-1] > 1 << 51 else ()
+        if len(wide):
+            # the cells x - h/2 .. x + h/2 - 1 (x itself for h = 1)
+            h = np.spacing(x[wide])
+            spread = x[wide].astype(np.int64) + (
+                np.floor(rng.random(wide.size) * h) - np.floor(h / 2.0)).astype(np.int64)
+        x += 0.5
+        j = x.astype(np.int64)  # x > 0: truncation is the floor
+        if len(wide):
+            j[wide] = spread
+        return np.clip(j, e.first.take(at), e.last.take(at), out=j)
 
 
 def build_distribution(spec: DistributionSpec) -> CellDistribution:

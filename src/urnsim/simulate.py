@@ -70,7 +70,8 @@ def _fold_tail(ids: np.ndarray | None, counts: np.ndarray, top: int) -> np.ndarr
     """How many cells reach at least k = 1..top balls at each stop, from
     the balls ``ids`` thrown in stop order, ``counts[s]`` of them at stop s
     (in any order within a stop), into cells that no other ball reaches;
-    ids None when each ball has a cell of its own.
+    ids None when each ball has a cell of its own (the synthetic range and
+    the balls that ``draw_past`` finds alone in their cells).
 
     A cell's k-th ball, in stop order, brings it to k balls at that ball's
     stop.  One sort of a key that packs each ball's cell above its stop
@@ -157,9 +158,11 @@ class CoupledTrajectory:
     """Joint fixed-n / poissonized profile readings from one ball stream.
 
     Each side is one array of at-least-k counts, k = 1..k_max+1 (column
-    k-1), a view of the one block both sides share; the at-least-k rows up
-    to k_max are views of it and the exactly-k rows are made from it on
-    access, so a trajectory holds three arrays' data and headers.
+    k-1), a view of the one block both sides share (int32 when the last
+    stop fits in 31 bits, as no count exceeds it, else int64); the
+    at-least-k rows up to k_max are views of it and the exactly-k rows are
+    made from it on access, so a trajectory holds three arrays' data and
+    headers.
     """
 
     seed: int | tuple[int, ...]  # SeedSequence entropy; (master_seed, index) in studies
@@ -397,9 +400,11 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     _TAIL_RUN balls, and the synthetic range past 2^62.  One loop folds
     each run with ``_fold_tail`` into what it adds to each stop's row and
     drops its ids, so memory holds one run's ids, not all of them, and
-    stays flat in n; the synthetic range's balls need no ids, each having
-    a cell of its own.  The folded rows, summed over the stops
-    before each, are added to those of the cells 1..J.  ``increments_fn``
+    stays flat in n.  Balls with a cell of their own need no ids: the
+    synthetic range's, and the balls past the table that no other can
+    share a cell with, which draw_past counts (``alone``) and never places.
+    The folded rows, summed over the stops before each, are added to those
+    of the cells 1..J.  ``increments_fn``
     replaces the Poisson clock (a testing hook; e.g. forcing K_i = n_i
     makes both columns identical).
     """
@@ -413,12 +418,13 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     rows, past = _poisson_time(d.probs_prefix(J), d._mass_past(J), schedule, top, cell_rng)
     past = np.diff(past, prepend=0)
     tail, given = np.zeros_like(rows), np.zeros_like(past)
-    for ids, counts in d.draw_past(cell_rng, J, past):
+    for ids, counts in d.draw_past(cell_rng, J, past, alone=True):
         tail += _fold_tail(ids, counts, top)
         given += counts
         del ids  # not held while the next run is drawn
     if not np.array_equal(given, past):
         raise RuntimeError("the balls past cell J do not add up to each stop's")
     rows += np.cumsum(tail, axis=0)
+    rows = rows.astype(np.int64 if schedule[-1] >> 31 else np.int32, copy=False)
     return CoupledTrajectory(seed=seed, positions=positions, K=K,
                              at_least=rows[np.searchsorted(schedule, [positions, K])])

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -21,11 +22,13 @@ from urnsim import (
     smoothed_slowly_varying,
 )
 from urnsim.distributions import (
+    _DENSE,
     _EM_MIN_INDEX,
     _FAMILIES,
     _MAX_ORDER,
     _NORM_TOL,
     _PIECES,
+    _PLACE_BITS,
     _RANGE_EDGES,
     _SLOTS,
     _TABLE_SIZE,
@@ -35,6 +38,7 @@ from urnsim.distributions import (
     _zeta,
 )
 from urnsim.moments import exact_mean
+from urnsim.simulate import _fold_tail
 
 _SAMPLER_SPECS = {
     "zipf_s2": DistributionSpec(family="zipf", s=2.0),
@@ -61,27 +65,30 @@ _POWER_SAMPLERS = ["zipf_s2", "zipf_s1.2", "zipf_log", "theta_one_log", "zipf_lo
 # its hat piece by a uniform of its own; and again when draw_past split the
 # balls past the table by one multinomial over the hat's pieces, each
 # candidate placed by one uniform in its own piece and only a binomial
-# subset of them taking the acceptance ratio.  Each changes which cells the
-# uniforms map to, not the law (test_draw_counts_law, test_tail_ranges_law)
+# subset of them taking the acceptance ratio; and again when that
+# multinomial ran over parts of the pieces, the balls of a sparse part got a
+# place and a key each and the ratio a subset by geometric gaps.  Each
+# changes which cells the uniforms map to, not the law
+# (test_draw_counts_law, test_tail_ranges_law)
 _PINNED_DRAWS = {
-    "zipf_s2": ("8fd60715d50dd1f82502d78ce72797875ebc9795e74a0c501376cfd0a0d0d515",
-                "4937759431c8f3c3402aaa48ce7fb0cd8bd33fd81d4860d7a82d87e98103a725"),
-    "zipf_s1.2": ("f8d5667b4bd9a232728a08bcb2064b0fd54abf97869afaf673c7be071c9a0d2e",
-                  "b318bf09bb62b5ac4775c73bc20363d13611628355b2b57f09bc0bba1fdd74e4"),
-    "zipf_log": ("48f958fcaafb415ca39f9055c7ff7207e38662b5f2dab061957cc9961d0e58e4",
-                 "0ee194e911af0728cfba675df0e66060342377a94d084c3ded08d1cb7b918b71"),
-    "theta_one_log": ("eabea11acd5504ffdf3a54db0b1cbcd360cade7e82c0bf2b463fb59f91bd6625",
-                      "f5b60c5ab4a36398959d1635e88da775c80755afc6d096a40c629e777de92228"),
+    "zipf_s2": ("352c43a666a6b04b5cc1171714c674ab3d5416de5b48b7e67eddf528e2c50b77",
+                "5775e8fd67cde0bc02f593363d3626b1a1592e717b86ab89bdc2eef2eddc2111"),
+    "zipf_s1.2": ("dca90456d3b9daf244d0281d702b19c2bba9d094505e51a4a9ab1e1d983f9270",
+                  "acbf0ed859bf98a5687e39c639e2d29336908877f2d5a590e203b3ab4148c5f7"),
+    "zipf_log": ("a90fb9043b95e8fc6aa00b5a30b89ef28e6d68fd21982f06d7ee262ee0d2042e",
+                 "c79502b14187a7ea484b0c0d90e20e69f6ccb3c784010910e19b507c88259b9c"),
+    "theta_one_log": ("f02537a52ddf825b4b94b084730d94d5f236a98133e5ca3d1fdf8dd474a8723c",
+                      "d940a0bb7c8ec383749deba658a019c5c9a0a8ddccdfc9f75f1642f9dbfce7e4"),
     "geometric": ("63bec62e318f61979ddfff0d6ac1e9fed175bc05207234f3c29c918669b10f05", None),
 }
 # The same without numpy's AVX-512 loops, whose exp, log and pow round some
 # p_j and sampler ratios differently in the last place
 _PINNED_DRAWS_NO_V4 = {
     **_PINNED_DRAWS,
-    "zipf_s1.2": ("bdef52ebccc668cadc24613ffbf53c1eb80a79aac93bcf8b3dabfe9942411178",
-                  "13478e4e3b8934f9fed910ff2a0737f160477b56d444bf119f3cc2c657f4d662"),
-    "theta_one_log": ("486ad3d5682d5f358ea83f76c7add5b0cf0e4ab357b4758a3f48fd7c584a9112",
-                      "81a13109e567d06bf8173775bdac57f796a37b1c8fc1a2fd763c419027b3394c"),
+    "zipf_s1.2": ("b52a2e6af3ebddb9d87d4d26ed135dea69b7450776881d495da327603b7e2a1c",
+                  "8bf24caab0c31633cd2c1cf31307f95c8b2fd7ab67d020a964b748712964860d"),
+    "theta_one_log": ("39f4e3391b7aacb1b059d742e4a4ea7f00e41898e26d5fb57e042a2bdb7dd4ce",
+                      "70aa7dcfd45a7f935b4e1256fb9f9faa54dbd815b469c7279b4204db0f8d0099"),
 }
 
 # Normalization constants, frozen from independent dev-time oracles:
@@ -360,6 +367,14 @@ class TestBuild:
         assert abs(law.sum() - 1.0) < 1e-12 and bound < 1e-11
         with pytest.raises(DistributionError, match="not monotone"):
             build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-8.0))
+
+    @pytest.mark.parametrize("s, a", [(1.01, -6.0), (1.005, -3.76), (1.0147, -6.0)])
+    def test_not_monotone_refused_by_name(self, s, a):
+        # p_j rises over the first cells, and Z's bound fails too (1e5, 2.7
+        # and 5e3 for J = 2^14): the monotone check runs first, so the
+        # refusal names the cause, not "normalization stalled"
+        with pytest.raises(DistributionError, match="p_j not monotone nonincreasing"):
+            build_distribution(DistributionSpec(family="zipf_log", s=s, a=a))
 
     def test_normalization_partial_plus_tail(self, zipf_log21, theta_one_log, zipf2,
                                               geometric_half):
@@ -814,32 +829,55 @@ def _chi2_pvalue(observed, expected) -> float:
 
 
 class _Uniforms:
-    """A stand-in generator whose random(size) hands out the given arrays
-    in turn; binomial hands out the numbers ``slow`` in turn (0 once they
-    are spent), and choice picks the first candidates."""
+    """A stand-in generator: random(size) and bit_generator.random_raw(size)
+    hand out the arrays ``arrays`` and ``raw`` in turn (random falls back on
+    ``rng``); geometric hands out the next of the gaps ``gaps``, then gaps
+    that no part reaches."""
 
-    def __init__(self, *arrays, slow=()):
-        self.arrays, self.slow = list(arrays), list(slow)
+    def __init__(self, *arrays, raw=(), gaps=(), rng=None):
+        self.arrays, self.raw, self.gaps = list(arrays), list(raw), list(gaps)
+        self.rng, self.bit_generator = rng, self
 
     def random(self, size):
+        if not self.arrays:
+            return self.rng.random(size)
         out = self.arrays.pop(0).copy()  # the sampler works in place
         assert out.size == size
         return out
 
-    def binomial(self, n, p):
-        return self.slow.pop(0) if self.slow else 0
+    def random_raw(self, size):
+        out = self.raw.pop(0).copy()
+        assert out.size == size
+        return out
 
-    def choice(self, n, size, replace):
-        return np.arange(size)
+    def geometric(self, p, size):
+        out, self.gaps = self.gaps[:size], self.gaps[size:]
+        return np.array(out + [1 << 40] * (size - len(out)), dtype=np.int64)
 
 
 def _draw_range(d, rng, m, r):
-    """m draws of the power family d in the dyadic range (2^r, 2^(r+1)]: a
-    multinomial over the range's hat pieces, then the pieces' draws."""
+    """m draws of the power family d in the dyadic range (2^r, 2^(r+1)]: one
+    part of the range's hat pieces, every ball with its cell."""
     law, hat, _ = d._tail_ranges
     piece = np.arange(_PIECES * (r - 16), _PIECES * (r - 15))
-    counts = rng.multinomial(m, law[piece] / law[piece].sum())
-    return d._draw_tail_block(rng, hat.cells[piece[0]:piece[-1] + 2], piece, counts)
+    e = d._elements(hat.cells[piece[0]:piece[-1] + 2], piece)
+    (ids, _), = d._draw_part(rng, e, law[piece], np.array([m]), False)
+    return ids
+
+
+def _keys(places, bits):
+    """The keys of balls at ``places`` of a part with stops of ``bits``
+    bits, at stop 0; and their low bits, the rest of each place, then u =
+    1/2."""
+    shift = _PLACE_BITS - 32 + bits
+    low = (places & ((1 << shift) - 1)).astype(np.uint64) << np.uint64(64 - shift)
+    return (((places >> shift) << bits).astype(np.uint32),
+            low | np.uint64(1 << (63 - shift)))
+
+
+@functools.cache
+def _sampler(name):
+    return build_distribution(_SAMPLER_SPECS[name])
 
 
 class TestSampler:
@@ -968,38 +1006,126 @@ class TestSampler:
         assert _chi2_pvalue(low, np.full(1024, ids.size / 1024)) > 1e-3
 
     def test_whole_tail_run_proposes_adjacent_far_cells(self):
-        # a candidate's place is a uniform of its own through its own
-        # piece's hat mass, so a part of every piece (as a small tail draws)
+        # a candidate's place in its element is its key, then its low bits,
+        # so it is resolved to 2^-53 of its element whatever the rest of
+        # its part, and a part of every piece (as a small tail draws)
         # reaches every far cell: places 2^-49 of a piece apart, in the first
         # piece of (2^50, 2^51], give adjacent cells.  One uniform over the
         # whole part's hat mass would resolve them only to 2^-53 of it: 89
         # cells apart there for zipf s = 1.2
         d = build_distribution(_SAMPLER_SPECS["zipf_s1.2"])
-        hat = d._tail_ranges[1]
+        law, hat, _ = d._tail_ranges
         k, n = _PIECES * (50 - 16), 64
-        counts = np.zeros(hat.squeeze.size, dtype=np.int64)
-        counts[k] = n
-        places = 0.5 + np.arange(n) * 2.0 ** -49
-        ids = d._draw_tail_block(_Uniforms(places), hat.cells, np.arange(counts.size), counts)
+        e, edge = d._elements(hat.cells, np.arange(law.size - 1)), d._edges(law[:-1])
+        v = 0.5 + np.arange(n) * 2.0 ** -49
+        places = edge[k] + (v * (edge[k + 1] - edge[k])).astype(np.int64)
+        key, low = _keys(places, 1)
+        at, ids = d._place(_Uniforms(raw=[low]), e, edge, key, 1)
+        assert np.all(at == k)
         cells = np.unique(ids)
         assert cells.min() > 1 << 50 and cells.max() < 1 << 51
         assert cells.size > n // 4 and np.all(np.diff(cells) == 1), np.diff(cells)
 
     def test_rejected_candidates_redrawn_in_own_piece(self):
-        # every first candidate takes the acceptance ratio with a uniform of
-        # 1 - 2^-53, above the ratio at the middle of a piece, so all are
-        # rejected and drawn again: the ids must be those of a draw whose
-        # first candidates are the second ones, each in its own piece and
-        # its stop's place
+        # every first candidate takes the acceptance ratio (the gaps of the
+        # tested ones are all 1) with a uniform of 1 - 2^-53, above the ratio
+        # at the middle of a piece, so all are rejected and drawn again, each
+        # at a fraction of its own piece: the ids must be those of a draw
+        # whose first candidates lie there, each in its own piece and its
+        # stop's place
         d = build_distribution(_SAMPLER_SPECS["theta_one_log"])
+        law, hat, _ = d._tail_ranges
+        e, p, counts = d._elements(hat.cells[:3], np.arange(2)), law[:2], np.array([3, 3])
+        edge = d._edges(p)
+        at = np.array([0, 0, 1, 1, 1, 1])  # stop 0: two in piece 0, one in 1; stop 1: three in 1
+        steps = (edge[1:] - edge[:-1])[at]
+        again = (np.linspace(0.1, 0.9, 6) * steps).astype(np.int64)
+        first, low = _keys(edge[at] + steps // 2, 1)
+        redrawn = _Uniforms(np.full(6, 1.0 - 2.0 ** -53), (0.5 + again) / steps,
+                            raw=[first.view(np.uint64), low], gaps=[1] * 6)
+        ids = np.concatenate([ids for ids, _ in d._draw_part(redrawn, e, p, counts, False)])
+        key, low = _keys(edge[at] + again, 1)
+        want, = d._draw_part(_Uniforms(raw=[key.view(np.uint64), low]), e, p, counts, False)
+        assert np.array_equal(ids, want[0])
+        assert np.all(np.searchsorted(hat.cells[:3], ids) - 1 == at)
+
+    @given(name=st.sampled_from(["theta_one_log", "zipf_s1.2", "zipf_log_steep"]),
+           where=st.sampled_from(["table", "2^52", "2^61"]),
+           sizes=st.lists(st.integers(1, 4_000), min_size=1, max_size=3),
+           stops=st.integers(1, 100), clusters=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(name="theta_one_log", where="table", sizes=[1, 3], stops=100, clusters=40, seed=0)
+    @example(name="zipf_s1.2", where="2^61", sizes=[4_000], stops=70, clusters=30, seed=1)
+    @example(name="zipf_log_steep", where="2^52", sizes=[30, 30], stops=1, clusters=40, seed=2)
+    @settings(max_examples=80, deadline=None)
+    def test_alone_rule_sound(self, name, where, sizes, stops, clusters, seed):
+        # parts of one to three elements, each in one hat piece: just past
+        # the table, ending at 2^52 and starting there (the far cells at
+        # 2^52 - 1 and 2^52 + 1), or from 2^61 on, where a float candidate
+        # spreads over 512 cells; of 1 (crowded) to 4,000 cells; up to 100
+        # stops; elements of 1e-15 to 1 of the part's places, so that some
+        # share a key's places; balls in clusters of 1 to 5 within 1.5
+        # cells' places of a place of an element (nearly empty with one
+        # cluster), a tenth of them on the key before.  The fold of every ball's cell must equal
+        # the fold of the cells of the balls _near finds plus the others as
+        # balls alone in their cells, for the same keys and low bits
+        d = _sampler(name)
         hat = d._tail_ranges[1]
-        cells, piece, counts = hat.cells[:3], np.arange(2), np.array([[2, 1], [0, 3]])
-        again = np.linspace(0.1, 0.9, 6)
-        want = d._draw_tail_block(_Uniforms(again), cells, piece, counts)
-        ids = d._draw_tail_block(_Uniforms(np.full(6, 0.5), np.full(6, 1.0 - 2.0 ** -53), again,
-                                           slow=[6]), cells, piece, counts)
-        assert np.array_equal(ids, want)
-        assert np.all(np.searchsorted(cells, ids) - 1 == [0, 0, 1, 1, 1, 1])
+        sizes = np.array(sizes)
+        start = {"table": _TABLE_SIZE, "2^52": (1 << 52) - int(sizes[0]), "2^61": 1 << 61}[where]
+        cells = start + np.append(0, np.cumsum(sizes))
+        piece = np.searchsorted(hat.cells, cells[:-1], side="right") - 1
+        assert np.all(hat.cells[piece + 1] >= cells[1:])
+        rng = np.random.default_rng(seed)
+        e, edge = d._elements(cells, piece), d._edges(10.0 ** rng.uniform(-15.0, 0.0, sizes.size))
+        bits = max(stops - 1, 1).bit_length()
+        at = np.repeat(rng.integers(0, sizes.size, clusters), rng.integers(1, 6, clusters))
+        steps = edge[1:] - edge[:-1]
+        places = edge[at] + (rng.random(at.size) * steps[at]).astype(np.int64)
+        after = np.flatnonzero(at[1:] == at[:-1]) + 1  # later balls of a cluster, near the first
+        places[after] = places[after - 1] + (rng.uniform(-1.5, 1.5, after.size)
+                                             * steps[at[after]] / sizes[at[after]]).astype(np.int64)
+        places = np.clip(places, edge[at], edge[at + 1] - 1)
+        key = (((places >> (_PLACE_BITS - 32 + bits)) << bits)
+               | rng.integers(0, stops, at.size)).astype(np.uint32)
+        tie = np.flatnonzero(rng.random(at.size - 1) < 0.1) + 1
+        key[tie] = key[tie - 1]
+        key.sort()
+        ids = d._place(_Uniforms(raw=[rng.bit_generator.random_raw(key.size)], rng=rng), e, edge,
+                       key, bits)[1]
+        assert np.all((cells[0] < ids) & (ids <= cells[-1]))
+        near = d._near(key, bits, e, edge)[0]
+        stop = key.astype(np.int64) & ((1 << bits) - 1)
+
+        def fold(ids, stop):
+            return _fold_tail(ids[np.argsort(stop, kind="stable")],
+                              np.bincount(stop, minlength=stops), 4)
+
+        alone = np.bincount(stop, minlength=stops) - np.bincount(stop[near], minlength=stops)
+        assert np.array_equal(fold(ids, stop),
+                              fold(ids[near], stop[near]) + _fold_tail(None, alone, 4))
+
+    @pytest.mark.parametrize("name, m", [("theta_one_log", 2_700), ("zipf_s1.2", 2_700),
+                                         ("theta_one_log", 6_000)])
+    def test_first_piece_repeats_exact(self, name, m):
+        # m balls in one part, the first hat piece past the table (12,399
+        # cells): the cells that hold at least 2 and at least 3 of them,
+        # over 300 draws, against the exact means sum_j P(Bin(m, q_j) >= k),
+        # q_j = p_j over the piece's mass.  At m = 2,700 (about 255 cells
+        # with two balls) the keys find the balls alone in their cells; at
+        # 6,000, above _DENSE balls per cell, each ball takes its cell
+        d = _sampler(name)
+        law, hat, _ = d._tail_ranges
+        e = d._elements(hat.cells[:2], np.arange(1))
+        assert (m >= _DENSE * (hat.cells[1] - hat.cells[0])) == (m > 3_000)
+        q = d.prob_array(np.arange(hat.cells[0] + 1, hat.cells[1] + 1))
+        exact = np.array([stats.binom.sf(k - 1, m, q / q.sum()).sum() for k in (2, 3)])
+        rng = np.random.default_rng(m)
+        got = np.array([sum(_fold_tail(ids, c, 3) for ids, c in
+                            d._draw_part(rng, e, law[:1], np.array([m]), True))[0, 1:]
+                        for _ in range(300)])
+        z = (got.mean(axis=0) - exact) / (got.std(axis=0, ddof=1) / math.sqrt(got.shape[0]))
+        assert exact[0] > 200 and np.all(np.abs(z) <= 5.0), (exact, got.mean(axis=0), z)
 
     def test_split_piece_parts_within_cap(self, rng):
         # zipf s = 2's first piece past the table holds 16% of the balls

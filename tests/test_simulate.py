@@ -179,7 +179,9 @@ def _expand_trajectory(d, grid, seed):
     each level's Y bridges before its E bridges and its left children
     before its right ones; the hypergeometric draws stop by stop within
     each final bracket, the brackets in the order they finished; then the
-    balls past J by draw_past's runs.
+    balls past J by draw_past's runs, in run_coupled's form: a ball alone in
+    its cell past the table comes as a count, as the synthetic ones do, and
+    takes a cell of its own here.
     """
     clock_rng, rng = simulate._trajectory_rng(seed)
     K = poisson_increments(grid, clock_rng)
@@ -258,13 +260,15 @@ def _expand_trajectory(d, grid, seed):
             if t <= ends[-1]:
                 cells[bisect.bisect_left(ends, t)].append(cell + 1)
     m = np.diff([0] + [past[s] for s in stops])
-    (ids, counts), *past_table = d.draw_past(rng, J, m)
+    (ids, counts), *past_table = d.draw_past(rng, J, m, alone=True)
     seen = Counter(J=J, inverted=ids.size, runs=len(past_table))
     runs = [(ids, counts)]
     for ids, counts in past_table:
         if ids is None:
-            ids = -1 - seen["synthetic"] - np.arange(counts.sum())
-            seen["synthetic"] += int(counts.sum())
+            ids = -1 - seen["alone"] - np.arange(counts.sum())
+            seen["alone"] += int(counts.sum())
+        else:
+            seen["drawn"] += ids.size
         runs.append((ids, counts))
     for ids, counts in runs:
         for stop_cells, lo, hi in zip(cells, np.cumsum(counts) - counts, np.cumsum(counts)):
@@ -548,14 +552,17 @@ class TestRunCoupled:
         # same seed's stream merged into per-cell counts stop by stop.
         # Re-pinned when trajectories were built in Poisson time (each cell's
         # first k_max + 1 arrival times and a bisection of the clock) in place
-        # of a multinomial per stop, and when the balls past the table were
-        # split by one multinomial over the sampler's hat pieces, each drawn
-        # by one uniform in its own piece: the stream changed, not its law
+        # of a multinomial per stop, when the balls past the table were split
+        # by one multinomial over the sampler's hat pieces, each drawn by one
+        # uniform in its own piece, and when that multinomial ran over parts
+        # of the pieces and the balls alone in their cells were counted, not
+        # drawn: the stream changed, not its law.  The last change kept the
+        # zipf rows, whose few balls past the table all lie alone
         grid = CheckpointGrid.logspaced(1_000, 1_000_000, 7, k_max=3)
         near_one = build_distribution(DistributionSpec(family="geometric", q=0.9999))
         frozen = {
             "zipf": "110f538c5ea9b9b5e91e8bf441155fbfabee8e2e345761d921c988cd152625d6",
-            "theta_one_log": "f47885e355a4fbe13d5f6768e9dc9dd1a76671fa0c41b810f6eb20f0814e22f0",
+            "theta_one_log": "b16880cfcbaa54456c5626c955ea98c70c6451bdd5d5a6f54df14a92d00b1e64",
             "geometric": "ccb8a42ee3ec7898e152d2dd212b761c833755d6f51d37aaa1b15e971a6871ac",
             "geometric_near_one":
                 "d928a2d443fc4e6417d7d7f96ebd78a960edcdb17582d2eac022b37c1219c20b",
@@ -575,11 +582,12 @@ class TestRunCoupled:
 
         # the grid reaches cuts short of the table and (geometric near one)
         # the whole table; theta_one_log's balls past the table come in more
-        # than one part and in the synthetic range, and some of its
-        # balls land in the table cells past its cut
+        # than one part, some alone in their cells (or in the synthetic
+        # range) and some drawn, and some of its balls land in the table
+        # cells past its cut
         assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
-        assert facts["theta_one_log runs"] >= 3 and facts["theta_one_log synthetic"] > 0
-        assert facts["theta_one_log inverted"] > 0
+        assert facts["theta_one_log runs"] >= 3 and facts["theta_one_log alone"] > 0
+        assert facts["theta_one_log drawn"] > 0 and facts["theta_one_log inverted"] > 0
 
     def test_memory_holds_one_range(self, theta_one_log):
         # the balls past the table are drawn, folded and dropped a part of
