@@ -79,10 +79,9 @@ _SYNTHETIC_BASE = 1 << 62
 _RANGE_EDGES = _TABLE_SIZE << np.arange(_SYNTHETIC_BASE.bit_length() - _TABLE_SIZE.bit_length() + 1)
 # Pieces of the sampler's hat per dyadic range past the table (_tail_ranges)
 _PIECES = 4
-# Balls per cell of a part past the table (_draw_part) from which most have
-# another near, so each takes its cell: sorting keys would cost more than it saves
+# Balls per cell from which a part past the table places every ball (_draw_part)
 _DENSE = 0.25
-# A ball's place in its part past the table (_draw_part), one of 2^_PLACE_BITS
+# A ball's place in its part past the table, one of 2^_PLACE_BITS (_draw_part)
 _PLACE_BITS = 62
 
 
@@ -271,9 +270,8 @@ class _Kept(dict):
 # ((x/x0)^om - 1) / rate, rows = (x0 = cells[i] + 1/2, rate, om = 1 - sigma);
 # squeeze: a bound below each ratio.
 _Hat = namedtuple("_Hat", "cells rows squeeze")
-# The elements of draw_past's parts: element i holds cells first[i]..last[i]
-# of piece piece[i] (its x0, om and squeeze), whose hat mass from x0 times rate
-# is lo at its left edge, lo + width at its right; spread: see _near
+# draw_past's elements: cells first[i]..last[i] of piece piece[i] (its x0, om,
+# squeeze), hat mass from x0 times rate lo to lo + width; spread: see _near
 _Elements = namedtuple("_Elements", "piece x0 om lo width first last spread squeeze")
 
 
@@ -588,14 +586,16 @@ class CellDistribution:
         of the balls is split first into q sub-pieces of equal hat mass, at
         edges rounded down to cells, which share its mass by their cell sums
         (:meth:`_cell_sums`).  Consecutive elements form parts that expect
-        at most _TAIL_RUN balls: a part starts where the mass before it,
-        times the balls, passes a multiple of half of _TAIL_RUN.  Both depend
-        on the balls' total alone, so one multinomial per stop over the parts
+        at most _TAIL_RUN balls (past about 1e12 balls, a sub-piece of one
+        cell may expect more): a part starts where the mass before it, times
+        the balls, passes a multiple of half of _TAIL_RUN.  Both depend on
+        the balls' total alone, so one multinomial per stop over the parts
         and the synthetic range keeps the law, and a part's balls, i.i.d.
         given their numbers, are drawn for every stop at once
-        (:meth:`_draw_part`).  (Past about 1e12 balls a sub-piece of one cell
-        may expect more than half a part.)  Geometric has one run past the
-        table, drawn by memorylessness.
+        (:meth:`_draw_part`).  Two of the synthetic range's n balls would
+        share a cell with a chance below n^2 p_(2^62) / (2 T), T its mass:
+        2.5e-21 n^2 for theta_one_log, 2.2e-20 n^2 for zipf s = 1.2.
+        Geometric has one run past the table, drawn by memorylessness.
         """
         m = np.asarray(m, dtype=np.int64)
         rest = float(self._rest[J])
@@ -694,8 +694,7 @@ class CellDistribution:
             (jm / x0) ** om * np.expm1(om * np.log1p(1.0 / jm)))
 
     def _elements(self, cells: np.ndarray, piece: np.ndarray) -> _Elements:
-        """The elements i, cells cells[i] + 1..cells[i + 1] of the hat pieces
-        piece[i] of :meth:`_tail_ranges`."""
+        """The elements cells[i] + 1..cells[i + 1] of hat pieces piece[i]."""
         hat = self._tail_ranges[1]
         x0, _, om = (r.take(piece) for r in hat.rows)
         lo, hi = (np.expm1(om * np.log((c + 0.5) / x0)) for c in (cells[:-1], cells[1:]))
@@ -709,27 +708,21 @@ class CellDistribution:
     def _draw_part(self, rng: np.random.Generator, e: _Elements, p: np.ndarray,
                    counts: np.ndarray, alone: bool):
         """The balls of a part of :meth:`draw_past`, ``counts[s]`` at stop s,
-        in its elements ``e``, of masses in proportion to p, yielded as
+        in its elements ``e`` of masses in proportion to p, yielded as
         draw_past yields them.  A ball is a candidate of rejection-inversion
         (Hörmann and Derflinger, ACM TOMACS 6, 1996) under its element's hat
-        (:meth:`_hat_cells`).  Those that a Bernoulli(1 - squeeze) picks, by
-        geometric gaps in any order of the i.i.d. balls, take the ratio
-        against a uniform on (squeeze, 1); the others' uniforms would lie
-        below the squeeze.  A rejected one is drawn again in its element.
-        Past _DENSE balls per cell, a multinomial per stop deals the balls
-        to the elements and each takes its cell.  Else each has a place of
-        2^62 (:meth:`_edges`) and a uint32 key, the place's top 32 - b bits
-        over its stop's b bits.  One sort orders the keys; the balls another
-        could share a cell with (:meth:`_near`, all without ``alone``), those
-        that take the ratio, and those within reach of one drawn again take
-        their cells (:meth:`_place`).  The synthetic range past 2^62 is drawn
-        by count: two of its n balls share a cell with a chance below n^2
-        p_(2^62) / (2 T), T the mass past 2^62: 2.5e-21 n^2 for
-        theta_one_log, 2.2e-20 n^2 for zipf s = 1.2.
+        (:meth:`_hat_cells`); a Bernoulli(1 - squeeze) subset, by geometric
+        gaps over the i.i.d. balls, takes the ratio against a uniform on
+        (squeeze, 1), and a rejected one is drawn again in its element.  Past
+        _DENSE balls per cell a multinomial per stop deals the balls to the
+        elements.  Else each has a place (:meth:`_edges`) and a uint32 key,
+        its place's top 32 - b bits over its stop's b bits, sorted once; the
+        balls that another could share a cell with (:meth:`_near`; all
+        without ``alone``), take the ratio, or lie within reach of one drawn
+        again take their cells (:meth:`_place`).
         """
         n, bits = int(counts.sum()), max(counts.size - 1, 1).bit_length()
         stop, edge, squeeze = (1 << bits) - 1, self._edges(p), float(e.squeeze.min())
-        steps = edge[1:] - edge[:-1]
 
         def tested(size):
             at = np.cumsum(rng.geometric(1.0 - squeeze, size=1 + int(2.0 * size * (1.0 - squeeze))))
@@ -771,7 +764,7 @@ class CellDistribution:
         if t.size:
             (v, j), keep = accepted(at.take(t)), np.ones(need.size, dtype=bool)
             keep[t] = False  # drawn again: their keys from v, within a key of their places
-            v *= steps.take(at.take(t))
+            v *= (edge[1:] - edge[:-1]).take(at.take(t))
             new = (((edge.take(at.take(t)) + v.astype(np.int64)) >> (_PLACE_BITS - 32 + bits))
                    << bits) | (key.take(need.take(t)) & stop)
             lo, hi = (key.searchsorted(np.clip(new + d, 0, 0xFFFFFFFF).astype(np.uint32), side)
@@ -792,52 +785,46 @@ class CellDistribution:
 
     @staticmethod
     def _edges(p: np.ndarray) -> np.ndarray:
-        """Element i of a part, of masses in proportion to p, holds the places
-        edge[i]..edge[i + 1] - 1 of the 2^_PLACE_BITS: its share rounded down
-        to a place, and the largest the rest."""
+        """Places edge[i]..edge[i + 1] - 1 of element i of a part of masses p:
+        its share rounded down, the largest taking the rest."""
         steps = (p * (2.0 ** _PLACE_BITS / p.sum())).astype(np.int64)
         steps[steps.argmax()] += (1 << _PLACE_BITS) - int(steps.sum())
         return np.append(0, np.cumsum(steps))
 
     def _place(self, rng: np.random.Generator, e: _Elements, edge: np.ndarray,
                key: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-        """The elements and cells of balls with keys ``key`` in a part, by
-        their low bits, one 64-bit draw each: the rest of the place, then its
-        fraction."""
+        """The elements and cells of a part's balls of keys ``key``, by one
+        64-bit draw each: the rest of the place, then its fraction."""
         shift = _PLACE_BITS - 32 + bits
         low = rng.bit_generator.random_raw(key.size)
         place = (key >> bits).astype(np.int64) << shift
         place |= (low >> np.uint64(64 - shift)).astype(np.int64)
         at = np.searchsorted(edge, place, side="right") - 1
-        v = (low & np.uint64((1 << (64 - shift)) - 1)).astype(np.float64)
-        v *= 2.0 ** (shift - 64)
+        v = (low & np.uint64((1 << (64 - shift)) - 1)) * 2.0 ** (shift - 64)
         v += place - edge.take(at)
-        v /= (edge[1:] - edge[:-1]).take(at)
-        return at, self._hat_cells(rng, e, at, v)
+        return at, self._hat_cells(rng, e, at, v / (edge[1:] - edge[:-1]).take(at))
 
     @staticmethod
     def _near(key: np.ndarray, bits: int, e: _Elements, edge: np.ndarray):
         """Which of a part's sorted keys another ball could share a cell with,
         and the largest ``reach`` of its elements.  Two balls share a cell
-        only if their candidates lie within D = 1 + 2^-44 x cells: a cell,
-        the h <= 2^-52 x cells a float candidate spreads over past 2^52, and
-        the map's rounding, at most 2^-46 x each, x <= the element's top
-        x_b.  As the hat c x^-sigma is monotone, a cell of an element of n
-        cells from x_a to x_b holds at most (x_b / x_a)^|sigma| / n of its
-        hat mass per unit of x, so their places lie within R = D (x_b /
-        x_a)^|sigma| / n of its places, plus one, and their keys, of 2^shift
-        places, less than reach = (floor(R / 2^shift) + 2) << b apart.  A key
-        counts as in the element of its last place, and a pair is judged by
-        the larger reach of its two: two balls of one element share a key's
-        places or the first counts as in it."""
+        only if their candidates lie within D = 1 + 2^-44 x cells (a cell,
+        the h <= 2^-52 x cells a candidate spreads over past 2^52, and the
+        map's rounding), x <= the element's top x_b.  The hat c x^-sigma is
+        monotone, so a cell of an element of n cells from x_a holds at most
+        (x_b / x_a)^|sigma| / n of its places: the two places lie within R =
+        D (x_b / x_a)^|sigma| / n of them, plus one, and their keys less than
+        reach = (floor(R / 2^shift) + 2) << b apart.  A key counts as in the
+        element of its last place, and a pair takes the larger reach of its
+        two: two balls of one element share a key's places or the first
+        counts as in it."""
         shift, steps = _PLACE_BITS - 32 + bits, edge[1:] - edge[:-1]
         reach = (((np.minimum(steps * e.spread, steps) + 1.0) * 2.0 ** -shift).astype(np.int64)
                  + 2) << bits
         if reach.max() >> 32:  # an element of about one cell holds most of the part
             return np.ones(key.size, dtype=bool), int(reach.max())
-        held = key.searchsorted(((edge >> shift) << bits)[:-1].astype(np.uint32))
-        held[:-1] = held[1:] - held[:-1]  # the keys from the one of each element's start on
-        held[-1] = key.size - held[-1]
+        held = np.diff(key.searchsorted(((edge >> shift) << bits)[:-1].astype(np.uint32)),
+                       append=key.size)  # the keys from the one of each element's start on
         each = np.repeat(reach.astype(np.uint32), held)
         close = key[1:] - key[:-1] < np.maximum(each[1:], each[:-1])
         near = np.append(close, False)
@@ -846,12 +833,10 @@ class CellDistribution:
 
     def _hat_cells(self, rng: np.random.Generator, e: _Elements, at: np.ndarray,
                    v: np.ndarray) -> np.ndarray:
-        """The cells of candidates in the elements ``at`` of ``e``, each v of
-        the way through its element's hat mass (v is overwritten).  The mass
-        inverts by log1p and exp, whatever sigma, to about an ulp of x.
-        Past 2^52 the float candidates lie h >= 1 apart, so the cell is one
-        of the h nearest, uniformly.  A candidate strays past its element's
-        cells only by rounding and is clipped to them."""
+        """The cells of candidates v of the way through the hat mass of their
+        elements ``at`` (v is overwritten), by log1p and exp whatever sigma,
+        to about an ulp of x; past 2^52, where they lie h >= 1 apart, one of
+        the h nearest, uniformly; clipped to the element's cells."""
         # x = x0 (1 + lo + v width)^(1/om), in place (take gathers faster than [])
         x = v
         x *= e.width.take(at)

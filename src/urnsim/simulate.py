@@ -159,10 +159,10 @@ class CoupledTrajectory:
 
     Each side is one array of at-least-k counts, k = 1..k_max+1 (column
     k-1), a view of the one block both sides share (int32 when the last
-    stop fits in 31 bits, as no count exceeds it, else int64); the
-    at-least-k rows up to k_max are views of it and the exactly-k rows are
-    made from it on access, so a trajectory holds three arrays' data and
-    headers.
+    stop fits in 31 bits, as no count exceeds it, else int64: cast before
+    multiplying counts); the at-least-k rows up to k_max are views of it and
+    the exactly-k rows are made from it on access, so a trajectory holds
+    three arrays' data and headers.
     """
 
     seed: int | tuple[int, ...]  # SeedSequence entropy; (master_seed, index) in studies
@@ -404,9 +404,8 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     synthetic range's, and the balls past the table that no other can
     share a cell with, which draw_past counts (``alone``) and never places.
     The folded rows, summed over the stops before each, are added to those
-    of the cells 1..J.  ``increments_fn``
-    replaces the Poisson clock (a testing hook; e.g. forcing K_i = n_i
-    makes both columns identical).
+    of the cells 1..J.  ``increments_fn`` replaces the Poisson clock (a
+    testing hook; e.g. forcing K_i = n_i makes both columns identical).
     """
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments

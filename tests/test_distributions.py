@@ -1049,6 +1049,36 @@ class TestSampler:
         assert np.array_equal(ids, want[0])
         assert np.all(np.searchsorted(hat.cells[:3], ids) - 1 == at)
 
+    def test_redrawn_ball_meets_alone_ball(self):
+        # in run_coupled's form (alone), three stops: ball A, first in the
+        # sort, takes the ratio (one gap of 1), is rejected (a uniform of
+        # 1 - 2^-53) and is drawn again at a place P three keys before ball
+        # B, which lies alone among the first keys.  C lies alone; D and E
+        # share a place.  B must take its cell by the redrawn key's reach, so
+        # the fold of the runs must equal the fold of a draw that places
+        # every ball where it ends, with the same bits, in which A and B share
+        # a cell at stop 1, and D and E one at stop 2
+        d = build_distribution(_SAMPLER_SPECS["theta_one_log"])
+        law, hat, _ = d._tail_ranges
+        e, p, counts = d._elements(hat.cells[:3], np.arange(2)), law[:2], np.array([2, 2, 1])
+        edge, shift = d._edges(p), _PLACE_BITS - 32 + 2
+        steps = edge[1:] - edge[:-1]
+        at = np.array([0, 1, 0, 1, 1])  # A, C at stop 0; B, D at stop 1; E at stop 2
+        places = edge[at] + (np.array([0.5, 0.3, 0.8, 0.6, 0.6]) * steps[at]).astype(np.int64)
+        places = ((places >> shift) << shift) + (1 << (shift - 1))  # mid-key
+        again = places[2] - (3 << shift)  # P
+        key, low = _keys(places, 2)
+        pad = lambda key: np.append(key, np.uint32(0)).view(np.uint64)  # two keys a draw
+        runs = list(d._draw_part(
+            _Uniforms(np.full(1, 1.0 - 2.0 ** -53), np.array([0.5 + (again - edge[0])]) / steps[0],
+                      gaps=[1], raw=[pad(key), low[[0, 3, 4]], low[[2]]]), e, p, counts, True))
+        assert runs[-1][0] is None and np.array_equal(runs[-1][1], [1, 0, 0])  # C alone
+        key, low = _keys(np.append(again, places[1:]), 2)
+        want = d._draw_part(_Uniforms(raw=[pad(key), low[[0, 2, 1, 3, 4]]]), e, p, counts, False)
+        folded = [sum(_fold_tail(ids, c, 3) for ids, c in r) for r in (runs, want)]
+        assert np.array_equal(folded[0], folded[1]), folded
+        assert np.array_equal(folded[1], [[2, 0, 0], [1, 1, 0], [0, 1, 0]]), folded[1]
+
     @given(name=st.sampled_from(["theta_one_log", "zipf_s1.2", "zipf_log_steep"]),
            where=st.sampled_from(["table", "2^52", "2^61"]),
            sizes=st.lists(st.integers(1, 4_000), min_size=1, max_size=3),

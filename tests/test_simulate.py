@@ -1,4 +1,5 @@
 import bisect
+import copy
 import hashlib
 import itertools
 import math
@@ -181,7 +182,9 @@ def _expand_trajectory(d, grid, seed):
     each final bracket, the brackets in the order they finished; then the
     balls past J by draw_past's runs, in run_coupled's form: a ball alone in
     its cell past the table comes as a count, as the synthetic ones do, and
-    takes a cell of its own here.
+    takes a cell of its own here.  A copy of the generator draws the same
+    runs in the form that places every ball; its per-stop split comes before
+    any part, so its ids-None runs count the synthetic balls alone.
     """
     clock_rng, rng = simulate._trajectory_rng(seed)
     K = poisson_increments(grid, clock_rng)
@@ -260,8 +263,11 @@ def _expand_trajectory(d, grid, seed):
             if t <= ends[-1]:
                 cells[bisect.bisect_left(ends, t)].append(cell + 1)
     m = np.diff([0] + [past[s] for s in stops])
+    placed = list(d.draw_past(copy.deepcopy(rng), J, m))[1:]
     (ids, counts), *past_table = d.draw_past(rng, J, m, alone=True)
-    seen = Counter(J=J, inverted=ids.size, runs=len(past_table))
+    seen = Counter(J=J, inverted=ids.size, runs=len(past_table),
+                   parts=sum(ids is not None for ids, _ in placed),
+                   synthetic=sum(int(c.sum()) for ids, c in placed if ids is None))
     runs = [(ids, counts)]
     for ids, counts in past_table:
         if ids is None:
@@ -582,11 +588,12 @@ class TestRunCoupled:
 
         # the grid reaches cuts short of the table and (geometric near one)
         # the whole table; theta_one_log's balls past the table come in more
-        # than one part, some alone in their cells (or in the synthetic
-        # range) and some drawn, and some of its balls land in the table
+        # than one part and in the synthetic range, some alone in their
+        # cells and some drawn, and some of its balls land in the table
         # cells past its cut
         assert min(cuts) < _TABLE_SIZE and _TABLE_SIZE in cuts
-        assert facts["theta_one_log runs"] >= 3 and facts["theta_one_log alone"] > 0
+        assert facts["theta_one_log parts"] >= 2 and facts["theta_one_log synthetic"] > 0
+        assert facts["theta_one_log alone"] > facts["theta_one_log synthetic"]
         assert facts["theta_one_log drawn"] > 0 and facts["theta_one_log inverted"] > 0
 
     def test_memory_holds_one_range(self, theta_one_log):
