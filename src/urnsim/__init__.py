@@ -30,7 +30,6 @@ from .moments import (
 from .simulate import (
     CheckpointGrid,
     CoupledTrajectory,
-    OccupancyState,
     poisson_increments,
     run_coupled,
 )

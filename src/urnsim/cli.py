@@ -96,10 +96,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_config() -> ExperimentConfig:
-    return ExperimentConfig(distribution=DistributionSpec(family="zipf", s=2.0))
-
-
 # study margins that mark a check as passing without a test on one side
 _VACUOUS_NOTES = {
     "degenerate_median": "median 0 at an end, so the decay holds vacuously there",
@@ -110,7 +106,7 @@ _VACUOUS_NOTES = {
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.config == "default" and not Path(args.config).exists():
-        cfg = _default_config()
+        cfg = ExperimentConfig(distribution=DistributionSpec(family="zipf", s=2.0))
     else:
         cfg = load_config(args.config)
     cfg = override_config(

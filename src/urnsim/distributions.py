@@ -297,7 +297,6 @@ class CellDistribution:
         if self.a is not None and self.a < 0.0:
             self._check_monotone_negative_a()
         self.Z = self._normalization()
-        self.p1 = float(self.prob(1))
         self._prefix = self.prob_array(np.arange(1, _TABLE_SIZE + 1))
         # J -> the part of tail_power_sum(t, J) that does not depend on t
         self._tail_cuts = _Kept(_SLOTS)
@@ -555,10 +554,7 @@ class CellDistribution:
 
     @functools.cached_property
     def _past_table(self) -> float:
-        """The mass past the table's cells: its r = 1 tail sum over Z, and
-        q^table for geometric."""
-        if self.family == "geometric":
-            return self.q ** _TABLE_SIZE
+        """The mass past the table's cells: its r = 1 tail sum over Z."""
         return self._weight_tail(_TABLE_SIZE)[0] / self.Z
 
     def _mass_past(self, J: int) -> float:
@@ -595,11 +591,14 @@ class CellDistribution:
         (:meth:`_draw_part`).  Two of the synthetic range's n balls would
         share a cell with a chance below n^2 p_(2^62) / (2 T), T its mass:
         2.5e-21 n^2 for theta_one_log, 2.2e-20 n^2 for zipf s = 1.2.
-        Geometric has one run past the table, drawn by memorylessness.
+        Geometric splits its balls past the table the same way, over ranges
+        (a_i, a_(i+1)] of the cells past it at its quantiles of equal mass,
+        rounded down, that expect at most half of _TAIL_RUN balls each: a
+        bounded range's ids by inversion of its truncated geometric law, the
+        last range's by memorylessness.
         """
         m = np.asarray(m, dtype=np.int64)
-        rest = float(self._rest[J])
-        mass = rest + self._past_table
+        rest, mass = float(self._rest[J]), self._mass_past(J)
         counts = rng.binomial(m, rest / mass if mass > 0.0 else 0.0)
         ids = _at_least(self._rest, np.sort(rest * (1.0 - rng.random(int(counts.sum())))))
         if counts.size > 1:
@@ -608,10 +607,18 @@ class CellDistribution:
         del ids  # not held while the next run is drawn
         m = m - counts  # the balls past the table
         if self.family == "geometric":
-            if m.any():
-                ids = rng.geometric(1.0 - self.q, size=int(m.sum()))
-                ids += _TABLE_SIZE  # in place: the one run holds every ball
-                yield ids, m
+            lq, parts = math.log(self.q), max(1, math.ceil(2.0 * float(m.sum()) / _TAIL_RUN))
+            # range i holds the cells a[i] + 1..a[i] + w[i] past the table, the last all past a[i]
+            a = np.unique(np.floor(np.log1p(-np.arange(parts) / parts) / lq).astype(np.int64))
+            w = np.diff(a)
+            c = np.append(-np.expm1(w * lq), 1.0)  # a range's mass over the mass past a_i
+            split = rng.multinomial(m, np.exp(a * lq) * c)
+            for i in np.flatnonzero(split.any(axis=0)):
+                n = int(split[:, i].sum())
+                ids = (rng.geometric(1.0 - self.q, size=n) if i == w.size else np.clip(np.ceil(
+                    np.log1p(-c[i] * rng.random(n)) / lq), 1, w[i]).astype(np.int64))
+                ids += _TABLE_SIZE + int(a[i])
+                yield ids, split[:, i]
             return
         law, hat, _ = self._tail_ranges
         cells, piece, p = hat.cells, np.arange(law.size - 1), law[:-1]
@@ -756,9 +763,6 @@ class CellDistribution:
         t = tested(n)  # by the balls' places in the sort
         near[t] = True
         need = np.flatnonzero(near)
-        if need.size == 0:
-            yield None, counts
-            return
         at, ids = self._place(rng, e, edge, key.take(need), bits)
         t = rejected(need.searchsorted(t), at, ids)
         if t.size:
@@ -778,7 +782,8 @@ class CellDistribution:
             key = key.take(need)
         key &= stop
         got = np.bincount(key, minlength=counts.size)
-        yield ids.take(np.argsort(key.astype(np.min_scalar_type(stop)), kind="stable")), got
+        if ids.size:
+            yield ids.take(np.argsort(key.astype(np.min_scalar_type(stop)), kind="stable")), got
         del ids, key
         if alone and got.sum() < n:
             yield None, counts - got

@@ -396,16 +396,17 @@ def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int
     cells 1..J and the number of balls past J, which are i.i.d. given
     their numbers.  ``draw_past`` draws those balls for all stops at once,
     a run of cells at a time: the table cells (J, table], then parts of
-    the sampler's hat pieces past the table, each expecting at most
-    _TAIL_RUN balls, and the synthetic range past 2^62.  One loop folds
-    each run with ``_fold_tail`` into what it adds to each stop's row and
-    drops its ids, so memory holds one run's ids, not all of them, and
-    stays flat in n.  Balls with a cell of their own need no ids: the
-    synthetic range's, and the balls past the table that no other can
-    share a cell with, which draw_past counts (``alone``) and never places.
-    The folded rows, summed over the stops before each, are added to those
-    of the cells 1..J.  ``increments_fn`` replaces the Poisson clock (a
-    testing hook; e.g. forcing K_i = n_i makes both columns identical).
+    the sampler's hat pieces (geometric: ranges) past the table, each
+    expecting at most _TAIL_RUN balls, and the synthetic range past
+    2^62.  One loop folds each run with ``_fold_tail`` into what it adds
+    to each stop's row and drops its ids, so memory holds one run's ids,
+    not all of them, and stays flat in n.  Balls with a cell of their own
+    need no ids: the synthetic range's, and the balls past the table that
+    no other can share a cell with, which draw_past counts (``alone``) and
+    never places.  The folded rows, summed over the stops before each, are
+    added to those of the cells 1..J.  ``increments_fn`` replaces the
+    Poisson clock (a testing hook; e.g. forcing K_i = n_i makes both
+    columns identical).
     """
     clock_rng, cell_rng = _trajectory_rng(seed)
     inc_fn = increments_fn if increments_fn is not None else poisson_increments

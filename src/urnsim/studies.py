@@ -60,9 +60,9 @@ class StudyResult:
 
     study: str
     checkpoints: list[float]
-    stats: dict[str, list[float]]
-    pass_flags: dict[str, bool]
-    margins: dict[str, float]
+    stats: dict[str, list[float]] = field(default_factory=dict)
+    pass_flags: dict[str, bool] = field(default_factory=dict)
+    margins: dict[str, float] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -210,9 +210,10 @@ def study_coupling_decay(cfg: ExperimentConfig,
     if trajectories is None:
         trajectories = generate_trajectories(cfg, d, grid)
     ns = np.asarray(grid.positions, dtype=np.float64)
-    stats: dict[str, list[float]] = {}
-    flags: dict[str, bool] = {}
-    margins: dict[str, float] = {}
+    result = StudyResult("coupling_decay", ns.tolist(), meta={
+        "distribution": cfg.distribution.as_mapping(), "seeds": cfg.seeds,
+        "master_seed": cfg.master_seed, "decay_factor": DECAY_FACTOR})
+    stats, flags, margins = result.stats, result.pass_flags, result.margins
     for k in cfg.ks:
         spec = normalizer(d, k)
         b = np.array([spec.b(float(n)) for n in ns])
@@ -244,12 +245,7 @@ def study_coupling_decay(cfg: ExperimentConfig,
             flags[f"decay_k{k}"] = bool(last <= DECAY_FACTOR * first
                                         and last <= DECAY_ABS_THRESHOLD)
             margins[f"decay_margin_k{k}"] = DECAY_FACTOR * first - last
-    return StudyResult(
-        study="coupling_decay", checkpoints=ns.tolist(), stats=stats,
-        pass_flags=flags, margins=margins,
-        meta={"distribution": cfg.distribution.as_mapping(),
-              "seeds": cfg.seeds, "master_seed": cfg.master_seed,
-              "decay_factor": DECAY_FACTOR})
+    return result
 
 
 def study_lil_bound(cfg: ExperimentConfig,
@@ -272,9 +268,10 @@ def study_lil_bound(cfg: ExperimentConfig,
         trajectories = generate_trajectories(cfg, d, grid)
     ns = np.asarray(grid.positions, dtype=np.float64)
     keep = ns >= cfg.n_floor
-    stats: dict[str, list[float]] = {}
-    flags: dict[str, bool] = {}
-    margins: dict[str, float] = {}
+    result = StudyResult("lil_bound", ns.tolist(), meta={
+        "distribution": cfg.distribution.as_mapping(), "seeds": cfg.seeds,
+        "master_seed": cfg.master_seed, "slack": SLACK, "n_floor": cfg.n_floor})
+    stats, flags, margins = result.stats, result.pass_flags, result.margins
     lnn = np.log(ns)
     for k in cfg.ks:
         # the four series of one (n, k) together, so each point's head is
@@ -303,12 +300,7 @@ def study_lil_bound(cfg: ExperimentConfig,
             flags[f"bound_{label}_k{k}"] = bool(frac >= PASS_FRACTION)
             margins[f"seed_fraction_{label}_k{k}"] = frac
             margins[f"worst_seed_{label}_k{k}"] = float(max(per_seed))
-    return StudyResult(
-        study="lil_bound", checkpoints=ns.tolist(), stats=stats,
-        pass_flags=flags, margins=margins,
-        meta={"distribution": cfg.distribution.as_mapping(),
-              "seeds": cfg.seeds, "master_seed": cfg.master_seed,
-              "slack": SLACK, "n_floor": cfg.n_floor})
+    return result
 
 
 def study_rate_ratio(cfg: ExperimentConfig,
@@ -369,9 +361,10 @@ def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:
     grid = _grid_for(cfg)
     ns = np.asarray(grid.positions, dtype=np.float64)
     keep = ns >= cfg.n_floor
-    stats: dict[str, list[float]] = {}
-    flags: dict[str, bool] = {}
-    margins: dict[str, float] = {}
+    result = StudyResult("mean_convergence", ns.tolist(), meta={
+        "distribution": cfg.distribution.as_mapping(), "n_floor": cfg.n_floor,
+        "convergence_factor": CONVERGENCE_FACTOR})
+    stats, flags, margins = result.stats, result.pass_flags, result.margins
 
     def _check_decay(label: str, series: np.ndarray) -> None:
         stats[f"abs_diff_{label}"] = np.abs(series).tolist()
@@ -412,12 +405,7 @@ def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:
         stats["count_scaled_mean"] = ratios.tolist()
         flags["theta0_ratio_trend"] = bool(ratios[-1] < 0.5 * ratios[0])
         margins["theta0_final_ratio"] = float(ratios[-1])
-    return StudyResult(
-        study="mean_convergence", checkpoints=ns.tolist(), stats=stats,
-        pass_flags=flags, margins=margins,
-        meta={"distribution": cfg.distribution.as_mapping(),
-              "n_floor": cfg.n_floor,
-              "convergence_factor": CONVERGENCE_FACTOR})
+    return result
 
 
 _INCREMENT_RULES: tuple[tuple[str, Callable[[float], float]], ...] = (
@@ -434,9 +422,8 @@ def study_increment_bound(cfg: ExperimentConfig) -> StudyResult:
     d = build_distribution(cfg.distribution)
     grid = _grid_for(cfg)
     ns = [n for n in grid.positions if n >= cfg.n_floor]
-    stats: dict[str, list[float]] = {}
-    flags: dict[str, bool] = {}
-    margins: dict[str, float] = {}
+    result = StudyResult("increment_bound", [float(n) for n in ns], meta={
+        "distribution": cfg.distribution.as_mapping(), "n_floor": cfg.n_floor})
     for k in cfg.ks:
         # every window rule at one n before the next, so the point n, which
         # each rule reads, is summed once while the distribution keeps it
@@ -444,14 +431,10 @@ def study_increment_bound(cfg: ExperimentConfig) -> StudyResult:
                    for _, rule in _INCREMENT_RULES] for n in ns]
         for (rule_name, _), column in zip(_INCREMENT_RULES, zip(*checks)):
             rel_margins = [chk.margin / chk.rhs if chk.rhs else 0.0 for chk in column]
-            stats[f"rel_margin_{rule_name}_k{k}"] = rel_margins
-            flags[f"holds_{rule_name}_k{k}"] = all(chk.holds for chk in column)
-            margins[f"min_rel_margin_{rule_name}_k{k}"] = float(min(rel_margins))
-    return StudyResult(
-        study="increment_bound", checkpoints=[float(n) for n in ns],
-        stats=stats, pass_flags=flags, margins=margins,
-        meta={"distribution": cfg.distribution.as_mapping(),
-              "n_floor": cfg.n_floor})
+            result.stats[f"rel_margin_{rule_name}_k{k}"] = rel_margins
+            result.pass_flags[f"holds_{rule_name}_k{k}"] = all(chk.holds for chk in column)
+            result.margins[f"min_rel_margin_{rule_name}_k{k}"] = float(min(rel_margins))
+    return result
 
 
 def study_variance_sandwich(cfg: ExperimentConfig) -> StudyResult:
@@ -459,24 +442,19 @@ def study_variance_sandwich(cfg: ExperimentConfig) -> StudyResult:
     over the grid and each configured k.  Pass: all margins positive."""
     d = build_distribution(cfg.distribution)
     grid = _grid_for(cfg)
-    ns = list(grid.positions)
-    stats: dict[str, list[float]] = {}
-    flags: dict[str, bool] = {}
-    margins: dict[str, float] = {}
+    result = StudyResult("variance_sandwich", [float(n) for n in grid.positions],
+                         meta={"distribution": cfg.distribution.as_mapping()})
     for k in cfg.ks:
-        checks = [variance_sandwich_check(d, int(n), k) for n in ns]
+        checks = [variance_sandwich_check(d, int(n), k) for n in grid.positions]
         lower = [m.lower_margin for m in checks]
         upper = [m.upper_margin for m in checks]
         strict = [m.strict_margin for m in checks]
-        stats[f"lower_margin_k{k}"] = lower
-        stats[f"upper_margin_k{k}"] = upper
-        stats[f"strict_margin_k{k}"] = strict
-        flags[f"sandwich_k{k}"] = all(m.holds for m in checks)
-        margins[f"min_margin_k{k}"] = float(min(min(lower), min(upper), min(strict)))
-    return StudyResult(
-        study="variance_sandwich", checkpoints=[float(n) for n in ns],
-        stats=stats, pass_flags=flags, margins=margins,
-        meta={"distribution": cfg.distribution.as_mapping()})
+        result.stats[f"lower_margin_k{k}"] = lower
+        result.stats[f"upper_margin_k{k}"] = upper
+        result.stats[f"strict_margin_k{k}"] = strict
+        result.pass_flags[f"sandwich_k{k}"] = all(m.holds for m in checks)
+        result.margins[f"min_margin_k{k}"] = float(min(min(lower), min(upper), min(strict)))
+    return result
 
 
 def theta_estimate(n: int, occupied: int) -> float:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -473,7 +474,7 @@ class TestCountingFunction:
 
     def test_below_first_cell(self, zipf2, geometric_half, theta_one_log):
         for d in (zipf2, geometric_half, theta_one_log):
-            assert d.counting_function(0.5 / d.p1) == 0
+            assert d.counting_function(0.5 / d.prob(1)) == 0
             assert d.counting_function(0.0) == 0
 
     @given(x=st.floats(min_value=1.0, max_value=1e12))
@@ -1221,14 +1222,14 @@ class TestSampler:
 
     def test_geometric_count_space(self, rng):
         # near q = 1 about half the mass lies beyond the table, where the
-        # count-space draw continues by memorylessness
-        from urnsim.distributions import _TABLE_SIZE
+        # count-space draw continues in ranges of equal mass
         q = 1.0 - 1e-5
         d = build_distribution(DistributionSpec(family="geometric", q=q))
         m = 10 ** 5
-        (ids, counts), (beyond, per_stop) = d.draw_past(rng, 0, [m])  # one range past
+        (ids, counts), *ranges = d.draw_past(rng, 0, [m])
+        beyond, per_stop = np.concatenate([r for r, _ in ranges]), sum(c for _, c in ranges)
         n_tail = m - counts
-        assert per_stop.tolist() == n_tail.tolist()
+        assert len(ranges) > 1 and per_stop.tolist() == n_tail.tolist()
         assert d._cut(m) == _TABLE_SIZE and ids.size == counts[0]
         assert ids.size + beyond.size == m
         for p, got in ((1.0 - q ** (_TABLE_SIZE // 2), np.sum(ids <= _TABLE_SIZE // 2) / m),
@@ -1238,6 +1239,33 @@ class TestSampler:
         assert excess.min() >= 1
         sd = math.sqrt(q) / (1.0 - q)
         assert abs(excess.mean() - 1.0 / (1.0 - q)) < 4 * sd / math.sqrt(excess.size)
+
+    def test_geometric_past_table_law(self):
+        # q = 0.99999 sends half its balls past the table, 104,000 here,
+        # which draw_past splits over seven ranges of equal mass: draw_cells'
+        # ids there, in 50 bins of equal mass, against the exact law
+        q = 0.99999
+        d = build_distribution(DistributionSpec(family="geometric", q=q))
+        ids = d.draw_cells(np.random.default_rng(8), 200_000)
+        excess = ids[ids > _TABLE_SIZE] - _TABLE_SIZE
+        edges = np.unique(np.floor(np.log1p(-np.arange(50) / 50) / math.log(q)))
+        p = -np.diff(np.append(q ** edges, 0.0))
+        binned = np.bincount(np.searchsorted(edges, excess, side="left") - 1, minlength=p.size)
+        assert excess.size > 3 * _TAIL_RUN
+        assert _chi2_pvalue(binned, p * excess.size) > 1e-3
+
+    def test_geometric_runs_within_cap(self, rng):
+        # 10^6 balls past the table: every range expects at most half of
+        # _TAIL_RUN of them, the ranges follow one another, and the counts
+        # add up to each stop's
+        d = build_distribution(DistributionSpec(family="geometric", q=0.99999))
+        stops = np.array([400_000, 0, 600_000])
+        given, top, runs = np.zeros_like(stops), _TABLE_SIZE, 0
+        for ids, counts in itertools.islice(d.draw_past(rng, _TABLE_SIZE, stops), 1, None):
+            assert ids.size == counts.sum() <= _TAIL_RUN + 6 * math.sqrt(_TAIL_RUN)
+            assert ids.min() > top
+            given, top, runs = given + counts, ids.max(), runs + 1
+        assert np.array_equal(given, stops) and runs >= 2 * stops.sum() / _TAIL_RUN
 
     def test_fixed_seed_reproducible(self, zipf2):
         a = zipf2.draw_cells(np.random.default_rng(123), 10 ** 4)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from urnsim import (
     CheckpointGrid,
     DistributionSpec,
-    OccupancyState,
     build_distribution,
     exact_mean,
     exact_var,
@@ -22,8 +21,9 @@ from urnsim import (
     run_coupled,
 )
 from urnsim import simulate
-from urnsim.distributions import _RANGE_EDGES, _SYNTHETIC_BASE, _TABLE_SIZE
-from urnsim.simulate import _fold_tail
+from urnsim.distributions import (_DENSE, _RANGE_EDGES, _SYNTHETIC_BASE, _TABLE_SIZE,
+                                  CellDistribution)
+from urnsim.simulate import OccupancyState, _fold_tail
 
 # cells on both sides of the table boundary and synthetic ids beyond 2^62,
 # few enough per region that blocks repeat cells and revisit stored ones
@@ -275,11 +275,24 @@ def _expand_trajectory(d, grid, seed):
             seen["alone"] += int(counts.sum())
         else:
             seen["drawn"] += ids.size
+            seen["repeats"] += ids.size - np.unique(ids).size
         runs.append((ids, counts))
     for ids, counts in runs:
         for stop_cells, lo, hi in zip(cells, np.cumsum(counts) - counts, np.cumsum(counts)):
             stop_cells += ids[lo:hi].tolist()
     return K, np.array(stops), _merge_rows(cells, grid.k_max), seen
+
+
+def _matched_digest(d, grid, seed=(2024, 7)):
+    """The sha256 of run_coupled's (K, rstar_fixed, rstar_poisson) once its
+    rows match _expand_trajectory's, and what the expansion's stream reached."""
+    tr = run_coupled(d, grid, seed=seed)
+    K, schedule, rows, seen = _expand_trajectory(d, grid, seed)
+    assert np.array_equal(K, tr.K)
+    for at, got in ((tr.positions, tr.rstar_fixed), (tr.K, tr.rstar_poisson)):
+        assert np.array_equal(rows[np.searchsorted(schedule, at), :3], got)
+    text = repr((tr.K.tolist(), tr.rstar_fixed.tolist(), tr.rstar_poisson.tolist()))
+    return hashlib.sha256(text.encode()).hexdigest(), seen
 
 
 # tail ids where the fold's ranks and packing could go wrong: next to the
@@ -576,15 +589,10 @@ class TestRunCoupled:
         cuts, facts = set(), Counter()
         for name, d in (("zipf", zipf2), ("theta_one_log", theta_one_log),
                         ("geometric", geometric_half), ("geometric_near_one", near_one)):
-            tr = run_coupled(d, grid, seed=(2024, 7))
-            K, schedule, rows, seen = _expand_trajectory(d, grid, (2024, 7))
-            assert np.array_equal(K, tr.K)
+            digest, seen = _matched_digest(d, grid)
+            assert digest == frozen[name], name
             cuts.add(seen["J"])
             facts.update({f"{name} {key}": v for key, v in seen.items() if key != "J"})
-            for at, got in ((tr.positions, tr.rstar_fixed), (tr.K, tr.rstar_poisson)):
-                assert np.array_equal(rows[np.searchsorted(schedule, at), :3], got)
-            text = repr((tr.K.tolist(), tr.rstar_fixed.tolist(), tr.rstar_poisson.tolist()))
-            assert hashlib.sha256(text.encode()).hexdigest() == frozen[name], name
 
         # the grid reaches cuts short of the table and (geometric near one)
         # the whole table; theta_one_log's balls past the table come in more
@@ -595,6 +603,27 @@ class TestRunCoupled:
         assert facts["theta_one_log parts"] >= 2 and facts["theta_one_log synthetic"] > 0
         assert facts["theta_one_log alone"] > facts["theta_one_log synthetic"]
         assert facts["theta_one_log drawn"] > 0 and facts["theta_one_log inverted"] > 0
+
+    def test_crowded_parts_frozen(self, theta_one_log, monkeypatch):
+        # on the 1e4..1e7 grid theta_one_log's balls past the table fill 27
+        # parts: three crowded ones, past _DENSE balls per cell, where every
+        # ball takes its cell, and keyed ones; 67,431 balls take cells there,
+        # some of them sharing one.  Pinned as test_trajectories_frozen pins,
+        # so the crowded parts' stream and the repeats past the table are in
+        # the hash
+        crowded = []
+        draw_part = CellDistribution._draw_part
+
+        def spy(self, rng, e, p, counts, alone):
+            crowded.append(counts.sum() >= _DENSE * (e.last[-1] - e.first[0] + 1))
+            return draw_part(self, rng, e, p, counts, alone)
+
+        monkeypatch.setattr(CellDistribution, "_draw_part", spy)
+        grid = CheckpointGrid.logspaced(10_000, 10_000_000, 13, k_max=3)
+        digest, seen = _matched_digest(theta_one_log, grid)
+        assert digest == "f1a12aafacb9feb4857a9f67a8293243c3ed1381845664878b04442307df7618"
+        assert any(crowded) and not all(crowded)
+        assert seen["drawn"] == 67_431 and seen["repeats"] > 0
 
     def test_memory_holds_one_range(self, theta_one_log):
         # the balls past the table are drawn, folded and dropped a part of
