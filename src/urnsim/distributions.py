@@ -265,14 +265,12 @@ class _Kept(dict):
         return self[key]
 
 
-# A power family's rejection-inversion hat c x^-sigma past the table: piece i
-# holds cells cells[i] + 1..cells[i + 1], where the hat's mass up to x is
-# ((x/x0)^om - 1) / rate, rows = (x0 = cells[i] + 1/2, rate, om = 1 - sigma);
-# squeeze: a bound below each ratio.
-_Hat = namedtuple("_Hat", "cells rows squeeze")
-# draw_past's elements: cells first[i]..last[i] of piece piece[i] (its x0, om,
-# squeeze), hat mass from x0 times rate lo to lo + width; spread: see _near
-_Elements = namedtuple("_Elements", "piece x0 om lo width first last spread squeeze")
+# draw_past's elements: cells first[i]..last[i] under a piece of a power
+# family's rejection-inversion hat c x^-sigma past the table, whose mass up
+# to x is ((x/x0)^om - 1) / rate, om = 1 - sigma, squeeze a bound below its
+# ratios (the first four fields, the piece's rows); the element's hat mass
+# runs from x0 times rate lo to lo + width; spread: see _near
+_Elements = namedtuple("_Elements", "rate x0 om squeeze lo width first last spread")
 
 
 class CellDistribution:
@@ -620,45 +618,43 @@ class CellDistribution:
                 ids += _TABLE_SIZE + int(a[i])
                 yield ids, split[:, i]
             return
-        law, hat, _ = self._tail_ranges
-        cells, piece, p = hat.cells, np.arange(law.size - 1), law[:-1]
+        law, e, _ = self._tail_ranges
+        p = law[:-1]
         half = 2.0 * float(m.sum()) / _TAIL_RUN  # halves of a part per unit of mass
         q = np.maximum(np.ceil(p * half), 1.0).astype(np.int64)
         if q.max() > 1:
-            piece = np.repeat(piece, q)
+            piece = np.repeat(np.arange(p.size), q)
             share = (np.arange(piece.size) - np.repeat(np.cumsum(q) - q, q)) / q.take(piece)
-            x0, _, om = (r.take(piece) for r in hat.rows)
-            grow = np.expm1(om * np.log((cells[1:].take(piece) + 0.5) / x0))
-            edges = cells.take(piece)
-            sub = share > 0.0  # the cells at x0 (1 + share grow)^(1/om), rounded down
-            edges[sub] = np.floor(x0[sub] * np.exp(np.log1p(share[sub] * grow[sub]) / om[sub]))
-            keep = np.flatnonzero(np.diff(np.append(edges, cells[-1])))  # no empty sub-piece
-            piece, cells = piece.take(keep), np.append(edges.take(keep), cells[-1])
+            edges, sub = e.first.take(piece) - 1, share > 0.0
+            at = piece[sub]  # the cells at x0 (1 + share width)^(1/om), rounded down
+            edges[sub] = np.floor(e.x0[at] * np.exp(np.log1p(share[sub] * e.width[at]) / e.om[at]))
+            keep = np.flatnonzero(np.diff(np.append(edges, e.last[-1])))  # no empty sub-piece
+            piece, cells = piece.take(keep), np.append(edges.take(keep), e.last[-1])
             sums = self._cell_sums(cells[:-1], cells[1:])[0]
             p = law.take(piece) * sums / np.bincount(piece, sums).take(piece)
+            e = self._elements(cells, [f.take(piece) for f in e[:4]])
         starts = np.flatnonzero(np.diff(np.floor((np.cumsum(p) - p) * half), prepend=-1.0))
         split = rng.multinomial(m, np.append(law[-1], np.add.reduceat(p, starts)))
-        elements = self._elements(cells, piece)
         for i, (a, b) in enumerate(zip(starts, np.append(starts[1:], p.size)), 1):
             if split[:, i].any():
-                yield from self._draw_part(rng, _Elements(*(f[a:b] for f in elements)), p[a:b],
+                yield from self._draw_part(rng, _Elements(*(f[a:b] for f in e)), p[a:b],
                                            split[:, i], alone)
         if split[:, 0].any():
             yield None, split[:, 0]
 
     @functools.cached_property
-    def _tail_ranges(self) -> tuple[np.ndarray, _Hat, float]:
+    def _tail_ranges(self) -> tuple[np.ndarray, _Elements, float]:
         """For a power family, the law of a ball past the table over the
         pieces of the hat, _PIECES per dyadic range (2^m, 2^(m+1)], m =
-        16..61, then over the synthetic range past 2^62; the hat of
-        :meth:`_hat_cells`; and a bound on the law's total variation
-        distance from the exact one.  A piece's mass is its cell sum
-        (:meth:`_cell_sums`, every piece in one pass), the synthetic range's
-        the r = 1 tail sum at 2^62, so the bound is twice the sum of their
-        bounds over their total, plus an ulp per mass for the total and one
-        for the division.  (As differences of the tail sums at the 185
-        edges, the masses would carry those sums' rounding, which grows as
-        the tail decays slower: 1.6e-11 for zipf_log (1.05, -1).)
+        16..61, then over the synthetic range past 2^62; those pieces as
+        the sampler's elements (:meth:`_elements`); and a bound on the
+        law's total variation distance from the exact one.  A piece's mass
+        is its cell sum (:meth:`_cell_sums`, every piece in one pass), the
+        synthetic range's the r = 1 tail sum at 2^62, so the bound is twice
+        the sum of their bounds over their total, plus an ulp per mass for
+        the total and one for the division.  (As differences of the tail
+        sums at the 185 edges, the masses would carry their rounding, which
+        grows as the tail decays slower: 1.6e-11 for zipf_log (1.05, -1).)
 
         The hat is c x^-sigma on _PIECES pieces a range, equal in ln x (four
         give a smallest ratio of 0.99994 for theta_one_log, one 0.9991).  In
@@ -689,28 +685,29 @@ class CellDistribution:
         rate = om / (self._weights(ref) * (ref / x0) ** sigma * x0)
         squeeze = (1.0 - abs(self.a) * d * d / (8.0 * w[:-1] ** 2)
                    - sigma * (sigma + 1.0) / (12.0 * x0 * x0) - 1e-12)
-        return (mass / total, _Hat(cells, (x0, rate, om), squeeze),
+        return (mass / total, self._elements(cells, (rate, x0, om, squeeze)),
                 float(2.0 * (bounds.sum() + tail_bound) / total + 2.0 ** -52 * (mass.size + 1)))
 
-    def _accept_ratio(self, j: np.ndarray, piece: np.ndarray) -> np.ndarray:
-        """p_j Z over the hat's mass in cell j of its piece ``piece``, (jm/x0)^om
-        expm1(om ln(1 + 1/jm)) / rate, jm = j - 1/2, precise for j well past 1/ulp."""
-        x0, rate, om = (r[piece] for r in self._tail_ranges[1].rows)
+    def _accept_ratio(self, j: np.ndarray, e: _Elements, at: np.ndarray) -> np.ndarray:
+        """p_j Z over the hat's mass in cell j of its element ``at`` of e,
+        (jm/x0)^om expm1(om ln(1 + 1/jm)) / rate, jm = j - 1/2, precise for j
+        well past 1/ulp."""
+        x0, rate, om = (f.take(at) for f in (e.x0, e.rate, e.om))
         jm = j - 0.5
         return self._weights(j.astype(np.float64)) * rate / (
             (jm / x0) ** om * np.expm1(om * np.log1p(1.0 / jm)))
 
-    def _elements(self, cells: np.ndarray, piece: np.ndarray) -> _Elements:
-        """The elements cells[i] + 1..cells[i + 1] of hat pieces piece[i]."""
-        hat = self._tail_ranges[1]
-        x0, _, om = (r.take(piece) for r in hat.rows)
+    @staticmethod
+    def _elements(cells: np.ndarray, rows) -> _Elements:
+        """The elements cells[i] + 1..cells[i + 1] under the hat rows (rate, x0,
+        om, squeeze) of their pieces, an entry per element."""
+        _, x0, om, _ = rows
         lo, hi = (np.expm1(om * np.log((c + 0.5) / x0)) for c in (cells[:-1], cells[1:]))
         n = np.diff(cells)
         # (x_b / x_a)^|sigma| / n (1 + 2^-44 x_b) (_near), 2^-40 over for its rounding
         spread = (np.exp(np.abs(1.0 - om) * np.log1p(n / (cells[:-1] + 0.5))) / n
                   * (1.0 + 2.0 ** -44 * (cells[1:] + 0.5)) * (1.0 + 2.0 ** -40))
-        return _Elements(piece, x0, om, lo, hi - lo, cells[:-1] + 1, cells[1:], spread,
-                         hat.squeeze.take(piece))
+        return _Elements(*rows, lo, hi - lo, cells[:-1] + 1, cells[1:], spread)
 
     def _draw_part(self, rng: np.random.Generator, e: _Elements, p: np.ndarray,
                    counts: np.ndarray, alone: bool):
@@ -739,7 +736,7 @@ class CellDistribution:
 
         def rejected(t, at, j):  # of the candidates t that take the ratio
             return t[squeeze + (1.0 - squeeze) * rng.random(t.size)
-                     > self._accept_ratio(j.take(t), e.piece.take(at.take(t)))] if t.size else t
+                     > self._accept_ratio(j.take(t), e, at.take(t))] if t.size else t
 
         def accepted(at):  # candidates in the elements at, each v through its hat mass
             v = rng.random(at.size)

@@ -171,10 +171,6 @@ class CoupledTrajectory:
     at_least: np.ndarray         # shape (2, m, k_max + 1): at n_i, then at K_i
 
     @property
-    def k_max(self) -> int:
-        return self.at_least.shape[2] - 1
-
-    @property
     def at_least_fixed(self) -> np.ndarray:
         return self.at_least[0]
 
@@ -226,17 +222,12 @@ _MARGIN = 8.0
 _URN_MAX = 10 ** 9
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end; one part (a single horizon) as it is, uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _arrivals(rng: np.random.Generator, p: np.ndarray, have: np.ndarray, start: float,
-              horizon: float, cols: list, tops: list) -> None:
-    """The arrivals in (start, horizon] among the first len(cols) of each
-    cell j (rate p[j]), have[j] of which came by ``start``: appends the
-    times of each cell's k-th arrival, sorted, to cols[k], and the rates of
-    the last column's cells, in its order, to tops; counts them in have.
+              horizon: float, top: int) -> list[np.ndarray]:
+    """The arrivals in (start, horizon] among the first ``top`` of each cell
+    j (rate p[j]), have[j] of which came by ``start``: the times of each
+    cell's k-th arrival, sorted, k = 1..top, then the rates of the last
+    column's cells, in its order; counts them in have.
 
     A cell's arrivals after start are start plus sums of Exp(1) / p[j]
     (the times before it do not matter, as a Poisson process has no
@@ -245,8 +236,8 @@ def _arrivals(rng: np.random.Generator, p: np.ndarray, have: np.ndarray, start: 
     temporaries (deleted as soon as they are spent) hold one column.
     """
     had = have.copy()
-    cells, t = np.empty(0, dtype=np.int32), np.empty(0)
-    for k in range(len(cols)):
+    cells, t, cols = np.empty(0, dtype=np.int32), np.empty(0), []
+    for k in range(top):
         new = np.flatnonzero(had == k).astype(np.int32)
         if new.size:
             cells = np.concatenate([cells, new])
@@ -260,12 +251,12 @@ def _arrivals(rng: np.random.Generator, p: np.ndarray, have: np.ndarray, start: 
         cells, t = cells.take(kept), t.take(kept)
         del kept
         have[cells] = k + 1
-        if k + 1 < len(cols):
-            cols[k].append(np.sort(t))
+        if k + 1 < top:
+            cols.append(np.sort(t))
         else:
             order = np.argsort(t)
-            cols[k].append(t.take(order))
-            tops.append(p.take(cells.take(order)))
+            cols += [t.take(order), p.take(cells.take(order))]
+    return cols
 
 
 def _y_masses(tops: tuple[np.ndarray, np.ndarray, np.ndarray], lo: np.ndarray,
@@ -317,21 +308,20 @@ def _poisson_time(p: np.ndarray, rate: float, stops: np.ndarray, top: int,
     """
     n = int(stops[-1])
     have = np.zeros(p.size, dtype=np.int8)
-    cols: list[list[np.ndarray]] = [[] for _ in range(top)]
-    tops: list[np.ndarray] = []
+    cols: list[np.ndarray] = []  # the k-th arrival times, k = 1..top, then the top rates
     ends = [(0.0, 0, 0, 0)]  # (time, F, Y, E) at 0 and at each horizon
     while sum(ends[-1][1:]) < n:
         start, _, Y, E = ends[-1]
         left = n - sum(ends[-1][1:])
         horizon = start + left + _MARGIN * (math.sqrt(left) + _MARGIN)
-        _arrivals(rng, p, have, start, horizon, cols, tops)
-        rates = _joined(tops)
-        y_tops = (_joined(cols[-1]), rates, np.append(0.0, np.cumsum(rates)))
+        new = _arrivals(rng, p, have, start, horizon, top)
+        cols = [np.concatenate(pair) for pair in zip(cols, new)] if cols else new
+        y_tops = (cols[-2], cols[-1], np.append(0.0, np.cumsum(cols[-1])))
         y = _y_masses(y_tops, np.array([start]), np.array([horizon]))[0]
-        ends.append((horizon, sum(c.size for col in cols for c in col),
+        ends.append((horizon, sum(c.size for c in cols[:-1]),
                      Y + int(rng.poisson(y)), E + int(rng.poisson(rate * (horizon - start)))))
     del have
-    f = np.concatenate([[-np.inf], *(c for col in cols for c in col), [np.inf]])
+    f = np.concatenate([[-np.inf], *cols[:-1], [np.inf]])
     f[1:-1].sort()
     # the brackets between horizons, as rows lo, hi, Y(a), Y(b), E(a), E(b),
     # first stop, one past the last: first arrivals lo + 1..hi - 1 lie in (a, b)
@@ -377,8 +367,7 @@ def _poisson_time(p: np.ndarray, rate: float, stops: np.ndarray, top: int,
         drawn[sel] = d
         rank[i], past[i] = lo[sel], ea[sel] + got[sel]
     at = f.take(rank)
-    rows = np.array([[np.searchsorted(c, at, side="right") for c in col] for col in cols])
-    return rows.sum(axis=1).T, past
+    return np.array([np.searchsorted(c, at, side="right") for c in cols[:-1]]).T, past
 
 
 def run_coupled(d: CellDistribution, grid: CheckpointGrid, seed: int | tuple[int, ...],

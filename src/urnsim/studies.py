@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -109,10 +110,18 @@ def aggregate(indexed_rows: Sequence[tuple[int, Sequence[float]]]) -> dict[str, 
 
 # ------------------------------------------------------------ trajectories
 
+@functools.lru_cache(maxsize=1)
+def _worker_inputs(spec: DistributionSpec, positions: tuple[int, ...],
+                   k_max: int) -> tuple[CellDistribution, CheckpointGrid]:
+    """The distribution and grid of a worker's trajectories, built once per
+    process (and again only for other arguments), so that its sampler
+    table, hat and cell sums serve every trajectory it runs."""
+    return build_distribution(spec), CheckpointGrid(positions=positions, k_max=k_max)
+
+
 def _one_trajectory(args) -> CoupledTrajectory:
-    spec_map, positions, k_max, seed = args
-    d = build_distribution(DistributionSpec.from_mapping(spec_map))
-    return run_coupled(d, CheckpointGrid(positions=positions, k_max=k_max), seed=seed)
+    spec, positions, k_max, seed = args
+    return run_coupled(*_worker_inputs(spec, positions, k_max), seed=seed)
 
 
 def generate_trajectories(cfg: ExperimentConfig, d: CellDistribution,
@@ -123,8 +132,7 @@ def generate_trajectories(cfg: ExperimentConfig, d: CellDistribution,
     """
     seeds = [(cfg.master_seed, i) for i in range(cfg.seeds)]
     if cfg.workers > 1 and cfg.seeds > 1:
-        spec_map = cfg.distribution.as_mapping()
-        args = [(spec_map, grid.positions, grid.k_max, seed) for seed in seeds]
+        args = [(cfg.distribution, grid.positions, grid.k_max, seed) for seed in seeds]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             return list(pool.map(_one_trajectory, args, chunksize=1))
     return [run_coupled(d, grid, seed=seed) for seed in seeds]
@@ -313,8 +321,10 @@ def study_rate_ratio(cfg: ExperimentConfig,
     and the final median is below RATE_THRESHOLD.
     """
     t_values = cfg.rate_t_values
-    medians = []
-    stats: dict[str, list[float]] = {"deviation_median": [], "deviation_q95": []}
+    result = StudyResult("rate_ratio", list(t_values), meta={
+        "seeds": cfg.seeds, "master_seed": cfg.master_seed, "v_exponent": RATE_V_EXPONENT})
+    medians = result.stats["deviation_median"] = []
+    q95 = result.stats["deviation_q95"] = []
     for t in t_values:
         v = t ** RATE_V_EXPONENT
         widths = [v]
@@ -334,18 +344,11 @@ def study_rate_ratio(cfg: ExperimentConfig,
             cum = np.cumsum(incs)
             devs.append(float(np.max(np.abs(cum / np.asarray(widths) - 1.0))))
         medians.append(float(np.median(devs)))
-        stats["deviation_median"].append(medians[-1])
-        stats["deviation_q95"].append(float(np.quantile(devs, 0.95)))
-    decreasing = all(b < a for a, b in zip(medians, medians[1:]))
-    final_ok = medians[-1] < RATE_THRESHOLD
-    return StudyResult(
-        study="rate_ratio", checkpoints=list(t_values), stats=stats,
-        pass_flags={"medians_decreasing": bool(decreasing),
-                    "final_below_threshold": bool(final_ok)},
-        margins={"final_median": medians[-1],
-                 "threshold": RATE_THRESHOLD},
-        meta={"seeds": cfg.seeds, "master_seed": cfg.master_seed,
-              "v_exponent": RATE_V_EXPONENT})
+        q95.append(float(np.quantile(devs, 0.95)))
+    result.pass_flags["medians_decreasing"] = all(b < a for a, b in zip(medians, medians[1:]))
+    result.pass_flags["final_below_threshold"] = medians[-1] < RATE_THRESHOLD
+    result.margins.update(final_median=medians[-1], threshold=RATE_THRESHOLD)
+    return result
 
 
 def study_mean_convergence(cfg: ExperimentConfig) -> StudyResult:

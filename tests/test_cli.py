@@ -55,6 +55,26 @@ class TestMoments:
         assert message in err
 
     @pytest.mark.parametrize("law", _LAWS)
+    def test_json_matches_csv_row(self, capsys, law):
+        # --json prints one document: schema_version 1 and the report's
+        # fields, with the values of the CSV row (trunc_err as truncation_error)
+        flags = ["moments", "--family", "zipf", "--s", "2", "--t", "1e4", "--k", "2", "--star",
+                 "--law", law]
+        rc, out, _ = run_cli(capsys, *flags, "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        assert sorted(doc) == ["asym_mean", "asym_var", "exact_mean", "exact_var", "k", "law",
+                               "schema_version", "star", "t", "truncation_error"]
+        assert doc["schema_version"] == 1 and doc["law"] == law and doc["star"] is True
+        rc, out, _ = run_cli(capsys, *flags)
+        header, row = (line.split(",") for line in out.strip().splitlines())
+        values = dict(zip(header, row))
+        assert values.pop("star") == "1" and int(values.pop("k")) == doc["k"] == 2
+        values["truncation_error"] = values.pop("trunc_err")
+        assert {name: float(v) for name, v in values.items()} == {
+            name: doc[name] for name in values}
+
+    @pytest.mark.parametrize("law", _LAWS)
     def test_k_past_the_tail_orders(self, capsys, law):
         # the series tail has orders 1..60; k = 61 is refused, not an IndexError
         rc, out, err = run_cli(capsys, "moments", "--family", "zipf", "--s", "2", "--t", "1e4",
@@ -193,6 +213,13 @@ class TestVerify:
         assert rc == 2
         assert err == "error: k must be >= 1 and <= 60, got 61\n"
 
+    def test_unparseable_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("family = zipf\nthis line has no value\n")
+        rc, out, err = run_cli(capsys, "verify", "lemma2", "--config", str(cfg))
+        assert rc == 2 and not out
+        assert err.startswith(f"error: cannot parse config {cfg}: ")
+
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, "verify", "lemma2", "--config",
                              "/nonexistent/cfg.ini")
@@ -229,6 +256,13 @@ class TestEstimateTheta:
         out.write_text("".join(",".join(row) + "\n" for row in rows))
         rc, tweaked, _ = run_cli(capsys, "estimate-theta", "--traj", str(out))
         assert rc == 0 and tweaked == text
+
+    def test_rejects_csv_without_k1_rows(self, capsys, tmp_path):
+        traj = tmp_path / "traj.csv"
+        traj.write_text(",".join(TRAJECTORY_HEADER) + "\n0,100,98,2,5,5,3,3,0.1,0.0\n")
+        rc, out, err = run_cli(capsys, "estimate-theta", "--traj", str(traj))
+        assert rc == 2 and not out
+        assert err == "error: trajectory CSV holds no k=1 rows\n"
 
     def test_rejects_non_trajectory(self, capsys, tmp_path):
         bad = tmp_path / "x.csv"

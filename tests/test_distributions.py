@@ -35,6 +35,7 @@ from urnsim.distributions import (
     _TABLE_SIZE,
     _TAIL_RUN,
     CellDistribution,
+    _Elements,
     _tail_sums,
     _zeta,
 )
@@ -363,8 +364,8 @@ class TestBuild:
         d = build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-1.0))
         assert 402.0 < d.Z < 403.0
         assert d.s + d.a / math.log(_TABLE_SIZE + 0.5 + math.e) < 1.0
-        law, hat, bound = d._tail_ranges
-        assert hat.rows[2].max() > 0.0 > hat.rows[2].min()  # 1 - sigma of both signs
+        law, e, bound = d._tail_ranges
+        assert e.om.max() > 0.0 > e.om.min()  # 1 - sigma of both signs
         assert abs(law.sum() - 1.0) < 1e-12 and bound < 1e-11
         with pytest.raises(DistributionError, match="not monotone"):
             build_distribution(DistributionSpec(family="zipf_log", s=1.05, a=-8.0))
@@ -856,13 +857,22 @@ class _Uniforms:
         return np.array(out + [1 << 40] * (size - len(out)), dtype=np.int64)
 
 
+def _cells(e):
+    """The edges of elements e: element i holds the cells edge[i] + 1..edge[i + 1]."""
+    return np.append(e.first[0] - 1, e.last)
+
+
+def _pieces(d, a, b):
+    """The law and the elements of the hat pieces a..b-1 past the table."""
+    law, e, _ = d._tail_ranges
+    return law[a:b], _Elements(*(f[a:b] for f in e))
+
+
 def _draw_range(d, rng, m, r):
     """m draws of the power family d in the dyadic range (2^r, 2^(r+1)]: one
     part of the range's hat pieces, every ball with its cell."""
-    law, hat, _ = d._tail_ranges
-    piece = np.arange(_PIECES * (r - 16), _PIECES * (r - 15))
-    e = d._elements(hat.cells[piece[0]:piece[-1] + 2], piece)
-    (ids, _), = d._draw_part(rng, e, law[piece], np.array([m]), False)
+    p, e = _pieces(d, _PIECES * (r - 16), _PIECES * (r - 15))
+    (ids, _), = d._draw_part(rng, e, p, np.array([m]), False)
     return ids
 
 
@@ -928,7 +938,7 @@ class TestSampler:
         # 2^41], across its hat's pieces, against the tail sums at 8 bin
         # edges equal in ln x
         d = build_distribution(_SAMPLER_SPECS[name])
-        law, hat, bound = d._tail_ranges
+        law, e, bound = d._tail_ranges
         assert law.size == _PIECES * (_RANGE_EDGES.size - 1) + 1
         ranges = np.append(law[:-1].reshape(-1, _PIECES).sum(axis=1), law[-1])
         assert ranges.size == _RANGE_EDGES.size and abs(law.sum() - 1.0) < 1e-12
@@ -952,7 +962,7 @@ class TestSampler:
         p = np.add.reduceat(d.prob_array(cells), np.arange(0, _TABLE_SIZE, _TABLE_SIZE // 8))
         binned = np.bincount((first - _TABLE_SIZE - 1) // (_TABLE_SIZE // 8), minlength=8)
         assert _chi2_pvalue(binned, p / p.sum() * first.size) > 1e-3
-        edges = hat.cells[:_PIECES + 1]
+        edges = _cells(e)[:_PIECES + 1]
         p = np.add.reduceat(d.prob_array(cells), edges[:-1] - _TABLE_SIZE)
         binned = np.bincount(np.searchsorted(edges, first) - 1, minlength=_PIECES)
         expect = p / p.sum() * first.size
@@ -972,7 +982,7 @@ class TestSampler:
         # of range 16, the second of range 40 and the last of range 61; all
         # within the bound that _tail_ranges returns
         d = build_distribution(_SAMPLER_SPECS[name])
-        law, hat, bound = d._tail_ranges
+        law, e, bound = d._tail_ranges
         ranges = np.append(law[:-1].reshape(-1, _PIECES).sum(axis=1), law[-1])
         tail = {m: tail_power_oracle(d, 1.0, 1 << m, 1) for m in (16, 17, 18, 40, 41, 61, 62)}
         for m in (16, 17, 40, 61):
@@ -980,7 +990,7 @@ class TestSampler:
             assert abs(ranges[m - 16] - want) <= bound, (m, ranges[m - 16], want, bound)
         assert abs(law[-1] - tail[62] / tail[16]) <= bound
         for i in (0, 1, _PIECES * (40 - 16) + 1, _PIECES * (62 - 16) - 1):
-            lo, hi = (tail_power_oracle(d, 1.0, int(c), 1) for c in hat.cells[i:i + 2])
+            lo, hi = (tail_power_oracle(d, 1.0, int(c), 1) for c in _cells(e)[i:i + 2])
             assert abs(law[i] - (lo - hi) / tail[16]) <= bound, (i, law[i], (lo - hi) / tail[16])
 
     @pytest.mark.parametrize("name", _POWER_SAMPLERS)
@@ -1015,9 +1025,9 @@ class TestSampler:
         # whole part's hat mass would resolve them only to 2^-53 of it: 89
         # cells apart there for zipf s = 1.2
         d = build_distribution(_SAMPLER_SPECS["zipf_s1.2"])
-        law, hat, _ = d._tail_ranges
+        law, e, _ = d._tail_ranges
         k, n = _PIECES * (50 - 16), 64
-        e, edge = d._elements(hat.cells, np.arange(law.size - 1)), d._edges(law[:-1])
+        edge = d._edges(law[:-1])
         v = 0.5 + np.arange(n) * 2.0 ** -49
         places = edge[k] + (v * (edge[k + 1] - edge[k])).astype(np.int64)
         key, low = _keys(places, 1)
@@ -1035,8 +1045,7 @@ class TestSampler:
         # whose first candidates lie there, each in its own piece and its
         # stop's place
         d = build_distribution(_SAMPLER_SPECS["theta_one_log"])
-        law, hat, _ = d._tail_ranges
-        e, p, counts = d._elements(hat.cells[:3], np.arange(2)), law[:2], np.array([3, 3])
+        (p, e), counts = _pieces(d, 0, 2), np.array([3, 3])
         edge = d._edges(p)
         at = np.array([0, 0, 1, 1, 1, 1])  # stop 0: two in piece 0, one in 1; stop 1: three in 1
         steps = (edge[1:] - edge[:-1])[at]
@@ -1048,7 +1057,7 @@ class TestSampler:
         key, low = _keys(edge[at] + again, 1)
         want, = d._draw_part(_Uniforms(raw=[key.view(np.uint64), low]), e, p, counts, False)
         assert np.array_equal(ids, want[0])
-        assert np.all(np.searchsorted(hat.cells[:3], ids) - 1 == at)
+        assert np.all(np.searchsorted(_cells(e), ids) - 1 == at)
 
     def test_redrawn_ball_meets_alone_ball(self):
         # in run_coupled's form (alone), three stops: ball A, first in the
@@ -1060,8 +1069,7 @@ class TestSampler:
         # every ball where it ends, with the same bits, in which A and B share
         # a cell at stop 1, and D and E one at stop 2
         d = build_distribution(_SAMPLER_SPECS["theta_one_log"])
-        law, hat, _ = d._tail_ranges
-        e, p, counts = d._elements(hat.cells[:3], np.arange(2)), law[:2], np.array([2, 2, 1])
+        (p, e), counts = _pieces(d, 0, 2), np.array([2, 2, 1])
         edge, shift = d._edges(p), _PLACE_BITS - 32 + 2
         steps = edge[1:] - edge[:-1]
         at = np.array([0, 1, 0, 1, 1])  # A, C at stop 0; B, D at stop 1; E at stop 2
@@ -1105,10 +1113,11 @@ class TestSampler:
         sizes = np.array(sizes)
         start = {"table": _TABLE_SIZE, "2^52": (1 << 52) - int(sizes[0]), "2^61": 1 << 61}[where]
         cells = start + np.append(0, np.cumsum(sizes))
-        piece = np.searchsorted(hat.cells, cells[:-1], side="right") - 1
-        assert np.all(hat.cells[piece + 1] >= cells[1:])
+        piece = np.searchsorted(_cells(hat), cells[:-1], side="right") - 1
+        assert np.all(_cells(hat)[piece + 1] >= cells[1:])
         rng = np.random.default_rng(seed)
-        e, edge = d._elements(cells, piece), d._edges(10.0 ** rng.uniform(-15.0, 0.0, sizes.size))
+        e = d._elements(cells, [f.take(piece) for f in hat[:4]])
+        edge = d._edges(10.0 ** rng.uniform(-15.0, 0.0, sizes.size))
         bits = max(stops - 1, 1).bit_length()
         at = np.repeat(rng.integers(0, sizes.size, clusters), rng.integers(1, 6, clusters))
         steps = edge[1:] - edge[:-1]
@@ -1146,14 +1155,13 @@ class TestSampler:
         # with two balls) the keys find the balls alone in their cells; at
         # 6,000, above _DENSE balls per cell, each ball takes its cell
         d = _sampler(name)
-        law, hat, _ = d._tail_ranges
-        e = d._elements(hat.cells[:2], np.arange(1))
-        assert (m >= _DENSE * (hat.cells[1] - hat.cells[0])) == (m > 3_000)
-        q = d.prob_array(np.arange(hat.cells[0] + 1, hat.cells[1] + 1))
+        p, e = _pieces(d, 0, 1)
+        assert (m >= _DENSE * (e.last[0] - e.first[0] + 1)) == (m > 3_000)
+        q = d.prob_array(np.arange(e.first[0], e.last[0] + 1))
         exact = np.array([stats.binom.sf(k - 1, m, q / q.sum()).sum() for k in (2, 3)])
         rng = np.random.default_rng(m)
         got = np.array([sum(_fold_tail(ids, c, 3) for ids, c in
-                            d._draw_part(rng, e, law[:1], np.array([m]), True))[0, 1:]
+                            d._draw_part(rng, e, p, np.array([m]), True))[0, 1:]
                         for _ in range(300)])
         z = (got.mean(axis=0) - exact) / (got.std(axis=0, ddof=1) / math.sqrt(got.shape[0]))
         assert exact[0] > 200 and np.all(np.abs(z) <= 5.0), (exact, got.mean(axis=0), z)
@@ -1166,13 +1174,13 @@ class TestSampler:
         # over it; the piece's balls spread over several parts, and their law
         # in it holds: 16 bins of its cells against p_j
         d = build_distribution(_SAMPLER_SPECS["zipf_s2"])
-        law, hat, _ = d._tail_ranges
+        law, e, _ = d._tail_ranges
         m = 1_000_000
         assert law[0] * m > 4 * _TAIL_RUN
         stops = np.array([m // 3, 0, m - m // 3])
         runs = d.draw_past(rng, _TABLE_SIZE, stops)
         next(runs)
-        lo, hi = hat.cells[:2]
+        lo, hi = _cells(e)[:2]
         got, parts, given = [], 0, np.zeros_like(stops)
         for ids, counts in runs:
             given += counts
@@ -1315,16 +1323,16 @@ class TestSampler:
         # ratio, so the computed ratio must never fall below it beyond the
         # table; and the hat is one, up to rounding: the ratio is at most 1
         d = build_distribution(_SAMPLER_SPECS[name])
-        hat = d._tail_ranges[1]
-        assert hat.squeeze.size == _PIECES * (_RANGE_EDGES.size - 1)
-        assert hat.squeeze.min() > 0.9999
+        e = d._tail_ranges[1]
+        assert e.squeeze.size == _PIECES * (_RANGE_EDGES.size - 1)
+        assert e.squeeze.min() > 0.9999
         dense = np.arange(_TABLE_SIZE + 1, _TABLE_SIZE + 1 + 2_000_000)
         spread = np.minimum(np.exp(np.linspace(math.log(_TABLE_SIZE + 1), 62 * math.log(2),
                                                2_000_000)).astype(np.int64), 1 << 62)
         for j in (dense, spread):
-            piece = np.searchsorted(hat.cells, j) - 1
-            ratio = d._accept_ratio(j, piece)
-            assert np.all(ratio >= hat.squeeze[piece])
+            piece = np.searchsorted(_cells(e), j) - 1
+            ratio = d._accept_ratio(j, e, piece)
+            assert np.all(ratio >= e.squeeze[piece])
             assert float(ratio.max()) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("name,size,reps,cut", [

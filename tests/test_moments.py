@@ -912,6 +912,19 @@ class TestMeanDifferenceBound:
         assert abs(want) < 1e-19 < 1e-17 < abs(got)
         assert abs(mp.mpf(got) - want) <= bound < 1e-12
 
+    @pytest.mark.parametrize("fam", ["zipf2", "zipf_log21", "theta_one_log", "geometric_half"])
+    def test_more_counts_than_balls(self, request, fam):
+        # n balls fill no cell to k = n + 1, so the fixed-n mean is 0 and the
+        # gap is minus the poissonized mean; the at-least-k head takes that
+        # as it is, so its bound stays a few ulps of the gap
+        d = request.getfixturevalue(fam)
+        for n in (3, 10, 59):
+            for star in (True, False):
+                gap, bound = mean_difference(d, n, n + 1, star)
+                mean, mean_bound = exact_mean(d, float(n), n + 1, star, "poisson")
+                assert gap < 0.0 and abs(gap + mean) <= bound + mean_bound, (n, star, gap, mean)
+                assert bound <= 1e-12 * abs(gap), (n, star, gap, bound)
+
 
 _FAMILIES = ("zipf2", "zipf_log21", "theta_one_log", "geometric_half")
 _GAP_N = (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 8, 3 * 10 ** 8)

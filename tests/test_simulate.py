@@ -625,6 +625,51 @@ class TestRunCoupled:
         assert any(crowded) and not all(crowded)
         assert seen["drawn"] == 67_431 and seen["repeats"] > 0
 
+    @pytest.mark.parametrize("spec, n, dense", [
+        (DistributionSpec(family="theta_one_log"), 5_000_000, True),
+        (DistributionSpec(family="zipf", s=1.2), 1_500_000, True),
+        (DistributionSpec(family="zipf", s=1.2), 1_000_000, False)])
+    def test_balls_past_cut_law(self, spec, n, dense, monkeypatch):
+        # the balls past the cut J in run_coupled's own form: draw_past with
+        # alone, every run folded by _fold_tail, Poisson(mu_s) balls at stop
+        # s for the three stops of a trajectory of n balls.  They fill each
+        # cell j > J by its own Poisson(t p_j), t the stops' cumulative mean
+        # over the mass past J, so the at-least-1 and at-least-2 counts of
+        # those cells have the exact series' poissonized mean and variance at
+        # t less the terms of the cells 1..J: z-tests at the first and the
+        # last stop over 200 draws.  At 5e6 and 1.5e6 J is the table, the
+        # first part past it crowded (past _DENSE balls per cell) and the
+        # others keyed; at 1e6 J lies inside the table, whose cells past it
+        # take balls by inversion, and every part is keyed
+        d = build_distribution(spec)
+        crowded = []
+        draw_part = CellDistribution._draw_part
+
+        def spy(self, rng, e, p, counts, alone):
+            crowded.append(counts.sum() >= _DENSE * (e.last[-1] - e.first[0] + 1))
+            return draw_part(self, rng, e, p, counts, alone)
+
+        monkeypatch.setattr(CellDistribution, "_draw_part", spy)
+        J = d._cut(n)
+        assert (J == _TABLE_SIZE) == dense
+        mass = d._mass_past(J)
+        mu = np.array([0.3, 0.0, 0.7]) * n * mass
+        rng = np.random.default_rng(np.random.SeedSequence((808, n)))
+        rows = np.array([np.cumsum(sum(_fold_tail(ids, counts, 2) for ids, counts in
+                                       d.draw_past(rng, J, rng.poisson(mu), alone=True)), axis=0)
+                         for _ in range(200)])
+        assert any(crowded) == dense and not all(crowded)
+        for s in (0, 2):
+            t = mu[:s + 1].sum() / mass
+            lam = t * d.probs_prefix(J)
+            g1 = -np.expm1(-lam)
+            for k, g in ((1, g1), (2, g1 - lam * np.exp(-lam))):  # P(Poisson(lam) >= k)
+                mean = exact_mean(d, t, k, True)[0] - g.sum()
+                var = exact_var(d, t, k, True)[0] - g @ (1.0 - g)
+                sample = rows[:, s, k - 1].astype(np.float64)
+                z = ((sample.mean() - mean) / math.sqrt(var / sample.size), _var_z(sample, var))
+                assert max(map(abs, z)) < 4.0, (s, k, mean, sample.mean(), z)
+
     def test_memory_holds_one_range(self, theta_one_log):
         # the balls past the table are drawn, folded and dropped a part of
         # the hat's pieces at a time: one trajectory on the 1e4..1e7 grid,

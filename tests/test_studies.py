@@ -402,3 +402,22 @@ class TestResultPlumbing:
             assert np.array_equal(a.rstar_poisson, b.rstar_poisson)
             assert np.array_equal(a.r_fixed, b.r_fixed)
             assert np.array_equal(a.r_poisson, b.r_poisson)
+
+    def test_worker_builds_distribution_once(self, zipf2, monkeypatch):
+        # a worker process builds the distribution and the grid of its
+        # trajectories once: two trajectories in one process make one build,
+        # and each matches the serial trajectory of its seed
+        from urnsim import studies
+        builds = []
+        build = studies.build_distribution
+        monkeypatch.setattr(studies, "build_distribution",
+                            lambda spec: builds.append(spec) or build(spec))
+        studies._worker_inputs.cache_clear()
+        grid = CheckpointGrid.logspaced(1_000, 5_000, 4)
+        got = [studies._one_trajectory((ZIPF, grid.positions, grid.k_max, (7, i)))
+               for i in range(2)]
+        studies._worker_inputs.cache_clear()
+        assert builds == [ZIPF]
+        for i, tr in enumerate(got):
+            want = run_coupled(zipf2, grid, seed=(7, i))
+            assert np.array_equal(tr.K, want.K) and np.array_equal(tr.at_least, want.at_least)
